@@ -20,11 +20,13 @@ var (
 
 func testIndex(t *testing.T) *index.Index {
 	t.Helper()
-	fixtureOnce.Do(func() {
-		c := datagen.Generate(datagen.Enterprise(100, 11))
-		fixtureIdx = index.Build(c.Columns(), index.DefaultBuildOptions())
-	})
+	fixtureOnce.Do(buildFixture)
 	return fixtureIdx
+}
+
+func buildFixture() {
+	c := datagen.Generate(datagen.Enterprise(100, 11))
+	fixtureIdx = index.Build(c.Columns(), index.DefaultBuildOptions())
 }
 
 func testOptions(strategy Strategy) Options {

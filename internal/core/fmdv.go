@@ -14,6 +14,7 @@ import (
 // scored is a hypothesis pattern with its corpus evidence.
 type scored struct {
 	pat     pattern.Pattern
+	key     string // pat.Key()
 	fpr     float64
 	cov     uint32
 	matched int // query-column values matched (with multiplicity)
@@ -60,27 +61,32 @@ func inferFlat(values []string, idx *index.Index, opt Options, theta float64) (*
 // selectBest picks the optimal feasible hypothesis: minimum FPR_T
 // (or minimum coverage under the CMDV ablation objective), subject to
 // FPR_T(h) ≤ r and Cov_T(h) ≥ m.
-func selectBest(cands []pattern.Candidate, idx *index.Index, opt Options, minMatched int) (*scored, error) {
-	var best *scored
+func selectBest(cands []pattern.Candidate, idx *index.Index, opt Options, minMatched int) (scored, error) {
+	var best scored
+	found := false
+	hits := uint64(0)
 	for _, c := range cands {
 		if c.Matched < minMatched {
 			continue
 		}
-		e, ok := idx.LookupPattern(c.Pattern)
+		e, ok := idx.Lookup(c.Key)
 		if !ok {
 			continue
 		}
+		hits++
 		fpr := e.FPR()
 		if fpr > opt.R || int(e.Cov) < opt.M {
 			continue
 		}
-		s := &scored{pat: c.Pattern, fpr: fpr, cov: e.Cov, matched: c.Matched}
-		if best == nil || better(opt.Objective, s, best) {
-			best = s
+		s := scored{pat: c.Pattern, key: c.Key, fpr: fpr, cov: e.Cov, matched: c.Matched}
+		if !found || better(opt.Objective, &s, &best) {
+			best, found = s, true
 		}
 	}
-	if best == nil {
-		return nil, ErrNoFeasible
+	candidatesEnumerated.Add(uint64(len(cands)))
+	indexHits.Add(hits)
+	if !found {
+		return scored{}, ErrNoFeasible
 	}
 	return best, nil
 }
@@ -127,7 +133,7 @@ func better(obj Objective, a, b *scored) bool {
 	if a.matched != b.matched {
 		return a.matched > b.matched
 	}
-	return a.pat.Key() < b.pat.Key()
+	return a.key < b.key
 }
 
 // generality scores how far a pattern sits from the leaves of the
@@ -190,7 +196,8 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 	if res.Total == 0 {
 		return nil, ErrEmptyColumn
 	}
-	var best *scored
+	var best scored
+	found := false
 	for _, c := range res.Candidates {
 		if c.Matched < res.Total {
 			continue
@@ -212,12 +219,12 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 		if fpr > opt.R || int(cov) < opt.M {
 			continue
 		}
-		s := &scored{pat: c.Pattern, fpr: fpr, cov: cov, matched: c.Matched}
-		if best == nil || better(opt.Objective, s, best) {
-			best = s
+		s := scored{pat: c.Pattern, key: c.Key, fpr: fpr, cov: cov, matched: c.Matched}
+		if !found || better(opt.Objective, &s, &best) {
+			best, found = s, true
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, fmt.Errorf("%w (no-index scan over %d columns)", ErrNoFeasible, len(cols))
 	}
 	return buildRule(opt, best.pat, best.fpr, 0, res.Total, nil), nil

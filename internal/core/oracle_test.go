@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"autovalidate/internal/index"
@@ -12,26 +12,36 @@ import (
 	"autovalidate/internal/validate"
 )
 
-// inferVertical implements FMDV-V (theta = 0) and FMDV-VH (theta > 0):
-// values are tokenized, multi-sequence aligned, and split into an
-// m-segmentation by the dynamic program of Eq. 11; each segment's pattern
-// is selected by FMDV against the index, and the per-segment FPRs are
-// aggregated (sum by default, Eq. 8) under the overall target r.
-//
-// The horizontal step follows the paper's greedy (§4): whole token-shape
-// groups are discarded smallest-first while the kept fraction stays at
-// least 1-θ, which removes ad-hoc non-conforming values (they rarely
-// share a shape with conforming ones) before alignment.
-func inferVertical(values []string, idx *index.Index, opt Options, theta float64) (*validate.Rule, error) {
+// The inference path as it was before each segment was solved once and
+// each candidate's key rendered once, kept as the slow obvious reference
+// Infer is compared against: every DP leaf enumerates its strings from
+// scratch, the two tokenizations share nothing, and every candidate's
+// key is re-rendered for its index lookup.
+
+// oracleInfer is Infer over the reference path.
+func oracleInfer(values []string, idx *index.Index, opt Options) (*validate.Rule, error) {
+	if len(values) == 0 {
+		return nil, ErrEmptyColumn
+	}
+	switch opt.Strategy {
+	case FMDVV:
+		return oracleInferVertical(values, idx, opt, 0)
+	case FMDVVH:
+		return oracleInferVertical(values, idx, opt, opt.Theta)
+	case FMDVH:
+		return oracleInferFlat(values, idx, opt, opt.Theta)
+	default:
+		return oracleInferFlat(values, idx, opt, 0)
+	}
+}
+
+func oracleInferVertical(values []string, idx *index.Index, opt Options, theta float64) (*validate.Rule, error) {
 	// Solve under both tokenizations: the fine lexer preserves the most
 	// structure, but columns like GUIDs have wildly diverse fine shapes
 	// and a single coarse shape under alnum merging. Keep whichever
-	// solution has the lower aggregated FPR (more specific on ties). A
-	// segment both alignments cut out (every segment, when no value has
-	// adjacent letter and digit runs) is solved once.
-	memo := leafMemo{}
-	fine, errF := inferVerticalTok(values, idx, opt, theta, false, memo)
-	merged, errM := inferVerticalTok(values, idx, opt, theta, true, memo)
+	// solution has the lower aggregated FPR (more specific on ties).
+	fine, errF := oracleInferVerticalTok(values, idx, opt, theta, false)
+	merged, errM := oracleInferVerticalTok(values, idx, opt, theta, true)
 	switch {
 	case errF != nil && errM != nil:
 		return nil, errF
@@ -50,8 +60,8 @@ func inferVertical(values []string, idx *index.Index, opt Options, theta float64
 	}
 }
 
-func inferVerticalTok(values []string, idx *index.Index, opt Options, theta float64, merge bool, memo leafMemo) (*validate.Rule, error) {
-	uniq, weights, total := dedupeValues(values)
+func oracleInferVerticalTok(values []string, idx *index.Index, opt Options, theta float64, merge bool) (*validate.Rule, error) {
+	uniq, weights, total := oracleDedupeValues(values)
 	if total == 0 {
 		return nil, ErrEmptyColumn
 	}
@@ -146,7 +156,7 @@ func inferVerticalTok(values []string, idx *index.Index, opt Options, theta floa
 		}
 	}
 
-	dp := newSegmentDP(idx, opt, keptIdx, weights, colText, ncols, memo)
+	dp := oracleNewSegmentDP(idx, opt, keptIdx, weights, colText, ncols)
 	result := dp.solve()
 	if !result.ok {
 		return nil, fmt.Errorf("%w (no feasible segmentation)", ErrNoFeasible)
@@ -159,7 +169,7 @@ func inferVerticalTok(values []string, idx *index.Index, opt Options, theta floa
 	return rule, nil
 }
 
-func dedupeValues(values []string) (uniq []string, weights []int, total int) {
+func oracleDedupeValues(values []string) (uniq []string, weights []int, total int) {
 	at := make(map[string]int, len(values))
 	for _, v := range values {
 		if i, ok := at[v]; ok {
@@ -174,68 +184,32 @@ func dedupeValues(values []string) (uniq []string, weights []int, total int) {
 	return uniq, weights, total
 }
 
-// shapeSymbols encodes runs as MSA symbols: classes compare by kind, and
-// symbol runs keep their identity so ":" aligns with ":" not "/".
-func shapeSymbols(runs []tokens.Run) []string {
-	out := make([]string, len(runs))
-	for i, r := range runs {
-		switch r.Class {
-		case tokens.ClassDigit:
-			out[i] = "d"
-		case tokens.ClassLetter:
-			out[i] = "l"
-		case tokens.ClassAlnum:
-			out[i] = "a"
-		case tokens.ClassSpace:
-			out[i] = "_"
-		default:
-			out[i] = "s" + r.Text
-		}
-	}
-	return out
-}
-
-// segmentDP runs the bottom-up dynamic program of Eq. 11 over aligned
+// oracleSegmentDP runs the bottom-up dynamic program of Eq. 11 over aligned
 // token columns.
-type segmentDP struct {
+type oracleSegmentDP struct {
 	idx     *index.Index
 	opt     Options
 	keptIdx []int
 	weights []int
 	colText map[int][]string
 	ncols   int
-	memo    leafMemo
-	key     []byte // scratch of leaf
 }
 
-func newSegmentDP(idx *index.Index, opt Options, keptIdx []int, weights []int, colText map[int][]string, ncols int, memo leafMemo) *segmentDP {
-	return &segmentDP{idx: idx, opt: opt, keptIdx: keptIdx, weights: weights, colText: colText, ncols: ncols, memo: memo}
+func oracleNewSegmentDP(idx *index.Index, opt Options, keptIdx []int, weights []int, colText map[int][]string, ncols int) *oracleSegmentDP {
+	return &oracleSegmentDP{idx: idx, opt: opt, keptIdx: keptIdx, weights: weights, colText: colText, ncols: ncols}
 }
 
-// leafMemo holds every segment solved for one query column, under either
-// tokenization, keyed by the segment's (text, weight) sequence in row
-// order: the same sub-column has the same best pattern.
-type leafMemo map[string]leafResult
-
-// leafResult is the best unsplit pattern of a segment's values, before
-// the segment's gaps are accounted for.
-type leafResult struct {
-	ok  bool
-	fpr float64
-	pat pattern.Pattern
-}
-
-type segResult struct {
+type oracleSegResult struct {
 	ok   bool
 	agg  float64
 	pats []pattern.Pattern
 }
 
-func (dp *segmentDP) solve() segResult {
+func (dp *oracleSegmentDP) solve() oracleSegResult {
 	n := dp.ncols
-	best := make([][]segResult, n)
+	best := make([][]oracleSegResult, n)
 	for s := range best {
-		best[s] = make([]segResult, n)
+		best[s] = make([]oracleSegResult, n)
 	}
 	for width := 1; width <= n; width++ {
 		for s := 0; s+width-1 < n; s++ {
@@ -257,7 +231,7 @@ func (dp *segmentDP) solve() segResult {
 					pats := make([]pattern.Pattern, 0, len(l.pats)+len(r.pats))
 					pats = append(pats, l.pats...)
 					pats = append(pats, r.pats...)
-					cur = segResult{ok: true, agg: agg, pats: pats}
+					cur = oracleSegResult{ok: true, agg: agg, pats: pats}
 				}
 			}
 			best[s][e] = cur
@@ -269,34 +243,30 @@ func (dp *segmentDP) solve() segResult {
 // leaf computes min_{h ∈ P(C[s,e])} FPR_T(h): the no-split option of
 // Eq. 11, by enumerating the segment's hypothesis space and scoring it
 // against the index.
-func (dp *segmentDP) leaf(s, e int) segResult {
+func (dp *oracleSegmentDP) leaf(s, e int) oracleSegResult {
 	if e-s+1 > dp.opt.Tau {
-		return segResult{} // longer than any indexed pattern (§2.4)
+		return oracleSegResult{} // longer than any indexed pattern (§2.4)
 	}
-	// Assemble the sub-column (with multiplicity), and its memo key.
+	// Assemble the sub-column (with multiplicity).
 	var sub []string
-	var emptyW int
-	key := dp.key[:0]
+	var emptyW, totalW int
 	for _, i := range dp.keptIdx {
 		var text string
 		for c := s; c <= e; c++ {
 			text += dp.colText[i][c]
 		}
 		w := dp.weights[i]
+		totalW += w
 		if text == "" {
 			emptyW += w
 			continue
 		}
-		key = binary.AppendUvarint(key, uint64(len(text)))
-		key = append(key, text...)
-		key = binary.AppendUvarint(key, uint64(w))
 		for k := 0; k < w; k++ {
 			sub = append(sub, text)
 		}
 	}
-	dp.key = key
 	if len(sub) == 0 {
-		return segResult{}
+		return oracleSegResult{}
 	}
 
 	// Constant separator fast path: a segment of pure punctuation or
@@ -312,50 +282,68 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 		if emptyW > 0 {
 			p = pattern.Optional(p)
 		}
-		return segResult{ok: true, agg: 0, pats: []pattern.Pattern{p}}
+		return oracleSegResult{ok: true, agg: 0, pats: []pattern.Pattern{p}}
 	}
 
-	res, seen := dp.memo[string(key)]
-	if seen {
-		segmentsMemoized.Add(1)
-	} else {
-		segmentsSolved.Add(1)
-		enum := dp.opt.Enum
-		enum.MaxTokens = dp.opt.Tau
-		enum.MinSupport = 1.0
-		cands := pattern.Enumerate(sub, enum)
-		if best, err := selectBest(cands.Candidates, dp.idx, dp.opt, cands.Total); err == nil {
-			res = leafResult{ok: true, fpr: best.fpr, pat: best.pat}
-		}
-		dp.memo[string(key)] = res
+	enum := dp.opt.Enum
+	enum.MaxTokens = dp.opt.Tau
+	enum.MinSupport = 1.0
+	res := pattern.Enumerate(sub, enum)
+	bestC, err := oracleSelectBest(res.Candidates, dp.idx, dp.opt, res.Total)
+	if err != nil {
+		return oracleSegResult{}
 	}
-	if !res.ok {
-		return segResult{}
-	}
-	pat := res.pat
+	pat := bestC.pat
 	if emptyW > 0 {
 		// Some aligned rows are gapped here: make the segment optional.
 		pat = pattern.Optional(pat)
 	}
-	return segResult{ok: true, agg: res.fpr, pats: []pattern.Pattern{pat}}
+	return oracleSegResult{ok: true, agg: bestC.fpr, pats: []pattern.Pattern{pat}}
 }
 
-func allEqual(xs []string) bool {
-	for _, x := range xs[1:] {
-		if x != xs[0] {
-			return false
-		}
+// oracleInferFlat implements FMDV (theta = 0, Eq. 5-7) and FMDV-H (theta > 0,
+// Eq. 12-16): hypotheses are enumerated with the matching support
+// semantics and scored against the index.
+func oracleInferFlat(values []string, idx *index.Index, opt Options, theta float64) (*validate.Rule, error) {
+	enum := opt.Enum
+	enum.MaxTokens = opt.Tau
+	enum.MinSupport = 1 - theta
+	res := pattern.Enumerate(values, enum)
+	if res.Total == 0 {
+		return nil, ErrEmptyColumn
 	}
-	return true
+	minMatched := int(math.Ceil((1 - theta) * float64(res.Total)))
+	best, err := oracleSelectBest(res.Candidates, idx, opt, minMatched)
+	if err != nil {
+		return nil, err
+	}
+	return buildRule(opt, best.pat, best.fpr, res.Total-best.matched, res.Total, nil), nil
 }
 
-func isSeparator(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch tokens.ClassOf(s[i]) {
-		case tokens.ClassSymbol, tokens.ClassSpace:
-		default:
-			return false
+// oracleSelectBest picks the optimal feasible hypothesis: minimum FPR_T
+// (or minimum coverage under the CMDV ablation objective), subject to
+// FPR_T(h) ≤ r and Cov_T(h) ≥ m.
+func oracleSelectBest(cands []pattern.Candidate, idx *index.Index, opt Options, minMatched int) (*scored, error) {
+	var best *scored
+	for _, c := range cands {
+		if c.Matched < minMatched {
+			continue
+		}
+		e, ok := idx.LookupPattern(c.Pattern)
+		if !ok {
+			continue
+		}
+		fpr := e.FPR()
+		if fpr > opt.R || int(e.Cov) < opt.M {
+			continue
+		}
+		s := &scored{pat: c.Pattern, key: c.Pattern.Key(), fpr: fpr, cov: e.Cov, matched: c.Matched}
+		if best == nil || better(opt.Objective, s, best) {
+			best = s
 		}
 	}
-	return s != ""
+	if best == nil {
+		return nil, ErrNoFeasible
+	}
+	return best, nil
 }

@@ -200,7 +200,7 @@ func Build(cols []*corpus.Column, opt BuildOptions) *Index {
 			}
 			for _, c := range res.Candidates {
 				imp := float64(res.Total-c.Matched) / float64(res.Total)
-				emit(c.Pattern.Key(), Entry{
+				emit(c.Key, Entry{
 					SumImp: imp,
 					Cov:    1,
 					Tokens: uint16(c.Pattern.TokenCount()),

@@ -1,0 +1,144 @@
+package pattern_test
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"autovalidate/internal/datagen"
+	"autovalidate/internal/pattern"
+)
+
+// agreeOptions are the enumeration settings the repo runs with — offline
+// indexing (τ=8), the paper's τ=13, a DP leaf (full support), a
+// horizontal cut — and two that make the caps bind.
+func agreeOptions() map[string]pattern.EnumOptions {
+	index := pattern.DefaultEnumOptions()
+	index.MaxTokens = 8
+	leaf := index
+	leaf.MinSupport = 1.0
+	cut := index
+	cut.MinSupport = 0.9
+	capped := index
+	capped.MaxPatterns = 7
+	fewValues := cut
+	fewValues.MaxValues = 5
+	fine := index
+	fine.IncludeAlnumPass = false
+	return map[string]pattern.EnumOptions{
+		"tau13": pattern.DefaultEnumOptions(), "index": index, "leaf": leaf, "cut": cut,
+		"capped": capped, "fewValues": fewValues, "fineOnly": fine,
+	}
+}
+
+func checkAgree(t *testing.T, values []string, opt pattern.EnumOptions) {
+	t.Helper()
+	got := pattern.Enumerate(values, opt)
+	want := pattern.OracleEnumerate(values, opt)
+	if len(want.Candidates) == 0 {
+		want.Candidates = nil // the oracle returns an empty slice, Enumerate nil
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Enumerate disagrees with the oracle on %q (%+v):\n got %s\nwant %s",
+			values, opt, describe(got), describe(want))
+	}
+	for _, c := range got.Candidates {
+		if c.Key != c.Pattern.Key() {
+			t.Fatalf("candidate key %q is not its pattern's key %q", c.Key, c.Pattern.Key())
+		}
+	}
+}
+
+func describe(res pattern.EnumResult) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "total=%d wide=%d empty=%d capped=%v candidates=%d", res.Total, res.Wide, res.Empty, res.Capped, len(res.Candidates))
+	for i, c := range res.Candidates {
+		if i == 12 {
+			sb.WriteString(" …")
+			break
+		}
+		fmt.Fprintf(&sb, " [%s ×%d]", c.Key, c.Matched)
+	}
+	return sb.String()
+}
+
+func allDomains() []datagen.Domain {
+	var out []datagen.Domain
+	out = append(out, datagen.EnterpriseDomains()...)
+	out = append(out, datagen.GovernmentDomains()...)
+	return append(out, datagen.NLDomains()...)
+}
+
+// Property: over every generator domain, Enumerate returns exactly the
+// oracle's result — same patterns, keys, supports and order.
+func TestEnumerateAgreesWithOracle(t *testing.T) {
+	seeds := 20
+	if testing.Short() {
+		seeds = 3
+	}
+	for _, d := range allDomains() {
+		for seed := 0; seed < seeds; seed++ {
+			values, err := datagen.FreshColumn(d.Name, 40, int64(100+seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, opt := range agreeOptions() {
+				if name == "tau13" && seed > 2 {
+					continue // the widest cross-products; three columns each suffice
+				}
+				checkAgree(t, values, opt)
+			}
+		}
+	}
+}
+
+// Mixed shapes, empties, duplicates, wide values and literal
+// metacharacters, which no generator domain combines.
+func TestEnumerateAgreesWithOracleHandCases(t *testing.T) {
+	cases := [][]string{
+		nil,
+		{""},
+		{"", "", "ab"},
+		{"ab", "ab", "ab", "cd"},
+		{"9:07", "9:07 PM", "10:15", "10:15 AM", ""},
+		{"a1b2", "ab12", "12ab", "a-1", "a_1", "a 1"},
+		{"<x>", "(y)", `\z`, "<x>"},
+		{"1.2.3.4.5.6.7.8.9.10", "1.2", "a.b"},
+		{"x1", "x2", "x3", "y1", "y-1", "  y1"},
+		{"2019-01-02", "2019/01/02", "2019-1-2", "20190102"},
+		{"AB12CD", "ab12cd", "A1", "1A", "A", "1"},
+	}
+	for _, values := range cases {
+		for _, opt := range agreeOptions() {
+			checkAgree(t, values, opt)
+		}
+	}
+}
+
+// FuzzEnumerateAgree feeds arbitrary newline-separated columns and
+// option bytes to both enumerations.
+func FuzzEnumerateAgree(f *testing.F) {
+	f.Add("9:07\n9:07 PM\n10:15", byte(100), byte(8), byte(0))
+	f.Add("a1b2\nab12\n\n12ab\na1b2", byte(5), byte(3), byte(4))
+	f.Add("<x>\n(y)\n\\z", byte(90), byte(0), byte(2))
+	f.Add("0a1b2c3d-0a1b\nffff0000-abcd\n12345678-9abc", byte(100), byte(5), byte(1))
+	f.Fuzz(func(t *testing.T, column string, support, tau, caps byte) {
+		if len(column) > 400 {
+			return
+		}
+		opt := pattern.DefaultEnumOptions()
+		opt.MinSupport = float64(support%101) / 100
+		// Both cross-products are exponential in τ (eight options a
+		// position); the property tests cover τ = 8 and 13.
+		opt.MaxTokens = 1 + int(tau%6)
+		opt.IncludeAlnumPass = caps&1 == 0
+		if caps&2 != 0 {
+			opt.MaxPatterns = 1 + int(caps>>4)
+		}
+		if caps&4 != 0 {
+			opt.MaxValues = 1 + int(caps>>5)
+		}
+		checkAgree(t, strings.Split(column, "\n"), opt)
+	})
+}

@@ -172,6 +172,37 @@ func TestEnumerateMaxPatternsCap(t *testing.T) {
 	}
 }
 
+// A cap reached on the last pattern of one shape group still truncates:
+// every later group is skipped whole.
+func TestEnumerateCappedWhenLaterGroupSkipped(t *testing.T) {
+	opt := DefaultEnumOptions()
+	opt.IncludeAlnumPass = false
+	opt.MaxPatterns = 4
+	// The letter group (weight 4) goes first and emits exactly
+	// <letter>+, <letter>{2}, ab, cd; the digit group is never explored.
+	res := Enumerate([]string{"ab", "ab", "cd", "cd", "12"}, opt)
+	if got := keys(res); len(got) != 4 || got["cd"] != 2 || got["<digit>+"] != 0 {
+		t.Fatalf("candidates = %v, want the letter group's four", got)
+	}
+	if !res.Capped {
+		t.Error("Capped = false though the digit group's patterns were dropped")
+	}
+}
+
+// Exactly MaxPatterns distinct patterns is not a truncation.
+func TestEnumerateNotCappedAtExactlyMaxPatterns(t *testing.T) {
+	opt := DefaultEnumOptions()
+	opt.IncludeAlnumPass = false
+	opt.MaxPatterns = 4
+	res := Enumerate([]string{"ab", "ab", "cd", "cd"}, opt)
+	if len(res.Candidates) != 4 {
+		t.Fatalf("candidates = %v, want 4", keys(res))
+	}
+	if res.Capped {
+		t.Error("Capped = true though no pattern was dropped")
+	}
+}
+
 // Property: every enumerated candidate's reported support equals its true
 // match count over the column (the bitset bookkeeping is consistent with
 // the matcher).

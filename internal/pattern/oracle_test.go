@@ -2,90 +2,23 @@ package pattern
 
 import (
 	"math"
-	"math/bits"
-	"slices"
 	"sort"
-	"strings"
 
 	"autovalidate/internal/tokens"
 )
 
-// EnumOptions control the pattern enumeration of Algorithm 1. The zero
-// value is not useful; start from DefaultEnumOptions.
-type EnumOptions struct {
-	// MinSupport is the fraction of the column's values a pattern must
-	// match to be retained (Algorithm 1's coverage threshold). 1.0
-	// yields the intersection semantics of H(C) = ∩ P(v); lower values
-	// yield the union-with-support semantics used by FMDV-H (Eq. 13)
-	// and by offline indexing of P(D).
-	MinSupport float64
-	// MaxTokens is τ, the token-count cap of §2.4. Values with more
-	// than MaxTokens non-space tokens are skipped (they count against
-	// support but generate no patterns); vertical cuts compensate.
-	MaxTokens int
-	// MaxPatterns caps the number of distinct patterns emitted for one
-	// column, a tractability lever on top of τ.
-	MaxPatterns int
-	// MaxConstsPerPos caps the distinct constants offered at one
-	// aligned position, and MinConstSupport is the minimum in-column
-	// support fraction for a constant to be offered at all.
-	MaxConstsPerPos int
-	MinConstSupport float64
-	// MaxLengthsPerPos caps the distinct fixed-width options <class>{k}
-	// offered at one position.
-	MaxLengthsPerPos int
-	// MaxValues caps the number of distinct values used to compute
-	// supports; columns are deduplicated with multiplicity weights
-	// first, so this is rarely binding in benchmarks.
-	MaxValues int
-	// IncludeAlnumPass enables the coarser second tokenization in which
-	// adjacent letter and digit runs merge into <alnum> runs, producing
-	// the <alnum>{k} / <alnum>+ generalizations of Figure 4.
-	IncludeAlnumPass bool
-}
-
-// DefaultEnumOptions returns the settings used throughout the paper's
-// experiments: τ=13 with in-column coverage pruning.
-func DefaultEnumOptions() EnumOptions {
-	return EnumOptions{
-		MinSupport:       0.05,
-		MaxTokens:        13,
-		MaxPatterns:      50000,
-		MaxConstsPerPos:  3,
-		MinConstSupport:  0.10,
-		MaxLengthsPerPos: 3,
-		MaxValues:        1000,
-		IncludeAlnumPass: true,
-	}
-}
-
-// Candidate is one enumerated pattern with its in-column support.
-type Candidate struct {
-	Pattern Pattern
-	Key     string // Pattern.Key(), rendered once during enumeration
-	Matched int    // number of values (with multiplicity) the pattern matches
-}
-
-// EnumResult is the outcome of enumerating one column.
-type EnumResult struct {
-	Candidates []Candidate
-	Total      int  // total values considered, with multiplicity (incl. wide and empty)
-	Wide       int  // values skipped because they exceed MaxTokens
-	Empty      int  // empty-string values (match no non-trivial pattern)
-	Capped     bool // true if MaxPatterns truncated the enumeration
-}
-
-// Enumerate produces the coverage-pruned pattern space of a column of
-// values per Algorithm 1: values are grouped by coarse token shape, each
-// aligned position is generalized independently along the Figure 4
-// hierarchy, and the cross-product is explored depth-first with pruning
-// on weighted support.
-func Enumerate(values []string, opt EnumOptions) EnumResult {
+// oracleEnumerate is the enumeration this package shipped before keys
+// were rendered once: it renders a pattern's key wherever it needs one —
+// once per DFS leaf to de-duplicate, and for both sides of every tie in
+// the output sort. It is kept as the slow obvious reference Enumerate is
+// compared against; the only edits are the stored Candidate.Key and the
+// Capped fix of enumerateGroup, so the two agree on every field.
+func oracleEnumerate(values []string, opt EnumOptions) EnumResult {
 	var res EnumResult
 	if len(values) == 0 {
 		return res
 	}
-	uniq, weights := dedupe(values, opt.MaxValues)
+	uniq, weights := oracleDedupe(values, opt.MaxValues)
 	for _, w := range weights {
 		res.Total += w
 	}
@@ -128,7 +61,7 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 		}
 	}
 
-	em := &emitter{
+	em := &oracleEmitter{
 		opt:      opt,
 		weights:  weights,
 		minCount: minCount,
@@ -138,10 +71,10 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 	// The alnum pass runs first: it is cheap and yields the most
 	// general candidates, so if MaxPatterns caps the enumeration the
 	// safest (most general) patterns are the ones retained.
-	for _, key := range keysByWeight(alnumGroups, weights) {
+	for _, key := range oracleKeysByWeight(alnumGroups, weights) {
 		em.enumerateGroup(alnumGroups[key], mergedOf, true)
 	}
-	for _, key := range keysByWeight(fineGroups, weights) {
+	for _, key := range oracleKeysByWeight(fineGroups, weights) {
 		em.enumerateGroup(fineGroups[key], runsOf, false)
 	}
 
@@ -150,14 +83,7 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 	return res
 }
 
-// HypothesisSpace returns H(C) = ∩_v P(v) \ ".*" for a homogeneous query
-// column (paper §2.1): every candidate must match all values.
-func HypothesisSpace(values []string, opt EnumOptions) EnumResult {
-	opt.MinSupport = 1.0
-	return Enumerate(values, opt)
-}
-
-func dedupe(values []string, maxValues int) ([]string, []int) {
+func oracleDedupe(values []string, maxValues int) ([]string, []int) {
 	idx := make(map[string]int, len(values))
 	var uniq []string
 	var weights []int
@@ -178,7 +104,7 @@ func dedupe(values []string, maxValues int) ([]string, []int) {
 
 // keysByWeight orders shape-group keys by descending total member weight
 // (largest groups first), so pattern caps favour well-supported shapes.
-func keysByWeight(m map[string][]int, weights []int) []string {
+func oracleKeysByWeight(m map[string][]int, weights []int) []string {
 	keys := make([]string, 0, len(m))
 	wt := make(map[string]int, len(m))
 	for k, members := range m {
@@ -196,71 +122,68 @@ func keysByWeight(m map[string][]int, weights []int) []string {
 	return keys
 }
 
-// option is one generalization choice at an aligned position together
-// with the set of group members it matches and its rendered key text.
-type option struct {
-	tok  Tok
-	bs   bitset
-	text string
+// oracleOption is one generalization choice at an aligned position together
+// with the set of group members it matches.
+type oracleOption struct {
+	tok Tok
+	bs  bitset
 }
 
-// emitter accumulates deduplicated candidates across shape groups.
-type emitter struct {
+// oracleEmitter accumulates deduplicated candidates across shape groups.
+type oracleEmitter struct {
 	opt      EnumOptions
 	weights  []int
 	minCount int
 	words    int
 
 	byKey  map[string]int
-	cands  []Candidate
+	pats   []Pattern
 	bsets  []bitset
 	capped bool
-
-	// key is the canonical key of the tokens dfs has chosen so far,
-	// grown and cut back as it descends and returns.
-	key []byte
 }
 
-func (em *emitter) full() bool {
-	return em.opt.MaxPatterns > 0 && len(em.cands) >= em.opt.MaxPatterns
+func (em *oracleEmitter) full() bool {
+	return em.opt.MaxPatterns > 0 && len(em.pats) >= em.opt.MaxPatterns
 }
 
-// emit records the pattern toks, whose canonical key dfs has assembled
-// in em.key, as matching the values in bs.
-func (em *emitter) emit(toks []Tok, bs bitset) {
-	if i, ok := em.byKey[string(em.key)]; ok {
-		em.bsets[i].or(bs)
+func (em *oracleEmitter) emit(toks []Tok, bs bitset) {
+	p := Pattern{Toks: append([]Tok(nil), toks...)}
+	if p.IsTrivial() {
 		return
 	}
-	if (Pattern{Toks: toks}).IsTrivial() {
+	key := p.Key()
+	if i, ok := em.byKey[key]; ok {
+		em.bsets[i].or(bs)
 		return
 	}
 	if em.full() {
 		em.capped = true
 		return
 	}
-	key := string(em.key)
-	em.byKey[key] = len(em.cands)
-	em.cands = append(em.cands, Candidate{Pattern: Pattern{Toks: slices.Clone(toks)}, Key: key})
-	em.bsets = append(em.bsets, slices.Clone(bs))
+	em.byKey[key] = len(em.pats)
+	em.pats = append(em.pats, p)
+	cp := newBitset(em.words)
+	copy(cp, bs)
+	em.bsets = append(em.bsets, cp)
 }
 
-func (em *emitter) finish() []Candidate {
-	for i := range em.cands {
-		em.cands[i].Matched = em.bsets[i].weightedCount(em.weights)
+func (em *oracleEmitter) finish() []Candidate {
+	out := make([]Candidate, len(em.pats))
+	for i := range em.pats {
+		out[i] = Candidate{Pattern: em.pats[i], Key: em.pats[i].Key(), Matched: em.bsets[i].weightedCount(em.weights)}
 	}
-	slices.SortFunc(em.cands, func(a, b Candidate) int {
-		if a.Matched != b.Matched {
-			return b.Matched - a.Matched
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Matched != out[j].Matched {
+			return out[i].Matched > out[j].Matched
 		}
-		return strings.Compare(a.Key, b.Key)
+		return out[i].Pattern.Key() < out[j].Pattern.Key()
 	})
-	return em.cands
+	return out
 }
 
 // enumerateGroup explores the cross-product of per-position options for
 // one shape group, pruning on weighted support.
-func (em *emitter) enumerateGroup(members []int, runsOf [][]tokens.Run, alnumPass bool) {
+func (em *oracleEmitter) enumerateGroup(members []int, runsOf [][]tokens.Run, alnumPass bool) {
 	if len(members) == 0 {
 		return
 	}
@@ -272,14 +195,14 @@ func (em *emitter) enumerateGroup(members []int, runsOf [][]tokens.Run, alnumPas
 		return // the whole group cannot reach the support threshold
 	}
 	if em.full() {
-		em.capped = true // every pattern of this group is dropped
+		em.capped = true
 		return
 	}
 	npos := len(runsOf[members[0]])
 	if npos == 0 {
 		return
 	}
-	opts := make([][]option, npos)
+	opts := make([][]oracleOption, npos)
 	for pos := 0; pos < npos; pos++ {
 		opts[pos] = em.positionOptions(members, runsOf, pos, groupWeight, alnumPass)
 		if len(opts[pos]) == 0 {
@@ -297,11 +220,10 @@ func (em *emitter) enumerateGroup(members []int, runsOf [][]tokens.Run, alnumPas
 		acc[i] = newBitset(em.words)
 	}
 	toks := make([]Tok, npos)
-	em.key = em.key[:0]
 	em.dfs(0, npos, opts, acc, toks)
 }
 
-func (em *emitter) dfs(pos, npos int, opts [][]option, acc []bitset, toks []Tok) {
+func (em *oracleEmitter) dfs(pos, npos int, opts [][]oracleOption, acc []bitset, toks []Tok) {
 	if em.full() {
 		em.capped = true
 		return
@@ -310,14 +232,12 @@ func (em *emitter) dfs(pos, npos int, opts [][]option, acc []bitset, toks []Tok)
 		em.emit(toks, acc[pos])
 		return
 	}
-	keyLen := len(em.key)
 	for _, o := range opts[pos] {
 		acc[pos+1].andInto(acc[pos], o.bs)
 		if acc[pos+1].weightedCount(em.weights) < em.minCount {
 			continue
 		}
 		toks[pos] = o.tok
-		em.key = append(em.key[:keyLen], o.text...)
 		em.dfs(pos+1, npos, opts, acc, toks)
 	}
 }
@@ -325,7 +245,7 @@ func (em *emitter) dfs(pos, npos int, opts [][]option, acc []bitset, toks []Tok)
 // positionOptions computes the generalization choices at one aligned
 // position: constants (support-gated), fixed widths, the unbounded class,
 // and <num> for digit runs — the drill-down step of Algorithm 1.
-func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, groupWeight int, alnumPass bool) []option {
+func (em *oracleEmitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, groupWeight int, alnumPass bool) []oracleOption {
 	class := runsOf[members[0]][pos].Class
 	textW := map[string]int{}
 	lenW := map[int]int{}
@@ -335,7 +255,7 @@ func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, gr
 		lenW[len(r.Text)] += em.weights[i]
 	}
 
-	var out []option
+	var out []oracleOption
 	add := func(t Tok, pred func(text string) bool) {
 		bs := newBitset(em.words)
 		for _, i := range members {
@@ -343,7 +263,7 @@ func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, gr
 				bs.set(i)
 			}
 		}
-		out = append(out, option{tok: t, bs: bs, text: t.String()})
+		out = append(out, oracleOption{tok: t, bs: bs})
 	}
 
 	// Constants, most frequent first, gated by MinConstSupport.
@@ -432,35 +352,4 @@ func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, gr
 		addConsts()
 	}
 	return out
-}
-
-// bitset is a fixed-width bit vector over value indexes.
-type bitset []uint64
-
-func newBitset(words int) bitset { return make(bitset, words) }
-
-func (b bitset) set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
-
-func (b bitset) or(c bitset) {
-	for i := range b {
-		b[i] |= c[i]
-	}
-}
-
-func (b bitset) andInto(x, y bitset) {
-	for i := range b {
-		b[i] = x[i] & y[i]
-	}
-}
-
-func (b bitset) weightedCount(weights []int) int {
-	n := 0
-	for wi, w := range b {
-		for w != 0 {
-			i := wi*64 + bits.TrailingZeros64(w)
-			n += weights[i]
-			w &= w - 1
-		}
-	}
-	return n
 }

@@ -158,7 +158,7 @@ func (p Pattern) TokenCount() int {
 	n := 0
 	for _, t := range p.Toks {
 		if t.Kind == KindLiteral {
-			n += len(tokens.Lex(t.Lit))
+			n += tokens.Count(t.Lit)
 			continue
 		}
 		n++

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"autovalidate/internal/buildinfo"
+	"autovalidate/internal/core"
 	"autovalidate/internal/monitor"
 	"autovalidate/internal/obs"
 )
@@ -55,6 +56,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Family(engName, "Values validated through compiled rule programs, by engine.", "counter")
 	mw.Int(engName, `engine="dfa"`, s.compiledDFAValues.Load())
 	mw.Int(engName, `engine="nfa"`, s.compiledNFAValues.Load())
+
+	// Inference work, process-wide (every /infer, registration and
+	// re-inference): how many vertical-cut segments were solved and how
+	// many were an already-solved segment met again, and how much of the
+	// enumerated hypothesis space the index had evidence for — a low hit
+	// share says the lake has not seen this kind of column.
+	infer := core.ReadCounters()
+	const segName = "autovalidate_infer_segments_total"
+	mw.Family(segName, "Vertical-cut segments scored during inference, by whether the segment memo answered.", "counter")
+	mw.Int(segName, `memo="hit"`, infer.SegmentsMemoized)
+	mw.Int(segName, `memo="miss"`, infer.SegmentsSolved)
+	mw.Counter("autovalidate_infer_candidates_total", "Candidate patterns enumerated for scoring during inference.", infer.Candidates)
+	mw.Counter("autovalidate_infer_index_hits_total", "Candidate patterns the offline index had evidence for.", infer.IndexHits)
 
 	mw.Counter("autovalidate_replicated_deltas_total", "Replicated deltas applied (followers).", s.replicatedDeltas.Load())
 	mw.Counter("autovalidate_snapshot_installs_total", "Full snapshots installed (followers).", s.snapshotInstalls.Load())

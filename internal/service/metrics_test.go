@@ -72,6 +72,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	body := scrape(t, ts)
+	// The three cold inferences ran vertical cuts: segments were solved,
+	// the merged tokenization met some again, and candidates were scored
+	// against the index. The counters are process-wide, so only their
+	// order is asserted.
+	solved := metricValue(t, body, `autovalidate_infer_segments_total{memo="miss"}`)
+	recalled := metricValue(t, body, `autovalidate_infer_segments_total{memo="hit"}`)
+	cands := metricValue(t, body, "autovalidate_infer_candidates_total")
+	known := metricValue(t, body, "autovalidate_infer_index_hits_total")
+	if solved < 1 || recalled < 1 || known < 1 || cands < known {
+		t.Errorf("inference counters: segments miss=%g hit=%g, candidates=%g, index hits=%g", solved, recalled, cands, known)
+	}
 	if hits := metricValue(t, body, "autovalidate_cache_hits_total"); hits != 1 {
 		t.Errorf("cache hits = %g, want 1", hits)
 	}

@@ -152,6 +152,10 @@ func TestMetricsExpositionValidUnderTraffic(t *testing.T) {
 				`autovalidate_stream_state{stream="obs",state="accept"}`,
 				"autovalidate_replication_leader_generation",
 				"autovalidate_replication_apply_duration_seconds",
+				`autovalidate_infer_segments_total{memo="hit"}`,
+				`autovalidate_infer_segments_total{memo="miss"}`,
+				"autovalidate_infer_candidates_total",
+				"autovalidate_infer_index_hits_total",
 			} {
 				if !strings.Contains(body, want) {
 					t.Errorf("exposition missing %q", want)

@@ -125,7 +125,16 @@ func Lex(v string) []Run {
 // Space runs count as (whitespace) symbol tokens, which reproduces the
 // paper's 13-token count for "9/07/2010 9:07:32 AM".
 func Count(v string) int {
-	return len(Lex(v))
+	n := 0
+	prev := ClassNone
+	for i := 0; i < len(v); i++ {
+		c := ClassOf(v[i])
+		if c != prev || c == ClassSymbol {
+			n++
+		}
+		prev = c
+	}
+	return n
 }
 
 // Shape returns a compact signature of the class sequence of a value,

@@ -72,6 +72,29 @@ func TestCount(t *testing.T) {
 	}
 }
 
+// Count is a counting scan of its own; it must agree with the lexer on
+// every input the lexer's tests use.
+func TestCountAgreesWithLex(t *testing.T) {
+	inputs := []string{
+		"", "abc", "123", "9:07", "Mar 01 2019", "a--b", "  x", "en-US", "a[[]]b",
+		"9/07/2010 9:07:32 AM", "0.1", "--", " \t ", "a1b2", "\xc3\xa9t\xc3\xa9 2019",
+	}
+	rng := rand.New(rand.NewSource(7))
+	alphabet := "abzAZ019 -/:._\t"
+	for i := 0; i < 500; i++ {
+		b := make([]byte, rng.Intn(30))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, in := range inputs {
+		if got, want := Count(in), len(Lex(in)); got != want {
+			t.Errorf("Count(%q) = %d, Lex yields %d runs", in, got, want)
+		}
+	}
+}
+
 func TestShape(t *testing.T) {
 	if got := Shape(Lex("9:07")); got != "ds:d" {
 		t.Errorf("Shape(9:07) = %q, want ds:d", got)
