@@ -80,7 +80,7 @@ func oracleInferVerticalTok(values []string, idx *index.Index, opt Options, thet
 	for i, v := range uniq {
 		runs := tokens.Lex(v)
 		if merge {
-			runs = tokens.MergeAlnum(runs)
+			runs = tokens.MergeAlnum(nil, v, runs)
 		}
 		runsOf[i] = runs
 		key := tokens.Shape(runs)
@@ -299,6 +299,15 @@ func (dp *oracleSegmentDP) leaf(s, e int) oracleSegResult {
 		pat = pattern.Optional(pat)
 	}
 	return oracleSegResult{ok: true, agg: bestC.fpr, pats: []pattern.Pattern{pat}}
+}
+
+func allEqual(xs []string) bool {
+	for _, x := range xs[1:] {
+		if x != xs[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // oracleInferFlat implements FMDV (theta = 0, Eq. 5-7) and FMDV-H (theta > 0,

@@ -26,12 +26,13 @@ func inferVertical(values []string, idx *index.Index, opt Options, theta float64
 	// Solve under both tokenizations: the fine lexer preserves the most
 	// structure, but columns like GUIDs have wildly diverse fine shapes
 	// and a single coarse shape under alnum merging. Keep whichever
-	// solution has the lower aggregated FPR (more specific on ties). A
-	// segment both alignments cut out (every segment, when no value has
-	// adjacent letter and digit runs) is solved once.
-	memo := leafMemo{}
-	fine, errF := inferVerticalTok(values, idx, opt, theta, false, memo)
-	merged, errM := inferVerticalTok(values, idx, opt, theta, true, memo)
+	// solution has the lower aggregated FPR (more specific on ties). The
+	// column is lexed once for both, and a segment both alignments cut
+	// out (every segment, when no value has adjacent letter and digit
+	// runs) is solved once.
+	dp := &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, slot: map[string]int{}}
+	fine, errF := dp.infer(theta, false)
+	merged, errM := dp.infer(theta, true)
 	switch {
 	case errF != nil && errM != nil:
 		return nil, errF
@@ -50,10 +51,54 @@ func inferVertical(values []string, idx *index.Index, opt Options, theta float64
 	}
 }
 
-func inferVerticalTok(values []string, idx *index.Index, opt Options, theta float64, merge bool, memo leafMemo) (*validate.Rule, error) {
-	uniq, weights, total := dedupeValues(values)
-	if total == 0 {
-		return nil, ErrEmptyColumn
+// lexedColumn is a query column de-duplicated and lexed once: distinct
+// value uniq[i] occurs weights[i] times and lexes to fine[i], or to
+// merged[i] with adjacent letter and digit runs merged. off and first
+// locate a run span of either tokenization in the value, so a segment of
+// the alignment is a substring and a sub-slice, never a new string.
+type lexedColumn struct {
+	uniq    []string
+	weights []int
+	total   int
+	fine    [][]tokens.Run
+	merged  [][]tokens.Run
+	off     [][]int // off[i][k]: byte offset of fine[i][k] in uniq[i]; off[i][len(fine[i])] = len(uniq[i])
+	first   [][]int // first[i][j]: index in fine[i] of merged[i][j]'s first run; first[i][len(merged[i])] = len(fine[i])
+}
+
+func lexColumn(values []string) *lexedColumn {
+	uniq, weights := pattern.Dedupe(values, 0)
+	n := len(uniq)
+	col := &lexedColumn{
+		uniq: uniq, weights: weights, total: len(values),
+		fine: make([][]tokens.Run, n), merged: make([][]tokens.Run, n),
+		off: make([][]int, n), first: make([][]int, n),
+	}
+	for i, v := range uniq {
+		fine := tokens.Lex(v)
+		merged := tokens.MergeAlnum(make([]tokens.Run, 0, len(fine)), v, fine)
+		ints := make([]int, len(fine)+len(merged)+2)
+		off, first := ints[:len(fine)+1], ints[len(fine)+1:]
+		k := 0
+		for j, m := range merged {
+			first[j] = k
+			for end := off[k] + len(m.Text); off[k] < end; k++ {
+				off[k+1] = off[k] + len(fine[k].Text)
+			}
+		}
+		first[len(merged)] = len(fine)
+		col.fine[i], col.merged[i], col.off[i], col.first[i] = fine, merged, off, first
+	}
+	return col
+}
+
+// infer solves the column under one tokenization (merge: with adjacent
+// letter and digit runs merged).
+func (dp *segmentDP) infer(theta float64, merge bool) (*validate.Rule, error) {
+	opt, weights, total := dp.opt, dp.col.weights, dp.col.total
+	runsOf := dp.col.fine
+	if merge {
+		runsOf = dp.col.merged
 	}
 	minKept := total - int(theta*float64(total))
 
@@ -66,13 +111,7 @@ func inferVerticalTok(values []string, idx *index.Index, opt Options, theta floa
 		bad     bool // empty or beyond the alignment cap: must be cut
 	}
 	byShape := map[string]*group{}
-	runsOf := make([][]tokens.Run, len(uniq))
-	for i, v := range uniq {
-		runs := tokens.Lex(v)
-		if merge {
-			runs = tokens.MergeAlnum(runs)
-		}
-		runsOf[i] = runs
+	for i, runs := range runsOf {
 		key := tokens.Shape(runs)
 		g, ok := byShape[key]
 		if !ok {
@@ -129,24 +168,10 @@ func inferVerticalTok(values []string, idx *index.Index, opt Options, theta floa
 		return nil, fmt.Errorf("%w (aligned width %d exceeds cap %d)", ErrNoFeasible, ncols, opt.MaxAlignCols)
 	}
 
-	// colText[i][c] is value i's text at aligned column c ("" on gaps).
-	var keptIdx []int
-	colText := map[int][]string{}
+	dp.merge, dp.ncols, dp.rows = merge, ncols, dp.rows[:0]
 	for gi, g := range keptGroups {
-		row := align.Rows[gi]
-		for _, i := range g.members {
-			texts := make([]string, ncols)
-			for c := 0; c < ncols; c++ {
-				if ri := row[c]; ri != msa.Gap {
-					texts[c] = runsOf[i][ri].Text
-				}
-			}
-			colText[i] = texts
-			keptIdx = append(keptIdx, i)
-		}
+		dp.rows = append(dp.rows, alignedRow{cols: align.Rows[gi], members: g.members})
 	}
-
-	dp := newSegmentDP(idx, opt, keptIdx, weights, colText, ncols, memo)
 	result := dp.solve()
 	if !result.ok {
 		return nil, fmt.Errorf("%w (no feasible segmentation)", ErrNoFeasible)
@@ -157,21 +182,6 @@ func inferVerticalTok(values []string, idx *index.Index, opt Options, theta floa
 	full := pattern.Concat(result.pats...)
 	rule := buildRule(opt, full, result.agg, total-kept, total, result.pats)
 	return rule, nil
-}
-
-func dedupeValues(values []string) (uniq []string, weights []int, total int) {
-	at := make(map[string]int, len(values))
-	for _, v := range values {
-		if i, ok := at[v]; ok {
-			weights[i]++
-		} else {
-			at[v] = len(uniq)
-			uniq = append(uniq, v)
-			weights = append(weights, 1)
-		}
-		total++
-	}
-	return uniq, weights, total
 }
 
 // shapeSymbols encodes runs as MSA symbols: classes compare by kind, and
@@ -196,20 +206,35 @@ func shapeSymbols(runs []tokens.Run) []string {
 }
 
 // segmentDP runs the bottom-up dynamic program of Eq. 11 over aligned
-// token columns.
+// token columns, for one query column under each tokenization in turn.
 type segmentDP struct {
-	idx     *index.Index
-	opt     Options
-	keptIdx []int
+	idx  *index.Index
+	opt  Options
+	col  *lexedColumn
+	memo leafMemo
+
+	// The alignment being solved, set by infer.
+	merge bool // rows index col.merged, not col.fine
+	ncols int
+	rows  []alignedRow
+
+	// Scratch of leaf, reused from segment to segment: the memo key,
+	// and the segment's distinct texts with their slots, weights and
+	// runs (merged runs carved from slab).
+	key     []byte
+	slot    map[string]int
+	texts   []string
 	weights []int
-	colText map[int][]string
-	ncols   int
-	memo    leafMemo
-	key     []byte // scratch of leaf
+	fine    [][]tokens.Run
+	merged  [][]tokens.Run
+	slab    []tokens.Run
 }
 
-func newSegmentDP(idx *index.Index, opt Options, keptIdx []int, weights []int, colText map[int][]string, ncols int, memo leafMemo) *segmentDP {
-	return &segmentDP{idx: idx, opt: opt, keptIdx: keptIdx, weights: weights, colText: colText, ncols: ncols, memo: memo}
+// alignedRow is one kept shape group: cols[c] is the run its members
+// contribute to aligned column c, or msa.Gap.
+type alignedRow struct {
+	cols    []int
+	members []int
 }
 
 // leafMemo holds every segment solved for one query column, under either
@@ -273,29 +298,8 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	if e-s+1 > dp.opt.Tau {
 		return segResult{} // longer than any indexed pattern (§2.4)
 	}
-	// Assemble the sub-column (with multiplicity), and its memo key.
-	var sub []string
-	var emptyW int
-	key := dp.key[:0]
-	for _, i := range dp.keptIdx {
-		var text string
-		for c := s; c <= e; c++ {
-			text += dp.colText[i][c]
-		}
-		w := dp.weights[i]
-		if text == "" {
-			emptyW += w
-			continue
-		}
-		key = binary.AppendUvarint(key, uint64(len(text)))
-		key = append(key, text...)
-		key = binary.AppendUvarint(key, uint64(w))
-		for k := 0; k < w; k++ {
-			sub = append(sub, text)
-		}
-	}
-	dp.key = key
-	if len(sub) == 0 {
+	emptyW, uniform := dp.gather(s, e)
+	if len(dp.texts) == 0 {
 		return segResult{}
 	}
 
@@ -307,15 +311,15 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	// machine-generated data occurs as some column. Separators gapped
 	// in part of the alignment (an optional " PM" suffix's space)
 	// become optional literals.
-	if allEqual(sub) && isSeparator(sub[0]) {
-		p := pattern.New(pattern.Lit(sub[0]))
+	if uniform && isSeparator(dp.texts[0]) {
+		p := pattern.New(pattern.Lit(dp.texts[0]))
 		if emptyW > 0 {
 			p = pattern.Optional(p)
 		}
 		return segResult{ok: true, agg: 0, pats: []pattern.Pattern{p}}
 	}
 
-	res, seen := dp.memo[string(key)]
+	res, seen := dp.memo[string(dp.key)]
 	if seen {
 		segmentsMemoized.Add(1)
 	} else {
@@ -323,11 +327,17 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 		enum := dp.opt.Enum
 		enum.MaxTokens = dp.opt.Tau
 		enum.MinSupport = 1.0
-		cands := pattern.Enumerate(sub, enum)
+		dp.merged, dp.slab = dp.merged[:0], dp.slab[:0]
+		for k, runs := range dp.fine {
+			n := len(dp.slab)
+			dp.slab = tokens.MergeAlnum(dp.slab, dp.texts[k], runs)
+			dp.merged = append(dp.merged, dp.slab[n:])
+		}
+		cands := pattern.EnumerateLexed(dp.weights, dp.fine, dp.merged, enum)
 		if best, err := selectBest(cands.Candidates, dp.idx, dp.opt, cands.Total); err == nil {
 			res = leafResult{ok: true, fpr: best.fpr, pat: best.pat}
 		}
-		dp.memo[string(key)] = res
+		dp.memo[string(dp.key)] = res
 	}
 	if !res.ok {
 		return segResult{}
@@ -340,13 +350,60 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	return segResult{ok: true, agg: res.fpr, pats: []pattern.Pattern{pat}}
 }
 
-func allEqual(xs []string) bool {
-	for _, x := range xs[1:] {
-		if x != xs[0] {
-			return false
+// gather fills the leaf scratch with segment s..e of the kept values,
+// de-duplicated the way Enumerate would have, had each text been handed
+// to it weight-fold in row order: first occurrence fixes the slot, and a
+// text first met beyond Enum.MaxValues is dropped. The memo key spells
+// out every row's (text, weight). It returns the weight of the rows
+// gapped throughout, and whether the others all have the same text.
+func (dp *segmentDP) gather(s, e int) (emptyW int, uniform bool) {
+	col, maxValues := dp.col, dp.opt.Enum.MaxValues
+	clear(dp.slot)
+	dp.texts, dp.weights, dp.fine = dp.texts[:0], dp.weights[:0], dp.fine[:0]
+	key := dp.key[:0]
+	uniform = true
+	for _, row := range dp.rows {
+		// A row's runs in columns s..e are consecutive, gaps or not,
+		// so its members' texts there are substrings of the values.
+		lo, hi := -1, -1
+		for _, ri := range row.cols[s : e+1] {
+			if ri != msa.Gap {
+				if lo < 0 {
+					lo = ri
+				}
+				hi = ri + 1
+			}
+		}
+		for _, i := range row.members {
+			w := col.weights[i]
+			if lo < 0 {
+				emptyW += w
+				continue
+			}
+			flo, fhi := lo, hi
+			if dp.merge {
+				flo, fhi = col.first[i][lo], col.first[i][hi]
+			}
+			text := col.uniq[i][col.off[i][flo]:col.off[i][fhi]]
+			key = binary.AppendUvarint(key, uint64(len(text)))
+			key = append(key, text...)
+			key = binary.AppendUvarint(key, uint64(w))
+			if k, ok := dp.slot[text]; ok {
+				dp.weights[k] += w
+				continue
+			}
+			uniform = uniform && len(dp.texts) == 0 // a new text, and not the first
+			if maxValues > 0 && len(dp.texts) >= maxValues {
+				continue
+			}
+			dp.slot[text] = len(dp.texts)
+			dp.texts = append(dp.texts, text)
+			dp.weights = append(dp.weights, w)
+			dp.fine = append(dp.fine, col.fine[i][flo:fhi])
 		}
 	}
-	return true
+	dp.key = key
+	return emptyW, uniform
 }
 
 func isSeparator(s string) bool {

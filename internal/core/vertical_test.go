@@ -111,13 +111,29 @@ func TestSeparatorFastPath(t *testing.T) {
 	}
 }
 
-func TestDedupeValues(t *testing.T) {
-	uniq, weights, total := dedupeValues([]string{"a", "b", "a", "a"})
-	if total != 4 || len(uniq) != 2 {
-		t.Fatalf("dedupe: %v %v %d", uniq, weights, total)
+// lexColumn's offsets and merged-run index locate every run of both
+// tokenizations in its value.
+func TestLexColumnLocatesRuns(t *testing.T) {
+	col := lexColumn([]string{"a1-b2c3", "", "a1-b2c3", "--", "número42 x", "0a1b2c3d4e5f"})
+	if col.total != 6 || len(col.uniq) != 5 || col.weights[0] != 2 {
+		t.Fatalf("dedupe: uniq %q weights %v total %d", col.uniq, col.weights, col.total)
 	}
-	if uniq[0] != "a" || weights[0] != 3 || weights[1] != 1 {
-		t.Errorf("dedupe order/weights wrong: %v %v", uniq, weights)
+	for i, v := range col.uniq {
+		off, first := col.off[i], col.first[i]
+		if len(off) != len(col.fine[i])+1 || len(first) != len(col.merged[i])+1 {
+			t.Fatalf("%q: %d offsets for %d fine runs, %d first-run indexes for %d merged runs",
+				v, len(off), len(col.fine[i]), len(first), len(col.merged[i]))
+		}
+		for k, r := range col.fine[i] {
+			if v[off[k]:off[k+1]] != r.Text {
+				t.Errorf("%q: fine run %d is %q, offsets give %q", v, k, r.Text, v[off[k]:off[k+1]])
+			}
+		}
+		for j, m := range col.merged[i] {
+			if got := v[off[first[j]]:off[first[j+1]]]; got != m.Text {
+				t.Errorf("%q: merged run %d is %q, fine runs %d..%d give %q", v, j, m.Text, first[j], first[j+1], got)
+			}
+		}
 	}
 }
 

@@ -81,11 +81,27 @@ type EnumResult struct {
 // hierarchy, and the cross-product is explored depth-first with pruning
 // on weighted support.
 func Enumerate(values []string, opt EnumOptions) EnumResult {
-	var res EnumResult
 	if len(values) == 0 {
-		return res
+		return EnumResult{}
 	}
-	uniq, weights := dedupe(values, opt.MaxValues)
+	uniq, weights := Dedupe(values, opt.MaxValues)
+	fine := make([][]tokens.Run, len(uniq))
+	merged := make([][]tokens.Run, len(uniq))
+	for i, v := range uniq {
+		fine[i] = tokens.Lex(v)
+		merged[i] = tokens.MergeAlnum(make([]tokens.Run, 0, len(fine[i])), v, fine[i])
+	}
+	return EnumerateLexed(weights, fine, merged, opt)
+}
+
+// EnumerateLexed is Enumerate over a column already de-duplicated and
+// lexed: distinct value i occurs weights[i] times and lexes to fine[i],
+// or to merged[i] with adjacent letter and digit runs merged (both empty
+// for the empty value). The vertical-cut search lexes a column once and
+// enumerates each segment from sub-slices of those runs. The result
+// keeps no reference to the three slices, which the caller may reuse.
+func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions) EnumResult {
+	var res EnumResult
 	for _, w := range weights {
 		res.Total += w
 	}
@@ -102,28 +118,23 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 	// skipped entirely — the columns vertical cuts compensate for.
 	fineGroups := map[string][]int{}
 	alnumGroups := map[string][]int{}
-	runsOf := make([][]tokens.Run, len(uniq))
-	mergedOf := make([][]tokens.Run, len(uniq))
-	for i, v := range uniq {
-		if v == "" {
+	for i, runs := range fine {
+		if len(runs) == 0 {
 			res.Empty += weights[i]
 			continue
 		}
-		runs := tokens.Lex(v)
-		merged := tokens.MergeAlnum(runs)
 		fineOK := opt.MaxTokens <= 0 || len(runs) <= opt.MaxTokens
-		alnumOK := opt.IncludeAlnumPass && (opt.MaxTokens <= 0 || len(merged) <= opt.MaxTokens)
+		alnumOK := opt.IncludeAlnumPass && (opt.MaxTokens <= 0 || len(merged[i]) <= opt.MaxTokens)
 		if !fineOK && !alnumOK {
 			res.Wide += weights[i]
 			continue
 		}
 		if fineOK {
-			runsOf[i] = runs
-			fineGroups[tokens.ClassShape(runs)] = append(fineGroups[tokens.ClassShape(runs)], i)
+			key := tokens.ClassShape(runs)
+			fineGroups[key] = append(fineGroups[key], i)
 		}
 		if alnumOK {
-			mergedOf[i] = merged
-			key := "a:" + tokens.ClassShape(merged)
+			key := "a:" + tokens.ClassShape(merged[i])
 			alnumGroups[key] = append(alnumGroups[key], i)
 		}
 	}
@@ -133,16 +144,16 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 		weights:  weights,
 		minCount: minCount,
 		byKey:    map[string]int{},
-		words:    (len(uniq) + 63) / 64,
+		words:    (len(weights) + 63) / 64,
 	}
 	// The alnum pass runs first: it is cheap and yields the most
 	// general candidates, so if MaxPatterns caps the enumeration the
 	// safest (most general) patterns are the ones retained.
 	for _, key := range keysByWeight(alnumGroups, weights) {
-		em.enumerateGroup(alnumGroups[key], mergedOf, true)
+		em.enumerateGroup(alnumGroups[key], merged, true)
 	}
 	for _, key := range keysByWeight(fineGroups, weights) {
-		em.enumerateGroup(fineGroups[key], runsOf, false)
+		em.enumerateGroup(fineGroups[key], fine, false)
 	}
 
 	res.Candidates = em.finish()
@@ -157,10 +168,12 @@ func HypothesisSpace(values []string, opt EnumOptions) EnumResult {
 	return Enumerate(values, opt)
 }
 
-func dedupe(values []string, maxValues int) ([]string, []int) {
+// Dedupe returns the distinct values in order of first occurrence and how
+// often each occurs. maxValues > 0 caps the distinct values kept: a value
+// first met beyond the cap is dropped with all its occurrences, so the
+// weights then sum to less than len(values).
+func Dedupe(values []string, maxValues int) (uniq []string, weights []int) {
 	idx := make(map[string]int, len(values))
-	var uniq []string
-	var weights []int
 	for _, v := range values {
 		if i, ok := idx[v]; ok {
 			weights[i]++

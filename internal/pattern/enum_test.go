@@ -3,7 +3,10 @@ package pattern
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"autovalidate/internal/tokens"
 )
 
 func keys(res EnumResult) map[string]int {
@@ -152,6 +155,53 @@ func TestEnumerateDedupWeights(t *testing.T) {
 	}
 	if got["ab"] != 3 {
 		t.Errorf("constant ab support = %d, want 3", got["ab"])
+	}
+}
+
+func TestDedupe(t *testing.T) {
+	values := []string{"a", "b", "a", "", "c", "a", "b", "c", ""}
+	for _, tc := range []struct {
+		maxValues int
+		uniq      []string
+		weights   []int
+	}{
+		{0, []string{"a", "b", "", "c"}, []int{3, 2, 2, 2}},
+		{4, []string{"a", "b", "", "c"}, []int{3, 2, 2, 2}},
+		// Past the cap a new value is dropped with all its occurrences;
+		// one already kept goes on counting.
+		{2, []string{"a", "b"}, []int{3, 2}},
+		{1, []string{"a"}, []int{3}},
+	} {
+		uniq, weights := Dedupe(values, tc.maxValues)
+		if fmt.Sprint(uniq, weights) != fmt.Sprint(tc.uniq, tc.weights) {
+			t.Errorf("Dedupe(maxValues=%d) = %q %v, want %q %v", tc.maxValues, uniq, weights, tc.uniq, tc.weights)
+		}
+	}
+}
+
+// EnumerateLexed is the whole of Enumerate below de-duplication and
+// lexing, and keeps nothing of the slices it is handed.
+func TestEnumerateLexedIsEnumerateBelowTheLexer(t *testing.T) {
+	values := []string{"a1-b2", "a1-b2", "", "c33-d4", "x-y", "0a1b2c3d4e5f6071-z"}
+	opt := DefaultEnumOptions()
+	opt.MinSupport, opt.MaxTokens = 0.3, 4
+	uniq, weights := Dedupe(values, 0)
+	fine := make([][]tokens.Run, len(uniq))
+	merged := make([][]tokens.Run, len(uniq))
+	for i, v := range uniq {
+		fine[i] = tokens.Lex(v)
+		merged[i] = tokens.MergeAlnum(nil, v, fine[i])
+	}
+	got := EnumerateLexed(weights, fine, merged, opt)
+	for i := range fine { // the caller reuses all of it for its next segment
+		clear(fine[i])
+		clear(merged[i])
+	}
+	clear(weights)
+	clear(fine)
+	clear(merged)
+	if want := Enumerate(values, opt); !reflect.DeepEqual(got, want) {
+		t.Errorf("EnumerateLexed = %+v\nEnumerate = %+v", got, want)
 	}
 }
 

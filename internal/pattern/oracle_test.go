@@ -43,7 +43,7 @@ func oracleEnumerate(values []string, opt EnumOptions) EnumResult {
 			continue
 		}
 		runs := tokens.Lex(v)
-		merged := tokens.MergeAlnum(runs)
+		merged := tokens.MergeAlnum(nil, v, runs)
 		fineOK := opt.MaxTokens <= 0 || len(runs) <= opt.MaxTokens
 		alnumOK := opt.IncludeAlnumPass && (opt.MaxTokens <= 0 || len(merged) <= opt.MaxTokens)
 		if !fineOK && !alnumOK {

@@ -457,7 +457,10 @@ type errorResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// options resolves per-request overrides against the server defaults.
+// options resolves per-request overrides against the server defaults. An
+// override outside its domain is refused: θ ≥ 1 in particular would let
+// the horizontal cut discard all but one shape group and return a rule
+// that "tolerates" nearly every training value as non-conforming.
 func (s *Server) options(p RuleParams) (core.Options, error) {
 	opt := *s.opt.Load()
 	switch p.Strategy {
@@ -474,12 +477,21 @@ func (s *Server) options(p RuleParams) (core.Options, error) {
 		return opt, fmt.Errorf("unknown strategy %q", p.Strategy)
 	}
 	if p.R != nil {
+		if *p.R <= 0 || *p.R > 1 {
+			return opt, fmt.Errorf("r must be in (0, 1], got %v", *p.R)
+		}
 		opt.R = *p.R
 	}
 	if p.M != nil {
+		if *p.M < 0 {
+			return opt, fmt.Errorf("m must not be negative, got %d", *p.M)
+		}
 		opt.M = *p.M
 	}
 	if p.Theta != nil {
+		if *p.Theta < 0 || *p.Theta >= 1 {
+			return opt, fmt.Errorf("theta must be in [0, 1), got %v", *p.Theta)
+		}
 		opt.Theta = *p.Theta
 	}
 	return opt, nil

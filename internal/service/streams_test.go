@@ -211,6 +211,43 @@ func TestStreamPutErrors(t *testing.T) {
 	}
 }
 
+// r, m and theta from a request body are held to their domains on every
+// route that infers: θ = 1 used to cut all but one shape group and
+// return a rule with every other training value "tolerated".
+func TestRuleParamsOutOfRange(t *testing.T) {
+	ts := httptest.NewServer(streamServer(t, "").Handler())
+	defer ts.Close()
+	train := trainValues(t, "timestamp_us", 50, 5)
+	f := func(v float64) *float64 { return &v }
+	n := func(v int) *int { return &v }
+	for _, tc := range []struct {
+		name string
+		p    RuleParams
+		want int
+	}{
+		{"defaults", RuleParams{}, http.StatusOK},
+		{"bounds", RuleParams{R: f(1), M: n(0), Theta: f(0)}, http.StatusOK},
+		{"inside", RuleParams{R: f(0.05), M: n(5), Theta: f(0.99)}, http.StatusOK},
+		{"r zero", RuleParams{R: f(0)}, http.StatusBadRequest},
+		{"r negative", RuleParams{R: f(-0.1)}, http.StatusBadRequest},
+		{"r above one", RuleParams{R: f(1.5)}, http.StatusBadRequest},
+		{"theta one", RuleParams{Theta: f(1)}, http.StatusBadRequest},
+		{"theta above one", RuleParams{Theta: f(7)}, http.StatusBadRequest},
+		{"theta negative", RuleParams{Theta: f(-0.01)}, http.StatusBadRequest},
+		{"m negative", RuleParams{M: n(-1)}, http.StatusBadRequest},
+	} {
+		if code := do(t, ts, "POST", "/infer", InferRequest{Values: train, RuleParams: tc.p}, nil); code != tc.want {
+			t.Errorf("%s: POST /infer status %d, want %d", tc.name, code, tc.want)
+		}
+		if code := do(t, ts, "POST", "/validate", ValidateRequest{Train: train, Values: train, RuleParams: tc.p}, nil); code != tc.want {
+			t.Errorf("%s: POST /validate status %d, want %d", tc.name, code, tc.want)
+		}
+		if code := do(t, ts, "PUT", "/streams/ranged", StreamPutRequest{Train: train, RuleParams: tc.p}, nil); code != tc.want {
+			t.Errorf("%s: PUT /streams/ranged status %d, want %d", tc.name, code, tc.want)
+		}
+	}
+}
+
 func TestReadOnlyDisablesStreamMutation(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.M = 5

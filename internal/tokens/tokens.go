@@ -193,23 +193,29 @@ func Classes(runs []Run) []Class {
 	return cs
 }
 
-// MergeAlnum merges adjacent letter and digit runs into single <alnum>
-// runs — the coarser tokenization behind the <alnum> generalizations of
-// Figure 4, under which e.g. hex identifiers have a uniform shape.
-func MergeAlnum(runs []Run) []Run {
-	out := make([]Run, 0, len(runs))
+// MergeAlnum appends to dst the coarser tokenization of v in which
+// adjacent letter and digit runs merge into single <alnum> runs — the one
+// behind the <alnum> generalizations of Figure 4, under which e.g. hex
+// identifiers have a uniform shape. runs must be Lex(v); the merged
+// texts are slices of v, so nothing is allocated beyond dst's growth.
+func MergeAlnum(dst []Run, v string, runs []Run) []Run {
+	base := len(dst)
+	start, pos := 0, 0 // byte offsets in v of the run being grown and of r
 	for _, r := range runs {
 		c := r.Class
 		if c == ClassDigit || c == ClassLetter {
 			c = ClassAlnum
 		}
-		if n := len(out); n > 0 && out[n-1].Class == ClassAlnum && c == ClassAlnum {
-			out[n-1].Text += r.Text
-			continue
+		end := pos + len(r.Text)
+		if n := len(dst); n > base && dst[n-1].Class == ClassAlnum && c == ClassAlnum {
+			dst[n-1].Text = v[start:end]
+		} else {
+			start = pos
+			dst = append(dst, Run{Class: c, Text: v[pos:end]})
 		}
-		out = append(out, Run{Class: c, Text: r.Text})
+		pos = end
 	}
-	return out
+	return dst
 }
 
 // Join reassembles the original value from its runs.

@@ -187,6 +187,81 @@ func TestLexMaximalityProperty(t *testing.T) {
 	}
 }
 
+// concatMergeAlnum is MergeAlnum as it was while it built each merged
+// text by concatenation, kept as the reference for the slicing one.
+func concatMergeAlnum(runs []Run) []Run {
+	out := make([]Run, 0, len(runs))
+	for _, r := range runs {
+		c := r.Class
+		if c == ClassDigit || c == ClassLetter {
+			c = ClassAlnum
+		}
+		if n := len(out); n > 0 && out[n-1].Class == ClassAlnum && c == ClassAlnum {
+			out[n-1].Text += r.Text
+			continue
+		}
+		out = append(out, Run{Class: c, Text: r.Text})
+	}
+	return out
+}
+
+func TestMergeAlnumSlicesTheValue(t *testing.T) {
+	for _, v := range []string{
+		"",
+		"abc",
+		"123",
+		"a1b2c3",
+		"0a1b2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60718293a4b5c6d7e8f9", // one long alnum run
+		"0a1b2c3d-0a1b-4c2d",
+		"9/07/2010 9:07:32 AM",
+		"srv01.dc2.example.com",
+		"--a1--",
+		" x9 ",
+		"a-1",
+		"número42-ß7", // non-ASCII letters are letter bytes
+		"日本1語\xff9",   // incl. an invalid UTF-8 byte
+		"[12|ab3/4cd]",
+	} {
+		fine := Lex(v)
+		got := MergeAlnum(nil, v, fine)
+		want := concatMergeAlnum(fine)
+		if len(got) != len(want) {
+			t.Errorf("MergeAlnum(%q) = %v, want %v", v, got, want)
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("MergeAlnum(%q)[%d] = %v, want %v", v, i, got[i], want[i])
+			}
+		}
+		if Join(got) != v {
+			t.Errorf("Join(MergeAlnum(%q)) = %q", v, Join(got))
+		}
+	}
+}
+
+// Appending to a non-empty dst leaves what is there alone: a slab of
+// several values' merged runs never merges across a value boundary.
+func TestMergeAlnumAppends(t *testing.T) {
+	slab := MergeAlnum(nil, "ab1", Lex("ab1"))
+	slab = MergeAlnum(slab, "2c-d", Lex("2c-d"))
+	want := []Run{{ClassAlnum, "ab1"}, {ClassAlnum, "2c"}, {ClassSymbol, "-"}, {ClassAlnum, "d"}}
+	if len(slab) != len(want) {
+		t.Fatalf("slab = %v, want %v", slab, want)
+	}
+	for i := range slab {
+		if slab[i] != want[i] {
+			t.Errorf("slab[%d] = %v, want %v", i, slab[i], want[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		slab = MergeAlnum(slab[:0], "ab1-", []Run{{ClassLetter, "ab"}, {ClassDigit, "1"}, {ClassSymbol, "-"}})
+	})
+	if allocs != 0 {
+		t.Errorf("MergeAlnum into a slab with room allocates %.0f objects", allocs)
+	}
+}
+
 func BenchmarkLex(b *testing.B) {
 	v := "9/07/2010 9:07:32 AM"
 	b.ReportAllocs()
