@@ -212,9 +212,9 @@ func BuildIndex(c *Corpus, opt BuildOptions) *Index {
 	return index.Build(c.Columns(), opt)
 }
 
-// LoadIndex reads an index written by Index.Save — the current sharded v3
-// format (shards load in parallel, generation counters preserved) or the
-// legacy v2/v1 layouts.
+// LoadIndex reads an index written by Index.Save (shards load in
+// parallel, generation counters preserved). Files in the older v1/v2
+// layouts are refused with a pointer at a rebuild.
 func LoadIndex(path string) (*Index, error) { return index.Load(path) }
 
 // IngestCorpus folds a batch of newly arrived tables into an existing

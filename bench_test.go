@@ -270,24 +270,7 @@ func BenchmarkOfflineIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuildFlat builds the offline index as a single flat
-// map (the pre-sharding layout: one shard, pairwise reduce) — the
-// baseline for BenchmarkIndexBuildSharded.
-func BenchmarkIndexBuildFlat(b *testing.B) {
-	lake := datagen.Generate(datagen.Enterprise(60, 5))
-	opt := autovalidate.DefaultBuildOptions()
-	opt.Shards = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx := autovalidate.BuildIndex(lake, opt)
-		if idx.Size() == 0 {
-			b.Fatal("empty index")
-		}
-	}
-}
-
-// BenchmarkIndexBuildSharded builds the same index with the default
+// BenchmarkIndexBuildSharded builds the offline index with the default
 // shard count: worker-local combiners emit straight into their target
 // shard and the final reduce runs one goroutine per shard.
 func BenchmarkIndexBuildSharded(b *testing.B) {
@@ -304,61 +287,12 @@ func BenchmarkIndexBuildSharded(b *testing.B) {
 	}
 }
 
-// benchPersistIndex builds one index for the persistence benchmarks.
-func benchPersistIndex(b *testing.B) *autovalidate.Index {
-	b.Helper()
-	lake := datagen.Generate(datagen.Enterprise(60, 5))
-	return autovalidate.BuildIndex(lake, autovalidate.DefaultBuildOptions())
-}
-
-// BenchmarkIndexPersistV1 round-trips the index through the legacy v1
-// single-gob-blob format.
-func BenchmarkIndexPersistV1(b *testing.B) {
-	idx := benchPersistIndex(b)
-	path := filepath.Join(b.TempDir(), "bench-v1.idx")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := idx.SaveV1(path); err != nil {
-			b.Fatal(err)
-		}
-		got, err := autovalidate.LoadIndex(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got.Size() != idx.Size() {
-			b.Fatalf("size %d, want %d", got.Size(), idx.Size())
-		}
-	}
-}
-
-// BenchmarkIndexPersistV2 round-trips through the sharded v2 format:
-// per-shard sections encode and decode in parallel.
-func BenchmarkIndexPersistV2(b *testing.B) {
-	idx := benchPersistIndex(b)
-	path := filepath.Join(b.TempDir(), "bench-v2.idx")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := idx.SaveV2(path); err != nil {
-			b.Fatal(err)
-		}
-		got, err := autovalidate.LoadIndex(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got.Size() != idx.Size() {
-			b.Fatalf("size %d, want %d", got.Size(), idx.Size())
-		}
-	}
-}
-
-// BenchmarkIndexPersistV3 round-trips through the current v3 format —
-// v2's parallel sharded sections plus the generation counters of
-// incremental maintenance.
-func BenchmarkIndexPersistV3(b *testing.B) {
-	idx := benchPersistIndex(b)
-	path := filepath.Join(b.TempDir(), "bench-v3.idx")
+// BenchmarkIndexPersist round-trips the index through Save and
+// LoadIndex: per-shard sections encode and decode in parallel, and the
+// save is atomic and synced.
+func BenchmarkIndexPersist(b *testing.B) {
+	idx := autovalidate.BuildIndex(datagen.Generate(datagen.Enterprise(60, 5)), autovalidate.DefaultBuildOptions())
+	path := filepath.Join(b.TempDir(), "bench.idx")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -184,31 +184,17 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 		return fmt.Errorf("cluster: delta fetch: leader returned %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
 
-	// Decode the chain straight off the wire: each section is bounded by
-	// maxFetch individually, and the chain can carry the leader's whole
-	// retention window, so no whole-body cap applies here.
-	r := bufio.NewReader(resp.Body)
-	var head deltasHeader
-	if err := readFramedHeader(r, magicDeltas, &head); err != nil {
+	// The chain can carry the leader's whole retention window, so no
+	// whole-body cap applies here: each section is bounded by maxFetch.
+	head, deltas, err := readDeltas(bufio.NewReader(resp.Body), f.maxFetch)
+	if err != nil {
 		return err
 	}
-	if head.Count < 0 || head.Count > 1<<20 {
-		return fmt.Errorf("cluster: implausible delta count %d", head.Count)
-	}
 	// Record how far ahead the leader is before applying, so the
-	// generations-behind gauge reflects lag even while a long chain is
-	// still streaming in.
+	// generations-behind gauge reflects lag while a long chain applies.
 	f.svc.ObserveLeaderGeneration(head.LeaderGeneration)
 	applied := 0
-	for i := 0; i < head.Count; i++ {
-		payload, err := readSection(r, f.maxFetch)
-		if err != nil {
-			return fmt.Errorf("cluster: delta %d of %d: %w", i+1, head.Count, err)
-		}
-		d, err := index.DecodeDelta(bytes.NewReader(payload), int64(len(payload)))
-		if err != nil {
-			return fmt.Errorf("cluster: delta %d of %d: %w", i+1, head.Count, err)
-		}
+	for i, d := range deltas {
 		if d.Base < f.svc.Generation() {
 			// Already applied (the leader served a superset; harmless).
 			continue
@@ -227,6 +213,36 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 		return f.refreshRegistry(ctx)
 	}
 	return nil
+}
+
+// readDeltas decodes a delta-chain artifact: its header and every delta
+// it declares, each section bounded by maxBytes. A chain damaged
+// anywhere yields no deltas, so a follower applies whole fetches only.
+func readDeltas(r io.Reader, maxBytes int64) (deltasHeader, []*index.Delta, error) {
+	var head deltasHeader
+	fr, err := readArtifact(r, magicDeltas, &head)
+	if err != nil {
+		return head, nil, err
+	}
+	if head.Count < 0 || head.Count > 1<<20 {
+		return head, nil, fmt.Errorf("cluster: implausible delta count %d", head.Count)
+	}
+	deltas := make([]*index.Delta, 0, head.Count)
+	for i := 0; i < head.Count; i++ {
+		payload, err := fr.ReadSection(maxBytes)
+		if err != nil {
+			return head, nil, fmt.Errorf("cluster: delta %d of %d: %w", i+1, head.Count, err)
+		}
+		d, err := index.DecodeDelta(bytes.NewReader(payload), int64(len(payload)))
+		if err != nil {
+			return head, nil, fmt.Errorf("cluster: delta %d of %d: %w", i+1, head.Count, err)
+		}
+		deltas = append(deltas, d)
+	}
+	if err := fr.ReadEOF(); err != nil {
+		return head, nil, fmt.Errorf("cluster: delta chain: %w", err)
+	}
+	return head, deltas, nil
 }
 
 // Bootstrap fetches and installs a full snapshot, making the replica
@@ -266,14 +282,17 @@ func (f *Follower) refreshRegistry(ctx context.Context) error {
 	if status != http.StatusOK {
 		return fmt.Errorf("cluster: registry fetch: leader returned %d: %s", status, bytes.TrimSpace(body))
 	}
-	r := bytes.NewReader(body)
 	var head registryHeader
-	if err := readFramedHeader(r, magicRegistry, &head); err != nil {
-		return err
-	}
-	payload, err := readSection(r, f.maxFetch)
+	fr, err := readArtifact(bytes.NewReader(body), magicRegistry, &head)
 	if err != nil {
 		return err
+	}
+	payload, err := fr.ReadSection(f.maxFetch)
+	if err == nil {
+		err = fr.ReadEOF()
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: registry artifact: %w", err)
 	}
 	reg, err := registry.Decode(bytes.NewReader(payload))
 	if err != nil {

@@ -9,35 +9,32 @@
 // validation traffic with health-checked failover.
 //
 // The wire formats reuse the persistence formats wholesale — an index
-// snapshot is the same v3 bytes Save writes, a shipped delta the same
-// bytes SaveDelta writes, the registry its AVREG1 bytes — wrapped in
-// length-prefixed, CRC-32C-checksummed sections so truncation or bit
-// rot in transit is detected per artifact, exactly as on disk. The
-// generation counters that make on-disk delta chains compact
-// deterministically are what make the replication log safe: a follower
-// can only apply the delta that extends its exact generation, so a
-// missed or duplicated fetch is an error, never a silent double-count.
+// snapshot is the same bytes Save writes, a shipped delta the same
+// bytes SaveDelta writes, the registry its AVREG1 bytes — each carried
+// as one section of an internal/frame artifact with a JSON header, so
+// truncation or bit rot in transit is detected per artifact, exactly as
+// on disk. The generation counters that make on-disk delta chains
+// compact deterministically are what make the replication log safe: a
+// follower can only apply the delta that extends its exact generation,
+// so a missed or duplicated fetch is an error, never a silent
+// double-count.
 package cluster
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"autovalidate/internal/frame"
 )
 
 // Framed-artifact magics. Each replication payload leads with one, so a
 // follower can never mistake a delta feed for a snapshot.
-var (
-	magicSnapshot = []byte("AVSNAP1\n")
-	magicDeltas   = []byte("AVDLT1\n")
-	magicRegistry = []byte("AVRGY1\n")
+const (
+	magicSnapshot = "AVSNAP1\n"
+	magicDeltas   = "AVDLT1\n"
+	magicRegistry = "AVRGY1\n"
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // maxHeader bounds the JSON header section of any framed artifact.
 const maxHeader = 1 << 20
@@ -63,88 +60,33 @@ type registryHeader struct {
 	RegistryEpoch uint64 `json:"registry_epoch"`
 }
 
-// writeFramed writes magic, a length-prefixed JSON header, and one
-// length-prefixed CRC-32C section per payload.
-func writeFramed(w io.Writer, magic []byte, header any, payloads ...[]byte) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
+// writeArtifact writes magic, the JSON header and one section per
+// payload.
+func writeArtifact(w io.Writer, magic string, header any, payloads ...[]byte) error {
 	head, err := json.Marshal(header)
 	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
+		return fmt.Errorf("cluster: encoding %q header: %w", magic, err)
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(head))); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if _, err := bw.Write(head); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	for _, payload := range payloads {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(payload))); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, crc32.Checksum(payload, castagnoli)); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		if _, err := bw.Write(payload); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if err := frame.Write(w, magic, head, payloads...); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }
 
-// readFramedHeader consumes and verifies the magic, then decodes the
-// JSON header into dst.
-func readFramedHeader(r io.Reader, magic []byte, dst any) error {
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, got); err != nil {
-		return fmt.Errorf("cluster: short magic: %w", err)
+// readArtifact consumes and verifies the magic and decodes the JSON
+// header into dst; the caller reads the sections off the returned
+// reader, each bounded by its fetch cap.
+func readArtifact(r io.Reader, magic string, dst any) (*frame.Reader, error) {
+	fr, err := frame.ReadMagic(r, magic)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if !bytes.Equal(got, magic) {
-		return fmt.Errorf("cluster: bad magic %q (want %q)", got, magic)
-	}
-	var headLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &headLen); err != nil {
-		return fmt.Errorf("cluster: missing header length: %w", err)
-	}
-	if headLen == 0 || headLen > maxHeader {
-		return fmt.Errorf("cluster: implausible header length %d", headLen)
-	}
-	head := make([]byte, headLen)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return fmt.Errorf("cluster: truncated header: %w", err)
+	head, err := fr.ReadHeader(maxHeader)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %q artifact: %w", magic, err)
 	}
 	if err := json.Unmarshal(head, dst); err != nil {
-		return fmt.Errorf("cluster: undecodable header: %w", err)
+		return nil, fmt.Errorf("cluster: %q artifact: undecodable header: %w", magic, err)
 	}
-	return nil
-}
-
-// readSection reads one length-prefixed, checksummed payload, bounded by
-// maxBytes so a corrupt or malicious length prefix cannot drive a huge
-// allocation.
-func readSection(r io.Reader, maxBytes int64) ([]byte, error) {
-	var payloadLen uint64
-	if err := binary.Read(r, binary.LittleEndian, &payloadLen); err != nil {
-		return nil, fmt.Errorf("cluster: truncated at section length: %w", err)
-	}
-	if payloadLen == 0 || int64(payloadLen) > maxBytes {
-		return nil, fmt.Errorf("cluster: implausible section length %d (cap %d)", payloadLen, maxBytes)
-	}
-	var sum uint32
-	if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
-		return nil, fmt.Errorf("cluster: truncated at section checksum: %w", err)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("cluster: truncated section: %w", err)
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != sum {
-		return nil, fmt.Errorf("cluster: section checksum mismatch (%08x != %08x)", got, sum)
-	}
-	return payload, nil
+	return fr, nil
 }

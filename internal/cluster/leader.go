@@ -63,7 +63,7 @@ func WriteSnapshot(w io.Writer, svc *service.Server) error {
 		return fmt.Errorf("cluster: encoding snapshot registry: %w", err)
 	}
 	head := snapshotHeader{Generation: idx.Generation, RegistryEpoch: epoch}
-	return writeFramed(w, magicSnapshot, head, idxBuf.Bytes(), regBuf.Bytes())
+	return writeArtifact(w, magicSnapshot, head, idxBuf.Bytes(), regBuf.Bytes())
 }
 
 // ReadSnapshot decodes a snapshot artifact written by WriteSnapshot,
@@ -72,14 +72,18 @@ func WriteSnapshot(w io.Writer, svc *service.Server) error {
 // maxBytes bounds each section's allocation.
 func ReadSnapshot(r io.Reader, maxBytes int64) (*index.Index, *registry.Registry, uint64, error) {
 	var head snapshotHeader
-	if err := readFramedHeader(r, magicSnapshot, &head); err != nil {
+	fr, err := readArtifact(r, magicSnapshot, &head)
+	if err != nil {
 		return nil, nil, 0, err
 	}
-	idxBytes, err := readSection(r, maxBytes)
+	idxBytes, err := fr.ReadSection(maxBytes)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("cluster: snapshot index: %w", err)
 	}
-	regBytes, err := readSection(r, maxBytes)
+	regBytes, err := fr.ReadSection(maxBytes)
+	if err == nil {
+		err = fr.ReadEOF()
+	}
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("cluster: snapshot registry: %w", err)
 	}
@@ -115,7 +119,7 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// A write error here means the follower hung up; its next poll
 	// retries, so the error is dropped.
 	head := snapshotHeader{Generation: idx.Generation, RegistryEpoch: epoch}
-	_ = writeFramed(w, magicSnapshot, head, idxBuf.Bytes(), regBuf.Bytes())
+	_ = writeArtifact(w, magicSnapshot, head, idxBuf.Bytes(), regBuf.Bytes())
 }
 
 func (l *Leader) handleDeltas(w http.ResponseWriter, r *http.Request) {
@@ -156,7 +160,7 @@ func (l *Leader) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	head := deltasHeader{From: from, Count: len(payloads), LeaderGeneration: cur, RegistryEpoch: epoch}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	_ = writeFramed(w, magicDeltas, head, payloads...)
+	_ = writeArtifact(w, magicDeltas, head, payloads...)
 }
 
 func (l *Leader) handleRegistry(w http.ResponseWriter, r *http.Request) {
@@ -168,5 +172,5 @@ func (l *Leader) handleRegistry(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	_ = writeFramed(w, magicRegistry, registryHeader{RegistryEpoch: epoch}, regBuf.Bytes())
+	_ = writeArtifact(w, magicRegistry, registryHeader{RegistryEpoch: epoch}, regBuf.Bytes())
 }

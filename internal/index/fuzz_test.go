@@ -4,25 +4,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"autovalidate/internal/corpus"
 )
 
-// fuzzSeedFiles builds small but real index artifacts — v1 blob, v2 and
-// v3 sharded files, a delta file — whose bytes seed the corpus, so the
-// fuzzer starts from structurally valid inputs and mutates checksums,
-// length prefixes, and gob payloads from there.
+// fuzzSeedFiles builds small but real index artifacts — an index file
+// and a delta file — and adds the two legacy goldens, so the fuzzer
+// starts from structurally valid inputs and mutates checksums, length
+// prefixes, and gob payloads from there.
 func fuzzSeedFiles(f *testing.F) [][]byte {
 	f.Helper()
-	cols := []*corpus.Column{
-		corpus.NewColumn("t1", "id", []string{"a-01", "b-22", "c-33"}),
-		corpus.NewColumn("t1", "ts", []string{"2024-01-02", "2024-02-03"}),
-		corpus.NewColumn("t2", "code", []string{"XX", "YY", "ZZ"}),
-	}
-	opt := DefaultBuildOptions()
-	opt.Shards = 2
-	idx := Build(cols[:2], opt)
-	delta := BuildDelta(idx, cols[2:], opt)
+	idx, delta := goldenIndex()
 
 	dir := f.TempDir()
 	var out [][]byte
@@ -37,10 +27,15 @@ func fuzzSeedFiles(f *testing.F) [][]byte {
 		}
 		out = append(out, data)
 	}
-	save("v1.idx", idx.SaveV1)
-	save("v2.idx", idx.SaveV2)
 	save("v3.idx", idx.Save)
 	save("d.avd", func(p string) error { return SaveDelta(p, delta) })
+	for _, name := range []string{"legacy_v1.idx", "legacy_v2.idx"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, data)
+	}
 	return out
 }
 

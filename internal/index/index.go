@@ -93,7 +93,7 @@ func DefaultShards() int {
 }
 
 // shardOf maps a pattern key to its shard with FNV-1a, which is stable
-// across processes — the persisted v2 format depends on it.
+// across processes — the persisted format depends on it.
 func shardOf(key string, nshards int) int {
 	if nshards == 1 {
 		return 0

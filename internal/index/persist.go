@@ -3,58 +3,33 @@ package index
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 
+	"autovalidate/internal/frame"
 	"autovalidate/internal/pattern"
 )
 
-// The on-disk layouts. Version 1 is a single gob blob of the whole index
-// with the map flattened into parallel slices (gob encodes that far more
-// compactly than a map of structs — the paper's point that a terabyte
-// corpus distills to an index under a gigabyte depends on a dense
-// encoding). Versions 2 and 3 keep the dense slice encoding but write one
-// length-prefixed, checksummed section per shard after a fixed header:
-//
-//	magic "AVIDX2\n" or "AVIDX3\n" | uint32 header length | header gob
-//	per shard: uint32 payload length | uint32 CRC-32C | payload gob
-//
-// so shards decode in parallel on load and truncation or bit rot is
-// detected per section instead of panicking mid-decode. Version 3 extends
-// the v2 header with the corpus generation counters of incremental
-// maintenance: an index file records its Generation, and a delta file
-// (Delta flag set) additionally records the base generation it extends,
-// so a base and a chain of deltas compact deterministically. v1 and v2
-// files remain readable through the same Load entry point.
+// An index file and a delta file are one internal/frame artifact: magic
+// "AVIDX3\n", a gob headerV3, then one checksummed section per shard
+// holding a gob shardFileV2 — the map flattened into parallel slices,
+// which gob encodes far more compactly than a map of structs (the
+// paper's point that a terabyte corpus distills to an index under a
+// gigabyte depends on a dense encoding). Shards encode and decode in
+// parallel. An index records its Generation; a delta (Delta flag set)
+// also records the base generation it extends, so a base and a chain of
+// deltas compact deterministically. The older v1 (bare gob) and v2
+// ("AVIDX2\n") layouts are no longer read: an index is a pure function
+// of its corpus, so the way forward is a rebuild.
 
-// indexFileV1 is the whole-index v1 blob.
-type indexFileV1 struct {
-	Version     int
-	Keys        []string
-	SumImp      []float64
-	Cov         []uint32
-	Tokens      []uint16
-	Enum        pattern.EnumOptions
-	Columns     int
-	SkippedWide int
-}
+const magicV3 = "AVIDX3\n"
 
-// headerV2 is the v2 header section.
-type headerV2 struct {
-	NumShards   int
-	Enum        pattern.EnumOptions
-	Columns     int
-	SkippedWide int
-}
-
-// headerV3 is the v3 header section: v2 plus the incremental-maintenance
-// fields.
+// headerV3 and shardFileV2 keep their historical names because gob
+// writes a type's name into the stream: renaming either would change
+// the bytes of every file and shipped delta.
 type headerV3 struct {
 	NumShards   int
 	Enum        pattern.EnumOptions
@@ -70,7 +45,7 @@ type headerV3 struct {
 	BaseGeneration uint64
 }
 
-// shardFileV2 is one shard's payload section (shared by v2 and v3).
+// shardFileV2 is one shard's payload section.
 type shardFileV2 struct {
 	Keys   []string
 	SumImp []float64
@@ -78,103 +53,49 @@ type shardFileV2 struct {
 	Tokens []uint16
 }
 
-const fileVersionV1 = 1
+// Save writes the index to path atomically and durably
+// (frame.SaveAtomic), recording the generation counter alongside the
+// evidence.
+func (idx *Index) Save(path string) error {
+	return save(path, idx.Encode)
+}
 
-var (
-	magicV2 = []byte("AVIDX2\n")
-	magicV3 = []byte("AVIDX3\n")
-)
+// SaveDelta writes a delta to path with the delta flag set, so a delta
+// file can never be mistaken for a full index: Load rejects it and
+// points at LoadDelta.
+func SaveDelta(path string, d *Delta) error {
+	return save(path, func(w io.Writer) error { return EncodeDelta(w, d) })
+}
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// writeAtomic writes a file via a temp sibling and rename, so a failed
-// or interrupted save never truncates an existing good index.
-func writeAtomic(path string, write func(w *bufio.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("index: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	fail := func(err error) error {
-		// The temp file is being discarded: its close error cannot
-		// outrank the write error already being returned.
-		_ = tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := write(w); err != nil {
-		return fail(err)
-	}
-	if err := w.Flush(); err != nil {
-		return fail(fmt.Errorf("index: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("index: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+func save(path string, encode func(io.Writer) error) error {
+	if err := frame.SaveAtomic(path, encode); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
 	return nil
 }
 
-// Save writes the index to path in the current (v3) sharded format,
-// recording the generation counter alongside the evidence. Shard payloads
-// are gob-encoded in parallel and written sequentially.
-func (idx *Index) Save(path string) error {
-	return writeAtomic(path, func(w *bufio.Writer) error {
-		return idx.encode(w, path)
-	})
-}
-
-// Encode writes the index in the v3 format to an arbitrary writer — the
-// same bytes Save puts in a file, reusable as a network payload (the
-// cluster's snapshot shipping streams it over HTTP).
+// Encode writes the index to an arbitrary writer — the same bytes Save
+// puts in a file, reusable as a network payload (the cluster's snapshot
+// shipping streams it over HTTP).
 func (idx *Index) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := idx.encode(bw, "stream"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func (idx *Index) encode(w *bufio.Writer, label string) error {
-	head := headerV3{
+	return encodeSharded(w, headerV3{
 		NumShards:   len(idx.shards),
 		Enum:        idx.Enum,
 		Columns:     idx.Columns,
 		SkippedWide: idx.SkippedWide,
 		Generation:  idx.Generation,
-	}
-	return encodeSharded(w, label, magicV3, head, idx.shards)
+	}, idx.shards)
 }
 
-// SaveDelta writes a delta to path in the v3 format with the delta flag
-// set, so a delta file can never be mistaken for a full index: Load
-// rejects it and points at LoadDelta.
-func SaveDelta(path string, d *Delta) error {
-	return writeAtomic(path, func(w *bufio.Writer) error {
-		return encodeDelta(w, path, d)
-	})
-}
-
-// EncodeDelta writes a delta in the v3 delta format to an arbitrary
-// writer — the replication-log payload of the cluster's delta shipping.
+// EncodeDelta writes a delta to an arbitrary writer — the same bytes
+// SaveDelta puts in a file, and the replication-log payload of the
+// cluster's delta shipping.
 func EncodeDelta(w io.Writer, d *Delta) error {
-	bw := bufio.NewWriter(w)
-	if err := encodeDelta(bw, "stream", d); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func encodeDelta(w *bufio.Writer, label string, d *Delta) error {
 	if d == nil || d.Evidence == nil {
-		return fmt.Errorf("index: cannot encode nil delta to %s", label)
+		return fmt.Errorf("index: cannot encode nil delta")
 	}
 	ev := d.Evidence
-	head := headerV3{
+	return encodeSharded(w, headerV3{
 		NumShards:      len(ev.shards),
 		Enum:           ev.Enum,
 		Columns:        ev.Columns,
@@ -182,45 +103,16 @@ func encodeDelta(w *bufio.Writer, label string, d *Delta) error {
 		Generation:     ev.Generation,
 		Delta:          true,
 		BaseGeneration: d.Base,
-	}
-	return encodeSharded(w, label, magicV3, head, ev.shards)
+	}, ev.shards)
 }
 
-// SaveV2 writes the index in the previous sharded v2 format, which has no
-// generation counters. Kept for compatibility with older readers and as
-// the baseline in the persistence benchmarks.
-func (idx *Index) SaveV2(path string) error {
-	head := headerV2{
-		NumShards:   len(idx.shards),
-		Enum:        idx.Enum,
-		Columns:     idx.Columns,
-		SkippedWide: idx.SkippedWide,
+// encodeSharded gob-encodes the shard payloads in parallel and frames
+// them sequentially behind the header.
+func encodeSharded(w io.Writer, head headerV3, shards []map[string]Entry) error {
+	var headBuf bytes.Buffer
+	if err := gob.NewEncoder(&headBuf).Encode(head); err != nil {
+		return fmt.Errorf("index: encoding header: %w", err)
 	}
-	return writeAtomic(path, func(w *bufio.Writer) error {
-		return encodeSharded(w, path, magicV2, head, idx.shards)
-	})
-}
-
-// encodeSharded writes magic, a gob header, and one length-prefixed
-// checksummed section per shard — the layout shared by v2 and v3.
-func encodeSharded(w *bufio.Writer, path string, magic []byte, header any, shards []map[string]Entry) error {
-	fail := func(err error) error {
-		return fmt.Errorf("index: encoding %s: %w", path, err)
-	}
-	if _, err := w.Write(magic); err != nil {
-		return fail(err)
-	}
-	var head bytes.Buffer
-	if err := gob.NewEncoder(&head).Encode(header); err != nil {
-		return fail(err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(head.Len())); err != nil {
-		return fail(err)
-	}
-	if _, err := w.Write(head.Bytes()); err != nil {
-		return fail(err)
-	}
-
 	payloads := make([][]byte, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
@@ -241,240 +133,136 @@ func encodeSharded(w *bufio.Writer, path string, magic []byte, header any, shard
 				sf.Tokens = append(sf.Tokens, e.Tokens)
 			}
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&sf); err != nil {
-				errs[s] = err
-				return
-			}
+			errs[s] = gob.NewEncoder(&buf).Encode(&sf)
 			payloads[s] = buf.Bytes()
 		}(s, shard)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for s, err := range errs {
 		if err != nil {
-			return fail(err)
+			return fmt.Errorf("index: encoding shard %d: %w", s, err)
 		}
 	}
-	for _, payload := range payloads {
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(payload))); err != nil {
-			return fail(err)
-		}
-		if err := binary.Write(w, binary.LittleEndian, crc32.Checksum(payload, castagnoli)); err != nil {
-			return fail(err)
-		}
-		if _, err := w.Write(payload); err != nil {
-			return fail(err)
-		}
+
+	if err := frame.Write(w, magicV3, headBuf.Bytes(), payloads...); err != nil {
+		return fmt.Errorf("index: encoding: %w", err)
 	}
 	return nil
 }
 
-// SaveV1 writes the index in the legacy single-blob v1 format, kept for
-// compatibility with older readers and as the flat baseline in the
-// persistence benchmarks.
-func (idx *Index) SaveV1(path string) error {
-	return writeAtomic(path, func(w *bufio.Writer) error {
-		n := idx.Size()
-		file := indexFileV1{
-			Version:     fileVersionV1,
-			Keys:        make([]string, 0, n),
-			SumImp:      make([]float64, 0, n),
-			Cov:         make([]uint32, 0, n),
-			Tokens:      make([]uint16, 0, n),
-			Enum:        idx.Enum,
-			Columns:     idx.Columns,
-			SkippedWide: idx.SkippedWide,
-		}
-		for k, e := range idx.All() {
-			file.Keys = append(file.Keys, k)
-			file.SumImp = append(file.SumImp, e.SumImp)
-			file.Cov = append(file.Cov, e.Cov)
-			file.Tokens = append(file.Tokens, e.Tokens)
-		}
-		if err := gob.NewEncoder(w).Encode(&file); err != nil {
-			return fmt.Errorf("index: encoding %s: %w", path, err)
-		}
-		return nil
-	})
-}
-
-// Load reads an index previously written by Save (v3), SaveV2, or SaveV1,
-// dispatching on the leading magic bytes. A delta file is rejected with a
-// pointer at LoadDelta.
+// Load reads an index previously written by Save. A delta file is
+// rejected with a pointer at LoadDelta, a v1 or v2 file with a pointer
+// at a rebuild.
 func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
-	}
-	return decodeIndex(path, bufio.NewReader(f), fi.Size())
-}
-
-// Decode reads an index from a stream of bytes written by Encode (or any
-// of the Save formats). maxSize bounds section allocations the way the
-// file size bounds them in Load; pass the framed payload length when the
-// stream arrives over the network.
-func Decode(r io.Reader, maxSize int64) (*Index, error) {
-	return decodeIndex("stream", bufio.NewReader(r), maxSize)
-}
-
-func decodeIndex(label string, r *bufio.Reader, maxSize int64) (*Index, error) {
-	head, err := r.Peek(len(magicV3))
-	switch {
-	case err == nil && bytes.Equal(head, magicV3):
-		idx, hdr, err := loadV3(label, r, maxSize)
-		if err != nil {
-			return nil, err
-		}
-		if hdr.Delta {
-			return nil, fmt.Errorf("index: %s is a delta file (base generation %d); load it with LoadDelta",
-				label, hdr.BaseGeneration)
-		}
-		return idx, nil
-	case err == nil && bytes.Equal(head, magicV2):
-		return loadV2(label, r, maxSize)
-	}
-	return loadV1(label, r)
+	return loadFile(path, Decode)
 }
 
 // LoadDelta reads a delta previously written by SaveDelta.
 func LoadDelta(path string) (*Delta, error) {
+	return loadFile(path, DecodeDelta)
+}
+
+// loadFile decodes path with the file's size as the section bound, so a
+// corrupt length prefix cannot drive a gigabyte allocation.
+func loadFile[T any](path string, decode func(io.Reader, int64) (T, error)) (T, error) {
+	var zero T
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
+		return zero, fmt.Errorf("index: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("index: %w", err)
+		return zero, fmt.Errorf("index: %w", err)
 	}
-	return decodeDelta(path, bufio.NewReader(f), fi.Size())
+	v, err := decode(f, fi.Size())
+	if err != nil {
+		return zero, fmt.Errorf("index: loading %s: %w", path, err)
+	}
+	return v, nil
+}
+
+// Decode reads an index from a stream of bytes written by Encode.
+// maxSize bounds section allocations the way the file size bounds them
+// in Load; pass the framed payload length when the stream arrives over
+// the network.
+func Decode(r io.Reader, maxSize int64) (*Index, error) {
+	idx, head, err := decodeSharded(r, maxSize)
+	if err != nil {
+		return nil, err
+	}
+	if head.Delta {
+		return nil, fmt.Errorf("index: this is a delta file (base generation %d); load it with LoadDelta",
+			head.BaseGeneration)
+	}
+	return idx, nil
 }
 
 // DecodeDelta reads a delta from a stream of bytes written by
 // EncodeDelta; maxSize bounds section allocations (see Decode).
 func DecodeDelta(r io.Reader, maxSize int64) (*Delta, error) {
-	return decodeDelta("stream", bufio.NewReader(r), maxSize)
-}
-
-func decodeDelta(label string, r *bufio.Reader, maxSize int64) (*Delta, error) {
-	head, err := r.Peek(len(magicV3))
-	if err != nil || !bytes.Equal(head, magicV3) {
-		return nil, fmt.Errorf("index: %s is not a delta file (bad magic)", label)
-	}
-	ev, hdr, err := loadV3(label, r, maxSize)
+	ev, head, err := decodeSharded(r, maxSize)
 	if err != nil {
 		return nil, err
 	}
-	if !hdr.Delta {
-		return nil, fmt.Errorf("index: %s is a full index, not a delta; load it with Load", label)
+	if !head.Delta {
+		return nil, fmt.Errorf("index: this is a full index, not a delta; load it with Load")
 	}
-	return &Delta{Evidence: ev, Base: hdr.BaseGeneration}, nil
+	return &Delta{Evidence: ev, Base: head.BaseGeneration}, nil
 }
 
 // checkLengths validates that the parallel evidence slices agree with the
 // key slice, the invariant a truncated or bit-flipped file breaks.
-func checkLengths(path string, keys []string, sumImp []float64, cov []uint32, tokens []uint16) error {
-	if len(sumImp) != len(keys) || len(cov) != len(keys) || len(tokens) != len(keys) {
-		return fmt.Errorf("index: %s is corrupt: %d keys but %d/%d/%d evidence values",
-			path, len(keys), len(sumImp), len(cov), len(tokens))
+func checkLengths(sf *shardFileV2) error {
+	n := len(sf.Keys)
+	if len(sf.SumImp) != n || len(sf.Cov) != n || len(sf.Tokens) != n {
+		return fmt.Errorf("%d keys but %d/%d/%d evidence values", n, len(sf.SumImp), len(sf.Cov), len(sf.Tokens))
 	}
 	return nil
 }
 
-func loadV1(path string, r io.Reader) (*Index, error) {
-	var file indexFileV1
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("index: decoding %s: %w", path, err)
+// decodeSharded reads the header and the per-shard sections. Sections
+// are read sequentially and decoded in parallel; each decoded shard is
+// adopted directly as an in-memory shard, so no rehash happens on the
+// load path.
+func decodeSharded(r io.Reader, maxSize int64) (*Index, headerV3, error) {
+	var head headerV3
+	fail := func(err error) (*Index, headerV3, error) {
+		return nil, head, fmt.Errorf("index: file is corrupt: %w", err)
 	}
-	if file.Version != fileVersionV1 {
-		return nil, fmt.Errorf("index: %s has version %d, want %d", path, file.Version, fileVersionV1)
+	fr, err := frame.ReadMagic(bufio.NewReader(r), magicV3)
+	if err != nil {
+		return nil, head, fmt.Errorf("index: not an AVIDX3 file — unsupported legacy index format, "+
+			"rebuild with `avindex build` (avindex -corpus DIR -out FILE): %w", err)
 	}
-	if err := checkLengths(path, file.Keys, file.SumImp, file.Cov, file.Tokens); err != nil {
-		return nil, err
+	headBuf, err := fr.ReadHeader(maxSize)
+	if err != nil {
+		return fail(err)
 	}
-	idx := New(DefaultShards())
-	idx.Enum = file.Enum
-	idx.Columns = file.Columns
-	idx.SkippedWide = file.SkippedWide
-	for i, k := range file.Keys {
-		idx.put(k, Entry{SumImp: file.SumImp[i], Cov: file.Cov[i], Tokens: file.Tokens[i]})
+	if err := gob.NewDecoder(bytes.NewReader(headBuf)).Decode(&head); err != nil {
+		return fail(fmt.Errorf("undecodable header: %w", err))
 	}
-	return idx, nil
-}
-
-// readHeader consumes the magic and the length-prefixed gob header,
-// decoding it into dst.
-func readHeader(path string, r io.Reader, maxSection int64, magicLen int, dst any) error {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("index: %s is corrupt: %s", path, fmt.Sprintf(format, args...))
+	if head.NumShards < 1 || head.NumShards > 1<<16 {
+		return fail(fmt.Errorf("implausible shard count %d", head.NumShards))
 	}
-	if _, err := io.ReadFull(r, make([]byte, magicLen)); err != nil {
-		return corrupt("short magic: %v", err)
-	}
-	var headLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &headLen); err != nil {
-		return corrupt("missing header length: %v", err)
-	}
-	if headLen == 0 || int64(headLen) > maxSection {
-		return corrupt("implausible header length %d", headLen)
-	}
-	headBuf := make([]byte, headLen)
-	if _, err := io.ReadFull(r, headBuf); err != nil {
-		return corrupt("truncated header: %v", err)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(headBuf)).Decode(dst); err != nil {
-		return corrupt("undecodable header: %v", err)
-	}
-	return nil
-}
-
-// readSections reads and decodes the per-shard sections shared by v2 and
-// v3. Sections are read sequentially (lengths gate the reads, bounded by
-// the real file size so a corrupt prefix cannot drive a gigabyte
-// allocation) and decoded in parallel; each decoded shard is adopted
-// directly as an in-memory shard, so no rehash happens on the load path.
-func readSections(path string, r io.Reader, nshards int, maxSection int64) ([]map[string]Entry, error) {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("index: %s is corrupt: %s", path, fmt.Sprintf(format, args...))
-	}
-	if nshards < 1 || nshards > 1<<16 {
-		return nil, corrupt("implausible shard count %d", nshards)
-	}
-	shards := make([]map[string]Entry, nshards)
-	errs := make([]error, nshards)
+	shards := make([]map[string]Entry, head.NumShards)
+	errs := make([]error, head.NumShards)
 	var wg sync.WaitGroup
-	for s := 0; s < nshards; s++ {
-		var payloadLen, sum uint32
-		if err := binary.Read(r, binary.LittleEndian, &payloadLen); err != nil {
-			return nil, corrupt("truncated at shard %d length: %v", s, err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &sum); err != nil {
-			return nil, corrupt("truncated at shard %d checksum: %v", s, err)
-		}
-		if int64(payloadLen) > maxSection {
-			return nil, corrupt("implausible shard %d length %d", s, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, corrupt("truncated shard %d: %v", s, err)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != sum {
-			return nil, corrupt("shard %d checksum mismatch (%08x != %08x)", s, got, sum)
+	for s := range shards {
+		payload, err := fr.ReadSection(maxSize)
+		if err != nil {
+			return fail(err)
 		}
 		wg.Add(1)
 		go func(s int, payload []byte) {
 			defer wg.Done()
 			var sf shardFileV2
 			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sf); err != nil {
-				errs[s] = corrupt("undecodable shard %d: %v", s, err)
+				errs[s] = fmt.Errorf("undecodable shard %d: %w", s, err)
 				return
 			}
-			if err := checkLengths(path, sf.Keys, sf.SumImp, sf.Cov, sf.Tokens); err != nil {
-				errs[s] = err
+			if err := checkLengths(&sf); err != nil {
+				errs[s] = fmt.Errorf("shard %d: %w", s, err)
 				return
 			}
 			shard := make(map[string]Entry, len(sf.Keys))
@@ -487,37 +275,11 @@ func readSections(path string, r io.Reader, nshards int, maxSection int64) ([]ma
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 	}
-	return shards, nil
-}
-
-func loadV2(path string, r io.Reader, fileSize int64) (*Index, error) {
-	var head headerV2
-	if err := readHeader(path, r, fileSize, len(magicV2), &head); err != nil {
-		return nil, err
-	}
-	shards, err := readSections(path, r, head.NumShards, fileSize)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{
-		shards:      shards,
-		Enum:        head.Enum,
-		Columns:     head.Columns,
-		SkippedWide: head.SkippedWide,
-	}, nil
-}
-
-func loadV3(path string, r io.Reader, fileSize int64) (*Index, headerV3, error) {
-	var head headerV3
-	if err := readHeader(path, r, fileSize, len(magicV3), &head); err != nil {
-		return nil, head, err
-	}
-	shards, err := readSections(path, r, head.NumShards, fileSize)
-	if err != nil {
-		return nil, head, err
+	if err := fr.ReadEOF(); err != nil {
+		return fail(err)
 	}
 	return &Index{
 		shards:      shards,

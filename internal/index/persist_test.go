@@ -1,7 +1,7 @@
 package index
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"os"
@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"autovalidate/internal/datagen"
+	"autovalidate/internal/frame"
 )
 
 // buildFixture builds a realistic index with the given shard count.
@@ -65,22 +66,6 @@ func TestV3RoundTripPreservesGeneration(t *testing.T) {
 	}
 	if got.Generation != 1 {
 		t.Errorf("reloaded generation %d, want 1", got.Generation)
-	}
-	sameEntries(t, idx, got)
-}
-
-// TestV2RoundTrip keeps the previous sharded format writable and
-// readable: SaveV2 output loads through the same Load entry point (with
-// the generation counter absent, i.e. zero).
-func TestV2RoundTrip(t *testing.T) {
-	idx := buildFixture(t, 4)
-	path := filepath.Join(t.TempDir(), "v2.idx")
-	if err := idx.SaveV2(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
 	}
 	sameEntries(t, idx, got)
 }
@@ -152,21 +137,6 @@ func TestV2RoundTripAcrossShardCounts(t *testing.T) {
 			sameEntries(t, idx, got)
 		}
 	}
-}
-
-// TestV1RoundTrip keeps the legacy format readable: SaveV1 output loads
-// through the same Load entry point.
-func TestV1RoundTrip(t *testing.T) {
-	idx := buildFixture(t, 4)
-	path := filepath.Join(t.TempDir(), "v1.idx")
-	if err := idx.SaveV1(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameEntries(t, idx, got)
 }
 
 // TestBuildEmptyColumnSet checks the degenerate build: no columns still
@@ -241,37 +211,33 @@ func TestLoadCorruptChecksum(t *testing.T) {
 	}
 }
 
-// TestLoadCorruptV1MismatchedSlices writes a v1 blob whose evidence
-// slices are shorter than its key slice — the case that used to panic
-// with index-out-of-range — and requires a clean error.
-func TestLoadCorruptV1MismatchedSlices(t *testing.T) {
-	file := indexFileV1{
-		Version: fileVersionV1,
-		Keys:    []string{"<digit>+", "<letter>{2}", "<alnum>+"},
-		SumImp:  []float64{0.5}, // truncated
-		Cov:     []uint32{1, 2, 3},
-		Tokens:  []uint16{1, 1, 1},
-		Columns: 3,
-	}
-	path := filepath.Join(t.TempDir(), "bad-v1.idx")
-	f, err := os.Create(path)
-	if err != nil {
+// TestLoadCorruptMismatchedSlices frames a shard whose evidence slices
+// are shorter than its key slice — intact checksums, inconsistent
+// payload, the case that once panicked with index-out-of-range — and
+// requires a clean error.
+func TestLoadCorruptMismatchedSlices(t *testing.T) {
+	var head, shard bytes.Buffer
+	if err := gob.NewEncoder(&head).Encode(headerV3{NumShards: 1, Columns: 3}); err != nil {
 		t.Fatal(err)
 	}
-	w := bufio.NewWriter(f)
-	if err := gob.NewEncoder(w).Encode(&file); err != nil {
+	if err := gob.NewEncoder(&shard).Encode(shardFileV2{
+		Keys:   []string{"<digit>+", "<letter>{2}", "<alnum>+"},
+		SumImp: []float64{0.5}, // truncated
+		Cov:    []uint32{1, 2, 3},
+		Tokens: []uint16{1, 1, 1},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	var file bytes.Buffer
+	if err := frame.Write(&file, magicV3, head.Bytes(), shard.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	if _, err := Load(path); err == nil {
-		t.Fatal("mismatched v1 slices must return an error, not panic")
+	if _, err := Decode(&file, int64(file.Len())); err == nil {
+		t.Fatal("mismatched evidence slices must return an error, not panic")
 	}
 }
 
-// TestLoadOversizedLengthPrefix patches v2 length prefixes to values far
+// TestLoadOversizedLengthPrefix patches length prefixes to values far
 // larger than the file; the loader must reject them by comparing against
 // the real file size instead of allocating gigabytes.
 func TestLoadOversizedLengthPrefix(t *testing.T) {
@@ -336,7 +302,7 @@ func TestSaveIsAtomic(t *testing.T) {
 	}
 }
 
-// TestLoadGarbage checks that a file that is neither format errors out.
+// TestLoadGarbage checks that a file that is no index at all errors out.
 func TestLoadGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "garbage.idx")
 	if err := os.WriteFile(path, []byte("this is not an index at all, not even close"), 0o644); err != nil {

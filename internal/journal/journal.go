@@ -7,10 +7,9 @@
 // in-memory window evaporate on restart; the journal is what an
 // operator greps at 9am to learn why a stream quarantined at 03:12.
 //
-// On-disk layout mirrors the registry/index persistence discipline:
-// one directory of segment files, each
-//
-//	magic "AVJRN1\n" | per event: uint32 payload length | uint32 CRC-32C | payload JSON
+// On disk the journal is one directory of segment files, each an
+// internal/frame artifact: magic "AVJRN1\n", no header, one checksummed
+// section per event holding its JSON.
 //
 // Event IDs are assigned at append time, monotonically increasing
 // across segments for the journal's lifetime; the ID doubles as the
@@ -23,16 +22,17 @@
 package journal
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"autovalidate/internal/frame"
 )
 
 // Kind discriminates journal events.
@@ -88,9 +88,7 @@ const (
 	segSuffix = ".avj"
 )
 
-var jrnMagic = []byte("AVJRN1\n")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+const jrnMagic = "AVJRN1\n"
 
 // Journal is an open event journal. Safe for concurrent use: appends
 // serialize behind a writer lock, reads run under a reader lock (the
@@ -144,9 +142,9 @@ const DefaultLimit = 1000
 
 // Open opens (or creates) the journal directory. Existing segments are
 // adopted; the last one is scanned and any torn or corrupt tail is
-// truncated away, so an interrupted append never poisons the journal —
-// corrupt bytes cost the events after them in that segment, nothing
-// more, and never a panic.
+// truncated away, so an interrupted append or rotation never poisons
+// the journal — corrupt bytes cost the events after them in that
+// segment, nothing more, and never a panic.
 func Open(dir string, opt Options) (*Journal, error) {
 	if opt.MaxSegmentBytes <= 0 {
 		opt.MaxSegmentBytes = defaultSegmentBytes
@@ -181,30 +179,14 @@ func Open(dir string, opt Options) (*Journal, error) {
 		if err != nil {
 			return nil, err
 		}
-		info, err := os.Stat(last.path)
-		if err != nil {
-			return nil, fmt.Errorf("journal: %w", err)
+		// Cut a torn or corrupt tail back to the last whole, checksummed
+		// record; appends continue from there.
+		if j.active, j.activeN, err = openSegment(last.path, validEnd); err != nil {
+			return nil, err
 		}
-		if validEnd < info.Size() {
-			// Torn or corrupt tail: cut the segment back to its last
-			// whole, checksummed record. Appends continue from there.
-			if err := os.Truncate(last.path, validEnd); err != nil {
-				return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", last.path, err)
-			}
-		}
-		if lastID >= last.firstID {
-			j.nextID = lastID + 1
-		} else {
-			// Segment holds no valid records; its name still records
-			// where numbering was headed.
-			j.nextID = last.firstID
-		}
-		f, err := os.OpenFile(last.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("journal: reopening %s: %w", last.path, err)
-		}
-		j.active = f
-		j.activeN = validEnd
+		// A segment without valid records still records in its name
+		// where numbering was headed.
+		j.nextID = max(lastID+1, last.firstID)
 	}
 	return j, nil
 }
@@ -249,13 +231,7 @@ func (j *Journal) Append(e Event) (uint64, error) {
 	if len(payload) > maxRecord {
 		return 0, fmt.Errorf("journal: event of %d bytes exceeds record bound %d", len(payload), maxRecord)
 	}
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := j.active.Write(frame[:]); err != nil {
-		return 0, fmt.Errorf("journal: appending event %d: %w", e.ID, err)
-	}
-	if _, err := j.active.Write(payload); err != nil {
+	if err := frame.WriteSection(j.active, payload); err != nil {
 		return 0, fmt.Errorf("journal: appending event %d: %w", e.ID, err)
 	}
 	// Events are rare (alarms, transitions, ingests — never steady-state
@@ -264,7 +240,7 @@ func (j *Journal) Append(e Event) (uint64, error) {
 	if err := j.active.Sync(); err != nil {
 		return 0, fmt.Errorf("journal: syncing event %d: %w", e.ID, err)
 	}
-	j.activeN += int64(len(frame)) + int64(len(payload))
+	j.activeN += frame.SectionOverhead + int64(len(payload))
 	j.nextID++
 	j.appended++
 	if j.activeN >= j.opt.MaxSegmentBytes {
@@ -278,8 +254,9 @@ func (j *Journal) Append(e Event) (uint64, error) {
 }
 
 // rotateLocked seals the active segment, starts a new one named by the
-// next event ID, and deletes the oldest segments past retention.
-// Caller holds the write lock.
+// next event ID, and deletes the oldest segments past retention; the
+// directory is synced after, so a durable append never lives in a file
+// whose directory entry a crash could lose. Caller holds the write lock.
 func (j *Journal) rotateLocked() error {
 	if j.active != nil {
 		if err := j.active.Close(); err != nil {
@@ -288,18 +265,12 @@ func (j *Journal) rotateLocked() error {
 		j.active = nil
 	}
 	path := filepath.Join(j.dir, segName(j.nextID))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, n, err := openSegment(path, 0)
 	if err != nil {
-		return fmt.Errorf("journal: creating segment %s: %w", path, err)
-	}
-	if _, err := f.Write(jrnMagic); err != nil {
-		cerr := f.Close() // best effort; the write error is the story
-		_ = cerr
-		return fmt.Errorf("journal: writing magic to %s: %w", path, err)
+		return err
 	}
 	j.segs = append(j.segs, segmentRef{path: path, firstID: j.nextID})
-	j.active = f
-	j.activeN = int64(len(jrnMagic))
+	j.active, j.activeN = f, n
 	for len(j.segs) > j.opt.MaxSegments {
 		old := j.segs[0]
 		if err := os.Remove(old.path); err != nil {
@@ -307,7 +278,31 @@ func (j *Journal) rotateLocked() error {
 		}
 		j.segs = j.segs[1:]
 	}
+	if err := frame.SyncDir(j.dir); err != nil {
+		return fmt.Errorf("journal: %w", err)
+	}
 	return nil
+}
+
+// openSegment opens a segment for append with everything past its first
+// keep bytes cut away. keep == 0 starts the segment — or restarts one a
+// crash tore between its creation and its magic — by writing the magic.
+// It returns the file and its length.
+func openSegment(path string, keep int64) (*os.File, int64, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("journal: opening segment %s: %w", path, err)
+	}
+	err = f.Truncate(keep)
+	if err == nil && keep == 0 {
+		err = frame.Write(f, jrnMagic, nil)
+		keep = int64(len(jrnMagic))
+	}
+	if err != nil {
+		_ = f.Close() // best effort; the write error is the story
+		return nil, 0, fmt.Errorf("journal: opening segment %s: %w", path, err)
+	}
+	return f, keep, nil
 }
 
 // Close seals the journal. Further appends fail.
@@ -389,42 +384,37 @@ func matchEvent(e Event, f Filter) bool {
 // scanSegment walks one segment's records, calling fn (when non-nil)
 // per decoded event until it returns false. It returns the last valid
 // event ID seen (0 if none) and the byte offset just past the last
-// whole, checksum-valid record — the truncation point for a torn tail.
-// Malformed framing, a short tail, or a CRC mismatch end the scan at
-// the previous record; only real I/O problems surface as errors.
+// whole, checksum-valid, decodable record — the truncation point for a
+// torn tail, 0 for a segment whose very magic was torn (a crash
+// mid-rotation). Malformed framing, a short tail, or a CRC mismatch end
+// the scan at the previous record; only real I/O problems and a whole
+// but foreign magic surface as errors.
 func scanSegment(path string, fn func(Event) bool) (lastID uint64, validEnd int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("journal: reading segment %s: %w", path, err)
 	}
-	if len(data) < len(jrnMagic) || string(data[:len(jrnMagic)]) != string(jrnMagic) {
-		return 0, 0, fmt.Errorf("journal: %s: bad magic (not an AVJRN1 segment)", path)
+	if len(data) < len(jrnMagic) {
+		return 0, 0, nil
 	}
-	off := len(jrnMagic)
+	fr, err := frame.ReadMagic(bytes.NewReader(data), jrnMagic)
+	if err != nil {
+		return 0, 0, fmt.Errorf("journal: %s is not an AVJRN1 segment: %w", path, err)
+	}
+	validEnd = fr.Offset()
 	for {
-		if off+8 > len(data) {
-			break // torn frame header
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n <= 0 || n > maxRecord || off+8+n > len(data) {
-			break // corrupt length or torn payload
-		}
-		payload := data[off+8 : off+8+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			break // bit rot; everything after is suspect
+		payload, err := fr.ReadSection(maxRecord)
+		if err != nil {
+			break // end of segment, torn frame, corrupt length or bit rot
 		}
 		var e Event
 		if err := json.Unmarshal(payload, &e); err != nil {
 			break // checksummed but undecodable: treat as corrupt
 		}
-		off += 8 + n
-		lastID = e.ID
+		lastID, validEnd = e.ID, fr.Offset()
 		if fn != nil && !fn(e) {
-			// Caller stopped early; the rest of the file is still valid
-			// as far as anyone knows — report the scanned extent.
-			return lastID, int64(off), nil
+			break // caller has what it wanted
 		}
 	}
-	return lastID, int64(off), nil
+	return lastID, validEnd, nil
 }

@@ -298,6 +298,42 @@ func TestOpenRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestTornRotationRecovers: a crash between creating a segment and its
+// magic reaching the disk leaves a last segment shorter than the magic.
+// Open must take it for the empty segment it is, restore it, and keep
+// numbering where the segment's name says it was headed.
+func TestTornRotationRecovers(t *testing.T) {
+	for k := 0; k < len(jrnMagic); k++ {
+		dir := t.TempDir()
+		j := openT(t, dir, Options{})
+		for i := 0; i < 3; i++ {
+			mustAppend(t, j, Event{Kind: KindIngest, Stream: "s"})
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		torn := filepath.Join(dir, segName(4))
+		if err := os.WriteFile(torn, []byte(jrnMagic[:k]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("%d-byte last segment: Open: %v", k, err)
+		}
+		if data, _ := os.ReadFile(torn); string(data) != jrnMagic {
+			t.Errorf("%d-byte last segment restored as %q", k, data)
+		}
+		if id := mustAppend(t, j2, Event{Kind: KindIngest, Stream: "s"}); id != 4 {
+			t.Errorf("%d-byte last segment: next id %d, want 4", k, id)
+		}
+		evs, err := j2.Events(Filter{})
+		if err != nil || len(evs) != 4 {
+			t.Errorf("%d-byte last segment: read %d events, %v; want 4", k, len(evs), err)
+		}
+		j2.Close()
+	}
+}
+
 // TestSinceFilter: time filtering keeps only events at/after the mark.
 func TestSinceFilter(t *testing.T) {
 	dir := t.TempDir()

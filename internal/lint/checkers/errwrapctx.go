@@ -17,8 +17,9 @@ import (
 //     errors.As for every caller above the boundary (the service layer
 //     maps core.ErrNoFeasible to HTTP 422 exactly that way).
 //
-//  2. In persistence code (files matching persist*.go / deltalog*.go):
-//     an error received from another package must not be returned
+//  2. In persistence code (files matching persist*.go / deltalog*.go,
+//     and every file of the framing package internal/frame): an error
+//     received from another package must not be returned
 //     bare; it must be wrapped with the section/generation context
 //     that makes a corrupt-file report actionable ("shard 3 checksum
 //     mismatch", not just "unexpected EOF").
@@ -30,9 +31,10 @@ var ErrWrapCtx = &analysis.Analyzer{
 }
 
 func runErrWrapCtx(pass *analysis.Pass) error {
+	framePkg := strings.HasSuffix("/"+pass.Pkg.Path(), "/internal/frame")
 	for _, f := range pass.Files {
 		name := filepath.Base(pass.Fset.Position(f.Package).Filename)
-		persistFile := strings.HasPrefix(name, "persist") || strings.HasPrefix(name, "deltalog")
+		persistFile := framePkg || strings.HasPrefix(name, "persist") || strings.HasPrefix(name, "deltalog")
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				checkErrorfWrap(pass, call)

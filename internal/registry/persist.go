@@ -2,37 +2,25 @@ package registry
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"autovalidate/internal/core"
 	"autovalidate/internal/domain"
+	"autovalidate/internal/frame"
 	"autovalidate/internal/validate"
 )
 
-// The on-disk layout mirrors the index's sharded format: a magic string,
-// a length-prefixed JSON header, then one length-prefixed, CRC-32C
-// checksummed section per stream:
-//
-//	magic "AVREG1\n" | uint32 header length | header JSON
-//	per stream: uint32 payload length | uint32 CRC-32C | payload JSON
-//
-// so truncation or bit rot is reported as a per-section error instead of
-// a panic mid-decode, and a partially written file can never be mistaken
-// for a good one. Payloads are JSON rather than gob because a Rule
+// A registry file is one internal/frame artifact: magic "AVREG1\n", a
+// JSON headerFile, then one checksummed section per stream holding a
+// JSON streamFile. Payloads are JSON rather than gob because a Rule
 // already defines a canonical JSON form (patterns serialize in the
 // pattern notation and are re-parsed on load, which re-validates them).
 
-var regMagic = []byte("AVREG1\n")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+const regMagic = "AVREG1\n"
 
 // headerFile is the file header section.
 type headerFile struct {
@@ -63,14 +51,15 @@ type streamFile struct {
 // gigabytes.
 const maxSection = 64 << 20
 
-// Save writes the registry to path atomically (temp sibling + rename):
-// an interrupted save never truncates an existing good file. Streams are
-// written in sorted name order so identical registries produce identical
-// bytes.
+// Save writes the registry to path atomically and durably
+// (frame.SaveAtomic): an interrupted save never truncates an existing
+// good file. Streams are written in sorted name order so identical
+// registries produce identical bytes.
 func (r *Registry) Save(path string) error {
-	return writeAtomic(path, func(w *bufio.Writer) error {
-		return r.Encode(w)
-	})
+	if err := frame.SaveAtomic(path, r.Encode); err != nil {
+		return fmt.Errorf("registry: %w", err)
+	}
+	return nil
 }
 
 // Encode writes the registry in the AVREG1 format to an arbitrary writer
@@ -82,10 +71,11 @@ func (r *Registry) Encode(w io.Writer) error {
 	for name := range r.streams {
 		names = append(names, name)
 	}
-	sections := make(map[string][]byte, len(names))
-	for name, rec := range r.streams {
+	sort.Strings(names)
+	payloads := make([][]byte, len(names))
+	for i, name := range names {
 		sf := streamFile{Name: name}
-		for _, v := range rec.versions {
+		for _, v := range r.streams[name].versions {
 			vf := versionFile{
 				Version:         v.Version,
 				Rule:            v.Rule,
@@ -104,39 +94,16 @@ func (r *Registry) Encode(w io.Writer) error {
 			r.mu.RUnlock()
 			return fmt.Errorf("registry: encoding stream %q: %w", name, err)
 		}
-		sections[name] = payload
+		payloads[i] = payload
 	}
 	r.mu.RUnlock()
-	sort.Strings(names)
 
 	head, err := json.Marshal(headerFile{NumStreams: len(names)})
 	if err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(regMagic); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(head))); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if _, err := bw.Write(head); err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	for _, name := range names {
-		payload := sections[name]
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(payload))); err != nil {
-			return fmt.Errorf("registry: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, crc32.Checksum(payload, castagnoli)); err != nil {
-			return fmt.Errorf("registry: %w", err)
-		}
-		if _, err := bw.Write(payload); err != nil {
-			return fmt.Errorf("registry: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("registry: %w", err)
+	if err := frame.Write(w, regMagic, head, payloads...); err != nil {
+		return fmt.Errorf("registry: encoding: %w", err)
 	}
 	return nil
 }
@@ -161,31 +128,19 @@ func Decode(r io.Reader) (*Registry, error) {
 
 func decode(path string, f io.Reader) (*Registry, error) {
 	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("registry: %s is corrupt: %s", path, fmt.Sprintf(format, args...))
+		return fmt.Errorf("registry: %s is corrupt: %w", path, fmt.Errorf(format, args...))
 	}
-	br := bufio.NewReader(f)
-
-	magic := make([]byte, len(regMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, corrupt("short magic: %v", err)
+	fr, err := frame.ReadMagic(bufio.NewReader(f), regMagic)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %s is not a registry file: %w", path, err)
 	}
-	if !bytes.Equal(magic, regMagic) {
-		return nil, fmt.Errorf("registry: %s is not a registry file (bad magic)", path)
-	}
-	var headLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &headLen); err != nil {
-		return nil, corrupt("missing header length: %v", err)
-	}
-	if headLen == 0 || headLen > maxSection {
-		return nil, corrupt("implausible header length %d", headLen)
-	}
-	headBuf := make([]byte, headLen)
-	if _, err := io.ReadFull(br, headBuf); err != nil {
-		return nil, corrupt("truncated header: %v", err)
+	headBuf, err := fr.ReadHeader(maxSection)
+	if err != nil {
+		return nil, corrupt("%w", err)
 	}
 	var head headerFile
 	if err := json.Unmarshal(headBuf, &head); err != nil {
-		return nil, corrupt("undecodable header: %v", err)
+		return nil, corrupt("undecodable header: %w", err)
 	}
 	if head.NumStreams < 0 || head.NumStreams > 1<<24 {
 		return nil, corrupt("implausible stream count %d", head.NumStreams)
@@ -193,26 +148,13 @@ func decode(path string, f io.Reader) (*Registry, error) {
 
 	reg := New()
 	for s := 0; s < head.NumStreams; s++ {
-		var payloadLen, sum uint32
-		if err := binary.Read(br, binary.LittleEndian, &payloadLen); err != nil {
-			return nil, corrupt("truncated at stream %d length: %v", s, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {
-			return nil, corrupt("truncated at stream %d checksum: %v", s, err)
-		}
-		if payloadLen == 0 || payloadLen > maxSection {
-			return nil, corrupt("implausible stream %d length %d", s, payloadLen)
-		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, corrupt("truncated stream %d: %v", s, err)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != sum {
-			return nil, corrupt("stream %d checksum mismatch (%08x != %08x)", s, got, sum)
+		payload, err := fr.ReadSection(maxSection)
+		if err != nil {
+			return nil, corrupt("%w", err)
 		}
 		var sf streamFile
 		if err := json.Unmarshal(payload, &sf); err != nil {
-			return nil, corrupt("undecodable stream %d: %v", s, err)
+			return nil, corrupt("undecodable stream %d: %w", s, err)
 		}
 		if sf.Name == "" || len(sf.Versions) == 0 {
 			return nil, corrupt("stream %d has no name or no versions", s)
@@ -246,37 +188,8 @@ func decode(path string, f io.Reader) (*Registry, error) {
 		}
 		reg.streams[sf.Name] = rec
 	}
+	if err := fr.ReadEOF(); err != nil {
+		return nil, corrupt("%w", err)
+	}
 	return reg, nil
-}
-
-// writeAtomic writes a file via a temp sibling and rename (the same
-// discipline as the index's persistence).
-func writeAtomic(path string, write func(w *bufio.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	fail := func(err error) error {
-		// The temp file is being discarded: its close error cannot
-		// outrank the write error already being returned.
-		_ = tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: writing %s: %w", path, err)
-	}
-	if err := write(w); err != nil {
-		return fail(err)
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	return nil
 }

@@ -3,8 +3,10 @@ package validate
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
+	"autovalidate/internal/frame"
 	"autovalidate/internal/pattern"
 	"autovalidate/internal/stats"
 )
@@ -76,13 +78,25 @@ func (r *Rule) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Save writes the rule as JSON.
+// Save writes the rule as JSON, atomically and durably
+// (frame.SaveAtomic): a failed save leaves the previous file intact.
 func (r *Rule) Save(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
+	return saveJSON(path, r)
+}
+
+// saveJSON replaces path with v's indented JSON and a trailing newline.
+func saveJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return fmt.Errorf("validate: %w", err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	err = frame.SaveAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(append(data, '\n')); err != nil {
+			return fmt.Errorf("writing JSON: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("validate: %w", err)
 	}
 	return nil
@@ -101,16 +115,10 @@ func LoadRule(path string) (*Rule, error) {
 	return &r, nil
 }
 
-// SaveRuleSet writes a rule set as a JSON object keyed by column name.
+// Save writes a rule set as a JSON object keyed by column name, with
+// the same all-or-nothing guarantee as Rule.Save.
 func (rs *RuleSet) Save(path string) error {
-	data, err := json.MarshalIndent(rs.Rules, "", "  ")
-	if err != nil {
-		return fmt.Errorf("validate: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("validate: %w", err)
-	}
-	return nil
+	return saveJSON(path, rs.Rules)
 }
 
 // LoadRuleSet reads a rule set written by RuleSet.Save.
