@@ -449,6 +449,56 @@ func BenchmarkServiceInferCached(b *testing.B) {
 	}
 }
 
+// BenchmarkServiceCheckColumnar times POST /streams/{name}/check on a
+// 20 000-value timestamp_us column, handler-direct (no network): body
+// read, column split, the CountMisses kernel, monitor statistics and
+// the response. MB/s is the body rate and B/op what one request
+// allocates — the go-test-sized view of the benchmark's
+// service.decode_mb_per_s and service.handler_bytes_per_op.
+func BenchmarkServiceCheckColumnar(b *testing.B) {
+	h := benchService(b).Handler()
+	train, err := datagen.FreshColumn("timestamp_us", 120, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	put, _ := json.Marshal(autovalidate.StreamPutRequest{Train: train})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/streams/feed.ts", bytes.NewReader(put)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("PUT /streams/feed.ts: status %d: %s", rec.Code, rec.Body)
+	}
+	values, err := datagen.FreshColumn("timestamp_us", 20000, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var csv, ndjson bytes.Buffer
+	for _, v := range values {
+		fmt.Fprintf(&csv, "%s\n", v)
+		fmt.Fprintf(&ndjson, "%q\n", v)
+	}
+	for _, enc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"csv", "text/csv", csv.Bytes()},
+		{"ndjson", "application/x-ndjson", ndjson.Bytes()},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(enc.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/streams/feed.ts/check", bytes.NewReader(enc.body))
+				req.Header.Set("Content-Type", enc.contentType)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("check: status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkInferFMDVVH times one online inference on a 13-token
 // timestamp column — the paper's ~82ms headline path.
 func BenchmarkInferFMDVVH(b *testing.B) {

@@ -15,11 +15,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"autovalidate/internal/buildinfo"
 	"autovalidate/internal/obs"
+	"autovalidate/internal/service"
 )
 
 // GatewayConfig configures a cluster gateway.
@@ -307,11 +309,80 @@ func (g *Gateway) handleMembers(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(map[string]any{"members": g.Members()})
 }
 
+// sentBody is the buffered body of one proxied request: the pooled
+// buffer every forward attempt re-sends, and the count of readers over
+// it that net/http's transport has been handed and has not yet closed.
+type sentBody struct {
+	buf  []byte
+	open atomic.Int32
+}
+
+var sentBodyPool = sync.Pool{New: func() any { return new(sentBody) }}
+
+// inlineBody is net/http's default Transport.WriteBufferSize: up to it
+// a forward's body travels in the same write as its headers (see
+// forward).
+const inlineBody = 4 << 10
+
+// release pools the buffer for the next request — but only if the
+// transport has closed every reader. When a member answers before it
+// has read the body, RoundTrip's write loop can still be in the buffer
+// after Do has returned, and even after the response body's EOF (the
+// transport waits 50 ms for the write, then abandons the connection);
+// a buffer it can still see is left to the garbage collector. No reader
+// is created after the last Do returns, so a zero count stays zero.
+func (b *sentBody) release() {
+	if b.open.Load() == 0 && cap(b.buf) <= service.BodyRetain {
+		sentBodyPool.Put(b)
+	}
+}
+
+// reader returns a fresh request body over the buffer for one send.
+func (b *sentBody) reader() *sentBodyReader {
+	b.open.Add(1)
+	return &sentBodyReader{body: b, rest: b.buf}
+}
+
+// sentBodyReader is one send's view of a sentBody. The transport may
+// call Close from another goroutine than the one in Read; the mutex
+// makes Close wait for that Read, so once Close has returned the buffer
+// is never touched through this reader again.
+type sentBodyReader struct {
+	mu   sync.Mutex
+	body *sentBody // nil once closed
+	rest []byte
+}
+
+func (r *sentBodyReader) Read(p []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.body == nil {
+		return 0, errors.New("cluster: request body read after Close")
+	}
+	if len(r.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
+}
+
+func (r *sentBodyReader) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.body != nil {
+		r.body.open.Add(-1)
+		r.body, r.rest = nil, nil
+	}
+	return nil
+}
+
 // proxy forwards one request to the first candidate that answers,
 // failing over past members that refuse the connection or die
-// mid-response. Request bodies are buffered (bounded) so a retry can
-// resend them; responses are buffered so a mid-body death retries
-// cleanly instead of leaving the client a truncated reply.
+// mid-response. Request bodies are buffered (bounded, in a pooled
+// buffer) so a retry can resend them; responses are buffered so a
+// mid-body death retries cleanly instead of leaving the client a
+// truncated reply.
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 	// The gateway is where a request's trace identity is born (or
 	// continued, if the client sent its own traceparent): the identity
@@ -347,10 +418,19 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 		order = g.rrSequence()
 	}
 
-	var body []byte
-	if r.Body != nil {
+	// A body the Content-Length already puts over the limit is refused
+	// unread; http.MaxBytesReader catches the chunked one.
+	if r.ContentLength > g.maxBody {
+		status = http.StatusRequestEntityTooLarge
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", g.maxBody), status)
+		return
+	}
+	var body *sentBody
+	if r.Body != nil && r.ContentLength != 0 {
+		body = sentBodyPool.Get().(*sentBody)
+		defer body.release()
 		var err error
-		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
+		body.buf, err = service.ReadBody(http.MaxBytesReader(w, r.Body, g.maxBody), body.buf, r.ContentLength)
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -433,13 +513,30 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 // returned as an error so the caller can try the next member. sent
 // reports whether the request may have reached the member: false only
 // for dial failures, where no byte left this process.
-func (g *Gateway) forward(r *http.Request, m *member, body []byte) (int, http.Header, []byte, bool, error) {
+func (g *Gateway) forward(r *http.Request, m *member, body *sentBody) (int, http.Header, []byte, bool, error) {
 	u := *m.url
 	u.Path = singleJoin(u.Path, r.URL.Path)
 	u.RawQuery = r.URL.RawQuery
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), bytes.NewReader(body))
+	// A body that fits the transport's write buffer beside its headers
+	// is sent from a private copy as a plain bytes.Reader: net/http puts
+	// such a request on the wire in one write, where any other body type
+	// costs a flush between headers and body — measurable on a 1 KB
+	// check — and a copy that small is nothing pooling could save.
+	var inline io.Reader
+	if body != nil && len(body.buf) > 0 && len(body.buf) <= inlineBody {
+		inline = bytes.NewReader(bytes.Clone(body.buf))
+	}
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, u.String(), inline)
 	if err != nil {
 		return 0, nil, nil, false, err
+	}
+	if body != nil && len(body.buf) > inlineBody {
+		// What http.NewRequest does for a bytes.Reader, with readers that
+		// report their Close: the length keeps the forward un-chunked,
+		// GetBody lets the transport re-send on a stale connection.
+		req.Body = body.reader()
+		req.ContentLength = int64(len(body.buf))
+		req.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
 	}
 	req.Header = r.Header.Clone()
 	// Propagate this hop's trace identity (replacing any client-sent

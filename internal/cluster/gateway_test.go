@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -52,7 +54,12 @@ func gatewayOver(t *testing.T, urls ...string) *Gateway {
 
 func fetchVia(t *testing.T, gw *httptest.Server, method, path string) (int, string) {
 	t.Helper()
-	req, err := http.NewRequest(method, gw.URL+path, strings.NewReader(`{}`))
+	return sendVia(t, gw, method, path, []byte(`{}`))
+}
+
+func sendVia(t *testing.T, gw *httptest.Server, method, path string, body []byte) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, gw.URL+path, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +68,11 @@ func fetchVia(t *testing.T, gw *httptest.Server, method, path string) (int, stri
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	answer, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, string(body)
+	return resp.StatusCode, string(answer)
 }
 
 // TestGatewayStreamAffinity checks that every request for one stream
@@ -153,7 +160,20 @@ func TestGatewayFailover(t *testing.T) {
 		conn.Close()
 	}))
 	defer dying.Close()
-	healthy, hits := stubBackend(t, "ok", nil)
+	// healthy keeps what it was sent: the retry re-sends the body from
+	// the gateway's buffer, after the dying member cut the first send.
+	var hits atomic.Uint64
+	var received sync.Map // path → body
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		received.Store(r.URL.Path, body)
+		hits.Add(1)
+		fmt.Fprintf(w, "backend=ok path=%s", r.URL.Path)
+	}))
+	defer healthy.Close()
 
 	g := gatewayOver(t, dying.URL, healthy.URL)
 	gw := httptest.NewServer(g.Handler())
@@ -173,9 +193,14 @@ func TestGatewayFailover(t *testing.T) {
 		t.Fatal("could not find streams homed on the dying member")
 	}
 	for _, name := range streams {
-		code, body := fetchVia(t, gw, http.MethodPost, "/streams/"+name+"/check")
+		path := "/streams/" + name + "/check"
+		sent := bytes.Repeat([]byte(name+"\n"), 30000)
+		code, body := sendVia(t, gw, http.MethodPost, path, sent)
 		if code != http.StatusOK || !strings.Contains(body, "backend=ok") {
 			t.Fatalf("stream %s: code=%d body=%q", name, code, body)
+		}
+		if got, _ := received.Load(path); !bytes.Equal(got.([]byte), sent) {
+			t.Fatalf("stream %s: the re-sent body (%d bytes) is not the %d bytes the client sent", name, len(got.([]byte)), len(sent))
 		}
 	}
 	if hits.Load() != 6 {

@@ -235,6 +235,13 @@ type streamState struct {
 	// lastAction is the most recent batch's decision — what the
 	// stream-state telemetry gauge reports.
 	lastAction Action
+
+	// validator is the stream's resolved domain validator (nil when the
+	// domain is unknown to this build) and the rule version it was
+	// resolved for; see Engine.validatorFor.
+	validator        domain.Validator
+	validatorRule    *validate.Rule
+	validatorVersion int
 }
 
 // push appends a verdict to the ring buffer.
@@ -314,21 +321,46 @@ func fprBound(rule *validate.Rule) float64 {
 	return bound
 }
 
-// validatorFor resolves the stream's persisted domain to a runnable
-// validator: a learned vocabulary is reconstructed from the persisted
-// dictionary, built-ins come from the registry. A domain name this
-// build does not know (a registry written by a newer or embedding
-// binary) degrades to syntactic-only monitoring rather than failing
-// the stream.
-func validatorFor(d domain.Detection) domain.Validator {
+// validatorFor returns the runnable validator of the stream's persisted
+// domain, resolved once per rule version and kept with the stream's
+// rolling state (so Reset and ResetAll drop it too): a learned
+// vocabulary's dictionary is rebuilt from the persisted words and a
+// built-in is fetched from the domain registry only when the rule
+// changes, not on every batch. The rule pointer is compared beside the
+// version number because a replaced registry can bring a different
+// rule under a version this engine has already seen. A vocabulary is
+// built under the engine lock — once per version, a map insert per
+// word. A domain name this build does not know (a registry written by
+// a newer or embedding binary) degrades to syntactic-only monitoring
+// rather than failing the stream.
+func (e *Engine) validatorFor(stream registry.Stream) domain.Validator {
+	d := stream.Domain
 	if d.Name == "" {
 		return nil
 	}
-	if d.Name == domain.VocabularyName && len(d.Vocab) > 0 {
-		return domain.NewVocabulary(d.Vocab)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st := e.stateLocked(stream.Name)
+	if st.validatorRule != stream.Rule || st.validatorVersion != stream.Version {
+		if d.Name == domain.VocabularyName && len(d.Vocab) > 0 {
+			st.validator = domain.NewVocabulary(d.Vocab)
+		} else {
+			st.validator, _ = domain.Lookup(d.Name) // nil when unknown
+		}
+		st.validatorRule, st.validatorVersion = stream.Rule, stream.Version
 	}
-	v, _ := domain.Lookup(d.Name)
-	return v
+	return st.validator
+}
+
+// stateLocked returns the stream's rolling state, creating it on first
+// use. Callers hold e.mu.
+func (e *Engine) stateLocked(name string) *streamState {
+	st := e.streams[name]
+	if st == nil {
+		st = &streamState{}
+		e.streams[name] = st
+	}
+	return st
 }
 
 // maxDomainExamples bounds the semantically invalid values retained per
@@ -364,7 +396,7 @@ func (e *Engine) Check(stream registry.Stream, values []string) (Decision, error
 		PValue:        rep.PValue,
 		Examples:      rep.Examples,
 	}
-	if dv := validatorFor(stream.Domain); dv != nil {
+	if dv := e.validatorFor(stream); dv != nil {
 		v.Domain = stream.Domain.Name
 		prog := stream.Rule.Program()
 		for _, val := range values {
@@ -415,7 +447,7 @@ func (e *Engine) CheckBytes(stream registry.Stream, values [][]byte) (Decision, 
 		PValue:        rep.PValue,
 		Examples:      rep.Examples(values),
 	}
-	if dv := validatorFor(stream.Domain); dv != nil {
+	if dv := e.validatorFor(stream); dv != nil {
 		v.Domain = stream.Domain.Name
 		prog := stream.Rule.Program()
 		for _, val := range values {
@@ -463,11 +495,7 @@ func (e *Engine) fold(stream registry.Stream, v Verdict, alarmed bool) Decision 
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.streams[stream.Name]
-	if st == nil {
-		st = &streamState{}
-		e.streams[stream.Name] = st
-	}
+	st := e.stateLocked(stream.Name)
 	st.seq++
 	v.Seq = st.seq
 
@@ -553,13 +581,9 @@ func (e *Engine) Restore(name string, dec Decision) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.streams[name]
-	if st != nil && st.seq >= v.Seq {
+	st := e.stateLocked(name)
+	if st.seq >= v.Seq {
 		return
-	}
-	if st == nil {
-		st = &streamState{}
-		e.streams[name] = st
 	}
 	st.seq = v.Seq
 	st.values = dec.Totals.Values

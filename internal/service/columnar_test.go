@@ -32,7 +32,7 @@ func TestSplitCSVColumn(t *testing.T) {
 		{"junk after quote", "\"a\"x\n", nil, true},
 	}
 	for _, tc := range cases {
-		got, err := splitCSVColumn([]byte(tc.body))
+		got, err := splitCSVColumn([]byte(tc.body), nil)
 		if tc.err {
 			if err == nil {
 				t.Errorf("%s: expected error, got %q", tc.name, got)
@@ -75,7 +75,7 @@ func TestSplitNDJSONColumn(t *testing.T) {
 		{"bad escape", `"\q"` + "\n", nil, true},
 	}
 	for _, tc := range cases {
-		got, err := splitNDJSONColumn([]byte(tc.body))
+		got, err := splitNDJSONColumn([]byte(tc.body), nil)
 		if tc.err {
 			if err == nil {
 				t.Errorf("%s: expected error, got %q", tc.name, got)

@@ -773,10 +773,12 @@ func (s *Server) handleValidateColumnar(w http.ResponseWriter, r *http.Request, 
 			"unknown fingerprint (evicted or never inferred); re-run /infer with the training column")
 		return
 	}
-	values, ok := decodeColumnar(w, r, kind, maxBody, r.URL.Query().Get("header") == "true")
+	col, ok := decodeColumnar(w, r, kind, maxBody, r.URL.Query().Get("header") == "true")
 	if !ok {
 		return
 	}
+	defer col.release()
+	values := col.values
 	rep := validate.AcquireBatchReport()
 	defer rep.Release()
 	if err := rule.ValidateBatch(values, rep); err != nil {
@@ -1033,18 +1035,29 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 }
 
 func decodeJSONLimit(w http.ResponseWriter, r *http.Request, dst any, limit int64) bool {
+	if r.ContentLength > limit {
+		writeTooLarge(w, r, limit)
+		return false
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	if err := dec.Decode(dst); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			writeTooLarge(w, r, tooBig.Limit)
 			return false
 		}
 		writeError(w, r, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}
 	return true
+}
+
+// writeTooLarge answers 413 for a body over limit: before a byte is
+// read when the Content-Length already says so, from the
+// http.MaxBytesReader's error when a chunked body turns out to be.
+func writeTooLarge(w http.ResponseWriter, r *http.Request, limit int64) {
+	writeError(w, r, http.StatusRequestEntityTooLarge,
+		fmt.Sprintf("request body exceeds %d bytes", limit))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

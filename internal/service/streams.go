@@ -287,17 +287,22 @@ func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// Batches arrive either in the JSON envelope or as a raw column
 	// (text/csv, NDJSON). The columnar path checks byte views through
-	// the compiled batch matcher; values are materialized as strings
-	// only if the monitor escalates to re-inference. Either way the body
-	// is decoded (and an empty batch rejected) before the registry
-	// lookup, so malformed requests answer 400 regardless of the name.
+	// the compiled batch matcher; the views belong to a pooled column
+	// that is released when this handler returns, and values are
+	// materialized as strings only for what outlives it (examples,
+	// attribution samples, a re-inference's training column). Either
+	// way the body is decoded (and an empty batch rejected) before the
+	// registry lookup, so malformed requests answer 400 regardless of
+	// the name.
 	var check func(stream registry.Stream) (monitor.Decision, error)
 	var reinferValues func() []string
 	if kind := columnarKindOf(r.Header.Get("Content-Type")); kind != colNone {
-		values, ok := decodeColumnar(w, r, kind, maxBody, r.URL.Query().Get("header") == "true")
+		col, ok := decodeColumnar(w, r, kind, maxBody, r.URL.Query().Get("header") == "true")
 		if !ok {
 			return
 		}
+		defer col.release()
+		values := col.values
 		check = func(stream registry.Stream) (monitor.Decision, error) {
 			dec, err := s.mon.CheckBytes(stream, values)
 			if err == nil {
