@@ -17,11 +17,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "fig10a", "experiment id: table1|table2|table3|fig10a|fig10b|fig11|fig12a|fig12b|fig12c|fig12d|fig13|fig14|fig15|ingest|monitor|cluster|batch|ablations|all")
+	exp := flag.String("exp", "fig10a", "experiment id: table1|table2|table3|fig10a|fig10b|fig11|fig12a|fig12b|fig12c|fig12d|fig13|fig14|fig15|ingest|monitor|cluster|ablations|all")
 	scale := flag.String("scale", "default", "default|quick")
 	jsonOut := flag.Bool("json", false, "write a BENCH_<exp>.json record per experiment")
 	outdir := flag.String("outdir", ".", "directory for -json records")
-	baseline := flag.String("baseline", "", "committed BENCH record to gate against: exit 1 if values_per_sec regresses below 70% of it")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -130,23 +129,6 @@ func main() {
 			rec.AddMetric("validate_qps_1x", res.Replicas1QPS)
 			rec.AddMetric("validate_qps_3x", res.Replicas3QPS)
 			rec.AddMetric("replica_speedup", res.Speedup)
-		case "batch":
-			fmt.Println("=== Batch validation: compiled programs vs the per-value path ===")
-			values, rounds := 20000, 50
-			if *scale == "quick" {
-				values, rounds = 5000, 20
-			}
-			res, err := env.BatchExperiment(values, rounds)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "batch:", err)
-				os.Exit(1)
-			}
-			fmt.Print(evalbench.FormatBatch(res))
-			rec.ValuesPerSec = res.BatchPerSec
-			rec.AddMetric("per_value_values_per_sec", res.PerValuePerSec)
-			rec.AddMetric("batch_values_per_sec", res.BatchPerSec)
-			rec.AddMetric("speedup", res.Speedup)
-			rec.AddMetric("adversarial_millis", res.AdversarialMillis)
 		case "ablations":
 			fmt.Println("=== Ablations ===")
 			fmt.Print(evalbench.FormatAblation("FMDV vs CMDV objective", env.AblationCMDV()))
@@ -167,27 +149,11 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
-		if *baseline != "" && rec.ValuesPerSec > 0 {
-			base, err := evalbench.ReadBenchRecord(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "baseline:", err)
-				os.Exit(1)
-			}
-			if base.ValuesPerSec > 0 {
-				floor := 0.7 * base.ValuesPerSec
-				if rec.ValuesPerSec < floor {
-					fmt.Fprintf(os.Stderr, "REGRESSION: %s values/sec %.0f is below 70%% of baseline %.0f (floor %.0f)\n",
-						id, rec.ValuesPerSec, base.ValuesPerSec, floor)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "baseline gate ok: %.0f values/sec vs floor %.0f\n", rec.ValuesPerSec, floor)
-			}
-		}
 	}
 
 	if *exp == "all" {
 		for _, id := range []string{"table1", "fig10a", "fig10b", "table2", "fig11",
-			"fig12a", "fig12b", "fig12c", "fig12d", "fig13", "fig14", "table3", "fig15", "ingest", "monitor", "cluster", "batch", "ablations"} {
+			"fig12a", "fig12b", "fig12c", "fig12d", "fig13", "fig14", "table3", "fig15", "ingest", "monitor", "cluster", "ablations"} {
 			run(id)
 		}
 		return

@@ -25,7 +25,7 @@ func (SSIS) Train(values []string) (Rule, error) {
 	if !ok {
 		return nil, ErrNoRule
 	}
-	return patternRule{pats: []pattern.Pattern{p}}, nil
+	return newPatternRule(p), nil
 }
 
 // XSystem mimics the branch-and-merge profiler of Ilyas et al. (§5.2):
@@ -52,7 +52,7 @@ func (XSystem) Train(values []string) (Rule, error) {
 	if len(pats) == 0 {
 		return nil, ErrNoRule
 	}
-	return patternRule{pats: pats}, nil
+	return newPatternRule(pats...), nil
 }
 
 // FlashProfile mimics the cluster-then-profile synthesis of Padhi et al.
@@ -79,7 +79,7 @@ func (FlashProfile) Train(values []string) (Rule, error) {
 	if len(pats) == 0 {
 		return nil, ErrNoRule
 	}
-	return patternRule{pats: pats}, nil
+	return newPatternRule(pats...), nil
 }
 
 func groupByShape(values []string) map[string][]string {

@@ -25,7 +25,7 @@ func (PWheel) Train(values []string) (Rule, error) {
 	if !ok {
 		return nil, ErrNoRule
 	}
-	return patternRule{pats: []pattern.Pattern{p}}, nil
+	return newPatternRule(p), nil
 }
 
 // pwheelMinCoverage is the in-column support below which candidate
@@ -89,8 +89,9 @@ func descriptionLength(p pattern.Pattern, values []string) float64 {
 	// entropy; variable-width tokens additionally pay a length code.
 	// Values the pattern misses are encoded raw (8 bits/char plus an
 	// escape marker), the usual MDL treatment of outliers.
+	prog := pattern.Compile(p)
 	for _, v := range values {
-		if p.Match(v) {
+		if prog.MatchString(v) {
 			cost += valueCost(p, v)
 		} else {
 			cost += 16 + 8*float64(len(v))
@@ -135,14 +136,22 @@ func valueCost(p pattern.Pattern, v string) float64 {
 // patternRule flags a batch when any value fails to match every pattern
 // alternative — the natural way to use a profile as a validator.
 type patternRule struct {
-	pats []pattern.Pattern
+	progs []*pattern.Program
+}
+
+func newPatternRule(pats ...pattern.Pattern) patternRule {
+	r := patternRule{progs: make([]*pattern.Program, len(pats))}
+	for i, p := range pats {
+		r.progs[i] = pattern.Compile(p)
+	}
+	return r
 }
 
 func (r patternRule) Flags(values []string) bool {
 	for _, v := range values {
 		ok := false
-		for _, p := range r.pats {
-			if p.Match(v) {
+		for _, prog := range r.progs {
+			if prog.MatchString(v) {
 				ok = true
 				break
 			}

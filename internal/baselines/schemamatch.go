@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"autovalidate/internal/corpus"
-	"autovalidate/internal/pattern"
 )
 
 // The schema-matching family (§5.2) broadens the training sample with
@@ -71,7 +70,7 @@ func (m *SMInstance) Train(values []string) (Rule, error) {
 	if !ok {
 		return nil, ErrNoRule
 	}
-	return patternRule{pats: []pattern.Pattern{p}}, nil
+	return newPatternRule(p), nil
 }
 
 // SMPattern is SM-P-M (majority) or SM-P-P (plurality): pattern-based
@@ -135,7 +134,7 @@ func (m *SMPattern) Train(values []string) (Rule, error) {
 	if !ok {
 		return nil, ErrNoRule
 	}
-	return patternRule{pats: []pattern.Pattern{p}}, nil
+	return newPatternRule(p), nil
 }
 
 func appendCapped(pool []string, more []string) []string {

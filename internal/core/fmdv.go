@@ -204,13 +204,14 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 		}
 		var sumImp float64
 		var cov uint32
+		prog := pattern.Compile(c.Pattern)
 		for _, col := range cols {
-			match := c.Pattern.MatchCount(col.Values)
-			if match == 0 || len(col.Values) == 0 {
+			misses, _ := pattern.CountMisses(prog, col.Values, nil, 0)
+			if misses == len(col.Values) {
 				continue
 			}
 			cov++
-			sumImp += float64(len(col.Values)-match) / float64(len(col.Values))
+			sumImp += float64(misses) / float64(len(col.Values))
 		}
 		if cov == 0 {
 			continue

@@ -76,14 +76,7 @@ func simulatedProgrammers() []programmer {
 					}
 				}
 				p := pattern.Pattern{Toks: toks}
-				return func(batch []string) bool {
-					for _, v := range batch {
-						if !p.Match(v) {
-							return true
-						}
-					}
-					return false
-				}, true
+				return flagsMisses(p), true
 			},
 		},
 		{
@@ -111,16 +104,23 @@ func simulatedProgrammers() []programmer {
 				if !ok {
 					return nil, false
 				}
-				return func(batch []string) bool {
-					for _, v := range batch {
-						if !p.Match(v) {
-							return true
-						}
-					}
-					return false
-				}, true
+				return flagsMisses(p), true
 			},
 		},
+	}
+}
+
+// flagsMisses is the validator a programmer's pattern amounts to: flag
+// a batch when any value fails to match.
+func flagsMisses(p pattern.Pattern) func([]string) bool {
+	prog := pattern.Compile(p)
+	return func(batch []string) bool {
+		for _, v := range batch {
+			if !prog.MatchString(v) {
+				return true
+			}
+		}
+		return false
 	}
 }
 

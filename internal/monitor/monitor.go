@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"autovalidate/internal/domain"
+	"autovalidate/internal/pattern"
 	"autovalidate/internal/registry"
 	"autovalidate/internal/stats"
 	"autovalidate/internal/validate"
@@ -371,6 +372,19 @@ const maxDomainExamples = 5
 // the verdict into the stream's rolling history. The stream snapshot
 // comes from the registry; Check never mutates it.
 func (e *Engine) Check(stream registry.Stream, values []string) (Decision, error) {
+	return check(e, stream, values)
+}
+
+// CheckBytes is Check over a decoded column slab: values are byte views
+// (typically into one contiguous request buffer). Strings are
+// materialized only for the handful of retained examples and, when the
+// stream carries a semantic domain, for the validator pass.
+func (e *Engine) CheckBytes(stream registry.Stream, values [][]byte) (Decision, error) {
+	return check(e, stream, values)
+}
+
+// check is the one body behind Check and CheckBytes.
+func check[V pattern.Value](e *Engine, stream registry.Stream, values []V) (Decision, error) {
 	if stream.Rule == nil {
 		return Decision{}, fmt.Errorf("monitor: stream %q has no rule", stream.Name)
 	}
@@ -379,7 +393,7 @@ func (e *Engine) Check(stream registry.Stream, values []string) (Decision, error
 	}
 
 	// Pattern matching and the homogeneity test run lock-free.
-	rep, err := stream.Rule.Validate(values)
+	rep, err := validate.Apply(stream.Rule, values)
 	if err != nil {
 		return Decision{}, fmt.Errorf("monitor: stream %q: %w", stream.Name, err)
 	}
@@ -400,63 +414,12 @@ func (e *Engine) Check(stream registry.Stream, values []string) (Decision, error
 		v.Domain = stream.Domain.Name
 		prog := stream.Rule.Program()
 		for _, val := range values {
-			if dv.Validate(val) == nil {
-				continue
-			}
-			v.DomainInvalid++
-			if prog.MatchString(val) {
-				v.DomainOnlyInvalid++
-				if len(v.DomainExamples) < maxDomainExamples {
-					v.DomainExamples = append(v.DomainExamples, val)
-				}
-			}
-		}
-	}
-
-	alarmed := e.score(stream, &v, rep.Alarm)
-	if alarmed && v.NonConforming > 0 {
-		v.Attribution = stream.Rule.AttributeStrings(values, validate.MaxAttributionSamples)
-	}
-	return e.fold(stream, v, alarmed), nil
-}
-
-// CheckBytes is Check over a decoded column slab: values are byte views
-// (typically into one contiguous request buffer) and matching runs
-// through the rule's compiled program via the zero-allocation batch
-// path. Strings are materialized only for the handful of retained
-// examples and, when the stream carries a semantic domain, for the
-// validator pass.
-func (e *Engine) CheckBytes(stream registry.Stream, values [][]byte) (Decision, error) {
-	if stream.Rule == nil {
-		return Decision{}, fmt.Errorf("monitor: stream %q has no rule", stream.Name)
-	}
-	if len(values) == 0 {
-		return Decision{}, fmt.Errorf("monitor: stream %q: %w", stream.Name, validate.ErrEmptyBatch)
-	}
-
-	rep := validate.AcquireBatchReport()
-	defer rep.Release()
-	if err := stream.Rule.ValidateBatch(values, rep); err != nil {
-		return Decision{}, fmt.Errorf("monitor: stream %q: %w", stream.Name, err)
-	}
-
-	v := Verdict{
-		StreamVersion: stream.Version,
-		Total:         rep.Total,
-		NonConforming: rep.NonConforming,
-		PValue:        rep.PValue,
-		Examples:      rep.Examples(values),
-	}
-	if dv := e.validatorFor(stream); dv != nil {
-		v.Domain = stream.Domain.Name
-		prog := stream.Rule.Program()
-		for _, val := range values {
 			sv := string(val)
 			if dv.Validate(sv) == nil {
 				continue
 			}
 			v.DomainInvalid++
-			if prog.Match(val) {
+			if pattern.Match(prog, val) {
 				v.DomainOnlyInvalid++
 				if len(v.DomainExamples) < maxDomainExamples {
 					v.DomainExamples = append(v.DomainExamples, sv)
@@ -467,7 +430,7 @@ func (e *Engine) CheckBytes(stream registry.Stream, values [][]byte) (Decision, 
 
 	alarmed := e.score(stream, &v, rep.Alarm)
 	if alarmed && v.NonConforming > 0 {
-		v.Attribution = stream.Rule.Attribute(values, validate.MaxAttributionSamples)
+		v.Attribution = validate.Attribute(stream.Rule, values, validate.MaxAttributionSamples)
 	}
 	return e.fold(stream, v, alarmed), nil
 }

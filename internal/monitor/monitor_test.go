@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -279,40 +280,80 @@ func TestConcurrentChecks(t *testing.T) {
 	}
 }
 
-// TestCheckBytesMatchesCheck drives the columnar byte path and the
-// string path over identical batches (on separate engines, so both see
-// the same history) and requires identical decisions.
+// TestCheckBytesMatchesCheck is the front-agreement check: the string
+// front and the byte-slice front share one body, so identical batches
+// (on separate engines, so both see the same history) must produce
+// identical decisions — counts, examples in order, rolling state, the
+// semantic-domain fields and the attribution of an alarming batch.
 func TestCheckBytesMatchesCheck(t *testing.T) {
-	rule := fourDigitRule(t, 0.01, 0.01)
-	strEngine := NewEngine(DefaultPolicy())
-	byteEngine := NewEngine(DefaultPolicy())
-	st := stream("s", rule, false)
-	for _, bad := range []int{0, 2, 40} {
-		vals := batch(200, bad)
-		bytesVals := make([][]byte, len(vals))
-		for i, v := range vals {
+	// A vocabulary stream: off-vocabulary words pass the pattern and
+	// fail the domain, digits fail both.
+	vocab := vocabStream(t, 1, words(20))
+	semantic := func(offVocab, digits int) []string {
+		out := make([]string, 0, 200)
+		for i := 0; i < 200; i++ {
+			switch {
+			case i < offVocab:
+				out = append(out, "zz"+letters(i))
+			case i < offVocab+digits:
+				out = append(out, fmt.Sprint(1000+i))
+			default:
+				out = append(out, vocab.Domain.Vocab[i%20])
+			}
+		}
+		return out
+	}
+	plain := stream("s", fourDigitRule(t, 0.01, 0.01), false)
+	strEngine, byteEngine := NewEngine(DefaultPolicy()), NewEngine(DefaultPolicy())
+	for _, tc := range []struct {
+		name       string
+		st         registry.Stream
+		vals       []string
+		wantAction Action
+		wantDomain bool
+	}{
+		{"clean", plain, batch(200, 0), Accept, false},
+		{"two misses", plain, batch(200, 2), Accept, false},
+		{"alarming", plain, batch(200, 40), Alarm, false},
+		{"semantic, clean", vocab, semantic(0, 0), Accept, true},
+		{"semantic, alarming on domain-only failures", vocab, semantic(30, 0), Alarm, true},
+		{"semantic, alarming on both", vocab, semantic(12, 25), Alarm, true},
+	} {
+		bytesVals := make([][]byte, len(tc.vals))
+		for i, v := range tc.vals {
 			bytesVals[i] = []byte(v)
 		}
-		want, err := strEngine.Check(st, vals)
+		want, err := strEngine.Check(tc.st, tc.vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := byteEngine.CheckBytes(st, bytesVals)
+		got, err := byteEngine.CheckBytes(tc.st, bytesVals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wv, gv := want.Verdict, got.Verdict
-		if gv.Total != wv.Total || gv.NonConforming != wv.NonConforming ||
-			gv.PValue != wv.PValue || gv.DriftP != wv.DriftP ||
-			gv.Action != wv.Action || gv.Seq != wv.Seq {
-			t.Errorf("bad=%d: CheckBytes %+v != Check %+v", bad, gv, wv)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: CheckBytes and Check diverge:\n%+v\n%+v", tc.name, got, want)
 		}
-		if fmt.Sprint(gv.Examples) != fmt.Sprint(wv.Examples) {
-			t.Errorf("bad=%d: examples %q != %q", bad, gv.Examples, wv.Examples)
+		wv := want.Verdict
+		if wv.Action != tc.wantAction {
+			t.Errorf("%s: action %s, want %s", tc.name, wv.Action, tc.wantAction)
 		}
-		if got.PassEWMA != want.PassEWMA || got.ConsecutiveAlarms != want.ConsecutiveAlarms {
-			t.Errorf("bad=%d: rolling state diverged: %+v != %+v", bad, got, want)
+		if alarmed := wv.Action != Accept; alarmed && wv.NonConforming > 0 && wv.Attribution == nil {
+			t.Errorf("%s: alarming batch with misses carries no attribution", tc.name)
 		}
+		if tc.wantDomain != (wv.Domain != "") {
+			t.Errorf("%s: verdict domain %q", tc.name, wv.Domain)
+		}
+	}
+	// The semantic rows really exercise the fields they compare.
+	dec, err := NewEngine(DefaultPolicy()).Check(vocab, semantic(12, 25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := dec.Verdict; v.NonConforming != 25 || v.DomainInvalid != 37 || v.DomainOnlyInvalid != 12 ||
+		len(v.DomainExamples) != maxDomainExamples || v.Attribution == nil {
+		t.Errorf("semantic verdict %+v: want 25 misses, 37 domain-invalid, 12 domain-only, %d examples, an attribution",
+			v, maxDomainExamples)
 	}
 }
 

@@ -10,6 +10,7 @@ package pattern
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"autovalidate/internal/tokens"
@@ -24,9 +25,66 @@ const maxDFAStates = 2048
 // transition tables would not pay for themselves.
 const maxDFAInsts = 4096
 
+// maxProgramSize is the ceiling on what a parsed pattern may lower to:
+// at most this many tokens and this many NFA instructions. Parse
+// enforces it, so a pattern that arrives from outside the program — an
+// inline rule, a rule file, a registry — cannot size the compiled
+// program. An instruction costs 12 B, its token index 2 B and its share
+// of one pike-VM scratch 16 B, so a maximal program stays near 1 MiB,
+// and every token index fits the uint16 the compiler stores it in.
+// Inferred patterns come nowhere near: a segment has at most τ tokens
+// and a class token's count is bounded by the width of the values it
+// was inferred from, so a column of 64-byte values lowers to fewer than
+// 200 instructions.
+const maxProgramSize = 1 << 15
+
+// size returns the number of instructions compiler.token emits for t,
+// with two roundings up. {0,+} is charged as the + it renders as (and
+// re-parses to, with a minimum of one), so a pattern and its canonical
+// form are accepted or refused together. A count above the ceiling is
+// returned as it is, unmultiplied, so checkSize refuses it before any
+// arithmetic on it can overflow.
+func (t Tok) size() int {
+	opt := 0
+	if t.Opt {
+		opt = 1
+	}
+	switch t.Kind {
+	case KindLiteral:
+		return opt + len(t.Lit)
+	case KindNum:
+		return opt + 12
+	}
+	lo := max(t.Min, 0)
+	switch {
+	case lo > maxProgramSize || t.Max > maxProgramSize:
+		return max(lo, t.Max)
+	case t.Max == Unbounded:
+		return max(lo, 1) + 3
+	case t.Max < lo:
+		return 1
+	}
+	return lo + 2*(t.Max-lo)
+}
+
+// checkSize reports whether p lowers to a program under the ceiling.
+func checkSize(p Pattern) error {
+	if len(p.Toks) > maxProgramSize {
+		return fmt.Errorf("%d tokens, above the ceiling of %d", len(p.Toks), maxProgramSize)
+	}
+	n := 1 // the final opMatch
+	for _, t := range p.Toks {
+		sz := t.size()
+		if sz > maxProgramSize-n {
+			return fmt.Errorf("lowers to more than the ceiling of %d instructions", maxProgramSize)
+		}
+		n += sz
+	}
+	return nil
+}
+
 // classSets caches the byte membership of every token class, derived
-// from tokens.ClassOf so the compiled matcher agrees byte-for-byte with
-// the legacy one.
+// from tokens.ClassOf so the matcher agrees byte-for-byte with the lexer.
 var classSets = func() map[tokens.Class]byteSet {
 	sets := make(map[tokens.Class]byteSet)
 	for _, c := range []tokens.Class{
@@ -114,9 +172,9 @@ func Compile(p Pattern) *Program {
 	return prog
 }
 
-// compileNFA builds the pike-VM form without determinization. Tests use
-// it directly to exercise the fallback path; Compile layers the DFA on
-// top.
+// compileNFA builds the pike-VM form without determinization: what the
+// one-off Pattern.Match runs, and what tests use to exercise the
+// fallback path. Compile layers the DFA on top.
 func compileNFA(p Pattern) *Program {
 	c := &compiler{predIdx: make(map[byteSet]uint16)}
 	for i, t := range p.Toks {
@@ -173,9 +231,8 @@ func (c *compiler) token(t Tok) {
 			min = 0
 		}
 		if t.Max != Unbounded && t.Max < min {
-			// A bound like {2,1} matches nothing — the legacy matcher
-			// never finds a count in the empty range. Emit a dead-end
-			// byte with an empty predicate so the program agrees.
+			// A bound like {2,1} matches nothing — no count lies in the
+			// empty range. Emit a dead-end byte with an empty predicate.
 			c.emitByte(c.pred(byteSet{}))
 			return
 		}

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -47,8 +48,7 @@ var compiledCases = []struct {
 	{"<space>{2}", " \t", true},
 	{"<symbol>{1}<symbol>{1}", "[]", true},
 	{"<symbol>{1}<symbol>{1}", "a]", false},
-	// Ambiguous boundaries the backtracker resolves by search: the
-	// compiled program must agree.
+	// Ambiguous boundaries a backtracker would resolve by search.
 	{"<digit>+<digit>+", "12", true},
 	{"<digit>+<digit>+", "1", false},
 	{"<num><num>", "1-2", true}, // "1" then "-2"
@@ -77,7 +77,10 @@ func TestCompiledMatchCases(t *testing.T) {
 			t.Errorf("pike-VM %q on %q = %v, want %v", tc.pattern, tc.value, got, tc.want)
 		}
 		if got := p.Match(tc.value); got != tc.want {
-			t.Errorf("legacy Match(%q, %q) = %v, want %v", tc.pattern, tc.value, got, tc.want)
+			t.Errorf("one-off Match(%q, %q) = %v, want %v", tc.pattern, tc.value, got, tc.want)
+		}
+		if got := refMatch(p, tc.value); got != tc.want {
+			t.Errorf("reference matcher %q on %q = %v, want %v", tc.pattern, tc.value, got, tc.want)
 		}
 	}
 }
@@ -117,8 +120,8 @@ func TestHugeCountedRepetitionFallsBackToNFA(t *testing.T) {
 		t.Error("NFA fallback must enforce the upper bound")
 	}
 	// The pike VM's step count is bounded by (n+1)·len(insts) — the
-	// linearity guarantee that replaces exponential backtracking.
-	_, steps := prog.matchNFA(nil, v)
+	// linearity guarantee a backtracker cannot give.
+	_, _, steps := runNFA(prog, v)
 	if max := prog.MaxSteps(len(v)); steps > max {
 		t.Errorf("pike VM took %d steps, above the %d bound", steps, max)
 	}
@@ -136,51 +139,53 @@ func adversarialPattern(k int) Pattern {
 
 // TestAdversarialBacktrackingBounded is the pathological-pattern
 // regression test: 8 adjacent <digit>+ tokens against a 10k-digit value
-// that fails at the last byte. The seed backtracker explored the
-// compositions of 10000 into 8 parts (≈10^24 states, far beyond 1s of
-// compute); the budgeted backtracker must abandon the search almost
-// immediately and the compiled path must answer in bounded time.
+// that fails at the last byte. A backtracker explores the compositions
+// of 10000 into 8 parts (≈10^24 states, far beyond 1s of compute); both
+// engines, over both value forms, and the one-off entry must answer in
+// bounded time, and agree with the reference matcher.
 func TestAdversarialBacktrackingBounded(t *testing.T) {
 	p := adversarialPattern(8)
-	v := strings.Repeat("9", 10000) + "!"
+	bad := strings.Repeat("9", 10000) + "!"
+	good := bad[:len(bad)-1]
 
-	// Prove the legacy search actually blows its budget on this input —
-	// i.e. the seed code, which had no budget, would have spun.
-	steps := matchBudget
-	if _, done := matchFrom(p.Toks, v, 0, &steps); done {
-		t.Fatal("expected the backtracker to exhaust its step budget on the adversarial input")
-	}
-
-	// The compiled program answers fast. The 500ms ceiling is generous
-	// for CI jitter; the observed time is well under 10ms.
-	prog := Compile(p)
-	start := time.Now()
-	if prog.MatchString(v) {
-		t.Error("adversarial value must not match (trailing '!')")
-	}
-	if !prog.MatchString(v[:len(v)-1]) {
-		t.Error("10k digits must match 8 adjacent <digit>+")
-	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Errorf("compiled adversarial match took %v, want bounded time", d)
+	// The reference is quadratic in the run length, so it answers for a
+	// shorter value of the same shape; the engines take the full one.
+	for _, v := range []string{bad[len(bad)-1001:], good[:1000]} {
+		if want := !strings.HasSuffix(v, "!"); refMatch(p, v) != want {
+			t.Fatalf("reference matcher on %d bytes = %v, want %v", len(v), !want, want)
+		}
 	}
 
-	// Pattern.Match itself (budget + compiled fallback) is also bounded
-	// and still correct.
-	start = time.Now()
-	if p.Match(v) {
-		t.Error("Match must reject the adversarial value")
+	dfa, nfa := Compile(p), compileNFA(p)
+	if dfa.Mode() != "dfa" {
+		t.Fatalf("adversarial pattern compiled to %s, want dfa", dfa.Mode())
 	}
-	if !p.Match(v[:len(v)-1]) {
-		t.Error("Match must accept the all-digits value")
-	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Errorf("budgeted Match took %v, want bounded time", d)
+	// The 500ms ceiling is generous for CI jitter; the observed time is
+	// well under 10ms per engine.
+	for _, e := range []struct {
+		name  string
+		match func(string) bool
+	}{
+		{"dfa/string", dfa.MatchString},
+		{"dfa/bytes", func(v string) bool { return dfa.Match([]byte(v)) }},
+		{"pike-VM/string", nfa.MatchString},
+		{"pike-VM/bytes", func(v string) bool { return nfa.Match([]byte(v)) }},
+		{"Pattern.Match", p.Match},
+	} {
+		start := time.Now()
+		if e.match(bad) {
+			t.Errorf("%s: adversarial value must not match (trailing '!')", e.name)
+		}
+		if !e.match(good) {
+			t.Errorf("%s: 10k digits must match 8 adjacent <digit>+", e.name)
+		}
+		if d := time.Since(start); d > 500*time.Millisecond {
+			t.Errorf("%s: adversarial match took %v, want bounded time", e.name, d)
+		}
 	}
 }
 
-// randPattern generates a small random pattern. Bounds are kept tiny so
-// the backtracker reference stays fast.
+// randPattern generates a small random pattern.
 func randPattern(rng *rand.Rand) Pattern {
 	classes := []tokens.Class{
 		tokens.ClassDigit, tokens.ClassLetter, tokens.ClassSymbol,
@@ -259,8 +264,8 @@ func randValue(rng *rand.Rand, p Pattern) string {
 }
 
 // TestCompiledInterpretedEquivalence is the property test: on random
-// patterns × random values, the DFA, the pike VM, and the backtracker
-// must agree on Match.
+// patterns × random values, the DFA, the pike VM and the one-off entry
+// must agree with the reference matcher.
 func TestCompiledInterpretedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20210621))
 	for i := 0; i < 3000; i++ {
@@ -269,15 +274,75 @@ func TestCompiledInterpretedEquivalence(t *testing.T) {
 		nfa := compileNFA(p)
 		for j := 0; j < 8; j++ {
 			v := randValue(rng, p)
-			want := p.Match(v)
+			want := refMatch(p, v)
 			if got := prog.MatchString(v); got != want {
-				t.Fatalf("pattern %q value %q: compiled(%s)=%v backtracker=%v",
+				t.Fatalf("pattern %q value %q: compiled(%s)=%v reference=%v",
 					p.String(), v, prog.Mode(), got, want)
 			}
 			if got := nfa.MatchString(v); got != want {
-				t.Fatalf("pattern %q value %q: pike-VM=%v backtracker=%v", p.String(), v, got, want)
+				t.Fatalf("pattern %q value %q: pike-VM=%v reference=%v", p.String(), v, got, want)
+			}
+			if got := p.Match(v); got != want {
+				t.Fatalf("pattern %q value %q: one-off Match=%v reference=%v", p.String(), v, got, want)
 			}
 		}
+	}
+}
+
+// TestSizeIsWhatTheCompilerEmits: the count Parse holds against the
+// ceiling is the compiler's own instruction count — exact, except that
+// {0,+} is charged one more (as the + it renders as).
+func TestSizeIsWhatTheCompilerEmits(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 3000; i++ {
+		p := randPattern(rng)
+		if rng.Intn(4) == 0 {
+			p.Toks = append(p.Toks, ClassRange(tokens.ClassDigit, 2, 1), Tok{Kind: KindLiteral, Opt: true})
+		}
+		want := 1 // opMatch
+		for _, tk := range p.Toks {
+			want += tk.size()
+			if tk.Kind == KindClass && tk.Min == 0 && tk.Max == Unbounded {
+				want--
+			}
+		}
+		if got := compileNFA(p).NumInsts(); got != want {
+			t.Fatalf("pattern %q: %d instructions, sized as %d", p.String(), got, want)
+		}
+	}
+}
+
+// TestLargestProgramStaysSmall is what the ceiling buys: compiling the
+// largest patterns Parse accepts, and matching with them, allocates
+// under 4 MiB all told (slice growth included) and leaves about 1 MiB
+// live — against 1.1 GB for the 3 M-instruction inline rule the parent
+// accepted.
+func TestLargestProgramStaysSmall(t *testing.T) {
+	const allocBudget, liveBudget = 4 << 20, 5 << 18 // 4 MiB, 1.25 MiB
+	for _, s := range []string{
+		"<letter>{32767}",
+		"<alnum>{1,16384}",
+		strings.Repeat("<num>", 2730),
+	} {
+		p, err := Parse(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		prog := Compile(p)
+		prog.MatchString("x")
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > allocBudget {
+			t.Errorf("%.20q… (%d insts): compile + match allocated %d bytes, budget %d", s, prog.NumInsts(), got, allocBudget)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if got := int64(after.HeapAlloc) - int64(before.HeapAlloc); got > liveBudget {
+			t.Errorf("%.20q… (%d insts): program keeps %d bytes live, budget %d", s, prog.NumInsts(), got, liveBudget)
+		}
+		runtime.KeepAlive(prog)
 	}
 }
 
@@ -292,27 +357,16 @@ func TestCompiledEmptyPattern(t *testing.T) {
 }
 
 func TestCompiledDeadBound(t *testing.T) {
-	// {2,1} matches nothing under the backtracker; the compiled program
+	// {2,1} matches nothing under the reference; the compiled program
 	// must agree rather than treating it as {1,2}.
 	p := New(ClassRange(tokens.ClassDigit, 2, 1))
 	prog := Compile(p)
 	for _, v := range []string{"", "1", "12"} {
-		if prog.MatchString(v) != p.Match(v) {
-			t.Errorf("dead bound disagreement on %q", v)
+		if prog.MatchString(v) != refMatch(p, v) || p.Match(v) != refMatch(p, v) {
+			t.Errorf("dead bound disagreement with the reference on %q", v)
 		}
 		if prog.MatchString(v) {
 			t.Errorf("dead bound must not match %q", v)
-		}
-	}
-}
-
-func BenchmarkMatchBacktracker(b *testing.B) {
-	p, _ := Parse("<digit>{4}-<digit>{2}-<digit>{2} <digit>{2}:<digit>{2}:<digit>{2}")
-	v := "2021-03-17 09:30:12"
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !p.Match(v) {
-			b.Fatal("must match")
 		}
 	}
 }

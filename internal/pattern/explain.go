@@ -33,29 +33,29 @@ type Miss struct {
 	Kind MissKind
 }
 
-// Explain reports why b does not match: the failing byte position, the
+// Explain is the byte-slice front of the generic form.
+func (p *Program) Explain(b []byte) (Miss, bool) { return Explain(p, b) }
+
+// Explain reports why v does not match: the failing byte position, the
 // pattern token the automaton was consuming, and whether the mismatch
 // is a character-class divergence or a length problem. ok is true (and
-// the Miss zero) when b actually matches.
-func (p *Program) Explain(b []byte) (miss Miss, ok bool) {
-	if p.dfa != nil {
-		return p.explainDFA(b)
-	}
-	return p.explainNFA(b)
-}
-
-// explainDFA walks the compressed-alphabet table (always present in DFA
-// mode), keeping the pre-transition state so a death can be attributed.
-func (p *Program) explainDFA(b []byte) (Miss, bool) {
+// the Miss zero) when v actually matches.
+func Explain[V Value](p *Program, v V) (miss Miss, ok bool) {
 	d := p.dfa
+	if d == nil {
+		miss, ok, _ = runNFA(p, v)
+		return miss, ok
+	}
+	// The compressed-alphabet table (always present in DFA mode) keeps
+	// the pre-transition state, so a death can be attributed.
 	st := int32(0)
 	numSym := int32(d.numSym)
-	for i := 0; i < len(b); i++ {
-		nxt := d.next[st*numSym+int32(d.symtab[b[i]])]
+	for i := 0; i < len(v); i++ {
+		nxt := d.next[st*numSym+int32(d.symtab[v[i]])]
 		if nxt < 0 {
 			if !d.stateHasByte[st] {
 				// The state could only accept: everything up to i was a
-				// complete match and b[i:] is trailing excess.
+				// complete match and v[i:] is trailing excess.
 				return Miss{Pos: i, Token: p.numToks, Kind: MissLength}, false
 			}
 			return Miss{Pos: i, Token: int(d.stateTok[st]), Kind: MissCharset}, false
@@ -65,61 +65,5 @@ func (p *Program) explainDFA(b []byte) (Miss, bool) {
 	if d.accept[st] {
 		return Miss{}, true
 	}
-	return Miss{Pos: len(b), Token: int(d.stateTok[st]), Kind: MissLength}, false
-}
-
-// explainNFA is the pike-VM form: the run list before consuming the
-// failing byte plays the role of the DFA state.
-func (p *Program) explainNFA(b []byte) (Miss, bool) {
-	s := p.scratch()
-	defer p.pool.Put(s)
-	steps := 0
-	s.bump()
-	cur := p.addClosure(s.cur[:0], 0, s, &steps)
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		s.bump()
-		nxt := s.next[:0]
-		for _, pc := range cur {
-			in := &p.insts[pc]
-			if in.op == opByte && p.preds[in.pred].has(c) {
-				nxt = p.addClosure(nxt, pc+1, s, &steps)
-			}
-		}
-		if len(nxt) == 0 {
-			tok, hasByte := p.listToken(cur)
-			s.cur, s.next = nxt, cur
-			if !hasByte {
-				return Miss{Pos: i, Token: p.numToks, Kind: MissLength}, false
-			}
-			return Miss{Pos: i, Token: tok, Kind: MissCharset}, false
-		}
-		s.cur, s.next = nxt, cur
-		cur = nxt
-	}
-	for _, pc := range cur {
-		if p.insts[pc].op == opMatch {
-			s.cur = cur
-			return Miss{}, true
-		}
-	}
-	tok, _ := p.listToken(cur)
-	s.cur = cur
-	return Miss{Pos: len(b), Token: tok, Kind: MissLength}, false
-}
-
-// listToken returns the earliest pattern token among a run list's byte
-// instructions, and whether the list can consume at all.
-func (p *Program) listToken(list []int32) (int, bool) {
-	minTok := p.numToks
-	hasByte := false
-	for _, pc := range list {
-		if p.insts[pc].op == opByte {
-			hasByte = true
-			if t := int(p.tokOf[pc]); t < minTok {
-				minTok = t
-			}
-		}
-	}
-	return minTok, hasByte
+	return Miss{Pos: len(v), Token: int(d.stateTok[st]), Kind: MissLength}, false
 }

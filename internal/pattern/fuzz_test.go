@@ -28,6 +28,8 @@ func FuzzParsePattern(f *testing.F) {
 		"Mar/<digit>{2}/<digit>{4}",
 		"<digit>{0,+}",
 		"<letter>{10000000000000000000}",
+		"<digit>+<letter>{3000000}", // above the program ceiling
+		"<all>{0,+}<digit>{32764}",  // one above it once {0,+} renders as +
 		"<digit>{-1}",
 		"<digit>{2,1}",
 		"<bogus>+",

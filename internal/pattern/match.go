@@ -1,136 +1,19 @@
 package pattern
 
-import "autovalidate/internal/tokens"
-
-// matchBudget bounds the legacy backtracker's recursion steps per value.
-// Patterns produced by the enumeration are short, so legitimate matches
-// finish in a few hundred steps; adversarial patterns (k adjacent
-// <digit>+ tokens against a long digit string that fails at the end)
-// are exponential and blow the budget almost immediately, at which
-// point Match answers through the linear compiled program instead. The
-// backtracker can therefore never spin, even when called directly.
-const matchBudget = 1 << 16
-
 // Match reports whether the pattern matches the whole value (anchored at
-// both ends). One-off matches use backtracking over token boundaries;
-// when the budget is exhausted (pathological backtracking) the value is
-// re-matched with the compiled linear program, so worst-case behaviour
-// is O(len(value)·len(pattern)), never exponential. Hot paths that match
-// many values against one pattern should Compile once and reuse the
-// Program.
+// both ends) — the paper's h(v). It is the one-off entry: it lowers the
+// pattern to its NFA and runs the pike VM once, without determinizing,
+// so each call costs a few microseconds. Anything that matches many
+// values against one pattern should Compile once and reuse the Program.
 func (p Pattern) Match(v string) bool {
-	steps := matchBudget
-	if ok, done := matchFrom(p.Toks, v, 0, &steps); done {
-		return ok
-	}
-	return Compile(p).MatchString(v)
-}
-
-// matchFrom backtracks over token boundaries. The second return value
-// is false when the step budget ran out before the search concluded; the
-// first is then meaningless.
-func matchFrom(toks []Tok, v string, si int, steps *int) (bool, bool) {
-	if *steps <= 0 {
-		return false, false
-	}
-	*steps--
-	if len(toks) == 0 {
-		return si == len(v), true
-	}
-	t := toks[0]
-	rest := toks[1:]
-	switch t.Kind {
-	case KindLiteral:
-		if end := si + len(t.Lit); end <= len(v) && v[si:end] == t.Lit {
-			if ok, done := matchFrom(rest, v, end, steps); ok || !done {
-				return ok, done
-			}
-		}
-		if t.Opt {
-			return matchFrom(rest, v, si, steps)
-		}
-		return false, true
-
-	case KindNum:
-		// <num> = [+-]? digits ( "." digits )?
-		for _, end := range numEnds(v, si) {
-			if ok, done := matchFrom(rest, v, end, steps); ok || !done {
-				return ok, done
-			}
-		}
-		if t.Opt {
-			return matchFrom(rest, v, si, steps)
-		}
-		return false, true
-
-	default: // KindClass
-		// Longest run of characters generalized by the class.
-		maxRun := 0
-		for si+maxRun < len(v) && t.Class.Generalizes(tokens.ClassOf(v[si+maxRun])) {
-			maxRun++
-		}
-		hi := maxRun
-		if t.Max != Unbounded && t.Max < hi {
-			hi = t.Max
-		}
-		min := t.Min
-		if min < 0 {
-			min = 0
-		}
-		// Greedy longest-first with backtracking.
-		for n := hi; n >= min; n-- {
-			if ok, done := matchFrom(rest, v, si+n, steps); ok || !done {
-				return ok, done
-			}
-		}
-		return false, true
-	}
-}
-
-// numEnds returns the possible end offsets (longest first) of a <num>
-// match starting at si: sign? digits ( '.' digits )?.
-func numEnds(v string, si int) []int {
-	i := si
-	if i < len(v) && (v[i] == '+' || v[i] == '-') {
-		i++
-	}
-	d0 := i
-	for i < len(v) && v[i] >= '0' && v[i] <= '9' {
-		i++
-	}
-	if i == d0 {
-		return nil // at least one digit required
-	}
-	intEnd := i
-	ends := make([]int, 0, 2+intEnd-d0)
-	if i < len(v) && v[i] == '.' {
-		j := i + 1
-		for j < len(v) && v[j] >= '0' && v[j] <= '9' {
-			j++
-		}
-		if j > i+1 {
-			// Fractional endings, longest first.
-			for k := j; k > i+1; k-- {
-				ends = append(ends, k)
-			}
-		}
-	}
-	// Integer endings, longest first (backtracking over digit count).
-	for k := intEnd; k > d0; k-- {
-		ends = append(ends, k)
-	}
-	return ends
+	_, ok, _ := runNFA(compileNFA(p), v)
+	return ok
 }
 
 // MatchCount returns how many of the values the pattern matches.
 func (p Pattern) MatchCount(values []string) int {
-	n := 0
-	for _, v := range values {
-		if p.Match(v) {
-			n++
-		}
-	}
-	return n
+	misses, _ := CountMisses(Compile(p), values, nil, 0)
+	return len(values) - misses
 }
 
 // Impurity returns Imp_D(p) per Definition 1 of the paper: the fraction

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzMatchAgree hardens the compiled matcher against the backtracker:
-// for any parseable pattern and any value, the DFA/pike-VM program and
-// the budgeted backtracker must agree on Match — and neither may panic
-// or spin. The seeds include the adversarial k×<digit>+ construction
-// that made the seed matcher exponential.
+// FuzzMatchAgree hardens the matcher against the reference: for any
+// parseable pattern and any value, the DFA and pike-VM programs — each
+// over a string and over a byte slice — and the one-off Pattern.Match
+// must agree with refMatch, Explain must agree with Match in both
+// forms, and none may panic or spin. The seeds include the adversarial
+// k×<digit>+ construction that made the seed matcher exponential.
 func FuzzMatchAgree(f *testing.F) {
 	f.Add("<digit>{2}/<digit>{2}/<digit>{4}", "03/17/2021")
 	f.Add("<num>GB", "-12.5GB")
@@ -30,18 +31,27 @@ func FuzzMatchAgree(f *testing.F) {
 		if err != nil {
 			return
 		}
-		prog := Compile(p)
-		want := p.Match(value)
-		if got := prog.MatchString(value); got != want {
-			t.Fatalf("pattern %q value %q: compiled(%s)=%v, backtracker=%v",
-				p.String(), value, prog.Mode(), got, want)
+		want := refMatch(p, value)
+		for _, prog := range []*Program{Compile(p), compileNFA(p)} {
+			if got := Match(prog, value); got != want {
+				t.Fatalf("pattern %q value %q: %s over string=%v, reference=%v",
+					p.String(), value, prog.Mode(), got, want)
+			}
+			if got := Match(prog, []byte(value)); got != want {
+				t.Fatalf("pattern %q value %q: %s over bytes=%v, reference=%v",
+					p.String(), value, prog.Mode(), got, want)
+			}
+			if _, ok := Explain(prog, value); ok != want {
+				t.Fatalf("pattern %q value %q: %s Explain(string) ok=%v, reference=%v",
+					p.String(), value, prog.Mode(), ok, want)
+			}
+			if _, ok := Explain(prog, []byte(value)); ok != want {
+				t.Fatalf("pattern %q value %q: %s Explain(bytes) ok=%v, reference=%v",
+					p.String(), value, prog.Mode(), ok, want)
+			}
 		}
-		if got := prog.Match([]byte(value)); got != want {
-			t.Fatalf("pattern %q value %q: bytes=%v, string=%v", p.String(), value, got, want)
-		}
-		nfa := compileNFA(p)
-		if got := nfa.MatchString(value); got != want {
-			t.Fatalf("pattern %q value %q: pike-VM=%v, backtracker=%v", p.String(), value, got, want)
+		if got := p.Match(value); got != want {
+			t.Fatalf("pattern %q value %q: one-off Match=%v, reference=%v", p.String(), value, got, want)
 		}
 	})
 }

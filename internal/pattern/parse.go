@@ -20,7 +20,8 @@ import (
 //
 // Consecutive literal characters merge into a single literal token; the
 // result is therefore structurally canonical, and
-// Parse(p.String()).String() == p.String() for every valid p.
+// Parse(p.String()).String() == p.String() for every valid p. A pattern
+// that would lower to a program above maxProgramSize is an error.
 func Parse(s string) (Pattern, error) {
 	var p Pattern
 	var lit strings.Builder
@@ -63,6 +64,9 @@ func Parse(s string) (Pattern, error) {
 		}
 	}
 	flushLit()
+	if err := checkSize(p); err != nil {
+		return Pattern{}, fmt.Errorf("pattern: %w", err)
+	}
 	return p, nil
 }
 

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"autovalidate/internal/tokens"
@@ -103,5 +104,60 @@ func TestParseOptionalClassRange(t *testing.T) {
 	}
 	if p.Toks[0].Class != tokens.ClassLetter {
 		t.Error("wrong class")
+	}
+}
+
+// TestParseEnforcesProgramCeiling: a pattern that would lower to more
+// than maxProgramSize instructions or tokens is refused where it is
+// parsed, with an error that names the ceiling; one that lowers to
+// exactly the ceiling is accepted.
+func TestParseEnforcesProgramCeiling(t *testing.T) {
+	const ceiling = "32768"
+	for _, tc := range []struct {
+		name, pattern string
+	}{
+		{"{n}", "<digit>+<letter>{3000000}"},
+		{"{n} one past", "<letter>{32768}"},
+		{"{n} near MaxInt", "<letter>{9223372036854775807}<letter>{9223372036854775807}"},
+		{"{n,m}", "<alnum>{2,20000}"},
+		{"{n,m} near MaxInt", "<alnum>{0,9223372036854775807}"},
+		{"{n,+}", "<all>{40000,+}"},
+		{"{n,+} near MaxInt", "<all>{9223372036854775807,+}"},
+		{"long literal", strings.Repeat("ab", 16384)},
+		{"long optional literal", "(" + strings.Repeat("a", 32767) + ")?"},
+		{"many small tokens", strings.Repeat("<num>", 2731)}, // 12 each
+		{"more than 65535 tokens", strings.Repeat("<digit>{0}", 70000)},
+	} {
+		_, err := Parse(tc.pattern)
+		if err == nil {
+			t.Errorf("%s: Parse accepted a pattern above the ceiling", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "ceiling of "+ceiling) {
+			t.Errorf("%s: error does not name the ceiling: %v", tc.name, err)
+		}
+		if len(err.Error()) > 200 {
+			t.Errorf("%s: error echoes the pattern (%d bytes)", tc.name, len(err.Error()))
+		}
+	}
+	for _, tc := range []struct {
+		pattern string
+		insts   int
+	}{
+		{"<letter>{32767}", 32768},                        // 32767 bytes + match
+		{"<alnum>{1,16384}", 32768},                       // 1 + 2·16383 + match
+		{"<all>{32764,+}", 32768},                         // 32764 + split, byte, jmp + match
+		{strings.Repeat("a", 32767), 32768},               // one literal + match
+		{strings.Repeat("<digit>{0}", 32768), 1},          // the token ceiling; only the match
+		{strings.Repeat("<num>", 2730) + "<all>+", 32765}, // 2730·12 + 4 + match
+	} {
+		p, err := Parse(tc.pattern)
+		if err != nil {
+			t.Errorf("Parse(%.20q…) at the ceiling: %v", tc.pattern, err)
+			continue
+		}
+		if n := compileNFA(p).NumInsts(); n != tc.insts {
+			t.Errorf("%.20q… lowers to %d instructions, want %d", tc.pattern, n, tc.insts)
+		}
 	}
 }

@@ -1,14 +1,14 @@
 package pattern
 
-// A compiled matching program. The recursive backtracker in match.go is
-// exponential on adversarial inputs (k adjacent <digit>+ tokens against
-// a long digit string that fails at the end), which makes the per-value
-// hot path a denial-of-service surface. Compile lowers a pattern into a
-// byte-level Thompson NFA once, at rule registration time, and — for the
-// overwhelming majority of inferred patterns — determinizes it into a
-// DFA over character classes, so matching is a single table-driven pass:
+// A compiled matching program: the one matcher. Compile lowers a pattern
+// into a byte-level Thompson NFA once and — for the overwhelming
+// majority of inferred patterns — determinizes it into a DFA over
+// character classes, so matching is a single table-driven pass:
 // O(len(value)) for the DFA, O(len(value)·len(program)) worst case for
-// the pike-VM fallback. Neither can backtrack.
+// the pike-VM fallback. Neither can backtrack, so no pattern × value
+// pair (k adjacent <digit>+ tokens against a long digit string that
+// fails at the end is the classic one) costs more than that. Every
+// walk is written once, generic over the two forms a value arrives in.
 
 import "sync"
 
@@ -100,61 +100,35 @@ func (p *Program) NumDFAStates() int {
 	if p.dfa == nil {
 		return 0
 	}
-	return len(p.accepts())
+	return len(p.dfa.accept)
 }
-
-func (p *Program) accepts() []bool { return p.dfa.accept }
 
 // MaxSteps bounds the work of matching an n-byte value in NFA mode: the
 // pike VM adds each instruction to the run list at most once per input
 // position, so total step count never exceeds (n+1)·len(insts). The DFA
-// does exactly n table lookups. This bound is what replaces the old
-// matcher's exponential backtracking.
+// does exactly n table lookups.
 func (p *Program) MaxSteps(n int) int { return (n + 1) * len(p.insts) }
 
+// Value is the two forms a value reaches the matcher in: a string out
+// of a JSON envelope, or a byte view into a decoded column body.
+type Value interface{ ~string | ~[]byte }
+
 // MatchString reports whether the program matches the whole string.
-func (p *Program) MatchString(v string) bool {
-	if p.dfa != nil {
-		return p.matchDFAString(v)
-	}
-	ok, _ := p.matchNFA(nil, v)
-	return ok
-}
+func (p *Program) MatchString(v string) bool { return Match(p, v) }
 
-// Match reports whether the program matches the whole byte slice. It
-// performs no per-call allocations in DFA mode and only pooled scratch
-// reuse in NFA mode, which is what makes Rule.ValidateBatch
-// allocation-free per value.
-func (p *Program) Match(b []byte) bool {
-	if p.dfa != nil {
-		return p.matchDFABytes(b)
-	}
-	ok, _ := p.matchNFA(b, "")
-	return ok
-}
+// Match reports whether the program matches the whole byte slice.
+func (p *Program) Match(b []byte) bool { return Match(p, b) }
 
-func (p *Program) matchDFABytes(b []byte) bool {
+// Match reports whether the program matches the whole value. It performs
+// no per-call allocations in DFA mode and only pooled scratch reuse in
+// NFA mode, which is what makes Rule.ValidateBatch allocation-free per
+// value.
+func Match[V Value](p *Program, v V) bool {
 	d := p.dfa
-	if tab := d.flat; tab != nil {
-		st := uint32(0)
-		for i := 0; i < len(b); i++ {
-			st = tab[st<<8|uint32(b[i])]
-		}
-		return d.flatAccept[st]
+	if d == nil {
+		_, ok, _ := runNFA(p, v)
+		return ok
 	}
-	st := int32(0)
-	numSym := int32(d.numSym)
-	for i := 0; i < len(b); i++ {
-		st = d.next[st*numSym+int32(d.symtab[b[i]])]
-		if st < 0 {
-			return false
-		}
-	}
-	return d.accept[st]
-}
-
-func (p *Program) matchDFAString(v string) bool {
-	d := p.dfa
 	if tab := d.flat; tab != nil {
 		st := uint32(0)
 		for i := 0; i < len(v); i++ {
@@ -173,42 +147,39 @@ func (p *Program) matchDFAString(v string) bool {
 	return d.accept[st]
 }
 
+// CountMisses is the batch kernel over byte views; see the generic form.
+func (p *Program) CountMisses(values [][]byte, missIdx []int, maxRecord int) (int, []int) {
+	return CountMisses(p, values, missIdx, maxRecord)
+}
+
 // CountMisses runs the program over a whole batch, returning the number
 // of values that do not match and appending the index of each miss to
 // missIdx until it holds maxRecord entries. The batch loop lives here so
 // the DFA table stays hot in registers across values; it is the kernel
-// under Rule.ValidateBatch and performs no allocations beyond missIdx's
-// own growth (pass a slice with spare capacity to avoid even that).
-func (p *Program) CountMisses(values [][]byte, missIdx []int, maxRecord int) (int, []int) {
+// under Rule.Validate and Rule.ValidateBatch and performs no allocations
+// beyond missIdx's own growth (pass a slice with spare capacity to
+// avoid even that).
+func CountMisses[V Value](p *Program, values []V, missIdx []int, maxRecord int) (int, []int) {
 	misses := 0
+	record := func(i int) {
+		misses++
+		if len(missIdx) < maxRecord {
+			missIdx = append(missIdx, i)
+		}
+	}
+	i := 0
 	if d := p.dfa; d != nil && d.flat != nil {
 		tab := d.flat
 		accept := d.flatAccept
-		record := func(i int) {
-			misses++
-			if len(missIdx) < maxRecord {
-				missIdx = append(missIdx, i)
-			}
-		}
 		// Four values advance in lockstep through the table: the per-byte
 		// loads of one DFA walk form a serial dependency chain, so a
 		// single walk is load-latency-bound; four independent chains keep
 		// the load ports busy. Columns produced by one inferred pattern
 		// are typically uniform-width, so the lockstep prefix usually
 		// covers the whole value and the tails are empty.
-		i := 0
 		for ; i+4 <= len(values); i += 4 {
 			v0, v1, v2, v3 := values[i], values[i+1], values[i+2], values[i+3]
-			n := len(v0)
-			if len(v1) < n {
-				n = len(v1)
-			}
-			if len(v2) < n {
-				n = len(v2)
-			}
-			if len(v3) < n {
-				n = len(v3)
-			}
+			n := min(len(v0), len(v1), len(v2), len(v3))
 			var s0, s1, s2, s3 uint32
 			for j := 0; j < n; j++ {
 				s0 = tab[s0<<8|uint32(v0[j])]
@@ -241,24 +212,10 @@ func (p *Program) CountMisses(values [][]byte, missIdx []int, maxRecord int) (in
 				record(i + 3)
 			}
 		}
-		for ; i < len(values); i++ {
-			v := values[i]
-			st := uint32(0)
-			for j := 0; j < len(v); j++ {
-				st = tab[st<<8|uint32(v[j])]
-			}
-			if !accept[st] {
-				record(i)
-			}
-		}
-		return misses, missIdx
 	}
-	for i, v := range values {
-		if !p.Match(v) {
-			misses++
-			if len(missIdx) < maxRecord {
-				missIdx = append(missIdx, i)
-			}
+	for ; i < len(values); i++ {
+		if !Match(p, values[i]) {
+			record(i)
 		}
 	}
 	return misses, missIdx
@@ -324,30 +281,18 @@ func (p *Program) addClosure(list []int32, pc int32, s *nfaScratch, steps *int) 
 	return list
 }
 
-// matchNFA runs the pike VM over b (or v when b is nil) and returns the
-// verdict plus the number of simulation steps taken, which is bounded by
-// MaxSteps(len(input)) by construction.
-func (p *Program) matchNFA(b []byte, v string) (bool, int) {
-	n := len(b)
-	if b == nil {
-		n = len(v)
-	}
-	at := func(i int) byte {
-		if b != nil {
-			return b[i]
-		}
-		return v[i]
-	}
+// runNFA is the pike VM, the one loop behind Match and Explain in NFA
+// mode: the verdict, where and on which token a miss died (the run list
+// before the failing byte plays the role of the DFA state), and the
+// number of simulation steps taken, which MaxSteps(len(v)) bounds by
+// construction.
+func runNFA[V Value](p *Program, v V) (miss Miss, ok bool, steps int) {
 	s := p.scratch()
 	defer p.pool.Put(s)
-	steps := 0
 	s.bump()
 	cur := p.addClosure(s.cur[:0], 0, s, &steps)
-	for i := 0; i < n; i++ {
-		if len(cur) == 0 {
-			break
-		}
-		c := at(i)
+	for i := 0; i < len(v); i++ {
+		c := v[i]
 		s.bump()
 		nxt := s.next[:0]
 		for _, pc := range cur {
@@ -358,17 +303,39 @@ func (p *Program) matchNFA(b []byte, v string) (bool, int) {
 		}
 		// Swap the backing arrays so both lists keep their capacity.
 		s.cur, s.next = nxt, cur
+		if len(nxt) == 0 {
+			tok, hasByte := p.listToken(cur)
+			if !hasByte {
+				// The list could only accept: v[:i] was a complete match
+				// and v[i:] is trailing excess.
+				return Miss{Pos: i, Token: p.numToks, Kind: MissLength}, false, steps
+			}
+			return Miss{Pos: i, Token: tok, Kind: MissCharset}, false, steps
+		}
 		cur = nxt
 	}
-	matched := false
-	if n == 0 || len(cur) > 0 {
-		for _, pc := range cur {
-			if p.insts[pc].op == opMatch {
-				matched = true
-				break
+	s.cur = cur
+	for _, pc := range cur {
+		if p.insts[pc].op == opMatch {
+			return Miss{}, true, steps
+		}
+	}
+	tok, _ := p.listToken(cur)
+	return Miss{Pos: len(v), Token: tok, Kind: MissLength}, false, steps
+}
+
+// listToken returns the earliest pattern token among a run list's byte
+// instructions, and whether the list can consume at all.
+func (p *Program) listToken(list []int32) (int, bool) {
+	minTok := p.numToks
+	hasByte := false
+	for _, pc := range list {
+		if p.insts[pc].op == opByte {
+			hasByte = true
+			if t := int(p.tokOf[pc]); t < minTok {
+				minTok = t
 			}
 		}
 	}
-	s.cur = cur
-	return matched, steps
+	return minTok, hasByte
 }

@@ -243,8 +243,9 @@ func TestStreamCheckColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := string(raw)
-	if !strings.Contains(metrics, `autovalidate_compiled_values_total{engine="dfa"} 200`) &&
-		!strings.Contains(metrics, `autovalidate_compiled_values_total{engine="nfa"} 200`) {
+	// Both checks above ran the rule's program: 200 values each.
+	if !strings.Contains(metrics, `autovalidate_compiled_values_total{engine="dfa"} 400`) &&
+		!strings.Contains(metrics, `autovalidate_compiled_values_total{engine="nfa"} 400`) {
 		t.Errorf("compiled-engine counter missing from /metrics:\n%s", metrics)
 	}
 

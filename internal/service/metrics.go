@@ -49,9 +49,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Gauge("autovalidate_index_columns", "Corpus columns aggregated into the index.", float64(idx.Columns))
 	mw.Counter("autovalidate_ingests_total", "Ingest batches folded into the index.", s.ingests.Load())
 
-	// Compiled-vs-fallback traffic on the columnar batch endpoints: "dfa"
-	// is the single-pass table, "nfa" the step-bounded pike-VM fallback
-	// for patterns too large to determinize.
+	// Validated values by the engine their rule's program ran on, JSON
+	// envelopes and column bodies alike: "dfa" is the single-pass table,
+	// "nfa" the step-bounded pike-VM fallback for patterns too large to
+	// determinize.
 	const engName = "autovalidate_compiled_values_total"
 	mw.Family(engName, "Values validated through compiled rule programs, by engine.", "counter")
 	mw.Int(engName, `engine="dfa"`, s.compiledDFAValues.Load())

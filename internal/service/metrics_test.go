@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"autovalidate/internal/core"
+	"autovalidate/internal/obs/promtest"
 )
 
 // scrape fetches /metrics and returns the body.
@@ -129,5 +130,64 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, `endpoint="`+route+`"`) {
 			t.Errorf("route %q missing from /metrics", route)
 		}
+	}
+}
+
+// TestEngineCounterCountsBothBodyForms: every validated value runs a
+// compiled program, so autovalidate_compiled_values_total moves by the
+// batch size whether the values arrived in a JSON envelope or as a
+// column body, on /validate and on /streams/{name}/check alike — and
+// not at all for a request that was refused. (At the parent only the
+// columnar branches counted.)
+func TestEngineCounterCountsBothBodyForms(t *testing.T) {
+	srv := streamServer(t, "")
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	putStream(t, ts, "feed.guid", trainValues(t, "guid", 80, 9))
+	var inf InferResponse
+	if code := post(t, ts, "/infer", InferRequest{Values: trainValues(t, "guid", 80, 9)}, &inf); code != http.StatusOK {
+		t.Fatalf("/infer: status %d", code)
+	}
+
+	const sample = `autovalidate_compiled_values_total{engine="dfa"}`
+	batch := trainValues(t, "guid", 50, 10)
+	counted := metricValue(t, scrape(t, ts), sample)
+	for _, req := range []struct {
+		name string
+		send func() int
+		want float64
+	}{
+		{"JSON check", func() int {
+			return post(t, ts, "/streams/feed.guid/check", StreamCheckRequest{Values: batch}, nil)
+		}, 50},
+		{"CSV check", func() int {
+			return postRaw(t, ts, "/streams/feed.guid/check", "text/csv", string(csvBody(batch)), nil)
+		}, 50},
+		{"JSON validate", func() int {
+			return post(t, ts, "/validate", ValidateRequest{Fingerprint: inf.Fingerprint, Values: batch}, nil)
+		}, 50},
+		{"NDJSON validate", func() int {
+			return postRaw(t, ts, "/validate?fingerprint="+inf.Fingerprint, "application/x-ndjson", string(ndjsonBody(batch)), nil)
+		}, 50},
+		{"JSON check of an unknown stream", func() int {
+			post(t, ts, "/streams/nobody/check", StreamCheckRequest{Values: batch}, nil)
+			return http.StatusOK
+		}, 0},
+	} {
+		if code := req.send(); code != http.StatusOK {
+			t.Fatalf("%s: status %d", req.name, code)
+		}
+		body := scrape(t, ts)
+		if errs := promtest.Lint(body); len(errs) != 0 {
+			t.Fatalf("%s: exposition lint: %v", req.name, errs)
+		}
+		now := metricValue(t, body, sample)
+		if now-counted != req.want {
+			t.Errorf("%s moved %s by %g, want %g", req.name, sample, now-counted, req.want)
+		}
+		counted = now
+	}
+	if n := metricValue(t, scrape(t, ts), `autovalidate_compiled_values_total{engine="nfa"}`); n != 0 {
+		t.Errorf("pike-VM counter = %g, want 0: both rules lower to a DFA", n)
 	}
 }

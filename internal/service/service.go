@@ -149,10 +149,9 @@ type Server struct {
 	ingests atomic.Uint64
 	start   time.Time
 
-	// compiledDFAValues/compiledNFAValues count values validated through
-	// compiled rule programs on the columnar batch paths, split by
-	// whether the pattern lowered to a DFA or runs on the pike-VM
-	// fallback — the /metrics view of compiled-vs-fallback traffic.
+	// compiledDFAValues/compiledNFAValues count every validated value,
+	// split by whether its rule's pattern lowered to a DFA or runs on
+	// the pike-VM fallback — the /metrics view of the traffic by engine.
 	compiledDFAValues atomic.Uint64
 	compiledNFAValues atomic.Uint64
 
@@ -750,6 +749,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
+	s.countCompiled(rule, len(req.Values))
 	resp.Report = report
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -793,9 +793,9 @@ func (s *Server) handleValidateColumnar(w http.ResponseWriter, r *http.Request, 
 	})
 }
 
-// countCompiled attributes a batch's values to the engine its rule's
-// compiled program runs on, for the /metrics compiled-vs-fallback
-// counters.
+// countCompiled attributes a validated batch's values — from a JSON
+// envelope or a column body alike — to the engine its rule's compiled
+// program runs on, for the /metrics DFA-vs-pike-VM counters.
 func (s *Server) countCompiled(rule *validate.Rule, n int) {
 	if rule.Program().Mode() == "dfa" {
 		s.compiledDFAValues.Add(uint64(n))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -199,6 +200,36 @@ func TestValidateInlineRule(t *testing.T) {
 	}
 	if resp.Report.Alarm {
 		t.Errorf("training column alarmed against its own rule: %+v", resp.Report)
+	}
+}
+
+// TestInlineRuleCannotSizeTheProgram: every inline rule is compiled, so
+// what it may lower to is bounded where it is parsed. A 1.4 KB request
+// whose pattern asks for a three-million-instruction program, with
+// values that drive a backtracker past any step budget, is refused
+// before anything is sized by it. (The parent answered 200 after
+// compiling the program once per value: 1.1 GB allocated.)
+func TestInlineRuleCannotSizeTheProgram(t *testing.T) {
+	h := testServer(t, 16).Handler()
+	digits := strings.Repeat("7", 300)
+	body := fmt.Sprintf(`{"rule": {"pattern": %q, "train_total": 100, "test": "fisher", "alpha": 0.01},
+		"values": [%q, %q, %q, %q]}`,
+		strings.Repeat("<digit>+", 8)+"<letter>{3000000}", digits, digits, digits, digits)
+	if len(body) > 1500 {
+		t.Fatalf("request body is %d bytes; the case is a small request", len(body))
+	}
+	var rec *httptest.ResponseRecorder
+	allocated := allocatedPerRequest(1, func() {
+		rec = serve(h, http.MethodPost, "/validate", "application/json", []byte(body))
+	})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "ceiling of 32768 instructions") {
+		t.Errorf("error does not name the ceiling: %s", rec.Body)
+	}
+	if allocated >= 1<<20 {
+		t.Errorf("request allocated %d bytes, want < 1 MiB", allocated)
 	}
 }
 

@@ -286,9 +286,9 @@ type StreamCheckResponse struct {
 func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// Batches arrive either in the JSON envelope or as a raw column
-	// (text/csv, NDJSON). The columnar path checks byte views through
-	// the compiled batch matcher; the views belong to a pooled column
-	// that is released when this handler returns, and values are
+	// (text/csv, NDJSON). Both run the rule's compiled program; the
+	// columnar path checks byte views that belong to a pooled column
+	// that is released when this handler returns, so values are
 	// materialized as strings only for what outlives it (examples,
 	// attribution samples, a re-inference's training column). Either
 	// way the body is decoded (and an empty batch rejected) before the
@@ -304,11 +304,7 @@ func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 		defer col.release()
 		values := col.values
 		check = func(stream registry.Stream) (monitor.Decision, error) {
-			dec, err := s.mon.CheckBytes(stream, values)
-			if err == nil {
-				s.countCompiled(stream.Rule, len(values))
-			}
-			return dec, err
+			return s.mon.CheckBytes(stream, values)
 		}
 		reinferValues = func() []string {
 			out := make([]string, len(values))
@@ -348,6 +344,7 @@ func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
+	s.countCompiled(stream.Rule, dec.Verdict.Total)
 	eventID := s.journalDecision(r.Context(), name, dec)
 	log := obs.Logger(r.Context()).With(slog.String("stream", name))
 	if act := dec.Verdict.Action; act != monitor.Accept {

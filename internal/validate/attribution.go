@@ -103,8 +103,7 @@ type attrKey struct {
 	token int
 }
 
-// attributor folds misses into classes; it backs both the string and
-// byte-slab entry points.
+// attrAccum folds misses into classes.
 type attrAccum struct {
 	order   []attrKey
 	classes map[attrKey]*AttributionClass
@@ -153,30 +152,21 @@ func (a *attrAccum) result() *Attribution {
 	return out
 }
 
-// Attribute classifies a byte-slab batch's misses against the rule's
-// compiled program, retaining up to maxSamples redacted offenders per
-// class. Returns nil when every value conforms. This is a full second
-// pass over the batch — callers run it only on batches that alarmed.
+// Attribute classifies a batch's misses against the rule's compiled
+// program, retaining up to maxSamples redacted offenders per class.
+// Returns nil when every value conforms. This is a full second pass
+// over the batch — callers run it only on batches that alarmed.
 func (r *Rule) Attribute(values [][]byte, maxSamples int) *Attribution {
-	prog := r.Program()
-	acc := newAttrAccum()
-	for _, v := range values {
-		if miss, ok := prog.Explain(v); !ok {
-			acc.add(r.Pattern, miss, string(v), maxSamples)
-		}
-	}
-	return acc.result()
+	return Attribute(r, values, maxSamples)
 }
 
-// AttributeStrings is Attribute over string values.
-func (r *Rule) AttributeStrings(values []string, maxSamples int) *Attribution {
+// Attribute is Rule.Attribute over either value form.
+func Attribute[V pattern.Value](r *Rule, values []V, maxSamples int) *Attribution {
 	prog := r.Program()
 	acc := newAttrAccum()
-	var buf []byte
 	for _, v := range values {
-		buf = append(buf[:0], v...)
-		if miss, ok := prog.Explain(buf); !ok {
-			acc.add(r.Pattern, miss, v, maxSamples)
+		if miss, ok := pattern.Explain(prog, v); !ok {
+			acc.add(r.Pattern, miss, string(v), maxSamples)
 		}
 	}
 	return acc.result()

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -73,28 +74,22 @@ func TestAttributeNilWhenAllConform(t *testing.T) {
 	}
 }
 
-func TestAttributeStringsMatchesByteForm(t *testing.T) {
+// TestAttributeMatchesAcrossForms is the front-agreement check for the
+// generic entry: a string batch and the same batch as byte slices must
+// attribute to identical classes, counts, positions and samples.
+func TestAttributeMatchesAcrossForms(t *testing.T) {
 	r := isoDateRule()
-	strs := []string{"2026-08-08", "garbage", "2026-08", "20x6-01-01"}
+	strs := []string{"2026-08-08", "garbage", "2026-08", "20x6-01-01", "2026-08-088", "", "9999/99/99"}
 	bytes := make([][]byte, len(strs))
 	for i, s := range strs {
 		bytes[i] = []byte(s)
 	}
-	a, b := r.AttributeStrings(strs, 3), r.Attribute(bytes, 3)
+	a, b := Attribute(r, strs, 3), r.Attribute(bytes, 3)
 	if a == nil || b == nil {
 		t.Fatal("nil attribution")
 	}
-	if a.Misses != b.Misses || len(a.Classes) != len(b.Classes) {
-		t.Fatalf("string/byte attribution diverge: %+v vs %+v", a, b)
-	}
-	for i := range a.Classes {
-		ca, cb := a.Classes[i], b.Classes[i]
-		if ca.Kind != cb.Kind || ca.Token != cb.Token || ca.Pos != cb.Pos || ca.Count != cb.Count {
-			t.Errorf("class %d diverges: %+v vs %+v", i, ca, cb)
-		}
-		if strings.Join(ca.Samples, "|") != strings.Join(cb.Samples, "|") {
-			t.Errorf("class %d samples diverge: %v vs %v", i, ca.Samples, cb.Samples)
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("string/byte attribution diverge:\n%+v\n%+v", a, b)
 	}
 }
 

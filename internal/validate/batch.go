@@ -1,19 +1,20 @@
 package validate
 
-// The zero-allocation batch path. Rule.Validate is the per-value
-// compatibility API: it walks []string values through the budgeted
-// backtracker and builds a fresh Report. ValidateBatch is the hot path
-// the columnar service endpoints use: values arrive as [][]byte views
-// into a decoded column slab, matching runs through the rule's compiled
-// program (DFA where the pattern lowered, pike VM otherwise), and the
-// report is a caller-provided, poolable BatchReport that records
-// non-conforming examples by index instead of copying them. Steady
-// state, the whole batch performs zero heap allocations.
+// The zero-allocation batch path, and the one body behind every way of
+// validating a batch. Values arrive as strings (Rule.Validate, a JSON
+// envelope) or as [][]byte views into a decoded column slab
+// (Rule.ValidateBatch, the columnar endpoints); either way matching runs
+// through the rule's compiled program (DFA where the pattern lowered,
+// pike VM otherwise), and the outcome lands in a caller-provided,
+// poolable BatchReport that records non-conforming examples by index
+// instead of copying them. Steady state, the whole batch performs zero
+// heap allocations.
 
 import (
 	"fmt"
 	"sync"
 
+	"autovalidate/internal/pattern"
 	"autovalidate/internal/stats"
 )
 
@@ -54,7 +55,9 @@ func (rep *BatchReport) ExampleIndexes() []int { return rep.exampleIdx }
 
 // Examples materializes the retained non-conforming values as strings —
 // the one deliberately allocating convenience, for response payloads.
-func (rep *BatchReport) Examples(values [][]byte) []string {
+func (rep *BatchReport) Examples(values [][]byte) []string { return examples(rep, values) }
+
+func examples[V pattern.Value](rep *BatchReport, values []V) []string {
 	if len(rep.exampleIdx) == 0 {
 		return nil
 	}
@@ -69,7 +72,9 @@ func (rep *BatchReport) Examples(values [][]byte) []string {
 
 // Report converts the batch outcome into the classic Report form,
 // materializing example strings from the batch.
-func (rep *BatchReport) Report(values [][]byte) Report {
+func (rep *BatchReport) Report(values [][]byte) Report { return report(rep, values) }
+
+func report[V pattern.Value](rep *BatchReport, values []V) Report {
 	return Report{
 		Total:         rep.Total,
 		NonConforming: rep.NonConforming,
@@ -77,19 +82,12 @@ func (rep *BatchReport) Report(values [][]byte) Report {
 		TestTheta:     rep.TestTheta,
 		PValue:        rep.PValue,
 		Alarm:         rep.Alarm,
-		Examples:      rep.Examples(values),
+		Examples:      examples(rep, values),
 	}
 }
 
-// String renders a one-line summary, mirroring Report.String.
-func (rep *BatchReport) String() string {
-	verdict := "ok"
-	if rep.Alarm {
-		verdict = "ALARM"
-	}
-	return fmt.Sprintf("%s: %d/%d non-conforming (train θ=%.4f, test θ=%.4f, p=%.4g)",
-		verdict, rep.NonConforming, rep.Total, rep.TrainTheta, rep.TestTheta, rep.PValue)
-}
+// String renders the one-line summary of Report.String.
+func (rep *BatchReport) String() string { return rep.Report(nil).String() }
 
 var batchReportPool = sync.Pool{New: func() any { return new(BatchReport) }}
 
@@ -107,19 +105,23 @@ func (rep *BatchReport) Release() {
 
 // ValidateBatch applies the rule to a batch of byte values, filling rep
 // in place. Matching runs through the rule's compiled program, so the
-// worst case is O(len(value)·len(pattern)) per value — never the
-// backtracker's exponential — and a steady-state call performs no heap
-// allocations. rep must be non-nil (use AcquireBatchReport for a pooled
-// one); it is reset first, so a report can be reused across batches.
+// worst case is O(len(value)·len(pattern)) per value and a steady-state
+// call performs no heap allocations. rep must be non-nil (use
+// AcquireBatchReport for a pooled one); it is reset first, so a report
+// can be reused across batches.
 func (r *Rule) ValidateBatch(values [][]byte, rep *BatchReport) error {
 	if rep == nil {
 		return fmt.Errorf("validate: nil batch report")
 	}
+	return validateBatch(r, values, rep)
+}
+
+func validateBatch[V pattern.Value](r *Rule, values []V, rep *BatchReport) error {
 	rep.Reset()
 	if len(values) == 0 {
 		return ErrEmptyBatch
 	}
-	nc, idx := r.Program().CountMisses(values, rep.exampleIdx, maxExamples)
+	nc, idx := pattern.CountMisses(r.Program(), values, rep.exampleIdx, maxExamples)
 	rep.exampleIdx = idx
 	rep.Total = len(values)
 	rep.NonConforming = nc
@@ -130,8 +132,9 @@ func (r *Rule) ValidateBatch(values [][]byte, rep *BatchReport) error {
 		return fmt.Errorf("validate: %w", err)
 	}
 	rep.PValue = p
-	// Alarm only on a significant *increase* in non-conforming fraction,
-	// as in Validate.
+	// Alarm only on an *increase* in non-conforming fraction that the
+	// test deems significant; a significant decrease is an improvement,
+	// not a data-quality issue.
 	rep.Alarm = p < r.Alpha && rep.TestTheta > rep.TrainTheta
 	return nil
 }

@@ -106,30 +106,18 @@ const maxExamples = 5
 
 // Validate applies the rule to a batch of future values C', computing
 // θ_C'(h) and the §4 two-sample test against the training distribution.
-func (r *Rule) Validate(values []string) (Report, error) {
-	if len(values) == 0 {
-		return Report{}, ErrEmptyBatch
+func (r *Rule) Validate(values []string) (Report, error) { return Apply(r, values) }
+
+// Apply is Validate over either value form: strings out of a JSON
+// envelope or byte views into a decoded column body. The examples are
+// the only strings it materializes.
+func Apply[V pattern.Value](r *Rule, values []V) (Report, error) {
+	rep := AcquireBatchReport()
+	defer rep.Release()
+	if err := validateBatch(r, values, rep); err != nil {
+		return Report{}, err
 	}
-	rep := Report{Total: len(values), TrainTheta: r.TrainTheta()}
-	for _, v := range values {
-		if !r.Pattern.Match(v) {
-			rep.NonConforming++
-			if len(rep.Examples) < maxExamples {
-				rep.Examples = append(rep.Examples, v)
-			}
-		}
-	}
-	rep.TestTheta = float64(rep.NonConforming) / float64(rep.Total)
-	p, err := stats.HomogeneityPValue(r.Test, r.TrainNonConforming, r.TrainTotal, rep.NonConforming, rep.Total)
-	if err != nil {
-		return Report{}, fmt.Errorf("validate: %w", err)
-	}
-	rep.PValue = p
-	// Alarm only on an *increase* in non-conforming fraction that the
-	// test deems significant; a significant decrease is an improvement,
-	// not a data-quality issue.
-	rep.Alarm = p < r.Alpha && rep.TestTheta > rep.TrainTheta
-	return rep, nil
+	return report(rep, values), nil
 }
 
 // Flags reports whether the rule would alarm on the batch, squashing the

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"autovalidate/internal/core"
+	"autovalidate/internal/pattern"
 )
 
 // InferTagPattern implements the dual formulation of §2.3 used by the
@@ -28,11 +29,13 @@ type TagMatch struct {
 // match fraction — the "tag related columns of the same type" workflow.
 func TagColumns(c *Corpus, tag Pattern, minFraction float64) []TagMatch {
 	var out []TagMatch
+	prog := pattern.Compile(tag)
 	for _, col := range c.Columns() {
 		if len(col.Values) == 0 {
 			continue
 		}
-		frac := float64(tag.MatchCount(col.Values)) / float64(len(col.Values))
+		misses, _ := pattern.CountMisses(prog, col.Values, nil, 0)
+		frac := float64(len(col.Values)-misses) / float64(len(col.Values))
 		if frac >= minFraction {
 			out = append(out, TagMatch{Column: col, MatchFraction: frac})
 		}
