@@ -1,178 +1,174 @@
-// Command avbench regenerates the paper's tables and figures.
+// Command avbench regenerates the paper's §5 evaluation — Tables 1–3,
+// Figures 10–15 and the ablations — on the synthetic lakes of
+// internal/datagen. Each experiment prints its table to stdout; progress
+// and timing go to stderr.
 //
-// With -json, each experiment also writes a machine-readable
-// BENCH_<exp>.json record (throughput, latency quantiles, catch-up lag)
-// under -outdir, for CI artifact archiving and trend tracking.
+//	avbench -exp fig10a             one experiment at default scale
+//	avbench -exp all -scale quick   every experiment on the small lakes
 package main
 
 import (
-	"autovalidate/internal/buildinfo"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
+	"autovalidate/internal/buildinfo"
 	"autovalidate/internal/evalbench"
 )
 
-func main() {
-	exp := flag.String("exp", "fig10a", "experiment id: table1|table2|table3|fig10a|fig10b|fig11|fig12a|fig12b|fig12c|fig12d|fig13|fig14|fig15|ingest|monitor|cluster|ablations|all")
-	scale := flag.String("scale", "default", "default|quick")
-	jsonOut := flag.Bool("json", false, "write a BENCH_<exp>.json record per experiment")
-	outdir := flag.String("outdir", ".", "directory for -json records")
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println("avbench", buildinfo.Get())
-		return
-	}
-
-	cfg := evalbench.DefaultConfig()
-	if *scale == "quick" {
-		cfg = evalbench.QuickConfig()
-	}
-	start := time.Now()
-	env := evalbench.NewEnv(cfg)
-	fmt.Fprintf(os.Stderr, "env ready in %s (TE=%d cols idx=%d pats, TG=%d cols idx=%d pats)\n",
-		time.Since(start).Round(time.Millisecond),
-		env.TE.NumColumns(), env.IdxE.Size(), env.TG.NumColumns(), env.IdxG.Size())
-
-	run := func(id string) {
-		t0 := time.Now()
-		rec := evalbench.BenchRecord{Experiment: id, Scale: *scale}
-		switch id {
-		case "table1":
-			fmt.Println("=== Table 1: corpus characteristics ===")
-			fmt.Print(evalbench.FormatTable1(env.Table1()))
-		case "table2":
-			fmt.Println("=== Table 2: programmatic vs ground truth (BE) ===")
-			fmt.Print(evalbench.FormatTable2(env.Table2()))
-		case "table3":
-			fmt.Println("=== Table 3: user study ===")
-			fmt.Print(evalbench.FormatTable3(env.Table3UserStudy(20)))
-		case "fig10a":
-			fmt.Println("=== Figure 10(a): Enterprise benchmark P/R ===")
-			fmt.Print(evalbench.FormatFigure10(env.Figure10("BE")))
-		case "fig10b":
-			fmt.Println("=== Figure 10(b): Government benchmark P/R ===")
-			fmt.Print(evalbench.FormatFigure10(env.Figure10("BG")))
-		case "fig11":
-			fmt.Println("=== Figure 11: case-by-case F1 (100 cases) ===")
-			fmt.Print(evalbench.FormatFigure11(env.Figure11(100)))
-		case "fig12a":
-			fmt.Println("=== Figure 12(a): sensitivity to r ===")
-			fmt.Print(evalbench.FormatSensitivity("r", env.Figure12a(nil)))
-		case "fig12b":
-			fmt.Println("=== Figure 12(b): sensitivity to m ===")
-			fmt.Print(evalbench.FormatSensitivity("m", env.Figure12b(nil)))
-		case "fig12c":
-			fmt.Println("=== Figure 12(c): sensitivity to tau ===")
-			fmt.Print(evalbench.FormatSensitivity("tau", env.Figure12c(nil)))
-		case "fig12d":
-			fmt.Println("=== Figure 12(d): sensitivity to theta ===")
-			fmt.Print(evalbench.FormatSensitivity("theta", env.Figure12d(nil)))
-		case "fig13":
-			fmt.Println("=== Figure 13: index pattern distributions ===")
-			fmt.Print(evalbench.FormatFigure13(env.Figure13Analysis()))
-		case "fig14":
-			fmt.Println("=== Figure 14: per-column latency ===")
-			rows := env.Figure14Latency(30, 200)
-			fmt.Print(evalbench.FormatFigure14(rows))
-			for _, r := range rows {
-				rec.AddMetric("avg_ms_"+metricKey(r.Method), r.AvgMillis)
-			}
-		case "fig15":
-			fmt.Println("=== Figure 15: Kaggle schema-drift case study ===")
-			rows, err := env.Figure15Kaggle()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fig15:", err)
-				os.Exit(1)
-			}
-			fmt.Print(evalbench.FormatFigure15(rows))
-		case "ingest":
-			fmt.Println("=== Incremental ingest vs full rebuild (TE + 1 table) ===")
-			cmp := env.IngestComparison()
-			fmt.Print(evalbench.FormatIngestComparison(cmp))
-			rec.AddMetric("rebuild_millis", cmp.RebuildMillis)
-			rec.AddMetric("ingest_millis", cmp.IngestMillis)
-			rec.AddMetric("speedup", cmp.Speedup)
-		case "monitor":
-			fmt.Println("=== Continuous validation: day-by-day replay with injected drift ===")
-			res := env.MonitorExperiment(evalbench.DefaultMonitorParams())
-			fmt.Print(evalbench.FormatMonitor(res))
-			rec.AddMetric("streams", float64(res.Streams))
-			rec.AddMetric("detected", float64(res.Detected))
-			rec.AddMetric("mean_detect_latency_batches", res.MeanLatency)
-			rec.AddMetric("max_detect_latency_batches", float64(res.MaxLatency))
-			rec.AddMetric("false_alarm_rate", res.FalseAlarmRate)
-			if tp, err := env.ThroughputProbe(40, 250); err == nil {
-				rec.ValuesPerSec = tp.ValuesPerSec
-				rec.P50Millis = tp.P50Millis
-				rec.P99Millis = tp.P99Millis
-			} else {
-				fmt.Fprintln(os.Stderr, "throughput probe:", err)
-			}
-		case "cluster":
-			fmt.Println("=== Replicated cluster: gateway validate QPS (1 vs 3 replicas) and follower catch-up lag ===")
-			measure := 2 * time.Second
-			if *scale == "quick" {
-				measure = 300 * time.Millisecond
-			}
-			res, err := env.ClusterExperiment(measure)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cluster:", err)
-				os.Exit(1)
-			}
-			fmt.Print(evalbench.FormatCluster(res))
-			rec.CatchUpMillis = res.CatchUpMillis
-			rec.AddMetric("validate_qps_1x", res.Replicas1QPS)
-			rec.AddMetric("validate_qps_3x", res.Replicas3QPS)
-			rec.AddMetric("replica_speedup", res.Speedup)
-		case "ablations":
-			fmt.Println("=== Ablations ===")
-			fmt.Print(evalbench.FormatAblation("FMDV vs CMDV objective", env.AblationCMDV()))
-			fmt.Print(evalbench.FormatAblation("sum vs max segment aggregation", env.AblationMaxAggregation()))
-			fmt.Print(evalbench.FormatAblation("Fisher vs chi-squared drift test", env.AblationDriftTest()))
-			fmt.Print(evalbench.FormatAblation("index support threshold", env.AblationIndexSupport()))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
-			os.Exit(2)
-		}
-		rec.ElapsedSeconds = time.Since(t0).Seconds()
-		fmt.Fprintf(os.Stderr, "[%s done in %s]\n\n", id, time.Since(t0).Round(time.Millisecond))
-		if *jsonOut {
-			path, err := rec.Write(*outdir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench record:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-	}
-
-	if *exp == "all" {
-		for _, id := range []string{"table1", "fig10a", "fig10b", "table2", "fig11",
-			"fig12a", "fig12b", "fig12c", "fig12d", "fig13", "fig14", "table3", "fig15", "ingest", "monitor", "cluster", "ablations"} {
-			run(id)
-		}
-		return
-	}
-	run(*exp)
+// experiment is one table or figure of §5: the id -exp selects it by,
+// the heading printed above it, and the routine that renders it.
+type experiment struct {
+	id, title string
+	run       func(*evalbench.Env, io.Writer) error
 }
 
-// metricKey lowercases a display label into a metric-name-safe key.
-func metricKey(label string) string {
-	var sb strings.Builder
-	for _, r := range strings.ToLower(label) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			sb.WriteRune(r)
-		default:
-			if l := sb.Len(); l > 0 && sb.String()[l-1] != '_' {
-				sb.WriteByte('_')
-			}
+// experiments lists every experiment once, in the order -exp all runs
+// them; the flag help, the id check and dispatch all read it.
+var experiments = []experiment{
+	{"table1", "Table 1: corpus characteristics", text(func(e *evalbench.Env) string {
+		return evalbench.FormatTable1(e.Table1())
+	})},
+	{"fig10a", "Figure 10(a): Enterprise benchmark P/R", text(func(e *evalbench.Env) string {
+		return evalbench.FormatFigure10(e.Figure10("BE"))
+	})},
+	{"fig10b", "Figure 10(b): Government benchmark P/R", text(func(e *evalbench.Env) string {
+		return evalbench.FormatFigure10(e.Figure10("BG"))
+	})},
+	{"table2", "Table 2: programmatic vs ground truth (BE)", text(func(e *evalbench.Env) string {
+		return evalbench.FormatTable2(e.Table2())
+	})},
+	{"fig11", "Figure 11: case-by-case F1 (100 cases)", text(func(e *evalbench.Env) string {
+		return evalbench.FormatFigure11(e.Figure11(100))
+	})},
+	{"fig12a", "Figure 12(a): sensitivity to r", text(func(e *evalbench.Env) string {
+		return evalbench.FormatSensitivity("r", e.Figure12a(nil))
+	})},
+	{"fig12b", "Figure 12(b): sensitivity to m", text(func(e *evalbench.Env) string {
+		return evalbench.FormatSensitivity("m", e.Figure12b(nil))
+	})},
+	{"fig12c", "Figure 12(c): sensitivity to tau", text(func(e *evalbench.Env) string {
+		return evalbench.FormatSensitivity("tau", e.Figure12c(nil))
+	})},
+	{"fig12d", "Figure 12(d): sensitivity to theta", text(func(e *evalbench.Env) string {
+		return evalbench.FormatSensitivity("theta", e.Figure12d(nil))
+	})},
+	{"fig13", "Figure 13: index pattern distributions", text(func(e *evalbench.Env) string {
+		return evalbench.FormatFigure13(e.Figure13Analysis())
+	})},
+	{"fig14", "Figure 14: per-column latency", text(func(e *evalbench.Env) string {
+		return evalbench.FormatFigure14(e.Figure14Latency(30, 200))
+	})},
+	{"table3", "Table 3: user study", text(func(e *evalbench.Env) string {
+		return evalbench.FormatTable3(e.Table3UserStudy(20))
+	})},
+	{"fig15", "Figure 15: Kaggle schema-drift case study", func(e *evalbench.Env, w io.Writer) error {
+		rows, err := e.Figure15Kaggle()
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, evalbench.FormatFigure15(rows))
+		return err
+	}},
+	{"ablations", "Ablations", text(func(e *evalbench.Env) string {
+		return evalbench.FormatAblation("FMDV vs CMDV objective", e.AblationCMDV()) +
+			evalbench.FormatAblation("sum vs max segment aggregation", e.AblationMaxAggregation()) +
+			evalbench.FormatAblation("Fisher vs chi-squared drift test", e.AblationDriftTest()) +
+			evalbench.FormatAblation("index support threshold", e.AblationIndexSupport())
+	})},
+}
+
+// text adapts a routine that renders its table as a string.
+func text(render func(*evalbench.Env) string) func(*evalbench.Env, io.Writer) error {
+	return func(e *evalbench.Env, w io.Writer) error {
+		_, err := io.WriteString(w, render(e))
+		return err
+	}
+}
+
+// scales maps -scale to the evaluation configuration.
+var scales = map[string]func() evalbench.Config{
+	"default": evalbench.DefaultConfig,
+	"quick":   evalbench.QuickConfig,
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is avbench with its arguments and streams made explicit; it
+// returns the exit code. Flags are checked before the lakes are built.
+func run(args []string, stdout, stderr io.Writer) int {
+	ids := make([]string, len(experiments))
+	for i, x := range experiments {
+		ids[i] = x.id
+	}
+	valid := strings.Join(ids, "|") + "|all"
+
+	fs := flag.NewFlagSet("avbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "fig10a", "experiment id: "+valid)
+	scale := fs.String("scale", "default", "default|quick")
+	showVersion := fs.Bool("version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *showVersion {
+		fmt.Fprintln(stdout, "avbench", buildinfo.Get())
+		return 0
+	}
+
+	todo, ok := selectExperiments(*exp)
+	if !ok {
+		fmt.Fprintf(stderr, "avbench: unknown experiment %q; valid: %s\n", *exp, valid)
+		return 2
+	}
+	config, ok := scales[*scale]
+	if !ok {
+		fmt.Fprintf(stderr, "avbench: unknown scale %q; valid: default|quick\n", *scale)
+		return 2
+	}
+
+	start := time.Now()
+	env := evalbench.NewEnv(config())
+	fmt.Fprintf(stderr, "env ready in %s (TE=%d cols idx=%d pats, TG=%d cols idx=%d pats)\n",
+		time.Since(start).Round(time.Millisecond),
+		env.TE.NumColumns(), env.IdxE.Size(), env.TG.NumColumns(), env.IdxG.Size())
+	for _, x := range todo {
+		t0 := time.Now()
+		if err := runExperiment(env, x, stdout); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", x.id, err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "[%s done in %s]\n\n", x.id, time.Since(t0).Round(time.Millisecond))
+	}
+	return 0
+}
+
+// selectExperiments resolves an -exp value: one id, or all of them.
+func selectExperiments(id string) ([]experiment, bool) {
+	if id == "all" {
+		return experiments, true
+	}
+	for _, x := range experiments {
+		if x.id == id {
+			return []experiment{x}, true
 		}
 	}
-	return strings.Trim(sb.String(), "_")
+	return nil, false
+}
+
+// runExperiment prints one experiment under its heading.
+func runExperiment(env *evalbench.Env, x experiment, w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "=== %s ===\n", x.title); err != nil {
+		return err
+	}
+	return x.run(env, w)
 }

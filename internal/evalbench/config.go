@@ -1,7 +1,8 @@
 // Package evalbench implements the paper's §5 evaluation: the benchmark
 // construction and precision/recall methodology of §5.1, and one
 // regeneration routine for every table and figure of §5.3 (Tables 1-3,
-// Figures 10-15), plus the ablations called out in DESIGN.md.
+// Figures 10-15), plus the ablations README's "Reproducing the
+// evaluation" lists; cmd/avbench prints them.
 package evalbench
 
 import (

@@ -44,7 +44,7 @@ func TestIndexPersistenceAcrossEvaluation(t *testing.T) {
 }
 
 // TestBenchmarkDeterminism verifies the whole evaluation is reproducible
-// for a fixed seed — the property EXPERIMENTS.md's numbers rely on.
+// for a fixed seed — the property avbench's printed tables rely on.
 func TestBenchmarkDeterminism(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.BenchCases = 12

@@ -11,7 +11,7 @@ package pattern
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"autovalidate/internal/tokens"
 )
@@ -24,6 +24,18 @@ const maxDFAStates = 2048
 // maxDFAInsts skips determinization outright for huge programs, whose
 // transition tables would not pay for themselves.
 const maxDFAInsts = 4096
+
+// maxDFAWork caps subset construction's total work, counted as the
+// summed size of every closure it computes, whether it becomes a new
+// state or lands on a known one. Past it the program stays in NFA mode,
+// as past maxDFAStates. The state cap alone does not bound the work: a
+// state of a 4096-instruction program may hold thousands of pcs, and
+// <all>{0,680}×3 computes 1.39 M pcs of closures (45 MB allocated) in
+// fewer than 2048 states. Over the 20 389 patterns of the quick
+// evaluation lakes' indexes the work is 32 at the median and 240 at most
+// (TestLakePatternsGetADFA); at the cap the stored sets and their keys
+// take 512 KiB.
+const maxDFAWork = 1 << 16
 
 // maxProgramSize is the ceiling on what a parsed pattern may lower to:
 // at most this many tokens and this many NFA instructions. Parse
@@ -276,7 +288,7 @@ func (c *compiler) star(pred uint16) {
 }
 
 // determinize runs subset construction over the program's compressed
-// byte alphabet, returning nil when the state cap is exceeded.
+// byte alphabet, returning nil when the state or work cap is exceeded.
 func determinize(p *Program) *dfaTable {
 	d := &dfaTable{}
 	// Compress the 256-byte alphabet: bytes with identical membership
@@ -308,24 +320,24 @@ func determinize(p *Program) *dfaTable {
 	}
 	d.numSym = len(reps)
 
-	// Closure of an NFA state set, as a sorted, deduplicated pc list of
-	// byte/match instructions.
-	mark := make([]bool, len(p.insts))
-	var stack []int32
-	closure := func(set []int32, seeds ...int32) []int32 {
-		for i := range mark {
-			mark[i] = false
-		}
+	// Closure of a set of NFA pcs, as a sorted, deduplicated pc list of
+	// byte/match instructions. The result lives in scratch until the
+	// next call; only a set that becomes a new state is copied out, so a
+	// transition into a known state allocates nothing.
+	mark := make([]uint32, len(p.insts)) // pc was visited in closure number mark[pc]
+	var epoch uint32
+	var stack, scratch, moved []int32
+	closure := func(seeds []int32) []int32 {
+		epoch++
 		stack = append(stack[:0], seeds...)
-		stack = append(stack, set...)
-		var out []int32
+		out := scratch[:0]
 		for len(stack) > 0 {
 			pc := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if mark[pc] {
+			if mark[pc] == epoch {
 				continue
 			}
-			mark[pc] = true
+			mark[pc] = epoch
 			switch in := &p.insts[pc]; in.op {
 			case opSplit:
 				stack = append(stack, in.x, in.y)
@@ -335,59 +347,59 @@ func determinize(p *Program) *dfaTable {
 				out = append(out, pc)
 			}
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		slices.Sort(out)
+		scratch = out
 		return out
 	}
-	key := func(set []int32) string {
-		buf := make([]byte, 4*len(set))
-		for i, pc := range set {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(pc))
+	var keyBuf []byte
+	key := func(set []int32) []byte {
+		keyBuf = keyBuf[:0]
+		for _, pc := range set {
+			keyBuf = binary.LittleEndian.AppendUint32(keyBuf, uint32(pc))
 		}
-		return string(buf)
+		return keyBuf
 	}
 
-	start := closure(nil, 0)
+	start := slices.Clone(closure([]int32{0}))
+	work := len(start)
 	states := [][]int32{start}
-	ids := map[string]int32{key(start): 0}
-	var trans [][]int32
+	ids := map[string]int32{string(key(start)): 0}
 	for si := 0; si < len(states); si++ {
-		row := make([]int32, d.numSym)
-		set := states[si]
 		for sym := 0; sym < d.numSym; sym++ {
 			rep := reps[sym]
-			var moved []int32
-			for _, pc := range set {
+			moved = moved[:0]
+			for _, pc := range states[si] {
 				in := &p.insts[pc]
 				if in.op == opByte && p.preds[in.pred].has(rep) {
 					moved = append(moved, pc+1)
 				}
 			}
 			if len(moved) == 0 {
-				row[sym] = -1
+				d.next = append(d.next, -1)
 				continue
 			}
-			next := closure(nil, moved...)
+			next := closure(moved)
+			if work += len(next); work > maxDFAWork {
+				return nil
+			}
 			k := key(next)
-			id, ok := ids[k]
+			id, ok := ids[string(k)]
 			if !ok {
 				if len(states) >= maxDFAStates {
 					return nil
 				}
 				id = int32(len(states))
-				ids[k] = id
-				states = append(states, next)
+				ids[string(k)] = id
+				states = append(states, slices.Clone(next))
 			}
-			row[sym] = id
+			d.next = append(d.next, id)
 		}
-		trans = append(trans, row)
 	}
 
-	d.next = make([]int32, len(states)*d.numSym)
 	d.accept = make([]bool, len(states))
 	d.stateTok = make([]uint16, len(states))
 	d.stateHasByte = make([]bool, len(states))
-	for si, row := range trans {
-		copy(d.next[si*d.numSym:], row)
+	for si := range states {
 		// stateTok is the earliest pattern token any live byte instruction
 		// of this state belongs to — the token the matcher is consuming
 		// when it sits here. A state with no byte instructions can only

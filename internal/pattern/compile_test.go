@@ -312,17 +312,21 @@ func TestSizeIsWhatTheCompilerEmits(t *testing.T) {
 	}
 }
 
-// TestLargestProgramStaysSmall is what the ceiling buys: compiling the
+// TestLargestProgramStaysSmall is what the ceilings buy: compiling the
 // largest patterns Parse accepts, and matching with them, allocates
 // under 4 MiB all told (slice growth included) and leaves about 1 MiB
-// live — against 1.1 GB for the 3 M-instruction inline rule the parent
-// accepted.
+// live — against 1.1 GB for a 3 M-instruction inline rule without the
+// ceiling. The last two rows are small programs whose determinisation
+// is the cost: 45 and 54 MB without maxDFAWork, which moves them to the
+// pike VM.
 func TestLargestProgramStaysSmall(t *testing.T) {
 	const allocBudget, liveBudget = 4 << 20, 5 << 18 // 4 MiB, 1.25 MiB
 	for _, s := range []string{
 		"<letter>{32767}",
 		"<alnum>{1,16384}",
 		strings.Repeat("<num>", 2730),
+		strings.Repeat("<all>{0,680}", 3),
+		strings.Repeat("<alnum>{0,400}", 5),
 	} {
 		p, err := Parse(s)
 		if err != nil {
