@@ -4,26 +4,26 @@ package domain
 // and arXiv identifiers (both the post-2007 YYMM.NNNNN scheme and the
 // old archive/YYMMNNN scheme). The semantic layer checks the registrant
 // prefix and, for arXiv, that the embedded month actually exists —
-// 2513.12345 is pattern-perfect and impossible.
+// 2513.12345 is pattern-perfect and impossible — and that the number
+// has the width of its era.
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
-	"strings"
 )
 
 func init() {
-	register(doiValidator{base{
+	register(&doiValidator{base{
 		name:     "doi",
 		domain:   "accession",
 		desc:     "DOIs: 10.<registrant>/<suffix>, doi: and https://doi.org/ forms accepted",
 		patterns: []string{"<num>.<num>/<all>+"},
 		priority: 70,
 	}})
-	register(arxivValidator{base{
+	register(&arxivValidator{base{
 		name:     "arxiv",
 		domain:   "accession",
-		desc:     "arXiv IDs: YYMM.NNNNN[vN] (month-checked) or archive/YYMMNNN",
+		desc:     "arXiv IDs: YYMM.NNNN (to 1412) or YYMM.NNNNN (from 1501), month-checked, [vN]; or archive/YYMMNNN",
 		patterns: []string{"<digit>{4}.<digit>{5}", "<digit>{4}.<digit>{4}", "<letter>+/<digit>{7}"},
 		priority: 75,
 	}})
@@ -33,41 +33,48 @@ func init() {
 
 type doiValidator struct{ base }
 
-// stripDOIPrefix removes the conventional presentation wrappers around
-// the bare handle.
-func stripDOIPrefix(s string) string {
-	for _, p := range []string{"https://doi.org/", "http://doi.org/", "https://dx.doi.org/", "http://dx.doi.org/"} {
-		if len(s) > len(p) && strings.EqualFold(s[:len(p)], p) {
-			return s[len(p):]
+var (
+	errDOIShape      = errors.New("doi: not a 10.<registrant>/<suffix> handle")
+	errDOIRegistrant = errors.New("doi: registrant is not 4..9 digits")
+	errDOISuffix     = errors.New("doi: empty suffix, or whitespace or a non-printable byte in it")
+)
+
+// doiPrefixes are the conventional presentation wrappers around the
+// bare handle, matched ignoring ASCII case.
+var doiPrefixes = []string{"https://doi.org/", "http://doi.org/", "https://dx.doi.org/", "http://dx.doi.org/", "doi:"}
+
+// stripDOIPrefix removes the first wrapper b starts with, as long as
+// something follows it.
+func stripDOIPrefix(b []byte) []byte {
+	for _, p := range doiPrefixes {
+		if len(b) > len(p) && hasPrefixFold(b, p) {
+			return b[len(p):]
 		}
 	}
-	if len(s) > 4 && strings.EqualFold(s[:4], "doi:") {
-		return s[4:]
-	}
-	return s
+	return b
 }
 
-func (doiValidator) CanValidate(s string) bool {
-	s = stripDOIPrefix(s)
-	return strings.HasPrefix(s, "10.") && strings.IndexByte(s, '/') > 3
+func (*doiValidator) CanValidate(b []byte) bool {
+	b = stripDOIPrefix(b)
+	return bytes.HasPrefix(b, []byte("10.")) && bytes.IndexByte(b, '/') > 3
 }
 
-func (v doiValidator) Validate(s string) error {
-	if !v.CanValidate(s) {
-		return errors.New("doi: not a 10.<registrant>/<suffix> handle")
+func (v *doiValidator) Validate(b []byte) error {
+	if !v.CanValidate(b) {
+		return errDOIShape
 	}
-	s = stripDOIPrefix(s)
-	slash := strings.IndexByte(s, '/')
-	registrant, suffix := s[3:slash], s[slash+1:]
+	b = stripDOIPrefix(b)
+	slash := bytes.IndexByte(b, '/')
+	registrant, suffix := b[3:slash], b[slash+1:]
 	if len(registrant) < 4 || len(registrant) > 9 || !allDigits(registrant) {
-		return fmt.Errorf("doi: registrant %q is not 4..9 digits", registrant)
+		return errDOIRegistrant
 	}
-	if suffix == "" {
-		return errors.New("doi: empty suffix")
+	if len(suffix) == 0 {
+		return errDOISuffix
 	}
-	for i := 0; i < len(suffix); i++ {
-		if c := suffix[i]; c <= ' ' || c >= 0x7f {
-			return fmt.Errorf("doi: whitespace or non-printable byte in suffix at %d", i)
+	for _, c := range suffix {
+		if c <= ' ' || c >= 0x7f {
+			return errDOISuffix
 		}
 	}
 	return nil
@@ -87,68 +94,79 @@ var arxivArchives = map[string]bool{
 
 type arxivValidator struct{ base }
 
-func stripArxivPrefix(s string) string {
-	if len(s) > 6 && strings.EqualFold(s[:6], "arxiv:") {
-		return s[6:]
+var (
+	errArxivShape = errors.New("arxiv: neither YYMM.NNNNN nor archive/YYMMNNN")
+	errArxivEarly = errors.New("arxiv: new-style id predates 2007-04")
+	errArxivWidth = errors.New("arxiv: number width wrong for its era (4 digits to 1412, 5 from 1501)")
+	errArxivMonth = errors.New("arxiv: month does not exist")
+)
+
+func stripArxivPrefix(b []byte) []byte {
+	if len(b) > 6 && hasPrefixFold(b, "arxiv:") {
+		return b[6:]
 	}
-	return s
+	return b
 }
 
-// splitNewStyle returns yymm, number, ok for YYMM.NNNNN[vN] forms.
-func splitNewStyle(s string) (string, string, bool) {
-	if len(s) < 9 || s[4] != '.' {
-		return "", "", false
+// splitNewStyle returns yymm, number, ok for YYMM.NNNN[N][vN] forms.
+func splitNewStyle(b []byte) ([]byte, []byte, bool) {
+	if len(b) < 9 || b[4] != '.' {
+		return nil, nil, false
 	}
-	yymm, rest := s[:4], s[5:]
-	if v := strings.IndexByte(rest, 'v'); v >= 0 {
+	yymm, rest := b[:4], b[5:]
+	if v := bytes.IndexByte(rest, 'v'); v >= 0 {
 		if !allDigits(rest[v+1:]) {
-			return "", "", false
+			return nil, nil, false
 		}
 		rest = rest[:v]
 	}
 	if !allDigits(yymm) || len(rest) < 4 || len(rest) > 5 || !allDigits(rest) {
-		return "", "", false
+		return nil, nil, false
 	}
 	return yymm, rest, true
 }
 
-func (arxivValidator) CanValidate(s string) bool {
-	s = stripArxivPrefix(s)
-	if _, _, ok := splitNewStyle(s); ok {
+func (*arxivValidator) CanValidate(b []byte) bool {
+	b = stripArxivPrefix(b)
+	if _, _, ok := splitNewStyle(b); ok {
 		return true
 	}
 	// Old style: archive[.SC]/YYMMNNN.
-	slash := strings.IndexByte(s, '/')
-	if slash <= 0 || !allDigits(s[slash+1:]) || len(s)-slash-1 != 7 {
+	slash := bytes.IndexByte(b, '/')
+	if slash <= 0 || len(b)-slash-1 != 7 || !allDigits(b[slash+1:]) {
 		return false
 	}
-	archive := s[:slash]
-	if dot := strings.IndexByte(archive, '.'); dot >= 0 {
+	archive := b[:slash]
+	if dot := bytes.IndexByte(archive, '.'); dot >= 0 {
 		archive = archive[:dot]
 	}
-	return arxivArchives[archive]
+	return arxivArchives[string(archive)]
 }
 
-func checkArxivMonth(yymm string) error {
-	mm := int(yymm[2]-'0')*10 + int(yymm[3]-'0')
-	if mm < 1 || mm > 12 {
-		return fmt.Errorf("arxiv: month %02d does not exist", mm)
+// arxivMonth checks the month of a YYMM stamp.
+func arxivMonth(yymm []byte) error {
+	if mm := int(yymm[2]-'0')*10 + int(yymm[3]-'0'); mm < 1 || mm > 12 {
+		return errArxivMonth
 	}
 	return nil
 }
 
-func (v arxivValidator) Validate(s string) error {
-	if !v.CanValidate(s) {
-		return errors.New("arxiv: neither YYMM.NNNNN nor archive/YYMMNNN")
+func (v *arxivValidator) Validate(b []byte) error {
+	if !v.CanValidate(b) {
+		return errArxivShape
 	}
-	s = stripArxivPrefix(s)
-	if yymm, _, ok := splitNewStyle(s); ok {
-		// The new scheme started 2007-04; earlier YYMMs are impossible.
-		if yymm < "0704" && yymm[0] == '0' {
-			return fmt.Errorf("arxiv: new-style id %s predates 2007-04", yymm)
+	b = stripArxivPrefix(b)
+	if yymm, number, ok := splitNewStyle(b); ok {
+		// The new scheme started 2007-04 with 4-digit numbers and went
+		// to 5 digits in 2015-01; earlier YYMMs are impossible.
+		if string(yymm) < "0704" {
+			return errArxivEarly
 		}
-		return checkArxivMonth(yymm)
+		if (string(yymm) < "1501") != (len(number) == 4) {
+			return errArxivWidth
+		}
+		return arxivMonth(yymm)
 	}
-	slash := strings.IndexByte(s, '/')
-	return checkArxivMonth(s[slash+1 : slash+5])
+	slash := bytes.IndexByte(b, '/')
+	return arxivMonth(b[slash+1 : slash+5])
 }

@@ -4,36 +4,36 @@ package domain
 // Luhn (credit-card) numbers. These are the sharpest examples of the
 // syntactic/semantic gap — every invalid check digit produces a value
 // the column's inferred pattern still matches.
+//
+// All four allow the separators identifiers are conventionally written
+// with (spaces and hyphens) and skip them as they read, so the
+// significant characters are never copied out.
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-)
+import "errors"
 
 func init() {
-	register(isbn10Validator{base{
+	register(&isbn10Validator{base{
 		name:     "isbn10",
 		domain:   "checksum",
 		desc:     "ISBN-10 book numbers (mod-11 check digit, X allowed)",
 		patterns: []string{"<digit>{10}", "<digit>{9}X", "<digit>-<digit>{5}-<digit>{3}-<digit>"},
 		priority: 84,
 	}})
-	register(isbn13Validator{base{
+	register(&isbn13Validator{base{
 		name:     "isbn13",
 		domain:   "checksum",
 		desc:     "ISBN-13 book numbers (978/979 prefix, alternating 1-3 weights mod 10)",
 		patterns: []string{"<digit>{13}", "<digit>{3}-<digit>-<digit>{5}-<digit>{3}-<digit>"},
 		priority: 85,
 	}})
-	register(ibanValidator{base{
+	register(&ibanValidator{base{
 		name:     "iban",
 		domain:   "checksum",
 		desc:     "International Bank Account Numbers (ISO 13616 mod-97)",
 		patterns: []string{"<letter>{2}<digit>{2}<alnum>+"},
 		priority: 80,
 	}})
-	register(luhnValidator{base{
+	register(&luhnValidator{base{
 		name:     "luhn",
 		domain:   "checksum",
 		desc:     "Luhn-checked numbers: credit/debit cards, IMEIs (mod-10 double-every-other)",
@@ -42,64 +42,52 @@ func init() {
 	}})
 }
 
-// stripSep removes the separators identifier domains conventionally
-// allow (spaces and hyphens), leaving the significant characters.
-func stripSep(s string) string {
-	if !strings.ContainsAny(s, " -") {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c != ' ' && c != '-' {
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-func allDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
+// isSep reports whether c is a separator identifier domains
+// conventionally allow between significant characters.
+func isSep(c byte) bool { return c == ' ' || c == '-' }
 
 // --- ISBN-10 ---
 
 type isbn10Validator struct{ base }
 
-func (isbn10Validator) CanValidate(s string) bool {
-	s = stripSep(s)
-	if len(s) != 10 {
-		return false
+var (
+	errISBN10Shape = errors.New("isbn10: not 9 digits plus a digit-or-X check character")
+	errISBN10Check = errors.New("isbn10: check digit mismatch")
+)
+
+// isbn10Sum returns the mod-11 weighted sum of an ISBN-10 and whether b
+// has its shape: nine digits and a digit-or-X check character.
+func isbn10Sum(b []byte) (int, bool) {
+	sum, n := 0, 0
+	for _, c := range b {
+		if isSep(c) {
+			continue
+		}
+		switch {
+		case isDigit(c) && n < 10:
+			sum += (10 - n) * int(c-'0')
+		case (c == 'X' || c == 'x') && n == 9:
+			sum += 10
+		default:
+			return 0, false
+		}
+		n++
 	}
-	last := s[9]
-	return allDigits(s[:9]) && (last == 'X' || last == 'x' || (last >= '0' && last <= '9'))
+	return sum, n == 10
 }
 
-func (v isbn10Validator) Validate(s string) error {
-	if !v.CanValidate(s) {
-		return errors.New("isbn10: not 9 digits plus a digit-or-X check character")
-	}
-	s = stripSep(s)
-	sum := 0
-	for i := 0; i < 9; i++ {
-		sum += (10 - i) * int(s[i]-'0')
-	}
-	switch last := s[9]; {
-	case last == 'X' || last == 'x':
-		sum += 10
-	default:
-		sum += int(last - '0')
+func (*isbn10Validator) CanValidate(b []byte) bool {
+	_, ok := isbn10Sum(b)
+	return ok
+}
+
+func (*isbn10Validator) Validate(b []byte) error {
+	sum, ok := isbn10Sum(b)
+	if !ok {
+		return errISBN10Shape
 	}
 	if sum%11 != 0 {
-		return fmt.Errorf("isbn10: check digit mismatch (weighted sum %% 11 = %d)", sum%11)
+		return errISBN10Check
 	}
 	return nil
 }
@@ -108,27 +96,44 @@ func (v isbn10Validator) Validate(s string) error {
 
 type isbn13Validator struct{ base }
 
-func (isbn13Validator) CanValidate(s string) bool {
-	s = stripSep(s)
-	return len(s) == 13 && allDigits(s) &&
-		(strings.HasPrefix(s, "978") || strings.HasPrefix(s, "979"))
+var (
+	errISBN13Shape = errors.New("isbn13: not 13 digits with a 978/979 bookland prefix")
+	errISBN13Check = errors.New("isbn13: check digit mismatch")
+)
+
+// isbn13Sum returns the 1-3 weighted sum of an ISBN-13 and whether b
+// has its shape: 13 digits starting 978 or 979.
+func isbn13Sum(b []byte) (int, bool) {
+	sum, n := 0, 0
+	var prefix [3]byte
+	for _, c := range b {
+		if isSep(c) {
+			continue
+		}
+		if !isDigit(c) || n == 13 {
+			return 0, false
+		}
+		if n < 3 {
+			prefix[n] = c
+		}
+		sum += (1 + 2*(n%2)) * int(c-'0')
+		n++
+	}
+	return sum, n == 13 && prefix[0] == '9' && prefix[1] == '7' && (prefix[2] == '8' || prefix[2] == '9')
 }
 
-func (v isbn13Validator) Validate(s string) error {
-	if !v.CanValidate(s) {
-		return errors.New("isbn13: not 13 digits with a 978/979 bookland prefix")
-	}
-	s = stripSep(s)
-	sum := 0
-	for i := 0; i < 13; i++ {
-		w := 1
-		if i%2 == 1 {
-			w = 3
-		}
-		sum += w * int(s[i]-'0')
+func (*isbn13Validator) CanValidate(b []byte) bool {
+	_, ok := isbn13Sum(b)
+	return ok
+}
+
+func (*isbn13Validator) Validate(b []byte) error {
+	sum, ok := isbn13Sum(b)
+	if !ok {
+		return errISBN13Shape
 	}
 	if sum%10 != 0 {
-		return fmt.Errorf("isbn13: check digit mismatch (weighted sum %% 10 = %d)", sum%10)
+		return errISBN13Check
 	}
 	return nil
 }
@@ -137,48 +142,70 @@ func (v isbn13Validator) Validate(s string) error {
 
 type ibanValidator struct{ base }
 
-func (ibanValidator) CanValidate(s string) bool {
-	s = stripSep(s)
-	// ISO 13616: two uppercase country letters, two check digits, then
-	// up to 30 alphanumerics; the shortest national format is 15.
-	if len(s) < 15 || len(s) > 34 {
-		return false
-	}
-	if s[0] < 'A' || s[0] > 'Z' || s[1] < 'A' || s[1] > 'Z' {
-		return false
-	}
-	if !allDigits(s[2:4]) {
-		return false
-	}
-	for i := 4; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'A' || c > 'Z') && (c < 'a' || c > 'z') {
-			return false
+var (
+	errIBANShape = errors.New("iban: not CCdd + 11..30 alphanumerics")
+	errIBANCheck = errors.New("iban: mod-97 check failed")
+)
+
+// ibanRem returns the ISO 13616 mod-97 remainder of an IBAN — the first
+// four characters moved to the end, letters read as 10..35, the whole
+// number taken mod 97 incrementally — and whether b has its shape: two
+// uppercase country letters, two check digits, then alphanumerics, 15
+// to 34 characters in all (the shortest national format is 15).
+func ibanRem(b []byte) (int, bool) {
+	var head [4]byte
+	rem, n := 0, 0
+	for _, c := range b {
+		if isSep(c) {
+			continue
 		}
+		switch {
+		case n < 2:
+			if c < 'A' || c > 'Z' {
+				return 0, false
+			}
+			head[n] = c
+		case n < 4:
+			if !isDigit(c) {
+				return 0, false
+			}
+			head[n] = c
+		case isDigit(c), c >= 'A' && c <= 'Z', c >= 'a' && c <= 'z':
+			rem = mod97(rem, c)
+		default:
+			return 0, false
+		}
+		n++
 	}
-	return true
+	if n < 15 || n > 34 {
+		return 0, false
+	}
+	for _, c := range head {
+		rem = mod97(rem, c)
+	}
+	return rem, true
 }
 
-func (v ibanValidator) Validate(s string) error {
-	if !v.CanValidate(s) {
-		return errors.New("iban: not CCdd + 11..30 alphanumerics")
+// mod97 appends the alphanumeric c to the running remainder.
+func mod97(rem int, c byte) int {
+	if isDigit(c) {
+		return (rem*10 + int(c-'0')) % 97
 	}
-	s = strings.ToUpper(stripSep(s))
-	// Move the first four characters to the end, map letters to 10..35,
-	// and take the whole number mod 97 incrementally.
-	rearranged := s[4:] + s[:4]
-	rem := 0
-	for i := 0; i < len(rearranged); i++ {
-		c := rearranged[i]
-		if c >= '0' && c <= '9' {
-			rem = (rem*10 + int(c-'0')) % 97
-		} else {
-			n := int(c-'A') + 10
-			rem = (rem*100 + n) % 97
-		}
+	return (rem*100 + int(c|0x20) - 'a' + 10) % 97 // either case
+}
+
+func (*ibanValidator) CanValidate(b []byte) bool {
+	_, ok := ibanRem(b)
+	return ok
+}
+
+func (*ibanValidator) Validate(b []byte) error {
+	rem, ok := ibanRem(b)
+	if !ok {
+		return errIBANShape
 	}
 	if rem != 1 {
-		return fmt.Errorf("iban: mod-97 check failed (remainder %d, want 1)", rem)
+		return errIBANCheck
 	}
 	return nil
 }
@@ -187,33 +214,57 @@ func (v ibanValidator) Validate(s string) error {
 
 type luhnValidator struct{ base }
 
-func (luhnValidator) CanValidate(s string) bool {
-	s = stripSep(s)
-	// Payment-card and IMEI lengths; shorter digit runs are almost
-	// always something else (years, counters, zip codes).
-	return len(s) >= 12 && len(s) <= 19 && allDigits(s)
-}
+var (
+	errLuhnShape = errors.New("luhn: not a 12..19 digit number")
+	errLuhnCheck = errors.New("luhn: check digit mismatch")
+)
 
-func (v luhnValidator) Validate(s string) error {
-	if !v.CanValidate(s) {
-		return errors.New("luhn: not a 12..19 digit number")
+// luhnSum returns the Luhn sum of b's digits — every second digit from
+// the right doubled, less 9 when that passes 9 — and whether b is a
+// 12..19 digit number: payment-card and IMEI lengths; shorter digit
+// runs are almost always something else (years, counters, zip codes).
+func luhnSum(b []byte) (int, bool) {
+	n := 0
+	for _, c := range b {
+		if isSep(c) {
+			continue
+		}
+		if !isDigit(c) {
+			return 0, false
+		}
+		n++
 	}
-	s = stripSep(s)
+	if n < 12 || n > 19 {
+		return 0, false
+	}
 	sum := 0
-	double := false
-	for i := len(s) - 1; i >= 0; i-- {
-		d := int(s[i] - '0')
-		if double {
-			d *= 2
-			if d > 9 {
+	for _, c := range b {
+		if isSep(c) {
+			continue
+		}
+		d := int(c - '0')
+		if n--; n%2 == 1 { // an odd count of digits to its right
+			if d *= 2; d > 9 {
 				d -= 9
 			}
 		}
 		sum += d
-		double = !double
+	}
+	return sum, true
+}
+
+func (*luhnValidator) CanValidate(b []byte) bool {
+	_, ok := luhnSum(b)
+	return ok
+}
+
+func (*luhnValidator) Validate(b []byte) error {
+	sum, ok := luhnSum(b)
+	if !ok {
+		return errLuhnShape
 	}
 	if sum%10 != 0 {
-		return fmt.Errorf("luhn: check digit mismatch (sum %% 10 = %d)", sum%10)
+		return errLuhnCheck
 	}
 	return nil
 }

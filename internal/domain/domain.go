@@ -25,6 +25,10 @@ import (
 
 // Validator is one semantic value domain. Implementations must be safe
 // for concurrent use; all built-ins are stateless.
+//
+// Values arrive as byte slices — typically views into a pooled request
+// body that is reused once the request is answered — so a validator must
+// neither retain nor modify the slice it is given.
 type Validator interface {
 	// Name uniquely identifies the validator ("isbn13", "luhn", "uuid").
 	Name() string
@@ -35,14 +39,14 @@ type Validator interface {
 	Description() string
 	// CanValidate is a cheap syntactic gate: does the value even look
 	// like a member of this domain? It must be a superset of Validate —
-	// every value Validate accepts has CanValidate true — so detection
-	// can use it to route values cheaply.
-	CanValidate(string) bool
+	// every value Validate accepts has CanValidate true — so a caller can
+	// use it to route values cheaply.
+	CanValidate([]byte) bool
 	// Validate returns nil iff the value is a semantically valid member
 	// of the domain; the error says what failed (bad check digit,
 	// impossible calendar date, bad variant bits). Callers need not call
-	// CanValidate first.
-	Validate(string) error
+	// CanValidate first: Validate gates itself.
+	Validate([]byte) error
 	// Patterns returns the data-domain patterns (in the canonical token
 	// notation of internal/pattern) that values of this domain typically
 	// compile to — the documentation bridge from the syntactic pattern
@@ -175,21 +179,32 @@ const (
 )
 
 // sample returns up to maxDetectSample non-empty values, stride-sampled
-// so the result is deterministic for a given input.
-func sample(values []string) []string {
+// so the result is deterministic for a given input, as byte views into
+// one buffer.
+func sample(values []string) [][]byte {
 	nonEmpty := make([]string, 0, len(values))
 	for _, v := range values {
 		if v != "" {
 			nonEmpty = append(nonEmpty, v)
 		}
 	}
-	if len(nonEmpty) <= maxDetectSample {
-		return nonEmpty
+	if len(nonEmpty) > maxDetectSample {
+		picked := make([]string, 0, maxDetectSample)
+		stride := float64(len(nonEmpty)) / maxDetectSample
+		for i := 0; i < maxDetectSample; i++ {
+			picked = append(picked, nonEmpty[int(float64(i)*stride)])
+		}
+		nonEmpty = picked
 	}
-	out := make([]string, 0, maxDetectSample)
-	stride := float64(len(nonEmpty)) / maxDetectSample
-	for i := 0; i < maxDetectSample; i++ {
-		out = append(out, nonEmpty[int(float64(i)*stride)])
+	size := 0
+	for _, v := range nonEmpty {
+		size += len(v)
+	}
+	buf := make([]byte, 0, size)
+	out := make([][]byte, len(nonEmpty))
+	for i, v := range nonEmpty {
+		buf = append(buf, v...)
+		out[i] = buf[len(buf)-len(v):]
 	}
 	return out
 }
@@ -203,7 +218,7 @@ func Detect(values []string) (Detection, bool) {
 	return detect(sample(values), Validators())
 }
 
-func detect(sampled []string, validators []Validator) (Detection, bool) {
+func detect(sampled [][]byte, validators []Validator) (Detection, bool) {
 	if len(sampled) < minDetectSample {
 		return Detection{}, false
 	}
@@ -211,7 +226,7 @@ func detect(sampled []string, validators []Validator) (Detection, bool) {
 	for _, v := range validators {
 		valid := 0
 		for _, s := range sampled {
-			if v.CanValidate(s) && v.Validate(s) == nil {
+			if v.Validate(s) == nil {
 				valid++
 			}
 		}
@@ -246,12 +261,30 @@ func Propose(values []string) (Detection, bool) {
 	return proposeVocabulary(values)
 }
 
-// Check validates one value against the named registered domain,
-// returning the validator's verdict. Unknown names return an error.
-func Check(name, value string) error {
-	v, ok := Lookup(name)
-	if !ok {
-		return fmt.Errorf("domain: no validator %q registered", name)
+// isDigit reports whether c is an ASCII decimal digit.
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// allDigits reports whether b is non-empty and all decimal digits.
+func allDigits(b []byte) bool {
+	for _, c := range b {
+		if !isDigit(c) {
+			return false
+		}
 	}
-	return v.Validate(value)
+	return len(b) > 0
+}
+
+// hasPrefixFold reports whether b starts with prefix, a lower-case
+// ASCII string, ignoring the case of its letters.
+func hasPrefixFold(b []byte, prefix string) bool {
+	if len(b) < len(prefix) {
+		return false
+	}
+	for i := 0; i < len(prefix); i++ {
+		c, p := b[i], prefix[i]
+		if c != p && (p < 'a' || p > 'z' || c|0x20 != p) {
+			return false
+		}
+	}
+	return true
 }

@@ -2,7 +2,6 @@ package domain
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -50,24 +49,30 @@ type checkCase struct {
 	valid bool
 }
 
-// runCases drives a validator over its table and asserts the
-// CanValidate-superset-of-Validate contract on every row.
+// runCases drives a validator over its table, asserts the
+// CanValidate-superset-of-Validate contract on every row, and checks
+// that the string oracle agrees with the row.
 func runCases(t *testing.T, name string, cases []checkCase) {
 	t.Helper()
 	v, ok := Lookup(name)
 	if !ok {
 		t.Fatalf("validator %q not registered", name)
 	}
+	o := oracles[name]
 	for _, c := range cases {
-		if got := v.CanValidate(c.value); got != c.can {
+		b := []byte(c.value)
+		if got := v.CanValidate(b); got != c.can {
 			t.Errorf("%s.CanValidate(%q) = %v, want %v", name, c.value, got, c.can)
 		}
-		err := v.Validate(c.value)
+		err := v.Validate(b)
 		if (err == nil) != c.valid {
 			t.Errorf("%s.Validate(%q) = %v, want valid=%v", name, c.value, err, c.valid)
 		}
-		if err == nil && !v.CanValidate(c.value) {
+		if err == nil && !v.CanValidate(b) {
 			t.Errorf("%s: %q validates but CanValidate is false (superset contract)", name, c.value)
+		}
+		if o.CanValidate(c.value) != c.can || (o.Validate(c.value) == nil) != c.valid {
+			t.Errorf("%s oracle disagrees with the row %q", name, c.value)
 		}
 	}
 }
@@ -180,19 +185,20 @@ func TestURL(t *testing.T) {
 	})
 }
 
-func TestIPv4(t *testing.T) {
-	runCases(t, "ipv4", []checkCase{
-		{"192.168.0.1", true, true},
-		{"255.255.255.255", true, true},
-		{"0.0.0.0", true, true},
-		{"256.1.1.1", true, false},       // octet out of range
-		{"192.168.001.001", true, false}, // leading zeros (inet_aton octal trap)
-		{"1.2.3", false, false},          // three octets
-		{"1.2.3.4.5", false, false},      // five octets
-		{"1.2.3.x", false, false},        // non-digit
-		{"", false, false},
-	})
+// ipv4Cases and dateCases also seed FuzzDomainValidateAgree.
+var ipv4Cases = []checkCase{
+	{"192.168.0.1", true, true},
+	{"255.255.255.255", true, true},
+	{"0.0.0.0", true, true},
+	{"256.1.1.1", true, false},       // octet out of range
+	{"192.168.001.001", true, false}, // leading zeros (inet_aton octal trap)
+	{"1.2.3", false, false},          // three octets
+	{"1.2.3.4.5", false, false},      // five octets
+	{"1.2.3.x", false, false},        // non-digit
+	{"", false, false},
 }
+
+func TestIPv4(t *testing.T) { runCases(t, "ipv4", ipv4Cases) }
 
 func TestIPv6(t *testing.T) {
 	runCases(t, "ipv6", []checkCase{
@@ -206,23 +212,23 @@ func TestIPv6(t *testing.T) {
 	})
 }
 
-func TestDate(t *testing.T) {
-	runCases(t, "date", []checkCase{
-		{"2021-02-28", true, true},
-		{"2024-02-29", true, true}, // leap day
-		{"2021/12/31", true, true},
-		{"2021-06-01T12:30:45Z", true, true}, // RFC 3339
-		{"31 Dec 2021", true, true},
-		{"January 2, 2006", true, true},
-		{"2021-02-30", true, false},    // impossible calendar date
-		{"2023-02-29", true, false},    // not a leap year
-		{"2021-13-01", true, false},    // month 13
-		{"0001-02-03", true, false},    // implausible year
-		{"version 1.2.3", true, false}, // right length + digits, no layout
-		{"2021-1-1", false, false},     // under 10 chars
-		{"", false, false},
-	})
+var dateCases = []checkCase{
+	{"2021-02-28", true, true},
+	{"2024-02-29", true, true}, // leap day
+	{"2021/12/31", true, true},
+	{"2021-06-01T12:30:45Z", true, true}, // RFC 3339
+	{"31 Dec 2021", true, true},
+	{"January 2, 2006", true, true},
+	{"2021-02-30", true, false},    // impossible calendar date
+	{"2023-02-29", true, false},    // not a leap year
+	{"2021-13-01", true, false},    // month 13
+	{"0001-02-03", true, false},    // implausible year
+	{"version 1.2.3", true, false}, // right length + digits, no layout
+	{"2021-1-1", false, false},     // under 10 chars
+	{"", false, false},
 }
+
+func TestDate(t *testing.T) { runCases(t, "date", dateCases) }
 
 func TestDOI(t *testing.T) {
 	runCases(t, "doi", []checkCase{
@@ -243,7 +249,11 @@ func TestArxiv(t *testing.T) {
 		{"2104.08821", true, true},
 		{"2104.08821v2", true, true},
 		{"arXiv:2104.08821", true, true},
-		{"0704.0001", true, true}, // first month of the new scheme
+		{"0704.0001", true, true},   // first month of the new scheme
+		{"1412.1234", true, true},   // last month of 4-digit numbers
+		{"1501.12345", true, true},  // first month of 5-digit numbers
+		{"0801.12345", true, false}, // 5 digits before 2015
+		{"1501.1234", true, false},  // 4 digits from 2015
 		{"hep-th/9901001", true, true},
 		{"math.AG/0601001", true, true}, // subject-class suffix
 		{"2113.12345", true, false},     // month 13
@@ -261,14 +271,14 @@ func TestVocabulary(t *testing.T) {
 		t.Fatalf("vocabulary identity = %s/%s", v.Name(), v.Domain())
 	}
 	for _, w := range []string{"US", "UK", "DE"} {
-		if err := v.Validate(w); err != nil {
+		if err := v.Validate([]byte(w)); err != nil {
 			t.Errorf("Validate(%q) = %v, want nil", w, err)
 		}
 	}
-	if err := v.Validate("FR"); err == nil {
+	if err := v.Validate([]byte("FR")); err == nil {
 		t.Error("Validate(FR) = nil, want out-of-vocabulary error")
 	}
-	if err := v.Validate(""); err == nil {
+	if err := v.Validate(nil); err == nil {
 		t.Error("Validate(\"\") = nil, want error")
 	}
 }
@@ -277,11 +287,11 @@ func TestRegisterRejectsBadValidators(t *testing.T) {
 	if err := Register(nil); err == nil {
 		t.Error("Register(nil) = nil, want error")
 	}
-	if err := Register(isbn10Validator{base{}}); err == nil {
+	if err := Register(&isbn10Validator{base{}}); err == nil {
 		t.Error("Register with empty name = nil, want error")
 	}
 	before := len(Validators())
-	if err := Register(isbn10Validator{base{name: "isbn10"}}); err == nil {
+	if err := Register(&isbn10Validator{base{name: "isbn10"}}); err == nil {
 		t.Error("Register(duplicate isbn10) = nil, want error")
 	}
 	if got := len(Validators()); got != before {
@@ -373,10 +383,10 @@ func TestProposeVocabularyFallback(t *testing.T) {
 	}
 	// The detection round-trips into a working validator.
 	v := NewVocabulary(d.Vocab)
-	if err := v.Validate("green"); err != nil {
+	if err := v.Validate([]byte("green")); err != nil {
 		t.Errorf("reconstructed vocabulary rejects member: %v", err)
 	}
-	if err := v.Validate("mauve"); err == nil {
+	if err := v.Validate([]byte("mauve")); err == nil {
 		t.Error("reconstructed vocabulary accepts non-member")
 	}
 
@@ -400,15 +410,20 @@ func TestProposeVocabularyFallback(t *testing.T) {
 	}
 }
 
+// TestCheck: the per-value check an embedding application makes is a
+// registry lookup and the validator's own Validate.
 func TestCheck(t *testing.T) {
-	if err := Check("uuid", "f47ac10b-58cc-4372-a567-0e02b2c3d479"); err != nil {
-		t.Errorf("Check(uuid, valid) = %v", err)
+	v, ok := Lookup("uuid")
+	if !ok {
+		t.Fatal("uuid not registered")
 	}
-	if err := Check("uuid", "f47ac10b-58cc-0372-a567-0e02b2c3d479"); err == nil {
-		t.Error("Check(uuid, bad version) = nil, want error")
+	if err := v.Validate([]byte("f47ac10b-58cc-4372-a567-0e02b2c3d479")); err != nil {
+		t.Errorf("uuid.Validate(valid) = %v", err)
 	}
-	if err := Check("no-such-domain", "x"); err == nil ||
-		!strings.Contains(err.Error(), "no validator") {
-		t.Errorf("Check(unknown) = %v, want unknown-validator error", err)
+	if err := v.Validate([]byte("f47ac10b-58cc-0372-a567-0e02b2c3d479")); err == nil {
+		t.Error("uuid.Validate(bad version) = nil, want error")
+	}
+	if _, ok := Lookup("no-such-domain"); ok {
+		t.Error("Lookup(unknown) found a validator")
 	}
 }

@@ -10,6 +10,7 @@ package domain
 // it, Propose does.
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -41,7 +42,7 @@ func NewVocabulary(words []string) Validator {
 	for _, w := range words {
 		rule.Dict[w] = struct{}{}
 	}
-	return vocabValidator{
+	return &vocabValidator{
 		base: base{
 			name:     VocabularyName,
 			domain:   "vocabulary",
@@ -53,14 +54,19 @@ func NewVocabulary(words []string) Validator {
 	}
 }
 
-func (vocabValidator) CanValidate(s string) bool { return s != "" }
+var (
+	errVocabEmpty   = errors.New("vocabulary: empty value")
+	errVocabUnknown = errors.New("vocabulary: value not in the learned dictionary")
+)
 
-func (v vocabValidator) Validate(s string) error {
-	if s == "" {
-		return fmt.Errorf("vocabulary: empty value")
+func (*vocabValidator) CanValidate(b []byte) bool { return len(b) > 0 }
+
+func (v *vocabValidator) Validate(b []byte) error {
+	if len(b) == 0 {
+		return errVocabEmpty
 	}
-	if _, ok := v.rule.Dict[s]; !ok {
-		return fmt.Errorf("vocabulary: %q not in the learned dictionary", s)
+	if _, ok := v.rule.Dict[string(b)]; !ok { // a map index by string(b) does not copy b
+		return errVocabUnknown
 	}
 	return nil
 }
@@ -68,7 +74,7 @@ func (v vocabValidator) Validate(s string) error {
 // Rule exposes the underlying dictval rule, whose batch-level Validate
 // adds the §4 two-sample out-of-dictionary drift test on top of the
 // per-value membership this Validator reports.
-func (v vocabValidator) Rule() *dictval.Rule { return v.rule }
+func (v *vocabValidator) Rule() *dictval.Rule { return v.rule }
 
 // Vocabulary-proposal heuristics, shared with the root AutoInfer
 // facade: a column is vocabulary-like when it is large enough to judge

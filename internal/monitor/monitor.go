@@ -368,6 +368,13 @@ func (e *Engine) stateLocked(name string) *streamState {
 // verdict, mirroring the pattern report's example cap.
 const maxDomainExamples = 5
 
+// scratchPool holds the buffer a batch of string values is copied
+// through, one value at a time, for the byte-reading domain validators;
+// a buffer grown past maxScratch by an outsized value is not kept.
+var scratchPool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
+
+const maxScratch = 64 << 10
+
 // Check evaluates one batch of the stream against its rule and folds
 // the verdict into the stream's rolling history. The stream snapshot
 // comes from the registry; Check never mutates it.
@@ -376,9 +383,9 @@ func (e *Engine) Check(stream registry.Stream, values []string) (Decision, error
 }
 
 // CheckBytes is Check over a decoded column slab: values are byte views
-// (typically into one contiguous request buffer). Strings are
-// materialized only for the handful of retained examples and, when the
-// stream carries a semantic domain, for the validator pass.
+// (typically into one contiguous request buffer), handed to the pattern
+// kernel and the stream's domain validator as they are. Strings are
+// materialized only for the handful of retained examples.
 func (e *Engine) CheckBytes(stream registry.Stream, values [][]byte) (Decision, error) {
 	return check(e, stream, values)
 }
@@ -413,18 +420,31 @@ func check[V pattern.Value](e *Engine, stream registry.Stream, values []V) (Deci
 	if dv := e.validatorFor(stream); dv != nil {
 		v.Domain = stream.Domain.Name
 		prog := stream.Rule.Program()
-		for _, val := range values {
-			sv := string(val)
-			if dv.Validate(sv) == nil {
+		// Validators read bytes: byte views go straight in, and each
+		// string is copied into one pooled scratch buffer first.
+		views, _ := any(values).([][]byte)
+		scratch := scratchPool.Get().(*[]byte)
+		for i, val := range values {
+			var b []byte
+			if views != nil {
+				b = views[i]
+			} else {
+				*scratch = append((*scratch)[:0], val...)
+				b = *scratch
+			}
+			if dv.Validate(b) == nil {
 				continue
 			}
 			v.DomainInvalid++
 			if pattern.Match(prog, val) {
 				v.DomainOnlyInvalid++
 				if len(v.DomainExamples) < maxDomainExamples {
-					v.DomainExamples = append(v.DomainExamples, sv)
+					v.DomainExamples = append(v.DomainExamples, string(val))
 				}
 			}
+		}
+		if cap(*scratch) <= maxScratch {
+			scratchPool.Put(scratch)
 		}
 	}
 

@@ -280,11 +280,28 @@ func TestConcurrentChecks(t *testing.T) {
 	}
 }
 
+// mixed builds a 200-value batch: the first len(bad) values cycle
+// through bad, the rest through good.
+func mixed(n int, good, bad []string) []string {
+	out := make([]string, 200)
+	for i := range out {
+		if i < n {
+			out[i] = bad[i%len(bad)]
+		} else {
+			out[i] = good[i%len(good)]
+		}
+	}
+	return out
+}
+
 // TestCheckBytesMatchesCheck is the front-agreement check: the string
 // front and the byte-slice front share one body, so identical batches
 // (on separate engines, so both see the same history) must produce
 // identical decisions — counts, examples in order, rolling state, the
-// semantic-domain fields and the attribution of an alarming batch.
+// semantic-domain fields and the attribution of an alarming batch. The
+// date and ipv4 rows also run on a third engine whose validators are
+// the string oracles (time.Parse, net/netip), which must decide the
+// same.
 func TestCheckBytesMatchesCheck(t *testing.T) {
 	// A vocabulary stream: off-vocabulary words pass the pattern and
 	// fail the domain, digits fail both.
@@ -304,7 +321,17 @@ func TestCheckBytesMatchesCheck(t *testing.T) {
 		return out
 	}
 	plain := stream("s", fourDigitRule(t, 0.01, 0.01), false)
+	dates := domainStream(t, "<digit>{4}-<digit>{2}-<digit>{2}", "date")
+	goodDates := []string{"2021-02-28", "2024-02-29", "1999-12-31", "2000-02-29", "1200-01-01"}
+	// Feb 30, month 13, year 1100, Feb 29 off a leap year: well-formed,
+	// not dates; then a value the pattern rejects too.
+	badDates := []string{"2021-02-30", "2021-13-01", "1100-06-15", "1900-02-29", "21-01-2021"}
+	ips := domainStream(t, "<digit>+.<digit>+.<digit>+.<digit>+", "ipv4")
+	goodIPs := []string{"10.0.0.1", "192.168.0.254", "255.255.255.255", "0.0.0.0", "8.8.4.4"}
+	// Octet 256, leading zeros (inet_aton octal), then non-addresses.
+	badIPs := []string{"256.1.1.1", "192.168.001.001", "10.00.0.1", "1.2.3.4.5", "1.2.3"}
 	strEngine, byteEngine := NewEngine(DefaultPolicy()), NewEngine(DefaultPolicy())
+	oracleEngine := NewEngine(DefaultPolicy())
 	for _, tc := range []struct {
 		name       string
 		st         registry.Stream
@@ -318,6 +345,11 @@ func TestCheckBytesMatchesCheck(t *testing.T) {
 		{"semantic, clean", vocab, semantic(0, 0), Accept, true},
 		{"semantic, alarming on domain-only failures", vocab, semantic(30, 0), Alarm, true},
 		{"semantic, alarming on both", vocab, semantic(12, 25), Alarm, true},
+		{"date, clean", dates, mixed(0, goodDates, badDates), Accept, true},
+		{"date, one bad value", dates, mixed(1, goodDates, badDates), Accept, true},
+		{"date, calendar failures", dates, mixed(40, goodDates, badDates), Alarm, true},
+		{"ipv4, clean", ips, mixed(0, goodIPs, badIPs), Accept, true},
+		{"ipv4, octet and leading-zero failures", ips, mixed(40, goodIPs, badIPs), Alarm, true},
 	} {
 		bytesVals := make([][]byte, len(tc.vals))
 		for i, v := range tc.vals {
@@ -333,6 +365,16 @@ func TestCheckBytesMatchesCheck(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: CheckBytes and Check diverge:\n%+v\n%+v", tc.name, got, want)
+		}
+		ost := tc.st
+		ost.Domain.Name = oracleName(t, tc.st.Domain.Name)
+		odec, err := oracleEngine.Check(ost, tc.vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		odec.Verdict.Domain = want.Verdict.Domain
+		if !reflect.DeepEqual(odec, want) {
+			t.Errorf("%s: the byte validators and the oracles diverge:\n%+v\n%+v", tc.name, want, odec)
 		}
 		wv := want.Verdict
 		if wv.Action != tc.wantAction {
@@ -354,6 +396,26 @@ func TestCheckBytesMatchesCheck(t *testing.T) {
 		len(v.DomainExamples) != maxDomainExamples || v.Attribution == nil {
 		t.Errorf("semantic verdict %+v: want 25 misses, 37 domain-invalid, 12 domain-only, %d examples, an attribution",
 			v, maxDomainExamples)
+	}
+	for _, tc := range []struct {
+		st                          registry.Stream
+		vals                        []string
+		misses, invalid, domainOnly int
+		firstExample                string
+	}{
+		{dates, mixed(40, goodDates, badDates), 8, 40, 32, "2021-02-30"},
+		{ips, mixed(40, goodIPs, badIPs), 16, 40, 24, "256.1.1.1"},
+	} {
+		dec, err := NewEngine(DefaultPolicy()).Check(tc.st, tc.vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := dec.Verdict; v.NonConforming != tc.misses || v.DomainInvalid != tc.invalid ||
+			v.DomainOnlyInvalid != tc.domainOnly || len(v.DomainExamples) != maxDomainExamples ||
+			v.DomainExamples[0] != tc.firstExample {
+			t.Errorf("%s verdict %+v: want %d misses, %d domain-invalid, %d domain-only, examples from %q",
+				tc.st.Domain.Name, v, tc.misses, tc.invalid, tc.domainOnly, tc.firstExample)
+		}
 	}
 }
 

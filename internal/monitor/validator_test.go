@@ -1,8 +1,13 @@
 package monitor
 
 import (
+	"errors"
 	"fmt"
+	"net/netip"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"autovalidate/internal/domain"
 	"autovalidate/internal/pattern"
@@ -25,6 +30,88 @@ func vocabStream(t *testing.T, version int, words []string) registry.Stream {
 	s.Domain = domain.Detection{Name: domain.VocabularyName, Family: "vocabulary", Confidence: 1, Vocab: words}
 	return s
 }
+
+// domainStream is a stream whose rule is the given pattern and whose
+// detected domain is the named validator.
+func domainStream(t *testing.T, pat, dom string) registry.Stream {
+	t.Helper()
+	p, err := pattern.Parse(pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rule := &validate.Rule{Pattern: p, EstimatedFPR: 0.01, TrainTotal: 1000, Test: stats.Fisher, Alpha: 1e-300, Strategy: "FMDV"}
+	s := stream("feed."+dom, rule, false)
+	s.Domain = domain.Detection{Name: dom, Family: "test", Confidence: 1}
+	return s
+}
+
+// oracleValidator runs a string check in place of a built-in's byte
+// parser, under its own registry name, so an engine can be driven by
+// the slow obvious side of a domain.
+type oracleValidator struct {
+	domain.Validator // the built-in: its descriptive half
+	name             string
+	check            func(string) error
+}
+
+func (o oracleValidator) Name() string            { return o.name }
+func (o oracleValidator) Validate(b []byte) error { return o.check(string(b)) }
+
+// oracleDate and oracleIPv4 are the date and ipv4 validators as they
+// were before they parsed bytes: time.Parse over the eight layouts and
+// net/netip.
+func oracleDate(s string) error {
+	if len(s) < 10 || len(s) > 35 || !strings.ContainsAny(s, "0123456789") {
+		return errors.New("date: wrong length or no digits")
+	}
+	for _, layout := range []string{"2006-01-02", "2006/01/02", "2006-01-02 15:04:05", "2006-01-02T15:04:05",
+		time.RFC3339, "02 Jan 2006", "Jan 02 2006", "January 2, 2006"} {
+		if t, err := time.Parse(layout, s); err == nil {
+			if y := t.Year(); y < 1200 || y > 2999 {
+				return errors.New("date: implausible year")
+			}
+			return nil
+		}
+	}
+	return errors.New("date: no layout parses")
+}
+
+func oracleIPv4(s string) error {
+	if len(s) < 7 || len(s) > 15 || strings.Count(s, ".") != 3 || strings.Trim(s, ".0123456789") != "" {
+		return errors.New("ipv4: not four dot-separated decimal octets")
+	}
+	if addr, err := netip.ParseAddr(s); err != nil || !addr.Is4() {
+		return errors.New("ipv4: does not parse")
+	}
+	return nil
+}
+
+// oracleName registers the oracles for date and ipv4 (once per test
+// binary) and returns the registry name standing in for the built-in
+// dom; other domains have no oracle here and keep their name.
+func oracleName(t *testing.T, dom string) string {
+	t.Helper()
+	if err := registerOracles(); err != nil {
+		t.Fatal(err)
+	}
+	if dom == "date" || dom == "ipv4" {
+		return "oracle-" + dom
+	}
+	return dom
+}
+
+var registerOracles = sync.OnceValue(func() error {
+	for name, check := range map[string]func(string) error{"date": oracleDate, "ipv4": oracleIPv4} {
+		builtin, ok := domain.Lookup(name)
+		if !ok {
+			return fmt.Errorf("built-in %q not registered", name)
+		}
+		if err := domain.Register(oracleValidator{builtin, "oracle-" + name, check}); err != nil {
+			return err
+		}
+	}
+	return nil
+})
 
 // words returns n distinct lower-case words.
 func words(n int) []string {
@@ -152,6 +239,58 @@ func TestUnknownDomainStaysSyntactic(t *testing.T) {
 		}
 		if dec.Verdict.Domain != "" || dec.Verdict.DomainInvalid != 0 {
 			t.Errorf("unknown domain produced a semantic verdict: %+v", dec.Verdict)
+		}
+	}
+}
+
+// TestCheckCleanBatchAllocatesNothing: checking a clean batch — every
+// value conforming and semantically valid — allocates nothing on a
+// domain stream, through either front: byte views go to the validator
+// as they are, strings through one pooled scratch buffer.
+func TestCheckCleanBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop puts; alloc counts are meaningless")
+	}
+	for _, tc := range []struct {
+		st   registry.Stream
+		vals []string
+	}{
+		{domainStream(t, "<digit>{4}-<digit>{2}-<digit>{2}", "date"),
+			[]string{"2021-02-28", "2024-02-29", "1999-12-31"}},
+		{domainStream(t, "<digit>+.<digit>+.<digit>+.<digit>+", "ipv4"),
+			[]string{"10.0.0.1", "192.168.0.254", "255.255.255.255"}},
+		{domainStream(t, "<alnum>{8}-<alnum>{4}-<alnum>{4}-<alnum>{4}-<alnum>{12}", "uuid"),
+			[]string{"f47ac10b-58cc-4372-a567-0e02b2c3d479", "9B2B7A3E-1C4D-4E5F-8A6B-7C8D9E0F1A2B"}},
+		{domainStream(t, "<digit>{16}", "luhn"),
+			[]string{"4111111111111111", "5500005555555559"}},
+		{vocabStream(t, 1, words(20)), words(20)},
+	} {
+		strs := make([]string, 1000)
+		views := make([][]byte, len(strs))
+		for i := range strs {
+			strs[i] = tc.vals[i%len(tc.vals)]
+			views[i] = []byte(strs[i])
+		}
+		pol := DefaultPolicy()
+		pol.Window = 2 // a full ring stops growing after two batches
+		e := NewEngine(pol)
+		for i := 0; i < 3; i++ {
+			dec, err := e.Check(tc.st, strs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := dec.Verdict; v.NonConforming != 0 || v.DomainInvalid != 0 || v.Domain == "" {
+				t.Fatalf("%s: batch not clean on a domain stream: %+v", tc.st.Domain.Name, v)
+			}
+			if _, err := e.CheckBytes(tc.st, views); err != nil {
+				t.Fatal(err)
+			}
+		}
+		byteAllocs := testing.AllocsPerRun(20, func() { _, _ = e.CheckBytes(tc.st, views) })
+		strAllocs := testing.AllocsPerRun(20, func() { _, _ = e.Check(tc.st, strs) })
+		if byteAllocs != 0 || strAllocs != 0 {
+			t.Errorf("%s: a clean 1000-value batch allocates %v (CheckBytes) and %v (Check), want 0",
+				tc.st.Domain.Name, byteAllocs, strAllocs)
 		}
 	}
 }

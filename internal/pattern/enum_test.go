@@ -268,7 +268,7 @@ func TestEnumerateSupportConsistencyProperty(t *testing.T) {
 		opt.MinSupport = 0.2
 		res := Enumerate(col, opt)
 		for _, c := range res.Candidates {
-			if true1 := c.Pattern.MatchCount(col); true1 < c.Matched {
+			if true1 := matchCount(c.Pattern, col); true1 < c.Matched {
 				// The bitset support may undercount (cross-group
 				// matches are not credited) but must never
 				// overcount.

@@ -91,6 +91,12 @@ func TestMatchTimestamp(t *testing.T) {
 	}
 }
 
+// matchCount returns how many of the values p matches.
+func matchCount(p Pattern, values []string) int {
+	misses, _ := CountMisses(Compile(p), values, nil, 0)
+	return len(values) - misses
+}
+
 func TestImpurityMatchesPaperExample3(t *testing.T) {
 	// Example 3: column D with 12 values; h1 (no AM/PM token) has
 	// impurity 2/12; h5 (the ideal pattern) has impurity 0.
@@ -112,10 +118,12 @@ func TestImpurityMatchesPaperExample3(t *testing.T) {
 		ClassPlus(tokens.ClassDigit), Lit(":"), ClassN(tokens.ClassDigit, 2), Lit(":"), ClassN(tokens.ClassDigit, 2),
 		ClassRange(tokens.ClassSpace, 0, 1), ClassRange(tokens.ClassLetter, 0, 2),
 	)
-	if got, want := h1.Impurity(d), 2.0/12.0; got != want {
+	// Imp_D(h), Definition 1: the fraction of D's values h does not match.
+	impurity := func(h Pattern) float64 { return float64(len(d)-matchCount(h, d)) / float64(len(d)) }
+	if got, want := impurity(h1), 2.0/12.0; got != want {
 		t.Errorf("Imp_D(h1) = %v, want %v", got, want)
 	}
-	if got := h5.Impurity(d); got != 0 {
+	if got := impurity(h5); got != 0 {
 		t.Errorf("Imp_D(h5) = %v, want 0", got)
 	}
 }
