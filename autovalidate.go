@@ -320,7 +320,3 @@ func InferTable(t *Table, idx *Index, opt Options) (*RuleSet, map[string]error) 
 	}
 	return rs, errs
 }
-
-// parseP is the internal hook for ParsePattern (kept here so the
-// extensions file stays dependency-light).
-func parseP(s string) (Pattern, error) { return pattern.Parse(s) }

@@ -78,6 +78,7 @@ import (
 	"time"
 
 	"autovalidate"
+	"autovalidate/internal/core"
 )
 
 func main() {
@@ -127,18 +128,11 @@ func main() {
 
 	opt := autovalidate.DefaultOptions()
 	opt.R, opt.M, opt.Theta, opt.Alpha = *r, *m, *theta, *alpha
-	switch *strategy {
-	case "FMDV":
-		opt.Strategy = autovalidate.FMDV
-	case "FMDV-V":
-		opt.Strategy = autovalidate.FMDVV
-	case "FMDV-H":
-		opt.Strategy = autovalidate.FMDVH
-	case "FMDV-VH":
-		opt.Strategy = autovalidate.FMDVVH
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	strat, err := core.ParseStrategy(*strategy)
+	if err != nil {
+		fatal(err)
 	}
+	opt.Strategy = strat
 
 	cfg := autovalidate.ServiceConfig{
 		CacheSize: *cacheSize,

@@ -1,37 +1,9 @@
 package autovalidate
 
 import (
-	"errors"
-
-	"autovalidate/internal/core"
-	"autovalidate/internal/dictval"
 	"autovalidate/internal/domain"
-	"autovalidate/internal/numeric"
+	"autovalidate/internal/pattern"
 	"autovalidate/internal/validate"
-)
-
-// The paper's §6/§7 point out that pattern validation fits
-// machine-generated data, while numeric columns and natural-language
-// columns drawn from fixed vocabularies call for different rule forms.
-// This file exposes those two extensions and a combined entry point that
-// picks the right rule form per column.
-
-// Extension types, re-exported.
-type (
-	// NumericRule validates numeric columns by parseable-fraction,
-	// distribution, and range drift (§7 future work).
-	NumericRule = numeric.Rule
-	// NumericReport is a numeric validation outcome.
-	NumericReport = numeric.Report
-	// NumericOptions configure numeric inference.
-	NumericOptions = numeric.Options
-	// DictRule validates vocabulary columns with a corpus-expanded
-	// dictionary (§6's set-expansion direction).
-	DictRule = dictval.Rule
-	// DictReport is a dictionary validation outcome.
-	DictReport = dictval.Report
-	// DictOptions configure dictionary inference.
-	DictOptions = dictval.Options
 )
 
 // Semantic-domain validation, re-exported from internal/domain: a
@@ -62,30 +34,13 @@ func LookupDomainValidator(name string) (DomainValidator, bool) { return domain.
 func DetectDomain(values []string) (DomainDetection, bool) { return domain.Detect(values) }
 
 // ProposeDomain is DetectDomain plus the learned closed-vocabulary
-// fallback for categorical columns (dictval-backed).
+// fallback for categorical columns.
 func ProposeDomain(values []string) (DomainDetection, bool) { return domain.Propose(values) }
 
 // NewVocabularyValidator builds a closed-vocabulary DomainValidator
 // over the given words — the reconstruction path for a persisted
 // vocabulary domain.
 func NewVocabularyValidator(words []string) DomainValidator { return domain.NewVocabulary(words) }
-
-// DefaultNumericOptions returns the numeric-rule defaults.
-func DefaultNumericOptions() NumericOptions { return numeric.DefaultOptions() }
-
-// DefaultDictOptions returns the dictionary-rule defaults.
-func DefaultDictOptions() DictOptions { return dictval.DefaultOptions() }
-
-// InferNumeric learns a numeric validation rule (§7 extension).
-func InferNumeric(values []string, opt NumericOptions) (*NumericRule, error) {
-	return numeric.Infer(values, opt)
-}
-
-// InferDictionary learns a corpus-expanded dictionary rule (§6
-// extension).
-func InferDictionary(values []string, cols []*Column, opt DictOptions) (*DictRule, error) {
-	return dictval.Infer(values, cols, opt)
-}
 
 // LoadRule reads a pattern rule saved with Rule.Save.
 func LoadRule(path string) (*Rule, error) { return validate.LoadRule(path) }
@@ -95,107 +50,4 @@ func LoadRuleSet(path string) (*RuleSet, error) { return validate.LoadRuleSet(pa
 
 // ParsePattern parses the canonical pattern notation (the format
 // produced by Pattern.String and stored by Rule.Save).
-func ParsePattern(s string) (Pattern, error) { return parseP(s) }
-
-// RuleKind says which rule form AutoInfer chose for a column.
-type RuleKind uint8
-
-// Rule kinds.
-const (
-	KindPattern RuleKind = iota
-	KindNumeric
-	KindDictionary
-	KindNone
-)
-
-// String names the kind.
-func (k RuleKind) String() string {
-	switch k {
-	case KindPattern:
-		return "pattern"
-	case KindNumeric:
-		return "numeric"
-	case KindDictionary:
-		return "dictionary"
-	default:
-		return "none"
-	}
-}
-
-// AutoRule is the rule AutoInfer produced for one column: exactly one of
-// the three rule fields is set, per Kind.
-type AutoRule struct {
-	Kind    RuleKind
-	Pattern *Rule
-	Numeric *NumericRule
-	Dict    *DictRule
-}
-
-// Flags reports whether the rule alarms on a batch.
-func (r *AutoRule) Flags(values []string) bool {
-	switch r.Kind {
-	case KindPattern:
-		return r.Pattern.Flags(values)
-	case KindNumeric:
-		return r.Numeric.Flags(values)
-	case KindDictionary:
-		return r.Dict.Flags(values)
-	default:
-		return false
-	}
-}
-
-// Describe returns a one-line description of the learned rule.
-func (r *AutoRule) Describe() string {
-	switch r.Kind {
-	case KindPattern:
-		return "pattern: " + r.Pattern.Pattern.String()
-	case KindNumeric:
-		return "numeric: distribution/range rule"
-	case KindDictionary:
-		return "dictionary: corpus-expanded vocabulary"
-	default:
-		return "none"
-	}
-}
-
-// AutoInfer picks the right rule form for a column: a data-domain
-// pattern when one is feasible (the paper's core contribution), a
-// numeric rule for numeric columns, and a corpus-expanded dictionary for
-// vocabulary-like columns — covering the full column mix of a real feed.
-// cols supplies the corpus columns used for dictionary expansion; it may
-// be nil to disable the dictionary fallback.
-func AutoInfer(values []string, idx *Index, cols []*Column, opt Options) (*AutoRule, error) {
-	// Numeric first: a pure-digit column is *also* patternable
-	// (<digit>+), but distribution drift in it is invisible to a
-	// pattern; the numeric rule subsumes the pattern's protection.
-	if nr, err := numeric.Infer(values, numeric.DefaultOptions()); err == nil {
-		return &AutoRule{Kind: KindNumeric, Numeric: nr}, nil
-	}
-	// Fixed-vocabulary columns next (§6): a categorical column like
-	// {"US","UK","DE"} usually admits a pattern (<letter>+), but the
-	// pattern cannot see a vocabulary shift; the dictionary can.
-	if cols != nil && isCategorical(values) {
-		if dr, derr := dictval.Infer(values, cols, dictval.DefaultOptions()); derr == nil {
-			return &AutoRule{Kind: KindDictionary, Dict: dr}, nil
-		}
-	}
-	pr, err := core.Infer(values, idx, opt)
-	if err == nil {
-		return &AutoRule{Kind: KindPattern, Pattern: pr}, nil
-	}
-	if !errors.Is(err, core.ErrNoFeasible) {
-		return nil, err
-	}
-	if cols != nil {
-		if dr, derr := dictval.Infer(values, cols, dictval.DefaultOptions()); derr == nil {
-			return &AutoRule{Kind: KindDictionary, Dict: dr}, nil
-		}
-	}
-	return nil, err
-}
-
-// isCategorical delegates to the domain package's vocabulary heuristic
-// so AutoInfer and stream-domain proposal agree on what "fixed
-// vocabulary" means.
-func isCategorical(values []string) bool { return domain.LooksCategorical(values) }
+func ParsePattern(s string) (Pattern, error) { return pattern.Parse(s) }

@@ -1,89 +1,12 @@
 package autovalidate_test
 
 import (
-	"fmt"
-	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"autovalidate"
 	"autovalidate/internal/datagen"
 )
-
-func TestAutoInferPicksRuleKinds(t *testing.T) {
-	c, idx := apiFixture(t)
-	opt := apiOptions()
-	rng := rand.New(rand.NewSource(2))
-
-	// Numeric column -> numeric rule.
-	nums := make([]string, 200)
-	for i := range nums {
-		nums[i] = fmt.Sprintf("%.2f", 50+5*rng.NormFloat64())
-	}
-	r, err := autovalidate.AutoInfer(nums, idx, c.Columns(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kind != autovalidate.KindNumeric {
-		t.Errorf("numeric column got kind %v", r.Kind)
-	}
-
-	// Machine-generated string column -> pattern rule.
-	ts, _ := datagen.FreshColumn("timestamp_us", 120, 5)
-	r, err = autovalidate.AutoInfer(ts, idx, c.Columns(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kind != autovalidate.KindPattern {
-		t.Errorf("timestamp column got kind %v (%s)", r.Kind, r.Describe())
-	}
-
-	// Fixed-vocabulary column -> dictionary rule.
-	vocab := make([]string, 200)
-	for i := range vocab {
-		vocab[i] = []string{"US", "UK", "DE", "JP", "FR"}[rng.Intn(5)]
-	}
-	r, err = autovalidate.AutoInfer(vocab, idx, c.Columns(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kind != autovalidate.KindDictionary {
-		t.Errorf("vocabulary column got kind %v", r.Kind)
-	}
-	// The dictionary sees a vocabulary shift the <letter>+ pattern
-	// cannot.
-	shifted := make([]string, 200)
-	for i := range shifted {
-		shifted[i] = []string{"XX", "YY", "ZZ"}[rng.Intn(3)]
-	}
-	if !r.Flags(shifted) {
-		t.Error("dictionary rule should flag a vocabulary shift")
-	}
-	if r.Flags(vocab) {
-		t.Error("dictionary rule should pass the training vocabulary")
-	}
-}
-
-func TestNumericExtensionDetectsDistributionDrift(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	mk := func(mean float64, n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = fmt.Sprintf("%.2f", mean+3*rng.NormFloat64())
-		}
-		return out
-	}
-	rule, err := autovalidate.InferNumeric(mk(100, 300), autovalidate.DefaultNumericOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rule.Flags(mk(100, 300)) {
-		t.Error("stable distribution should pass")
-	}
-	if !rule.Flags(mk(130, 300)) {
-		t.Error("10-sigma mean shift should alarm")
-	}
-}
 
 func TestRulePersistenceViaFacade(t *testing.T) {
 	_, idx := apiFixture(t)
@@ -119,19 +42,5 @@ func TestParsePatternFacade(t *testing.T) {
 	}
 	if _, err := autovalidate.ParsePattern("<junk"); err == nil {
 		t.Error("invalid notation should error")
-	}
-}
-
-func TestRuleKindString(t *testing.T) {
-	kinds := map[autovalidate.RuleKind]string{
-		autovalidate.KindPattern:    "pattern",
-		autovalidate.KindNumeric:    "numeric",
-		autovalidate.KindDictionary: "dictionary",
-		autovalidate.KindNone:       "none",
-	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("RuleKind(%d) = %q, want %q", k, k.String(), want)
-		}
 	}
 }

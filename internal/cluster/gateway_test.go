@@ -231,34 +231,37 @@ func TestGatewayFailover(t *testing.T) {
 // rather than replay the write on another member (which could apply the
 // mutation twice), while the same failure on a read retries fine.
 func TestGatewayDoesNotRetrySentWrites(t *testing.T) {
-	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		conn, _, err := w.(http.Hijacker).Hijack()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		conn.Close()
-	}))
-	defer dying.Close()
-	healthy, hits := stubBackend(t, "ok", nil)
-	g := gatewayOver(t, dying.URL, healthy.URL)
+	// Both members run one handler; the member the ring homes the
+	// stream on is then switched into hijack-and-close mode. Choosing
+	// the member from the stream, not a stream from the member, holds
+	// for every ring the loopback ports produce: FNV-1a clusters short,
+	// similar names, so a member can home none of a thousand of them.
+	var dyingMember atomic.Int32
+	dyingMember.Store(-1)
+	var hits atomic.Uint64
+	member := func(i int32) *httptest.Server {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if dyingMember.Load() == i {
+				conn, _, err := w.(http.Hijacker).Hijack()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				conn.Close()
+				return
+			}
+			hits.Add(1)
+			fmt.Fprintf(w, "backend=ok path=%s", r.URL.Path)
+		}))
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	g := gatewayOver(t, member(0).URL, member(1).URL)
 	gw := httptest.NewServer(g.Handler())
 	defer gw.Close()
 
-	// Force round-robin to start at the dying member (index 0): rr
-	// counter starts at 0, first Add(1) → start 1, so send one request
-	// to a fresh gateway per case and pick order via stream affinity
-	// instead, which is deterministic.
-	var ingestStream string
-	for i := 0; i < 1000 && ingestStream == ""; i++ {
-		name := fmt.Sprintf("w%d", i)
-		if g.sequence(name)[0] == 0 {
-			ingestStream = name
-		}
-	}
-	if ingestStream == "" {
-		t.Fatal("no stream homed on the dying member")
-	}
+	const ingestStream = "w0"
+	dyingMember.Store(int32(g.sequence(ingestStream)[0]))
 	// PUT /streams/{name} is a sent write: no retry, 502.
 	if code, _ := fetchVia(t, gw, http.MethodPut, "/streams/"+ingestStream); code != http.StatusBadGateway {
 		t.Fatalf("sent write = %d, want 502", code)

@@ -218,6 +218,21 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
+func TestParseStrategy(t *testing.T) {
+	for _, s := range []Strategy{FMDV, FMDVV, FMDVH, FMDVVH} {
+		got, err := ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, name := range []string{"", "vh"} {
+		_, err := ParseStrategy(name)
+		if want := fmt.Sprintf("unknown strategy %q", name); err == nil || err.Error() != want {
+			t.Errorf("ParseStrategy(%q) error = %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestRuleDetectsSchemaDrift(t *testing.T) {
 	// The headline behaviour: a rule learned on one domain must flag a
 	// column from a different domain (simulated schema drift).

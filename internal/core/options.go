@@ -7,6 +7,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 
 	"autovalidate/internal/pattern"
 	"autovalidate/internal/stats"
@@ -35,6 +36,17 @@ func (s Strategy) String() string {
 	default:
 		return "FMDV"
 	}
+}
+
+// ParseStrategy is the inverse of Strategy.String: it accepts exactly
+// the four paper names.
+func ParseStrategy(name string) (Strategy, error) {
+	for _, s := range []Strategy{FMDV, FMDVV, FMDVH, FMDVVH} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return FMDV, fmt.Errorf("unknown strategy %q", name)
 }
 
 // Objective selects the optimization objective: the paper's FPR-

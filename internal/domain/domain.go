@@ -248,8 +248,8 @@ func detect(sampled [][]byte, validators []Validator) (Detection, bool) {
 
 // Propose is Detect plus the learned fallback: when no built-in domain
 // claims the column but its values look like a closed vocabulary
-// (countries, department codes, status enums), a dictionary domain is
-// learned from the sample via internal/dictval and proposed instead.
+// (countries, department codes, status enums), a vocabulary domain is
+// learned from the training values and proposed instead.
 // The returned Detection then carries the vocabulary itself, so it can
 // be persisted alongside a stream's rule and reconstructed with
 // NewVocabulary after a restart.

@@ -2,6 +2,7 @@ package domain
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -388,6 +389,37 @@ func TestProposeVocabularyFallback(t *testing.T) {
 	}
 	if err := v.Validate([]byte("mauve")); err == nil {
 		t.Error("reconstructed vocabulary accepts non-member")
+	}
+
+	// The vocabulary is exactly the sorted distinct training values, in
+	// byte order: duplicates collapse, case is kept apart, non-ASCII
+	// words sort by their UTF-8 bytes, and an empty training value is
+	// kept — persisted registries carry it. The rebuilt validator still
+	// rejects "", since an empty value never passes a domain check.
+	mixed := make([]string, 120)
+	words := []string{"red", "Red", "Zürich", "", "blue", "red"}
+	for i := range mixed {
+		mixed[i] = words[i%len(words)]
+	}
+	d, ok = Propose(mixed)
+	if !ok || d.Name != VocabularyName {
+		t.Fatalf("Propose(mixed vocabulary) = %+v ok=%v, want vocabulary", d, ok)
+	}
+	want := []string{"", "Red", "Zürich", "blue", "red"}
+	if !slices.Equal(d.Vocab, want) {
+		t.Errorf("vocab = %q, want %q", d.Vocab, want)
+	}
+	v = NewVocabulary(d.Vocab)
+	if err := v.Validate(nil); err == nil {
+		t.Error(`reconstructed vocabulary accepts ""`)
+	}
+	for _, w := range want[1:] {
+		if err := v.Validate([]byte(w)); err != nil {
+			t.Errorf("reconstructed vocabulary rejects %q: %v", w, err)
+		}
+	}
+	if err := v.Validate([]byte("RED")); err == nil {
+		t.Error("reconstructed vocabulary folds case")
 	}
 
 	// A high-cardinality column is not vocabulary-like.

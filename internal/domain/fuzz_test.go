@@ -44,7 +44,7 @@ func FuzzDomainDetect(f *testing.F) {
 		}
 		// The detection paths must also survive arbitrary values; a
 		// 60-wide column of one repeated value exercises the vocabulary
-		// fallback (LooksCategorical needs >= 50 values).
+		// fallback (it needs >= minCategoricalSize values).
 		col := make([]string, 60)
 		for i := range col {
 			col[i] = s

@@ -23,14 +23,7 @@ var streamStateOrder = []monitor.Action{
 // /gateway/metrics uses the same writer, so both expositions pass the
 // same parser-based lint).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	cacheSize := s.cache.len()
-	cacheCap := s.cache.cap
-	hits := s.cache.hits
-	misses := s.cache.misses
-	evictions := s.cache.evictions
-	s.mu.Unlock()
-	idx := s.idx.Load()
+	st := s.CurrentStats()
 
 	var mw obs.MetricWriter
 
@@ -39,15 +32,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Family(biName, "Build identity of the running binary (value is always 1).", "gauge")
 	mw.Int(biName, obs.Label("version", bi.Version)+","+obs.Label("revision", bi.ShortRevision())+","+obs.Label("goversion", bi.GoVersion), 1)
 
-	mw.Counter("autovalidate_cache_hits_total", "Rule-cache hits.", hits)
-	mw.Counter("autovalidate_cache_misses_total", "Rule-cache misses.", misses)
-	mw.Counter("autovalidate_cache_evictions_total", "Rule-cache LRU evictions.", evictions)
-	mw.Gauge("autovalidate_cache_entries", "Rules currently cached.", float64(cacheSize))
-	mw.Gauge("autovalidate_cache_capacity", "Rule-cache capacity.", float64(cacheCap))
-	mw.Gauge("autovalidate_index_generation", "Offline index ingest-batch generation.", float64(idx.Generation))
-	mw.Gauge("autovalidate_index_patterns", "Patterns in the offline index.", float64(idx.Size()))
-	mw.Gauge("autovalidate_index_columns", "Corpus columns aggregated into the index.", float64(idx.Columns))
-	mw.Counter("autovalidate_ingests_total", "Ingest batches folded into the index.", s.ingests.Load())
+	mw.Counter("autovalidate_cache_hits_total", "Rule-cache hits.", st.CacheHits)
+	mw.Counter("autovalidate_cache_misses_total", "Rule-cache misses.", st.CacheMisses)
+	mw.Counter("autovalidate_cache_evictions_total", "Rule-cache LRU evictions.", st.CacheEvictions)
+	mw.Gauge("autovalidate_cache_entries", "Rules currently cached.", float64(st.CacheSize))
+	mw.Gauge("autovalidate_cache_capacity", "Rule-cache capacity.", float64(st.CacheCapacity))
+	mw.Gauge("autovalidate_index_generation", "Offline index ingest-batch generation.", float64(st.IndexGeneration))
+	mw.Gauge("autovalidate_index_patterns", "Patterns in the offline index.", float64(st.IndexPatterns))
+	mw.Gauge("autovalidate_index_columns", "Corpus columns aggregated into the index.", float64(st.IndexColumns))
+	mw.Counter("autovalidate_ingests_total", "Ingest batches folded into the index.", st.Ingests)
 
 	// Validated values by the engine their rule's program ran on, JSON
 	// envelopes and column bodies alike: "dfa" is the single-pass table,
@@ -80,8 +73,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	leaderGen := s.leaderGen.Load()
 	mw.Gauge("autovalidate_replication_leader_generation", "Highest leader index generation observed via replication (0 when not a follower).", float64(leaderGen))
 	behind := 0.0
-	if leaderGen > idx.Generation {
-		behind = float64(leaderGen - idx.Generation)
+	if leaderGen > st.IndexGeneration {
+		behind = float64(leaderGen - st.IndexGeneration)
 	}
 	mw.Gauge("autovalidate_replication_generations_behind", "Leader index generations not yet applied locally.", behind)
 	if last := s.lastApplyNanos.Load(); last > 0 {
@@ -97,8 +90,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ready = 1
 	}
 	mw.Gauge("autovalidate_ready", "Whether /readyz reports 200 (1) or 503 (0).", ready)
-	mw.Gauge("autovalidate_streams", "Streams registered for continuous validation.", float64(s.registry.Len()))
-	mw.Gauge("autovalidate_uptime_seconds", "Seconds since the server started.", time.Since(s.start).Seconds())
+	mw.Gauge("autovalidate_streams", "Streams registered for continuous validation.", float64(st.Streams))
+	mw.Gauge("autovalidate_uptime_seconds", "Seconds since the server started.", st.UptimeSeconds)
 
 	// Per-stream monitor state: the most recent decision as a 0/1 gauge
 	// over the four actions, so quarantines and re-inference escalations

@@ -462,18 +462,12 @@ type errorResponse struct {
 // that "tolerates" nearly every training value as non-conforming.
 func (s *Server) options(p RuleParams) (core.Options, error) {
 	opt := *s.opt.Load()
-	switch p.Strategy {
-	case "":
-	case core.FMDV.String():
-		opt.Strategy = core.FMDV
-	case core.FMDVV.String():
-		opt.Strategy = core.FMDVV
-	case core.FMDVH.String():
-		opt.Strategy = core.FMDVH
-	case core.FMDVVH.String():
-		opt.Strategy = core.FMDVVH
-	default:
-		return opt, fmt.Errorf("unknown strategy %q", p.Strategy)
+	if p.Strategy != "" {
+		strat, err := core.ParseStrategy(p.Strategy)
+		if err != nil {
+			return opt, err
+		}
+		opt.Strategy = strat
 	}
 	if p.R != nil {
 		if *p.R <= 0 || *p.R > 1 {

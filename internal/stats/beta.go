@@ -2,10 +2,8 @@ package stats
 
 import "math"
 
-// Regularized incomplete beta function and Student's t survival
-// function, used by the numeric-column validation extension (the "extend
-// the same validation principle also to numeric data" direction of the
-// paper's §7).
+// Regularized incomplete beta function, which gives the binomial tail
+// (BinomialTailP) and the Clopper–Pearson bounds their closed forms.
 
 // IncBeta returns the regularized incomplete beta function I_x(a, b).
 func IncBeta(a, b, x float64) float64 {
@@ -74,56 +72,4 @@ func betaCF(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// StudentTSurvival returns P(|T| >= t) for a Student's t variable with
-// df degrees of freedom (the two-sided p-value of a t statistic).
-func StudentTSurvival(t, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	x := df / (df + t*t)
-	return IncBeta(df/2, 0.5, x)
-}
-
-// WelchT computes Welch's unequal-variance t-test from sample summaries
-// (mean, variance, size) of two samples, returning the statistic,
-// degrees of freedom, and two-sided p-value.
-func WelchT(mean1, var1 float64, n1 int, mean2, var2 float64, n2 int) (t, df, p float64) {
-	if n1 < 2 || n2 < 2 {
-		return 0, 0, 1
-	}
-	se1 := var1 / float64(n1)
-	se2 := var2 / float64(n2)
-	se := se1 + se2
-	if se == 0 {
-		if mean1 == mean2 {
-			return 0, float64(n1 + n2 - 2), 1
-		}
-		return math.Inf(1), float64(n1 + n2 - 2), 0
-	}
-	t = (mean1 - mean2) / math.Sqrt(se)
-	df = se * se / (se1*se1/float64(n1-1) + se2*se2/float64(n2-1))
-	return t, df, StudentTSurvival(math.Abs(t), df)
-}
-
-// MeanVar returns the sample mean and (unbiased) variance.
-func MeanVar(xs []float64) (mean, variance float64) {
-	n := float64(len(xs))
-	if n == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= n
-	if n < 2 {
-		return mean, 0
-	}
-	for _, x := range xs {
-		d := x - mean
-		variance += d * d
-	}
-	variance /= n - 1
-	return mean, variance
 }

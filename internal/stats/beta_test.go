@@ -28,62 +28,3 @@ func TestIncBetaKnownValues(t *testing.T) {
 		t.Errorf("symmetry violated: %v", s)
 	}
 }
-
-func TestStudentTSurvivalCriticalValues(t *testing.T) {
-	// Two-sided critical values at alpha = 0.05.
-	cases := []struct {
-		t  float64
-		df float64
-	}{
-		{12.706, 1}, {4.303, 2}, {2.571, 5}, {2.228, 10}, {1.984, 100},
-	}
-	for _, c := range cases {
-		p := StudentTSurvival(c.t, c.df)
-		if !near(p, 0.05, 2e-3) {
-			t.Errorf("StudentTSurvival(%v, %v) = %v, want ≈0.05", c.t, c.df, p)
-		}
-	}
-	if p := StudentTSurvival(0, 10); !near(p, 1, 1e-12) {
-		t.Errorf("t=0 should give p=1, got %v", p)
-	}
-}
-
-func TestWelchT(t *testing.T) {
-	// Identical samples: p = 1.
-	_, _, p := WelchT(5, 1, 50, 5, 1, 50)
-	if !near(p, 1, 1e-9) {
-		t.Errorf("identical samples p = %v, want 1", p)
-	}
-	// Clearly separated samples: tiny p.
-	_, _, p = WelchT(5, 1, 50, 9, 1, 50)
-	if p > 1e-10 {
-		t.Errorf("separated samples p = %v, want tiny", p)
-	}
-	// Tiny samples are inconclusive by convention.
-	if _, _, p := WelchT(5, 1, 1, 9, 1, 1); p != 1 {
-		t.Errorf("n<2 should give p=1, got %v", p)
-	}
-	// Zero-variance equal means.
-	if _, _, p := WelchT(5, 0, 10, 5, 0, 10); p != 1 {
-		t.Errorf("identical constants p = %v, want 1", p)
-	}
-	if _, _, p := WelchT(5, 0, 10, 6, 0, 10); p != 0 {
-		t.Errorf("different constants p = %v, want 0", p)
-	}
-}
-
-func TestMeanVar(t *testing.T) {
-	mean, variance := MeanVar([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !near(mean, 5, 1e-12) {
-		t.Errorf("mean = %v, want 5", mean)
-	}
-	if !near(variance, 32.0/7, 1e-12) {
-		t.Errorf("variance = %v, want %v", variance, 32.0/7)
-	}
-	if m, v := MeanVar(nil); m != 0 || v != 0 {
-		t.Error("empty input should give zeros")
-	}
-	if _, v := MeanVar([]float64{3}); v != 0 {
-		t.Error("single sample has zero variance")
-	}
-}
