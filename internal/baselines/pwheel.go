@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math"
+	"slices"
 
 	"autovalidate/internal/pattern"
 	"autovalidate/internal/tokens"
@@ -60,6 +61,7 @@ func MDLPattern(values []string) (pattern.Pattern, bool) {
 			bestDL, best, found = dl, c.Pattern, true
 		}
 	}
+	best.Toks = slices.Clone(best.Toks) // not a share of the candidates' block
 	return best, found
 }
 

@@ -111,6 +111,53 @@ func TestInferAgreesWithOracleConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
+// A rule is its caller's: its pattern and segments share no memory with
+// the enumerations behind it, so 50 later inferences, over every column
+// of the infer_ingest workload, leave a kept rule as it was inferred.
+func TestInferRulesOutliveLaterInferences(t *testing.T) {
+	idx := testIndex(t)
+	var columns [][]string
+	for _, domain := range inferIngestDomains {
+		columns = append(columns, fresh(t, domain, 60, 43))
+	}
+	for _, st := range []Strategy{FMDV, FMDVVH} {
+		opt := testOptions(st)
+		opt.R, opt.M = 1, 1 // whatever the index has seen once is feasible
+		var names []string
+		var kept, want []*validate.Rule
+		for ci, values := range columns {
+			rule, err := Infer(values, idx, opt)
+			if errors.Is(err, ErrNoFeasible) {
+				continue
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			copied := &validate.Rule{
+				Pattern:            pattern.Pattern{Toks: append([]pattern.Tok(nil), rule.Pattern.Toks...)},
+				EstimatedFPR:       rule.EstimatedFPR,
+				TrainNonConforming: rule.TrainNonConforming,
+				TrainTotal:         rule.TrainTotal,
+				Strategy:           rule.Strategy,
+			}
+			for _, seg := range rule.Segments {
+				copied.Segments = append(copied.Segments, pattern.Pattern{Toks: append([]pattern.Tok(nil), seg.Toks...)})
+			}
+			names, kept, want = append(names, inferIngestDomains[ci]), append(kept, rule), append(want, copied)
+		}
+		if len(kept) < 4 {
+			t.Fatalf("%s: only %v have a rule", st, names)
+		}
+		for i := 0; i < 50; i++ {
+			Infer(columns[i%len(columns)], idx, opt)
+		}
+		for i := range kept {
+			if d := ruleDiff(kept[i], want[i]); d != "" {
+				t.Errorf("%s %s: after 50 later inferences, %s", names[i], st, d)
+			}
+		}
+	}
+}
+
 // Gapped alignments, mixed shapes, empties and junk rows: the inputs
 // where a segment's rows differ in which runs they contribute.
 func TestInferAgreesWithOracleHandCases(t *testing.T) {

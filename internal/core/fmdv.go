@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"autovalidate/internal/corpus"
 	"autovalidate/internal/index"
@@ -88,6 +89,9 @@ func selectBest(cands []pattern.Candidate, idx *index.Index, opt Options, minMat
 	if !found {
 		return scored{}, ErrNoFeasible
 	}
+	// The winner outlives the enumeration: give it tokens of its own
+	// rather than a share of the block every candidate was carved from.
+	best.pat.Toks = slices.Clone(best.pat.Toks)
 	return best, nil
 }
 
@@ -228,6 +232,7 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 	if !found {
 		return nil, fmt.Errorf("%w (no-index scan over %d columns)", ErrNoFeasible, len(cols))
 	}
+	best.pat.Toks = slices.Clone(best.pat.Toks)
 	return buildRule(opt, best.pat, best.fpr, 0, res.Total, nil), nil
 }
 

@@ -5,6 +5,8 @@
 // notes, is typically optimal for homogeneous machine-generated data.
 package msa
 
+import "slices"
+
 // Scoring used by the pairwise and profile alignments. Values follow the
 // usual match/mismatch/gap convention for short token sequences.
 const (
@@ -28,61 +30,92 @@ type Alignment struct {
 // The first sequence seeds the profile; each subsequent sequence is
 // aligned to the profile with Needleman-Wunsch and merged. Align never
 // fails; aligning zero sequences yields an empty alignment.
+//
+// Symbols are numbered once, so a profile column's multiset is a row of
+// small counts; the DP and traceback matrices are two flat slabs reused
+// from sequence to sequence; and each symbol is recorded against the
+// column it joined, so rows are laid out once, at the end, however many
+// columns later insertions put before it.
 func Align(seqs [][]string) Alignment {
 	if len(seqs) == 0 {
 		return Alignment{}
 	}
-	// Profile: one column = multiset of symbols currently aligned there.
-	type column struct {
-		counts map[string]int
-		total  int
+	// sym[off[i]+j] is the number of seqs[i][j], col[off[i]+j] the
+	// column it was aligned to.
+	ids := map[string]int{}
+	off := make([]int, len(seqs)+1)
+	for i, s := range seqs {
+		off[i+1] = off[i] + len(s)
 	}
-	newCol := func() *column { return &column{counts: map[string]int{}} }
+	sym, col := make([]int, off[len(seqs)]), make([]int, off[len(seqs)])
+	for i, s := range seqs {
+		for j, v := range s {
+			id, ok := ids[v]
+			if !ok {
+				id = len(ids)
+				ids[v] = id
+			}
+			sym[off[i]+j] = id
+		}
+	}
 
-	profile := make([]*column, len(seqs[0]))
-	rows := make([][]int, 1, len(seqs))
-	rows[0] = make([]int, len(seqs[0]))
-	for i, s := range seqs[0] {
-		profile[i] = newCol()
-		profile[i].counts[s]++
-		profile[i].total++
-		rows[0][i] = i
+	// Profile: columns in order, each the multiset of symbols aligned
+	// there — counts[c*k+s] members of column c are symbol s, of
+	// total[c] in all.
+	k := len(ids)
+	var counts, total, profile []int
+	join := func(c, s int) {
+		counts[c*k+s]++
+		total[c]++
+	}
+	newCol := func() int {
+		counts = append(counts, make([]int, k)...)
+		total = append(total, 0)
+		return len(total) - 1
+	}
+	for j := range seqs[0] {
+		c := newCol()
+		join(c, sym[j])
+		col[j] = c
+		profile = append(profile, c)
 	}
 
 	// score of aligning symbol s against profile column c: the average
 	// pairwise score against the column's members.
-	colScore := func(c *column, s string) int {
-		if c.total == 0 {
+	colScore := func(c, s int) int {
+		if total[c] == 0 {
 			return mismatchScore
 		}
-		m := c.counts[s]
-		return (m*matchScore + (c.total-m)*mismatchScore) / c.total
+		m := counts[c*k+s]
+		return (m*matchScore + (total[c]-m)*mismatchScore) / total[c]
 	}
 
+	var dp []int
+	var bt []byte
+	var merged []int
 	for si := 1; si < len(seqs); si++ {
-		seq := seqs[si]
+		seq := sym[off[si]:off[si+1]]
 		n, m := len(profile), len(seq)
-		// Needleman-Wunsch DP: dp[i][j] = best score aligning
+		// Needleman-Wunsch DP: dp[i*w+j] = best score aligning
 		// profile[:i] with seq[:j].
-		dp := make([][]int, n+1)
-		bt := make([][]byte, n+1)
-		for i := 0; i <= n; i++ {
-			dp[i] = make([]int, m+1)
-			bt[i] = make([]byte, m+1)
-		}
+		w := m + 1
+		dp = slices.Grow(dp[:0], (n+1)*w)[:(n+1)*w]
+		bt = slices.Grow(bt[:0], (n+1)*w)[:(n+1)*w]
+		dp[0], bt[0] = 0, 0
 		for i := 1; i <= n; i++ {
-			dp[i][0] = dp[i-1][0] + gapScore
-			bt[i][0] = 'u' // up: gap in sequence
+			dp[i*w] = dp[(i-1)*w] + gapScore
+			bt[i*w] = 'u' // up: gap in sequence
 		}
 		for j := 1; j <= m; j++ {
-			dp[0][j] = dp[0][j-1] + gapScore
-			bt[0][j] = 'l' // left: gap in profile
+			dp[j] = dp[j-1] + gapScore
+			bt[j] = 'l' // left: gap in profile
 		}
 		for i := 1; i <= n; i++ {
+			c := profile[i-1]
 			for j := 1; j <= m; j++ {
-				diag := dp[i-1][j-1] + colScore(profile[i-1], seq[j-1])
-				up := dp[i-1][j] + gapScore
-				left := dp[i][j-1] + gapScore
+				diag := dp[(i-1)*w+j-1] + colScore(c, seq[j-1])
+				up := dp[(i-1)*w+j] + gapScore
+				left := dp[i*w+j-1] + gapScore
 				best, dir := diag, byte('d')
 				if up > best {
 					best, dir = up, 'u'
@@ -90,84 +123,53 @@ func Align(seqs [][]string) Alignment {
 				if left > best {
 					best, dir = left, 'l'
 				}
-				dp[i][j] = best
-				bt[i][j] = dir
+				dp[i*w+j] = best
+				bt[i*w+j] = dir
 			}
 		}
-		// Trace back to build the merged column order.
-		type step struct{ pi, sj int } // profile column index or Gap, seq index or Gap
-		var rev []step
+		// Trace back, merging the sequence into the profile: the new
+		// column order is built back to front.
+		merged = merged[:0]
 		for i, j := n, m; i > 0 || j > 0; {
-			switch bt[i][j] {
+			switch bt[i*w+j] {
 			case 'd':
-				rev = append(rev, step{i - 1, j - 1})
+				c := profile[i-1]
+				join(c, seq[j-1])
+				col[off[si]+j-1] = c
+				merged = append(merged, c)
 				i, j = i-1, j-1
 			case 'u':
-				rev = append(rev, step{i - 1, Gap})
+				merged = append(merged, profile[i-1])
 				i--
 			default:
-				rev = append(rev, step{Gap, j - 1})
+				c := newCol()
+				join(c, seq[j-1])
+				col[off[si]+j-1] = c
+				merged = append(merged, c)
 				j--
 			}
 		}
-		// Build new profile and remap existing rows.
-		newProfile := make([]*column, len(rev))
-		newRow := make([]int, len(rev))
-		remap := make([]int, n) // old profile column -> new column
-		for k := range rev {
-			st := rev[len(rev)-1-k]
-			if st.pi != Gap {
-				newProfile[k] = profile[st.pi]
-				remap[st.pi] = k
-			} else {
-				newProfile[k] = newCol()
-			}
-			if st.sj != Gap {
-				newProfile[k].counts[seq[st.sj]]++
-				newProfile[k].total++
-				newRow[k] = st.sj
-			} else {
-				newRow[k] = Gap
-			}
-		}
-		if len(rev) != n { // columns were inserted: remap old rows
-			for ri := range rows {
-				nr := make([]int, len(rev))
-				for k := range nr {
-					nr[k] = Gap
-				}
-				for oldCol, v := range rows[ri] {
-					if v != Gap {
-						nr[remap[oldCol]] = v
-					}
-				}
-				rows[ri] = nr
-			}
-		}
-		profile = newProfile
-		rows = append(rows, newRow)
+		slices.Reverse(merged)
+		profile, merged = merged, profile
 	}
 
-	return Alignment{Cols: len(profile), Rows: rows}
-}
-
-// Identical reports whether all sequences are equal, the common fast path
-// for machine-generated columns (the paper's Example 7: alignment is
-// trivial when every value has the same 29-token sequence).
-func Identical(seqs [][]string) bool {
-	if len(seqs) <= 1 {
-		return true
+	// Lay the rows out: column c of the profile is at pos[c].
+	pos := make([]int, len(total))
+	for p, c := range profile {
+		pos[c] = p
 	}
-	first := seqs[0]
-	for _, s := range seqs[1:] {
-		if len(s) != len(first) {
-			return false
-		}
-		for i := range s {
-			if s[i] != first[i] {
-				return false
-			}
-		}
+	cols := len(profile)
+	cells := make([]int, len(seqs)*cols)
+	for i := range cells {
+		cells[i] = Gap
 	}
-	return true
+	rows := make([][]int, len(seqs))
+	for i := range seqs {
+		row := cells[i*cols : (i+1)*cols : (i+1)*cols]
+		for j := off[i]; j < off[i+1]; j++ {
+			row[pos[col[j]]] = j - off[i]
+		}
+		rows[i] = row
+	}
+	return Alignment{Cols: cols, Rows: rows}
 }

@@ -2,6 +2,8 @@ package msa
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -115,18 +117,6 @@ func TestAlignDifferentLengthsMiddleGap(t *testing.T) {
 	}
 }
 
-func TestIdentical(t *testing.T) {
-	if !Identical([][]string{split("ab"), split("ab")}) {
-		t.Error("equal sequences must be identical")
-	}
-	if Identical([][]string{split("ab"), split("ba")}) {
-		t.Error("different sequences must not be identical")
-	}
-	if !Identical(nil) || !Identical([][]string{split("x")}) {
-		t.Error("degenerate inputs are identical")
-	}
-}
-
 // Property: alignments over random perturbations remain structurally
 // valid and never shorter than the longest sequence.
 func TestAlignValidityProperty(t *testing.T) {
@@ -156,10 +146,46 @@ func TestAlignValidityProperty(t *testing.T) {
 		}
 		a := Align(seqs)
 		checkValid(t, a, seqs)
+		if want := oracleAlign(seqs); !reflect.DeepEqual(a, want) {
+			t.Fatalf("trial %d: Align(%q) = %v, oracle %v", trial, seqs, a, want)
+		}
 		if a.Cols < maxLen {
 			t.Fatalf("trial %d: Cols %d < longest sequence %d", trial, a.Cols, maxLen)
 		}
 	}
+}
+
+// FuzzAlignAgree holds Align to the oracle on '|'-separated sequences of
+// up to 16 symbols drawn from a six-letter alphabet: the same columns,
+// and every row the same.
+func FuzzAlignAgree(f *testing.F) {
+	for _, seed := range []string{
+		"dsdsd|dsdsd|dsdsd", "dsdsd|dsdsdsl", "abc|ac", "", "|ab|", "ab|ba|abab|b",
+		"dsdsdsd_dsd|dsdsd_dsds|dsdsdsd_dsd_l|d",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		parts := strings.Split(data, "|")
+		if len(parts) > 12 {
+			parts = parts[:12]
+		}
+		seqs := make([][]string, len(parts))
+		for i, p := range parts {
+			if len(p) > 16 {
+				p = p[:16]
+			}
+			seqs[i] = make([]string, len(p))
+			for j := 0; j < len(p); j++ {
+				seqs[i][j] = string(rune('a' + p[j]%6))
+			}
+		}
+		got, want := Align(seqs), oracleAlign(seqs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Align(%q) = %v, oracle %v", seqs, got, want)
+		}
+		checkValid(t, got, seqs)
+	})
 }
 
 func BenchmarkAlign100x29(b *testing.B) {

@@ -1,11 +1,12 @@
 package pattern
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 
 	"autovalidate/internal/tokens"
 )
@@ -100,6 +101,12 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 // for the empty value). The vertical-cut search lexes a column once and
 // enumerates each segment from sub-slices of those runs. The result
 // keeps no reference to the three slices, which the caller may reuse.
+//
+// The result is the caller's: its candidates, keys and tokens share no
+// memory with any other call's. The working state behind it — shape
+// groups, per-position counts, options, bitsets and the rendered key — is
+// drawn from a pool and reset on each call, so a search that enumerates
+// many segments allocates little beyond the candidates it is returned.
 func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions) EnumResult {
 	var res EnumResult
 	for _, w := range weights {
@@ -110,55 +117,39 @@ func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions)
 		minCount = 1
 	}
 
-	// Partition values into shape groups, excluding empty ones. The τ
-	// cap applies per tokenization: a value too wide under the fine
-	// lexer may still be narrow once adjacent alphanumeric runs merge
-	// (e.g. random alphanumeric identifiers), so it participates in
-	// the alnum pass only. Values wide under every tokenization are
-	// skipped entirely — the columns vertical cuts compensate for.
-	fineGroups := map[string][]int{}
-	alnumGroups := map[string][]int{}
+	// Shape groups exclude empty values. The τ cap applies per
+	// tokenization: a value too wide under the fine lexer may still be
+	// narrow once adjacent alphanumeric runs merge (e.g. random
+	// alphanumeric identifiers), so it participates in the alnum pass
+	// only. Values wide under every tokenization are skipped entirely —
+	// the columns vertical cuts compensate for.
 	for i, runs := range fine {
-		if len(runs) == 0 {
+		switch {
+		case len(runs) == 0:
 			res.Empty += weights[i]
-			continue
-		}
-		fineOK := opt.MaxTokens <= 0 || len(runs) <= opt.MaxTokens
-		alnumOK := opt.IncludeAlnumPass && (opt.MaxTokens <= 0 || len(merged[i]) <= opt.MaxTokens)
-		if !fineOK && !alnumOK {
+		case !fits(opt, runs) && !(opt.IncludeAlnumPass && fits(opt, merged[i])):
 			res.Wide += weights[i]
-			continue
-		}
-		if fineOK {
-			key := tokens.ClassShape(runs)
-			fineGroups[key] = append(fineGroups[key], i)
-		}
-		if alnumOK {
-			key := "a:" + tokens.ClassShape(merged[i])
-			alnumGroups[key] = append(alnumGroups[key], i)
 		}
 	}
 
-	em := &emitter{
-		opt:      opt,
-		weights:  weights,
-		minCount: minCount,
-		byKey:    map[string]int{},
-		words:    (len(weights) + 63) / 64,
-	}
+	em := emitters.Get().(*emitter)
+	em.reset(opt, weights, minCount)
 	// The alnum pass runs first: it is cheap and yields the most
 	// general candidates, so if MaxPatterns caps the enumeration the
 	// safest (most general) patterns are the ones retained.
-	for _, key := range keysByWeight(alnumGroups, weights) {
-		em.enumerateGroup(alnumGroups[key], merged, true)
+	if opt.IncludeAlnumPass {
+		em.enumeratePass(merged, true)
 	}
-	for _, key := range keysByWeight(fineGroups, weights) {
-		em.enumerateGroup(fineGroups[key], fine, false)
-	}
-
+	em.enumeratePass(fine, false)
 	res.Candidates = em.finish()
 	res.Capped = em.capped
+	em.release()
 	return res
+}
+
+// fits reports whether runs are within the τ cap.
+func fits(opt EnumOptions, runs []tokens.Run) bool {
+	return opt.MaxTokens <= 0 || len(runs) <= opt.MaxTokens
 }
 
 // HypothesisSpace returns H(C) = ∩_v P(v) \ ".*" for a homogeneous query
@@ -189,24 +180,29 @@ func Dedupe(values []string, maxValues int) (uniq []string, weights []int) {
 	return uniq, weights
 }
 
-// keysByWeight orders shape-group keys by descending total member weight
-// (largest groups first), so pattern caps favour well-supported shapes.
-func keysByWeight(m map[string][]int, weights []int) []string {
-	keys := make([]string, 0, len(m))
-	wt := make(map[string]int, len(m))
-	for k, members := range m {
-		keys = append(keys, k)
-		for _, i := range members {
-			wt[k] += weights[i]
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if wt[keys[i]] != wt[keys[j]] {
-			return wt[keys[i]] > wt[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
+// emitters pools the enumerator's working state across calls.
+var emitters = sync.Pool{New: func() any {
+	return &emitter{groupOf: map[string]int{}, byKey: map[string]int{}}
+}}
+
+// The pooled maps are emptied for reuse by deleting the keys the last
+// call put there: clear would cost time in proportion to a map's
+// capacity, which never shrinks, on every call however few keys it
+// made. A pass with more shapes than maxRetainedShapes drops the shape
+// map, and a call with more candidates than maxRetainedKeys — more than
+// the default MaxPatterns allows — drops its candidate scratch, so a
+// pooled emitter stays bounded.
+const (
+	maxRetainedShapes = 64
+	maxRetainedKeys   = 1 << 16
+)
+
+// shapeGroup is the values of one class shape in one pass: members
+// [lo, lo+n) of emitter.members, weighing weight in all.
+type shapeGroup struct {
+	key    string
+	lo, n  int
+	weight int
 }
 
 // option is one generalization choice at an aligned position together
@@ -214,35 +210,170 @@ func keysByWeight(m map[string][]int, weights []int) []string {
 type option struct {
 	tok  Tok
 	bs   bitset
-	text string
+	text []byte
 }
 
-// emitter accumulates deduplicated candidates across shape groups.
+// weighed is a key at one position — a run's text or its length — with
+// the total weight of the members whose run has it.
+type weighed[K comparable] struct {
+	key K
+	w   int
+}
+
+// emitter is one enumeration's working state. Everything in it is
+// scratch reused by the next call, except what finish copies out.
 type emitter struct {
 	opt      EnumOptions
 	weights  []int
 	minCount int
 	words    int
+	capped   bool
 
-	byKey  map[string]int
-	cands  []Candidate
-	bsets  []bitset
-	capped bool
+	// Shape groups of the current pass: shape is the key being built,
+	// gid[i] is value i's group (or -1), and members lists every
+	// group's members, group after group.
+	shape   []byte
+	groupOf map[string]int
+	groups  []shapeGroup
+	gid     []int
+	members []int
+
+	// Per-position counts and the options of the current group: opts
+	// holds every position's options in position order, ends[pos] the
+	// end of position pos's. Option texts are carved from text, option
+	// and prefix bitsets from bits.
+	texts []weighed[string]
+	lens  []weighed[int]
+	opts  []option
+	ends  []int
+	text  []byte
+	bits  []uint64
+	acc   []bitset
+	toks  []Tok
 
 	// key is the canonical key of the tokens dfs has chosen so far,
 	// grown and cut back as it descends and returns.
 	key []byte
+
+	// Candidates found so far: candidate i has key keys[i], tokens
+	// tokBuf[tokEnd[i-1]:tokEnd[i]] and matches the values in
+	// cbits[i*words:(i+1)*words].
+	byKey  map[string]int
+	keys   []string
+	tokBuf []Tok
+	tokEnd []int
+	cbits  []uint64
+}
+
+func (em *emitter) reset(opt EnumOptions, weights []int, minCount int) {
+	em.opt, em.weights, em.minCount = opt, weights, minCount
+	em.words = (len(weights) + 63) / 64
+	em.capped = false
+	em.keys, em.tokBuf, em.tokEnd, em.cbits = em.keys[:0], em.tokBuf[:0], em.tokEnd[:0], em.cbits[:0]
+}
+
+// release returns em to the pool without the caller's weights or the
+// candidate keys, which belong to the result.
+func (em *emitter) release() {
+	em.weights = nil
+	if len(em.keys) > maxRetainedKeys {
+		em.byKey, em.keys, em.tokBuf, em.tokEnd, em.cbits = map[string]int{}, nil, nil, nil, nil
+	} else {
+		for _, key := range em.keys {
+			delete(em.byKey, key)
+		}
+		clear(em.keys)
+	}
+	emitters.Put(em)
 }
 
 func (em *emitter) full() bool {
-	return em.opt.MaxPatterns > 0 && len(em.cands) >= em.opt.MaxPatterns
+	return em.opt.MaxPatterns > 0 && len(em.keys) >= em.opt.MaxPatterns
+}
+
+// newBits carves a zeroed bitset from em.bits.
+func (em *emitter) newBits() bitset {
+	n := len(em.bits)
+	em.bits = append(em.bits, make([]uint64, em.words)...)
+	return em.bits[n:len(em.bits):len(em.bits)]
+}
+
+// enumeratePass groups the values whose runsOf are non-empty and within
+// τ by class shape and enumerates each group, heaviest first (ties by
+// shape), so pattern caps favour well-supported shapes.
+func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
+	if len(em.groupOf) > maxRetainedShapes {
+		em.groupOf = map[string]int{}
+	} else {
+		for _, g := range em.groups {
+			delete(em.groupOf, g.key)
+		}
+	}
+	em.groups, em.gid = em.groups[:0], em.gid[:0]
+	for i, runs := range runsOf {
+		if len(runs) == 0 || !fits(em.opt, runs) {
+			em.gid = append(em.gid, -1)
+			continue
+		}
+		em.shape = appendClassShape(em.shape[:0], runs)
+		g, ok := em.groupOf[string(em.shape)]
+		if !ok {
+			g = len(em.groups)
+			key := string(em.shape)
+			em.groupOf[key] = g
+			em.groups = append(em.groups, shapeGroup{key: key})
+		}
+		em.groups[g].n++
+		em.groups[g].weight += em.weights[i]
+		em.gid = append(em.gid, g)
+	}
+	lo := 0
+	for g := range em.groups {
+		em.groups[g].lo, lo = lo, lo+em.groups[g].n
+		em.groups[g].n = 0
+	}
+	em.members = slices.Grow(em.members[:0], lo)[:lo]
+	for i, g := range em.gid {
+		if g >= 0 {
+			em.members[em.groups[g].lo+em.groups[g].n] = i
+			em.groups[g].n++
+		}
+	}
+	slices.SortFunc(em.groups, func(a, b shapeGroup) int {
+		if a.weight != b.weight {
+			return b.weight - a.weight
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	for _, g := range em.groups {
+		em.enumerateGroup(em.members[g.lo:g.lo+g.n], g.weight, runsOf, alnumPass)
+	}
+}
+
+// appendClassShape appends the bytes of tokens.ClassShape(runs) to b.
+func appendClassShape(b []byte, runs []tokens.Run) []byte {
+	for _, r := range runs {
+		switch r.Class {
+		case tokens.ClassDigit:
+			b = append(b, 'd')
+		case tokens.ClassLetter:
+			b = append(b, 'l')
+		case tokens.ClassAlnum:
+			b = append(b, 'a')
+		case tokens.ClassSpace:
+			b = append(b, '_')
+		default:
+			b = append(b, 's')
+		}
+	}
+	return b
 }
 
 // emit records the pattern toks, whose canonical key dfs has assembled
 // in em.key, as matching the values in bs.
 func (em *emitter) emit(toks []Tok, bs bitset) {
 	if i, ok := em.byKey[string(em.key)]; ok {
-		em.bsets[i].or(bs)
+		bitset(em.cbits[i*em.words : (i+1)*em.words]).or(bs)
 		return
 	}
 	if (Pattern{Toks: toks}).IsTrivial() {
@@ -253,34 +384,44 @@ func (em *emitter) emit(toks []Tok, bs bitset) {
 		return
 	}
 	key := string(em.key)
-	em.byKey[key] = len(em.cands)
-	em.cands = append(em.cands, Candidate{Pattern: Pattern{Toks: slices.Clone(toks)}, Key: key})
-	em.bsets = append(em.bsets, slices.Clone(bs))
+	em.byKey[key] = len(em.keys)
+	em.keys = append(em.keys, key)
+	em.tokBuf = append(em.tokBuf, toks...)
+	em.tokEnd = append(em.tokEnd, len(em.tokBuf))
+	em.cbits = append(em.cbits, bs...)
 }
 
+// finish copies the candidates out of the scratch, every candidate's
+// tokens carved from one new block, and orders them by descending
+// support, then key.
 func (em *emitter) finish() []Candidate {
-	for i := range em.cands {
-		em.cands[i].Matched = em.bsets[i].weightedCount(em.weights)
+	if len(em.keys) == 0 {
+		return nil
 	}
-	slices.SortFunc(em.cands, func(a, b Candidate) int {
+	block := slices.Clone(em.tokBuf)
+	out := make([]Candidate, len(em.keys))
+	lo := 0
+	for i, key := range em.keys {
+		hi := em.tokEnd[i]
+		out[i] = Candidate{
+			Pattern: Pattern{Toks: block[lo:hi:hi]},
+			Key:     key,
+			Matched: bitset(em.cbits[i*em.words : (i+1)*em.words]).weightedCount(em.weights),
+		}
+		lo = hi
+	}
+	slices.SortFunc(out, func(a, b Candidate) int {
 		if a.Matched != b.Matched {
 			return b.Matched - a.Matched
 		}
 		return strings.Compare(a.Key, b.Key)
 	})
-	return em.cands
+	return out
 }
 
 // enumerateGroup explores the cross-product of per-position options for
 // one shape group, pruning on weighted support.
-func (em *emitter) enumerateGroup(members []int, runsOf [][]tokens.Run, alnumPass bool) {
-	if len(members) == 0 {
-		return
-	}
-	groupWeight := 0
-	for _, i := range members {
-		groupWeight += em.weights[i]
-	}
+func (em *emitter) enumerateGroup(members []int, groupWeight int, runsOf [][]tokens.Run, alnumPass bool) {
 	if groupWeight < em.minCount {
 		return // the whole group cannot reach the support threshold
 	}
@@ -289,118 +430,166 @@ func (em *emitter) enumerateGroup(members []int, runsOf [][]tokens.Run, alnumPas
 		return
 	}
 	npos := len(runsOf[members[0]])
-	if npos == 0 {
-		return
-	}
-	opts := make([][]option, npos)
+	em.opts, em.ends, em.text, em.bits = em.opts[:0], em.ends[:0], em.text[:0], em.bits[:0]
 	for pos := 0; pos < npos; pos++ {
-		opts[pos] = em.positionOptions(members, runsOf, pos, groupWeight, alnumPass)
-		if len(opts[pos]) == 0 {
+		before := len(em.opts)
+		em.positionOptions(members, runsOf, pos, groupWeight, alnumPass)
+		if len(em.opts) == before {
 			return
 		}
+		em.ends = append(em.ends, len(em.opts))
 	}
 
-	groupBS := newBitset(em.words)
+	em.acc = append(em.acc[:0], em.newBits())
 	for _, i := range members {
-		groupBS.set(i)
+		em.acc[0].set(i)
 	}
-	acc := make([]bitset, npos+1)
-	acc[0] = groupBS
 	for i := 1; i <= npos; i++ {
-		acc[i] = newBitset(em.words)
+		em.acc = append(em.acc, em.newBits())
 	}
-	toks := make([]Tok, npos)
+	em.toks = slices.Grow(em.toks[:0], npos)[:npos]
 	em.key = em.key[:0]
-	em.dfs(0, npos, opts, acc, toks)
+	em.dfs(0, npos)
 }
 
-func (em *emitter) dfs(pos, npos int, opts [][]option, acc []bitset, toks []Tok) {
+func (em *emitter) dfs(pos, npos int) {
 	if em.full() {
 		em.capped = true
 		return
 	}
 	if pos == npos {
-		em.emit(toks, acc[pos])
+		em.emit(em.toks, em.acc[pos])
 		return
 	}
 	keyLen := len(em.key)
-	for _, o := range opts[pos] {
-		acc[pos+1].andInto(acc[pos], o.bs)
-		if acc[pos+1].weightedCount(em.weights) < em.minCount {
+	lo := 0
+	if pos > 0 {
+		lo = em.ends[pos-1]
+	}
+	for _, o := range em.opts[lo:em.ends[pos]] {
+		em.acc[pos+1].andInto(em.acc[pos], o.bs)
+		if em.acc[pos+1].weightedCount(em.weights) < em.minCount {
 			continue
 		}
-		toks[pos] = o.tok
+		em.toks[pos] = o.tok
 		em.key = append(em.key[:keyLen], o.text...)
-		em.dfs(pos+1, npos, opts, acc, toks)
+		em.dfs(pos+1, npos)
 	}
 }
 
-// positionOptions computes the generalization choices at one aligned
-// position: constants (support-gated), fixed widths, the unbounded class,
-// and <num> for digit runs — the drill-down step of Algorithm 1.
-func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, groupWeight int, alnumPass bool) []option {
-	class := runsOf[members[0]][pos].Class
-	textW := map[string]int{}
-	lenW := map[int]int{}
-	for _, i := range members {
-		r := runsOf[i][pos]
-		textW[r.Text] += em.weights[i]
-		lenW[len(r.Text)] += em.weights[i]
-	}
+// addOption appends the option t to em.opts and returns its bitset, empty
+// for the caller to fill.
+func (em *emitter) addOption(t Tok) bitset {
+	lo := len(em.text)
+	em.text = t.appendTo(em.text)
+	bs := em.newBits()
+	em.opts = append(em.opts, option{tok: t, bs: bs, text: em.text[lo:len(em.text):len(em.text)]})
+	return bs
+}
 
-	var out []option
-	add := func(t Tok, pred func(text string) bool) {
-		bs := newBitset(em.words)
+// addAll adds the option t, matching every member.
+func (em *emitter) addAll(t Tok, members []int) {
+	bs := em.addOption(t)
+	for _, i := range members {
+		bs.set(i)
+	}
+}
+
+// tally returns dst holding, in key order, the keys of the members that
+// weigh at least min in all, and reports whether the members' keys
+// differ. When min is over half of groupWeight only a majority key can
+// qualify, and one weighted vote finds it; otherwise the keys are sorted
+// and equal runs merged. No map is built or cleared per position.
+func tally[K comparable](dst []weighed[K], members, weights []int, keyOf func(i int) K, compare func(a, b K) int, min, groupWeight int) ([]weighed[K], bool) {
+	dst = dst[:0]
+	if 2*min > groupWeight {
+		var cand K // Boyer-Moore majority vote, weighted
+		bal := 0
 		for _, i := range members {
-			if pred(runsOf[i][pos].Text) {
-				bs.set(i)
+			k, w := keyOf(i), weights[i]
+			switch {
+			case k == cand:
+				bal += w
+			case bal >= w:
+				bal -= w
+			default:
+				cand, bal = k, w-bal
 			}
 		}
-		out = append(out, option{tok: t, bs: bs, text: t.String()})
+		w := 0
+		for _, i := range members {
+			if keyOf(i) == cand {
+				w += weights[i]
+			}
+		}
+		if w >= min {
+			dst = append(dst, weighed[K]{cand, w})
+		}
+		return dst, w < groupWeight
 	}
+	for _, i := range members {
+		dst = append(dst, weighed[K]{keyOf(i), weights[i]})
+	}
+	slices.SortFunc(dst, func(a, b weighed[K]) int { return compare(a.key, b.key) })
+	d, mixed := -1, false
+	for _, e := range dst {
+		if d >= 0 && dst[d].key == e.key {
+			dst[d].w += e.w
+			continue
+		}
+		mixed = d >= 0
+		if d < 0 || dst[d].w >= min {
+			d++
+		}
+		dst[d] = e
+	}
+	if dst[d].w < min {
+		d--
+	}
+	return dst[:d+1], mixed
+}
+
+// heaviest orders keys by descending weight, then key, and keeps the
+// first max of them (all when max ≤ 0).
+func heaviest[K comparable](keys []weighed[K], compare func(a, b K) int, max int) []weighed[K] {
+	slices.SortFunc(keys, func(a, b weighed[K]) int {
+		if a.w != b.w {
+			return b.w - a.w
+		}
+		return compare(a.key, b.key)
+	})
+	if max > 0 && len(keys) > max {
+		keys = keys[:max]
+	}
+	return keys
+}
+
+// positionOptions appends to em.opts the generalization choices at one
+// aligned position: constants (support-gated), fixed widths, the
+// unbounded class, and <num> for digit runs — the drill-down step of
+// Algorithm 1.
+func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, groupWeight int, alnumPass bool) {
+	class := runsOf[members[0]][pos].Class
 
 	// Constants, most frequent first, gated by MinConstSupport.
-	minConst := int(math.Ceil(em.opt.MinConstSupport * float64(groupWeight)))
-	if minConst < 1 {
-		minConst = 1
-	}
-	consts := make([]string, 0, len(textW))
-	for t, w := range textW {
-		if w >= minConst && w >= em.minCount {
-			consts = append(consts, t)
-		}
-	}
-	sort.Slice(consts, func(i, j int) bool {
-		if textW[consts[i]] != textW[consts[j]] {
-			return textW[consts[i]] > textW[consts[j]]
-		}
-		return consts[i] < consts[j]
-	})
-	if em.opt.MaxConstsPerPos > 0 && len(consts) > em.opt.MaxConstsPerPos {
-		consts = consts[:em.opt.MaxConstsPerPos]
+	var consts []weighed[string]
+	var mixed bool
+	if class == tokens.ClassSymbol || class == tokens.ClassSpace ||
+		(!alnumPass && (class == tokens.ClassDigit || class == tokens.ClassLetter)) {
+		minConst := int(math.Ceil(em.opt.MinConstSupport * float64(groupWeight)))
+		em.texts, mixed = tally(em.texts, members, em.weights, func(i int) string { return runsOf[i][pos].Text },
+			strings.Compare, max(minConst, 1, em.minCount), groupWeight)
+		consts = heaviest(em.texts, strings.Compare, em.opt.MaxConstsPerPos)
 	}
 	addConsts := func() {
 		for _, c := range consts {
-			c := c
-			add(Lit(c), func(text string) bool { return text == c })
+			bs := em.addOption(Lit(c.key))
+			for _, i := range members {
+				if runsOf[i][pos].Text == c.key {
+					bs.set(i)
+				}
+			}
 		}
-	}
-
-	// Fixed widths <class>{k}, most frequent lengths first.
-	lens := make([]int, 0, len(lenW))
-	for l, w := range lenW {
-		if w >= em.minCount {
-			lens = append(lens, l)
-		}
-	}
-	sort.Slice(lens, func(i, j int) bool {
-		if lenW[lens[i]] != lenW[lens[j]] {
-			return lenW[lens[i]] > lenW[lens[j]]
-		}
-		return lens[i] < lens[j]
-	})
-	if em.opt.MaxLengthsPerPos > 0 && len(lens) > em.opt.MaxLengthsPerPos {
-		lens = lens[:em.opt.MaxLengthsPerPos]
 	}
 
 	// Options are ordered most-general-first so that when MaxPatterns
@@ -408,49 +597,49 @@ func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, gr
 	// the ones already emitted.
 	switch class {
 	case tokens.ClassDigit:
-		add(Num(), func(string) bool { return true })
-		add(ClassPlus(tokens.ClassDigit), func(string) bool { return true })
-		for _, l := range lens {
-			l := l
-			add(ClassN(tokens.ClassDigit, l), func(text string) bool { return len(text) == l })
-		}
-		if !alnumPass {
-			addConsts()
-		}
+		em.addAll(Num(), members)
+		em.addAll(ClassPlus(class), members)
+		em.addWidths(class, members, runsOf, pos, groupWeight)
+		addConsts()
 	case tokens.ClassLetter:
-		add(ClassPlus(tokens.ClassLetter), func(string) bool { return true })
-		for _, l := range lens {
-			l := l
-			add(ClassN(tokens.ClassLetter, l), func(text string) bool { return len(text) == l })
-		}
-		if !alnumPass {
-			addConsts()
-		}
+		em.addAll(ClassPlus(class), members)
+		em.addWidths(class, members, runsOf, pos, groupWeight)
+		addConsts()
 	case tokens.ClassAlnum:
-		add(ClassPlus(tokens.ClassAlnum), func(string) bool { return true })
-		for _, l := range lens {
-			l := l
-			add(ClassN(tokens.ClassAlnum, l), func(text string) bool { return len(text) == l })
-		}
+		em.addAll(ClassPlus(class), members)
+		em.addWidths(class, members, runsOf, pos, groupWeight)
 	case tokens.ClassSymbol:
 		// Symbol runs are single characters; offer the class token when
 		// identities differ, and constants always (both passes keep
 		// punctuation identity).
-		if len(textW) > 1 {
-			add(ClassN(tokens.ClassSymbol, 1), func(string) bool { return true })
+		if mixed {
+			em.addAll(ClassN(class, 1), members)
 		}
 		addConsts()
 	case tokens.ClassSpace:
-		add(ClassPlus(tokens.ClassSpace), func(string) bool { return true })
+		em.addAll(ClassPlus(class), members)
 		addConsts()
 	}
-	return out
+}
+
+// addWidths adds the fixed widths <class>{k} at position pos that reach
+// the support threshold, most frequent lengths first.
+func (em *emitter) addWidths(class tokens.Class, members []int, runsOf [][]tokens.Run, pos, groupWeight int) {
+	em.lens, _ = tally(em.lens, members, em.weights, func(i int) int { return len(runsOf[i][pos].Text) },
+		cmp.Compare[int], em.minCount, groupWeight)
+	lens := heaviest(em.lens, cmp.Compare[int], em.opt.MaxLengthsPerPos)
+	for _, l := range lens {
+		bs := em.addOption(ClassN(class, l.key))
+		for _, i := range members {
+			if len(runsOf[i][pos].Text) == l.key {
+				bs.set(i)
+			}
+		}
+	}
 }
 
 // bitset is a fixed-width bit vector over value indexes.
 type bitset []uint64
-
-func newBitset(words int) bitset { return make(bitset, words) }
 
 func (b bitset) set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"autovalidate/internal/tokens"
@@ -300,6 +301,80 @@ func TestHypothesisSpaceIntersectionProperty(t *testing.T) {
 	}
 }
 
+// deepCopy copies res down to its candidates' tokens.
+func deepCopy(res EnumResult) EnumResult {
+	out := res
+	out.Candidates = make([]Candidate, len(res.Candidates))
+	for i, c := range res.Candidates {
+		c.Pattern.Toks = append([]Tok(nil), c.Pattern.Toks...)
+		out.Candidates[i] = c
+	}
+	return out
+}
+
+// Enumerate's result is the caller's: later calls over other shapes, one
+// of them capped by MaxPatterns, leave an earlier result as it was, and
+// eight goroutines enumerating at once (run under -race) each get the
+// sequential results.
+func TestEnumerateResultsAreCallerOwned(t *testing.T) {
+	leaf := DefaultEnumOptions()
+	leaf.MinSupport, leaf.MaxTokens = 1, 8
+	capped := DefaultEnumOptions()
+	capped.MaxPatterns = 6
+	columns := []struct {
+		values []string
+		opt    EnumOptions
+	}{
+		{[]string{"03/14/2019", "11/02/2020", "07/30/2018", "03/14/2019"}, leaf},
+		{[]string{"ab-12", "cd-345", "ef-6", "Gh-78"}, DefaultEnumOptions()},
+		{[]string{"Mar 01 2019", "Apr 12 2020", "x9 y8", "2019-01-02 10:11"}, capped},
+	}
+	a := Enumerate(columns[0].values, columns[0].opt)
+	want := []EnumResult{deepCopy(a)}
+	for _, col := range columns[1:] {
+		want = append(want, deepCopy(Enumerate(col.values, col.opt)))
+	}
+	if !want[2].Capped {
+		t.Fatalf("the third column does not reach MaxPatterns = %d", capped.MaxPatterns)
+	}
+	if !reflect.DeepEqual(a, want[0]) {
+		t.Fatalf("a later enumeration changed an earlier result:\n got %v\nwant %v", a.Candidates, want[0].Candidates)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i, col := range columns {
+					if got := Enumerate(col.values, col.opt); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("column %d enumerated concurrently: got %v, want %v", i, got.Candidates, want[i].Candidates)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// The shape key the enumerator groups by is tokens.ClassShape's.
+func TestAppendClassShapeIsClassShape(t *testing.T) {
+	for _, v := range []string{"", "a", "ab12-CD 9.x", "  <x>", "número1-ß\xff"} {
+		runs := tokens.Lex(v)
+		if got, want := string(appendClassShape([]byte("x"), runs)), "x"+tokens.ClassShape(runs); got != want {
+			t.Errorf("appendClassShape(%q) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// BenchmarkEnumerateTimestampColumn enumerates a 100-value timestamp
+// column two ways: "index" is Enumerate at the default options (τ = 13,
+// 5 % support, the union semantics of P(D)); "leaf" is what the
+// vertical-cut DP hands the enumerator for one segment — the values'
+// first eight runs, already de-duplicated and lexed, at full support and
+// τ = 8.
 func BenchmarkEnumerateTimestampColumn(b *testing.B) {
 	col := make([]string, 100)
 	rng := rand.New(rand.NewSource(1))
@@ -308,10 +383,27 @@ func BenchmarkEnumerateTimestampColumn(b *testing.B) {
 			1+rng.Intn(12), 1+rng.Intn(28), 2015+rng.Intn(6),
 			rng.Intn(24), rng.Intn(60), rng.Intn(60))
 	}
-	opt := DefaultEnumOptions()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Enumerate(col, opt)
-	}
+	b.Run("index", func(b *testing.B) {
+		opt := DefaultEnumOptions()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Enumerate(col, opt)
+		}
+	})
+	b.Run("leaf", func(b *testing.B) {
+		opt := DefaultEnumOptions()
+		opt.MinSupport, opt.MaxTokens = 1, 8
+		uniq, weights := Dedupe(col, opt.MaxValues)
+		fine := make([][]tokens.Run, len(uniq))
+		merged := make([][]tokens.Run, len(uniq))
+		for i, v := range uniq {
+			fine[i] = tokens.Lex(v)[:8]
+			merged[i] = tokens.MergeAlnum(nil, v, fine[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			EnumerateLexed(weights, fine, merged, opt)
+		}
+	})
 }

@@ -60,71 +60,68 @@ func ClassRange(c tokens.Class, min, max int) Tok {
 func Num() Tok { return Tok{Kind: KindNum} }
 
 // String renders a token in the paper's notation. Literal text escapes
-// '<' and '\' so that rendered patterns are unambiguous canonical keys.
+// '<', '(', ')' and '\' so that rendered patterns are unambiguous
+// canonical keys.
 func (t Tok) String() string {
-	var sb strings.Builder
-	t.appendTo(&sb)
-	return sb.String()
+	var buf [32]byte
+	return string(t.appendTo(buf[:0]))
 }
 
-// appendTo renders the token into sb without intermediate allocations;
-// it is the hot path of pattern-key construction during enumeration.
-func (t Tok) appendTo(sb *strings.Builder) {
+// appendTo appends the token's rendering to b. It is the one token
+// renderer: String, Pattern.String and the keys enumeration assembles
+// all go through it.
+func (t Tok) appendTo(b []byte) []byte {
 	switch t.Kind {
 	case KindLiteral:
 		if t.Opt {
-			sb.WriteByte('(')
-			sb.WriteString(escapeLit(t.Lit))
-			sb.WriteString(")?")
-			return
+			b = append(b, '(')
+			b = appendEscaped(b, t.Lit)
+			return append(b, ")?"...)
 		}
-		sb.WriteString(escapeLit(t.Lit))
+		return appendEscaped(b, t.Lit)
 	case KindNum:
 		if t.Opt {
-			sb.WriteString("<num>?")
-			return
+			return append(b, "<num>?"...)
 		}
-		sb.WriteString("<num>")
+		return append(b, "<num>"...)
+	}
+	b = append(b, t.Class.String()...)
+	switch {
+	case t.Max == Unbounded && t.Min <= 1:
+		return append(b, '+')
+	case t.Max == Unbounded:
+		b = append(b, '{')
+		b = strconv.AppendInt(b, int64(t.Min), 10)
+		return append(b, ",+}"...)
+	case t.Min == t.Max:
+		b = append(b, '{')
+		b = strconv.AppendInt(b, int64(t.Min), 10)
+		return append(b, '}')
 	default:
-		sb.WriteString(t.Class.String())
-		switch {
-		case t.Max == Unbounded && t.Min <= 1:
-			sb.WriteByte('+')
-		case t.Max == Unbounded:
-			sb.WriteByte('{')
-			sb.WriteString(strconv.Itoa(t.Min))
-			sb.WriteString(",+}")
-		case t.Min == t.Max:
-			sb.WriteByte('{')
-			sb.WriteString(strconv.Itoa(t.Min))
-			sb.WriteByte('}')
-		default:
-			sb.WriteByte('{')
-			sb.WriteString(strconv.Itoa(t.Min))
-			sb.WriteByte(',')
-			sb.WriteString(strconv.Itoa(t.Max))
-			sb.WriteByte('}')
-		}
+		b = append(b, '{')
+		b = strconv.AppendInt(b, int64(t.Min), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(t.Max), 10)
+		return append(b, '}')
 	}
 }
 
-// escapeLit escapes the metacharacters of the pattern notation — '<'
-// (class tokens), '(' and ')' (optional groups), and '\' itself — so a
-// rendered pattern is an unambiguous canonical key and can be parsed
-// back by Parse.
-func escapeLit(s string) string {
+// appendEscaped appends s to b with the metacharacters of the pattern
+// notation — '<' (class tokens), '(' and ')' (optional groups), and '\'
+// itself — escaped, so a rendered pattern is an unambiguous canonical key
+// and can be parsed back by Parse.
+func appendEscaped(b []byte, s string) []byte {
 	if !strings.ContainsAny(s, `<\()`) {
-		return s
+		return append(b, s...)
 	}
-	var sb strings.Builder
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '<', '\\', '(', ')':
-			sb.WriteByte('\\')
+			b = append(b, '\\')
 		}
-		sb.WriteByte(s[i])
+		b = append(b, s[i])
 	}
-	return sb.String()
+	return b
 }
 
 // Pattern is a sequence of tokens matched against a whole value
@@ -139,11 +136,12 @@ func New(toks ...Tok) Pattern { return Pattern{Toks: toks} }
 // String renders the pattern in the paper's notation, which doubles as
 // its canonical key in the offline index.
 func (p Pattern) String() string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, t := range p.Toks {
-		t.appendTo(&sb)
+		b = t.appendTo(b)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Key returns the canonical index key of the pattern.
