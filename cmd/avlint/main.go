@@ -1,8 +1,8 @@
-// Command avlint runs the project's custom static-analysis suite: six
+// Command avlint runs the project's custom static-analysis suite: five
 // analyzers that enforce the correctness invariants the validation
-// cluster's design rests on (copy-on-write swap discipline, error-not-
-// panic decode paths, %w error chains, checked write-path closes,
-// bounded request bodies, and structured serving-path logging). See
+// cluster's design rests on (error-not-panic decode paths, %w error
+// chains, checked write-path closes, bounded request bodies, and
+// structured serving-path logging). See
 // internal/lint/checkers for the suite
 // and README.md "Static analysis" for the invariant each one guards.
 //

@@ -90,7 +90,6 @@ func main() {
 	theta := flag.Float64("theta", 0.1, "default non-conforming tolerance θ")
 	alpha := flag.Float64("alpha", 0.01, "default drift-test significance level")
 	strategy := flag.String("strategy", "FMDV-VH", "default FMDV variant (FMDV, FMDV-V, FMDV-H, FMDV-VH)")
-	shards := flag.Int("shards", 0, "reshard the loaded index (0 keeps the persisted shard count)")
 	readonly := flag.Bool("readonly", false, "disable the mutating endpoints (/ingest, stream registration)")
 	regPath := flag.String("registry", "", "stream-rule registry file (loaded at startup, persisted on mutation; empty = in-memory only)")
 	journalDir := flag.String("journal", "", "audit-journal directory for drift forensics (/events, restart rehydration; empty = off)")
@@ -178,9 +177,6 @@ func main() {
 		idx, err := autovalidate.LoadIndex(*idxPath)
 		if err != nil {
 			fatal(err)
-		}
-		if *shards > 0 {
-			idx.Reshard(*shards)
 		}
 		logger.Info("index loaded", "index", idx.String(), "took", time.Since(start).Round(time.Millisecond).String())
 		opt.Tau = idx.Enum.MaxTokens

@@ -71,7 +71,9 @@ func FuzzLoadIndex(f *testing.F) {
 			// calls must not panic either.
 			_ = idx.Size()
 			_, _ = idx.Lookup("<digit>+")
-			idx.Reshard(3)
+			into := New(3)
+			into.Enum = idx.Enum
+			_, _ = Merge(into, idx)
 		}
 		if d, err := LoadDelta(path); err == nil {
 			_ = d.Evidence.Size()

@@ -129,27 +129,6 @@ func (idx *Index) All() iter.Seq2[string, Entry] {
 	}
 }
 
-// Reshard redistributes the entries across nshards shards (clamped to at
-// least 1). Used when a persisted index was written with a different
-// shard count than the serving configuration wants.
-func (idx *Index) Reshard(nshards int) {
-	if nshards < 1 {
-		nshards = 1
-	}
-	if nshards == len(idx.shards) {
-		return
-	}
-	shards := make([]map[string]Entry, nshards)
-	per := idx.Size()/nshards + 1
-	for s := range shards {
-		shards[s] = make(map[string]Entry, per)
-	}
-	for k, e := range idx.All() {
-		shards[shardOf(k, nshards)][k] = e
-	}
-	idx.shards = shards
-}
-
 // BuildOptions configure an offline build.
 type BuildOptions struct {
 	// Enum are the enumeration options; MinSupport here is the

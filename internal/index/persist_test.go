@@ -108,9 +108,10 @@ func TestDeltaFileConfusion(t *testing.T) {
 }
 
 // TestV2RoundTripAcrossShardCounts saves with one shard count and loads
-// into whatever the file says, then reshards to a different count —
-// evidence and lookups must be identical throughout, including the
-// single-shard (flat) and larger-than-corpus extremes.
+// into whatever the file says, then merges into an empty index of a
+// different count (the rehash ApplyDelta and Merge do for a mismatched
+// layout) — evidence and lookups must be identical throughout,
+// including the single-shard (flat) and larger-than-corpus extremes.
 func TestV2RoundTripAcrossShardCounts(t *testing.T) {
 	dir := t.TempDir()
 	for _, saveShards := range []int{1, 3, 8, 64} {
@@ -127,14 +128,17 @@ func TestV2RoundTripAcrossShardCounts(t *testing.T) {
 			t.Errorf("loaded %d shards, file written with %d", got.NumShards(), saveShards)
 		}
 		sameEntries(t, idx, got)
-		// A serving layer may want a different shard count than the
-		// writer used.
 		for _, reshards := range []int{1, 5, 32} {
-			got.Reshard(reshards)
-			if got.NumShards() != reshards {
-				t.Fatalf("Reshard(%d) left %d shards", reshards, got.NumShards())
+			into := New(reshards)
+			into.Enum = got.Enum
+			re, err := Merge(into, got)
+			if err != nil {
+				t.Fatal(err)
 			}
-			sameEntries(t, idx, got)
+			if re.NumShards() != reshards {
+				t.Fatalf("merge into %d shards left %d", reshards, re.NumShards())
+			}
+			sameEntries(t, idx, re)
 		}
 	}
 }

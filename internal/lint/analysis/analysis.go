@@ -2,7 +2,7 @@
 // the golang.org/x/tools/go/analysis vocabulary — Analyzer, Pass,
 // Diagnostic — sized for avlint's project-specific checkers. The
 // toolchain image this repo builds in has no module proxy access, so
-// the x/tools framework itself cannot be vendored; the six avlint
+// the x/tools framework itself cannot be vendored; the five avlint
 // analyzers only need the small, stable core of its API, which this
 // package provides on top of the standard library's go/ast and
 // go/types.

@@ -1,10 +1,7 @@
-// Package checkers holds avlint's six project-specific analyzers.
+// Package checkers holds avlint's five project-specific analyzers.
 // Each one mechanizes a correctness invariant the cluster's design
 // depends on but that nothing else enforces:
 //
-//   - swapdiscipline: copy-on-write atomic.Pointer swaps happen inside
-//     the owning mutex and invalidate the rule cache in the same
-//     critical section.
 //   - nopanic: decode/parse/load/replication entry points return
 //     errors on corrupt input; they never panic or log.Fatal.
 //   - errwrapctx: errors crossing package boundaries wrap with %w, and
@@ -22,6 +19,7 @@ package checkers
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"autovalidate/internal/lint/analysis"
 )
@@ -29,7 +27,6 @@ import (
 // All returns the avlint suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		SwapDiscipline,
 		NoPanic,
 		ErrWrapCtx,
 		UncheckedClose,
@@ -80,19 +77,21 @@ func isFunc(fn *types.Func, pkgPath, name string) bool {
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
-// rootIdentObj walks a selector chain (s.cache.clear, s.mu) down to
-// its base identifier and returns that identifier's object — the
-// anchor for deciding that a Lock, a Store, and an invalidation all
-// act on the same struct value. Non-chains return nil.
-func rootIdentObj(info *types.Info, expr ast.Expr) types.Object {
+// selectorChain renders a selector like resp.Body.Close as
+// "Body.Close" (the root identifier dropped); chains that do not bottom
+// out in an identifier return "".
+func selectorChain(sel *ast.SelectorExpr) string {
+	var parts []string
+	expr := ast.Expr(sel)
 	for {
 		switch e := ast.Unparen(expr).(type) {
-		case *ast.Ident:
-			return info.ObjectOf(e)
 		case *ast.SelectorExpr:
+			parts = append([]string{e.Sel.Name}, parts...)
 			expr = e.X
+		case *ast.Ident:
+			return strings.Join(parts, ".")
 		default:
-			return nil
+			return ""
 		}
 	}
 }

@@ -171,7 +171,7 @@ func checkResponseBodies(pass *analysis.Pass, fd *ast.FuncDecl) {
 			case *ast.SelectorExpr:
 				// resp.Body.Close() marks it closed; any other
 				// selector use is fine either way.
-				if chain, _ := selectorChain(pass.Info, parent); strings.HasSuffix(chain, "Body.Close") {
+				if strings.HasSuffix(selectorChain(parent), "Body.Close") {
 					closed = true
 				}
 			default:

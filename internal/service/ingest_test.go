@@ -68,21 +68,69 @@ func TestIngestGrowsIndex(t *testing.T) {
 	}
 }
 
-// TestIngestInvalidatesCache verifies the copy-on-write swap drops cached
-// rules: a fingerprint minted before the ingest must miss afterwards
-// (changed pattern evidence can alter which pattern FMDV selects).
+// cacheMetrics scrapes the rule-cache samples from /metrics and checks
+// /stats reports the same numbers.
+func cacheMetrics(t *testing.T, ts *httptest.Server) (hits, misses, evictions, entries float64) {
+	t.Helper()
+	body := scrape(t, ts)
+	hits = metricValue(t, body, "autovalidate_cache_hits_total")
+	misses = metricValue(t, body, "autovalidate_cache_misses_total")
+	evictions = metricValue(t, body, "autovalidate_cache_evictions_total")
+	entries = metricValue(t, body, "autovalidate_cache_entries")
+	var st Stats
+	if code := getJSON(t, ts, "/stats", &st); code != http.StatusOK {
+		t.Fatalf("/stats: status %d", code)
+	}
+	if float64(st.CacheHits) != hits || float64(st.CacheMisses) != misses ||
+		float64(st.CacheEvictions) != evictions || float64(st.CacheSize) != entries {
+		t.Errorf("/stats cache %+v disagrees with /metrics hits=%g misses=%g evictions=%g entries=%g",
+			st, hits, misses, evictions, entries)
+	}
+	return hits, misses, evictions, entries
+}
+
+// TestIngestInvalidatesCache verifies an ingest publishes the new index
+// with an empty rule cache: a fingerprint minted before the ingest must
+// miss afterwards (changed pattern evidence can alter which pattern FMDV
+// selects), the entries gauge drops to zero, and the hit, miss and
+// eviction counters carry on across the publish rather than restart.
 func TestIngestInvalidatesCache(t *testing.T) {
-	srv := ingestServer(t, 0)
+	opt := core.DefaultOptions()
+	opt.M = 5
+	srv, err := New(Config{Index: testIndex(t).Clone(), Options: &opt, CacheSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	train := trainValues(t, "date_mdy_text", 100, 3)
 
-	var inf InferResponse
-	if code := post(t, ts, "/infer", InferRequest{Values: train}, &inf); code != http.StatusOK {
-		t.Fatalf("/infer: status %d", code)
+	// Three columns through a 2-entry cache, the last one twice: every
+	// counter is non-zero before the ingest.
+	for i, d := range []string{"locale", "guid"} {
+		if code := post(t, ts, "/infer", InferRequest{Values: trainValues(t, d, 60, int64(50+i))}, nil); code != http.StatusOK {
+			t.Fatalf("/infer %s: status %d", d, code)
+		}
 	}
+	var inf InferResponse
+	for range 2 {
+		if code := post(t, ts, "/infer", InferRequest{Values: train}, &inf); code != http.StatusOK {
+			t.Fatalf("/infer: status %d", code)
+		}
+	}
+	hits, misses, evictions, entries := cacheMetrics(t, ts)
+	if hits != 1 || misses != 3 || evictions != 1 || entries != 2 {
+		t.Fatalf("before ingest: hits=%g misses=%g evictions=%g entries=%g, want 1 3 1 2",
+			hits, misses, evictions, entries)
+	}
+
 	if code := post(t, ts, "/ingest", ingestBatch("date_mdy_text", 50, 9, t), nil); code != http.StatusOK {
 		t.Fatalf("/ingest: status %d", code)
+	}
+	h, m, e, n := cacheMetrics(t, ts)
+	if h != hits || m != misses || e != evictions || n != 0 {
+		t.Errorf("after ingest: hits=%g misses=%g evictions=%g entries=%g, want %g %g %g 0",
+			h, m, e, n, hits, misses, evictions)
 	}
 	var out errorResponse
 	if code := post(t, ts, "/validate", ValidateRequest{Fingerprint: inf.Fingerprint, Values: train}, &out); code != http.StatusNotFound {
@@ -92,6 +140,11 @@ func TestIngestInvalidatesCache(t *testing.T) {
 	var again InferResponse
 	if code := post(t, ts, "/infer", InferRequest{Values: train}, &again); code != http.StatusOK || again.Cached {
 		t.Fatalf("post-ingest re-infer: status %d cached=%v", code, again.Cached)
+	}
+	// The 404 and the re-infer were two more misses; nothing went back.
+	if h, m, e, n := cacheMetrics(t, ts); h != hits || m != misses+2 || e != evictions || n != 1 {
+		t.Errorf("after re-infer: hits=%g misses=%g evictions=%g entries=%g, want %g %g %g 1",
+			h, m, e, n, hits, misses+2, evictions)
 	}
 }
 

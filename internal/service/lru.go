@@ -2,23 +2,32 @@ package service
 
 import (
 	"container/list"
+	"sync"
+	"sync/atomic"
 
 	"autovalidate/internal/validate"
 )
 
 // ruleLRU is a fixed-capacity least-recently-used cache of inferred
-// rules keyed by column fingerprint. It is not safe for concurrent use;
-// the server serializes access.
+// rules keyed by column fingerprint, safe for concurrent use. Each
+// served snapshot owns one: a new index is published with a new, empty
+// cache, since any changed pattern evidence can alter which pattern
+// FMDV selects for an arbitrary column.
 type ruleLRU struct {
 	cap   int
+	stats *cacheStats
+
+	mu    sync.Mutex
 	order *list.List // front = most recently used
 	items map[string]*list.Element
+}
 
-	// hits / misses / evictions count cache behaviour over the cache's
-	// lifetime (clear does not reset them); exposed on GET /metrics.
-	hits      uint64
-	misses    uint64
-	evictions uint64
+// cacheStats counts cache behaviour over the server's lifetime, across
+// every snapshot's cache; exposed on GET /stats and /metrics.
+type cacheStats struct {
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
 }
 
 type lruEntry struct {
@@ -26,12 +35,13 @@ type lruEntry struct {
 	rule *validate.Rule
 }
 
-func newRuleLRU(capacity int) *ruleLRU {
+func newRuleLRU(capacity int, stats *cacheStats) *ruleLRU {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &ruleLRU{
 		cap:   capacity,
+		stats: stats,
 		order: list.New(),
 		items: make(map[string]*list.Element, capacity),
 	}
@@ -39,12 +49,14 @@ func newRuleLRU(capacity int) *ruleLRU {
 
 // get returns the cached rule and refreshes its recency.
 func (c *ruleLRU) get(key string) (*validate.Rule, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
+		c.stats.misses.Add(1)
 		return nil, false
 	}
-	c.hits++
+	c.stats.hits.Add(1)
 	c.order.MoveToFront(el)
 	return el.Value.(*lruEntry).rule, true
 }
@@ -52,6 +64,8 @@ func (c *ruleLRU) get(key string) (*validate.Rule, bool) {
 // add inserts or refreshes a rule, evicting the least recently used
 // entry when over capacity.
 func (c *ruleLRU) add(key string, rule *validate.Rule) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry).rule = rule
 		c.order.MoveToFront(el)
@@ -62,17 +76,12 @@ func (c *ruleLRU) add(key string, rule *validate.Rule) {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).key)
-		c.evictions++
+		c.stats.evictions.Add(1)
 	}
 }
 
-// clear drops every cached rule. Ingestion calls this when it swaps the
-// index: any changed pattern evidence can alter which pattern FMDV
-// selects for an arbitrary column, so selective invalidation by the
-// cached rule's own pattern would be unsound.
-func (c *ruleLRU) clear() {
-	c.order.Init()
-	clear(c.items)
+func (c *ruleLRU) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
-
-func (c *ruleLRU) len() int { return c.order.Len() }

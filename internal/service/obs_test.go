@@ -38,9 +38,7 @@ func cachedRule(t *testing.T, srv *Server, ts *httptest.Server) *validate.Rule {
 	if code := post(t, ts, "/infer", InferRequest{Values: trainValues(t, "timestamp_us", 100, 3)}, &resp); code != http.StatusOK {
 		t.Fatalf("/infer: status %d", code)
 	}
-	srv.mu.Lock()
-	rule, ok := srv.cache.get(resp.Fingerprint)
-	srv.mu.Unlock()
+	rule, ok := srv.snap.Load().cache.get(resp.Fingerprint)
 	if !ok {
 		t.Fatalf("inferred fingerprint %s not in cache", resp.Fingerprint)
 	}

@@ -1,14 +1,19 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"autovalidate/internal/core"
 	"autovalidate/internal/corpus"
+	"autovalidate/internal/datagen"
 	"autovalidate/internal/index"
 	"autovalidate/internal/obs"
 	"autovalidate/internal/registry"
@@ -119,5 +124,112 @@ func TestMetricsHistograms(t *testing.T) {
 	// no bucket may exceed it — spot-check by parsing the healthz lines.
 	if strings.Count(body, `endpoint="GET /healthz",le=`) != len(obs.LatencyBuckets)+1 {
 		t.Fatalf("wrong bucket line count for GET /healthz:\n%s", body)
+	}
+}
+
+// TestSnapshotInstallPublishesTauWithIndex: τ is a property of the
+// served index, so a stream registered while a follower installs
+// snapshots must persist the τ of the index it was inferred against.
+// Snapshots of two indexes with different enumeration widths and
+// generations are installed back to back while streams register and
+// /infer runs; every registered version's Options.Tau must match its
+// IndexGeneration's index. Publishing the index before its τ leaves a
+// gap in which a registration pairs the new generation with the old τ.
+func TestSnapshotInstallPublishesTauWithIndex(t *testing.T) {
+	srv := testServer(t, 64)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	wide := testIndex(t).Clone()
+	wide.Generation = 100
+	narrowOpt := index.DefaultBuildOptions()
+	narrowOpt.Enum.MaxTokens = 6
+	narrow := index.Build(datagen.Generate(datagen.Enterprise(12, 5)).Columns(), narrowOpt)
+	narrow.Generation = 200
+	tauAt := map[uint64]int{
+		testIndex(t).Generation: testIndex(t).Enum.MaxTokens,
+		wide.Generation:         wide.Enum.MaxTokens,
+		narrow.Generation:       narrow.Enum.MaxTokens,
+	}
+
+	train := trainValues(t, "timestamp_us", 30, 5)
+	put, err := json.Marshal(StreamPutRequest{Train: train})
+	if err != nil {
+		t.Fatal(err)
+	}
+	infer, err := json.Marshal(InferRequest{Values: train})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(method, path string, body []byte) {
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s %s: status %d", method, path, resp.StatusCode)
+		}
+	}
+
+	const writers, puts = 3, 20
+	done := make(chan struct{})
+	var installs sync.WaitGroup
+	installs.Add(1)
+	go func() {
+		defer installs.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				srv.InstallSnapshot(narrow, nil)
+			} else {
+				srv.InstallSnapshot(wide, nil)
+			}
+		}
+	}()
+	var clients sync.WaitGroup
+	for w := range writers {
+		clients.Add(2)
+		go func() {
+			defer clients.Done()
+			for range puts {
+				send(http.MethodPut, fmt.Sprintf("/streams/s%d", w), put)
+			}
+		}()
+		go func() {
+			defer clients.Done()
+			for range puts {
+				send(http.MethodPost, "/infer", infer)
+			}
+		}()
+	}
+	clients.Wait()
+	close(done)
+	installs.Wait()
+
+	for w := range writers {
+		name := fmt.Sprintf("s%d", w)
+		for v := 1; v <= srv.registry.Versions(name); v++ {
+			st, _ := srv.registry.GetVersion(name, v)
+			want, ok := tauAt[st.IndexGeneration]
+			if !ok {
+				t.Fatalf("%s v%d: inferred at unknown generation %d", name, v, st.IndexGeneration)
+			}
+			if st.Options.Tau != want {
+				t.Errorf("%s v%d: generation %d persisted with tau %d, want %d",
+					name, v, st.IndexGeneration, st.Options.Tau, want)
+			}
+		}
 	}
 }

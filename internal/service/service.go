@@ -6,11 +6,14 @@
 // online story (§2.4) behind a serving layer.
 //
 // The index is not frozen at startup: POST /ingest folds newly arrived
-// tables into it incrementally (the delta-build of internal/index) with a
-// copy-on-write swap — in-flight /infer and /validate requests keep the
-// index pointer they loaded, so they never observe a half-merged index,
-// and the rule cache is invalidated atomically with the swap because any
-// changed pattern evidence can alter which pattern FMDV selects.
+// tables into it incrementally (the delta-build of internal/index). The
+// index, the inference defaults whose τ matches it, and the cache of
+// rules inferred against it are published together as one immutable
+// snapshot; an ingest merges into a clone and publishes a new snapshot
+// with an empty cache. A request loads the snapshot once, so it never
+// observes a half-merged index, and no cached rule can outlive the
+// evidence it was inferred from — any changed pattern evidence can alter
+// which pattern FMDV selects.
 //
 // On top of the stateless endpoints sits continuous validation (§6's
 // recurring-pipeline deployment): named streams registered under
@@ -114,26 +117,18 @@ type Config struct {
 // Server is a long-running validation service over one offline index.
 // All methods are safe for concurrent use.
 type Server struct {
-	// idx is swapped wholesale by ingestion; request handlers load it
-	// once and use that snapshot for the whole request. Every swap must
-	// clear the rule cache in the same mu critical section, or a cached
-	// rule inferred against the old index survives the swap
-	// (avlint:swapdiscipline enforces this).
-	//
-	//avlint:guardedBy mu
-	//avlint:invalidate cache.clear
-	idx atomic.Pointer[index.Index]
-	// opt holds the inference defaults behind an atomic pointer because
-	// a follower's snapshot install retunes τ to the replicated index's
-	// enumeration settings while requests are in flight.
-	opt       atomic.Pointer[core.Options]
-	maxIngest int64
-	readOnly  bool
+	// snap is the served snapshot: index, inference defaults and rule
+	// cache, replaced wholesale by publish. Request handlers load it
+	// once and use that value for the whole request.
+	snap      atomic.Pointer[served]
+	cacheSize int
+	// cacheStats counts rule-cache behaviour across every snapshot's
+	// cache, so the /metrics counters stay monotone over publishes.
+	cacheStats cacheStats
+	maxIngest  int64
+	readOnly   bool
 
-	mu    sync.Mutex
-	cache *ruleLRU
-
-	// ingestMu serializes ingests so concurrent batches cannot clone
+	// ingestMu serializes publishes so concurrent ingests cannot clone
 	// the same base and lose each other's columns.
 	ingestMu sync.Mutex
 
@@ -192,6 +187,23 @@ type Server struct {
 	// Entries are created lazily as domains are first seen.
 	domMu    sync.Mutex
 	domStats map[string]*domainStats
+}
+
+// served is one published state of the server: an index, the
+// inference defaults whose τ matches its enumeration, and the cache of
+// rules inferred against it. It is never mutated after publish (the
+// cache locks itself), so the three cannot disagree.
+type served struct {
+	idx   *index.Index
+	opt   core.Options
+	cache *ruleLRU
+}
+
+// publish makes idx the served index, with opt as its inference
+// defaults and a fresh, empty rule cache. Callers other than New hold
+// ingestMu.
+func (s *Server) publish(idx *index.Index, opt core.Options) {
+	s.snap.Store(&served{idx: idx, opt: opt, cache: newRuleLRU(s.cacheSize, &s.cacheStats)})
 }
 
 // domainStats aggregates one semantic domain's serving counters.
@@ -266,7 +278,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		maxIngest:     maxIngest,
 		readOnly:      cfg.ReadOnly,
-		cache:         newRuleLRU(size),
+		cacheSize:     size,
 		registry:      reg,
 		regPath:       cfg.RegistryPath,
 		mon:           monitor.NewEngine(pol),
@@ -281,7 +293,7 @@ func New(cfg Config) (*Server, error) {
 		tracer:        cfg.Tracer,
 		journal:       cfg.Journal,
 	}
-	s.opt.Store(&opt)
+	s.publish(cfg.Index, opt)
 	if cfg.WriteProxy != nil {
 		rp := httputil.NewSingleHostReverseProxy(cfg.WriteProxy)
 		rp.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
@@ -292,10 +304,6 @@ func New(cfg Config) (*Server, error) {
 	for _, route := range routes {
 		s.endpoints[route] = &endpointStats{latency: obs.NewHistogram(nil)}
 	}
-	// Construction: no reader can hold a snapshot yet and the cache is
-	// still empty, so this store needs no critical section.
-	//avlint:allow swapdiscipline pre-publication store in the constructor
-	s.idx.Store(cfg.Index)
 	s.ready.Store(!cfg.StartUnready)
 	if s.journal != nil {
 		// Before the first request: the monitor picks up each stream's
@@ -393,7 +401,7 @@ func (s *Server) handleProxyWrite(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // Index returns the currently served index snapshot.
-func (s *Server) Index() *index.Index { return s.idx.Load() }
+func (s *Server) Index() *index.Index { return s.snap.Load().idx }
 
 // RuleParams are the per-request inference overrides shared by /infer
 // and /validate. Pointer fields distinguish "absent" from zero.
@@ -456,12 +464,13 @@ type errorResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// options resolves per-request overrides against the server defaults. An
-// override outside its domain is refused: θ ≥ 1 in particular would let
-// the horizontal cut discard all but one shape group and return a rule
-// that "tolerates" nearly every training value as non-conforming.
-func (s *Server) options(p RuleParams) (core.Options, error) {
-	opt := *s.opt.Load()
+// options resolves per-request overrides against the snapshot's
+// defaults. An override outside its domain is refused: θ ≥ 1 in
+// particular would let the horizontal cut discard all but one shape
+// group and return a rule that "tolerates" nearly every training value
+// as non-conforming.
+func (sv *served) options(p RuleParams) (core.Options, error) {
+	opt := sv.opt
 	if p.Strategy != "" {
 		strat, err := core.ParseStrategy(p.Strategy)
 		if err != nil {
@@ -514,28 +523,20 @@ func Fingerprint(values []string, opt core.Options) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// inferCached returns the rule for a training column, from cache when
-// possible. A freshly inferred rule is cached only if the index has not
-// been swapped since the snapshot was taken — otherwise the rule would
-// outlive the evidence it was inferred from.
-func (s *Server) inferCached(values []string, opt core.Options) (fp string, rule *validate.Rule, cached bool, err error) {
-	idx := s.idx.Load()
+// inferCached returns the rule for a training column, from the
+// snapshot's cache when possible. A freshly inferred rule goes into the
+// same snapshot's cache: if a publish has superseded it meanwhile, the
+// rule lands in a cache no later request can reach.
+func (sv *served) inferCached(values []string, opt core.Options) (fp string, rule *validate.Rule, cached bool, err error) {
 	fp = Fingerprint(values, opt)
-	s.mu.Lock()
-	rule, ok := s.cache.get(fp)
-	s.mu.Unlock()
-	if ok {
+	if rule, ok := sv.cache.get(fp); ok {
 		return fp, rule, true, nil
 	}
-	rule, err = core.Infer(values, idx, opt)
+	rule, err = core.Infer(values, sv.idx, opt)
 	if err != nil {
 		return fp, nil, false, err
 	}
-	s.mu.Lock()
-	if s.idx.Load() == idx {
-		s.cache.add(fp, rule)
-	}
-	s.mu.Unlock()
+	sv.cache.add(fp, rule)
 	return fp, rule, false, nil
 }
 
@@ -610,34 +611,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	// Copy-on-write: the batch merges into a clone, readers keep the
-	// snapshot they loaded, and the swap below publishes the new index
-	// and invalidates the rule cache in one critical section.
-	next := s.idx.Load().Clone()
-	delta, err := next.IngestColumns(cols, index.BuildOptions{})
+	next, invalidated, err := s.commit(index.BuildDelta(s.snap.Load().idx, cols, index.BuildOptions{}))
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
-	if s.deltaLog != nil {
-		// Append BEFORE publishing the swap: a replication reader that
-		// observes the new generation must find the delta chain already
-		// covering it, or it would conclude the follower needs a full
-		// snapshot. Inside ingestMu, so appends arrive in application
-		// order and the retained chain stays contiguous. A gap is
-		// impossible here (each delta comes from the prior apply), and
-		// Append self-heals by resetting to the new delta anyway.
-		_ = s.deltaLog.Append(delta)
-	}
-	s.mu.Lock()
-	s.idx.Store(next)
-	s.cache.clear()
-	s.mu.Unlock()
 	s.ingests.Add(1)
-	// Stream rules carry FPR evidence from the pre-ingest index; mark
-	// them stale under the same ingestMu so a concurrent PUT cannot
-	// slip an outdated-but-fresh-looking rule past the invalidation.
-	invalidated := s.registry.MarkStale(next.Generation)
 	warning := ""
 	if invalidated > 0 {
 		if err := s.persistRegistry(); err != nil {
@@ -663,6 +642,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// commit folds a delta into a clone of the served index and publishes
+// the result with the same inference defaults and an empty rule cache —
+// the one write path of /ingest and ReplicateDelta. Stream rules whose
+// evidence predates the new generation are marked stale; the count is
+// returned. It fails without side effects if the delta does not extend
+// the served generation. Callers hold ingestMu.
+func (s *Server) commit(d *index.Delta) (*index.Index, int, error) {
+	cur := s.snap.Load()
+	next := cur.idx.Clone()
+	if err := next.ApplyDelta(d); err != nil {
+		return nil, 0, err
+	}
+	if s.deltaLog != nil {
+		// Append BEFORE publishing: a replication reader that observes
+		// the new generation must find the delta chain already covering
+		// it, or it would conclude the follower needs a full snapshot.
+		// Under ingestMu, so appends arrive in application order and the
+		// retained chain stays contiguous; Append self-heals a gap by
+		// resetting to the new delta anyway.
+		_ = s.deltaLog.Append(d)
+	}
+	s.publish(next, cur.opt)
+	// Under the same ingestMu, so a concurrent PUT cannot slip an
+	// outdated-but-fresh-looking rule past the invalidation.
+	return next, s.registry.MarkStale(next.Generation), nil
+}
+
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	var req InferRequest
 	if !decodeJSON(w, r, &req) {
@@ -672,12 +678,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "values are required")
 		return
 	}
-	opt, err := s.options(req.RuleParams)
+	sv := s.snap.Load()
+	opt, err := sv.options(req.RuleParams)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp, rule, cached, err := s.inferCached(req.Values, opt)
+	fp, rule, cached, err := sv.inferCached(req.Values, opt)
 	if err != nil {
 		writeError(w, r, inferStatus(err), err.Error())
 		return
@@ -706,13 +713,11 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	sv := s.snap.Load()
 	resp := ValidateResponse{}
 	rule := req.Rule
 	if rule == nil && req.Fingerprint != "" {
-		s.mu.Lock()
-		cached, ok := s.cache.get(req.Fingerprint)
-		s.mu.Unlock()
-		if ok {
+		if cached, ok := sv.cache.get(req.Fingerprint); ok {
 			rule, resp.Fingerprint, resp.Cached = cached, req.Fingerprint, true
 		} else if len(req.Train) == 0 {
 			writeError(w, r, http.StatusNotFound,
@@ -725,12 +730,12 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, r, http.StatusBadRequest, "one of rule, fingerprint, or train is required")
 			return
 		}
-		opt, err := s.options(req.RuleParams)
+		opt, err := sv.options(req.RuleParams)
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, err.Error())
 			return
 		}
-		fp, inferred, cached, err := s.inferCached(req.Train, opt)
+		fp, inferred, cached, err := sv.inferCached(req.Train, opt)
 		if err != nil {
 			writeError(w, r, inferStatus(err), err.Error())
 			return
@@ -759,9 +764,7 @@ func (s *Server) handleValidateColumnar(w http.ResponseWriter, r *http.Request, 
 			"columnar bodies carry only values; pass ?fingerprint= from a prior /infer to name the rule")
 		return
 	}
-	s.mu.Lock()
-	rule, ok := s.cache.get(fp)
-	s.mu.Unlock()
+	rule, ok := s.snap.Load().cache.get(fp)
 	if !ok {
 		writeError(w, r, http.StatusNotFound,
 			"unknown fingerprint (evicted or never inferred); re-run /infer with the training column")
@@ -799,7 +802,7 @@ func (s *Server) countCompiled(rule *validate.Rule, n int) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	idx := s.idx.Load()
+	idx := s.snap.Load().idx
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"patterns":   idx.Size(),
@@ -824,7 +827,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	idx := s.idx.Load()
+	idx := s.snap.Load().idx
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":     "ready",
 		"generation": idx.Generation,
@@ -836,38 +839,28 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Generation returns the served index's current generation.
-func (s *Server) Generation() uint64 { return s.idx.Load().Generation }
+func (s *Server) Generation() uint64 { return s.snap.Load().idx.Generation }
 
 // DeltaLog returns the server's retained delta chain (nil unless
 // configured) — the replication log a cluster leader serves from.
 func (s *Server) DeltaLog() *index.DeltaLog { return s.deltaLog }
 
-// ReplicateDelta applies one replicated delta through the same
-// copy-on-write path as /ingest: readers keep the index snapshot they
-// loaded, the swap and rule-cache invalidation share a critical section,
-// and stream rules whose evidence predates the new generation are marked
-// stale. It fails without side effects if the delta does not extend the
-// current generation.
+// ReplicateDelta applies one replicated delta through the same commit
+// as /ingest: readers keep the snapshot they loaded, the new index is
+// published with an empty rule cache, and stream rules whose evidence
+// predates the new generation are marked stale. It fails without side
+// effects if the delta does not extend the current generation.
 func (s *Server) ReplicateDelta(d *index.Delta) error {
 	_, sp := s.tracer.StartSpan(context.Background(), "replication.apply_delta")
 	defer sp.End()
 	start := time.Now()
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	next := s.idx.Load().Clone()
-	if err := next.ApplyDelta(d); err != nil {
+	next, _, err := s.commit(d)
+	if err != nil {
 		sp.SetError(err)
 		return err
 	}
-	if s.deltaLog != nil {
-		// Before the swap, for the same reason as in handleIngest.
-		_ = s.deltaLog.Append(d)
-	}
-	s.mu.Lock()
-	s.idx.Store(next)
-	s.cache.clear()
-	s.mu.Unlock()
-	s.registry.MarkStale(next.Generation)
 	s.replicatedDeltas.Add(1)
 	s.applyDelta.Observe(time.Since(start))
 	s.lastApplyNanos.Store(time.Now().UnixNano())
@@ -883,31 +876,29 @@ func (s *Server) ReplicateDelta(d *index.Delta) error {
 
 // InstallSnapshot replaces the served index and registry wholesale — the
 // follower-side bootstrap (and fallback when the leader's retention
-// window has moved past this follower). The rule cache is invalidated
-// with the index swap, monitor history survives for streams whose rule
-// version is unchanged (a re-bootstrap after a leader restart must not
-// wipe months of drift state — this replica holds the only copy for the
-// streams the gateway pins here), and the server becomes ready.
+// window has moved past this follower). The index is published with its
+// own τ and an empty rule cache; monitor history survives for streams
+// whose rule version is unchanged (a re-bootstrap after a leader restart
+// must not wipe months of drift state — this replica holds the only
+// copy for the streams the gateway pins here); and the server becomes
+// ready.
 func (s *Server) InstallSnapshot(idx *index.Index, reg *registry.Registry) {
 	_, sp := s.tracer.StartSpan(context.Background(), "replication.install_snapshot")
 	defer sp.End()
 	start := time.Now()
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	s.mu.Lock()
-	s.idx.Store(idx)
-	s.cache.clear()
-	s.mu.Unlock()
 	// τ must always match the index's enumeration settings — a mismatch
 	// makes hypothesis lookups miss — so re-derive it from the
-	// replicated index no matter how the defaults were configured. The
-	// other tuning knobs (r, m, θ) keep their configured values; they
-	// are deployment policy, not index properties.
+	// replicated index no matter how the defaults were configured, and
+	// publish it with the index. The other tuning knobs (r, m, θ) keep
+	// their configured values; they are deployment policy, not index
+	// properties.
+	opt := s.snap.Load().opt
 	if idx.Enum.MaxTokens > 0 {
-		opt := *s.opt.Load()
 		opt.Tau = idx.Enum.MaxTokens
-		s.opt.Store(&opt)
 	}
+	s.publish(idx, opt)
 	if reg != nil {
 		s.installRegistry(reg)
 	} else {
@@ -984,27 +975,18 @@ type Stats struct {
 
 // CurrentStats snapshots the serving counters.
 func (s *Server) CurrentStats() Stats {
-	// The LRU's own counters are the single source of cache statistics:
-	// /stats and /metrics read the same numbers.
-	s.mu.Lock()
-	size := s.cache.len()
-	capacity := s.cache.cap
-	hits := s.cache.hits
-	misses := s.cache.misses
-	evictions := s.cache.evictions
-	s.mu.Unlock()
-	idx := s.idx.Load()
+	sv := s.snap.Load()
 	return Stats{
-		IndexPatterns:   idx.Size(),
-		IndexColumns:    idx.Columns,
-		IndexShards:     idx.NumShards(),
-		IndexGeneration: idx.Generation,
+		IndexPatterns:   sv.idx.Size(),
+		IndexColumns:    sv.idx.Columns,
+		IndexShards:     sv.idx.NumShards(),
+		IndexGeneration: sv.idx.Generation,
 		Ingests:         s.ingests.Load(),
-		CacheSize:       size,
-		CacheCapacity:   capacity,
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		CacheEvictions:  evictions,
+		CacheSize:       sv.cache.len(),
+		CacheCapacity:   sv.cache.cap,
+		CacheHits:       s.cacheStats.hits.Load(),
+		CacheMisses:     s.cacheStats.misses.Load(),
+		CacheEvictions:  s.cacheStats.evictions.Load(),
 		Streams:         s.registry.Len(),
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 	}

@@ -40,9 +40,9 @@ func (s *Server) Monitor() *monitor.Engine { return s.mon }
 // silently overwritten by the next registry fetch).
 func (s *Server) canReinfer() bool { return !s.readOnly && s.writeProxy == nil }
 
-// persistRegistry saves the registry to the configured path, if any.
-// Callers hold regMu (or, for ingest invalidation, ingestMu — the two
-// paths both take regMu here).
+// persistRegistry saves the registry to the configured path, if any,
+// under regMu, so two writers cannot interleave a stale save over a
+// fresh one.
 func (s *Server) persistRegistry() error {
 	if s.regPath == "" {
 		return nil
@@ -132,20 +132,20 @@ func (s *Server) detectDomain(train []string) domain.Detection {
 // column also proposes a semantic domain (pattern first, domain
 // validator on top), persisted with the rule.
 func (s *Server) registerStream(name string, train []string, p RuleParams) (registry.Stream, int, error) {
-	opt, err := s.options(p)
+	sv := s.snap.Load()
+	opt, err := sv.options(p)
 	if err != nil {
 		return registry.Stream{}, http.StatusBadRequest, err
 	}
-	idx := s.idx.Load()
-	rule, err := core.Infer(train, idx, opt)
+	rule, err := core.Infer(train, sv.idx, opt)
 	if err != nil {
 		return registry.Stream{}, inferStatus(err), err
 	}
-	stream, err := s.registry.PutDomain(name, rule, opt, idx.Generation, s.detectDomain(train))
+	stream, err := s.registry.PutDomain(name, rule, opt, sv.idx.Generation, s.detectDomain(train))
 	if err != nil {
 		return registry.Stream{}, http.StatusBadRequest, err
 	}
-	stream = s.recheckStale(stream, idx.Generation)
+	stream = s.recheckStale(stream, sv.idx.Generation)
 	// History under an old rule says nothing about the new one.
 	s.mon.Reset(name)
 	if err := s.persistRegistry(); err != nil {
@@ -156,16 +156,17 @@ func (s *Server) registerStream(name string, train []string, p RuleParams) (regi
 }
 
 // recheckStale closes the registration/re-inference race against a
-// concurrent ingest: the ingest's MarkStale ran against the registry
-// before this rule version existed, so if the index generation has
-// moved past the one the rule was inferred at, re-run the invalidation
-// and return the updated snapshot. (Re-reading the pointer is enough:
-// MarkStale is idempotent and the ingest path holds no lock we need.)
-// If the stream was concurrently deleted, the freshly created version
-// is returned marked stale — conservative, and the registry no longer
-// holds it anyway.
+// concurrent publish: a rule inferred against the snapshot the request
+// loaded may be registered after an ingest's MarkStale ran, so if the
+// published generation has moved past the one the rule was inferred at,
+// re-run the invalidation and return the updated stream. This is the one
+// deliberate second load of the snapshot in a request — it asks what is
+// published now. (MarkStale is idempotent, and the ingest path holds no
+// lock we need.) If the stream was concurrently deleted, the freshly
+// created version is returned marked stale — conservative, and the
+// registry no longer holds it anyway.
 func (s *Server) recheckStale(stream registry.Stream, inferredGen uint64) registry.Stream {
-	cur := s.idx.Load()
+	cur := s.snap.Load().idx
 	if cur.Generation == inferredGen {
 		return stream
 	}
@@ -364,7 +365,7 @@ func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 		// rule from it with the stream's original inference options,
 		// and re-detect the domain — the batch that changed the
 		// stream's syntax may have changed its semantics too.
-		idx := s.idx.Load()
+		idx := s.snap.Load().idx
 		train := reinferValues()
 		rule, err := core.Infer(train, idx, stream.Options)
 		if err != nil {
