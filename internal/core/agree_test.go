@@ -183,36 +183,60 @@ func TestInferAgreesWithOracleHandCases(t *testing.T) {
 	}
 }
 
-// Each segment the DP gathers from the lexed column — texts, weights, the
-// memo key's rows and the fine runs handed to the enumerator — is what
+// Each segment the DP gathers from the lexed column — texts, weights,
+// slots and the fine and merged runs handed to the enumerator — is what
 // concatenating the aligned columns' texts, expanding by weight and
-// de-duplicating and lexing again gives.
+// de-duplicating and lexing again gives, up to the text at which the
+// shape reject stops. Two segments of one inference, under either
+// tokenization, share a memo key only if their (text, weight) sequences
+// are equal.
 func TestGatherAgreesWithRelexedSegments(t *testing.T) {
+	shared := 0
 	for name, values := range handCases() {
 		for _, maxValues := range []int{0, 2} {
 			opt := testOptions(FMDVVH)
 			opt.Enum.MaxValues = maxValues
+			dp := newSegmentDP(testIndex(t), opt, values)
+			type keyed struct {
+				seq   string
+				merge bool
+			}
+			seqOf := map[string]keyed{}
 			for _, merge := range []bool{false, true} {
-				dp := &segmentDP{idx: testIndex(t), opt: opt, col: lexColumn(values), memo: leafMemo{}, slot: map[string]int{}}
+				dp.ncols = 0
 				dp.infer(opt.Theta, merge) // leaves the alignment it solved in dp
 				for s := 0; s < dp.ncols; s++ {
 					for e := s; e < dp.ncols; e++ {
-						checkGather(t, fmt.Sprintf("%s maxValues=%d merge=%v [%d,%d]", name, maxValues, merge, s, e), dp, s, e)
+						seg := fmt.Sprintf("%s maxValues=%d merge=%v [%d,%d]", name, maxValues, merge, s, e)
+						key, seq := checkGather(t, seg, dp, s, e)
+						prev, ok := seqOf[key]
+						switch {
+						case !ok:
+							seqOf[key] = keyed{seq, merge}
+						case prev.seq != seq:
+							t.Fatalf("%s: memo key shared by (text, weight) sequences %s and %s", seg, prev.seq, seq)
+						case prev.merge != merge && key != "":
+							shared++
+						}
 					}
 				}
 			}
 		}
 	}
+	if shared == 0 {
+		t.Error("no segment's memo key was met under both tokenizations")
+	}
 }
 
-func checkGather(t *testing.T, name string, dp *segmentDP, s, e int) {
-	t.Helper()
+// segmentTexts spells segment s..e of dp's alignment the obvious way:
+// each member's texts in the aligned columns concatenated, in row order.
+// It returns the non-empty ones weight-fold, as Enumerate would be handed
+// them, the weight of the empty ones, and the (text, weight) sequence.
+func segmentTexts(dp *segmentDP, s, e int) (sub []string, emptyW int, seq string) {
 	runsOf := dp.col.fine
 	if dp.merge {
 		runsOf = dp.col.merged
 	}
-	var sub []string
-	var wantEmptyW int
 	for _, row := range dp.rows {
 		for _, i := range row.members {
 			var text string
@@ -222,14 +246,24 @@ func checkGather(t *testing.T, name string, dp *segmentDP, s, e int) {
 				}
 			}
 			if text == "" {
-				wantEmptyW += dp.col.weights[i]
+				emptyW += dp.col.weights[i]
 				continue
 			}
+			seq += fmt.Sprintf("(%q, %d)", text, dp.col.weights[i])
 			for k := 0; k < dp.col.weights[i]; k++ {
 				sub = append(sub, text)
 			}
 		}
 	}
+	return sub, emptyW, seq
+}
+
+// checkGather gathers and de-duplicates segment s..e and checks the
+// scratch against segmentTexts. It returns the segment's memo key and
+// (text, weight) sequence.
+func checkGather(t *testing.T, name string, dp *segmentDP, s, e int) (key, seq string) {
+	t.Helper()
+	sub, wantEmptyW, seq := segmentTexts(dp, s, e)
 	wantTexts, wantWeights := pattern.Dedupe(sub, dp.opt.Enum.MaxValues)
 	allTexts, _ := pattern.Dedupe(sub, 0)
 
@@ -237,21 +271,146 @@ func checkGather(t *testing.T, name string, dp *segmentDP, s, e int) {
 	if emptyW != wantEmptyW || uniform != (len(allTexts) <= 1) {
 		t.Fatalf("%s: gather = (%d, %v) over %d distinct texts, want %d empty", name, emptyW, uniform, len(allTexts), wantEmptyW)
 	}
-	if len(dp.texts) != len(wantTexts) || len(dp.weights) != len(wantTexts) || len(dp.fine) != len(wantTexts) || len(dp.slot) != len(wantTexts) {
-		t.Fatalf("%s: %d texts, %d weights, %d run lists, %d slots, want %d of each",
-			name, len(dp.texts), len(dp.weights), len(dp.fine), len(dp.slot), len(wantTexts))
+	var spanned int
+	for _, sp := range dp.spans {
+		spanned += dp.col.weights[sp.i]
+	}
+	if spanned != len(sub) {
+		t.Fatalf("%s: spans weigh %d, want %d", name, spanned, len(sub))
+	}
+	n := len(wantTexts)
+	if !dp.dedupe() {
+		// Rejected: the texts before the one that ruled out both shapes.
+		if n = len(dp.texts); n >= len(wantTexts) {
+			t.Fatalf("%s: rejected after all %d texts", name, n)
+		}
+	}
+	if len(dp.texts) != n || len(dp.weights) != n || len(dp.fine) != n || len(dp.merged) != n || len(dp.slot) != n {
+		t.Fatalf("%s: %d texts, %d weights, %d fine and %d merged run lists, %d slots, want %d of each",
+			name, len(dp.texts), len(dp.weights), len(dp.fine), len(dp.merged), len(dp.slot), n)
 	}
 	for k, text := range dp.texts {
-		if text != wantTexts[k] || dp.weights[k] != wantWeights[k] {
+		w := dp.weights[k]
+		if text != wantTexts[k] || w > wantWeights[k] || (n == len(wantTexts) && w != wantWeights[k]) {
 			t.Fatalf("%s: texts %q weights %v, want %q %v", name, dp.texts, dp.weights, wantTexts, wantWeights)
 		}
-		if !reflect.DeepEqual(dp.fine[k], tokens.Lex(text)) {
-			t.Fatalf("%s: runs of %q are %v, want %v", name, text, dp.fine[k], tokens.Lex(text))
+		fine := tokens.Lex(text)
+		if !reflect.DeepEqual(dp.fine[k], fine) {
+			t.Fatalf("%s: runs of %q are %v, want %v", name, text, dp.fine[k], fine)
+		}
+		if merged := tokens.MergeAlnum(nil, text, fine); !reflect.DeepEqual(dp.merged[k], merged) {
+			t.Fatalf("%s: merged runs of %q are %v, want %v", name, text, dp.merged[k], merged)
 		}
 		if dp.slot[text] != k {
 			t.Fatalf("%s: slot of %q is %d, want %d", name, text, dp.slot[text], k)
 		}
 	}
+	return string(dp.key), seq
+}
+
+// checkLeafRejects infers values under both tokenizations and, over every
+// segment of each alignment a leaf would enumerate (no wider than τ, not
+// gapped throughout), holds dedupe's verdict to the obvious one:
+// enumerating the segment's texts, weight-fold, at the leaf's full
+// support. It returns how many segments were rejected and kept.
+func checkLeafRejects(t *testing.T, values []string, opt Options) (rejected, kept int) {
+	t.Helper()
+	dp := newSegmentDP(testIndex(t), opt, values)
+	enum := dp.leafEnum()
+	for _, merge := range []bool{false, true} {
+		dp.ncols = 0
+		dp.infer(opt.Theta, merge)
+		for s := 0; s < dp.ncols; s++ {
+			for e := s; e < dp.ncols && e-s+1 <= opt.Tau; e++ {
+				sub, _, seq := segmentTexts(dp, s, e)
+				if len(sub) == 0 {
+					continue
+				}
+				dp.gather(s, e)
+				ok := dp.dedupe()
+				if none := len(pattern.Enumerate(sub, enum).Candidates) == 0; ok == none {
+					t.Fatalf("merge=%v [%d,%d] %s: dedupe kept the segment = %v, but the enumeration has no candidate = %v",
+						merge, s, e, seq, ok, none)
+				}
+				if ok {
+					kept++
+				} else {
+					rejected++
+				}
+			}
+		}
+	}
+	return rejected, kept
+}
+
+// The leaf's shape reject is exact: over every segment of the hand cases
+// and of the infer_ingest columns, under both tokenizations, with the
+// distinct-value cap loose and binding at 5 and at 2, dedupe gives up on
+// a segment exactly when the obvious enumeration finds no candidate.
+// alnum/twoValues is the row where comparing a text the cap drops would
+// reject segments whose kept texts share a shape.
+func TestLeafRejectAgreesWithEnumerate(t *testing.T) {
+	columns := handCases()
+	for _, domain := range inferIngestDomains {
+		columns[domain] = fresh(t, domain, 100, 7)
+	}
+	caps := []struct {
+		name      string
+		maxValues int
+	}{{"default", DefaultOptions().Enum.MaxValues}, {"fiveValues", 5}, {"twoValues", 2}}
+	var rejected, kept int
+	for name, values := range columns {
+		for _, c := range caps {
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				for _, st := range []Strategy{FMDVV, FMDVVH} {
+					opt := testOptions(st)
+					opt.Enum.MaxValues = c.maxValues
+					r, k := checkLeafRejects(t, values, opt)
+					rejected, kept = rejected+r, kept+k
+				}
+			})
+		}
+	}
+	if rejected == 0 || kept == 0 {
+		t.Errorf("%d segments rejected and %d kept; want some of each", rejected, kept)
+	}
+}
+
+// FuzzLeafRejectAgree holds the leaf's shape reject to the obvious
+// enumeration on arbitrary newline-separated columns, τ, distinct-value
+// caps, horizontal cuts and alignment caps, with and without the alnum
+// pass.
+func FuzzLeafRejectAgree(f *testing.F) {
+	f.Add("9:07\n9:07 PM\n10:15\n10:15 AM\n9:07", byte(5), byte(0))
+	f.Add("a1b2-7\nab12-8\n\n12ab-9\na1b2-7", byte(3), byte(4|2<<5))
+	f.Add("[1|2/3]\n[4|5]\n[6|7/8]\n[1|2/3]", byte(2), byte(2))
+	f.Add("0a1b2c3d-0a1b\nffff0000-abcd\n12345678-9abc\nNULL", byte(4), byte(8))
+	f.Add("número1-ß\nnúmero2-ß\n\xff9-x\n", byte(1), byte(1))
+	f.Add("1.2.3\n1..3\n4.5.6\n\n7..9", byte(0), byte(16))
+	f.Add("a0fa-beef-id1\n7-bf6c-id0\n14167-bcab-id2\na0fa-beef-id1", byte(5), byte(4|1<<5))
+	f.Fuzz(func(t *testing.T, column string, tau, knobs byte) {
+		if len(column) > 300 {
+			return
+		}
+		opt := testOptions(FMDVV)
+		if knobs&8 != 0 {
+			opt = testOptions(FMDVVH)
+			opt.Theta = 0.5
+		}
+		// The obvious enumeration is exponential in τ; the property test
+		// covers the default.
+		opt.Tau = 1 + int(tau%6)
+		if knobs&1 != 0 {
+			opt.Enum.IncludeAlnumPass = false
+		}
+		if knobs&4 != 0 {
+			opt.Enum.MaxValues = 1 + int(knobs>>5)
+		}
+		if knobs&16 != 0 {
+			opt.MaxAlignCols = 4
+		}
+		checkLeafRejects(t, strings.Split(column, "\n"), opt)
+	})
 }
 
 // handCases are columns that exercise the segment arithmetic: gapped

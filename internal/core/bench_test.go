@@ -44,8 +44,11 @@ func BenchmarkInferCold(b *testing.B) {
 // options, bitsets, rendered option text) is pooled and reset per call,
 // and msa.Align reuses its matrices. What is left is mostly one string
 // per candidate key. guid, whose two tokenizations share no segment, is
-// the costliest column: 98 224 before that last step, 6 783 after. Each
-// ceiling sits a quarter above its count.
+// the costliest column: 98 224 before that step, 6 783 after. Keying the
+// leaf memo by spans instead of texts, giving up on a segment as soon as
+// its kept texts share no class shape (two in three of guid's segments)
+// and the enumerator's full-support fast paths took guid to 3 178 and
+// timestamp_us to 4 595. Each ceiling sits a quarter above its count.
 func TestInferColdAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -55,7 +58,7 @@ func TestInferColdAllocationCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		domain  string
 		ceiling float64
-	}{{"timestamp_us", 5900}, {"guid", 8480}} {
+	}{{"timestamp_us", 5740}, {"guid", 3970}} {
 		vals := fresh(t, tc.domain, 100, 7)
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := Infer(vals, idx, opt); err != nil {

@@ -15,8 +15,10 @@ var (
 // Counters is a snapshot of the inference counters.
 type Counters struct {
 	// SegmentsSolved counts vertical-cut segments whose hypothesis space
-	// was enumerated and scored; SegmentsMemoized those answered by an
-	// identical segment already solved for the same column.
+	// was enumerated and scored, or ruled empty by their class shapes
+	// before enumeration (that empty answer is memoized like any other);
+	// SegmentsMemoized those answered by an identical segment already
+	// solved for the same column.
 	SegmentsSolved   uint64
 	SegmentsMemoized uint64
 	// Candidates counts patterns enumerated for scoring, and IndexHits

@@ -30,7 +30,7 @@ func inferVertical(values []string, idx *index.Index, opt Options, theta float64
 	// column is lexed once for both, and a segment both alignments cut
 	// out (every segment, when no value has adjacent letter and digit
 	// runs) is solved once.
-	dp := &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, slot: map[string]int{}}
+	dp := newSegmentDP(idx, opt, values)
 	fine, errF := dp.infer(theta, false)
 	merged, errM := dp.infer(theta, true)
 	switch {
@@ -218,9 +218,11 @@ type segmentDP struct {
 	ncols int
 	rows  []alignedRow
 
-	// Scratch of leaf, reused from segment to segment: the memo key,
-	// and the segment's distinct texts with their slots, weights and
-	// runs (merged runs carved from slab).
+	// Scratch of leaf, reused from segment to segment: the segment's
+	// spans and the memo key spelled from them, and its distinct texts
+	// with their slots, weights and runs (the merged runs of a fine-pass
+	// segment carved from slab).
+	spans   []span
 	key     []byte
 	slot    map[string]int
 	texts   []string
@@ -228,6 +230,17 @@ type segmentDP struct {
 	fine    [][]tokens.Run
 	merged  [][]tokens.Run
 	slab    []tokens.Run
+}
+
+// span is one non-gapped member's text in a segment: runs [flo, fhi) of
+// col.fine[i], and under the merged tokenization runs [mlo, mhi) of
+// col.merged[i].
+type span struct {
+	i, flo, fhi, mlo, mhi int
+}
+
+func newSegmentDP(idx *index.Index, opt Options, values []string) *segmentDP {
+	return &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, slot: map[string]int{}}
 }
 
 // alignedRow is one kept shape group: cols[c] is the run its members
@@ -238,8 +251,9 @@ type alignedRow struct {
 }
 
 // leafMemo holds every segment solved for one query column, under either
-// tokenization, keyed by the segment's (text, weight) sequence in row
-// order: the same sub-column has the same best pattern.
+// tokenization, keyed by the segment's spans in row order. A span fixes
+// its text and weight, so one key is one (text, weight) sequence: the
+// same sub-column, which has the same best pattern.
 type leafMemo map[string]leafResult
 
 // leafResult is the best unsplit pattern of a segment's values, before
@@ -299,7 +313,7 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 		return segResult{} // longer than any indexed pattern (§2.4)
 	}
 	emptyW, uniform := dp.gather(s, e)
-	if len(dp.texts) == 0 {
+	if len(dp.spans) == 0 {
 		return segResult{}
 	}
 
@@ -311,8 +325,8 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	// machine-generated data occurs as some column. Separators gapped
 	// in part of the alignment (an optional " PM" suffix's space)
 	// become optional literals.
-	if uniform && isSeparator(dp.texts[0]) {
-		p := pattern.New(pattern.Lit(dp.texts[0]))
+	if first := dp.text(dp.spans[0]); uniform && isSeparator(first) {
+		p := pattern.New(pattern.Lit(first))
 		if emptyW > 0 {
 			p = pattern.Optional(p)
 		}
@@ -324,18 +338,11 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 		segmentsMemoized.Add(1)
 	} else {
 		segmentsSolved.Add(1)
-		enum := dp.opt.Enum
-		enum.MaxTokens = dp.opt.Tau
-		enum.MinSupport = 1.0
-		dp.merged, dp.slab = dp.merged[:0], dp.slab[:0]
-		for k, runs := range dp.fine {
-			n := len(dp.slab)
-			dp.slab = tokens.MergeAlnum(dp.slab, dp.texts[k], runs)
-			dp.merged = append(dp.merged, dp.slab[n:])
-		}
-		cands := pattern.EnumerateLexed(dp.weights, dp.fine, dp.merged, enum)
-		if best, err := selectBest(cands.Candidates, dp.idx, dp.opt, cands.Total); err == nil {
-			res = leafResult{ok: true, fpr: best.fpr, pat: best.pat}
+		if dp.dedupe() {
+			cands := pattern.EnumerateLexed(dp.weights, dp.fine, dp.merged, dp.leafEnum())
+			if best, err := selectBest(cands.Candidates, dp.idx, dp.opt, cands.Total); err == nil {
+				res = leafResult{ok: true, fpr: best.fpr, pat: best.pat}
+			}
 		}
 		dp.memo[string(dp.key)] = res
 	}
@@ -350,18 +357,27 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	return segResult{ok: true, agg: res.fpr, pats: []pattern.Pattern{pat}}
 }
 
-// gather fills the leaf scratch with segment s..e of the kept values,
-// de-duplicated the way Enumerate would have, had each text been handed
-// to it weight-fold in row order: first occurrence fixes the slot, and a
-// text first met beyond Enum.MaxValues is dropped. The memo key spells
-// out every row's (text, weight). It returns the weight of the rows
-// gapped throughout, and whether the others all have the same text.
+// leafEnum is the enumeration of a leaf: every pattern must match all of
+// the segment's kept values, and none is longer than τ.
+func (dp *segmentDP) leafEnum() pattern.EnumOptions {
+	enum := dp.opt.Enum
+	enum.MaxTokens = dp.opt.Tau
+	enum.MinSupport = 1.0
+	return enum
+}
+
+// gather lists segment s..e of the kept values as spans, in row order,
+// and spells the memo key from them: each span's value index and fine-run
+// bounds as uvarints, which fix its text and weight under either
+// tokenization, so no text is hashed or copied. It returns the weight of
+// the rows gapped throughout, and whether the others all have the same
+// text (each compared with the first).
 func (dp *segmentDP) gather(s, e int) (emptyW int, uniform bool) {
-	col, maxValues := dp.col, dp.opt.Enum.MaxValues
-	clear(dp.slot)
-	dp.texts, dp.weights, dp.fine = dp.texts[:0], dp.weights[:0], dp.fine[:0]
+	col := dp.col
+	dp.spans = dp.spans[:0]
 	key := dp.key[:0]
 	uniform = true
+	var first string
 	for _, row := range dp.rows {
 		// A row's runs in columns s..e are consecutive, gaps or not,
 		// so its members' texts there are substrings of the values.
@@ -375,35 +391,102 @@ func (dp *segmentDP) gather(s, e int) (emptyW int, uniform bool) {
 			}
 		}
 		for _, i := range row.members {
-			w := col.weights[i]
 			if lo < 0 {
-				emptyW += w
+				emptyW += col.weights[i]
 				continue
 			}
-			flo, fhi := lo, hi
+			sp := span{i: i, flo: lo, fhi: hi, mlo: lo, mhi: hi}
 			if dp.merge {
-				flo, fhi = col.first[i][lo], col.first[i][hi]
+				sp.flo, sp.fhi = col.first[i][lo], col.first[i][hi]
 			}
-			text := col.uniq[i][col.off[i][flo]:col.off[i][fhi]]
-			key = binary.AppendUvarint(key, uint64(len(text)))
-			key = append(key, text...)
-			key = binary.AppendUvarint(key, uint64(w))
-			if k, ok := dp.slot[text]; ok {
-				dp.weights[k] += w
-				continue
+			if len(dp.spans) == 0 {
+				first = dp.text(sp)
+			} else if uniform {
+				uniform = dp.text(sp) == first
 			}
-			uniform = uniform && len(dp.texts) == 0 // a new text, and not the first
-			if maxValues > 0 && len(dp.texts) >= maxValues {
-				continue
-			}
-			dp.slot[text] = len(dp.texts)
-			dp.texts = append(dp.texts, text)
-			dp.weights = append(dp.weights, w)
-			dp.fine = append(dp.fine, col.fine[i][flo:fhi])
+			dp.spans = append(dp.spans, sp)
+			key = binary.AppendUvarint(key, uint64(i))
+			key = binary.AppendUvarint(key, uint64(sp.flo))
+			key = binary.AppendUvarint(key, uint64(sp.fhi))
 		}
 	}
 	dp.key = key
 	return emptyW, uniform
+}
+
+// text is a span's text, a substring of its value.
+func (dp *segmentDP) text(sp span) string {
+	off := dp.col.off[sp.i]
+	return dp.col.uniq[sp.i][off[sp.flo]:off[sp.fhi]]
+}
+
+// dedupe fills the leaf scratch with the gathered spans de-duplicated the
+// way Enumerate would have, had each text been handed to it weight-fold
+// in row order: first occurrence fixes the slot, and a text first met
+// beyond Enum.MaxValues is dropped. In merge mode a text's merged runs
+// are a sub-slice of its value's.
+//
+// A leaf enumerates at full support, so it has a candidate only if every
+// kept text has one class shape under the fine runs, all within τ, or one
+// under the merged runs (Enumerate's two passes). dedupe compares each
+// kept text's shapes with the first's, run by run, and reports false —
+// no candidate — as soon as both are ruled out, leaving the scratch
+// partly filled.
+func (dp *segmentDP) dedupe() bool {
+	col, maxValues, tau := dp.col, dp.opt.Enum.MaxValues, dp.opt.Tau
+	clear(dp.slot)
+	dp.texts, dp.weights, dp.fine, dp.merged, dp.slab = dp.texts[:0], dp.weights[:0], dp.fine[:0], dp.merged[:0], dp.slab[:0]
+	fineOK, mergedOK := true, dp.opt.Enum.IncludeAlnumPass
+	for _, sp := range dp.spans {
+		text, w := dp.text(sp), col.weights[sp.i]
+		if k, ok := dp.slot[text]; ok {
+			dp.weights[k] += w
+			continue
+		}
+		if maxValues > 0 && len(dp.texts) >= maxValues {
+			continue // dropped: it takes no part in the enumeration
+		}
+		fine := col.fine[sp.i][sp.flo:sp.fhi]
+		var merged []tokens.Run
+		if dp.merge {
+			merged = col.merged[sp.i][sp.mlo:sp.mhi]
+		} else {
+			n := len(dp.slab)
+			dp.slab = tokens.MergeAlnum(dp.slab, text, fine)
+			merged = dp.slab[n:]
+		}
+		if len(dp.texts) == 0 {
+			fineOK = len(fine) <= tau
+			mergedOK = mergedOK && len(merged) <= tau
+		} else {
+			fineOK = fineOK && len(fine) <= tau && sameClassShape(fine, dp.fine[0])
+			mergedOK = mergedOK && sameClassShape(merged, dp.merged[0])
+		}
+		if !fineOK && !mergedOK {
+			return false
+		}
+		dp.slot[text] = len(dp.texts)
+		dp.texts = append(dp.texts, text)
+		dp.weights = append(dp.weights, w)
+		dp.fine = append(dp.fine, fine)
+		dp.merged = append(dp.merged, merged)
+	}
+	return true
+}
+
+// sameClassShape reports whether a and b have the same class shape,
+// comparing run by run: lexed and merged runs' classes name their shape
+// letters one to one.
+func sameClassShape(a, b []tokens.Run) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Class != b[k].Class {
+			return false
+		}
+	}
+	return true
 }
 
 func isSeparator(s string) bool {

@@ -133,7 +133,7 @@ func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions)
 	}
 
 	em := emitters.Get().(*emitter)
-	em.reset(opt, weights, minCount)
+	em.reset(opt, weights, minCount, res.Total)
 	// The alnum pass runs first: it is cheap and yields the most
 	// general candidates, so if MaxPatterns caps the enumeration the
 	// safest (most general) patterns are the ones retained.
@@ -207,10 +207,12 @@ type shapeGroup struct {
 
 // option is one generalization choice at an aligned position together
 // with the set of group members it matches and its rendered key text.
+// all marks an option that matches every member of the group.
 type option struct {
 	tok  Tok
 	bs   bitset
 	text []byte
+	all  bool
 }
 
 // weighed is a key at one position — a run's text or its length — with
@@ -226,6 +228,7 @@ type emitter struct {
 	opt      EnumOptions
 	weights  []int
 	minCount int
+	majority bool // minCount is over half the column's weight
 	words    int
 	capped   bool
 
@@ -265,8 +268,9 @@ type emitter struct {
 	cbits  []uint64
 }
 
-func (em *emitter) reset(opt EnumOptions, weights []int, minCount int) {
+func (em *emitter) reset(opt EnumOptions, weights []int, minCount, total int) {
 	em.opt, em.weights, em.minCount = opt, weights, minCount
+	em.majority = 2*minCount > total
 	em.words = (len(weights) + 63) / 64
 	em.capped = false
 	em.keys, em.tokBuf, em.tokEnd, em.cbits = em.keys[:0], em.tokBuf[:0], em.tokEnd[:0], em.cbits[:0]
@@ -310,6 +314,10 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 		}
 	}
 	em.groups, em.gid = em.groups[:0], em.gid[:0]
+	if em.majority {
+		em.enumerateMajority(runsOf, alnumPass)
+		return
+	}
 	for i, runs := range runsOf {
 		if len(runs) == 0 || !fits(em.opt, runs) {
 			em.gid = append(em.gid, -1)
@@ -348,6 +356,59 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 	for _, g := range em.groups {
 		em.enumerateGroup(em.members[g.lo:g.lo+g.n], g.weight, runsOf, alnumPass)
 	}
+}
+
+// enumerateMajority is enumeratePass when the support threshold is over
+// half the column's weight, as at every DP leaf: only a shape most of the
+// weight shares can reach it, so one weighted majority vote (the idiom of
+// tally) names the one group worth enumerating and a second pass collects
+// its members, in value order. Every other group would be dropped for
+// want of support, so no shape key or map is built.
+func (em *emitter) enumerateMajority(runsOf [][]tokens.Run, alnumPass bool) {
+	cand, bal := -1, 0
+	for i, runs := range runsOf {
+		if len(runs) == 0 || !fits(em.opt, runs) {
+			continue
+		}
+		w := em.weights[i]
+		switch {
+		case cand >= 0 && sameClassShape(runs, runsOf[cand]):
+			bal += w
+		case bal >= w:
+			bal -= w
+		default:
+			cand, bal = i, w-bal
+		}
+	}
+	if cand < 0 {
+		return
+	}
+	// The runs of cand's shape have its length, so they are non-empty and
+	// within τ too.
+	em.members = em.members[:0]
+	weight := 0
+	for i, runs := range runsOf {
+		if sameClassShape(runs, runsOf[cand]) {
+			em.members = append(em.members, i)
+			weight += em.weights[i]
+		}
+	}
+	em.enumerateGroup(em.members, weight, runsOf, alnumPass)
+}
+
+// sameClassShape reports whether a and b have the same class shape,
+// comparing run by run: a lexer's or MergeAlnum's classes name their
+// shape letters one to one.
+func sameClassShape(a, b []tokens.Run) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Class != b[k].Class {
+			return false
+		}
+	}
+	return true
 }
 
 // appendClassShape appends the bytes of tokens.ClassShape(runs) to b.
@@ -467,9 +528,14 @@ func (em *emitter) dfs(pos, npos int) {
 		lo = em.ends[pos-1]
 	}
 	for _, o := range em.opts[lo:em.ends[pos]] {
-		em.acc[pos+1].andInto(em.acc[pos], o.bs)
-		if em.acc[pos+1].weightedCount(em.weights) < em.minCount {
-			continue
+		if o.all {
+			// acc[pos] is within the group and already reaches minCount.
+			copy(em.acc[pos+1], em.acc[pos])
+		} else {
+			em.acc[pos+1].andInto(em.acc[pos], o.bs)
+			if em.acc[pos+1].weightedCount(em.weights) < em.minCount {
+				continue
+			}
 		}
 		em.toks[pos] = o.tok
 		em.key = append(em.key[:keyLen], o.text...)
@@ -477,31 +543,48 @@ func (em *emitter) dfs(pos, npos int) {
 	}
 }
 
-// addOption appends the option t to em.opts and returns its bitset, empty
-// for the caller to fill.
-func (em *emitter) addOption(t Tok) bitset {
+// addOption appends the option t to em.opts and returns its bitset. An
+// option matching all the members has its bitset filled from them;
+// otherwise it is empty for the caller to fill.
+func (em *emitter) addOption(t Tok, members []int, all bool) bitset {
 	lo := len(em.text)
 	em.text = t.appendTo(em.text)
 	bs := em.newBits()
-	em.opts = append(em.opts, option{tok: t, bs: bs, text: em.text[lo:len(em.text):len(em.text)]})
+	if all {
+		for _, i := range members {
+			bs.set(i)
+		}
+	}
+	em.opts = append(em.opts, option{tok: t, bs: bs, text: em.text[lo:len(em.text):len(em.text)], all: all})
 	return bs
 }
 
 // addAll adds the option t, matching every member.
 func (em *emitter) addAll(t Tok, members []int) {
-	bs := em.addOption(t)
-	for _, i := range members {
-		bs.set(i)
-	}
+	em.addOption(t, members, true)
 }
 
 // tally returns dst holding, in key order, the keys of the members that
 // weigh at least min in all, and reports whether the members' keys
-// differ. When min is over half of groupWeight only a majority key can
-// qualify, and one weighted vote finds it; otherwise the keys are sorted
-// and equal runs merged. No map is built or cleared per position.
+// differ. When min is the whole of groupWeight only a key every member
+// has can qualify, and the first member that differs ends the check;
+// when min is over half of groupWeight only a majority key can qualify,
+// and one weighted vote finds it; otherwise the keys are sorted and
+// equal runs merged. No map is built or cleared per position.
 func tally[K comparable](dst []weighed[K], members, weights []int, keyOf func(i int) K, compare func(a, b K) int, min, groupWeight int) ([]weighed[K], bool) {
 	dst = dst[:0]
+	if min >= groupWeight {
+		k := keyOf(members[0])
+		for _, i := range members[1:] {
+			if keyOf(i) != k {
+				return dst, true
+			}
+		}
+		if groupWeight >= min {
+			dst = append(dst, weighed[K]{k, groupWeight})
+		}
+		return dst, false
+	}
 	if 2*min > groupWeight {
 		var cand K // Boyer-Moore majority vote, weighted
 		bal := 0
@@ -583,10 +666,12 @@ func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, gr
 	}
 	addConsts := func() {
 		for _, c := range consts {
-			bs := em.addOption(Lit(c.key))
-			for _, i := range members {
-				if runsOf[i][pos].Text == c.key {
-					bs.set(i)
+			all := c.w == groupWeight
+			if bs := em.addOption(Lit(c.key), members, all); !all {
+				for _, i := range members {
+					if runsOf[i][pos].Text == c.key {
+						bs.set(i)
+					}
 				}
 			}
 		}
@@ -629,10 +714,12 @@ func (em *emitter) addWidths(class tokens.Class, members []int, runsOf [][]token
 		cmp.Compare[int], em.minCount, groupWeight)
 	lens := heaviest(em.lens, cmp.Compare[int], em.opt.MaxLengthsPerPos)
 	for _, l := range lens {
-		bs := em.addOption(ClassN(class, l.key))
-		for _, i := range members {
-			if len(runsOf[i][pos].Text) == l.key {
-				bs.set(i)
+		all := l.w == groupWeight
+		if bs := em.addOption(ClassN(class, l.key), members, all); !all {
+			for _, i := range members {
+				if len(runsOf[i][pos].Text) == l.key {
+					bs.set(i)
+				}
 			}
 		}
 	}

@@ -94,8 +94,18 @@ func TestEnumerateAgreesWithOracle(t *testing.T) {
 }
 
 // Mixed shapes, empties, duplicates, wide values and literal
-// metacharacters, which no generator domain combines.
+// metacharacters, which no generator domain combines; and, last, the
+// inputs of the full-support paths: the majority vote over shapes, the
+// all-equal check per position and the options that match every member.
 func TestEnumerateAgreesWithOracleHandCases(t *testing.T) {
+	late := []string{"x-y", "a.b"} // the digit shape qualifies at 90 %, met third
+	for i := 1; i <= 18; i++ {
+		late = append(late, fmt.Sprint(i))
+	}
+	wide := []string{"x-1"} // too wide for the fine pass at τ = 8, one run merged
+	for i := 0; i < 9; i++ {
+		wide = append(wide, fmt.Sprintf("a%db%dc%dd%de%d", i, i+1, i+2, i+3, i+4))
+	}
 	cases := [][]string{
 		nil,
 		{""},
@@ -108,6 +118,14 @@ func TestEnumerateAgreesWithOracleHandCases(t *testing.T) {
 		{"x1", "x2", "x3", "y1", "y-1", "  y1"},
 		{"2019-01-02", "2019/01/02", "2019-1-2", "20190102"},
 		{"AB12CD", "ab12cd", "A1", "1A", "A", "1"},
+		{"a1", "b-2", "3.c", "d_4"},            // no majority shape
+		{"12", "ab", "12", "ab", "34", "cd"},   // digits and letters weigh exactly half each
+		wide,                                   // the majority shape fits merged only
+		wide[1:],                               // every value fits merged only
+		late,                                   // the only qualifying shape is met late
+		{"ab-1", "ab-2", "ab-3", "ab+4"},       // only the last member's symbol differs
+		{"ab-1", "ab-2", "ab-3", "ac-4"},       // only the last member's letters differ
+		{"ab-1", "ab-22", "ab-333", "ab-4444"}, // constant prefix, widths differ
 	}
 	for _, values := range cases {
 		for _, opt := range agreeOptions() {
@@ -123,6 +141,17 @@ func FuzzEnumerateAgree(f *testing.F) {
 	f.Add("a1b2\nab12\n\n12ab\na1b2", byte(5), byte(3), byte(4))
 	f.Add("<x>\n(y)\n\\z", byte(90), byte(0), byte(2))
 	f.Add("0a1b2c3d-0a1b\nffff0000-abcd\n12345678-9abc", byte(100), byte(5), byte(1))
+	// The full-support paths, at a DP leaf's settings: no majority shape;
+	// an exact half/half weighted tie; a majority shape too wide for the
+	// fine pass that fits merged; a majority shape met late (the only
+	// qualifying one at 90 %); a position where only the last member
+	// differs.
+	f.Add("a1\nb-2\n3.c\nd_4", byte(100), byte(5), byte(0))
+	f.Add("12\nab\n12\nab\n34\ncd", byte(100), byte(5), byte(1))
+	f.Add("a1b2c3d\ne5f6g7h\ni8j9k0l\nx-1\na1b2c3d", byte(100), byte(5), byte(0))
+	f.Add("x-y\n\n1\n2\n3\n4\n5\n6\n7\n8\n9\n10", byte(100), byte(5), byte(0))
+	f.Add("x-y\n1\n2\n3\n4\n5\n6\n7\n8\n9\n10", byte(90), byte(5), byte(0))
+	f.Add("ab-1\nab-2\nab-3\nab+4", byte(100), byte(5), byte(0))
 	f.Fuzz(func(t *testing.T, column string, support, tau, caps byte) {
 		if len(column) > 400 {
 			return
