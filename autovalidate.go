@@ -212,15 +212,15 @@ func BuildIndex(c *Corpus, opt BuildOptions) *Index {
 	return index.Build(c.Columns(), opt)
 }
 
-// LoadIndex reads an index written by Index.Save (shards load in
-// parallel, generation counters preserved). Files in the older v1/v2
-// layouts are refused with a pointer at a rebuild.
+// LoadIndex reads an index written by Index.Save (generation counters
+// preserved). Files in the older v1/v2 layouts are refused with a
+// pointer at a rebuild.
 func LoadIndex(path string) (*Index, error) { return index.Load(path) }
 
 // IngestCorpus folds a batch of newly arrived tables into an existing
-// index incrementally: only the new columns are scanned (same shard-aware
-// map-reduce dataflow as BuildIndex), their evidence merges shard-by-shard
-// into the existing aggregates, and the index's generation advances. The
+// index incrementally: only the new columns are scanned (same map-reduce
+// dataflow as BuildIndex), their evidence sums into the existing
+// aggregates, and the index's generation advances. The
 // returned delta can be persisted with SaveIndexDelta for replication or
 // later compaction. Enumeration options are taken from the index itself
 // so increments stay consistent with the original build.
@@ -248,16 +248,12 @@ func CompactIndex(base *Index, deltas ...*IndexDelta) error {
 }
 
 // SaveIndexDelta / LoadIndexDelta persist one ingest batch's evidence in
-// the v3 sharded format, flagged so a delta file can never be mistaken
-// for a full index.
+// the AVIDX3 format, flagged so a delta file can never be mistaken for a
+// full index.
 func SaveIndexDelta(path string, d *IndexDelta) error { return index.SaveDelta(path, d) }
 
 // LoadIndexDelta reads a delta written by SaveIndexDelta.
 func LoadIndexDelta(path string) (*IndexDelta, error) { return index.LoadDelta(path) }
-
-// DefaultIndexShards returns the default index shard count for this
-// machine.
-func DefaultIndexShards() int { return index.DefaultShards() }
 
 // NewService builds the long-running validation service over a loaded
 // index. Serve its Handler with net/http (or use cmd/avserve).

@@ -57,10 +57,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) { return cluster.NewGateway
 // deltas (<= 0 = the default window of 64).
 func NewIndexDeltaLog(retain int) *IndexDeltaLog { return index.NewDeltaLog(retain) }
 
-// NewEmptyIndex returns an empty index with nshards shards — the
-// placeholder a follower serves behind a 503 /readyz until its first
-// snapshot installs.
-func NewEmptyIndex(nshards int) *Index { return index.New(nshards) }
+// NewEmptyIndex returns an empty index — the placeholder a follower
+// serves behind a 503 /readyz until its first snapshot installs.
+func NewEmptyIndex() *Index { return index.New() }
 
 // WriteClusterSnapshot encodes a service's current index and stream
 // registry as one framed snapshot artifact (what GET

@@ -116,7 +116,9 @@ func main() {
 	defer stop()
 	go g.Run(ctx)
 
-	server := &http.Server{Handler: g.Handler()}
+	// ReadHeaderTimeout bounds how long a client may take to send its
+	// request head, so a stalled one cannot pin a connection forever.
+	server := &http.Server{Handler: g.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- server.Serve(ln) }()
 	select {

@@ -165,7 +165,7 @@ func main() {
 		if err != nil || leaderURL.Scheme == "" || leaderURL.Host == "" {
 			fatal(fmt.Errorf("bad -follow URL %q (want e.g. http://leader:8077): %w", *follow, err))
 		}
-		cfg.Index = autovalidate.NewEmptyIndex(autovalidate.DefaultIndexShards())
+		cfg.Index = autovalidate.NewEmptyIndex()
 		cfg.Options = &opt
 		cfg.StartUnready = true
 		cfg.WriteProxy = leaderURL
@@ -257,7 +257,9 @@ func main() {
 		go follower.Run(ctx)
 	}
 
-	server := &http.Server{Handler: handler}
+	// ReadHeaderTimeout bounds how long a client may take to send its
+	// request head, so a stalled one cannot pin a connection forever.
+	server := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- server.Serve(ln) }()
 	select {

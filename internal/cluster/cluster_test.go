@@ -73,7 +73,7 @@ func newFollower(t *testing.T, leaderURL string) (*service.Server, *Follower) {
 		t.Fatal(err)
 	}
 	svc, err := service.New(service.Config{
-		Index:        index.New(4),
+		Index:        index.New(),
 		Options:      smallOptions(),
 		StartUnready: true,
 		WriteProxy:   lu,

@@ -36,9 +36,7 @@ func sameEvidence(a, b *index.Index) bool {
 // streams and deltas under different counters; never other evidence, a
 // shorter chain, or a panic.
 func TestCorruptionTable(t *testing.T) {
-	opt := index.DefaultBuildOptions()
-	opt.Shards = 2
-	base := index.Build([]*corpus.Column{corpus.NewColumn("t1", "id", []string{"a-01", "b-22", "c-33"})}, opt)
+	base := index.Build([]*corpus.Column{corpus.NewColumn("t1", "id", []string{"a-01", "b-22", "c-33"})}, index.DefaultBuildOptions())
 	svc, err := service.New(service.Config{Index: base, Options: smallOptions(), DeltaLog: index.NewDeltaLog(0)})
 	if err != nil {
 		t.Fatal(err)

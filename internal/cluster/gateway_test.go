@@ -181,9 +181,12 @@ func TestGatewayFailover(t *testing.T) {
 
 	// Pick stream names whose ring order puts the dying member first, so
 	// every request exercises the failover path rather than landing on
-	// the healthy member directly.
+	// the healthy member directly. FNV-1a spreads short sequential names
+	// over a narrow arc of the ring, so for about one port pair in
+	// twenty the first thousand names hold fewer than six for the dying
+	// member; the search runs on until it finds them.
 	var streams []string
-	for i := 0; len(streams) < 6 && i < 1000; i++ {
+	for i := 0; len(streams) < 6 && i < 100000; i++ {
 		name := fmt.Sprintf("s%d", i)
 		if g.sequence(name)[0] == 0 { // member 0 is the dying one
 			streams = append(streams, name)

@@ -52,7 +52,7 @@ func newTracedCluster(t *testing.T) *tracedCluster {
 		t.Fatal(err)
 	}
 	followerSvc, err := service.New(service.Config{
-		Index:        index.New(4),
+		Index:        index.New(),
 		Options:      smallOptions(),
 		StartUnready: true,
 		WriteProxy:   lu,

@@ -10,8 +10,8 @@ import (
 // logDelta fabricates a minimal delta at the given base generation.
 func logDelta(t *testing.T, base uint64) *Delta {
 	t.Helper()
-	ev := New(4)
-	ev.put("k", Entry{SumImp: 0.5, Cov: 1})
+	ev := New()
+	ev.entries["k"] = Entry{SumImp: 0.5, Cov: 1}
 	ev.Columns = 1
 	return &Delta{Evidence: ev, Base: base}
 }

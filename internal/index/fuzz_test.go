@@ -71,7 +71,7 @@ func FuzzLoadIndex(f *testing.F) {
 			// calls must not panic either.
 			_ = idx.Size()
 			_, _ = idx.Lookup("<digit>+")
-			into := New(3)
+			into := New()
 			into.Enum = idx.Enum
 			_, _ = Merge(into, idx)
 		}

@@ -14,7 +14,8 @@ import (
 // The files under testdata/ were written by the last commit that still
 // carried its own framing code (and the v1/v2 writers); they pin the
 // AVIDX3 bytes this package must keep reading and the legacy bytes it
-// must keep refusing.
+// must keep refusing. The two AVIDX3 goldens carry two hash-partitioned
+// sections each, so they also pin the multi-section reader.
 
 // goldenIndex rebuilds the index and delta the golden files were saved
 // from. Build is deterministic in its evidence, so a loaded golden must
@@ -26,7 +27,6 @@ func goldenIndex() (*Index, *Delta) {
 		corpus.NewColumn("t2", "code", []string{"XX", "YY", "ZZ"}),
 	}
 	opt := DefaultBuildOptions()
-	opt.Shards = 2
 	idx := Build(cols[:2], opt)
 	return idx, BuildDelta(idx, cols[2:], opt)
 }
@@ -37,8 +37,8 @@ func TestGoldenV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumShards() != 2 || got.Generation != 0 {
-		t.Errorf("golden index: %d shards at generation %d, want 2 at 0", got.NumShards(), got.Generation)
+	if got.Generation != 0 {
+		t.Errorf("golden index at generation %d, want 0", got.Generation)
 	}
 	sameEntries(t, idx, got)
 
@@ -102,7 +102,7 @@ func TestCorruptionTable(t *testing.T) {
 	}
 	frametest.Corrupt(t, file, func(damage string, bad []byte) {
 		got, err := Decode(bytes.NewReader(bad), int64(len(bad)))
-		if err == nil && (len(bad) < len(file) || got.NumShards() != idx.NumShards() || !equalEvidence(got, idx)) {
+		if err == nil && (len(bad) < len(file) || !equalEvidence(got, idx)) {
 			t.Errorf("index %s: loaded as a different index", damage)
 		}
 		if _, err := DecodeDelta(bytes.NewReader(bad), int64(len(bad))); err == nil && len(bad) < len(file) {

@@ -5,18 +5,15 @@
 // that online inference needs only O(1) lookups per hypothesis instead of
 // a corpus scan.
 //
-// The pattern space is partitioned by key hash into independent shards.
-// Each shard is built lock-free by the shard-aware map-reduce job (one
-// merge goroutine per shard, no cross-shard rehash), persisted as its own
-// binary section, and loaded in parallel — the unit of scale every
-// serving-layer feature builds on.
+// The index is one map, pattern key → (Σ Imp, Cov), built by the
+// map-reduce job, persisted as one binary section in key order, and
+// merged with incremental deltas by one combine loop.
 package index
 
 import (
 	"fmt"
-	"hash/fnv"
 	"iter"
-	"runtime"
+	"maps"
 	"sort"
 
 	"autovalidate/internal/corpus"
@@ -45,11 +42,10 @@ func (e Entry) FPR() float64 {
 	return e.SumImp / float64(e.Cov)
 }
 
-// Index is the offline index over a corpus, sharded by pattern-key hash.
+// Index is the offline index over a corpus.
 type Index struct {
-	// shards partitions the pattern space: shards[shardOf(key,
-	// len(shards))] holds key. Always non-empty.
-	shards []map[string]Entry
+	// entries maps each pattern key to its evidence. Never nil.
+	entries map[string]Entry
 	// Enum records the enumeration options the index was built with;
 	// queries should enumerate hypotheses compatibly (notably the same
 	// τ) or risk lookup misses.
@@ -68,66 +64,17 @@ type Index struct {
 	Generation uint64
 }
 
-// New returns an empty index with nshards shards (clamped to at least 1).
-func New(nshards int) *Index {
-	if nshards < 1 {
-		nshards = 1
-	}
-	shards := make([]map[string]Entry, nshards)
-	for s := range shards {
-		shards[s] = make(map[string]Entry)
-	}
-	return &Index{shards: shards}
-}
+// New returns an empty index. Callers write index.New(); the ignored
+// variadic argument exists only for benchmark/cluster.go, which still
+// calls index.New(index.DefaultShards()).
+func New(...int) *Index { return &Index{entries: make(map[string]Entry)} }
 
-// DefaultShards returns the default shard count: GOMAXPROCS rounded up to
-// a power of two, clamped to [8, 64]. Enough shards that building and
-// loading parallelize across available cores, few enough that tiny
-// corpora don't pay per-shard overhead.
-func DefaultShards() int {
-	n := 8
-	for n < runtime.GOMAXPROCS(0) && n < 64 {
-		n *= 2
-	}
-	return n
-}
+// DefaultShards returns 1. Its one caller is benchmark/cluster.go, as
+// the argument to New.
+func DefaultShards() int { return 1 }
 
-// shardOf maps a pattern key to its shard with FNV-1a, which is stable
-// across processes — the persisted format depends on it.
-func shardOf(key string, nshards int) int {
-	if nshards == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(nshards))
-}
-
-// NumShards returns the shard count.
-func (idx *Index) NumShards() int { return len(idx.shards) }
-
-// put inserts or replaces one entry.
-func (idx *Index) put(key string, e Entry) {
-	idx.shards[shardOf(key, len(idx.shards))][key] = e
-}
-
-// delete removes one entry.
-func (idx *Index) delete(key string) {
-	delete(idx.shards[shardOf(key, len(idx.shards))], key)
-}
-
-// All iterates over every (key, entry) pair, shard by shard.
-func (idx *Index) All() iter.Seq2[string, Entry] {
-	return func(yield func(string, Entry) bool) {
-		for _, shard := range idx.shards {
-			for k, e := range shard {
-				if !yield(k, e) {
-					return
-				}
-			}
-		}
-	}
-}
+// All iterates over every (key, entry) pair.
+func (idx *Index) All() iter.Seq2[string, Entry] { return maps.All(idx.entries) }
 
 // BuildOptions configure an offline build.
 type BuildOptions struct {
@@ -137,9 +84,6 @@ type BuildOptions struct {
 	Enum pattern.EnumOptions
 	// Workers is the map parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Shards is the number of index shards (0 = DefaultShards; 1
-	// reproduces the former flat single-map build).
-	Shards int
 	// Progress is called as columns complete. It may be invoked
 	// concurrently from multiple workers.
 	Progress func(done, total int)
@@ -159,18 +103,13 @@ func DefaultBuildOptions() BuildOptions {
 const wideSentinel = "\x00wide"
 
 // Build scans the columns and produces the offline index. The scan runs
-// on the shard-aware map-reduce substrate: each column maps to its local
-// pattern evidence {(p, Imp_D(p))}, combined by summation straight into
-// the target shard — the same dataflow as the paper's SCOPE job, with the
-// reduce output adopted as the index shards with no final rehash.
+// on the map-reduce substrate: each column maps to its local pattern
+// evidence {(p, Imp_D(p))}, combined by summation — the same dataflow as
+// the paper's SCOPE job, with the reduce output adopted as the index.
 func Build(cols []*corpus.Column, opt BuildOptions) *Index {
-	nshards := opt.Shards
-	if nshards <= 0 {
-		nshards = DefaultShards()
-	}
-	shards := mapreduce.RunSharded(
+	entries := mapreduce.Run(
 		mapreduce.Config{Workers: opt.Workers, Progress: opt.Progress},
-		nshards, cols,
+		cols,
 		func(col *corpus.Column, emit func(string, Entry)) {
 			res := pattern.Enumerate(col.Values, opt.Enum)
 			if res.Total > 0 && res.Wide == res.Total {
@@ -186,24 +125,23 @@ func Build(cols []*corpus.Column, opt BuildOptions) *Index {
 				})
 			}
 		},
-		combineEntries,
-		func(key string) int { return shardOf(key, nshards) })
+		combineEntries)
 
 	idx := &Index{
-		shards:  shards,
+		entries: entries,
 		Enum:    opt.Enum,
 		Columns: len(cols),
 	}
-	if e, ok := idx.Lookup(wideSentinel); ok {
+	if e, ok := entries[wideSentinel]; ok {
 		idx.SkippedWide = int(e.Cov)
-		idx.delete(wideSentinel)
+		delete(entries, wideSentinel)
 	}
 	return idx
 }
 
 // Lookup returns the evidence for a pattern key.
 func (idx *Index) Lookup(key string) (Entry, bool) {
-	e, ok := idx.shards[shardOf(key, len(idx.shards))][key]
+	e, ok := idx.entries[key]
 	return e, ok
 }
 
@@ -213,18 +151,12 @@ func (idx *Index) LookupPattern(p pattern.Pattern) (Entry, bool) {
 }
 
 // Size returns the number of distinct indexed patterns.
-func (idx *Index) Size() int {
-	n := 0
-	for _, shard := range idx.shards {
-		n += len(shard)
-	}
-	return n
-}
+func (idx *Index) Size() int { return len(idx.entries) }
 
 // String summarizes the index.
 func (idx *Index) String() string {
-	return fmt.Sprintf("index{patterns=%d columns=%d skipped_wide=%d tau=%d shards=%d gen=%d}",
-		idx.Size(), idx.Columns, idx.SkippedWide, idx.Enum.MaxTokens, len(idx.shards), idx.Generation)
+	return fmt.Sprintf("index{patterns=%d columns=%d skipped_wide=%d tau=%d gen=%d}",
+		idx.Size(), idx.Columns, idx.SkippedWide, idx.Enum.MaxTokens, idx.Generation)
 }
 
 // HeadPattern is one "common domain" pattern from the head of the index.

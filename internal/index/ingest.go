@@ -3,18 +3,16 @@
 // recurring cluster job); here the same aggregates — per-pattern SumImp
 // and Cov plus corpus totals — are pure sums over columns, so new tables
 // fold into an existing index as a delta build over just the new columns,
-// and two independently built indexes merge shard-by-shard. Rebuilding
-// from scratch is never required.
+// and two independently built indexes merge by summing their evidence.
+// Rebuilding from scratch is never required.
 
 package index
 
 import (
 	"fmt"
 	"maps"
-	"sync"
 
 	"autovalidate/internal/corpus"
-	"autovalidate/internal/mapreduce"
 )
 
 // combineEntries sums two evidence entries for one pattern key; it is the
@@ -26,6 +24,16 @@ func combineEntries(a, b Entry) Entry {
 	return a
 }
 
+// addEvidence folds src's per-pattern evidence into dst.
+func addEvidence(dst, src map[string]Entry) {
+	for k, e := range src {
+		if old, ok := dst[k]; ok {
+			e = combineEntries(old, e)
+		}
+		dst[k] = e
+	}
+}
+
 // Delta is the evidence contributed by one batch of newly arrived
 // columns, built against a specific generation of a base index. A delta
 // is small (its own keys only), persists independently of the base
@@ -33,8 +41,8 @@ func combineEntries(a, b Entry) Entry {
 // in bulk, in chain order, with Compact.
 type Delta struct {
 	// Evidence aggregates the batch exactly as Build would: per-pattern
-	// SumImp / Cov in the base's shard layout, plus the batch's own
-	// Columns and SkippedWide totals.
+	// SumImp / Cov, plus the batch's own Columns and SkippedWide
+	// totals.
 	Evidence *Index
 	// Base is the Generation of the base index the delta was built
 	// against. ApplyDelta refuses a delta whose Base does not match the
@@ -44,20 +52,18 @@ type Delta struct {
 }
 
 // BuildDelta scans a batch of new columns into a delta against base. The
-// enumeration options and shard layout come from the base index — mixing
-// τ or pruning settings across increments would corrupt the aggregates —
-// so only opt.Workers and opt.Progress are honored.
+// enumeration options come from the base index — mixing τ or pruning
+// settings across increments would corrupt the aggregates — so only
+// opt.Workers and opt.Progress are honored.
 func BuildDelta(base *Index, cols []*corpus.Column, opt BuildOptions) *Delta {
 	opt.Enum = base.Enum
-	opt.Shards = len(base.shards)
 	return &Delta{Evidence: Build(cols, opt), Base: base.Generation}
 }
 
 // ApplyDelta folds a delta into the index in place: per-pattern evidence
-// merges shard-by-shard in parallel (no cross-shard rehash), corpus
-// totals add, and the generation advances by one. It fails — leaving the
-// index untouched — if the delta was built against a different
-// generation or with different enumeration options.
+// and corpus totals add, and the generation advances by one. It fails —
+// leaving the index untouched — if the delta was built against a
+// different generation or with different enumeration options.
 func (idx *Index) ApplyDelta(d *Delta) error {
 	if d == nil || d.Evidence == nil {
 		return fmt.Errorf("index: nil delta")
@@ -70,24 +76,16 @@ func (idx *Index) ApplyDelta(d *Delta) error {
 		return fmt.Errorf("index: delta enumeration options %+v differ from index options %+v",
 			d.Evidence.Enum, idx.Enum)
 	}
-	ev := d.Evidence
-	if len(ev.shards) != len(idx.shards) {
-		// A delta saved from a differently-sharded writer: rehash into
-		// this index's layout, leaving the caller's delta intact.
-		ev = reshardedCopy(ev, len(idx.shards))
-	}
-	if err := mapreduce.MergeShards(idx.shards, ev.shards, combineEntries); err != nil {
-		return err
-	}
-	idx.Columns += ev.Columns
-	idx.SkippedWide += ev.SkippedWide
+	addEvidence(idx.entries, d.Evidence.entries)
+	idx.Columns += d.Evidence.Columns
+	idx.SkippedWide += d.Evidence.SkippedWide
 	idx.Generation++
 	return nil
 }
 
-// IngestColumns delta-builds the new columns (the same shard-aware
-// map-reduce dataflow as Build, over just the batch) and folds the result
-// into the index, updating per-pattern coverage / FPR aggregates and the
+// IngestColumns delta-builds the new columns (the same map-reduce
+// dataflow as Build, over just the batch) and folds the result into the
+// index, updating per-pattern coverage / FPR aggregates and the
 // corpus totals. It returns the applied delta so callers can persist it
 // with SaveDelta for replication or later compaction. Enumeration options
 // are taken from the index itself; see BuildDelta. ApplyDelta cannot
@@ -103,23 +101,17 @@ func (idx *Index) IngestColumns(cols []*corpus.Column, opt BuildOptions) (*Delta
 }
 
 // Merge combines two independently built indexes over disjoint column
-// sets into a new index with a's shard layout; neither input is mutated.
-// The result is identical (up to float summation order) to building one
-// index over the union of the columns. Indexes built with different
-// enumeration options cannot be merged.
+// sets into a new index; neither input is mutated. The result is
+// identical (up to float summation order) to building one index over the
+// union of the columns. Indexes built with different enumeration options
+// cannot be merged.
 func Merge(a, b *Index) (*Index, error) {
 	if a.Enum != b.Enum {
 		return nil, fmt.Errorf("index: cannot merge indexes with different enumeration options (%+v vs %+v)",
 			a.Enum, b.Enum)
 	}
 	out := a.Clone()
-	bs := b
-	if len(b.shards) != len(a.shards) {
-		bs = reshardedCopy(b, len(a.shards))
-	}
-	if err := mapreduce.MergeShards(out.shards, bs.shards, combineEntries); err != nil {
-		return nil, err
-	}
+	addEvidence(out.entries, b.entries)
 	out.Columns = a.Columns + b.Columns
 	out.SkippedWide = a.SkippedWide + b.SkippedWide
 	out.Generation = a.Generation + b.Generation
@@ -155,44 +147,11 @@ func Compact(base *Index, deltas ...*Delta) error {
 	return nil
 }
 
-// reshardedCopy builds a new index holding src's evidence rehashed into
-// nshards shards, without first deep-copying src's own maps (the copies
-// would be discarded immediately).
-func reshardedCopy(src *Index, nshards int) *Index {
-	out := New(nshards)
-	out.Enum = src.Enum
-	out.Columns = src.Columns
-	out.SkippedWide = src.SkippedWide
-	out.Generation = src.Generation
-	per := src.Size()/nshards + 1
-	for s := range out.shards {
-		out.shards[s] = make(map[string]Entry, per)
-	}
-	for k, e := range src.All() {
-		out.put(k, e)
-	}
-	return out
-}
-
-// Clone returns a deep copy of the index (shard maps are copied in
-// parallel; Entry is a value type). Serving layers clone before ingesting
-// so in-flight readers of the old index never observe a half-merged one.
+// Clone returns a deep copy of the index (Entry is a value type).
+// Serving layers clone before ingesting so in-flight readers of the old
+// index never observe a half-merged one.
 func (idx *Index) Clone() *Index {
-	shards := make([]map[string]Entry, len(idx.shards))
-	var wg sync.WaitGroup
-	for s, shard := range idx.shards {
-		wg.Add(1)
-		go func(s int, shard map[string]Entry) {
-			defer wg.Done()
-			shards[s] = maps.Clone(shard)
-		}(s, shard)
-	}
-	wg.Wait()
-	return &Index{
-		shards:      shards,
-		Enum:        idx.Enum,
-		Columns:     idx.Columns,
-		SkippedWide: idx.SkippedWide,
-		Generation:  idx.Generation,
-	}
+	out := *idx
+	out.entries = maps.Clone(idx.entries)
+	return &out
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
 	"strings"
@@ -46,8 +47,7 @@ func equivalentIndexes(t *testing.T, name string, want, got *Index) {
 // TestIncrementalEquivalence is the core property of incremental
 // maintenance: Build(all) ≡ Build(half1) + IngestColumns(half2) ≡
 // Merge(Build(half1), Build(half2)) — same entries, coverage counts, and
-// FPR estimates — including when the merged halves were built with
-// different shard counts.
+// FPR estimates.
 func TestIncrementalEquivalence(t *testing.T) {
 	c := datagen.Generate(datagen.Enterprise(30, 11))
 	cols := c.Columns()
@@ -79,18 +79,6 @@ func TestIncrementalEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	equivalentIndexes(t, "merge", full, merged)
-
-	// Merging halves with mismatched shard layouts reshards internally.
-	optA, optB := opt, opt
-	optA.Shards, optB.Shards = 4, 7
-	crossShard, err := Merge(Build(cols[:half], optA), Build(cols[half:], optB))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crossShard.NumShards() != 4 {
-		t.Errorf("merged index has %d shards, want the left operand's 4", crossShard.NumShards())
-	}
-	equivalentIndexes(t, "merge-cross-shard", full, crossShard)
 }
 
 // TestMergeRejectsMismatchedEnum verifies indexes built under different
@@ -187,9 +175,10 @@ func TestDeltaChainCompaction(t *testing.T) {
 	equivalentIndexes(t, "staged", full, staged)
 }
 
-// TestApplyDeltaReshards applies a delta persisted from a
-// differently-sharded writer; the evidence must land correctly and the
-// caller's delta must stay intact.
+// TestApplyDeltaReshards applies a delta read from a file with eight
+// hash-partitioned sections, the layout deltas were shipped in before
+// the index became one map: the sections fold into one map, the
+// evidence must land correctly, and the caller's delta must stay intact.
 func TestApplyDeltaReshards(t *testing.T) {
 	c := datagen.Generate(datagen.Enterprise(12, 19))
 	cols := c.Columns()
@@ -197,21 +186,26 @@ func TestApplyDeltaReshards(t *testing.T) {
 	opt := DefaultBuildOptions()
 	full := Build(cols, opt)
 
-	optNarrow := opt
-	optNarrow.Shards = 3
-	narrow := Build(cols[:half], optNarrow)
-	d := BuildDelta(narrow, cols[half:], optNarrow)
-
-	optWide := opt
-	optWide.Shards = 16
-	wide := Build(cols[:half], optWide)
-	if err := wide.ApplyDelta(d); err != nil {
+	base := Build(cols[:half], opt)
+	built := BuildDelta(base, cols[half:], opt)
+	file := writeSections(t, headerV3{
+		Enum:           built.Evidence.Enum,
+		Columns:        built.Evidence.Columns,
+		SkippedWide:    built.Evidence.SkippedWide,
+		Delta:          true,
+		BaseGeneration: built.Base,
+	}, fnvSections(built.Evidence, 8)...)
+	d, err := DecodeDelta(bytes.NewReader(file), int64(len(file)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	equivalentIndexes(t, "resharded apply", full, wide)
-	if d.Evidence.NumShards() != 3 {
-		t.Errorf("caller's delta resharded to %d shards", d.Evidence.NumShards())
+	equivalentIndexes(t, "eight-section delta", built.Evidence, d.Evidence)
+	want := d.Evidence.Clone()
+	if err := base.ApplyDelta(d); err != nil {
+		t.Fatal(err)
 	}
+	equivalentIndexes(t, "multi-section apply", full, base)
+	equivalentIndexes(t, "caller's delta", want, d.Evidence)
 }
 
 // TestCloneIsDeep verifies mutations of a clone never leak into the

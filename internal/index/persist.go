@@ -6,30 +6,35 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sync"
+	"slices"
 
 	"autovalidate/internal/frame"
 	"autovalidate/internal/pattern"
 )
 
 // An index file and a delta file are one internal/frame artifact: magic
-// "AVIDX3\n", a gob headerV3, then one checksummed section per shard
-// holding a gob shardFileV2 — the map flattened into parallel slices,
+// "AVIDX3\n", a gob headerV3, then checksummed sections each holding a
+// gob shardFileV2 — the map flattened into parallel slices in key order,
 // which gob encodes far more compactly than a map of structs (the
 // paper's point that a terabyte corpus distills to an index under a
-// gigabyte depends on a dense encoding). Shards encode and decode in
-// parallel. An index records its Generation; a delta (Delta flag set)
-// also records the base generation it extends, so a base and a chain of
-// deltas compact deterministically. The older v1 (bare gob) and v2
-// ("AVIDX2\n") layouts are no longer read: an index is a pure function
-// of its corpus, so the way forward is a rebuild.
+// gigabyte depends on a dense encoding) and which makes the bytes a
+// function of the evidence alone. The writer emits one section. The
+// reader folds any number into the one map, because files written while
+// the index was hash-partitioned carry one section per partition
+// (NumShards in the header). An index records its Generation; a delta
+// (Delta flag set) also records the base generation it extends, so a
+// base and a chain of deltas compact deterministically. The older v1
+// (bare gob) and v2 ("AVIDX2\n") layouts are no longer read: an index is
+// a pure function of its corpus, so the way forward is a rebuild.
 
 const magicV3 = "AVIDX3\n"
 
-// headerV3 and shardFileV2 keep their historical names because gob
-// writes a type's name into the stream: renaming either would change
-// the bytes of every file and shipped delta.
+// headerV3 and shardFileV2 keep their historical names, and headerV3
+// its NumShards field (the section count), because gob writes type and
+// field names into the stream: renaming any of them would change the
+// bytes of every file and shipped delta.
 type headerV3 struct {
 	NumShards   int
 	Enum        pattern.EnumOptions
@@ -45,7 +50,7 @@ type headerV3 struct {
 	BaseGeneration uint64
 }
 
-// shardFileV2 is one shard's payload section.
+// shardFileV2 is one payload section.
 type shardFileV2 struct {
 	Keys   []string
 	SumImp []float64
@@ -78,13 +83,12 @@ func save(path string, encode func(io.Writer) error) error {
 // puts in a file, reusable as a network payload (the cluster's snapshot
 // shipping streams it over HTTP).
 func (idx *Index) Encode(w io.Writer) error {
-	return encodeSharded(w, headerV3{
-		NumShards:   len(idx.shards),
+	return encode(w, headerV3{
 		Enum:        idx.Enum,
 		Columns:     idx.Columns,
 		SkippedWide: idx.SkippedWide,
 		Generation:  idx.Generation,
-	}, idx.shards)
+	}, idx.entries)
 }
 
 // EncodeDelta writes a delta to an arbitrary writer — the same bytes
@@ -95,56 +99,41 @@ func EncodeDelta(w io.Writer, d *Delta) error {
 		return fmt.Errorf("index: cannot encode nil delta")
 	}
 	ev := d.Evidence
-	return encodeSharded(w, headerV3{
-		NumShards:      len(ev.shards),
+	return encode(w, headerV3{
 		Enum:           ev.Enum,
 		Columns:        ev.Columns,
 		SkippedWide:    ev.SkippedWide,
 		Generation:     ev.Generation,
 		Delta:          true,
 		BaseGeneration: d.Base,
-	}, ev.shards)
+	}, ev.entries)
 }
 
-// encodeSharded gob-encodes the shard payloads in parallel and frames
-// them sequentially behind the header.
-func encodeSharded(w io.Writer, head headerV3, shards []map[string]Entry) error {
+// encode frames the header and the entries, in key order, as one
+// section.
+func encode(w io.Writer, head headerV3, entries map[string]Entry) error {
+	head.NumShards = 1
 	var headBuf bytes.Buffer
 	if err := gob.NewEncoder(&headBuf).Encode(head); err != nil {
 		return fmt.Errorf("index: encoding header: %w", err)
 	}
-	payloads := make([][]byte, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for s, shard := range shards {
-		wg.Add(1)
-		go func(s int, shard map[string]Entry) {
-			defer wg.Done()
-			sf := shardFileV2{
-				Keys:   make([]string, 0, len(shard)),
-				SumImp: make([]float64, 0, len(shard)),
-				Cov:    make([]uint32, 0, len(shard)),
-				Tokens: make([]uint16, 0, len(shard)),
-			}
-			for k, e := range shard {
-				sf.Keys = append(sf.Keys, k)
-				sf.SumImp = append(sf.SumImp, e.SumImp)
-				sf.Cov = append(sf.Cov, e.Cov)
-				sf.Tokens = append(sf.Tokens, e.Tokens)
-			}
-			var buf bytes.Buffer
-			errs[s] = gob.NewEncoder(&buf).Encode(&sf)
-			payloads[s] = buf.Bytes()
-		}(s, shard)
+	sf := shardFileV2{
+		Keys:   slices.Sorted(maps.Keys(entries)),
+		SumImp: make([]float64, 0, len(entries)),
+		Cov:    make([]uint32, 0, len(entries)),
+		Tokens: make([]uint16, 0, len(entries)),
 	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return fmt.Errorf("index: encoding shard %d: %w", s, err)
-		}
+	for _, k := range sf.Keys {
+		e := entries[k]
+		sf.SumImp = append(sf.SumImp, e.SumImp)
+		sf.Cov = append(sf.Cov, e.Cov)
+		sf.Tokens = append(sf.Tokens, e.Tokens)
 	}
-
-	if err := frame.Write(w, magicV3, headBuf.Bytes(), payloads...); err != nil {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&sf); err != nil {
+		return fmt.Errorf("index: encoding entries: %w", err)
+	}
+	if err := frame.Write(w, magicV3, headBuf.Bytes(), payload.Bytes()); err != nil {
 		return fmt.Errorf("index: encoding: %w", err)
 	}
 	return nil
@@ -187,7 +176,7 @@ func loadFile[T any](path string, decode func(io.Reader, int64) (T, error)) (T, 
 // in Load; pass the framed payload length when the stream arrives over
 // the network.
 func Decode(r io.Reader, maxSize int64) (*Index, error) {
-	idx, head, err := decodeSharded(r, maxSize)
+	idx, head, err := decode(r, maxSize)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +190,7 @@ func Decode(r io.Reader, maxSize int64) (*Index, error) {
 // DecodeDelta reads a delta from a stream of bytes written by
 // EncodeDelta; maxSize bounds section allocations (see Decode).
 func DecodeDelta(r io.Reader, maxSize int64) (*Delta, error) {
-	ev, head, err := decodeSharded(r, maxSize)
+	ev, head, err := decode(r, maxSize)
 	if err != nil {
 		return nil, err
 	}
@@ -221,11 +210,10 @@ func checkLengths(sf *shardFileV2) error {
 	return nil
 }
 
-// decodeSharded reads the header and the per-shard sections. Sections
-// are read sequentially and decoded in parallel; each decoded shard is
-// adopted directly as an in-memory shard, so no rehash happens on the
-// load path.
-func decodeSharded(r io.Reader, maxSize int64) (*Index, headerV3, error) {
+// decode reads the header and its NumShards sections, folding them into
+// one map. A key written twice is corruption: no writer ever wrote one
+// key twice, in one section or in two.
+func decode(r io.Reader, maxSize int64) (*Index, headerV3, error) {
 	var head headerV3
 	fail := func(err error) (*Index, headerV3, error) {
 		return nil, head, fmt.Errorf("index: file is corrupt: %w", err)
@@ -243,46 +231,37 @@ func decodeSharded(r io.Reader, maxSize int64) (*Index, headerV3, error) {
 		return fail(fmt.Errorf("undecodable header: %w", err))
 	}
 	if head.NumShards < 1 || head.NumShards > 1<<16 {
-		return fail(fmt.Errorf("implausible shard count %d", head.NumShards))
+		return fail(fmt.Errorf("implausible section count %d", head.NumShards))
 	}
-	shards := make([]map[string]Entry, head.NumShards)
-	errs := make([]error, head.NumShards)
-	var wg sync.WaitGroup
-	for s := range shards {
+	var entries map[string]Entry
+	for s := range head.NumShards {
 		payload, err := fr.ReadSection(maxSize)
 		if err != nil {
 			return fail(err)
 		}
-		wg.Add(1)
-		go func(s int, payload []byte) {
-			defer wg.Done()
-			var sf shardFileV2
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sf); err != nil {
-				errs[s] = fmt.Errorf("undecodable shard %d: %w", s, err)
-				return
-			}
-			if err := checkLengths(&sf); err != nil {
-				errs[s] = fmt.Errorf("shard %d: %w", s, err)
-				return
-			}
-			shard := make(map[string]Entry, len(sf.Keys))
-			for i, k := range sf.Keys {
-				shard[k] = Entry{SumImp: sf.SumImp[i], Cov: sf.Cov[i], Tokens: sf.Tokens[i]}
-			}
-			shards[s] = shard
-		}(s, payload)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fail(err)
+		var sf shardFileV2
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sf); err != nil {
+			return fail(fmt.Errorf("undecodable section %d: %w", s, err))
+		}
+		if err := checkLengths(&sf); err != nil {
+			return fail(fmt.Errorf("section %d: %w", s, err))
+		}
+		if entries == nil {
+			entries = make(map[string]Entry, len(sf.Keys))
+		}
+		want := len(entries) + len(sf.Keys)
+		for i, k := range sf.Keys {
+			entries[k] = Entry{SumImp: sf.SumImp[i], Cov: sf.Cov[i], Tokens: sf.Tokens[i]}
+		}
+		if len(entries) != want {
+			return fail(fmt.Errorf("section %d repeats %d key(s)", s, want-len(entries)))
 		}
 	}
 	if err := fr.ReadEOF(); err != nil {
 		return fail(err)
 	}
 	return &Index{
-		shards:      shards,
+		entries:     entries,
 		Enum:        head.Enum,
 		Columns:     head.Columns,
 		SkippedWide: head.SkippedWide,

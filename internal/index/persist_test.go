@@ -4,25 +4,77 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"autovalidate/internal/datagen"
 	"autovalidate/internal/frame"
 )
 
-// buildFixture builds a realistic index with the given shard count.
-func buildFixture(t *testing.T, shards int) *Index {
+// buildFixture builds a realistic index.
+func buildFixture(t *testing.T) *Index {
 	t.Helper()
 	c := datagen.Generate(datagen.Enterprise(20, 7))
-	opt := DefaultBuildOptions()
-	opt.Shards = shards
-	idx := Build(c.Columns(), opt)
+	idx := Build(c.Columns(), DefaultBuildOptions())
 	if idx.Size() == 0 {
 		t.Fatal("empty fixture index")
 	}
 	return idx
+}
+
+// fnvSections splits idx's entries into n sections by FNV-1a of the key
+// modulo n, the partition of files written while the index was sharded.
+func fnvSections(idx *Index, n int) []map[string]Entry {
+	sections := make([]map[string]Entry, n)
+	for s := range sections {
+		sections[s] = map[string]Entry{}
+	}
+	for k, e := range idx.All() {
+		h := fnv.New32a()
+		h.Write([]byte(k))
+		sections[h.Sum32()%uint32(n)][k] = e
+	}
+	return sections
+}
+
+// writeSections frames head and one gob shardFileV2 per section, with
+// NumShards set to the section count — the multi-section AVIDX3 layout.
+func writeSections(t *testing.T, head headerV3, sections ...map[string]Entry) []byte {
+	t.Helper()
+	head.NumShards = len(sections)
+	var headBuf bytes.Buffer
+	if err := gob.NewEncoder(&headBuf).Encode(head); err != nil {
+		t.Fatal(err)
+	}
+	payloads := make([][]byte, len(sections))
+	for s, sec := range sections {
+		var sf shardFileV2
+		for k, e := range sec {
+			sf.Keys = append(sf.Keys, k)
+			sf.SumImp = append(sf.SumImp, e.SumImp)
+			sf.Cov = append(sf.Cov, e.Cov)
+			sf.Tokens = append(sf.Tokens, e.Tokens)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&sf); err != nil {
+			t.Fatal(err)
+		}
+		payloads[s] = buf.Bytes()
+	}
+	var file bytes.Buffer
+	if err := frame.Write(&file, magicV3, headBuf.Bytes(), payloads...); err != nil {
+		t.Fatal(err)
+	}
+	return file.Bytes()
+}
+
+// indexHeader is the header Encode writes for idx.
+func indexHeader(idx *Index) headerV3 {
+	return headerV3{Enum: idx.Enum, Columns: idx.Columns, SkippedWide: idx.SkippedWide, Generation: idx.Generation}
 }
 
 // sameEntries asserts a and b index the identical evidence.
@@ -74,7 +126,7 @@ func TestV3RoundTripPreservesGeneration(t *testing.T) {
 // mistaken for each other: Load rejects a delta file and LoadDelta
 // rejects a full index, both with errors, never a silent misread.
 func TestDeltaFileConfusion(t *testing.T) {
-	idx := buildFixture(t, 4)
+	idx := buildFixture(t)
 	c := datagen.Generate(datagen.Enterprise(4, 9))
 	d := BuildDelta(idx, c.Columns(), DefaultBuildOptions())
 
@@ -107,39 +159,98 @@ func TestDeltaFileConfusion(t *testing.T) {
 	sameEntries(t, d.Evidence, got.Evidence)
 }
 
-// TestV2RoundTripAcrossShardCounts saves with one shard count and loads
-// into whatever the file says, then merges into an empty index of a
-// different count (the rehash ApplyDelta and Merge do for a mismatched
-// layout) — evidence and lookups must be identical throughout,
-// including the single-shard (flat) and larger-than-corpus extremes.
+// TestV2RoundTripAcrossShardCounts reads files written with 1, 3, 8 and
+// 64 hash-partitioned sections — the layouts the sharded writer left on
+// disk — and the current one-section Save: evidence and lookups must be
+// identical throughout, and merging a loaded index into an empty one
+// must keep them so.
 func TestV2RoundTripAcrossShardCounts(t *testing.T) {
-	dir := t.TempDir()
-	for _, saveShards := range []int{1, 3, 8, 64} {
-		idx := buildFixture(t, saveShards)
-		path := filepath.Join(dir, "idx")
-		if err := idx.Save(path); err != nil {
-			t.Fatalf("shards=%d: save: %v", saveShards, err)
-		}
-		got, err := Load(path)
+	idx := buildFixture(t)
+	for _, n := range []int{1, 3, 8, 64} {
+		file := writeSections(t, indexHeader(idx), fnvSections(idx, n)...)
+		got, err := Decode(bytes.NewReader(file), int64(len(file)))
 		if err != nil {
-			t.Fatalf("shards=%d: load: %v", saveShards, err)
-		}
-		if got.NumShards() != saveShards {
-			t.Errorf("loaded %d shards, file written with %d", got.NumShards(), saveShards)
+			t.Fatalf("%d sections: %v", n, err)
 		}
 		sameEntries(t, idx, got)
-		for _, reshards := range []int{1, 5, 32} {
-			into := New(reshards)
-			into.Enum = got.Enum
-			re, err := Merge(into, got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if re.NumShards() != reshards {
-				t.Fatalf("merge into %d shards left %d", reshards, re.NumShards())
-			}
-			sameEntries(t, idx, re)
+	}
+
+	path := filepath.Join(t.TempDir(), "idx")
+	if err := idx.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEntries(t, idx, got)
+	into := New()
+	into.Enum = got.Enum
+	merged, err := Merge(into, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEntries(t, idx, merged)
+}
+
+// TestDecodeRejectsKeyInTwoSections: no writer ever put one key in two
+// sections, so a file that does is corrupt, not evidence to sum.
+func TestDecodeRejectsKeyInTwoSections(t *testing.T) {
+	idx := buildFixture(t)
+	sections := fnvSections(idx, 8)
+	for k, e := range sections[0] {
+		sections[5][k] = e
+		break
+	}
+	file := writeSections(t, indexHeader(idx), sections...)
+	if _, err := Decode(bytes.NewReader(file), int64(len(file))); err == nil ||
+		!strings.Contains(err.Error(), "repeats 1 key(s)") {
+		t.Fatalf("Decode of a key in two sections = %v, want a corruption error", err)
+	}
+}
+
+// TestEncodeDeterministic: the bytes of an index or delta are a
+// function of its evidence — equal on a second encode and after a
+// decode, whatever order the map iterates in.
+func TestEncodeDeterministic(t *testing.T) {
+	idx := buildFixture(t)
+	c := datagen.Generate(datagen.Enterprise(6, 9))
+	d := BuildDelta(idx, c.Columns(), DefaultBuildOptions())
+
+	encode := func(write func(io.Writer) error) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
 		}
+		return buf.Bytes()
+	}
+	encodeDelta := func(d *Delta) func(io.Writer) error {
+		return func(w io.Writer) error { return EncodeDelta(w, d) }
+	}
+
+	first := encode(idx.Encode)
+	if !bytes.Equal(first, encode(idx.Encode)) {
+		t.Error("two encodes of one index differ")
+	}
+	back, err := Decode(bytes.NewReader(first), int64(len(first)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, encode(back.Encode)) {
+		t.Error("Encode(Decode(Encode(x))) differs from Encode(x)")
+	}
+
+	firstDelta := encode(encodeDelta(d))
+	if !bytes.Equal(firstDelta, encode(encodeDelta(d))) {
+		t.Error("two encodes of one delta differ")
+	}
+	backDelta, err := DecodeDelta(bytes.NewReader(firstDelta), int64(len(firstDelta)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(firstDelta, encode(encodeDelta(backDelta))) {
+		t.Error("EncodeDelta(DecodeDelta(EncodeDelta(d))) differs from EncodeDelta(d)")
 	}
 }
 
@@ -166,10 +277,10 @@ func TestBuildEmptyColumnSet(t *testing.T) {
 	}
 }
 
-// TestLoadTruncatedSharded truncates a valid sharded (v3) file at every
+// TestLoadTruncatedSharded truncates a valid v3 file at every
 // interesting boundary; each prefix must produce an error, never a panic.
 func TestLoadTruncatedSharded(t *testing.T) {
-	idx := buildFixture(t, 4)
+	idx := buildFixture(t)
 	path := filepath.Join(t.TempDir(), "full.idx")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
@@ -194,10 +305,10 @@ func TestLoadTruncatedSharded(t *testing.T) {
 	}
 }
 
-// TestLoadCorruptChecksum flips one payload byte; the per-shard CRC
+// TestLoadCorruptChecksum flips one payload byte; the per-section CRC
 // must reject the file.
 func TestLoadCorruptChecksum(t *testing.T) {
-	idx := buildFixture(t, 4)
+	idx := buildFixture(t)
 	path := filepath.Join(t.TempDir(), "crc.idx")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
@@ -215,16 +326,16 @@ func TestLoadCorruptChecksum(t *testing.T) {
 	}
 }
 
-// TestLoadCorruptMismatchedSlices frames a shard whose evidence slices
+// TestLoadCorruptMismatchedSlices frames a section whose evidence slices
 // are shorter than its key slice — intact checksums, inconsistent
 // payload, the case that once panicked with index-out-of-range — and
 // requires a clean error.
 func TestLoadCorruptMismatchedSlices(t *testing.T) {
-	var head, shard bytes.Buffer
+	var head, section bytes.Buffer
 	if err := gob.NewEncoder(&head).Encode(headerV3{NumShards: 1, Columns: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(&shard).Encode(shardFileV2{
+	if err := gob.NewEncoder(&section).Encode(shardFileV2{
 		Keys:   []string{"<digit>+", "<letter>{2}", "<alnum>+"},
 		SumImp: []float64{0.5}, // truncated
 		Cov:    []uint32{1, 2, 3},
@@ -233,7 +344,7 @@ func TestLoadCorruptMismatchedSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
-	if err := frame.Write(&file, magicV3, head.Bytes(), shard.Bytes()); err != nil {
+	if err := frame.Write(&file, magicV3, head.Bytes(), section.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Decode(&file, int64(file.Len())); err == nil {
@@ -245,7 +356,7 @@ func TestLoadCorruptMismatchedSlices(t *testing.T) {
 // larger than the file; the loader must reject them by comparing against
 // the real file size instead of allocating gigabytes.
 func TestLoadOversizedLengthPrefix(t *testing.T) {
-	idx := buildFixture(t, 4)
+	idx := buildFixture(t)
 	path := filepath.Join(t.TempDir(), "len.idx")
 	if err := idx.Save(path); err != nil {
 		t.Fatal(err)
@@ -267,8 +378,8 @@ func TestLoadOversizedLengthPrefix(t *testing.T) {
 			t.Errorf("%s: oversized length prefix at %d should error", name, offset)
 		}
 	}
-	patch("header.idx", len(magicV3))               // header length
-	patch("shard.idx", len(magicV3)+4+int(headLen)) // first shard length
+	patch("header.idx", len(magicV3))                 // header length
+	patch("section.idx", len(magicV3)+4+int(headLen)) // first section length
 }
 
 // TestSaveIsAtomic checks that saving over an existing index goes
@@ -277,7 +388,7 @@ func TestLoadOversizedLengthPrefix(t *testing.T) {
 func TestSaveIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "atomic.idx")
-	idx := buildFixture(t, 4)
+	idx := buildFixture(t)
 	for i := 0; i < 2; i++ {
 		if err := idx.Save(path); err != nil {
 			t.Fatal(err)

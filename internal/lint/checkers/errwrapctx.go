@@ -21,7 +21,7 @@ import (
 //     and every file of the framing package internal/frame): an error
 //     received from another package must not be returned
 //     bare; it must be wrapped with the section/generation context
-//     that makes a corrupt-file report actionable ("shard 3 checksum
+//     that makes a corrupt-file report actionable ("section 3 checksum
 //     mismatch", not just "unexpected EOF").
 var ErrWrapCtx = &analysis.Analyzer{
 	Name: "errwrapctx",

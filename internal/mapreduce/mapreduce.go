@@ -6,7 +6,6 @@
 package mapreduce
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,160 +32,61 @@ func (c Config) workers() int {
 // Run executes a map/combine/reduce job over items. The mapper emits
 // (key, value) pairs via the emit callback; values for equal keys are
 // merged with the associative combiner. Each worker combines into a local
-// shard first (the "combiner" of classic Map-Reduce), and locals are
-// reduced at the end, so combiner must be commutative and associative.
+// map first (the "combiner" of classic Map-Reduce), and locals are
+// reduced into the largest of them at the end, so combiner must be
+// commutative and associative. The result is never nil.
 func Run[T any, V any](cfg Config, items []T, mapper func(item T, emit func(key string, val V)), combiner func(a, b V) V) map[string]V {
-	return RunSharded(cfg, 1, items, mapper, combiner, func(string) int { return 0 })[0]
-}
-
-// RunSharded is Run with a partitioned output: the key space is split by
-// the shard function into nshards independent maps. Each worker combines
-// emitted pairs straight into a worker-local map for the key's target
-// shard, so the final reduce merges only same-shard locals — one
-// goroutine per shard, lock-free, with no cross-shard rehash. The
-// returned slice has exactly nshards maps (some possibly empty); shard
-// must return a stable value in [0, nshards) for every key.
-func RunSharded[T any, V any](cfg Config, nshards int, items []T, mapper func(item T, emit func(key string, val V)), combiner func(a, b V) V, shard func(key string) int) []map[string]V {
-	if nshards < 1 {
-		nshards = 1
-	}
-	nw := cfg.workers()
-	if nw > len(items) {
-		nw = len(items)
-	}
-	if nw <= 1 {
-		return runShardedSerial(cfg, nshards, items, mapper, combiner, shard)
-	}
-
-	locals := make([][]map[string]V, nw) // worker → shard → combined pairs
+	locals := make([]map[string]V, max(1, min(cfg.workers(), len(items))))
 	var next, done atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	for w := range locals {
+		locals[w] = make(map[string]V)
 		wg.Add(1)
-		go func(w int) {
+		go func(local map[string]V) {
 			defer wg.Done()
-			local := make([]map[string]V, nshards)
-			emit := func(key string, val V) {
-				s := shard(key)
-				m := local[s]
-				if m == nil {
-					m = make(map[string]V)
-					local[s] = m
-				}
-				if old, ok := m[key]; ok {
-					m[key] = combiner(old, val)
-				} else {
-					m[key] = val
-				}
-			}
+			emit := combineInto(local, combiner)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(items) {
-					break
+					return
 				}
 				mapper(items[i], emit)
 				if cfg.Progress != nil {
 					cfg.Progress(int(done.Add(1)), len(items))
 				}
 			}
-			locals[w] = local
-		}(w)
+		}(locals[w])
 	}
 	wg.Wait()
 
-	// Per-shard reduce: every worker's map for shard s merges into the
-	// largest of them (fewest rehash moves), one goroutine per shard.
-	out := make([]map[string]V, nshards)
-	var sg sync.WaitGroup
-	for s := 0; s < nshards; s++ {
-		sg.Add(1)
-		go func(s int) {
-			defer sg.Done()
-			best := -1
-			for w := range locals {
-				if locals[w][s] != nil && (best < 0 || len(locals[w][s]) > len(locals[best][s])) {
-					best = w
-				}
-			}
-			if best < 0 {
-				out[s] = make(map[string]V)
-				return
-			}
-			merged := locals[best][s]
-			for w := range locals {
-				if w == best || locals[w][s] == nil {
-					continue
-				}
-				for k, v := range locals[w][s] {
-					if old, ok := merged[k]; ok {
-						merged[k] = combiner(old, v)
-					} else {
-						merged[k] = v
-					}
-				}
-			}
-			out[s] = merged
-		}(s)
-	}
-	sg.Wait()
-	return out
-}
-
-func runShardedSerial[T any, V any](cfg Config, nshards int, items []T, mapper func(item T, emit func(key string, val V)), combiner func(a, b V) V, shard func(key string) int) []map[string]V {
-	out := make([]map[string]V, nshards)
-	for s := range out {
-		out[s] = make(map[string]V)
-	}
-	emit := func(key string, val V) {
-		m := out[shard(key)]
-		if old, ok := m[key]; ok {
-			m[key] = combiner(old, val)
-		} else {
-			m[key] = val
+	// Reduce into the largest local: fewest rehash moves.
+	best := 0
+	for w := range locals {
+		if len(locals[w]) > len(locals[best]) {
+			best = w
 		}
 	}
-	for i, it := range items {
-		mapper(it, emit)
-		if cfg.Progress != nil {
-			cfg.Progress(i+1, len(items))
-		}
-	}
-	return out
-}
-
-// MergeShards folds src's shard maps into dst's in place, one goroutine
-// per shard, combining values for keys present on both sides. It is the
-// incremental half of RunSharded: a delta job's output merges into an
-// existing shard set with no cross-shard rehash, so ingesting a batch
-// costs only the batch's own keys. dst and src must have the same length
-// and dst's maps must be non-nil; src maps may be nil or empty. A shard
-// count mismatch returns an error with dst untouched — the caller chose
-// the layouts, so the mismatch is its configuration bug to surface, not
-// a condition worth crashing a serving node over.
-func MergeShards[V any](dst, src []map[string]V, combiner func(a, b V) V) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("mapreduce: MergeShards shard counts differ: dst has %d, src has %d", len(dst), len(src))
-	}
-	var wg sync.WaitGroup
-	for s := range dst {
-		if len(src[s]) == 0 {
+	out := locals[best]
+	emit := combineInto(out, combiner)
+	for w, local := range locals {
+		if w == best {
 			continue
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			m := dst[s]
-			for k, v := range src[s] {
-				if old, ok := m[k]; ok {
-					m[k] = combiner(old, v)
-				} else {
-					m[k] = v
-				}
-			}
-		}(s)
+		for k, v := range local {
+			emit(k, v)
+		}
 	}
-	wg.Wait()
-	return nil
+	return out
+}
+
+// combineInto returns an emit function that combines pairs into m.
+func combineInto[V any](m map[string]V, combiner func(a, b V) V) func(string, V) {
+	return func(key string, val V) {
+		if old, ok := m[key]; ok {
+			val = combiner(old, val)
+		}
+		m[key] = val
+	}
 }
 
 // Map applies fn to every item in parallel and returns the results in

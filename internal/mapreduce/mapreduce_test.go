@@ -30,32 +30,6 @@ func TestRunWordCount(t *testing.T) {
 	}
 }
 
-// TestMergeShards verifies the incremental reduce: folding a delta's
-// shard maps into an existing shard set combines overlapping keys and
-// adopts new ones, shard positions untouched.
-func TestMergeShards(t *testing.T) {
-	dst := []map[string]int{{"a": 1, "b": 2}, {"x": 10}, {}}
-	src := []map[string]int{{"b": 3, "c": 4}, nil, {"y": 5}}
-	if err := MergeShards(dst, src, func(a, b int) int { return a + b }); err != nil {
-		t.Fatalf("MergeShards: %v", err)
-	}
-	want := []map[string]int{{"a": 1, "b": 5, "c": 4}, {"x": 10}, {"y": 5}}
-	for s := range want {
-		if len(dst[s]) != len(want[s]) {
-			t.Fatalf("shard %d = %v, want %v", s, dst[s], want[s])
-		}
-		for k, v := range want[s] {
-			if dst[s][k] != v {
-				t.Errorf("shard %d key %q = %d, want %d", s, k, dst[s][k], v)
-			}
-		}
-	}
-
-	if err := MergeShards(dst, src[:2], func(a, b int) int { return a + b }); err == nil {
-		t.Error("mismatched shard counts should return an error (caller bug)")
-	}
-}
-
 func TestRunSerialEqualsParallel(t *testing.T) {
 	items := make([]int, 500)
 	for i := range items {
@@ -78,9 +52,11 @@ func TestRunSerialEqualsParallel(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	got := Run(Config{}, nil, func(int, func(string, int)) {}, func(a, b int) int { return a + b })
-	if len(got) != 0 {
-		t.Errorf("empty input should give empty output, got %v", got)
+	for _, workers := range []int{0, 1, 4} {
+		got := Run(Config{Workers: workers}, nil, func(int, func(string, int)) {}, func(a, b int) int { return a + b })
+		if got == nil || len(got) != 0 {
+			t.Errorf("workers=%d: empty input should give an empty non-nil map, got %v", workers, got)
+		}
 	}
 }
 
@@ -137,62 +113,6 @@ func TestMapProgress(t *testing.T) {
 	}
 	if max.Load() != 100 {
 		t.Errorf("max progress %d, want 100", max.Load())
-	}
-}
-
-func TestRunShardedMatchesRun(t *testing.T) {
-	items := make([]int, 300)
-	for i := range items {
-		items[i] = i
-	}
-	mapper := func(x int, emit func(string, int)) {
-		emit(fmt.Sprintf("k%d", x%23), x)
-		emit("all", 1)
-	}
-	sum := func(a, b int) int { return a + b }
-	shard := func(key string) int { return len(key) % 4 }
-	flat := Run(Config{Workers: 1}, items, mapper, sum)
-	for _, workers := range []int{1, 8} {
-		shards := RunSharded(Config{Workers: workers}, 4, items, mapper, sum, shard)
-		if len(shards) != 4 {
-			t.Fatalf("workers=%d: got %d shards, want 4", workers, len(shards))
-		}
-		total := 0
-		for s, m := range shards {
-			for k, v := range m {
-				if shard(k) != s {
-					t.Errorf("workers=%d: key %q landed in shard %d, want %d", workers, k, s, shard(k))
-				}
-				if flat[k] != v {
-					t.Errorf("workers=%d: key %q = %d, want %d", workers, k, v, flat[k])
-				}
-				total++
-			}
-		}
-		if total != len(flat) {
-			t.Errorf("workers=%d: %d keys across shards, want %d", workers, total, len(flat))
-		}
-	}
-}
-
-func TestRunShardedEmptyAndClamped(t *testing.T) {
-	shards := RunSharded(Config{Workers: 4}, 3, nil,
-		func(int, func(string, int)) {}, func(a, b int) int { return a + b },
-		func(string) int { return 0 })
-	if len(shards) != 3 {
-		t.Fatalf("got %d shards, want 3", len(shards))
-	}
-	for s, m := range shards {
-		if m == nil || len(m) != 0 {
-			t.Errorf("shard %d should be empty non-nil, got %v", s, m)
-		}
-	}
-	// nshards < 1 clamps to a single shard rather than panicking.
-	one := RunSharded(Config{}, 0, []int{1, 2}, func(x int, emit func(string, int)) {
-		emit("n", x)
-	}, func(a, b int) int { return a + b }, func(string) int { return 0 })
-	if len(one) != 1 || one[0]["n"] != 3 {
-		t.Errorf("clamped run got %v", one)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestReadyzGatesOnSnapshot(t *testing.T) {
 	opt := core.DefaultOptions()
 	opt.M = 5
 	srv, err := New(Config{
-		Index:        index.New(4), // empty placeholder, as a follower boots
+		Index:        index.New(), // empty placeholder, as a follower boots
 		Options:      &opt,
 		StartUnready: true,
 	})

@@ -807,7 +807,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":     "ok",
 		"patterns":   idx.Size(),
 		"columns":    idx.Columns,
-		"shards":     idx.NumShards(),
 		"tau":        idx.Enum.MaxTokens,
 		"generation": idx.Generation,
 	})
@@ -961,7 +960,6 @@ func (s *Server) installRegistry(reg *registry.Registry) {
 type Stats struct {
 	IndexPatterns   int     `json:"index_patterns"`
 	IndexColumns    int     `json:"index_columns"`
-	IndexShards     int     `json:"index_shards"`
 	IndexGeneration uint64  `json:"index_generation"`
 	Ingests         uint64  `json:"ingests"`
 	CacheSize       int     `json:"cache_size"`
@@ -979,7 +977,6 @@ func (s *Server) CurrentStats() Stats {
 	return Stats{
 		IndexPatterns:   sv.idx.Size(),
 		IndexColumns:    sv.idx.Columns,
-		IndexShards:     sv.idx.NumShards(),
 		IndexGeneration: sv.idx.Generation,
 		Ingests:         s.ingests.Load(),
 		CacheSize:       sv.cache.len(),
