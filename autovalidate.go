@@ -9,7 +9,7 @@
 //     that pre-aggregates, for every candidate pattern, its estimated
 //     false-positive rate FPR_T and coverage Cov_T. Unlike the paper's
 //     one-shot SCOPE job, the index is incrementally maintainable: newly
-//     arrived tables fold in as deltas (Index.IngestColumns, avindex
+//     arrived tables fold in as deltas (Index.IngestColumns, av index
 //     -append, the service's POST /ingest), independently built indexes
 //     combine with MergeIndexes, and persisted deltas compact
 //     deterministically onto a base via generation counters — so a
@@ -100,7 +100,7 @@ type (
 	ServiceStats = service.Stats
 	// InferRequest / InferResponse and ValidateRequest /
 	// ValidateResponse are the service's JSON wire types, exported so
-	// Go clients can talk to avserve without hand-rolled structs.
+	// Go clients can talk to av serve without hand-rolled structs.
 	InferRequest     = service.InferRequest
 	InferResponse    = service.InferResponse
 	ValidateRequest  = service.ValidateRequest
@@ -256,7 +256,7 @@ func SaveIndexDelta(path string, d *IndexDelta) error { return index.SaveDelta(p
 func LoadIndexDelta(path string) (*IndexDelta, error) { return index.LoadDelta(path) }
 
 // NewService builds the long-running validation service over a loaded
-// index. Serve its Handler with net/http (or use cmd/avserve).
+// index. Serve its Handler with net/http (or use av serve).
 func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 
 // NewStreamRegistry returns an empty stream registry.

@@ -23,18 +23,15 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, tool := range []string{"avgen", "avindex", "avinfer", "avvalidate"} {
-		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", tool, err, out)
-		}
+	av := filepath.Join(dir, "av")
+	if out, err := exec.Command("go", "build", "-o", av, "./cmd/av").CombinedOutput(); err != nil {
+		t.Fatalf("building av: %v\n%s", err, out)
 	}
 
 	lake := filepath.Join(dir, "lake")
 	run := func(wantExit int, name string, args ...string) string {
 		t.Helper()
-		cmd := exec.Command(bin(name), args...)
+		cmd := exec.Command(av, append([]string{name}, args...)...)
 		out, err := cmd.CombinedOutput()
 		exit := 0
 		if ee, ok := err.(*exec.ExitError); ok {
@@ -48,13 +45,13 @@ func TestCLIEndToEnd(t *testing.T) {
 		return string(out)
 	}
 
-	out := run(0, "avgen", "-profile", "enterprise", "-tables", "40", "-seed", "3", "-out", lake)
+	out := run(0, "gen", "-profile", "enterprise", "-tables", "40", "-seed", "3", "-out", lake)
 	if !strings.Contains(out, "wrote 40 files") {
 		t.Fatalf("avgen output: %s", out)
 	}
 
 	idx := filepath.Join(dir, "lake.idx")
-	out = run(0, "avindex", "-corpus", lake, "-out", idx, "-tau", "8")
+	out = run(0, "index", "-corpus", lake, "-out", idx, "-tau", "8")
 	if !strings.Contains(out, "index{") {
 		t.Fatalf("avindex output: %s", out)
 	}
@@ -73,13 +70,13 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstCol := strings.SplitN(strings.SplitN(string(head), "\n", 2)[0], ",", 2)[0]
-	out = run(0, "avinfer", "-index", idx, "-csv", feed, "-col", firstCol, "-m", "5")
+	out = run(0, "infer", "-index", idx, "-csv", feed, "-col", firstCol, "-m", "5")
 	if !strings.Contains(out, "pattern:") {
 		t.Fatalf("avinfer output: %s", out)
 	}
 
 	// Validating the feed against itself must pass...
-	out = run(0, "avvalidate", "-index", idx, "-train", feed, "-test", feed, "-m", "5")
+	out = run(0, "validate", "-index", idx, "-train", feed, "-test", feed, "-m", "5")
 	if !strings.Contains(out, "passed") {
 		t.Fatalf("avvalidate clean output: %s", out)
 	}
@@ -88,7 +85,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	// so build a drifted copy of the feed by shuffling its columns).
 	drifted := filepath.Join(dir, "drifted.csv")
 	writeShuffledColumns(t, feed, drifted)
-	out = run(1, "avvalidate", "-index", idx, "-train", feed, "-test", drifted, "-m", "5")
+	out = run(1, "validate", "-index", idx, "-train", feed, "-test", drifted, "-m", "5")
 	if !strings.Contains(out, "ALARM") {
 		t.Fatalf("avvalidate drift output: %s", out)
 	}
@@ -103,16 +100,13 @@ func TestAvmonitorEndToEnd(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, tool := range []string{"avgen", "avindex", "avmonitor"} {
-		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", tool, err, out)
-		}
+	av := filepath.Join(dir, "av")
+	if out, err := exec.Command("go", "build", "-o", av, "./cmd/av").CombinedOutput(); err != nil {
+		t.Fatalf("building av: %v\n%s", err, out)
 	}
 	run := func(wantExit int, name string, args ...string) string {
 		t.Helper()
-		out, err := exec.Command(bin(name), args...).CombinedOutput()
+		out, err := exec.Command(av, append([]string{name}, args...)...).CombinedOutput()
 		exit := 0
 		if ee, ok := err.(*exec.ExitError); ok {
 			exit = ee.ExitCode()
@@ -126,9 +120,9 @@ func TestAvmonitorEndToEnd(t *testing.T) {
 	}
 
 	lake := filepath.Join(dir, "lake")
-	run(0, "avgen", "-profile", "enterprise", "-tables", "40", "-seed", "3", "-out", lake)
+	run(0, "gen", "-profile", "enterprise", "-tables", "40", "-seed", "3", "-out", lake)
 	idx := filepath.Join(dir, "lake.idx")
-	run(0, "avindex", "-corpus", lake, "-out", idx, "-tau", "8")
+	run(0, "index", "-corpus", lake, "-out", idx, "-tau", "8")
 
 	files, err := filepath.Glob(filepath.Join(lake, "*.csv"))
 	if err != nil || len(files) == 0 {
@@ -155,7 +149,7 @@ func TestAvmonitorEndToEnd(t *testing.T) {
 	writeShuffledColumns(t, feed, filepath.Join(day2, filepath.Base(feed)))
 
 	reg := filepath.Join(dir, "rules.avr")
-	out := run(0, "avmonitor", "-index", idx, "-registry", reg, "-m", "5", "register", day1)
+	out := run(0, "monitor", "-index", idx, "-registry", reg, "-m", "5", "register", day1)
 	if !strings.Contains(out, "registered") || strings.Contains(out, "registered 0 ") {
 		t.Fatalf("avmonitor register output: %s", out)
 	}
@@ -163,25 +157,25 @@ func TestAvmonitorEndToEnd(t *testing.T) {
 		t.Fatalf("registry not persisted: %v", err)
 	}
 
-	out = run(0, "avmonitor", "-index", idx, "-registry", reg, "replay", day1)
+	out = run(0, "monitor", "-index", idx, "-registry", reg, "replay", day1)
 	if !strings.Contains(out, "all batches accepted") {
 		t.Fatalf("clean replay output: %s", out)
 	}
-	out = run(1, "avmonitor", "-index", idx, "-registry", reg, "replay", day2)
+	out = run(1, "monitor", "-index", idx, "-registry", reg, "replay", day2)
 	if !strings.Contains(out, "alarm") {
 		t.Fatalf("drifted replay should alarm: %s", out)
 	}
 
 	// Re-registering appends versions rather than overwriting.
-	out = run(0, "avmonitor", "-index", idx, "-registry", reg, "-m", "5", "register", day1)
+	out = run(0, "monitor", "-index", idx, "-registry", reg, "-m", "5", "register", day1)
 	if !strings.Contains(out, "v2 ") {
 		t.Fatalf("re-registration should bump to v2: %s", out)
 	}
 
 	// Unknown commands and missing registries are usage/operational
 	// failures, not alarms.
-	run(2, "avmonitor", "-index", idx, "frobnicate", day1)
-	run(3, "avmonitor", "-index", idx, "-registry", filepath.Join(dir, "absent.avr"), "replay", day1)
+	run(2, "monitor", "-index", idx, "frobnicate", day1)
+	run(3, "monitor", "-index", idx, "-registry", filepath.Join(dir, "absent.avr"), "replay", day1)
 }
 
 // TestAvserveEndToEnd drives the serving layer the way a deployment
@@ -194,25 +188,22 @@ func TestAvserveEndToEnd(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, tool := range []string{"avgen", "avindex", "avserve"} {
-		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", tool, err, out)
-		}
+	av := filepath.Join(dir, "av")
+	if out, err := exec.Command("go", "build", "-o", av, "./cmd/av").CombinedOutput(); err != nil {
+		t.Fatalf("building av: %v\n%s", err, out)
 	}
 
 	lake := filepath.Join(dir, "lake")
-	if out, err := exec.Command(bin("avgen"), "-profile", "enterprise", "-tables", "40", "-seed", "3", "-out", lake).CombinedOutput(); err != nil {
+	if out, err := exec.Command(av, "gen", "-profile", "enterprise", "-tables", "40", "-seed", "3", "-out", lake).CombinedOutput(); err != nil {
 		t.Fatalf("avgen: %v\n%s", err, out)
 	}
 	idx := filepath.Join(dir, "lake.idx")
-	if out, err := exec.Command(bin("avindex"), "-corpus", lake, "-out", idx).CombinedOutput(); err != nil {
+	if out, err := exec.Command(av, "index", "-corpus", lake, "-out", idx).CombinedOutput(); err != nil {
 		t.Fatalf("avindex: %v\n%s", err, out)
 	}
 
 	// Start the service on an ephemeral port and scrape it from stdout.
-	cmd := exec.Command(bin("avserve"), "-index", idx, "-addr", "127.0.0.1:0", "-m", "5")
+	cmd := exec.Command(av, "serve", "-index", idx, "-addr", "127.0.0.1:0", "-m", "5")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -26,21 +26,18 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Skip("builds binaries and starts processes; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, tool := range []string{"avgen", "avindex", "avserve", "avgateway"} {
-		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", tool, err, out)
-		}
+	av := filepath.Join(dir, "av")
+	if out, err := exec.Command("go", "build", "-o", av, "./cmd/av").CombinedOutput(); err != nil {
+		t.Fatalf("building av: %v\n%s", err, out)
 	}
 
 	// Lake + index, exactly as the single-node pipeline would.
 	lake := filepath.Join(dir, "lake")
-	if out, err := exec.Command(bin("avgen"), "-profile", "enterprise", "-tables", "40", "-seed", "3", "-out", lake).CombinedOutput(); err != nil {
+	if out, err := exec.Command(av, "gen", "-profile", "enterprise", "-tables", "40", "-seed", "3", "-out", lake).CombinedOutput(); err != nil {
 		t.Fatalf("avgen: %v\n%s", err, out)
 	}
 	idx := filepath.Join(dir, "lake.idx")
-	if out, err := exec.Command(bin("avindex"), "-corpus", lake, "-out", idx, "-tau", "8").CombinedOutput(); err != nil {
+	if out, err := exec.Command(av, "index", "-corpus", lake, "-out", idx, "-tau", "8").CombinedOutput(); err != nil {
 		t.Fatalf("avindex: %v\n%s", err, out)
 	}
 
@@ -51,7 +48,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	stderrLog := func(logName string) string { return filepath.Join(dir, logName+".stderr.log") }
 	startProc := func(logName, name string, args ...string) (addr string) {
 		t.Helper()
-		cmd := exec.Command(bin(name), args...)
+		cmd := exec.Command(av, append([]string{name}, args...)...)
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -99,15 +96,15 @@ func TestClusterEndToEnd(t *testing.T) {
 	// /cluster/events must find an alarm on whichever member the ring
 	// pinned the stream to.
 	journalDir := func(logName string) string { return filepath.Join(dir, logName+"-journal") }
-	leaderAddr := startProc("leader", "avserve", "-index", idx, "-leader", "-m", "5",
+	leaderAddr := startProc("leader", "serve", "-index", idx, "-leader", "-m", "5",
 		"-journal", journalDir("leader"),
 		"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0")
 	leaderURL := "http://" + leaderAddr
-	followerAddr := startProc("follower", "avserve", "-follow", leaderURL, "-m", "5", "-poll", "200ms",
+	followerAddr := startProc("follower", "serve", "-follow", leaderURL, "-m", "5", "-poll", "200ms",
 		"-journal", journalDir("follower"),
 		"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0")
 	followerURL := "http://" + followerAddr
-	gatewayAddr := startProc("gateway", "avgateway", "-members", leaderURL+","+followerURL, "-check", "100ms",
+	gatewayAddr := startProc("gateway", "gateway", "-members", leaderURL+","+followerURL, "-check", "100ms",
 		"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0")
 	gatewayURL := "http://" + gatewayAddr
 

@@ -1,0 +1,209 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http/httptest"
+	"net/url"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"autovalidate/internal/cluster"
+	"autovalidate/internal/index"
+	"autovalidate/internal/journal"
+	"autovalidate/internal/service"
+)
+
+// TestSubcommandFlags pins every subcommand's flag names and defaults
+// to those of the standalone tool it replaced (avgen, avindex, ...), so
+// dropping or renaming a flag fails here rather than in a user's
+// script. The one intended change: -version is now `av version`.
+func TestSubcommandFlags(t *testing.T) {
+	tuning := map[string]string{"r": "0.1", "m": "100", "theta": "0.1"}
+	with := func(base map[string]string, more map[string]string) map[string]string {
+		out := make(map[string]string, len(base)+len(more))
+		for k, v := range base {
+			out[k] = v
+		}
+		for k, v := range more {
+			out[k] = v
+		}
+		return out
+	}
+	listen := map[string]string{"debug-addr": "", "trace-sample": "1"}
+	want := map[string]map[string]string{
+		"gen": {"profile": "enterprise", "tables": "150", "seed": "1", "out": "lake"},
+		"index": {"corpus": "lake", "append": "", "delta": "", "apply": "", "out": "lake.idx",
+			"tau": "8", "workers": "0", "v": "false"},
+		"infer": with(tuning, map[string]string{"index": "lake.idx", "values": "", "csv": "", "col": "",
+			"strategy": "FMDV-VH"}),
+		"validate": with(tuning, map[string]string{"index": "lake.idx", "train": "", "test": "", "alpha": "0.01"}),
+		"monitor": with(tuning, map[string]string{"index": "lake.idx", "registry": "rules.avr", "alpha": "0.01",
+			"quarantine-after": "3", "reinfer-after": "6"}),
+		"tail": {"url": "http://localhost:8077", "cluster": "false", "stream": "", "kind": "", "trace": "",
+			"json": "false", "interval": "2s", "once": "false", "limit": "0"},
+		"serve": with(with(tuning, listen), map[string]string{"index": "lake.idx", "addr": ":8077",
+			"cache": "1024", "alpha": "0.01", "strategy": "FMDV-VH", "readonly": "false", "registry": "",
+			"journal": "", "journal-segment-bytes": "0", "journal-segments": "0", "leader": "false",
+			"retain": "64", "follow": "", "poll": "2s"}),
+		"gateway": with(listen, map[string]string{"members": "", "addr": ":8070", "check": "1s",
+			"max-body": "67108864"}),
+		"version": {},
+	}
+	if len(commands) != len(want) {
+		t.Fatalf("%d subcommands, want %d", len(commands), len(want))
+	}
+	for _, c := range commands {
+		flags := c.flagSet()
+		c.setup(c, flags)
+		got := map[string]string{}
+		flags.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+		if !reflect.DeepEqual(got, want[c.name]) {
+			t.Errorf("av %s flags:\n got %v\nwant %v", c.name, got, want[c.name])
+		}
+	}
+}
+
+// tailRig is a cluster-mode tailer over an in-process gateway in front
+// of journaled members; the tailer prints NDJSON into out.
+type tailRig struct {
+	jrns    []*journal.Journal
+	members []string // member URLs as the gateway labels events
+	tl      *tailer
+	out     bytes.Buffer
+}
+
+func newTailRig(t *testing.T, members, limit int) *tailRig {
+	t.Helper()
+	r := &tailRig{}
+	var urls []*url.URL
+	for range members {
+		jrn, err := journal.Open(t.TempDir(), journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { jrn.Close() })
+		svc, err := service.New(service.Config{Index: index.New(), Journal: jrn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(svc.Handler())
+		t.Cleanup(ts.Close)
+		u, err := url.Parse(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.jrns = append(r.jrns, jrn)
+		r.members = append(r.members, u.String())
+		urls = append(urls, u)
+	}
+	g, err := cluster.NewGateway(cluster.GatewayConfig{Members: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g.Handler())
+	t.Cleanup(gw.Close)
+	r.tl = &tailer{
+		client:  gw.Client(),
+		base:    gw.URL,
+		cluster: true,
+		jsonOut: true,
+		limit:   limit,
+		prog:    "avtail",
+		out:     &r.out,
+		errOut:  &r.out,
+		seen:    make(map[string]mark),
+	}
+	return r
+}
+
+// append journals one event on member m, stamped at (the member's
+// clock reading) at.
+func (r *tailRig) append(t *testing.T, m int, at time.Time) {
+	t.Helper()
+	if _, err := r.jrns[m].Append(journal.Event{Kind: journal.KindIngest, Time: at}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// poll polls n times and returns every event printed so far, labelled
+// "m<member>#<id>", in print order.
+func (r *tailRig) poll(t *testing.T, n int) []string {
+	t.Helper()
+	for range n {
+		if err := r.tl.poll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(r.out.String()), "\n") {
+		var e cluster.ClusterEvent
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("output line %q: %v", line, err)
+		}
+		got = append(got, fmt.Sprintf("m%d#%d", slices.Index(r.members, e.Member), e.ID))
+	}
+	return got
+}
+
+var t0 = time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+
+// TestTailClusterFollowsPastLimit: a member holding more events than
+// one page must not pin the cluster tail to its oldest page. Members
+// answer /events oldest-first up to -limit, so a tail that sends no
+// since re-reads the same first page on every poll and never prints
+// the events after it.
+func TestTailClusterFollowsPastLimit(t *testing.T) {
+	r := newTailRig(t, 1, 2)
+	for i := range 5 {
+		r.append(t, 0, t0.Add(time.Duration(i)*time.Millisecond))
+	}
+	want := []string{"m0#1", "m0#2", "m0#3", "m0#4", "m0#5"}
+	if got := r.poll(t, 6); !slices.Equal(got, want) {
+		t.Fatalf("printed %v, want %v", got, want)
+	}
+	r.append(t, 0, t0.Add(time.Second))
+	want = append(want, "m0#6")
+	if got := r.poll(t, 2); !slices.Equal(got, want) {
+		t.Fatalf("after a new event printed %v, want %v", got, want)
+	}
+}
+
+// TestTailClusterKeepsLaggingMember: since is the oldest member's
+// newest-seen time, so a member whose clock runs behind still shows
+// events stamped before ones already printed from another member.
+func TestTailClusterKeepsLaggingMember(t *testing.T) {
+	r := newTailRig(t, 2, 0)
+	lag := t0.Add(-time.Hour)
+	r.append(t, 0, t0)
+	r.append(t, 1, lag)
+	r.poll(t, 1)
+	r.append(t, 0, t0.Add(time.Second))
+	r.append(t, 1, lag.Add(time.Second))
+	want := []string{"m1#1", "m0#1", "m1#2", "m0#2"}
+	if got := r.poll(t, 1); !slices.Equal(got, want) {
+		t.Fatalf("printed %v, want %v", got, want)
+	}
+}
+
+// TestTailClusterQuietMemberDoesNotPin: a quiet member's old mark
+// holds since back, so a busy member's already-printed events fill
+// every full page; the next page must start where the full one was
+// cut instead.
+func TestTailClusterQuietMemberDoesNotPin(t *testing.T) {
+	r := newTailRig(t, 2, 2)
+	r.append(t, 1, t0.Add(-time.Hour))
+	for i := range 5 {
+		r.append(t, 0, t0.Add(time.Duration(i)*time.Millisecond))
+	}
+	want := []string{"m1#1", "m0#1", "m0#2", "m0#3", "m0#4", "m0#5"}
+	if got := r.poll(t, 6); !slices.Equal(got, want) {
+		t.Fatalf("printed %v, want %v", got, want)
+	}
+}

@@ -1,14 +1,27 @@
-// Command avmonitor drives continuous validation from the command line:
-// it registers validation rules for every column of a training corpus
+package main
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io/fs"
+	"os"
+
+	"autovalidate"
+	"autovalidate/internal/corpus"
+	"autovalidate/internal/monitor"
+	"autovalidate/internal/registry"
+)
+
+// monitorCmd drives continuous validation from the command line: it
+// registers validation rules for every column of a training corpus
 // into a persistent registry, then replays directories of batch tables
 // (one directory per pipeline run — a "day") against those rules,
 // printing the monitor's accept / alarm / quarantine / re-infer
 // decision for every stream and batch.
 //
-// Usage:
-//
-//	avmonitor -index lake.idx -registry rules.avr register <train-dir>
-//	avmonitor -index lake.idx -registry rules.avr replay <batch-dir> [<batch-dir> ...]
+//	av monitor -index lake.idx -registry rules.avr register <train-dir>
+//	av monitor -index lake.idx -registry rules.avr replay <batch-dir> [<batch-dir> ...]
 //
 // Streams are named "table.csv:column". register infers one rule per
 // column (columns with no feasible pattern are skipped with a note) and
@@ -25,91 +38,55 @@
 //
 // Escalation state (the consecutive-alarm ladder behind
 // -quarantine-after and -reinfer-after) lives in process memory: each
-// avmonitor invocation starts every stream's ladder fresh, so a stream
+// av monitor invocation starts every stream's ladder fresh, so a stream
 // alarming across separate replay runs never escalates past what one
 // run saw — by design for a CLI whose exit code summarizes one run.
-// For escalation that must survive restarts, run avserve with
+// For escalation that must survive restarts, run av serve with
 // -journal: the service rehydrates each stream's ladder from the audit
 // journal at startup.
-package main
-
-import (
-	"autovalidate/internal/buildinfo"
-	"errors"
-	"flag"
-	"fmt"
-	"io/fs"
-	"os"
-
-	"autovalidate"
-	"autovalidate/internal/corpus"
-	"autovalidate/internal/monitor"
-	"autovalidate/internal/registry"
-)
-
-func main() {
-	idxPath := flag.String("index", "lake.idx", "offline index file (built by avindex)")
-	regPath := flag.String("registry", "rules.avr", "stream-rule registry file")
-	r := flag.Float64("r", 0.1, "FPR target r")
-	m := flag.Int("m", 100, "coverage target m")
-	theta := flag.Float64("theta", 0.1, "non-conforming tolerance θ")
-	alpha := flag.Float64("alpha", 0.01, "drift-test significance level")
-	quarantineAfter := flag.Int("quarantine-after", 3, "consecutive alarming batches before quarantine")
-	reinferAfter := flag.Int("reinfer-after", 6, "consecutive alarming batches before re-inference")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: avmonitor [flags] register <train-dir>\n"+
-				"       avmonitor [flags] replay <batch-dir> [<batch-dir> ...]\n\n"+
-				"exit status: 0 all batches accepted; 1 any alarm/quarantine/re-infer;\n"+
-				"             2 usage error; 3 operational failure\n\nflags:\n")
-		flag.PrintDefaults()
-	}
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println("avmonitor", buildinfo.Get())
-		return
-	}
-
-	args := flag.Args()
-	if len(args) < 2 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	cmd, dirs := args[0], args[1:]
-
-	idx, err := autovalidate.LoadIndex(*idxPath)
-	if err != nil {
-		fatal(err)
-	}
-	opt := autovalidate.DefaultOptions()
-	opt.R, opt.M, opt.Theta, opt.Alpha = *r, *m, *theta, *alpha
-	opt.Tau = idx.Enum.MaxTokens
-
-	switch cmd {
-	case "register":
-		if len(dirs) != 1 {
-			fmt.Fprintln(os.Stderr, "avmonitor: register takes exactly one training directory")
+func monitorCmd(c *command, flags *flag.FlagSet) func([]string) {
+	regPath := flags.String("registry", "rules.avr", "stream-rule registry file")
+	tune := tuningFlags(flags, true, false)
+	quarantineAfter := flags.Int("quarantine-after", 3, "consecutive alarming batches before quarantine")
+	reinferAfter := flags.Int("reinfer-after", 6, "consecutive alarming batches before re-inference")
+	withUsage(flags, "usage: av monitor [flags] register <train-dir>\n"+
+		"       av monitor [flags] replay <batch-dir> [<batch-dir> ...]\n\n"+
+		"exit status: 0 all batches accepted; 1 any alarm/quarantine/re-infer;\n"+
+		"             2 usage error; 3 operational failure\n\nflags:\n")
+	return func(args []string) {
+		if len(args) < 2 {
+			flags.Usage()
 			os.Exit(2)
 		}
-		if err := register(idx, *regPath, dirs[0], opt); err != nil {
-			fatal(err)
-		}
-	case "replay":
-		pol := monitor.DefaultPolicy()
-		pol.Alpha = *alpha
-		pol.QuarantineAfter = *quarantineAfter
-		pol.ReinferAfter = *reinferAfter
-		disrupted, err := replay(idx, *regPath, dirs, pol)
+		verb, dirs := args[0], args[1:]
+
+		idx, opt, err := tune.load()
 		if err != nil {
-			fatal(err)
+			c.fatal(err)
 		}
-		if disrupted {
-			os.Exit(1)
+		switch verb {
+		case "register":
+			if len(dirs) != 1 {
+				c.misuse("register takes exactly one training directory")
+			}
+			if err := register(idx, *regPath, dirs[0], opt); err != nil {
+				c.fatal(err)
+			}
+		case "replay":
+			pol := monitor.DefaultPolicy()
+			pol.Alpha = opt.Alpha
+			pol.QuarantineAfter = *quarantineAfter
+			pol.ReinferAfter = *reinferAfter
+			disrupted, err := replay(idx, *regPath, dirs, pol)
+			if err != nil {
+				c.fatal(err)
+			}
+			if disrupted {
+				os.Exit(1)
+			}
+		default:
+			c.misuse(fmt.Sprintf("unknown command %q (want register or replay)", verb))
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "avmonitor: unknown command %q (want register or replay)\n", cmd)
-		os.Exit(2)
 	}
 }
 
@@ -118,25 +95,15 @@ func main() {
 // so the separator is ":" rather than "/".
 func streamName(c *corpus.Column) string { return c.Table + ":" + c.Name }
 
-// loadOrNewRegistry opens an existing registry file, or starts empty
-// when the file does not exist yet.
-func loadOrNewRegistry(path string) (*registry.Registry, error) {
-	reg, err := registry.Load(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return registry.New(), nil
-		}
-		return nil, err
-	}
-	return reg, nil
-}
-
 func register(idx *autovalidate.Index, regPath, dir string, opt autovalidate.Options) error {
 	c, err := autovalidate.LoadCorpusDir(dir)
 	if err != nil {
 		return err
 	}
-	reg, err := loadOrNewRegistry(regPath)
+	reg, err := registry.Load(regPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		reg, err = registry.New(), nil // the first register creates it
+	}
 	if err != nil {
 		return err
 	}
@@ -235,9 +202,4 @@ func replay(idx *autovalidate.Index, regPath string, dirs []string, pol monitor.
 		fmt.Println("all batches accepted")
 	}
 	return disrupted, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "avmonitor:", err)
-	os.Exit(3)
 }

@@ -29,16 +29,13 @@ func TestGoldenPipeline(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short")
 	}
 	dir := t.TempDir()
-	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, tool := range []string{"avgen", "avindex", "avinfer", "avvalidate"} {
-		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
-		if err != nil {
-			t.Fatalf("building %s: %v\n%s", tool, err, out)
-		}
+	av := filepath.Join(dir, "av")
+	if out, err := exec.Command("go", "build", "-o", av, "./cmd/av").CombinedOutput(); err != nil {
+		t.Fatalf("building av: %v\n%s", err, out)
 	}
 	run := func(wantExit int, name string, args ...string) string {
 		t.Helper()
-		out, err := exec.Command(bin(name), args...).CombinedOutput()
+		out, err := exec.Command(av, append([]string{name}, args...)...).CombinedOutput()
 		exit := 0
 		if ee, ok := err.(*exec.ExitError); ok {
 			exit = ee.ExitCode()
@@ -54,8 +51,8 @@ func TestGoldenPipeline(t *testing.T) {
 	// Base lake and a batch of newly arrived tables.
 	lake := filepath.Join(dir, "lake")
 	arrivals := filepath.Join(dir, "arrivals")
-	run(0, "avgen", "-profile", "enterprise", "-tables", "30", "-seed", "7", "-out", lake)
-	run(0, "avgen", "-profile", "enterprise", "-tables", "8", "-seed", "21", "-out", arrivals)
+	run(0, "gen", "-profile", "enterprise", "-tables", "30", "-seed", "7", "-out", lake)
+	run(0, "gen", "-profile", "enterprise", "-tables", "8", "-seed", "21", "-out", arrivals)
 
 	// Full build, then incremental growth: -append on the live index
 	// (persisting the delta) and -apply of that delta onto a pristine
@@ -63,16 +60,16 @@ func TestGoldenPipeline(t *testing.T) {
 	idx := filepath.Join(dir, "lake.idx")
 	base := filepath.Join(dir, "base.idx")
 	delta := filepath.Join(dir, "batch1.avd")
-	out := run(0, "avindex", "-corpus", lake, "-out", idx, "-tau", "8", "-workers", "1")
+	out := run(0, "index", "-corpus", lake, "-out", idx, "-tau", "8", "-workers", "1")
 	if !strings.Contains(out, "gen=0") {
 		t.Fatalf("fresh index should be generation 0: %s", out)
 	}
 	copyFile(t, idx, base)
-	out = run(0, "avindex", "-append", arrivals, "-out", idx, "-delta", delta, "-workers", "1")
+	out = run(0, "index", "-append", arrivals, "-out", idx, "-delta", delta, "-workers", "1")
 	if !strings.Contains(out, "ingested") || !strings.Contains(out, "gen=1") {
 		t.Fatalf("avindex -append output: %s", out)
 	}
-	out = run(0, "avindex", "-apply", delta, "-out", base, "-workers", "1")
+	out = run(0, "index", "-apply", delta, "-out", base, "-workers", "1")
 	if !strings.Contains(out, "compacted 1 delta(s)") || !strings.Contains(out, "gen=1") {
 		t.Fatalf("avindex -apply output: %s", out)
 	}
@@ -91,16 +88,16 @@ func TestGoldenPipeline(t *testing.T) {
 	}
 	firstCol := strings.SplitN(strings.SplitN(string(head), "\n", 2)[0], ",", 2)[0]
 
-	inferOut := run(0, "avinfer", "-index", idx, "-csv", feed, "-col", firstCol, "-m", "5")
+	inferOut := run(0, "infer", "-index", idx, "-csv", feed, "-col", firstCol, "-m", "5")
 	// Appended and compacted indexes must serve identical rules.
-	if viaApply := run(0, "avinfer", "-index", base, "-csv", feed, "-col", firstCol, "-m", "5"); viaApply != inferOut {
+	if viaApply := run(0, "infer", "-index", base, "-csv", feed, "-col", firstCol, "-m", "5"); viaApply != inferOut {
 		t.Errorf("-append and -apply indexes disagree:\n%s\nvs\n%s", inferOut, viaApply)
 	}
 
-	cleanOut := run(0, "avvalidate", "-index", idx, "-train", feed, "-test", feed, "-m", "5")
+	cleanOut := run(0, "validate", "-index", idx, "-train", feed, "-test", feed, "-m", "5")
 	drifted := filepath.Join(dir, "drifted.csv")
 	writeShuffledColumns(t, feed, drifted)
-	driftOut := run(1, "avvalidate", "-index", idx, "-train", feed, "-test", drifted, "-m", "5")
+	driftOut := run(1, "validate", "-index", idx, "-train", feed, "-test", drifted, "-m", "5")
 
 	got := fmt.Sprintf("== avinfer (feed=%s col=%s) ==\n%s== avvalidate clean (exit 0) ==\n%s== avvalidate drift (exit 1) ==\n%s",
 		filepath.Base(feed), firstCol, inferOut, cleanOut, driftOut)

@@ -1,9 +1,9 @@
 // Package buildinfo reports what binary is actually running — module
 // version, VCS revision, and Go toolchain — from the build metadata
-// the linker already embeds (debug.ReadBuildInfo). Every cmd/ binary
-// exposes it behind -version, and the serving processes export it as
-// the autovalidate_build_info gauge so a scrape can tell which
-// revision each cluster member runs.
+// the linker already embeds (debug.ReadBuildInfo). av version prints
+// it (avbench and avlint behind -version), and the serving processes
+// export it as the autovalidate_build_info gauge so a scrape can tell
+// which revision each cluster member runs.
 package buildinfo
 
 import (
@@ -57,7 +57,7 @@ func (i Info) ShortRevision() string {
 	return i.Revision
 }
 
-// String renders the one-line -version output.
+// String renders the one-line version output.
 func (i Info) String() string {
 	s := i.Version + " (" + i.ShortRevision()
 	if i.Modified {

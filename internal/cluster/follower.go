@@ -19,6 +19,13 @@ import (
 	"autovalidate/internal/service"
 )
 
+const (
+	// fetchTimeout bounds one replication fetch; snapshots can be large.
+	fetchTimeout = 60 * time.Second
+	// maxFetchBytes bounds any single replication artifact section.
+	maxFetchBytes = 1 << 30
+)
+
 // FollowerConfig configures a catch-up loop.
 type FollowerConfig struct {
 	// Leader is the leader's base URL (e.g. http://leader:8077).
@@ -32,12 +39,6 @@ type FollowerConfig struct {
 	// follower's staleness: a read served here can lag the leader by at
 	// most one interval plus one apply.
 	PollInterval time.Duration
-	// Client issues the replication fetches (nil = a client with a 60s
-	// timeout — snapshots can be large).
-	Client *http.Client
-	// MaxFetchBytes bounds any single replication artifact section
-	// (0 = 1 GiB).
-	MaxFetchBytes int64
 	// Logger receives catch-up progress and failures (nil = discard).
 	Logger *slog.Logger
 }
@@ -69,7 +70,6 @@ type Follower struct {
 	leader   *url.URL
 	client   *http.Client
 	interval time.Duration
-	maxFetch int64
 	log      *slog.Logger
 
 	mu            sync.Mutex
@@ -93,14 +93,6 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
-	maxFetch := cfg.MaxFetchBytes
-	if maxFetch <= 0 {
-		maxFetch = 1 << 30
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -108,9 +100,8 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	return &Follower{
 		svc:      cfg.Service,
 		leader:   cfg.Leader,
-		client:   client,
+		client:   &http.Client{Timeout: fetchTimeout},
 		interval: interval,
-		maxFetch: maxFetch,
 		log:      log,
 	}, nil
 }
@@ -185,8 +176,8 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 	}
 
 	// The chain can carry the leader's whole retention window, so no
-	// whole-body cap applies here: each section is bounded by maxFetch.
-	head, deltas, err := readDeltas(bufio.NewReader(resp.Body), f.maxFetch)
+	// whole-body cap applies here: each section is bounded by maxFetchBytes.
+	head, deltas, err := readDeltas(bufio.NewReader(resp.Body), maxFetchBytes)
 	if err != nil {
 		return err
 	}
@@ -255,7 +246,7 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	if status != http.StatusOK {
 		return fmt.Errorf("cluster: snapshot fetch: leader returned %d: %s", status, bytes.TrimSpace(body))
 	}
-	idx, reg, epoch, err := ReadSnapshot(bytes.NewReader(body), f.maxFetch)
+	idx, reg, epoch, err := ReadSnapshot(bytes.NewReader(body), maxFetchBytes)
 	if err != nil {
 		return err
 	}
@@ -287,7 +278,7 @@ func (f *Follower) refreshRegistry(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	payload, err := fr.ReadSection(f.maxFetch)
+	payload, err := fr.ReadSection(maxFetchBytes)
 	if err == nil {
 		err = fr.ReadEOF()
 	}
@@ -330,14 +321,14 @@ func (f *Follower) do(ctx context.Context, path string) (*http.Response, error) 
 
 // fetch GETs a leader path and returns the full body (bounded) and
 // status code — for the snapshot and registry artifacts, whose two
-// sections fit under 2×MaxFetchBytes.
+// sections fit under 2×maxFetchBytes.
 func (f *Follower) fetch(ctx context.Context, path string) ([]byte, int, error) {
 	resp, err := f.do(ctx, path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 2*f.maxFetch+maxHeader))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 2*maxFetchBytes+maxHeader))
 	if err != nil {
 		return nil, 0, fmt.Errorf("cluster: reading %s: %w", path, err)
 	}

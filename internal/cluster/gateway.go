@@ -37,10 +37,6 @@ type GatewayConfig struct {
 	// MaxBody caps buffered request bodies; buffering is what makes
 	// retry-on-next-replica possible (0 = 64 MiB).
 	MaxBody int64
-	// VirtualNodes is the consistent-hash ring's vnode count per member
-	// (0 = 64). More vnodes smooth the stream distribution; fewer
-	// shrink the ring.
-	VirtualNodes int
 	// Logger receives structured proxy and health-transition logs; nil
 	// discards.
 	Logger *slog.Logger
@@ -72,6 +68,10 @@ func (m *member) setHealthy(ok bool) (changed bool) {
 	}
 	return false
 }
+
+// virtualNodes is the consistent-hash ring's point count per member:
+// more smooth the stream distribution, fewer shrink the ring.
+const virtualNodes = 64
 
 // ringPoint is one virtual node on the consistent-hash ring.
 type ringPoint struct {
@@ -124,10 +124,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if maxBody <= 0 {
 		maxBody = 64 << 20
 	}
-	vnodes := cfg.VirtualNodes
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -149,15 +145,15 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		m.healthy.Store(true)
 		g.members = append(g.members, m)
 	}
-	g.ring = buildRing(cfg.Members, vnodes)
+	g.ring = buildRing(cfg.Members)
 	return g, nil
 }
 
-// buildRing places vnodes points per member on a 64-bit hash ring.
-func buildRing(members []*url.URL, vnodes int) []ringPoint {
-	ring := make([]ringPoint, 0, len(members)*vnodes)
+// buildRing places virtualNodes points per member on a 64-bit hash ring.
+func buildRing(members []*url.URL) []ringPoint {
+	ring := make([]ringPoint, 0, len(members)*virtualNodes)
 	for mi, u := range members {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			ring = append(ring, ringPoint{hash: hash64(u.String() + "#" + strconv.Itoa(v)), member: mi})
 		}
 	}
@@ -237,7 +233,7 @@ func (g *Gateway) Handler() http.Handler {
 }
 
 // Tracer returns the gateway's span recorder (nil when tracing is
-// disabled) — cmd/avgateway mounts its /debug/traces on -debug-addr.
+// disabled) — av gateway mounts its /debug/traces on -debug-addr.
 func (g *Gateway) Tracer() *obs.Tracer { return g.tracer }
 
 // handleMetrics is the gateway's Prometheus exposition: per-member

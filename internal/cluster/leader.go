@@ -46,24 +46,34 @@ func (l *Leader) Handler() http.Handler {
 }
 
 // WriteSnapshot encodes the leader's current index and registry as one
-// framed snapshot artifact. The registry epoch is read before either
-// payload is encoded: if a mutation lands mid-encode, the follower
-// records the older epoch and the next delta poll's epoch mismatch
-// triggers a registry re-fetch, so the race heals instead of hiding.
+// framed snapshot artifact.
 func WriteSnapshot(w io.Writer, svc *service.Server) error {
-	epoch := svc.Registry().Epoch()
-	idx := svc.Index()
+	head, idx, reg, err := encodeSnapshot(svc)
+	if err != nil {
+		return err
+	}
+	return writeArtifact(w, magicSnapshot, head, idx, reg)
+}
 
+// encodeSnapshot encodes the snapshot's two sections, the index and the
+// registry, and the header that frames them. The registry epoch is read
+// before either payload is encoded: if a mutation lands mid-encode, the
+// follower records the older epoch and the next delta poll's epoch
+// mismatch triggers a registry re-fetch, so the race heals instead of
+// hiding.
+func encodeSnapshot(svc *service.Server) (head snapshotHeader, idx, reg []byte, err error) {
+	epoch := svc.Registry().Epoch()
+	cur := svc.Index()
 	var idxBuf bytes.Buffer
-	if err := idx.Encode(&idxBuf); err != nil {
-		return fmt.Errorf("cluster: encoding snapshot index: %w", err)
+	if err := cur.Encode(&idxBuf); err != nil {
+		return head, nil, nil, fmt.Errorf("cluster: encoding snapshot index: %w", err)
 	}
 	var regBuf bytes.Buffer
 	if err := svc.Registry().Encode(&regBuf); err != nil {
-		return fmt.Errorf("cluster: encoding snapshot registry: %w", err)
+		return head, nil, nil, fmt.Errorf("cluster: encoding snapshot registry: %w", err)
 	}
-	head := snapshotHeader{Generation: idx.Generation, RegistryEpoch: epoch}
-	return writeArtifact(w, magicSnapshot, head, idxBuf.Bytes(), regBuf.Bytes())
+	head = snapshotHeader{Generation: cur.Generation, RegistryEpoch: epoch}
+	return head, idxBuf.Bytes(), regBuf.Bytes(), nil
 }
 
 // ReadSnapshot decodes a snapshot artifact written by WriteSnapshot,
@@ -102,15 +112,8 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// The section payloads must be buffered once for their length
 	// prefixes, but the framed artifact streams straight to the
 	// response — a multi-gigabyte snapshot is never held twice.
-	epoch := l.svc.Registry().Epoch()
-	idx := l.svc.Index()
-	var idxBuf bytes.Buffer
-	if err := idx.Encode(&idxBuf); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	var regBuf bytes.Buffer
-	if err := l.svc.Registry().Encode(&regBuf); err != nil {
+	head, idx, reg, err := encodeSnapshot(l.svc)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -118,8 +121,7 @@ func (l *Leader) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	// A write error here means the follower hung up; its next poll
 	// retries, so the error is dropped.
-	head := snapshotHeader{Generation: idx.Generation, RegistryEpoch: epoch}
-	_ = writeArtifact(w, magicSnapshot, head, idxBuf.Bytes(), regBuf.Bytes())
+	_ = writeArtifact(w, magicSnapshot, head, idx, reg)
 }
 
 func (l *Leader) handleDeltas(w http.ResponseWriter, r *http.Request) {

@@ -59,7 +59,7 @@ func TestLegacyFormatsRejected(t *testing.T) {
 	for _, name := range []string{"legacy_v1.idx", "legacy_v2.idx"} {
 		path := filepath.Join("testdata", name)
 		_, err := Load(path)
-		if err == nil || !strings.Contains(err.Error(), "unsupported legacy index format, rebuild with `avindex build`") {
+		if err == nil || !strings.Contains(err.Error(), "unsupported legacy index format, rebuild with `av index`") {
 			t.Errorf("Load(%s) = %v, want the rebuild message", name, err)
 		}
 		if _, err := LoadDelta(path); err == nil {

@@ -221,7 +221,7 @@ func decode(r io.Reader, maxSize int64) (*Index, headerV3, error) {
 	fr, err := frame.ReadMagic(bufio.NewReader(r), magicV3)
 	if err != nil {
 		return nil, head, fmt.Errorf("index: not an AVIDX3 file — unsupported legacy index format, "+
-			"rebuild with `avindex build` (avindex -corpus DIR -out FILE): %w", err)
+			"rebuild with `av index` (av index -corpus DIR -out FILE): %w", err)
 	}
 	headBuf, err := fr.ReadHeader(maxSize)
 	if err != nil {

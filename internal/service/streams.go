@@ -11,7 +11,7 @@ package service
 //
 // Stream names are single path segments (no "/"); pipelines deriving a
 // name from table/column pairs should join them with another separator
-// (avmonitor uses "table.csv:column").
+// (av monitor uses "table.csv:column").
 
 import (
 	"fmt"
