@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
@@ -205,5 +209,47 @@ func TestTailClusterQuietMemberDoesNotPin(t *testing.T) {
 	want := []string{"m1#1", "m0#1", "m0#2", "m0#3", "m0#4", "m0#5"}
 	if got := r.poll(t, 6); !slices.Equal(got, want) {
 		t.Fatalf("printed %v, want %v", got, want)
+	}
+}
+
+// TestIdleConnectionClosed: a keep-alive connection that sends nothing
+// after its last response is closed once idleTimeout passes, so idle
+// clients cannot pin `av serve` or `av gateway`.
+func TestIdleConnectionClosed(t *testing.T) {
+	defer func(d time.Duration) { idleTimeout = d }(idleTimeout)
+	idleTimeout = 200 * time.Millisecond
+	server := newServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, "ok") }))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go server.Serve(ln)
+	defer server.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprint(conn, "GET / HTTP/1.1\r\nHost: av\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.Close {
+		t.Fatalf("response read: %v, Connection: close %v; want a kept-alive connection", err, resp.Close)
+	}
+	resp.Body.Close()
+
+	idle := time.Now()
+	conn.SetReadDeadline(idle.Add(10 * time.Second))
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("idle connection read %v after %v, want the server to close it (EOF)", err, time.Since(idle))
+	}
+	if waited := time.Since(idle); waited < idleTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v idle timeout", waited, idleTimeout)
 	}
 }

@@ -298,6 +298,19 @@ func (l *listener) tracer() *autovalidate.Tracer {
 	return autovalidate.NewTracer(autovalidate.TracerConfig{SampleEvery: sample})
 }
 
+// A client has readHeaderTimeout to send its request head, and a
+// keep-alive connection idle for idleTimeout between requests is closed,
+// so neither a stalled client nor an idle one can pin a connection
+// forever. idleTimeout is a variable only so that a test can shorten it.
+const readHeaderTimeout = 10 * time.Second
+
+var idleTimeout = 120 * time.Second
+
+// newServer is the http.Server that serve runs handler on.
+func newServer(handler http.Handler) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // serve runs handler until SIGINT or SIGTERM: the optional debug
 // server first, then the listener, whose bound address is announced on
 // stdout after banner, then start (which launches the background loop
@@ -332,9 +345,7 @@ func (l *listener) serve(c *command, handler http.Handler, tracer *autovalidate.
 	defer stop()
 	start(ctx)
 
-	// ReadHeaderTimeout bounds how long a client may take to send its
-	// request head, so a stalled one cannot pin a connection forever.
-	server := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	server := newServer(handler)
 	done := make(chan error, 1)
 	go func() { done <- server.Serve(ln) }()
 	select {

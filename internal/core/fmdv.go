@@ -108,6 +108,14 @@ const fprEpsilon = 2e-3
 // specific* pattern — among equally safe hypotheses the tighter one
 // catches more issues, serving the paper's secondary goal of detection
 // recall — then lower coverage and the smaller key for determinism.
+//
+// better is not transitive: FPRs within fprEpsilon of each other tie, so
+// a can beat b and b beat c on specificity while c beats a on FPR. The
+// winner of a reduction therefore depends on the order the hypotheses are
+// met in, and callers must reduce in key order within equal query-column
+// matches: the order Enumerate returns, which selectBest and InferNoIndex
+// reduce in, and the one bestInKeyOrder sorts a DP leaf's hits into (they
+// all match every value). Then the same hypotheses give the same winner.
 func better(obj Objective, a, b *scored) bool {
 	if obj == MinCoverage {
 		if a.cov != b.cov {

@@ -1,0 +1,236 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"autovalidate/internal/corpus"
+	"autovalidate/internal/datagen"
+	"autovalidate/internal/index"
+	"autovalidate/internal/pattern"
+	"autovalidate/internal/tokens"
+)
+
+// collectLeaf is the leaf as it was before it scored candidates while
+// enumerating: the segment's texts, weight-fold, enumerated into a
+// candidate list and handed to selectBest. It returns the leaf's answer
+// and the candidates.
+func collectLeaf(sub []string, idx *index.Index, opt Options, enum pattern.EnumOptions) (leafResult, []pattern.Candidate) {
+	cands := pattern.Enumerate(sub, enum)
+	best, err := selectBest(cands.Candidates, idx, opt, cands.Total)
+	if err != nil {
+		return leafResult{}, cands.Candidates
+	}
+	return leafResult{ok: true, fpr: best.fpr, pat: best.pat}, cands.Candidates
+}
+
+// checkLeafScores infers values under both tokenizations and, over every
+// segment of each alignment a leaf would enumerate, holds the leaf's
+// scorer to collectLeaf: the same answer, the same moves of the
+// candidate and index-hit counters, and no feasible candidate better
+// than the winner. It returns how many segments had a winner.
+func checkLeafScores(t *testing.T, idx *index.Index, values []string, opt Options) (won int) {
+	t.Helper()
+	dp := newSegmentDP(idx, opt, values)
+	enum := dp.leafEnum()
+	for _, merge := range []bool{false, true} {
+		dp.ncols = 0
+		dp.infer(opt.Theta, merge)
+		for s := 0; s < dp.ncols; s++ {
+			for e := s; e < dp.ncols && e-s+1 <= opt.Tau; e++ {
+				sub, _, seq := segmentTexts(dp, s, e)
+				if len(sub) == 0 {
+					continue
+				}
+				seg := fmt.Sprintf("merge=%v [%d,%d] %s", merge, s, e, seq)
+				dp.gather(s, e)
+				c0 := ReadCounters()
+				var got leafResult
+				if dp.dedupe() {
+					got = dp.best()
+				}
+				c1 := ReadCounters()
+				want, cands := collectLeaf(sub, idx, opt, enum)
+				c2 := ReadCounters()
+				if got.ok != want.ok || got.fpr != want.fpr || !got.pat.Equal(want.pat) {
+					t.Fatalf("%s: leaf = (%v, %v, %q), collect-then-select = (%v, %v, %q)",
+						seg, got.ok, got.fpr, got.pat, want.ok, want.fpr, want.pat)
+				}
+				if c1.Candidates-c0.Candidates != c2.Candidates-c1.Candidates || c1.IndexHits-c0.IndexHits != c2.IndexHits-c1.IndexHits {
+					t.Fatalf("%s: leaf counted %d candidates and %d index hits, collect-then-select %d and %d", seg,
+						c1.Candidates-c0.Candidates, c1.IndexHits-c0.IndexHits, c2.Candidates-c1.Candidates, c2.IndexHits-c1.IndexHits)
+				}
+				if !got.ok {
+					continue
+				}
+				won++
+				w := scoredAt(idx, got.pat, len(sub))
+				for _, c := range cands {
+					e, ok := idx.Lookup(c.Key)
+					if !ok || e.FPR() > opt.R || int(e.Cov) < opt.M {
+						continue
+					}
+					if h := scoredAt(idx, c.Pattern, c.Matched); better(opt.Objective, &h, &w) {
+						t.Fatalf("%s: feasible %q (FPR %v) is better than the winner %q (FPR %v)", seg, h.key, h.fpr, w.key, w.fpr)
+					}
+				}
+			}
+		}
+	}
+	return won
+}
+
+// scoredAt scores p against the index as matching matched values.
+func scoredAt(idx *index.Index, p pattern.Pattern, matched int) scored {
+	e, _ := idx.LookupPattern(p)
+	return scored{pat: p, key: p.Key(), fpr: e.FPR(), cov: e.Cov, matched: matched}
+}
+
+// The leaf that scores candidates as the enumerator visits them picks what
+// enumerating every candidate and handing the list to selectBest picked,
+// and counts the same candidates and index hits, over every segment of the
+// oracle test's generator domains, the hand cases and the infer_ingest
+// columns — under both tokenizations, the default constraints, loose
+// ones, a binding distinct-value cap and the coverage objective.
+func TestLeafScoreAgreesWithSelectBest(t *testing.T) {
+	idx := testIndex(t)
+	columns := handCases()
+	var domains []datagen.Domain
+	domains = append(domains, datagen.EnterpriseDomains()...)
+	domains = append(domains, datagen.GovernmentDomains()...)
+	domains = append(domains, datagen.NLDomains()...)
+	for _, d := range domains {
+		columns[d.Name] = fresh(t, d.Name, 60, 300)
+	}
+	for _, domain := range inferIngestDomains {
+		columns["ingest/"+domain] = fresh(t, domain, 100, 7)
+	}
+	variants := []struct {
+		name string
+		edit func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"loose", func(o *Options) { o.R, o.M = 1, 1 }},
+		{"fiveValues", func(o *Options) { o.R, o.M, o.Enum.MaxValues = 1, 1, 5 }},
+		{"cmdv", func(o *Options) { o.Objective = MinCoverage }},
+	}
+	won := 0
+	for name, values := range columns {
+		for _, v := range variants {
+			t.Run(name+"/"+v.name, func(t *testing.T) {
+				opt := testOptions(FMDVVH)
+				v.edit(&opt)
+				won += checkLeafScores(t, idx, values, opt)
+			})
+		}
+	}
+	if won == 0 {
+		t.Error("no segment had a feasible winner")
+	}
+}
+
+// FuzzLeafScoreAgree holds the leaf's scorer to collect-then-select on
+// arbitrary newline-separated columns, τ, distinct-value caps, loose
+// constraints, horizontal cuts and alignment caps, with and without the
+// alnum pass.
+func FuzzLeafScoreAgree(f *testing.F) {
+	f.Add("9:07\n9:07 PM\n10:15\n10:15 AM\n9:07", byte(5), byte(2))
+	f.Add("a1b2-7\nab12-8\n\n12ab-9\na1b2-7", byte(3), byte(2|4|2<<5))
+	f.Add("[1|2/3]\n[4|5]\n[6|7/8]\n[1|2/3]", byte(2), byte(2))
+	f.Add("0a1b2c3d-0a1b\nffff0000-abcd\n12345678-9abc\nNULL", byte(4), byte(8))
+	f.Add("número1-ß\nnúmero2-ß\n\xff9-x\n", byte(1), byte(1|2))
+	f.Add("1.2.3\n1..3\n4.5.6\n\n7..9", byte(0), byte(16))
+	f.Add("2020-01-02\n2020-11-12\n2021-03-04\n2020-01-02", byte(5), byte(0))
+	f.Fuzz(func(t *testing.T, column string, tau, knobs byte) {
+		if len(column) > 300 {
+			return
+		}
+		opt := testOptions(FMDVV)
+		if knobs&8 != 0 {
+			opt = testOptions(FMDVVH)
+			opt.Theta = 0.5
+		}
+		// The collecting enumeration is exponential in τ; the property
+		// test covers the default.
+		opt.Tau = 1 + int(tau%6)
+		if knobs&1 != 0 {
+			opt.Enum.IncludeAlnumPass = false
+		}
+		if knobs&2 != 0 {
+			opt.R, opt.M = 1, 1 // whatever the index has seen once is feasible
+		}
+		if knobs&4 != 0 {
+			opt.Enum.MaxValues = 1 + int(knobs>>5)
+		}
+		if knobs&16 != 0 {
+			opt.MaxAlignCols = 4
+		}
+		checkLeafScores(t, testIndex(t), strings.Split(column, "\n"), opt)
+	})
+}
+
+// better is not transitive: FPRs within fprEpsilon tie, so three hits can
+// each beat the next and the last beat the first. Two corpus columns of
+// "a1" give <alnum>+ (generality 4) FPR 0, <alnum>{2} (2) FPR 0.0015 and
+// the constant a1 (0) FPR 0.003: the constant beats <alnum>{2} and
+// <alnum>{2} beats <alnum>+ on generality within the tie, and <alnum>+
+// beats the constant on FPR. Whatever order the enumerator visits them
+// in, the leaf's reducer picks what selectBest picks from the key-sorted
+// list.
+func TestLeafReducesInKeyOrder(t *testing.T) {
+	column := func(odd string) *corpus.Column {
+		values := slices.Repeat([]string{"a1"}, 997)
+		return &corpus.Column{Values: append(values, odd, odd, odd)}
+	}
+	idx := index.Build([]*corpus.Column{column("ab12"), column("b2")}, index.DefaultBuildOptions())
+	opt := testOptions(FMDVV)
+	opt.R, opt.M = 1, 1
+	cycle := []struct {
+		pat pattern.Pattern
+		fpr float64
+	}{
+		{pattern.New(pattern.ClassPlus(tokens.ClassAlnum)), 0},
+		{pattern.New(pattern.ClassN(tokens.ClassAlnum, 2)), 0.0015},
+		{pattern.New(pattern.Lit("a"), pattern.Lit("1")), 0.003},
+	}
+	var hits []scored
+	var cands []pattern.Candidate
+	for _, c := range cycle {
+		s := scoredAt(idx, c.pat, 1000)
+		if s.fpr != c.fpr || s.cov != 2 {
+			t.Fatalf("%q has FPR %v over %d columns, want %v over 2", s.key, s.fpr, s.cov, c.fpr)
+		}
+		s.matched = 0 // as the leaf's scorer leaves it
+		hits = append(hits, s)
+		cands = append(cands, pattern.Candidate{Pattern: c.pat, Key: s.key, Matched: 1000})
+	}
+	for i := range hits {
+		if j := (i + 1) % len(hits); !better(opt.Objective, &hits[j], &hits[i]) {
+			t.Fatalf("%q is not better than %q: no cycle", hits[j].key, hits[i].key)
+		}
+	}
+	slices.SortFunc(cands, func(a, b pattern.Candidate) int { return strings.Compare(a.Key, b.Key) })
+	want, err := selectBest(cands, idx, opt, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := map[string]bool{}
+	for r := range hits {
+		order := append(slices.Clone(hits[r:]), hits[:r]...)
+		best := order[0] // reduced in emission order, as without the sort
+		for i := range order[1:] {
+			if better(opt.Objective, &order[i+1], &best) {
+				best = order[i+1]
+			}
+		}
+		naive[best.key] = true
+		if got := bestInKeyOrder(order, opt.Objective); got.key != want.key || got.fpr != want.fpr {
+			t.Errorf("visited from %q: the leaf picks %q, selectBest %q", hits[r].key, got.key, want.key)
+		}
+	}
+	if len(naive) != len(hits) {
+		t.Errorf("reducing in emission order picked only %v; each order should pick a different hit", naive)
+	}
+}

@@ -3,7 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"autovalidate/internal/index"
 	"autovalidate/internal/msa"
@@ -230,6 +232,16 @@ type segmentDP struct {
 	fine    [][]tokens.Run
 	merged  [][]tokens.Run
 	slab    []tokens.Run
+
+	// The leaf's scorer, bound once, and what it was handed for the
+	// segment being solved: how many candidates, how many of them the
+	// index knew, and the feasible ones, their tokens carved from
+	// hitToks.
+	visit    func(key string, toks []pattern.Tok)
+	visited  uint64
+	hits     uint64
+	feasible []scored
+	hitToks  []pattern.Tok
 }
 
 // span is one non-gapped member's text in a segment: runs [flo, fhi) of
@@ -240,7 +252,9 @@ type span struct {
 }
 
 func newSegmentDP(idx *index.Index, opt Options, values []string) *segmentDP {
-	return &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, slot: map[string]int{}}
+	dp := &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, slot: map[string]int{}}
+	dp.visit = dp.score
+	return dp
 }
 
 // alignedRow is one kept shape group: cols[c] is the run its members
@@ -339,10 +353,7 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	} else {
 		segmentsSolved.Add(1)
 		if dp.dedupe() {
-			cands := pattern.EnumerateLexed(dp.weights, dp.fine, dp.merged, dp.leafEnum())
-			if best, err := selectBest(cands.Candidates, dp.idx, dp.opt, cands.Total); err == nil {
-				res = leafResult{ok: true, fpr: best.fpr, pat: best.pat}
-			}
+			res = dp.best()
 		}
 		dp.memo[string(dp.key)] = res
 	}
@@ -355,6 +366,59 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 		pat = pattern.Optional(pat)
 	}
 	return segResult{ok: true, agg: res.fpr, pats: []pattern.Pattern{pat}}
+}
+
+// best enumerates the segment dedupe has filled the scratch with, scoring
+// each candidate as it is visited, and returns the one selectBest would
+// pick: the best under the objective whose FPR_T is at most r and Cov_T
+// at least m. Only the winner's tokens are copied out.
+func (dp *segmentDP) best() leafResult {
+	dp.visited, dp.hits, dp.feasible, dp.hitToks = 0, 0, dp.feasible[:0], dp.hitToks[:0]
+	pattern.EnumerateLexed(dp.weights, dp.fine, dp.merged, dp.leafEnum(), dp.visit)
+	candidatesEnumerated.Add(dp.visited)
+	indexHits.Add(dp.hits)
+	if len(dp.feasible) == 0 {
+		return leafResult{}
+	}
+	best := bestInKeyOrder(dp.feasible, dp.opt.Objective)
+	return leafResult{ok: true, fpr: best.fpr, pat: pattern.Pattern{Toks: slices.Clone(best.pat.Toks)}}
+}
+
+// score is the leaf's visitor: it looks the candidate up in the index and
+// keeps it if it is feasible. Every leaf candidate matches all of the
+// segment's values, so matched ties and is left zero. An append that
+// moves hitToks leaves the tokens of the hits already kept where they
+// were, which nothing writes to again during this leaf.
+func (dp *segmentDP) score(key string, toks []pattern.Tok) {
+	dp.visited++
+	e, ok := dp.idx.Lookup(key)
+	if !ok {
+		return
+	}
+	dp.hits++
+	fpr := e.FPR()
+	if fpr > dp.opt.R || int(e.Cov) < dp.opt.M {
+		return
+	}
+	lo := len(dp.hitToks)
+	dp.hitToks = append(dp.hitToks, toks...)
+	pat := pattern.Pattern{Toks: dp.hitToks[lo:len(dp.hitToks):len(dp.hitToks)]}
+	dp.feasible = append(dp.feasible, scored{pat: pat, key: key, fpr: fpr, cov: e.Cov})
+}
+
+// bestInKeyOrder sorts hits by key and reduces them with better in that
+// order, which is the order selectBest meets a leaf's candidates in (it
+// sorts by descending support, then key, and they all have full
+// support). better is not transitive, so the order decides the winner.
+func bestInKeyOrder(hits []scored, obj Objective) scored {
+	slices.SortFunc(hits, func(a, b scored) int { return strings.Compare(a.key, b.key) })
+	best := hits[0]
+	for i := 1; i < len(hits); i++ {
+		if better(obj, &hits[i], &best) {
+			best = hits[i]
+		}
+	}
+	return best
 }
 
 // leafEnum is the enumeration of a leaf: every pattern must match all of

@@ -92,22 +92,37 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 		fine[i] = tokens.Lex(v)
 		merged[i] = tokens.MergeAlnum(make([]tokens.Run, 0, len(fine[i])), v, fine[i])
 	}
-	return EnumerateLexed(weights, fine, merged, opt)
+	return enumerate(weights, fine, merged, opt, nil)
 }
 
 // EnumerateLexed is Enumerate over a column already de-duplicated and
-// lexed: distinct value i occurs weights[i] times and lexes to fine[i],
-// or to merged[i] with adjacent letter and digit runs merged (both empty
-// for the empty value). The vertical-cut search lexes a column once and
-// enumerates each segment from sub-slices of those runs. The result
-// keeps no reference to the three slices, which the caller may reuse.
+// lexed, except that it collects nothing: it hands each distinct
+// candidate to visit as the search finds it, and the result carries
+// Total, Wide, Empty and Capped but no Candidates. Distinct value i
+// occurs weights[i] times and lexes to fine[i], or to merged[i] with
+// adjacent letter and digit runs merged (both empty for the empty value).
+// The vertical-cut search lexes a column once, enumerates each segment
+// from sub-slices of those runs and scores each candidate as it is
+// visited, so no segment's hypothesis space is ever copied out. Nothing
+// is kept of the three slices, which the caller may reuse.
 //
-// The result is the caller's: its candidates, keys and tokens share no
-// memory with any other call's. The working state behind it — shape
-// groups, per-position counts, options, bitsets and the rendered key — is
-// drawn from a pool and reset on each call, so a search that enumerates
-// many segments allocates little beyond the candidates it is returned.
-func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions) EnumResult {
+// visit sees the candidates Enumerate would return — the same keys, as
+// many, and the same Capped — in the search's order, not Enumerate's.
+// The key is the caller's to keep; toks is the enumerator's scratch,
+// valid only until visit returns. A candidate's support is not reported:
+// at MinSupport 1, as at every vertical-cut leaf, every visited
+// candidate matches all Total values. The working state — shape groups,
+// per-position counts, options, bitsets and the rendered key — is drawn
+// from a pool and reset on each call, so a search that enumerates many
+// segments allocates little beyond one string per candidate key.
+func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions, visit func(key string, toks []Tok)) EnumResult {
+	return enumerate(weights, fine, merged, opt, visit)
+}
+
+// enumerate is Algorithm 1 over a lexed column. With visit nil it
+// collects the candidates into the result, copied out of the pooled
+// scratch; otherwise it hands them to visit (see EnumerateLexed).
+func enumerate(weights []int, fine, merged [][]tokens.Run, opt EnumOptions, visit func(key string, toks []Tok)) EnumResult {
 	var res EnumResult
 	for _, w := range weights {
 		res.Total += w
@@ -133,7 +148,7 @@ func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions)
 	}
 
 	em := emitters.Get().(*emitter)
-	em.reset(opt, weights, minCount, res.Total)
+	em.reset(opt, weights, minCount, res.Total, visit)
 	// The alnum pass runs first: it is cheap and yields the most
 	// general candidates, so if MaxPatterns caps the enumeration the
 	// safest (most general) patterns are the ones retained.
@@ -141,7 +156,9 @@ func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions)
 		em.enumeratePass(merged, true)
 	}
 	em.enumeratePass(fine, false)
-	res.Candidates = em.finish()
+	if visit == nil {
+		res.Candidates = em.finish()
+	}
 	res.Capped = em.capped
 	em.release()
 	return res
@@ -223,9 +240,11 @@ type weighed[K comparable] struct {
 }
 
 // emitter is one enumeration's working state. Everything in it is
-// scratch reused by the next call, except what finish copies out.
+// scratch reused by the next call, except what finish copies out or
+// visit is handed.
 type emitter struct {
 	opt      EnumOptions
+	visit    func(key string, toks []Tok) // nil: collect for finish
 	weights  []int
 	minCount int
 	majority bool // minCount is over half the column's weight
@@ -258,7 +277,8 @@ type emitter struct {
 	// grown and cut back as it descends and returns.
 	key []byte
 
-	// Candidates found so far: candidate i has key keys[i], tokens
+	// Candidates found so far: candidate i has key keys[i] and, when
+	// they are collected rather than visited, tokens
 	// tokBuf[tokEnd[i-1]:tokEnd[i]] and matches the values in
 	// cbits[i*words:(i+1)*words].
 	byKey  map[string]int
@@ -268,18 +288,18 @@ type emitter struct {
 	cbits  []uint64
 }
 
-func (em *emitter) reset(opt EnumOptions, weights []int, minCount, total int) {
-	em.opt, em.weights, em.minCount = opt, weights, minCount
+func (em *emitter) reset(opt EnumOptions, weights []int, minCount, total int, visit func(string, []Tok)) {
+	em.opt, em.weights, em.minCount, em.visit = opt, weights, minCount, visit
 	em.majority = 2*minCount > total
 	em.words = (len(weights) + 63) / 64
 	em.capped = false
 	em.keys, em.tokBuf, em.tokEnd, em.cbits = em.keys[:0], em.tokBuf[:0], em.tokEnd[:0], em.cbits[:0]
 }
 
-// release returns em to the pool without the caller's weights or the
-// candidate keys, which belong to the result.
+// release returns em to the pool without the caller's weights and
+// visit or the candidate keys, which belong to the result.
 func (em *emitter) release() {
-	em.weights = nil
+	em.weights, em.visit = nil, nil
 	if len(em.keys) > maxRetainedKeys {
 		em.byKey, em.keys, em.tokBuf, em.tokEnd, em.cbits = map[string]int{}, nil, nil, nil, nil
 	} else {
@@ -431,10 +451,13 @@ func appendClassShape(b []byte, runs []tokens.Run) []byte {
 }
 
 // emit records the pattern toks, whose canonical key dfs has assembled
-// in em.key, as matching the values in bs.
+// in em.key, as matching the values in bs, or hands a key not met before
+// to visit.
 func (em *emitter) emit(toks []Tok, bs bitset) {
 	if i, ok := em.byKey[string(em.key)]; ok {
-		bitset(em.cbits[i*em.words : (i+1)*em.words]).or(bs)
+		if em.visit == nil {
+			bitset(em.cbits[i*em.words : (i+1)*em.words]).or(bs)
+		}
 		return
 	}
 	if (Pattern{Toks: toks}).IsTrivial() {
@@ -447,6 +470,10 @@ func (em *emitter) emit(toks []Tok, bs bitset) {
 	key := string(em.key)
 	em.byKey[key] = len(em.keys)
 	em.keys = append(em.keys, key)
+	if em.visit != nil {
+		em.visit(key, toks)
+		return
+	}
 	em.tokBuf = append(em.tokBuf, toks...)
 	em.tokEnd = append(em.tokEnd, len(em.tokBuf))
 	em.cbits = append(em.cbits, bs...)
