@@ -253,3 +253,48 @@ func TestIdleConnectionClosed(t *testing.T) {
 		t.Errorf("connection closed after %v, before the %v idle timeout", waited, idleTimeout)
 	}
 }
+
+// TestSlowBodyCut: a client that sends its request head and then
+// trickles its body is cut off once readTimeout passes, so a handler
+// reading the body gets an error instead of waiting forever, and the
+// connection is closed.
+func TestSlowBodyCut(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 300 * time.Millisecond
+	read := make(chan error, 1)
+	server := newServer(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+		_, err := io.ReadAll(r.Body)
+		read <- err
+	}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go server.Serve(ln)
+	defer server.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := fmt.Fprint(conn, "POST / HTTP/1.1\r\nHost: av\r\nContent-Length: 1000\r\n\r\nabc"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-read:
+		if err == nil {
+			t.Fatal("the handler read a 1000-byte body of which 3 bytes were sent")
+		}
+		if waited := time.Since(start); waited < readTimeout/2 {
+			t.Errorf("body read failed after %v, before the %v read timeout: %v", waited, readTimeout, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handler still waits for the body after 10 s")
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection not closed after the read timeout: %v", err)
+	}
+}

@@ -298,17 +298,25 @@ func (l *listener) tracer() *autovalidate.Tracer {
 	return autovalidate.NewTracer(autovalidate.TracerConfig{SampleEvery: sample})
 }
 
-// A client has readHeaderTimeout to send its request head, and a
-// keep-alive connection idle for idleTimeout between requests is closed,
-// so neither a stalled client nor an idle one can pin a connection
-// forever. idleTimeout is a variable only so that a test can shorten it.
+// A client has readHeaderTimeout to send its request head and
+// readTimeout to send the whole request, body included, and a keep-alive
+// connection idle for idleTimeout between requests is closed, so neither
+// a stalled client, a trickling one nor an idle one can pin a connection
+// forever. readTimeout is far above what a 64 MiB body takes on loopback.
+// No WriteTimeout is set: the leader's snapshot response grows with the
+// index, and a deadline fit for today's index would cut a follower's
+// bootstrap tomorrow. idleTimeout and readTimeout are variables only so
+// that a test can shorten them.
 const readHeaderTimeout = 10 * time.Second
 
-var idleTimeout = 120 * time.Second
+var (
+	readTimeout = 60 * time.Second
+	idleTimeout = 120 * time.Second
+)
 
 // newServer is the http.Server that serve runs handler on.
 func newServer(handler http.Handler) *http.Server {
-	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }
 
 // serve runs handler until SIGINT or SIGTERM: the optional debug

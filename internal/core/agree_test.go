@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -183,39 +184,41 @@ func TestInferAgreesWithOracleHandCases(t *testing.T) {
 	}
 }
 
-// Each segment the DP gathers from the lexed column — texts, weights,
-// slots and the fine and merged runs handed to the enumerator — is what
-// concatenating the aligned columns' texts, expanding by weight and
-// de-duplicating and lexing again gives, up to the text at which the
-// shape reject stops. Two segments of one inference, under either
-// tokenization, share a memo key only if their (text, weight) sequences
-// are equal.
+// Each segment the DP summarises from the lexed column — the position
+// summaries under both tokenizations, the first text, the gapped weight
+// and whether every text is one separator — is what
+// concatenating the aligned columns' texts, expanding by weight,
+// de-duplicating under the cap and lexing again gives, unless both
+// tokenizations are ruled out and the scan stopped early. Two segments of
+// one inference, under either tokenization, share a memo key only if
+// Enumerate at full support gives them the same candidates, and some keys
+// are met under both tokenizations.
 func TestGatherAgreesWithRelexedSegments(t *testing.T) {
 	shared := 0
 	for name, values := range handCases() {
-		for _, maxValues := range []int{0, 2} {
+		for _, maxValues := range []int{0, 2, 1} {
 			opt := testOptions(FMDVVH)
 			opt.Enum.MaxValues = maxValues
 			dp := newSegmentDP(testIndex(t), opt, values)
 			type keyed struct {
-				seq   string
+				cands string
 				merge bool
 			}
-			seqOf := map[string]keyed{}
+			candsOf := map[string]keyed{}
 			for _, merge := range []bool{false, true} {
 				dp.ncols = 0
 				dp.infer(opt.Theta, merge) // leaves the alignment it solved in dp
 				for s := 0; s < dp.ncols; s++ {
 					for e := s; e < dp.ncols; e++ {
 						seg := fmt.Sprintf("%s maxValues=%d merge=%v [%d,%d]", name, maxValues, merge, s, e)
-						key, seq := checkGather(t, seg, dp, s, e)
-						prev, ok := seqOf[key]
+						key, cands := checkGather(t, seg, dp, s, e)
+						prev, ok := candsOf[key]
 						switch {
 						case !ok:
-							seqOf[key] = keyed{seq, merge}
-						case prev.seq != seq:
-							t.Fatalf("%s: memo key shared by (text, weight) sequences %s and %s", seg, prev.seq, seq)
-						case prev.merge != merge && key != "":
+							candsOf[key] = keyed{cands, merge}
+						case prev.cands != cands:
+							t.Fatalf("%s: memo key shared by candidate sets %s and %s", seg, prev.cands, cands)
+						case prev.merge != merge && cands != "":
 							shared++
 						}
 					}
@@ -258,59 +261,87 @@ func segmentTexts(dp *segmentDP, s, e int) (sub []string, emptyW int, seq string
 	return sub, emptyW, seq
 }
 
-// checkGather gathers and de-duplicates segment s..e and checks the
-// scratch against segmentTexts. It returns the segment's memo key and
-// (text, weight) sequence.
-func checkGather(t *testing.T, name string, dp *segmentDP, s, e int) (key, seq string) {
+// checkGather summarises segment s..e and checks the scratch against
+// segmentTexts. It returns the segment's memo key and its candidates at
+// the leaf's full support, their keys in order.
+func checkGather(t *testing.T, name string, dp *segmentDP, s, e int) (key, cands string) {
 	t.Helper()
 	sub, wantEmptyW, seq := segmentTexts(dp, s, e)
-	wantTexts, wantWeights := pattern.Dedupe(sub, dp.opt.Enum.MaxValues)
+	kept, _ := pattern.Dedupe(sub, dp.opt.Enum.MaxValues)
 	allTexts, _ := pattern.Dedupe(sub, 0)
+	wantMerged, wantFine := relexedSummaries(kept, dp.leafEnum())
 
-	emptyW, uniform := dp.gather(s, e)
-	if emptyW != wantEmptyW || uniform != (len(allTexts) <= 1) {
-		t.Fatalf("%s: gather = (%d, %v) over %d distinct texts, want %d empty", name, emptyW, uniform, len(allTexts), wantEmptyW)
+	emptyW, separator := dp.summarize(s, e)
+	if len(sub) > 0 && dp.first != sub[0] || len(sub) == 0 && dp.first != "" {
+		t.Fatalf("%s: first text %q of %s", name, dp.first, seq)
 	}
-	var spanned int
-	for _, sp := range dp.spans {
-		spanned += dp.col.weights[sp.i]
-	}
-	if spanned != len(sub) {
-		t.Fatalf("%s: spans weigh %d, want %d", name, spanned, len(sub))
-	}
-	n := len(wantTexts)
-	if !dp.dedupe() {
-		// Rejected: the texts before the one that ruled out both shapes.
-		if n = len(dp.texts); n >= len(wantTexts) {
-			t.Fatalf("%s: rejected after all %d texts", name, n)
+	wantSeparator := len(allTexts) == 1 && isSeparator(allTexts[0])
+	merged, fine := dp.merged.positions(), dp.fine.positions()
+	if wantMerged == nil && wantFine == nil {
+		if merged != nil || fine != nil || separator {
+			t.Fatalf("%s: summaries %v and %v of %s (separator %v), want both ruled out", name, merged, fine, seq, separator)
 		}
+	} else if !reflect.DeepEqual(merged, wantMerged) || !reflect.DeepEqual(fine, wantFine) ||
+		emptyW != wantEmptyW || separator != wantSeparator {
+		t.Fatalf("%s: summarize = (%d, %v) with summaries %v and %v of %s, want (%d, %v) with %v and %v",
+			name, emptyW, separator, merged, fine, seq, wantEmptyW, wantSeparator, wantMerged, wantFine)
 	}
-	if len(dp.texts) != n || len(dp.weights) != n || len(dp.fine) != n || len(dp.merged) != n || len(dp.slot) != n {
-		t.Fatalf("%s: %d texts, %d weights, %d fine and %d merged run lists, %d slots, want %d of each",
-			name, len(dp.texts), len(dp.weights), len(dp.fine), len(dp.merged), len(dp.slot), n)
+	var keys []string
+	for _, c := range pattern.Enumerate(sub, dp.leafEnum()).Candidates {
+		keys = append(keys, c.Key)
 	}
-	for k, text := range dp.texts {
-		w := dp.weights[k]
-		if text != wantTexts[k] || w > wantWeights[k] || (n == len(wantTexts) && w != wantWeights[k]) {
-			t.Fatalf("%s: texts %q weights %v, want %q %v", name, dp.texts, dp.weights, wantTexts, wantWeights)
+	slices.Sort(keys)
+	dp.spellKey()
+	return string(dp.key), strings.Join(keys, " ")
+}
+
+// relexedSummaries summarises the texts the obvious way, as the leaf
+// enumerates them: each lexed and merged afresh, and a tokenization
+// summarised only when it is enumerated, every text has one class shape
+// under it and none is wider than τ.
+func relexedSummaries(texts []string, enum pattern.EnumOptions) (merged, fine []pattern.Position) {
+	sum := func(merge bool) []pattern.Position {
+		var out []pattern.Position
+		for n, text := range texts {
+			runs := tokens.Lex(text)
+			if merge {
+				runs = tokens.MergeAlnum(nil, text, runs)
+			}
+			if enum.MaxTokens > 0 && len(runs) > enum.MaxTokens || n > 0 && tokens.ClassShape(runs) != classShape(out) {
+				return nil
+			}
+			for k, r := range runs {
+				switch {
+				case n == 0:
+					out = append(out, pattern.Position{Class: r.Class, Text: r.Text, Len: len(r.Text)})
+				case out[k].Text != r.Text:
+					out[k].Text = ""
+					if out[k].Len != len(r.Text) {
+						out[k].Len = 0
+					}
+				}
+			}
 		}
-		fine := tokens.Lex(text)
-		if !reflect.DeepEqual(dp.fine[k], fine) {
-			t.Fatalf("%s: runs of %q are %v, want %v", name, text, dp.fine[k], fine)
-		}
-		if merged := tokens.MergeAlnum(nil, text, fine); !reflect.DeepEqual(dp.merged[k], merged) {
-			t.Fatalf("%s: merged runs of %q are %v, want %v", name, text, dp.merged[k], merged)
-		}
-		if dp.slot[text] != k {
-			t.Fatalf("%s: slot of %q is %d, want %d", name, text, dp.slot[text], k)
-		}
+		return out
 	}
-	return string(dp.key), seq
+	if enum.IncludeAlnumPass {
+		merged = sum(true)
+	}
+	return merged, sum(false)
+}
+
+// classShape is tokens.ClassShape of a summary's runs.
+func classShape(sum []pattern.Position) string {
+	runs := make([]tokens.Run, len(sum))
+	for k, p := range sum {
+		runs[k].Class = p.Class
+	}
+	return tokens.ClassShape(runs)
 }
 
 // checkLeafRejects infers values under both tokenizations and, over every
 // segment of each alignment a leaf would enumerate (no wider than τ, not
-// gapped throughout), holds dedupe's verdict to the obvious one:
+// gapped throughout), holds summarize's verdict to the obvious one:
 // enumerating the segment's texts, weight-fold, at the leaf's full
 // support. It returns how many segments were rejected and kept.
 func checkLeafRejects(t *testing.T, values []string, opt Options) (rejected, kept int) {
@@ -326,10 +357,10 @@ func checkLeafRejects(t *testing.T, values []string, opt Options) (rejected, kep
 				if len(sub) == 0 {
 					continue
 				}
-				dp.gather(s, e)
-				ok := dp.dedupe()
+				dp.summarize(s, e)
+				ok := dp.fine.ok || dp.merged.ok
 				if none := len(pattern.Enumerate(sub, enum).Candidates) == 0; ok == none {
-					t.Fatalf("merge=%v [%d,%d] %s: dedupe kept the segment = %v, but the enumeration has no candidate = %v",
+					t.Fatalf("merge=%v [%d,%d] %s: summarize kept a tokenization = %v, but the enumeration has no candidate = %v",
 						merge, s, e, seq, ok, none)
 				}
 				if ok {
@@ -345,7 +376,7 @@ func checkLeafRejects(t *testing.T, values []string, opt Options) (rejected, kep
 
 // The leaf's shape reject is exact: over every segment of the hand cases
 // and of the infer_ingest columns, under both tokenizations, with the
-// distinct-value cap loose and binding at 5 and at 2, dedupe gives up on
+// distinct-value cap loose and binding at 5 and at 2, summarize gives up on
 // a segment exactly when the obvious enumeration finds no candidate.
 // alnum/twoValues is the row where comparing a text the cap drops would
 // reject segments whose kept texts share a shape.
@@ -465,9 +496,13 @@ func handCases() map[string][]string {
 	for i := 0; i < 20; i++ {
 		highBytes = append(highBytes, fmt.Sprintf("número%d-ß%02d", i, i%7), fmt.Sprintf("日本%d語\xff-%02d", i%3, i))
 	}
+	var doubled []string // a separator segment whose texts are "-" and "--"
+	for i := 0; i < 12; i++ {
+		doubled = append(doubled, fmt.Sprintf("ab%d-cd", i%3), fmt.Sprintf("ab%d--cd", i%4))
+	}
 	return map[string][]string{
 		"suffix": suffix, "mixed": mixed, "alnum": alnum, "dupes": dupes, "brackets": brackets,
-		"empties": {"", "", ""}, "single": {"a-1"},
+		"empties": {"", "", ""}, "single": {"a-1"}, "doubled": doubled,
 		"midGap": midGap, "splitRun": splitRun, "weighted": weighted, "wide": wide, "highBytes": highBytes,
 	}
 }
@@ -512,24 +547,27 @@ func FuzzInferAgree(f *testing.F) {
 	})
 }
 
-// The merged pass re-meets every segment the fine pass solved when no
-// value has adjacent letter and digit runs, and none when the two
-// tokenizations cut different segments.
+// Segments with the same position summaries are solved once, under
+// either tokenization and wherever they lie: the merged pass re-meets
+// every segment the fine pass solved when no value has adjacent letter and
+// digit runs (timestamp_us, ipv4), equal summaries recur inside one
+// alignment (ipv4's octets), and every segment whose texts share no class
+// shape has the same, empty, summaries (most of guid's).
 func TestLeafMemoServesSharedSegments(t *testing.T) {
 	idx := testIndex(t)
 	for _, tc := range []struct {
-		domain  string
-		hitRate float64
-	}{{"timestamp_us", 0.5}, {"ipv4", 0.5}, {"guid", 0}} {
+		domain      string
+		hit, solved uint64
+	}{{"timestamp_us", 74, 66}, {"ipv4", 38, 12}, {"guid", 252, 33}} {
 		before := ReadCounters()
 		if _, err := Infer(fresh(t, tc.domain, 100, 21), idx, testOptions(FMDVVH)); err != nil {
 			t.Fatal(err)
 		}
 		after := ReadCounters()
 		hit := after.SegmentsMemoized - before.SegmentsMemoized
-		miss := after.SegmentsSolved - before.SegmentsSolved
-		if miss == 0 || float64(hit)/float64(hit+miss) != tc.hitRate {
-			t.Errorf("%s: %d segments served from the memo, %d solved; want a hit rate of %v", tc.domain, hit, miss, tc.hitRate)
+		solved := after.SegmentsSolved - before.SegmentsSolved
+		if hit != tc.hit || solved != tc.solved {
+			t.Errorf("%s: %d segments served from the memo, %d solved; want %d and %d", tc.domain, hit, solved, tc.hit, tc.solved)
 		}
 		if after.Candidates == before.Candidates || after.IndexHits == before.IndexHits {
 			t.Errorf("%s: candidate and index-hit counters did not move: %+v -> %+v", tc.domain, before, after)

@@ -15,9 +15,10 @@ var (
 // Counters is a snapshot of the inference counters.
 type Counters struct {
 	// SegmentsSolved counts vertical-cut segments whose hypothesis space
-	// was enumerated and scored, or ruled empty by their class shapes
-	// before enumeration (that empty answer is memoized like any other);
-	// SegmentsMemoized those answered by an identical segment already
+	// was enumerated and scored from their position summaries (a segment
+	// whose texts share no class shape has empty summaries, enumerates
+	// nothing, and is memoized like any other); SegmentsMemoized those
+	// answered by a segment with the same position summary already
 	// solved for the same column.
 	SegmentsSolved   uint64
 	SegmentsMemoized uint64

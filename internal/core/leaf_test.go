@@ -45,12 +45,9 @@ func checkLeafScores(t *testing.T, idx *index.Index, values []string, opt Option
 					continue
 				}
 				seg := fmt.Sprintf("merge=%v [%d,%d] %s", merge, s, e, seq)
-				dp.gather(s, e)
+				dp.summarize(s, e)
 				c0 := ReadCounters()
-				var got leafResult
-				if dp.dedupe() {
-					got = dp.best()
-				}
+				got := dp.best()
 				c1 := ReadCounters()
 				want, cands := collectLeaf(sub, idx, opt, enum)
 				c2 := ReadCounters()

@@ -94,6 +94,16 @@ func lexColumn(values []string) *lexedColumn {
 	return col
 }
 
+// mergedOf returns the index of value i's merged run that holds its fine
+// run k.
+func (col *lexedColumn) mergedOf(i, k int) int {
+	j, found := slices.BinarySearch(col.first[i], k)
+	if !found {
+		j--
+	}
+	return j
+}
+
 // infer solves the column under one tokenization (merge: with adjacent
 // letter and digit runs merged).
 func (dp *segmentDP) infer(theta float64, merge bool) (*validate.Rule, error) {
@@ -220,18 +230,14 @@ type segmentDP struct {
 	ncols int
 	rows  []alignedRow
 
-	// Scratch of leaf, reused from segment to segment: the segment's
-	// spans and the memo key spelled from them, and its distinct texts
-	// with their slots, weights and runs (the merged runs of a fine-pass
-	// segment carved from slab).
-	spans   []span
-	key     []byte
-	slot    map[string]int
-	texts   []string
-	weights []int
-	fine    [][]tokens.Run
-	merged  [][]tokens.Run
-	slab    []tokens.Run
+	// Scratch of leaf, reused from segment to segment: the summaries of
+	// the segment's kept texts under each tokenization, the first of those
+	// texts, the memo key spelled from the summaries, and — when the column
+	// has more distinct values than Enum.MaxValues — the texts kept so far.
+	fine, merged summary
+	first        string
+	key          []byte
+	kept         map[string]struct{}
 
 	// The leaf's scorer, bound once, and what it was handed for the
 	// segment being solved: how many candidates, how many of them the
@@ -244,15 +250,8 @@ type segmentDP struct {
 	hitToks  []pattern.Tok
 }
 
-// span is one non-gapped member's text in a segment: runs [flo, fhi) of
-// col.fine[i], and under the merged tokenization runs [mlo, mhi) of
-// col.merged[i].
-type span struct {
-	i, flo, fhi, mlo, mhi int
-}
-
 func newSegmentDP(idx *index.Index, opt Options, values []string) *segmentDP {
-	dp := &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, slot: map[string]int{}}
+	dp := &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, kept: map[string]struct{}{}}
 	dp.visit = dp.score
 	return dp
 }
@@ -265,9 +264,9 @@ type alignedRow struct {
 }
 
 // leafMemo holds every segment solved for one query column, under either
-// tokenization, keyed by the segment's spans in row order. A span fixes
-// its text and weight, so one key is one (text, weight) sequence: the
-// same sub-column, which has the same best pattern.
+// tokenization, keyed by the segment's position summaries (appendSummary):
+// segments with equal summaries have the same hypothesis space, so the
+// same best pattern, wherever they lie.
 type leafMemo map[string]leafResult
 
 // leafResult is the best unsplit pattern of a segment's values, before
@@ -326,9 +325,9 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	if e-s+1 > dp.opt.Tau {
 		return segResult{} // longer than any indexed pattern (§2.4)
 	}
-	emptyW, uniform := dp.gather(s, e)
-	if len(dp.spans) == 0 {
-		return segResult{}
+	emptyW, separator := dp.summarize(s, e)
+	if dp.first == "" {
+		return segResult{} // gapped throughout
 	}
 
 	// Constant separator fast path: a segment of pure punctuation or
@@ -339,22 +338,21 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	// machine-generated data occurs as some column. Separators gapped
 	// in part of the alignment (an optional " PM" suffix's space)
 	// become optional literals.
-	if first := dp.text(dp.spans[0]); uniform && isSeparator(first) {
-		p := pattern.New(pattern.Lit(first))
+	if separator {
+		p := pattern.New(pattern.Lit(dp.first))
 		if emptyW > 0 {
 			p = pattern.Optional(p)
 		}
 		return segResult{ok: true, agg: 0, pats: []pattern.Pattern{p}}
 	}
 
+	dp.spellKey()
 	res, seen := dp.memo[string(dp.key)]
 	if seen {
 		segmentsMemoized.Add(1)
 	} else {
 		segmentsSolved.Add(1)
-		if dp.dedupe() {
-			res = dp.best()
-		}
+		res = dp.best()
 		dp.memo[string(dp.key)] = res
 	}
 	if !res.ok {
@@ -368,13 +366,14 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	return segResult{ok: true, agg: res.fpr, pats: []pattern.Pattern{pat}}
 }
 
-// best enumerates the segment dedupe has filled the scratch with, scoring
-// each candidate as it is visited, and returns the one selectBest would
-// pick: the best under the objective whose FPR_T is at most r and Cov_T
-// at least m. Only the winner's tokens are copied out.
+// best enumerates the hypothesis space of the segment summarize has
+// summarised, scoring each candidate as it is visited, and returns the
+// one selectBest would pick: the best under the objective whose FPR_T is
+// at most r and Cov_T at least m. Only the winner's tokens are copied
+// out.
 func (dp *segmentDP) best() leafResult {
 	dp.visited, dp.hits, dp.feasible, dp.hitToks = 0, 0, dp.feasible[:0], dp.hitToks[:0]
-	pattern.EnumerateLexed(dp.weights, dp.fine, dp.merged, dp.leafEnum(), dp.visit)
+	pattern.EnumerateSummary(dp.merged.positions(), dp.fine.positions(), dp.leafEnum(), dp.visit)
 	candidatesEnumerated.Add(dp.visited)
 	indexHits.Add(dp.hits)
 	if len(dp.feasible) == 0 {
@@ -430,18 +429,31 @@ func (dp *segmentDP) leafEnum() pattern.EnumOptions {
 	return enum
 }
 
-// gather lists segment s..e of the kept values as spans, in row order,
-// and spells the memo key from them: each span's value index and fine-run
-// bounds as uvarints, which fix its text and weight under either
-// tokenization, so no text is hashed or copied. It returns the weight of
-// the rows gapped throughout, and whether the others all have the same
-// text (each compared with the first).
-func (dp *segmentDP) gather(s, e int) (emptyW int, uniform bool) {
-	col := dp.col
-	dp.spans = dp.spans[:0]
-	key := dp.key[:0]
-	uniform = true
-	var first string
+// summarize folds the texts of segment s..e, in row order, into their
+// position summaries under both tokenizations: every text, or when the
+// column has more distinct values than Enum.MaxValues, the first that many
+// distinct ones, as Enumerate would keep them. A leaf enumerates at full
+// support, so a tokenization has candidates only if every kept text has
+// one class shape under it within τ (Enumerate's two passes), and the scan
+// stops as soon as both are ruled out. Each text is a substring of its
+// value and its runs are sub-slices of the value's, except that under the
+// fine alignment a text's first and last merged runs may be clipped to it;
+// nothing is copied.
+//
+// It returns the weight of the rows gapped throughout and whether every
+// text is one and the same separator — every fine position one constant
+// symbol or space run, and no text dropped by the cap (it would differ) —
+// and leaves the first text in dp.first ("" when every row is gapped).
+func (dp *segmentDP) summarize(s, e int) (emptyW int, separator bool) {
+	col, maxValues := dp.col, dp.opt.Enum.MaxValues
+	capped := maxValues > 0 && len(col.uniq) > maxValues
+	if capped {
+		clear(dp.kept)
+	}
+	dp.fine.reset(dp.opt.Tau, true)
+	dp.merged.reset(dp.opt.Tau, dp.opt.Enum.IncludeAlnumPass)
+	dp.first = ""
+	all := true
 	for _, row := range dp.rows {
 		// A row's runs in columns s..e are consecutive, gaps or not,
 		// so its members' texts there are substrings of the values.
@@ -454,112 +466,142 @@ func (dp *segmentDP) gather(s, e int) (emptyW int, uniform bool) {
 				hi = ri + 1
 			}
 		}
-		for _, i := range row.members {
-			if lo < 0 {
+		if lo < 0 {
+			for _, i := range row.members {
 				emptyW += col.weights[i]
-				continue
 			}
-			sp := span{i: i, flo: lo, fhi: hi, mlo: lo, mhi: hi}
-			if dp.merge {
-				sp.flo, sp.fhi = col.first[i][lo], col.first[i][hi]
-			}
-			if len(dp.spans) == 0 {
-				first = dp.text(sp)
-			} else if uniform {
-				uniform = dp.text(sp) == first
-			}
-			dp.spans = append(dp.spans, sp)
-			key = binary.AppendUvarint(key, uint64(i))
-			key = binary.AppendUvarint(key, uint64(sp.flo))
-			key = binary.AppendUvarint(key, uint64(sp.fhi))
-		}
-	}
-	dp.key = key
-	return emptyW, uniform
-}
-
-// text is a span's text, a substring of its value.
-func (dp *segmentDP) text(sp span) string {
-	off := dp.col.off[sp.i]
-	return dp.col.uniq[sp.i][off[sp.flo]:off[sp.fhi]]
-}
-
-// dedupe fills the leaf scratch with the gathered spans de-duplicated the
-// way Enumerate would have, had each text been handed to it weight-fold
-// in row order: first occurrence fixes the slot, and a text first met
-// beyond Enum.MaxValues is dropped. In merge mode a text's merged runs
-// are a sub-slice of its value's.
-//
-// A leaf enumerates at full support, so it has a candidate only if every
-// kept text has one class shape under the fine runs, all within τ, or one
-// under the merged runs (Enumerate's two passes). dedupe compares each
-// kept text's shapes with the first's, run by run, and reports false —
-// no candidate — as soon as both are ruled out, leaving the scratch
-// partly filled.
-func (dp *segmentDP) dedupe() bool {
-	col, maxValues, tau := dp.col, dp.opt.Enum.MaxValues, dp.opt.Tau
-	clear(dp.slot)
-	dp.texts, dp.weights, dp.fine, dp.merged, dp.slab = dp.texts[:0], dp.weights[:0], dp.fine[:0], dp.merged[:0], dp.slab[:0]
-	fineOK, mergedOK := true, dp.opt.Enum.IncludeAlnumPass
-	for _, sp := range dp.spans {
-		text, w := dp.text(sp), col.weights[sp.i]
-		if k, ok := dp.slot[text]; ok {
-			dp.weights[k] += w
 			continue
 		}
-		if maxValues > 0 && len(dp.texts) >= maxValues {
-			continue // dropped: it takes no part in the enumeration
+		// A fine-shape group's members merge alike, so under the fine
+		// alignment the row's merged runs [mlo, mhi) are its first
+		// member's.
+		mlo, mhi := lo, hi
+		if !dp.merge {
+			mlo, mhi = col.mergedOf(row.members[0], lo), col.mergedOf(row.members[0], hi-1)+1
 		}
-		fine := col.fine[sp.i][sp.flo:sp.fhi]
-		var merged []tokens.Run
-		if dp.merge {
-			merged = col.merged[sp.i][sp.mlo:sp.mhi]
-		} else {
-			n := len(dp.slab)
-			dp.slab = tokens.MergeAlnum(dp.slab, text, fine)
-			merged = dp.slab[n:]
+		for _, i := range row.members {
+			v, off, first := col.uniq[i], col.off[i], col.first[i]
+			flo, fhi := lo, hi
+			if dp.merge {
+				flo, fhi = first[lo], first[hi]
+			}
+			text := v[off[flo]:off[fhi]]
+			if capped {
+				if _, ok := dp.kept[text]; ok {
+					continue // folded already
+				}
+				if len(dp.kept) >= maxValues {
+					all = false
+					continue // dropped: it takes no part in the enumeration
+				}
+				dp.kept[text] = struct{}{}
+			}
+			if dp.first == "" {
+				dp.first = text
+			}
+			if dp.fine.start(fhi - flo) {
+				for k, r := range col.fine[i][flo:fhi] {
+					dp.fine.fold(k, r.Class, r.Text)
+				}
+			}
+			if dp.merged.start(mhi - mlo) {
+				for j := mlo; j < mhi; j++ {
+					// Clipped to the text: a no-op under the merged alignment.
+					a, b := max(first[j], flo), min(first[j+1], fhi)
+					dp.merged.fold(j-mlo, col.merged[i][j].Class, v[off[a]:off[b]])
+				}
+			}
+			if !dp.fine.ok && !dp.merged.ok {
+				return emptyW, false
+			}
 		}
-		if len(dp.texts) == 0 {
-			fineOK = len(fine) <= tau
-			mergedOK = mergedOK && len(merged) <= tau
-		} else {
-			fineOK = fineOK && len(fine) <= tau && sameClassShape(fine, dp.fine[0])
-			mergedOK = mergedOK && sameClassShape(merged, dp.merged[0])
-		}
-		if !fineOK && !mergedOK {
-			return false
-		}
-		dp.slot[text] = len(dp.texts)
-		dp.texts = append(dp.texts, text)
-		dp.weights = append(dp.weights, w)
-		dp.fine = append(dp.fine, fine)
-		dp.merged = append(dp.merged, merged)
 	}
-	return true
+	return emptyW, all && dp.fine.separator()
 }
 
-// sameClassShape reports whether a and b have the same class shape,
-// comparing run by run: lexed and merged runs' classes name their shape
-// letters one to one.
-func sameClassShape(a, b []tokens.Run) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k].Class != b[k].Class {
-			return false
-		}
-	}
-	return true
+// summary folds the texts of a segment, one after another, into their
+// position summaries under one tokenization; ok is false once they are
+// ruled out (two texts differ in class shape, or one is wider than τ).
+type summary struct {
+	pos []pattern.Position
+	n   int // texts folded
+	tau int
+	ok  bool
 }
 
-func isSeparator(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch tokens.ClassOf(s[i]) {
-		case tokens.ClassSymbol, tokens.ClassSpace:
-		default:
+func (sm *summary) reset(tau int, on bool) {
+	sm.pos, sm.n, sm.tau, sm.ok = sm.pos[:0], 0, tau, on
+}
+
+// start begins the next text, of n runs, and reports whether to fold it.
+func (sm *summary) start(n int) bool {
+	if sm.ok {
+		if sm.n == 0 {
+			sm.ok = sm.tau <= 0 || n <= sm.tau
+		} else {
+			sm.ok = n == len(sm.pos)
+		}
+	}
+	sm.n++
+	return sm.ok
+}
+
+// fold folds run k of the current text.
+func (sm *summary) fold(k int, class tokens.Class, text string) {
+	if sm.n == 1 {
+		sm.pos = append(sm.pos, pattern.Position{Class: class, Text: text, Len: len(text)})
+		return
+	}
+	p := &sm.pos[k]
+	if p.Class != class {
+		sm.ok = false
+		return
+	}
+	// Stored only when it changes: a pointer store costs a write barrier.
+	if p.Text != "" && p.Text != text {
+		p.Text = ""
+	}
+	if p.Len != len(text) {
+		p.Len = 0
+	}
+}
+
+// positions is the summary, nil when ruled out.
+func (sm *summary) positions() []pattern.Position {
+	if !sm.ok {
+		return nil
+	}
+	return sm.pos
+}
+
+// separator reports whether every position is one constant symbol or
+// space run: the texts folded are one separator.
+func (sm *summary) separator() bool {
+	for _, p := range sm.positions() {
+		if p.Text == "" || (p.Class != tokens.ClassSymbol && p.Class != tokens.ClassSpace) {
 			return false
 		}
 	}
-	return s != ""
+	return sm.ok
+}
+
+// spellKey spells the memo key of the segment summarize has summarised
+// into dp.key: its merged summary, then its fine one.
+func (dp *segmentDP) spellKey() {
+	dp.key = appendSummary(appendSummary(dp.key[:0], dp.merged), dp.fine)
+}
+
+// appendSummary appends the summary to b, length-prefixed: a zero for
+// one ruled out, else its positions' count, then each position's class,
+// length and text.
+func appendSummary(b []byte, sm summary) []byte {
+	pos := sm.positions()
+	b = binary.AppendUvarint(b, uint64(len(pos)))
+	for _, p := range pos {
+		b = append(b, byte(p.Class))
+		b = binary.AppendUvarint(b, uint64(p.Len))
+		b = binary.AppendUvarint(b, uint64(len(p.Text)))
+		b = append(b, p.Text...)
+	}
+	return b
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"autovalidate/internal/pattern"
+	"autovalidate/internal/tokens"
 	"autovalidate/internal/validate"
 )
 
@@ -97,6 +98,20 @@ func TestVerticalMergedTokenizationWinsOnGuids(t *testing.T) {
 			t.Errorf("GUID pattern %q misses %q", rule.Pattern, v)
 		}
 	}
+}
+
+// isSeparator reports whether s is a non-empty run of punctuation and
+// whitespace: the segments the leaf's separator fast path admits when
+// every text is s.
+func isSeparator(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch tokens.ClassOf(s[i]) {
+		case tokens.ClassSymbol, tokens.ClassSpace:
+		default:
+			return false
+		}
+	}
+	return s != ""
 }
 
 func TestSeparatorFastPath(t *testing.T) {

@@ -92,37 +92,14 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 		fine[i] = tokens.Lex(v)
 		merged[i] = tokens.MergeAlnum(make([]tokens.Run, 0, len(fine[i])), v, fine[i])
 	}
-	return enumerate(weights, fine, merged, opt, nil)
+	return enumerate(weights, fine, merged, opt)
 }
 
-// EnumerateLexed is Enumerate over a column already de-duplicated and
-// lexed, except that it collects nothing: it hands each distinct
-// candidate to visit as the search finds it, and the result carries
-// Total, Wide, Empty and Capped but no Candidates. Distinct value i
-// occurs weights[i] times and lexes to fine[i], or to merged[i] with
-// adjacent letter and digit runs merged (both empty for the empty value).
-// The vertical-cut search lexes a column once, enumerates each segment
-// from sub-slices of those runs and scores each candidate as it is
-// visited, so no segment's hypothesis space is ever copied out. Nothing
-// is kept of the three slices, which the caller may reuse.
-//
-// visit sees the candidates Enumerate would return — the same keys, as
-// many, and the same Capped — in the search's order, not Enumerate's.
-// The key is the caller's to keep; toks is the enumerator's scratch,
-// valid only until visit returns. A candidate's support is not reported:
-// at MinSupport 1, as at every vertical-cut leaf, every visited
-// candidate matches all Total values. The working state — shape groups,
-// per-position counts, options, bitsets and the rendered key — is drawn
-// from a pool and reset on each call, so a search that enumerates many
-// segments allocates little beyond one string per candidate key.
-func EnumerateLexed(weights []int, fine, merged [][]tokens.Run, opt EnumOptions, visit func(key string, toks []Tok)) EnumResult {
-	return enumerate(weights, fine, merged, opt, visit)
-}
-
-// enumerate is Algorithm 1 over a lexed column. With visit nil it
-// collects the candidates into the result, copied out of the pooled
-// scratch; otherwise it hands them to visit (see EnumerateLexed).
-func enumerate(weights []int, fine, merged [][]tokens.Run, opt EnumOptions, visit func(key string, toks []Tok)) EnumResult {
+// enumerate is Algorithm 1 over a de-duplicated, lexed column: distinct
+// value i occurs weights[i] times and lexes to fine[i], or to merged[i]
+// with adjacent letter and digit runs merged (both empty for the empty
+// value). The candidates are copied out of the pooled scratch.
+func enumerate(weights []int, fine, merged [][]tokens.Run, opt EnumOptions) EnumResult {
 	var res EnumResult
 	for _, w := range weights {
 		res.Total += w
@@ -142,13 +119,16 @@ func enumerate(weights []int, fine, merged [][]tokens.Run, opt EnumOptions, visi
 		switch {
 		case len(runs) == 0:
 			res.Empty += weights[i]
-		case !fits(opt, runs) && !(opt.IncludeAlnumPass && fits(opt, merged[i])):
+		case !fits(opt, len(runs)) && !(opt.IncludeAlnumPass && fits(opt, len(merged[i]))):
 			res.Wide += weights[i]
 		}
 	}
 
 	em := emitters.Get().(*emitter)
-	em.reset(opt, weights, minCount, res.Total, visit)
+	em.reset(opt, nil)
+	em.weights, em.minCount = weights, minCount
+	em.majority = 2*minCount > res.Total
+	em.words = (len(weights) + 63) / 64
 	// The alnum pass runs first: it is cheap and yields the most
 	// general candidates, so if MaxPatterns caps the enumeration the
 	// safest (most general) patterns are the ones retained.
@@ -156,17 +136,56 @@ func enumerate(weights []int, fine, merged [][]tokens.Run, opt EnumOptions, visi
 		em.enumeratePass(merged, true)
 	}
 	em.enumeratePass(fine, false)
-	if visit == nil {
-		res.Candidates = em.finish()
-	}
+	res.Candidates = em.finish()
 	res.Capped = em.capped
 	em.release()
 	return res
 }
 
-// fits reports whether runs are within the τ cap.
-func fits(opt EnumOptions, runs []tokens.Run) bool {
-	return opt.MaxTokens <= 0 || len(runs) <= opt.MaxTokens
+// Position summarises one run position of a column's values that share
+// one class shape: the run's class, the text every value's run there has
+// ("" when they differ) and the length they all have (0 when they
+// differ). At full support these three are all of the column that the
+// position's options depend on.
+type Position struct {
+	Class tokens.Class
+	Text  string
+	Len   int
+}
+
+// EnumerateSummary visits the hypothesis space H(C) of a column (its
+// candidates at MinSupport 1, whatever opt.MinSupport says) from the
+// column's position summaries: merged summarises the values' runs with
+// adjacent letter and digit runs merged, fine their lexed runs, and a nil
+// summary stands for a tokenization under which the values share no class
+// shape (or the column has an empty value). It hands visit the candidates
+// Enumerate would return — the same keys and tokens, as many, and the same
+// Capped — in the search's order, not Enumerate's. The key is the
+// caller's to keep; toks is the enumerator's scratch, valid only until
+// visit returns.
+//
+// Weights, duplicates and the texts themselves do not enter: at full
+// support every option is one every value has, so the search is a plain
+// cross-product of per-position options, and columns with equal summaries
+// have equal hypothesis spaces. The vertical-cut search folds each segment
+// into its summaries and scores each candidate as it is visited, so no
+// segment's hypothesis space is ever copied out. The working state is
+// drawn from a pool and reset on each call.
+func EnumerateSummary(merged, fine []Position, opt EnumOptions, visit func(key string, toks []Tok)) (capped bool) {
+	em := emitters.Get().(*emitter)
+	em.reset(opt, visit)
+	if opt.IncludeAlnumPass {
+		em.enumerateSummary(merged)
+	}
+	em.enumerateSummary(fine)
+	capped = em.capped
+	em.release()
+	return capped
+}
+
+// fits reports whether n tokens are within the τ cap.
+func fits(opt EnumOptions, n int) bool {
+	return opt.MaxTokens <= 0 || n <= opt.MaxTokens
 }
 
 // HypothesisSpace returns H(C) = ∩_v P(v) \ ".*" for a homogeneous query
@@ -288,10 +307,10 @@ type emitter struct {
 	cbits  []uint64
 }
 
-func (em *emitter) reset(opt EnumOptions, weights []int, minCount, total int, visit func(string, []Tok)) {
-	em.opt, em.weights, em.minCount, em.visit = opt, weights, minCount, visit
-	em.majority = 2*minCount > total
-	em.words = (len(weights) + 63) / 64
+// reset starts a call that collects its candidates (visit nil) or hands
+// them to visit.
+func (em *emitter) reset(opt EnumOptions, visit func(string, []Tok)) {
+	em.opt, em.visit = opt, visit
 	em.capped = false
 	em.keys, em.tokBuf, em.tokEnd, em.cbits = em.keys[:0], em.tokBuf[:0], em.tokEnd[:0], em.cbits[:0]
 }
@@ -339,7 +358,7 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 		return
 	}
 	for i, runs := range runsOf {
-		if len(runs) == 0 || !fits(em.opt, runs) {
+		if len(runs) == 0 || !fits(em.opt, len(runs)) {
 			em.gid = append(em.gid, -1)
 			continue
 		}
@@ -379,15 +398,15 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 }
 
 // enumerateMajority is enumeratePass when the support threshold is over
-// half the column's weight, as at every DP leaf: only a shape most of the
-// weight shares can reach it, so one weighted majority vote (the idiom of
-// tally) names the one group worth enumerating and a second pass collects
-// its members, in value order. Every other group would be dropped for
-// want of support, so no shape key or map is built.
+// half the column's weight, as in HypothesisSpace and FMDV-H: only a
+// shape most of the weight shares can reach it, so one weighted majority
+// vote (the idiom of tally) names the one group worth enumerating and a
+// second pass collects its members, in value order. Every other group
+// would be dropped for want of support, so no shape key or map is built.
 func (em *emitter) enumerateMajority(runsOf [][]tokens.Run, alnumPass bool) {
 	cand, bal := -1, 0
 	for i, runs := range runsOf {
-		if len(runs) == 0 || !fits(em.opt, runs) {
+		if len(runs) == 0 || !fits(em.opt, len(runs)) {
 			continue
 		}
 		w := em.weights[i]
@@ -451,8 +470,8 @@ func appendClassShape(b []byte, runs []tokens.Run) []byte {
 }
 
 // emit records the pattern toks, whose canonical key dfs has assembled
-// in em.key, as matching the values in bs, or hands a key not met before
-// to visit.
+// in em.key, as matching the values in bs (nil when visiting), or hands a
+// key not met before to visit.
 func (em *emitter) emit(toks []Tok, bs bitset) {
 	if i, ok := em.byKey[string(em.key)]; ok {
 		if em.visit == nil {
@@ -535,18 +554,32 @@ func (em *emitter) enumerateGroup(members []int, groupWeight int, runsOf [][]tok
 	for i := 1; i <= npos; i++ {
 		em.acc = append(em.acc, em.newBits())
 	}
+	em.search(npos)
+}
+
+// search explores the cross-product of the npos positions' options in
+// em.opts, depth first.
+func (em *emitter) search(npos int) {
 	em.toks = slices.Grow(em.toks[:0], npos)[:npos]
 	em.key = em.key[:0]
 	em.dfs(0, npos)
 }
 
+// dfs chooses an option at pos and descends. A collecting search tracks
+// in acc which members the chosen prefix matches and prunes on their
+// weight; a visiting one enumerates a summary, whose every option matches
+// every value, so it tracks nothing.
 func (em *emitter) dfs(pos, npos int) {
 	if em.full() {
 		em.capped = true
 		return
 	}
 	if pos == npos {
-		em.emit(em.toks, em.acc[pos])
+		var bs bitset
+		if em.visit == nil {
+			bs = em.acc[pos]
+		}
+		em.emit(em.toks, bs)
 		return
 	}
 	keyLen := len(em.key)
@@ -555,10 +588,12 @@ func (em *emitter) dfs(pos, npos int) {
 		lo = em.ends[pos-1]
 	}
 	for _, o := range em.opts[lo:em.ends[pos]] {
-		if o.all {
+		switch {
+		case em.visit != nil: // every option matches every value
+		case o.all:
 			// acc[pos] is within the group and already reaches minCount.
 			copy(em.acc[pos+1], em.acc[pos])
-		} else {
+		default:
 			em.acc[pos+1].andInto(em.acc[pos], o.bs)
 			if em.acc[pos+1].weightedCount(em.weights) < em.minCount {
 				continue
@@ -570,20 +605,83 @@ func (em *emitter) dfs(pos, npos int) {
 	}
 }
 
+// addTok appends the option t, matching the members in bs (all of them
+// when all is set), to em.opts with its rendered key text.
+func (em *emitter) addTok(t Tok, bs bitset, all bool) {
+	lo := len(em.text)
+	em.text = t.appendTo(em.text)
+	em.opts = append(em.opts, option{tok: t, bs: bs, text: em.text[lo:len(em.text):len(em.text)], all: all})
+}
+
 // addOption appends the option t to em.opts and returns its bitset. An
 // option matching all the members has its bitset filled from them;
 // otherwise it is empty for the caller to fill.
 func (em *emitter) addOption(t Tok, members []int, all bool) bitset {
-	lo := len(em.text)
-	em.text = t.appendTo(em.text)
 	bs := em.newBits()
 	if all {
 		for _, i := range members {
 			bs.set(i)
 		}
 	}
-	em.opts = append(em.opts, option{tok: t, bs: bs, text: em.text[lo:len(em.text):len(em.text)], all: all})
+	em.addTok(t, bs, all)
 	return bs
+}
+
+// enumerateSummary visits the cross-product of the options of every
+// position of one tokenization's summary (nil: no shared class shape).
+// It is enumerateGroup for a group that is the whole column at full
+// support: each position offers positionOptions' choices in its order,
+// every one matching every value.
+func (em *emitter) enumerateSummary(sum []Position) {
+	if len(sum) == 0 || !fits(em.opt, len(sum)) {
+		return
+	}
+	if em.full() {
+		em.capped = true
+		return
+	}
+	em.opts, em.ends, em.text = em.opts[:0], em.ends[:0], em.text[:0]
+	for _, p := range sum {
+		before := len(em.opts)
+		em.summaryOptions(p)
+		if len(em.opts) == before {
+			return
+		}
+		em.ends = append(em.ends, len(em.opts))
+	}
+	em.search(len(sum))
+}
+
+// summaryOptions appends the options at a summarised position, in
+// positionOptions' order. A run text every value has is a constant of
+// full support, which any MinConstSupport up to 1 admits, and one
+// constant or width is within any MaxConstsPerPos or MaxLengthsPerPos.
+// Digit and letter runs occur only in the fine pass, which offers their
+// constants.
+func (em *emitter) summaryOptions(p Position) {
+	lit := p.Text != "" && em.opt.MinConstSupport <= 1
+	switch p.Class {
+	case tokens.ClassDigit, tokens.ClassLetter, tokens.ClassAlnum:
+		if p.Class == tokens.ClassDigit {
+			em.addTok(Num(), nil, true)
+		}
+		em.addTok(ClassPlus(p.Class), nil, true)
+		if p.Len > 0 {
+			em.addTok(ClassN(p.Class, p.Len), nil, true)
+		}
+		lit = lit && p.Class != tokens.ClassAlnum
+	case tokens.ClassSymbol:
+		if p.Text == "" {
+			em.addTok(ClassN(p.Class, 1), nil, true)
+		}
+	case tokens.ClassSpace:
+		em.addTok(ClassPlus(p.Class), nil, true)
+	default:
+		return
+	}
+	if lit {
+		em.addTok(Lit(p.Text), nil, true)
+	}
 }
 
 // addAll adds the option t, matching every member.

@@ -3,6 +3,7 @@ package pattern_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,5 +170,116 @@ func FuzzEnumerateAgree(f *testing.F) {
 			opt.MaxValues = 1 + int(caps>>5)
 		}
 		checkAgree(t, strings.Split(column, "\n"), opt)
+	})
+}
+
+// checkSummaryAgree holds EnumerateSummary, fed the column's obvious
+// summaries, to Enumerate at full support: the keys and tokens it visits
+// are Enumerate's candidates as a set, none twice, as many, and as
+// Capped.
+func checkSummaryAgree(t *testing.T, values []string, opt pattern.EnumOptions) {
+	t.Helper()
+	opt.MinSupport = 1
+	merged, fine := pattern.Summarize(values, opt.MaxValues)
+	visited := map[string][]pattern.Tok{}
+	capped := pattern.EnumerateSummary(merged, fine, opt, func(key string, toks []pattern.Tok) {
+		if _, ok := visited[key]; ok {
+			t.Errorf("%q (%+v): key %q visited twice", values, opt, key)
+		}
+		visited[key] = slices.Clone(toks)
+	})
+	want := pattern.Enumerate(values, opt)
+	if len(visited) != len(want.Candidates) || capped != want.Capped {
+		t.Fatalf("%q (%+v): %d keys visited, Capped %v; Enumerate has %s",
+			values, opt, len(visited), capped, describe(want))
+	}
+	for _, c := range want.Candidates {
+		if toks, ok := visited[c.Key]; !ok || !reflect.DeepEqual(toks, c.Pattern.Toks) {
+			t.Fatalf("%q (%+v): candidate %q visited = %v with tokens %v, want %v", values, opt, c.Key, ok, toks, c.Pattern.Toks)
+		}
+	}
+}
+
+// EnumerateSummary visits Enumerate's full-support candidates: a pattern
+// cap that binds, the fine pass alone, a position whose symbols differ,
+// letter and digit constants (which only the fine pass offers), and then
+// every generator domain and the hand cases at every agreement setting.
+func TestEnumerateSummaryIsEnumerateAtFullSupport(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		values []string
+		edit   func(*pattern.EnumOptions)
+		capped bool
+	}{
+		{"maxPatterns", []string{"a1-b2", "a1-b2", "c33-d4", "x9-y7"}, func(o *pattern.EnumOptions) { o.MaxPatterns = 5 }, true},
+		{"fineOnly", []string{"a1-b2", "c33-d4", "x9-y7"}, func(o *pattern.EnumOptions) { o.IncludeAlnumPass = false }, false},
+		{"mixedSymbol", []string{"ab-1", "ab+2", "ab-3"}, func(*pattern.EnumOptions) {}, false},
+		{"fineLiterals", []string{"ab-7", "ab-8", "ab-7"}, func(*pattern.EnumOptions) {}, false},
+	} {
+		opt := pattern.DefaultEnumOptions()
+		tc.edit(&opt)
+		opt.MinSupport = 1
+		if want := pattern.Enumerate(tc.values, opt); len(want.Candidates) == 0 || want.Capped != tc.capped {
+			t.Fatalf("%s: Enumerate found %d candidates, Capped %v; the case is meant to have some, Capped %v",
+				tc.name, len(want.Candidates), want.Capped, tc.capped)
+		}
+		checkSummaryAgree(t, tc.values, opt)
+	}
+	// The letter constant ab is the fine pass's alone.
+	merged, fine := pattern.Summarize([]string{"ab-7", "ab-8"}, 0)
+	offersAB := func(merged, fine []pattern.Position) (found bool) {
+		pattern.EnumerateSummary(merged, fine, pattern.DefaultEnumOptions(), func(key string, _ []pattern.Tok) {
+			found = found || strings.HasPrefix(key, "ab-")
+		})
+		return found
+	}
+	if offersAB(merged, nil) || !offersAB(nil, fine) {
+		t.Errorf("the constant ab offered by the merged pass: %v, by the fine pass: %v", offersAB(merged, nil), offersAB(nil, fine))
+	}
+
+	columns := [][]string{
+		nil, {""}, {"", "ab"}, {"ab", "ab", "cd"}, {"9:07", "9:07 PM"}, {"a1b2", "ab12", "12ab"},
+		{"<x>", "(y)", `\z`}, {"a0b1c2d3e4f5", "ffff0000aaaa"}, {"a-b-c-d-e-f-g-h-i", "x-y-z-a-b-c-d-e-f"},
+		{"  ab", "  cd"}, {"número1-ß", "número2-ß"}, {"1", "22", "333", "4444", "55555", "666666"},
+	}
+	for _, d := range allDomains() {
+		values, err := datagen.FreshColumn(d.Name, 40, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		columns = append(columns, values)
+	}
+	for _, values := range columns {
+		for _, opt := range agreeOptions() {
+			checkSummaryAgree(t, values, opt)
+		}
+	}
+}
+
+// FuzzEnumerateSummaryAgree feeds arbitrary newline-separated columns,
+// summarised the obvious way, and option bytes to EnumerateSummary and
+// Enumerate at full support.
+func FuzzEnumerateSummaryAgree(f *testing.F) {
+	f.Add("9:07\n9:07 PM\n10:15", byte(8), byte(0))
+	f.Add("a1b2\nab12\n12ab\na1b2", byte(3), byte(4))
+	f.Add("ab-1\nab+2\nab-3", byte(5), byte(0))
+	f.Add("ab-7\nab-7", byte(5), byte(1))
+	f.Add("a1-b2\na1-b2\nc33-d4\nx9-y7", byte(5), byte(2|4<<4))
+	f.Add("0a1b2c3d-0a1b\nffff0000-abcd\n12345678-9abc", byte(5), byte(4|1<<5))
+	f.Fuzz(func(t *testing.T, column string, tau, caps byte) {
+		if len(column) > 400 {
+			return
+		}
+		opt := pattern.DefaultEnumOptions()
+		// Enumerate's cross-product is exponential in τ.
+		opt.MaxTokens = 1 + int(tau%6)
+		opt.IncludeAlnumPass = caps&1 == 0
+		if caps&2 != 0 {
+			opt.MaxPatterns = 1 + int(caps>>4)
+		}
+		if caps&4 != 0 {
+			opt.MaxValues = 1 + int(caps>>5)
+		}
+		checkSummaryAgree(t, strings.Split(column, "\n"), opt)
 	})
 }

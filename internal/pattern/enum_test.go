@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
@@ -181,66 +180,42 @@ func TestDedupe(t *testing.T) {
 	}
 }
 
-// EnumerateLexed visits the whole of Enumerate below de-duplication and
-// lexing: the keys and tokens it hands to visit are Enumerate's
-// candidates as a set, as many of them and as Capped, also when
-// MaxPatterns cuts the search short, and at full support every one
-// matches every value. It keeps nothing of the slices it is handed.
-func TestEnumerateLexedIsEnumerateBelowTheLexer(t *testing.T) {
-	values := []string{"a1-b2", "a1-b2", "", "c33-d4", "x-y", "0a1b2c3d4e5f6071-z"}
-	for _, tc := range []struct {
-		name   string
-		values []string
-		edit   func(*EnumOptions)
-		capped bool
-	}{
-		{"support", values, func(o *EnumOptions) { o.MinSupport, o.MaxTokens = 0.3, 4 }, false},
-		{"maxPatterns", values, func(o *EnumOptions) { o.MinSupport, o.MaxTokens, o.MaxPatterns = 0.3, 4, 3 }, true},
-		{"fullSupport", []string{"a1-b2", "a1-b2", "c33-d4", "x9-y"}, func(o *EnumOptions) { o.MinSupport = 1 }, false},
-	} {
-		opt := DefaultEnumOptions()
-		tc.edit(&opt)
-		uniq, weights := Dedupe(tc.values, 0)
-		fine := make([][]tokens.Run, len(uniq))
-		merged := make([][]tokens.Run, len(uniq))
-		for i, v := range uniq {
-			fine[i] = tokens.Lex(v)
-			merged[i] = tokens.MergeAlnum(nil, v, fine[i])
+// summarize folds a column into its position summaries the obvious way:
+// the values de-duplicated under the maxValues cap, each lexed and merged
+// afresh, and each tokenization summarised only when every value is
+// non-empty and they all share one class shape.
+func summarize(values []string, maxValues int) (merged, fine []Position) {
+	uniq, _ := Dedupe(values, maxValues)
+	return summarizeRuns(uniq, true), summarizeRuns(uniq, false)
+}
+
+func summarizeRuns(uniq []string, merge bool) []Position {
+	runsOf := make([][]tokens.Run, len(uniq))
+	for i, v := range uniq {
+		runsOf[i] = tokens.Lex(v)
+		if merge {
+			runsOf[i] = tokens.MergeAlnum(nil, v, runsOf[i])
 		}
-		visited := map[string][]Tok{}
-		got := EnumerateLexed(weights, fine, merged, opt, func(key string, toks []Tok) {
-			if _, ok := visited[key]; ok {
-				t.Errorf("%s: key %q visited twice", tc.name, key)
+		if len(runsOf[i]) == 0 || tokens.ClassShape(runsOf[i]) != tokens.ClassShape(runsOf[0]) {
+			return nil
+		}
+	}
+	if len(runsOf) == 0 {
+		return nil
+	}
+	sum := make([]Position, len(runsOf[0]))
+	for k, r := range runsOf[0] {
+		sum[k] = Position{Class: r.Class, Text: r.Text, Len: len(r.Text)}
+		for _, runs := range runsOf[1:] {
+			if runs[k].Text != sum[k].Text {
+				sum[k].Text = ""
 			}
-			visited[key] = slices.Clone(toks)
-		})
-		for i := range fine { // the caller reuses all of it for its next segment
-			clear(fine[i])
-			clear(merged[i])
-		}
-		clear(weights)
-		clear(fine)
-		clear(merged)
-		want := Enumerate(tc.values, opt)
-		if len(want.Candidates) == 0 || want.Capped != tc.capped {
-			t.Fatalf("%s: Enumerate found %d candidates, Capped %v; the case is meant to have some, Capped %v",
-				tc.name, len(want.Candidates), want.Capped, tc.capped)
-		}
-		if got.Candidates != nil || got.Total != want.Total || got.Wide != want.Wide || got.Empty != want.Empty || got.Capped != want.Capped {
-			t.Errorf("%s: EnumerateLexed = %+v, want %+v without candidates", tc.name, got, want)
-		}
-		if len(visited) != len(want.Candidates) {
-			t.Errorf("%s: %d keys visited, Enumerate has %d candidates", tc.name, len(visited), len(want.Candidates))
-		}
-		for _, c := range want.Candidates {
-			if toks, ok := visited[c.Key]; !ok || !reflect.DeepEqual(toks, c.Pattern.Toks) {
-				t.Errorf("%s: candidate %q visited = %v with tokens %v, want %v", tc.name, c.Key, ok, toks, c.Pattern.Toks)
-			}
-			if opt.MinSupport == 1 && c.Matched != want.Total {
-				t.Errorf("%s: candidate %q matches %d of %d at full support", tc.name, c.Key, c.Matched, want.Total)
+			if len(runs[k].Text) != sum[k].Len {
+				sum[k].Len = 0
 			}
 		}
 	}
+	return sum
 }
 
 func TestEnumerateMaxPatternsCap(t *testing.T) {
@@ -409,9 +384,9 @@ func TestAppendClassShapeIsClassShape(t *testing.T) {
 // BenchmarkEnumerateTimestampColumn enumerates a 100-value timestamp
 // column two ways: "index" is Enumerate at the default options (τ = 13,
 // 5 % support, the union semantics of P(D)); "leaf" is what the
-// vertical-cut DP hands the enumerator for one segment — the values'
-// first eight runs, already de-duplicated and lexed, at full support and
-// τ = 8 — visited by a scorer that does nothing.
+// vertical-cut DP hands the enumerator for one segment — the position
+// summaries of the values' first eight runs, at full support and τ = 8 —
+// visited by a scorer that does nothing.
 func BenchmarkEnumerateTimestampColumn(b *testing.B) {
 	col := make([]string, 100)
 	rng := rand.New(rand.NewSource(1))
@@ -430,17 +405,15 @@ func BenchmarkEnumerateTimestampColumn(b *testing.B) {
 	b.Run("leaf", func(b *testing.B) {
 		opt := DefaultEnumOptions()
 		opt.MinSupport, opt.MaxTokens = 1, 8
-		uniq, weights := Dedupe(col, opt.MaxValues)
-		fine := make([][]tokens.Run, len(uniq))
-		merged := make([][]tokens.Run, len(uniq))
-		for i, v := range uniq {
-			fine[i] = tokens.Lex(v)[:8]
-			merged[i] = tokens.MergeAlnum(nil, v, fine[i])
+		texts := make([]string, len(col))
+		for i, v := range col {
+			texts[i] = tokens.Join(tokens.Lex(v)[:8])
 		}
+		merged, fine := summarize(texts, opt.MaxValues)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			EnumerateLexed(weights, fine, merged, opt, func(string, []Tok) {})
+			EnumerateSummary(merged, fine, opt, func(string, []Tok) {})
 		}
 	})
 }

@@ -7,3 +7,7 @@ var OracleEnumerate = oracleEnumerate
 // newBitset is the oracle's bitset constructor; Enumerate carves its
 // bitsets from pooled scratch instead.
 func newBitset(words int) bitset { return make(bitset, words) }
+
+// Summarize is the obvious summariser of a column, the reference the
+// external tests hold EnumerateSummary's callers to.
+var Summarize = summarize
