@@ -169,12 +169,15 @@ func (t *tuning) load() (*autovalidate.Index, autovalidate.Options, error) {
 }
 
 // loadIndex reads the offline index and sets opt's τ to the token cap
-// the index was built with.
+// the index was built with; an index built with no cap (τ 0) keeps the
+// configured τ, as service.New and InstallSnapshot do.
 func loadIndex(path string, opt *autovalidate.Options) (*autovalidate.Index, error) {
 	idx, err := autovalidate.LoadIndex(path)
 	if err != nil {
 		return nil, err
 	}
-	opt.Tau = idx.Enum.MaxTokens
+	if idx.Enum.MaxTokens > 0 {
+		opt.Tau = idx.Enum.MaxTokens
+	}
 	return idx, nil
 }

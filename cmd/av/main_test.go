@@ -12,17 +12,41 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"autovalidate"
 	"autovalidate/internal/cluster"
 	"autovalidate/internal/index"
 	"autovalidate/internal/journal"
 	"autovalidate/internal/service"
 )
+
+// An index built with no token cap (τ 0) leaves the configured τ, as
+// service.New and InstallSnapshot do, so av infer and av serve infer the
+// same rule from one index; an index built with a cap sets it.
+func TestLoadIndexKeepsTauOfUncappedIndex(t *testing.T) {
+	for _, tc := range []struct{ built, want int }{{0, 8}, {5, 5}} {
+		idx := index.New()
+		idx.Enum.MaxTokens = tc.built
+		path := filepath.Join(t.TempDir(), "lake.idx")
+		if err := idx.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		opt := autovalidate.DefaultOptions()
+		opt.Tau = 8
+		if _, err := loadIndex(path, &opt); err != nil {
+			t.Fatal(err)
+		}
+		if opt.Tau != tc.want {
+			t.Errorf("index built with τ %d: loaded τ %d, want %d", tc.built, opt.Tau, tc.want)
+		}
+	}
+}
 
 // TestSubcommandFlags pins every subcommand's flag names and defaults
 // to those of the standalone tool it replaced (avgen, avindex, ...), so

@@ -419,6 +419,9 @@ func FuzzLeafRejectAgree(f *testing.F) {
 	f.Add("número1-ß\nnúmero2-ß\n\xff9-x\n", byte(1), byte(1))
 	f.Add("1.2.3\n1..3\n4.5.6\n\n7..9", byte(0), byte(16))
 	f.Add("a0fa-beef-id1\n7-bf6c-id0\n14167-bcab-id2\na0fa-beef-id1", byte(5), byte(4|1<<5))
+	for _, c := range groupFoldCases {
+		f.Add(strings.Join(c, "\n"), byte(4), byte(0))
+	}
 	f.Fuzz(func(t *testing.T, column string, tau, knobs byte) {
 		if len(column) > 300 {
 			return
@@ -504,7 +507,22 @@ func handCases() map[string][]string {
 		"suffix": suffix, "mixed": mixed, "alnum": alnum, "dupes": dupes, "brackets": brackets,
 		"empties": {"", "", ""}, "single": {"a-1"}, "doubled": doubled,
 		"midGap": midGap, "splitRun": splitRun, "weighted": weighted, "wide": wide, "highBytes": highBytes,
+		// One shape group each, folded as one row: its members differ
+		// in one run's text at equal length; in one run's length; in how
+		// they split a merged run into fine runs; and across a merged
+		// run that fine segments cut inside.
+		"rowText": groupFoldCases[0], "rowLen": groupFoldCases[1],
+		"rowSplit": groupFoldCases[2], "rowClipped": groupFoldCases[3],
 	}
+}
+
+// groupFoldCases are the columns of handCases that probe how a row's
+// members fold into its flags, also seeds of the leaf and infer fuzzers.
+var groupFoldCases = [][]string{
+	{"ab-1", "cd-1", "ab-1", "ef-1"},
+	{"a-1", "abc-1", "a-1", "ab-1"},
+	{"ab12-x", "a1b2-y", "12ab-z", "ab12-x"},
+	{"web01-eu", "db02-us", "app11-eu", "web01-eu"},
 }
 
 // FuzzInferAgree feeds arbitrary newline-separated columns to Infer and
@@ -517,6 +535,9 @@ func FuzzInferAgree(f *testing.F) {
 	f.Add("número1-ß\nnúmero2-ß\n\xff9-x\n", byte(1), byte(1))
 	f.Add("1.2.3\n1..3\n4.5.6\n\n7..9", byte(0), byte(1|16))
 	f.Add("2020-01-02T03\n2020-01-02\n2021-11-12\nn/a", byte(5), byte(8))
+	for _, c := range groupFoldCases {
+		f.Add(strings.Join(c, "\n"), byte(4), byte(1))
+	}
 	f.Fuzz(func(t *testing.T, column string, tau, knobs byte) {
 		if len(column) > 300 {
 			return

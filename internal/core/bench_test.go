@@ -55,8 +55,12 @@ func BenchmarkInferCold(b *testing.B) {
 // summaries — no text hashed into a slot map, no MergeAlnum per segment,
 // no option bitsets — and solving each summary once (guid's segments that
 // share no class shape now share one memo entry) took guid to 2 475 and
-// timestamp_us to 4 394 (bytes 709 k → 522 k and 528 k → 410 k). Each
-// ceiling sits a quarter above its count.
+// timestamp_us to 4 394 (bytes 709 k → 522 k and 528 k → 410 k).
+// Folding each aligned row's members into per-run flags once per
+// alignment, so that a segment reads one text a row, adds one flag slab
+// per inference and sizes the rows once: guid 2 469 (bytes 522 k →
+// 518 k), timestamp_us 4 395 (410 k). Each ceiling sits a quarter above
+// its count.
 func TestInferColdAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")

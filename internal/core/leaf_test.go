@@ -140,6 +140,9 @@ func FuzzLeafScoreAgree(f *testing.F) {
 	f.Add("número1-ß\nnúmero2-ß\n\xff9-x\n", byte(1), byte(1|2))
 	f.Add("1.2.3\n1..3\n4.5.6\n\n7..9", byte(0), byte(16))
 	f.Add("2020-01-02\n2020-11-12\n2021-03-04\n2020-01-02", byte(5), byte(0))
+	for _, c := range groupFoldCases {
+		f.Add(strings.Join(c, "\n"), byte(4), byte(2))
+	}
 	f.Fuzz(func(t *testing.T, column string, tau, knobs byte) {
 		if len(column) > 300 {
 			return

@@ -83,7 +83,7 @@ type Options struct {
 	// (Eq. 16). Ignored by FMDV and FMDV-V.
 	Theta float64
 	// Tau is the token-count cap τ used when enumerating hypotheses;
-	// it should match the index's build-time τ.
+	// it should match the index's build-time τ. τ ≤ 0 means no cap.
 	Tau int
 	// Enum are the base enumeration options (support thresholds are
 	// overridden per strategy).

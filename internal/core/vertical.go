@@ -180,10 +180,23 @@ func (dp *segmentDP) infer(theta float64, merge bool) (*validate.Rule, error) {
 		return nil, fmt.Errorf("%w (aligned width %d exceeds cap %d)", ErrNoFeasible, ncols, opt.MaxAlignCols)
 	}
 
-	dp.merge, dp.ncols, dp.rows = merge, ncols, dp.rows[:0]
-	for gi, g := range keptGroups {
-		dp.rows = append(dp.rows, alignedRow{cols: align.Rows[gi], members: g.members})
+	nrows := len(keptGroups)
+	if dp.capped {
+		nrows = len(dp.col.uniq) // at most
 	}
+	dp.merge, dp.ncols, dp.rows = merge, ncols, slices.Grow(dp.rows[:0], nrows)
+	for gi, g := range keptGroups {
+		if !dp.capped {
+			dp.rows = append(dp.rows, alignedRow{cols: align.Rows[gi], members: g.members})
+			continue
+		}
+		// The cap keeps the first MaxValues distinct texts of a segment,
+		// which a row's first member does not stand for: one row a member.
+		for k := range g.members {
+			dp.rows = append(dp.rows, alignedRow{cols: align.Rows[gi], members: g.members[k : k+1]})
+		}
+	}
+	dp.foldRows()
 	result := dp.solve()
 	if !result.ok {
 		return nil, fmt.Errorf("%w (no feasible segmentation)", ErrNoFeasible)
@@ -225,10 +238,14 @@ type segmentDP struct {
 	col  *lexedColumn
 	memo leafMemo
 
-	// The alignment being solved, set by infer.
-	merge bool // rows index col.merged, not col.fine
-	ncols int
-	rows  []alignedRow
+	// The alignment being solved, set by infer, and the slab foldRows
+	// carves its rows' flags from. capped: the column has more distinct
+	// values than Enum.MaxValues, so each row is one member.
+	merge  bool // rows index col.merged, not col.fine
+	capped bool
+	ncols  int
+	rows   []alignedRow
+	vary   []uint8
 
 	// Scratch of leaf, reused from segment to segment: the summaries of
 	// the segment's kept texts under each tokenization, the first of those
@@ -252,15 +269,87 @@ type segmentDP struct {
 
 func newSegmentDP(idx *index.Index, opt Options, values []string) *segmentDP {
 	dp := &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, kept: map[string]struct{}{}}
+	dp.capped = opt.Enum.MaxValues > 0 && len(dp.col.uniq) > opt.Enum.MaxValues
 	dp.visit = dp.score
 	return dp
 }
 
-// alignedRow is one kept shape group: cols[c] is the run its members
-// contribute to aligned column c, or msa.Gap.
+// alignedRow is one kept shape group, or one member of one: cols[c] is
+// the run its members contribute to aligned column c, or msa.Gap. weight
+// is its members' total; fine and merged hold flags (textVaries …) per
+// fine and merged run of its first member, where the others differ from
+// it (foldRows).
 type alignedRow struct {
-	cols    []int
-	members []int
+	cols         []int
+	members      []int
+	weight       int
+	fine, merged []uint8
+}
+
+// Flags of a row's run: its members' texts differ there, their lengths
+// too, or — a merged run under the merged alignment — they split it into
+// different fine runs (ab12, a1b2).
+const (
+	textVaries uint8 = 1 << iota
+	lenVaries
+	splitVaries
+)
+
+// foldRows folds each row's members into its flags, once per alignment,
+// so that summarize folds a row as its first member. Under the fine
+// alignment a row's members share their fine runs' classes, so their
+// merged runs' too (runs merge by class alone). Under the merged
+// alignment they share their merged runs' classes, and a fine run's flags
+// mean something only inside a merged run not flagged splitVaries.
+func (dp *segmentDP) foldRows() {
+	col, n := dp.col, 0
+	for _, row := range dp.rows {
+		f := row.members[0]
+		n += len(col.fine[f]) + len(col.merged[f])
+	}
+	dp.vary = slices.Grow(dp.vary[:0], n)[:n]
+	clear(dp.vary)
+	rest := dp.vary
+	for r := range dp.rows {
+		row := &dp.rows[r]
+		f := row.members[0]
+		nf, nm := len(col.fine[f]), len(col.merged[f])
+		row.fine, row.merged, rest = rest[:nf:nf], rest[nf:nf+nm:nf+nm], rest[nf+nm:]
+		row.weight = 0
+		for _, i := range row.members {
+			row.weight += col.weights[i]
+		}
+		for _, i := range row.members[1:] {
+			varies(row.merged, col.merged[f], col.merged[i])
+			if !dp.merge {
+				varies(row.fine, col.fine[f], col.fine[i])
+				continue
+			}
+			for j := range nm {
+				a, b, c, d := col.first[f][j], col.first[f][j+1], col.first[i][j], col.first[i][j+1]
+				if b-a != d-c || !varies(row.fine[a:b], col.fine[f][a:b], col.fine[i][c:d]) {
+					row.merged[j] |= splitVaries
+				}
+			}
+		}
+	}
+}
+
+// varies flags the runs at which b's texts differ from a's, and reports
+// whether a and b have the same classes, run for run (len(b) ≥ len(a)).
+func varies(flags []uint8, a, b []tokens.Run) bool {
+	for k := range a {
+		if a[k].Class != b[k].Class {
+			return false
+		}
+		if a[k].Text != b[k].Text {
+			flags[k] |= textVaries
+			if len(a[k].Text) != len(b[k].Text) {
+				flags[k] |= lenVaries
+			}
+		}
+	}
+	return true
 }
 
 // leafMemo holds every segment solved for one query column, under either
@@ -322,7 +411,7 @@ func (dp *segmentDP) solve() segResult {
 // Eq. 11, by enumerating the segment's hypothesis space and scoring it
 // against the index.
 func (dp *segmentDP) leaf(s, e int) segResult {
-	if e-s+1 > dp.opt.Tau {
+	if dp.opt.Tau > 0 && e-s+1 > dp.opt.Tau {
 		return segResult{} // longer than any indexed pattern (§2.4)
 	}
 	emptyW, separator := dp.summarize(s, e)
@@ -432,13 +521,15 @@ func (dp *segmentDP) leafEnum() pattern.EnumOptions {
 // summarize folds the texts of segment s..e, in row order, into their
 // position summaries under both tokenizations: every text, or when the
 // column has more distinct values than Enum.MaxValues, the first that many
-// distinct ones, as Enumerate would keep them. A leaf enumerates at full
-// support, so a tokenization has candidates only if every kept text has
-// one class shape under it within τ (Enumerate's two passes), and the scan
-// stops as soon as both are ruled out. Each text is a substring of its
-// value and its runs are sub-slices of the value's, except that under the
-// fine alignment a text's first and last merged runs may be clipped to it;
-// nothing is copied.
+// distinct ones, as Enumerate would keep them. A row folds as its first
+// member's text with its flags (foldRows), so a segment costs one text a
+// row; when the column is capped each row is one member. A leaf
+// enumerates at full support, so a tokenization has candidates only if
+// every kept text has one class shape under it within τ (Enumerate's two
+// passes), and the scan stops as soon as both are ruled out. Each text is
+// a substring of its value and its runs are sub-slices of the value's,
+// except that under the fine alignment a text's first and last merged
+// runs may be clipped to it; nothing is copied.
 //
 // It returns the weight of the rows gapped throughout and whether every
 // text is one and the same separator — every fine position one constant
@@ -446,15 +537,15 @@ func (dp *segmentDP) leafEnum() pattern.EnumOptions {
 // and leaves the first text in dp.first ("" when every row is gapped).
 func (dp *segmentDP) summarize(s, e int) (emptyW int, separator bool) {
 	col, maxValues := dp.col, dp.opt.Enum.MaxValues
-	capped := maxValues > 0 && len(col.uniq) > maxValues
-	if capped {
+	if dp.capped {
 		clear(dp.kept)
 	}
 	dp.fine.reset(dp.opt.Tau, true)
 	dp.merged.reset(dp.opt.Tau, dp.opt.Enum.IncludeAlnumPass)
 	dp.first = ""
 	all := true
-	for _, row := range dp.rows {
+	for r := range dp.rows {
+		row := &dp.rows[r]
 		// A row's runs in columns s..e are consecutive, gaps or not,
 		// so its members' texts there are substrings of the values.
 		lo, hi := -1, -1
@@ -467,56 +558,87 @@ func (dp *segmentDP) summarize(s, e int) (emptyW int, separator bool) {
 			}
 		}
 		if lo < 0 {
-			for _, i := range row.members {
-				emptyW += col.weights[i]
-			}
+			emptyW += row.weight
 			continue
 		}
-		// A fine-shape group's members merge alike, so under the fine
-		// alignment the row's merged runs [mlo, mhi) are its first
-		// member's.
-		mlo, mhi := lo, hi
-		if !dp.merge {
-			mlo, mhi = col.mergedOf(row.members[0], lo), col.mergedOf(row.members[0], hi-1)+1
+		i := row.members[0]
+		v, off, first := col.uniq[i], col.off[i], col.first[i]
+		flo, fhi, mlo, mhi := lo, hi, lo, hi
+		if dp.merge {
+			flo, fhi = first[lo], first[hi]
+		} else {
+			mlo, mhi = col.mergedOf(i, lo), col.mergedOf(i, hi-1)+1
 		}
-		for _, i := range row.members {
-			v, off, first := col.uniq[i], col.off[i], col.first[i]
-			flo, fhi := lo, hi
-			if dp.merge {
-				flo, fhi = first[lo], first[hi]
+		text := v[off[flo]:off[fhi]]
+		if dp.capped {
+			if _, ok := dp.kept[text]; ok {
+				continue // folded already
 			}
-			text := v[off[flo]:off[fhi]]
-			if capped {
-				if _, ok := dp.kept[text]; ok {
-					continue // folded already
+			if len(dp.kept) >= maxValues {
+				all = false
+				continue // dropped: it takes no part in the enumeration
+			}
+			dp.kept[text] = struct{}{}
+		}
+		if dp.first == "" {
+			dp.first = text
+		}
+		if dp.merge && split(row.merged[lo:hi]) {
+			dp.fine.ok = false // two members' fine class shapes differ
+		} else if dp.fine.start(fhi - flo) {
+			for k, r := range col.fine[i][flo:fhi] {
+				dp.fine.fold(k, r.Class, r.Text, row.fine[flo+k])
+			}
+		}
+		if dp.merged.start(mhi - mlo) {
+			for j := mlo; j < mhi; j++ {
+				// Clipped to the text: a no-op under the merged alignment.
+				a, b := max(first[j], flo), min(first[j+1], fhi)
+				flags := row.merged[j]
+				if a != first[j] || b != first[j+1] {
+					flags = dp.clipped(row, a, b)
 				}
-				if len(dp.kept) >= maxValues {
-					all = false
-					continue // dropped: it takes no part in the enumeration
-				}
-				dp.kept[text] = struct{}{}
+				dp.merged.fold(j-mlo, col.merged[i][j].Class, v[off[a]:off[b]], flags)
 			}
-			if dp.first == "" {
-				dp.first = text
-			}
-			if dp.fine.start(fhi - flo) {
-				for k, r := range col.fine[i][flo:fhi] {
-					dp.fine.fold(k, r.Class, r.Text)
-				}
-			}
-			if dp.merged.start(mhi - mlo) {
-				for j := mlo; j < mhi; j++ {
-					// Clipped to the text: a no-op under the merged alignment.
-					a, b := max(first[j], flo), min(first[j+1], fhi)
-					dp.merged.fold(j-mlo, col.merged[i][j].Class, v[off[a]:off[b]])
-				}
-			}
-			if !dp.fine.ok && !dp.merged.ok {
-				return emptyW, false
-			}
+		}
+		if !dp.fine.ok && !dp.merged.ok {
+			return emptyW, false
 		}
 	}
 	return emptyW, all && dp.fine.separator()
+}
+
+// split reports whether a row's members split one of these merged runs
+// into different fine runs.
+func split(merged []uint8) bool {
+	for _, f := range merged {
+		if f&splitVaries != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// clipped returns the flags of a row's merged run clipped to its fine
+// runs a..b-1, under the fine alignment: its text differs across the
+// members if one of those runs' does, and its length is read off every
+// member only if one of those runs' length differs.
+func (dp *segmentDP) clipped(row *alignedRow, a, b int) uint8 {
+	var flags uint8
+	for _, f := range row.fine[a:b] {
+		flags |= f
+	}
+	if flags&lenVaries == 0 {
+		return flags
+	}
+	off := dp.col.off[row.members[0]]
+	n := off[b] - off[a]
+	for _, i := range row.members[1:] {
+		if off := dp.col.off[i]; off[b]-off[a] != n {
+			return flags
+		}
+	}
+	return flags &^ lenVaries
 }
 
 // summary folds the texts of a segment, one after another, into their
@@ -546,10 +668,18 @@ func (sm *summary) start(n int) bool {
 	return sm.ok
 }
 
-// fold folds run k of the current text.
-func (sm *summary) fold(k int, class tokens.Class, text string) {
+// fold folds run k of the current text, which stands for its row's
+// members: flags (foldRows) say where their texts differ from it.
+func (sm *summary) fold(k int, class tokens.Class, text string, flags uint8) {
 	if sm.n == 1 {
-		sm.pos = append(sm.pos, pattern.Position{Class: class, Text: text, Len: len(text)})
+		p := pattern.Position{Class: class, Text: text, Len: len(text)}
+		if flags&textVaries != 0 {
+			p.Text = ""
+		}
+		if flags&lenVaries != 0 {
+			p.Len = 0
+		}
+		sm.pos = append(sm.pos, p)
 		return
 	}
 	p := &sm.pos[k]
@@ -558,10 +688,10 @@ func (sm *summary) fold(k int, class tokens.Class, text string) {
 		return
 	}
 	// Stored only when it changes: a pointer store costs a write barrier.
-	if p.Text != "" && p.Text != text {
+	if p.Text != "" && (flags&textVaries != 0 || p.Text != text) {
 		p.Text = ""
 	}
-	if p.Len != len(text) {
+	if p.Len != 0 && (flags&lenVaries != 0 || p.Len != len(text)) {
 		p.Len = 0
 	}
 }

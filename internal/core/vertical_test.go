@@ -71,6 +71,31 @@ func TestVerticalOptionalSuffixViaAlignment(t *testing.T) {
 	}
 }
 
+// τ ≤ 0 means no cap (Options.Tau), for the DP's leaves as for the
+// enumerator: on a date column no wider than 8 runs, FMDV-V and FMDV-VH
+// at τ = 0 infer what they infer at τ = 8, not "no feasible
+// segmentation".
+func TestVerticalNoTauCapInfersAsWide(t *testing.T) {
+	idx := testIndex(t)
+	vals := fresh(t, "date_iso", 60, 14)
+	for _, st := range []Strategy{FMDVV, FMDVVH} {
+		opt := testOptions(st)
+		opt.Tau = 8
+		want, err := Infer(vals, idx, opt)
+		if err != nil {
+			t.Fatalf("%s at τ=8: %v", st, err)
+		}
+		opt.Tau = 0
+		got, err := Infer(vals, idx, opt)
+		if err != nil {
+			t.Fatalf("%s at τ=0: %v; at τ=8 %q", st, err, want.Pattern)
+		}
+		if d := ruleDiff(got, want); d != "" {
+			t.Errorf("%s at τ=0: %s", st, d)
+		}
+	}
+}
+
 func TestVerticalAlignmentCapRejectsMonsterColumns(t *testing.T) {
 	idx := testIndex(t)
 	long := strings.Repeat("ab-", 60) + "ab" // 241 tokens
