@@ -34,6 +34,25 @@ func BenchmarkInferCold(b *testing.B) {
 	}
 }
 
+// BenchmarkInferFlat is basic FMDV on the same columns: one leaf over the
+// whole column, scored against the fixture index.
+func BenchmarkInferFlat(b *testing.B) {
+	fixtureOnce.Do(buildFixture)
+	opt := testOptions(FMDV)
+	for _, domain := range inferIngestDomains {
+		vals, err := datagen.FreshColumn(domain, 100, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(domain, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchRule, _ = Infer(vals, fixtureIdx, opt)
+			}
+		})
+	}
+}
+
 // A cold inference of a 13-token timestamp column — 76 segments a
 // tokenization — allocated 417 000 objects when both tokenizations solved
 // every segment and every candidate's key was rendered for each
@@ -59,26 +78,36 @@ func BenchmarkInferCold(b *testing.B) {
 // Folding each aligned row's members into per-run flags once per
 // alignment, so that a segment reads one text a row, adds one flag slab
 // per inference and sizes the rows once: guid 2 469 (bytes 522 k →
-// 518 k), timestamp_us 4 395 (410 k). Each ceiling sits a quarter above
-// its count.
+// 518 k), timestamp_us 4 395 (410 k). Flat FMDV, one leaf over the whole
+// column since it stopped collecting H(C) through Enumerate: ipv4, which
+// has a rule, 242 → 162, and timestamp_us, whose values are wider than τ
+// under both tokenizations, so that the scan stops at the first, 321 →
+// 28. Each ceiling sits a quarter above its count.
 func TestInferColdAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	idx := testIndex(t)
-	opt := testOptions(FMDVVH)
 	for _, tc := range []struct {
-		domain  string
-		ceiling float64
-	}{{"timestamp_us", 5490}, {"guid", 3090}} {
+		strategy Strategy
+		domain   string
+		ceiling  float64
+		feasible bool
+	}{
+		{FMDVVH, "timestamp_us", 5490, true},
+		{FMDVVH, "guid", 3090, true},
+		{FMDV, "ipv4", 203, true},
+		{FMDV, "timestamp_us", 35, false},
+	} {
 		vals := fresh(t, tc.domain, 100, 7)
+		opt := testOptions(tc.strategy)
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := Infer(vals, idx, opt); err != nil {
-				t.Fatal(err)
+			if _, err := Infer(vals, idx, opt); (err == nil) != tc.feasible {
+				t.Fatalf("%s %s: Infer error %v", tc.strategy, tc.domain, err)
 			}
 		})
 		if allocs > tc.ceiling {
-			t.Errorf("cold Infer of a %s column allocates %.0f objects, ceiling %.0f", tc.domain, allocs, tc.ceiling)
+			t.Errorf("cold %s Infer of a %s column allocates %.0f objects, ceiling %.0f", tc.strategy, tc.domain, allocs, tc.ceiling)
 		}
 	}
 }

@@ -296,6 +296,43 @@ func TestInferNoIndexAgreesWithIndexed(t *testing.T) {
 	}
 }
 
+// InferNoIndex returns the rule of the collect-then-scan path it
+// replaced, on generator columns, under a MaxValues cap smaller than the
+// column and on a column with an empty value; and, a scan not being an
+// index lookup, it moves neither the candidate nor the index-hit counter.
+func TestInferNoIndexAgreesWithOracle(t *testing.T) {
+	c := datagen.Generate(datagen.Enterprise(30, 21))
+	cols := c.Columns()
+	opt := testOptions(FMDV)
+	opt.M = 3
+	capped := opt
+	capped.Enum.MaxValues = 4
+	check := func(name string, values []string, opt Options) {
+		t.Helper()
+		c0 := ReadCounters()
+		got, gotErr := InferNoIndex(values, cols, opt)
+		if c1 := ReadCounters(); c1.Candidates != c0.Candidates || c1.IndexHits != c0.IndexHits {
+			t.Errorf("%s: InferNoIndex moved the counters from %+v to %+v", name, c0, c1)
+		}
+		want, wantErr := oracleInferNoIndex(values, cols, opt)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("%s: InferNoIndex error %v, oracle error %v", name, gotErr, wantErr)
+		}
+		if gotErr == nil {
+			if d := ruleDiff(got, want); d != "" {
+				t.Errorf("%s: InferNoIndex disagrees with the oracle: %s", name, d)
+			}
+		}
+	}
+	for _, domain := range []string{"date_mdy_text", "ipv4", "locale", "int_plain"} {
+		for seed := int64(5); seed < 7; seed++ {
+			check(fmt.Sprintf("%s/%d", domain, seed), fresh(t, domain, 40, seed), opt)
+		}
+	}
+	check("capped", fresh(t, "locale", 40, 7), capped)
+	check("empty value", append(fresh(t, "ipv4", 20, 5), ""), opt)
+}
+
 func TestInferTagIsMoreRestrictive(t *testing.T) {
 	idx := testIndex(t)
 	vals := fresh(t, "date_mdy_text", 80, 5)

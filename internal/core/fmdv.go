@@ -42,21 +42,59 @@ func Infer(values []string, idx *index.Index, opt Options) (*validate.Rule, erro
 
 // inferFlat implements FMDV (theta = 0, Eq. 5-7) and FMDV-H (theta > 0,
 // Eq. 12-16): hypotheses are enumerated with the matching support
-// semantics and scored against the index.
+// semantics and scored against the index. At theta = 0 the column is one
+// leaf: its hypothesis space H(C) is enumerated from its position
+// summaries and scored as it is visited.
 func inferFlat(values []string, idx *index.Index, opt Options, theta float64) (*validate.Rule, error) {
+	if len(values) == 0 {
+		return nil, ErrEmptyColumn
+	}
+	if theta == 0 {
+		lf, total := columnLeaf(values, idx, opt)
+		best := lf.best()
+		if !best.ok {
+			return nil, ErrNoFeasible
+		}
+		return buildRule(opt, best.pat, best.fpr, 0, total, nil), nil
+	}
 	enum := opt.Enum
 	enum.MaxTokens = opt.Tau
 	enum.MinSupport = 1 - theta
 	res := pattern.Enumerate(values, enum)
-	if res.Total == 0 {
-		return nil, ErrEmptyColumn
-	}
 	minMatched := int(math.Ceil((1 - theta) * float64(res.Total)))
 	best, err := selectBest(res.Candidates, idx, opt, minMatched)
 	if err != nil {
 		return nil, err
 	}
 	return buildRule(opt, best.pat, best.fpr, res.Total-best.matched, res.Total, nil), nil
+}
+
+// columnLeaf folds the whole column into a leaf's summaries: its first
+// Enum.MaxValues distinct values, the ones Enumerate keeps, whose total
+// weight it returns. Each value is lexed once, and the scan stops lexing
+// once both tokenizations are ruled out.
+func columnLeaf(values []string, idx *index.Index, opt Options) (lf *leafScorer, total int) {
+	uniq, weights := pattern.Dedupe(values, opt.Enum.MaxValues)
+	for _, w := range weights {
+		total += w
+	}
+	lf = &leafScorer{idx: idx, opt: opt}
+	lf.visit = lf.score
+	lf.fine.reset(opt.Tau, true)
+	lf.merged.reset(opt.Tau, opt.Enum.IncludeAlnumPass)
+	var merged []tokens.Run
+	for _, v := range uniq {
+		if !lf.fine.ok && !lf.merged.ok {
+			break
+		}
+		fine := tokens.Lex(v)
+		lf.fine.foldRuns(fine)
+		if lf.merged.ok {
+			merged = tokens.MergeAlnum(merged[:0], v, fine)
+			lf.merged.foldRuns(merged)
+		}
+	}
+	return lf, total
 }
 
 // selectBest picks the optimal feasible hypothesis: minimum FPR_T
@@ -113,9 +151,11 @@ const fprEpsilon = 2e-3
 // a can beat b and b beat c on specificity while c beats a on FPR. The
 // winner of a reduction therefore depends on the order the hypotheses are
 // met in, and callers must reduce in key order within equal query-column
-// matches: the order Enumerate returns, which selectBest and InferNoIndex
-// reduce in, and the one bestInKeyOrder sorts a DP leaf's hits into (they
-// all match every value). Then the same hypotheses give the same winner.
+// matches: the order Enumerate returns, which selectBest reduces in, and
+// the one bestInKeyOrder sorts a leaf's hits into (they all match every
+// value) — a DP leaf's, or the whole column's under flat FMDV at θ = 0,
+// InferNoIndex and InferTag at maxFNR 0. Then the same hypotheses give
+// the same winner.
 func better(obj Objective, a, b *scored) bool {
 	if obj == MinCoverage {
 		if a.cov != b.cov {
@@ -197,26 +237,17 @@ func buildRule(opt Options, pat pattern.Pattern, fpr float64, nonConforming, tot
 // InferNoIndex runs basic FMDV with FPR_T and Cov_T computed by scanning
 // the corpus columns directly for every hypothesis — the "FMDV
 // (no-index)" reference point of Figure 14 demonstrating why the offline
-// index exists. It is deliberately unoptimized.
+// index exists. It is deliberately unoptimized: it enumerates H(C) as
+// flat FMDV does, but each candidate is scored by a scan, not a lookup.
 func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validate.Rule, error) {
 	if len(values) == 0 {
 		return nil, ErrEmptyColumn
 	}
-	enum := opt.Enum
-	enum.MaxTokens = opt.Tau
-	res := pattern.HypothesisSpace(values, enum)
-	if res.Total == 0 {
-		return nil, ErrEmptyColumn
-	}
-	var best scored
-	found := false
-	for _, c := range res.Candidates {
-		if c.Matched < res.Total {
-			continue
-		}
+	lf, total := columnLeaf(values, nil, opt)
+	lf.visit = func(key string, toks []pattern.Tok) {
 		var sumImp float64
 		var cov uint32
-		prog := pattern.Compile(c.Pattern)
+		prog := pattern.Compile(pattern.Pattern{Toks: toks})
 		for _, col := range cols {
 			misses, _ := pattern.CountMisses(prog, col.Values, nil, 0)
 			if misses == len(col.Values) {
@@ -225,23 +256,15 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 			cov++
 			sumImp += float64(misses) / float64(len(col.Values))
 		}
-		if cov == 0 {
-			continue
-		}
-		fpr := sumImp / float64(cov)
-		if fpr > opt.R || int(cov) < opt.M {
-			continue
-		}
-		s := scored{pat: c.Pattern, key: c.Key, fpr: fpr, cov: cov, matched: c.Matched}
-		if !found || better(opt.Objective, &s, &best) {
-			best, found = s, true
+		if cov > 0 {
+			lf.keep(key, toks, sumImp/float64(cov), cov)
 		}
 	}
-	if !found {
+	best := lf.best()
+	if !best.ok {
 		return nil, fmt.Errorf("%w (no-index scan over %d columns)", ErrNoFeasible, len(cols))
 	}
-	best.pat.Toks = slices.Clone(best.pat.Toks)
-	return buildRule(opt, best.pat, best.fpr, 0, res.Total, nil), nil
+	return buildRule(opt, best.pat, best.fpr, 0, total, nil), nil
 }
 
 // InferTag implements the dual formulation sketched in §2.3 for
@@ -250,22 +273,6 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 // least (1 - maxFNR) of the example values, subject to a minimum
 // coverage floor so the tag generalizes beyond the examples.
 func InferTag(values []string, idx *index.Index, opt Options, maxFNR float64) (*validate.Rule, error) {
-	if len(values) == 0 {
-		return nil, ErrEmptyColumn
-	}
-	enum := opt.Enum
-	enum.MaxTokens = opt.Tau
-	enum.MinSupport = 1 - maxFNR
-	res := pattern.Enumerate(values, enum)
-	if res.Total == 0 {
-		return nil, ErrEmptyColumn
-	}
-	minMatched := int(math.Ceil((1 - maxFNR) * float64(res.Total)))
-	tagOpt := opt
-	tagOpt.Objective = MinCoverage
-	best, err := selectBest(res.Candidates, idx, tagOpt, minMatched)
-	if err != nil {
-		return nil, err
-	}
-	return buildRule(tagOpt, best.pat, best.fpr, res.Total-best.matched, res.Total, nil), nil
+	opt.Objective = MinCoverage
+	return inferFlat(values, idx, opt, maxFNR)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"autovalidate/internal/corpus"
 	"autovalidate/internal/index"
 	"autovalidate/internal/msa"
 	"autovalidate/internal/pattern"
@@ -355,4 +356,50 @@ func oracleSelectBest(cands []pattern.Candidate, idx *index.Index, opt Options, 
 		return nil, ErrNoFeasible
 	}
 	return best, nil
+}
+
+// oracleInferNoIndex is InferNoIndex as it was before it enumerated the
+// column's position summaries: H(C) collected by Enumerate at full
+// support, every candidate scored by a scan over the corpus columns and
+// reduced with better in Enumerate's order.
+func oracleInferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validate.Rule, error) {
+	if len(values) == 0 {
+		return nil, ErrEmptyColumn
+	}
+	enum := opt.Enum
+	enum.MaxTokens = opt.Tau
+	enum.MinSupport = 1
+	res := pattern.Enumerate(values, enum)
+	var best *scored
+	for _, c := range res.Candidates {
+		if c.Matched < res.Total {
+			continue
+		}
+		var sumImp float64
+		var cov uint32
+		prog := pattern.Compile(c.Pattern)
+		for _, col := range cols {
+			misses, _ := pattern.CountMisses(prog, col.Values, nil, 0)
+			if misses == len(col.Values) {
+				continue
+			}
+			cov++
+			sumImp += float64(misses) / float64(len(col.Values))
+		}
+		if cov == 0 {
+			continue
+		}
+		fpr := sumImp / float64(cov)
+		if fpr > opt.R || int(cov) < opt.M {
+			continue
+		}
+		s := &scored{pat: c.Pattern, key: c.Key, fpr: fpr, cov: cov, matched: c.Matched}
+		if best == nil || better(opt.Objective, s, best) {
+			best = s
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("%w (no-index scan over %d columns)", ErrNoFeasible, len(cols))
+	}
+	return buildRule(opt, best.pat, best.fpr, 0, res.Total, nil), nil
 }

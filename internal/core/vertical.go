@@ -233,8 +233,7 @@ func shapeSymbols(runs []tokens.Run) []string {
 // segmentDP runs the bottom-up dynamic program of Eq. 11 over aligned
 // token columns, for one query column under each tokenization in turn.
 type segmentDP struct {
-	idx  *index.Index
-	opt  Options
+	leafScorer
 	col  *lexedColumn
 	memo leafMemo
 
@@ -247,31 +246,40 @@ type segmentDP struct {
 	rows   []alignedRow
 	vary   []uint8
 
-	// Scratch of leaf, reused from segment to segment: the summaries of
-	// the segment's kept texts under each tokenization, the first of those
-	// texts, the memo key spelled from the summaries, and — when the column
-	// has more distinct values than Enum.MaxValues — the texts kept so far.
-	fine, merged summary
-	first        string
-	key          []byte
-	kept         map[string]struct{}
+	// Scratch of leaf, reused from segment to segment: the first of the
+	// segment's kept texts, the memo key spelled from their summaries, and
+	// — when the column has more distinct values than Enum.MaxValues — the
+	// texts kept so far.
+	first string
+	key   []byte
+	kept  map[string]struct{}
+}
 
-	// The leaf's scorer, bound once, and what it was handed for the
-	// segment being solved: how many candidates, how many of them the
-	// index knew, and the feasible ones, their tokens carved from
-	// hitToks.
+func newSegmentDP(idx *index.Index, opt Options, values []string) *segmentDP {
+	dp := &segmentDP{leafScorer: leafScorer{idx: idx, opt: opt}, col: lexColumn(values), memo: leafMemo{}, kept: map[string]struct{}{}}
+	dp.capped = opt.Enum.MaxValues > 0 && len(dp.col.uniq) > opt.Enum.MaxValues
+	dp.visit = dp.score
+	return dp
+}
+
+// leafScorer enumerates the hypothesis space of some texts from their
+// position summaries and scores each candidate as it is visited: a DP
+// leaf's segment, or the whole column under flat FMDV at θ = 0.
+type leafScorer struct {
+	idx *index.Index
+	opt Options
+
+	// The summaries of the texts under each tokenization.
+	fine, merged summary
+
+	// The scorer, bound once, and what it was handed for the texts being
+	// solved: how many candidates, how many of them the index knew, and
+	// the feasible ones, their tokens carved from hitToks.
 	visit    func(key string, toks []pattern.Tok)
 	visited  uint64
 	hits     uint64
 	feasible []scored
 	hitToks  []pattern.Tok
-}
-
-func newSegmentDP(idx *index.Index, opt Options, values []string) *segmentDP {
-	dp := &segmentDP{idx: idx, opt: opt, col: lexColumn(values), memo: leafMemo{}, kept: map[string]struct{}{}}
-	dp.capped = opt.Enum.MaxValues > 0 && len(dp.col.uniq) > opt.Enum.MaxValues
-	dp.visit = dp.score
-	return dp
 }
 
 // alignedRow is one kept shape group, or one member of one: cols[c] is
@@ -455,43 +463,47 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 	return segResult{ok: true, agg: res.fpr, pats: []pattern.Pattern{pat}}
 }
 
-// best enumerates the hypothesis space of the segment summarize has
-// summarised, scoring each candidate as it is visited, and returns the
-// one selectBest would pick: the best under the objective whose FPR_T is
-// at most r and Cov_T at least m. Only the winner's tokens are copied
-// out.
-func (dp *segmentDP) best() leafResult {
-	dp.visited, dp.hits, dp.feasible, dp.hitToks = 0, 0, dp.feasible[:0], dp.hitToks[:0]
-	pattern.EnumerateSummary(dp.merged.positions(), dp.fine.positions(), dp.leafEnum(), dp.visit)
-	candidatesEnumerated.Add(dp.visited)
-	indexHits.Add(dp.hits)
-	if len(dp.feasible) == 0 {
+// best enumerates the hypothesis space of the texts folded into the
+// summaries, handing each candidate to visit, and returns the one
+// selectBest would pick: the best under the objective whose FPR_T is at
+// most r and Cov_T at least m. Only the winner's tokens are copied out.
+func (lf *leafScorer) best() leafResult {
+	lf.visited, lf.hits, lf.feasible, lf.hitToks = 0, 0, lf.feasible[:0], lf.hitToks[:0]
+	pattern.EnumerateSummary(lf.merged.positions(), lf.fine.positions(), lf.leafEnum(), lf.visit)
+	candidatesEnumerated.Add(lf.visited)
+	indexHits.Add(lf.hits)
+	if len(lf.feasible) == 0 {
 		return leafResult{}
 	}
-	best := bestInKeyOrder(dp.feasible, dp.opt.Objective)
+	best := bestInKeyOrder(lf.feasible, lf.opt.Objective)
 	return leafResult{ok: true, fpr: best.fpr, pat: pattern.Pattern{Toks: slices.Clone(best.pat.Toks)}}
 }
 
 // score is the leaf's visitor: it looks the candidate up in the index and
-// keeps it if it is feasible. Every leaf candidate matches all of the
-// segment's values, so matched ties and is left zero. An append that
-// moves hitToks leaves the tokens of the hits already kept where they
-// were, which nothing writes to again during this leaf.
-func (dp *segmentDP) score(key string, toks []pattern.Tok) {
-	dp.visited++
-	e, ok := dp.idx.Lookup(key)
+// keeps it if it is feasible.
+func (lf *leafScorer) score(key string, toks []pattern.Tok) {
+	lf.visited++
+	e, ok := lf.idx.Lookup(key)
 	if !ok {
 		return
 	}
-	dp.hits++
-	fpr := e.FPR()
-	if fpr > dp.opt.R || int(e.Cov) < dp.opt.M {
+	lf.hits++
+	lf.keep(key, toks, e.FPR(), e.Cov)
+}
+
+// keep keeps a candidate whose FPR_T is at most r and Cov_T at least m.
+// Every leaf candidate matches all of the texts, so matched ties and is
+// left zero. An append that moves hitToks leaves the tokens of the hits
+// already kept where they were, which nothing writes to again during
+// this leaf.
+func (lf *leafScorer) keep(key string, toks []pattern.Tok, fpr float64, cov uint32) {
+	if fpr > lf.opt.R || int(cov) < lf.opt.M {
 		return
 	}
-	lo := len(dp.hitToks)
-	dp.hitToks = append(dp.hitToks, toks...)
-	pat := pattern.Pattern{Toks: dp.hitToks[lo:len(dp.hitToks):len(dp.hitToks)]}
-	dp.feasible = append(dp.feasible, scored{pat: pat, key: key, fpr: fpr, cov: e.Cov})
+	lo := len(lf.hitToks)
+	lf.hitToks = append(lf.hitToks, toks...)
+	pat := pattern.Pattern{Toks: lf.hitToks[lo:len(lf.hitToks):len(lf.hitToks)]}
+	lf.feasible = append(lf.feasible, scored{pat: pat, key: key, fpr: fpr, cov: cov})
 }
 
 // bestInKeyOrder sorts hits by key and reduces them with better in that
@@ -510,10 +522,10 @@ func bestInKeyOrder(hits []scored, obj Objective) scored {
 }
 
 // leafEnum is the enumeration of a leaf: every pattern must match all of
-// the segment's kept values, and none is longer than τ.
-func (dp *segmentDP) leafEnum() pattern.EnumOptions {
-	enum := dp.opt.Enum
-	enum.MaxTokens = dp.opt.Tau
+// its kept texts, and none is longer than τ.
+func (lf *leafScorer) leafEnum() pattern.EnumOptions {
+	enum := lf.opt.Enum
+	enum.MaxTokens = lf.opt.Tau
 	enum.MinSupport = 1.0
 	return enum
 }
@@ -693,6 +705,16 @@ func (sm *summary) fold(k int, class tokens.Class, text string, flags uint8) {
 	}
 	if p.Len != 0 && (flags&lenVaries != 0 || p.Len != len(text)) {
 		p.Len = 0
+	}
+}
+
+// foldRuns folds the next text, given as its runs, standing for itself
+// alone (no flags).
+func (sm *summary) foldRuns(runs []tokens.Run) {
+	if sm.start(len(runs)) {
+		for k, r := range runs {
+			sm.fold(k, r.Class, r.Text, 0)
+		}
 	}
 }
 

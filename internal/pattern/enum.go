@@ -127,7 +127,6 @@ func enumerate(weights []int, fine, merged [][]tokens.Run, opt EnumOptions) Enum
 	em := emitters.Get().(*emitter)
 	em.reset(opt, nil)
 	em.weights, em.minCount = weights, minCount
-	em.majority = 2*minCount > res.Total
 	em.words = (len(weights) + 63) / 64
 	// The alnum pass runs first: it is cheap and yields the most
 	// general candidates, so if MaxPatterns caps the enumeration the
@@ -168,9 +167,10 @@ type Position struct {
 // support every option is one every value has, so the search is a plain
 // cross-product of per-position options, and columns with equal summaries
 // have equal hypothesis spaces. The vertical-cut search folds each segment
-// into its summaries and scores each candidate as it is visited, so no
-// segment's hypothesis space is ever copied out. The working state is
-// drawn from a pool and reset on each call.
+// into its summaries, and flat FMDV at θ = 0 (with InferNoIndex and
+// InferTag at maxFNR 0) the whole column; both score each candidate as it
+// is visited, so no hypothesis space is ever copied out. The working
+// state is drawn from a pool and reset on each call.
 func EnumerateSummary(merged, fine []Position, opt EnumOptions, visit func(key string, toks []Tok)) (capped bool) {
 	em := emitters.Get().(*emitter)
 	em.reset(opt, visit)
@@ -186,13 +186,6 @@ func EnumerateSummary(merged, fine []Position, opt EnumOptions, visit func(key s
 // fits reports whether n tokens are within the τ cap.
 func fits(opt EnumOptions, n int) bool {
 	return opt.MaxTokens <= 0 || n <= opt.MaxTokens
-}
-
-// HypothesisSpace returns H(C) = ∩_v P(v) \ ".*" for a homogeneous query
-// column (paper §2.1): every candidate must match all values.
-func HypothesisSpace(values []string, opt EnumOptions) EnumResult {
-	opt.MinSupport = 1.0
-	return Enumerate(values, opt)
 }
 
 // Dedupe returns the distinct values in order of first occurrence and how
@@ -266,7 +259,6 @@ type emitter struct {
 	visit    func(key string, toks []Tok) // nil: collect for finish
 	weights  []int
 	minCount int
-	majority bool // minCount is over half the column's weight
 	words    int
 	capped   bool
 
@@ -353,10 +345,6 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 		}
 	}
 	em.groups, em.gid = em.groups[:0], em.gid[:0]
-	if em.majority {
-		em.enumerateMajority(runsOf, alnumPass)
-		return
-	}
 	for i, runs := range runsOf {
 		if len(runs) == 0 || !fits(em.opt, len(runs)) {
 			em.gid = append(em.gid, -1)
@@ -395,59 +383,6 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 	for _, g := range em.groups {
 		em.enumerateGroup(em.members[g.lo:g.lo+g.n], g.weight, runsOf, alnumPass)
 	}
-}
-
-// enumerateMajority is enumeratePass when the support threshold is over
-// half the column's weight, as in HypothesisSpace and FMDV-H: only a
-// shape most of the weight shares can reach it, so one weighted majority
-// vote (the idiom of tally) names the one group worth enumerating and a
-// second pass collects its members, in value order. Every other group
-// would be dropped for want of support, so no shape key or map is built.
-func (em *emitter) enumerateMajority(runsOf [][]tokens.Run, alnumPass bool) {
-	cand, bal := -1, 0
-	for i, runs := range runsOf {
-		if len(runs) == 0 || !fits(em.opt, len(runs)) {
-			continue
-		}
-		w := em.weights[i]
-		switch {
-		case cand >= 0 && sameClassShape(runs, runsOf[cand]):
-			bal += w
-		case bal >= w:
-			bal -= w
-		default:
-			cand, bal = i, w-bal
-		}
-	}
-	if cand < 0 {
-		return
-	}
-	// The runs of cand's shape have its length, so they are non-empty and
-	// within τ too.
-	em.members = em.members[:0]
-	weight := 0
-	for i, runs := range runsOf {
-		if sameClassShape(runs, runsOf[cand]) {
-			em.members = append(em.members, i)
-			weight += em.weights[i]
-		}
-	}
-	em.enumerateGroup(em.members, weight, runsOf, alnumPass)
-}
-
-// sameClassShape reports whether a and b have the same class shape,
-// comparing run by run: a lexer's or MergeAlnum's classes name their
-// shape letters one to one.
-func sameClassShape(a, b []tokens.Run) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k].Class != b[k].Class {
-			return false
-		}
-	}
-	return true
 }
 
 // appendClassShape appends the bytes of tokens.ClassShape(runs) to b.
@@ -691,25 +626,11 @@ func (em *emitter) addAll(t Tok, members []int) {
 
 // tally returns dst holding, in key order, the keys of the members that
 // weigh at least min in all, and reports whether the members' keys
-// differ. When min is the whole of groupWeight only a key every member
-// has can qualify, and the first member that differs ends the check;
-// when min is over half of groupWeight only a majority key can qualify,
-// and one weighted vote finds it; otherwise the keys are sorted and
-// equal runs merged. No map is built or cleared per position.
+// differ. When min is over half of groupWeight only a majority key can
+// qualify, and one weighted vote finds it; otherwise the keys are sorted
+// and equal runs merged. No map is built or cleared per position.
 func tally[K comparable](dst []weighed[K], members, weights []int, keyOf func(i int) K, compare func(a, b K) int, min, groupWeight int) ([]weighed[K], bool) {
 	dst = dst[:0]
-	if min >= groupWeight {
-		k := keyOf(members[0])
-		for _, i := range members[1:] {
-			if keyOf(i) != k {
-				return dst, true
-			}
-		}
-		if groupWeight >= min {
-			dst = append(dst, weighed[K]{k, groupWeight})
-		}
-		return dst, false
-	}
 	if 2*min > groupWeight {
 		var cand K // Boyer-Moore majority vote, weighted
 		bal := 0

@@ -95,9 +95,9 @@ func TestEnumerateAgreesWithOracle(t *testing.T) {
 }
 
 // Mixed shapes, empties, duplicates, wide values and literal
-// metacharacters, which no generator domain combines; and, last, the
-// inputs of the full-support paths: the majority vote over shapes, the
-// all-equal check per position and the options that match every member.
+// metacharacters, which no generator domain combines; and, last, columns
+// whose shapes or positions are shared by all, most or exactly half of
+// the weight, or by a shape met late or wide under the fine pass only.
 func TestEnumerateAgreesWithOracleHandCases(t *testing.T) {
 	late := []string{"x-y", "a.b"} // the digit shape qualifies at 90 %, met third
 	for i := 1; i <= 18; i++ {
@@ -121,8 +121,8 @@ func TestEnumerateAgreesWithOracleHandCases(t *testing.T) {
 		{"AB12CD", "ab12cd", "A1", "1A", "A", "1"},
 		{"a1", "b-2", "3.c", "d_4"},            // no majority shape
 		{"12", "ab", "12", "ab", "34", "cd"},   // digits and letters weigh exactly half each
-		wide,                                   // the majority shape fits merged only
-		wide[1:],                               // every value fits merged only
+		wide,                                   // the majority shape is wide under the fine pass only
+		wide[1:],                               // every value is wide under the fine pass only
 		late,                                   // the only qualifying shape is met late
 		{"ab-1", "ab-2", "ab-3", "ab+4"},       // only the last member's symbol differs
 		{"ab-1", "ab-2", "ab-3", "ac-4"},       // only the last member's letters differ
@@ -142,11 +142,10 @@ func FuzzEnumerateAgree(f *testing.F) {
 	f.Add("a1b2\nab12\n\n12ab\na1b2", byte(5), byte(3), byte(4))
 	f.Add("<x>\n(y)\n\\z", byte(90), byte(0), byte(2))
 	f.Add("0a1b2c3d-0a1b\nffff0000-abcd\n12345678-9abc", byte(100), byte(5), byte(1))
-	// The full-support paths, at a DP leaf's settings: no majority shape;
-	// an exact half/half weighted tie; a majority shape too wide for the
-	// fine pass that fits merged; a majority shape met late (the only
-	// qualifying one at 90 %); a position where only the last member
-	// differs.
+	// Shapes at a DP leaf's settings: no majority shape; an exact
+	// half/half weighted tie; a majority shape wide under the fine pass
+	// only; a majority shape met late (the only qualifying one at 90 %); a
+	// position where only the last member differs.
 	f.Add("a1\nb-2\n3.c\nd_4", byte(100), byte(5), byte(0))
 	f.Add("12\nab\n12\nab\n34\ncd", byte(100), byte(5), byte(1))
 	f.Add("a1b2c3d\ne5f6g7h\ni8j9k0l\nx-1\na1b2c3d", byte(100), byte(5), byte(0))

@@ -10,6 +10,13 @@ import (
 	"autovalidate/internal/tokens"
 )
 
+// hypothesisSpace returns H(C) = ∩_v P(v) \ ".*" for a homogeneous query
+// column (paper §2.1): every candidate must match all values.
+func hypothesisSpace(values []string, opt EnumOptions) EnumResult {
+	opt.MinSupport = 1.0
+	return Enumerate(values, opt)
+}
+
 func keys(res EnumResult) map[string]int {
 	m := make(map[string]int, len(res.Candidates))
 	for _, c := range res.Candidates {
@@ -25,7 +32,7 @@ func TestHypothesisSpaceDateColumn(t *testing.T) {
 		"Mar 06 2019", "Mar 07 2019", "Mar 08 2019", "Mar 09 2019", "Mar 10 2019",
 		"Mar 11 2019", "Mar 12 2019", "Mar 13 2019", "Mar 14 2019", "Mar 15 2019",
 	}
-	res := HypothesisSpace(col, DefaultEnumOptions())
+	res := hypothesisSpace(col, DefaultEnumOptions())
 	got := keys(res)
 	// The ideal validation pattern must be in H(C).
 	for _, want := range []string{
@@ -55,7 +62,7 @@ func TestHypothesisSpaceDateColumn(t *testing.T) {
 }
 
 func TestHypothesisSpaceExcludesTrivial(t *testing.T) {
-	res := HypothesisSpace([]string{"a1", "b2", "c3"}, DefaultEnumOptions())
+	res := hypothesisSpace([]string{"a1", "b2", "c3"}, DefaultEnumOptions())
 	for _, c := range res.Candidates {
 		if c.Pattern.IsTrivial() {
 			t.Fatalf("H(C) contains the trivial pattern")
@@ -68,7 +75,7 @@ func TestHypothesisSpaceExcludesTrivial(t *testing.T) {
 
 func TestEnumerateAlnumPassUnifiesHexIDs(t *testing.T) {
 	col := []string{"a3f9", "1b2c", "9999", "abcd", "12ef"}
-	res := HypothesisSpace(col, DefaultEnumOptions())
+	res := hypothesisSpace(col, DefaultEnumOptions())
 	got := keys(res)
 	if n, ok := got["<alnum>{4}"]; !ok || n != len(col) {
 		t.Fatalf("expected <alnum>{4} to cover all %d values, got %v (candidates: %v)", len(col), n, got)
@@ -134,7 +141,7 @@ func TestEnumerateWideValuesSkipped(t *testing.T) {
 }
 
 func TestEnumerateEmptyValues(t *testing.T) {
-	res := HypothesisSpace([]string{"", "", "ab"}, DefaultEnumOptions())
+	res := hypothesisSpace([]string{"", "", "ab"}, DefaultEnumOptions())
 	if res.Empty != 2 {
 		t.Errorf("Empty = %d, want 2", res.Empty)
 	}
@@ -302,7 +309,7 @@ func TestHypothesisSpaceIntersectionProperty(t *testing.T) {
 		for i := range col {
 			col[i] = generate(rng, p)
 		}
-		res := HypothesisSpace(col, DefaultEnumOptions())
+		res := hypothesisSpace(col, DefaultEnumOptions())
 		for _, c := range res.Candidates {
 			for _, v := range col {
 				if !c.Pattern.Match(v) {
@@ -397,6 +404,14 @@ func BenchmarkEnumerateTimestampColumn(b *testing.B) {
 	}
 	b.Run("index", func(b *testing.B) {
 		opt := DefaultEnumOptions()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Enumerate(col, opt)
+		}
+	})
+	b.Run("fmdvh", func(b *testing.B) {
+		opt := DefaultEnumOptions()
+		opt.MinSupport = 0.9 // FMDV-H at θ = 0.1, PWheel, InferTag
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			Enumerate(col, opt)
