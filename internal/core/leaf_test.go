@@ -30,11 +30,22 @@ func collectLeaf(sub []string, idx *index.Index, opt Options, enum pattern.EnumO
 // segment of each alignment a leaf would enumerate, holds the leaf's
 // scorer to collectLeaf: the same answer, the same moves of the
 // candidate and index-hit counters, and no feasible candidate better
-// than the winner. It returns how many segments had a winner.
+// than the winner. The leaf visits no key twice, which the enumerator
+// leaves to the summaries: a merged one with no <alnum> position must
+// equal the fine one. It returns how many segments had a winner.
 func checkLeafScores(t *testing.T, idx *index.Index, values []string, opt Options) (won int) {
 	t.Helper()
 	dp := newSegmentDP(idx, opt, values)
 	enum := dp.leafEnum()
+	var seg string
+	visited := map[string]bool{}
+	visitOnce := func(key string, toks []pattern.Tok) {
+		if visited[key] {
+			t.Fatalf("%s: key %q visited twice", seg, key)
+		}
+		visited[key] = true
+		dp.score(key, toks)
+	}
 	for _, merge := range []bool{false, true} {
 		dp.ncols = 0
 		dp.infer(opt.Theta, merge)
@@ -44,11 +55,19 @@ func checkLeafScores(t *testing.T, idx *index.Index, values []string, opt Option
 				if len(sub) == 0 {
 					continue
 				}
-				seg := fmt.Sprintf("merge=%v [%d,%d] %s", merge, s, e, seq)
+				seg = fmt.Sprintf("merge=%v [%d,%d] %s", merge, s, e, seq)
 				dp.summarize(s, e)
+				merged, fine := dp.merged.positions(), dp.fine.positions()
+				noAlnum := !slices.ContainsFunc(merged, func(p pattern.Position) bool { return p.Class == tokens.ClassAlnum })
+				if len(merged) > 0 && noAlnum && !slices.Equal(merged, fine) {
+					t.Fatalf("%s: merged summary %v has no <alnum> position but differs from the fine one %v", seg, merged, fine)
+				}
+				clear(visited)
+				dp.visit = visitOnce
 				c0 := ReadCounters()
 				got := dp.best()
 				c1 := ReadCounters()
+				dp.visit = dp.score
 				want, cands := collectLeaf(sub, idx, opt, enum)
 				c2 := ReadCounters()
 				if got.ok != want.ok || got.fpr != want.fpr || !got.pat.Equal(want.pat) {

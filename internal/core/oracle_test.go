@@ -87,7 +87,7 @@ func oracleInferVerticalTok(values []string, idx *index.Index, opt Options, thet
 		key := tokens.Shape(runs)
 		g, ok := byShape[key]
 		if !ok {
-			g = &group{shape: key, symbols: shapeSymbols(runs)}
+			g = &group{shape: key, symbols: tokens.Symbols(runs)}
 			g.bad = len(runs) == 0 || (opt.MaxAlignCols > 0 && len(runs) > opt.MaxAlignCols)
 			byShape[key] = g
 		}

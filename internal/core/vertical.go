@@ -127,7 +127,7 @@ func (dp *segmentDP) infer(theta float64, merge bool) (*validate.Rule, error) {
 		key := tokens.Shape(runs)
 		g, ok := byShape[key]
 		if !ok {
-			g = &group{shape: key, symbols: shapeSymbols(runs)}
+			g = &group{shape: key, symbols: tokens.Symbols(runs)}
 			g.bad = len(runs) == 0 || (opt.MaxAlignCols > 0 && len(runs) > opt.MaxAlignCols)
 			byShape[key] = g
 		}
@@ -207,27 +207,6 @@ func (dp *segmentDP) infer(theta float64, merge bool) (*validate.Rule, error) {
 	full := pattern.Concat(result.pats...)
 	rule := buildRule(opt, full, result.agg, total-kept, total, result.pats)
 	return rule, nil
-}
-
-// shapeSymbols encodes runs as MSA symbols: classes compare by kind, and
-// symbol runs keep their identity so ":" aligns with ":" not "/".
-func shapeSymbols(runs []tokens.Run) []string {
-	out := make([]string, len(runs))
-	for i, r := range runs {
-		switch r.Class {
-		case tokens.ClassDigit:
-			out[i] = "d"
-		case tokens.ClassLetter:
-			out[i] = "l"
-		case tokens.ClassAlnum:
-			out[i] = "a"
-		case tokens.ClassSpace:
-			out[i] = "_"
-		default:
-			out[i] = "s" + r.Text
-		}
-	}
-	return out
 }
 
 // segmentDP runs the bottom-up dynamic program of Eq. 11 over aligned

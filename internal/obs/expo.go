@@ -77,8 +77,14 @@ type MetricWriter struct {
 }
 
 // Label renders one k="v" pair for use in a sample's label string;
-// join multiple with commas.
-func Label(k, v string) string { return fmt.Sprintf("%s=%q", k, v) }
+// join multiple with commas. The value is spelled as the text format
+// defines it: valid UTF-8 (an invalid byte becomes U+FFFD), with only
+// backslash, double quote and line feed escaped.
+func Label(k, v string) string {
+	return k + `="` + labelEscaper.Replace(strings.ToValidUTF8(v, "\uFFFD")) + `"`
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // Family emits the # HELP / # TYPE header for a metric family. kind
 // is "counter", "gauge", or "histogram". Samples for the family must

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 type familyInfo struct {
@@ -295,14 +296,13 @@ func normalizeLabels(labels string) (norm, le string, hasLE bool, err error) {
 			return "", "", false, fmt.Errorf("unquoted value for %s", key)
 		}
 		end := -1
-		escaped := false
 		for i := 1; i < len(rest); i++ {
-			if escaped {
-				escaped = false
-				continue
-			}
 			if rest[i] == '\\' {
-				escaped = true
+				// The format defines only \\, \" and \n.
+				if i+1 < len(rest) && !strings.ContainsRune(`\"n`, rune(rest[i+1])) {
+					return "", "", false, fmt.Errorf("bad escape \\%c in value for %s", rest[i+1], key)
+				}
+				i++
 				continue
 			}
 			if rest[i] == '"' {
@@ -314,6 +314,9 @@ func normalizeLabels(labels string) (norm, le string, hasLE bool, err error) {
 			return "", "", false, fmt.Errorf("unterminated value for %s", key)
 		}
 		val := rest[1:end]
+		if !utf8.ValidString(val) {
+			return "", "", false, fmt.Errorf("value for %s is not valid UTF-8", key)
+		}
 		rest = rest[end+1:]
 		if rest != "" {
 			if rest[0] != ',' {

@@ -61,6 +61,11 @@ func TestLintCatches(t *testing.T) {
 	lintWants(t, "# HELP x h.\n# TYPE x gauge\nx{le=\"1\"} 1\n", "le label outside")
 	lintWants(t, "# HELP x h.\n# TYPE x gauge\nx{a=1} 1\n", "unquoted")
 	lintWants(t, "# HELP x h.\n# TYPE x gauge\nx nope\n", "bad value")
+	// Only \\, \" and \n are escapes; label values are UTF-8.
+	lintWants(t, "# HELP x h.\n# TYPE x gauge\nx{a=\"a\\tb\"} 1\n", "bad escape")
+	lintWants(t, "# HELP x h.\n# TYPE x gauge\nx{a=\"\\u2028\"} 1\n", "bad escape")
+	lintWants(t, "# HELP x h.\n# TYPE x gauge\nx{a=\"\\xff\"} 1\n", "bad escape")
+	lintWants(t, "# HELP x h.\n# TYPE x gauge\nx{a=\"\xff\"} 1\n", "not valid UTF-8")
 }
 
 func TestLintQuotedValues(t *testing.T) {
@@ -69,5 +74,11 @@ func TestLintQuotedValues(t *testing.T) {
 	body := "# HELP x h.\n# TYPE x gauge\nx{a=\"he said \\\"hi}\\\"\"} 1\n"
 	if errs := Lint(body); len(errs) != 0 {
 		t.Fatalf("escaped label value flagged: %v", errs)
+	}
+	// A tab and U+2028 stand for themselves; a backslash and a line
+	// feed are escaped.
+	body = "# HELP x h.\n# TYPE x gauge\nx{a=\"a\tb\u2028c\\\\d\\ne\"} 1\n"
+	if errs := Lint(body); len(errs) != 0 {
+		t.Fatalf("label value with a raw tab and U+2028 flagged: %v", errs)
 	}
 }

@@ -70,20 +70,20 @@ type Candidate struct {
 // EnumResult is the outcome of enumerating one column.
 type EnumResult struct {
 	Candidates []Candidate
-	Total      int  // total values considered, with multiplicity (incl. wide and empty)
-	Wide       int  // values skipped because they exceed MaxTokens
-	Empty      int  // empty-string values (match no non-trivial pattern)
-	Capped     bool // true if MaxPatterns truncated the enumeration
+	Total      int // total values considered, with multiplicity (incl. wide and empty)
+	Wide       int // values skipped because they exceed MaxTokens
 }
 
 // Enumerate produces the coverage-pruned pattern space of a column of
 // values per Algorithm 1: values are grouped by coarse token shape, each
 // aligned position is generalized independently along the Figure 4
 // hierarchy, and the cross-product is explored depth-first with pruning
-// on weighted support.
+// on weighted support. The candidates are copied out of the pooled
+// scratch.
 func Enumerate(values []string, opt EnumOptions) EnumResult {
+	var res EnumResult
 	if len(values) == 0 {
-		return EnumResult{}
+		return res
 	}
 	uniq, weights := Dedupe(values, opt.MaxValues)
 	fine := make([][]tokens.Run, len(uniq))
@@ -91,37 +91,20 @@ func Enumerate(values []string, opt EnumOptions) EnumResult {
 	for i, v := range uniq {
 		fine[i] = tokens.Lex(v)
 		merged[i] = tokens.MergeAlnum(make([]tokens.Run, 0, len(fine[i])), v, fine[i])
-	}
-	return enumerate(weights, fine, merged, opt)
-}
-
-// enumerate is Algorithm 1 over a de-duplicated, lexed column: distinct
-// value i occurs weights[i] times and lexes to fine[i], or to merged[i]
-// with adjacent letter and digit runs merged (both empty for the empty
-// value). The candidates are copied out of the pooled scratch.
-func enumerate(weights []int, fine, merged [][]tokens.Run, opt EnumOptions) EnumResult {
-	var res EnumResult
-	for _, w := range weights {
-		res.Total += w
+		res.Total += weights[i]
+		// Shape groups exclude empty values. The τ cap applies per
+		// tokenization: a value too wide under the fine lexer may still
+		// be narrow once adjacent alphanumeric runs merge (e.g. random
+		// alphanumeric identifiers), so it participates in the alnum
+		// pass only. Values wide under every tokenization are skipped
+		// entirely — the columns vertical cuts compensate for.
+		if !fits(opt, len(fine[i])) && !(opt.IncludeAlnumPass && fits(opt, len(merged[i]))) {
+			res.Wide += weights[i]
+		}
 	}
 	minCount := int(math.Ceil(opt.MinSupport * float64(res.Total)))
 	if minCount < 1 {
 		minCount = 1
-	}
-
-	// Shape groups exclude empty values. The τ cap applies per
-	// tokenization: a value too wide under the fine lexer may still be
-	// narrow once adjacent alphanumeric runs merge (e.g. random
-	// alphanumeric identifiers), so it participates in the alnum pass
-	// only. Values wide under every tokenization are skipped entirely —
-	// the columns vertical cuts compensate for.
-	for i, runs := range fine {
-		switch {
-		case len(runs) == 0:
-			res.Empty += weights[i]
-		case !fits(opt, len(runs)) && !(opt.IncludeAlnumPass && fits(opt, len(merged[i]))):
-			res.Wide += weights[i]
-		}
 	}
 
 	em := emitters.Get().(*emitter)
@@ -136,7 +119,6 @@ func enumerate(weights []int, fine, merged [][]tokens.Run, opt EnumOptions) Enum
 	}
 	em.enumeratePass(fine, false)
 	res.Candidates = em.finish()
-	res.Capped = em.capped
 	em.release()
 	return res
 }
@@ -158,29 +140,31 @@ type Position struct {
 // adjacent letter and digit runs merged, fine their lexed runs, and a nil
 // summary stands for a tokenization under which the values share no class
 // shape (or the column has an empty value). It hands visit the candidates
-// Enumerate would return — the same keys and tokens, as many, and the same
-// Capped — in the search's order, not Enumerate's. The key is the
-// caller's to keep; toks is the enumerator's scratch, valid only until
-// visit returns.
+// Enumerate would return — the same keys and tokens, as many — each once,
+// in the search's order, not Enumerate's. The key is the caller's to
+// keep; toks is the enumerator's scratch, valid only until visit returns.
 //
 // Weights, duplicates and the texts themselves do not enter: at full
 // support every option is one every value has, so the search is a plain
 // cross-product of per-position options, and columns with equal summaries
-// have equal hypothesis spaces. The vertical-cut search folds each segment
-// into its summaries, and flat FMDV at θ = 0 (with InferNoIndex and
-// InferTag at maxFNR 0) the whole column; both score each candidate as it
-// is visited, so no hypothesis space is ever copied out. The working
-// state is drawn from a pool and reset on each call.
-func EnumerateSummary(merged, fine []Position, opt EnumOptions, visit func(key string, toks []Tok)) (capped bool) {
+// have equal hypothesis spaces. Nor can the two passes meet the same key:
+// every merged key has an <alnum> token and no fine key has one, unless
+// the values have no letter or digit run, and then the summaries are
+// equal and the fine pass is skipped. The vertical-cut search folds each
+// segment into its summaries, and flat FMDV at θ = 0 (with InferNoIndex
+// and InferTag at maxFNR 0) the whole column; both score each candidate
+// as it is visited, so no hypothesis space is ever copied out. The
+// working state is drawn from a pool and reset on each call.
+func EnumerateSummary(merged, fine []Position, opt EnumOptions, visit func(key string, toks []Tok)) {
 	em := emitters.Get().(*emitter)
 	em.reset(opt, visit)
 	if opt.IncludeAlnumPass {
 		em.enumerateSummary(merged)
 	}
-	em.enumerateSummary(fine)
-	capped = em.capped
+	if !opt.IncludeAlnumPass || !slices.Equal(merged, fine) {
+		em.enumerateSummary(fine)
+	}
 	em.release()
-	return capped
 }
 
 // fits reports whether n tokens are within the τ cap.
@@ -260,7 +244,7 @@ type emitter struct {
 	weights  []int
 	minCount int
 	words    int
-	capped   bool
+	n        int // candidates emitted, towards MaxPatterns
 
 	// Shape groups of the current pass: shape is the key being built,
 	// gid[i] is value i's group (or -1), and members lists every
@@ -288,9 +272,9 @@ type emitter struct {
 	// grown and cut back as it descends and returns.
 	key []byte
 
-	// Candidates found so far: candidate i has key keys[i] and, when
-	// they are collected rather than visited, tokens
-	// tokBuf[tokEnd[i-1]:tokEnd[i]] and matches the values in
+	// Candidates collected so far (a visiting call keeps none):
+	// candidate i has key keys[i] and tokens
+	// tokBuf[tokEnd[i-1]:tokEnd[i]], and matches the values in
 	// cbits[i*words:(i+1)*words].
 	byKey  map[string]int
 	keys   []string
@@ -302,8 +286,7 @@ type emitter struct {
 // reset starts a call that collects its candidates (visit nil) or hands
 // them to visit.
 func (em *emitter) reset(opt EnumOptions, visit func(string, []Tok)) {
-	em.opt, em.visit = opt, visit
-	em.capped = false
+	em.opt, em.visit, em.n = opt, visit, 0
 	em.keys, em.tokBuf, em.tokEnd, em.cbits = em.keys[:0], em.tokBuf[:0], em.tokEnd[:0], em.cbits[:0]
 }
 
@@ -323,7 +306,7 @@ func (em *emitter) release() {
 }
 
 func (em *emitter) full() bool {
-	return em.opt.MaxPatterns > 0 && len(em.keys) >= em.opt.MaxPatterns
+	return em.opt.MaxPatterns > 0 && em.n >= em.opt.MaxPatterns
 }
 
 // newBits carves a zeroed bitset from em.bits.
@@ -350,7 +333,7 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 			em.gid = append(em.gid, -1)
 			continue
 		}
-		em.shape = appendClassShape(em.shape[:0], runs)
+		em.shape = tokens.AppendClassShape(em.shape[:0], runs)
 		g, ok := em.groupOf[string(em.shape)]
 		if !ok {
 			g = len(em.groups)
@@ -385,49 +368,27 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 	}
 }
 
-// appendClassShape appends the bytes of tokens.ClassShape(runs) to b.
-func appendClassShape(b []byte, runs []tokens.Run) []byte {
-	for _, r := range runs {
-		switch r.Class {
-		case tokens.ClassDigit:
-			b = append(b, 'd')
-		case tokens.ClassLetter:
-			b = append(b, 'l')
-		case tokens.ClassAlnum:
-			b = append(b, 'a')
-		case tokens.ClassSpace:
-			b = append(b, '_')
-		default:
-			b = append(b, 's')
-		}
-	}
-	return b
-}
-
 // emit records the pattern toks, whose canonical key dfs has assembled
-// in em.key, as matching the values in bs (nil when visiting), or hands a
-// key not met before to visit.
+// in em.key, as matching the values in bs, or hands it to visit: a
+// visiting call never meets a key twice.
 func (em *emitter) emit(toks []Tok, bs bitset) {
-	if i, ok := em.byKey[string(em.key)]; ok {
-		if em.visit == nil {
+	if em.visit == nil {
+		if i, ok := em.byKey[string(em.key)]; ok {
 			bitset(em.cbits[i*em.words : (i+1)*em.words]).or(bs)
+			return
 		}
+	}
+	if (Pattern{Toks: toks}).IsTrivial() || em.full() {
 		return
 	}
-	if (Pattern{Toks: toks}).IsTrivial() {
-		return
-	}
-	if em.full() {
-		em.capped = true
-		return
-	}
+	em.n++
 	key := string(em.key)
-	em.byKey[key] = len(em.keys)
-	em.keys = append(em.keys, key)
 	if em.visit != nil {
 		em.visit(key, toks)
 		return
 	}
+	em.byKey[key] = len(em.keys)
+	em.keys = append(em.keys, key)
 	em.tokBuf = append(em.tokBuf, toks...)
 	em.tokEnd = append(em.tokEnd, len(em.tokBuf))
 	em.cbits = append(em.cbits, bs...)
@@ -468,8 +429,7 @@ func (em *emitter) enumerateGroup(members []int, groupWeight int, runsOf [][]tok
 		return // the whole group cannot reach the support threshold
 	}
 	if em.full() {
-		em.capped = true // every pattern of this group is dropped
-		return
+		return // every pattern of this group is dropped
 	}
 	npos := len(runsOf[members[0]])
 	em.opts, em.ends, em.text, em.bits = em.opts[:0], em.ends[:0], em.text[:0], em.bits[:0]
@@ -506,7 +466,6 @@ func (em *emitter) search(npos int) {
 // every value, so it tracks nothing.
 func (em *emitter) dfs(pos, npos int) {
 	if em.full() {
-		em.capped = true
 		return
 	}
 	if pos == npos {
@@ -572,7 +531,6 @@ func (em *emitter) enumerateSummary(sum []Position) {
 		return
 	}
 	if em.full() {
-		em.capped = true
 		return
 	}
 	em.opts, em.ends, em.text = em.opts[:0], em.ends[:0], em.text[:0]
@@ -617,11 +575,6 @@ func (em *emitter) summaryOptions(p Position) {
 	if lit {
 		em.addTok(Lit(p.Text), nil, true)
 	}
-}
-
-// addAll adds the option t, matching every member.
-func (em *emitter) addAll(t Tok, members []int) {
-	em.addOption(t, members, true)
 }
 
 // tally returns dst holding, in key order, the keys of the members that
@@ -728,27 +681,27 @@ func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, gr
 	// the ones already emitted.
 	switch class {
 	case tokens.ClassDigit:
-		em.addAll(Num(), members)
-		em.addAll(ClassPlus(class), members)
+		em.addOption(Num(), members, true)
+		em.addOption(ClassPlus(class), members, true)
 		em.addWidths(class, members, runsOf, pos, groupWeight)
 		addConsts()
 	case tokens.ClassLetter:
-		em.addAll(ClassPlus(class), members)
+		em.addOption(ClassPlus(class), members, true)
 		em.addWidths(class, members, runsOf, pos, groupWeight)
 		addConsts()
 	case tokens.ClassAlnum:
-		em.addAll(ClassPlus(class), members)
+		em.addOption(ClassPlus(class), members, true)
 		em.addWidths(class, members, runsOf, pos, groupWeight)
 	case tokens.ClassSymbol:
 		// Symbol runs are single characters; offer the class token when
 		// identities differ, and constants always (both passes keep
 		// punctuation identity).
 		if mixed {
-			em.addAll(ClassN(class, 1), members)
+			em.addOption(ClassN(class, 1), members, true)
 		}
 		addConsts()
 	case tokens.ClassSpace:
-		em.addAll(ClassPlus(class), members)
+		em.addOption(ClassPlus(class), members, true)
 		addConsts()
 	}
 }

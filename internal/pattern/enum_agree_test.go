@@ -53,7 +53,7 @@ func checkAgree(t *testing.T, values []string, opt pattern.EnumOptions) {
 
 func describe(res pattern.EnumResult) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "total=%d wide=%d empty=%d capped=%v candidates=%d", res.Total, res.Wide, res.Empty, res.Capped, len(res.Candidates))
+	fmt.Fprintf(&sb, "total=%d wide=%d candidates=%d", res.Total, res.Wide, len(res.Candidates))
 	for i, c := range res.Candidates {
 		if i == 12 {
 			sb.WriteString(" …")
@@ -174,23 +174,21 @@ func FuzzEnumerateAgree(f *testing.F) {
 
 // checkSummaryAgree holds EnumerateSummary, fed the column's obvious
 // summaries, to Enumerate at full support: the keys and tokens it visits
-// are Enumerate's candidates as a set, none twice, as many, and as
-// Capped.
+// are Enumerate's candidates as a set, none twice, and as many.
 func checkSummaryAgree(t *testing.T, values []string, opt pattern.EnumOptions) {
 	t.Helper()
 	opt.MinSupport = 1
 	merged, fine := pattern.Summarize(values, opt.MaxValues)
 	visited := map[string][]pattern.Tok{}
-	capped := pattern.EnumerateSummary(merged, fine, opt, func(key string, toks []pattern.Tok) {
+	pattern.EnumerateSummary(merged, fine, opt, func(key string, toks []pattern.Tok) {
 		if _, ok := visited[key]; ok {
 			t.Errorf("%q (%+v): key %q visited twice", values, opt, key)
 		}
 		visited[key] = slices.Clone(toks)
 	})
 	want := pattern.Enumerate(values, opt)
-	if len(visited) != len(want.Candidates) || capped != want.Capped {
-		t.Fatalf("%q (%+v): %d keys visited, Capped %v; Enumerate has %s",
-			values, opt, len(visited), capped, describe(want))
+	if len(visited) != len(want.Candidates) {
+		t.Fatalf("%q (%+v): %d keys visited; Enumerate has %s", values, opt, len(visited), describe(want))
 	}
 	for _, c := range want.Candidates {
 		if toks, ok := visited[c.Key]; !ok || !reflect.DeepEqual(toks, c.Pattern.Toks) {
@@ -201,26 +199,33 @@ func checkSummaryAgree(t *testing.T, values []string, opt pattern.EnumOptions) {
 
 // EnumerateSummary visits Enumerate's full-support candidates: a pattern
 // cap that binds, the fine pass alone, a position whose symbols differ,
-// letter and digit constants (which only the fine pass offers), and then
-// every generator domain and the hand cases at every agreement setting.
+// letter and digit constants (which only the fine pass offers), a column
+// with no letter or digit run (whose summaries are equal, so the fine pass
+// is skipped), one that mixes such runs with symbols (both passes
+// visit), and then every generator domain and the hand cases at every
+// agreement setting.
 func TestEnumerateSummaryIsEnumerateAtFullSupport(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		values []string
 		edit   func(*pattern.EnumOptions)
-		capped bool
+		equal  bool // the merged and fine summaries are equal
 	}{
-		{"maxPatterns", []string{"a1-b2", "a1-b2", "c33-d4", "x9-y7"}, func(o *pattern.EnumOptions) { o.MaxPatterns = 5 }, true},
+		{"maxPatterns", []string{"a1-b2", "a1-b2", "c33-d4", "x9-y7"}, func(o *pattern.EnumOptions) { o.MaxPatterns = 5 }, false},
 		{"fineOnly", []string{"a1-b2", "c33-d4", "x9-y7"}, func(o *pattern.EnumOptions) { o.IncludeAlnumPass = false }, false},
 		{"mixedSymbol", []string{"ab-1", "ab+2", "ab-3"}, func(*pattern.EnumOptions) {}, false},
 		{"fineLiterals", []string{"ab-7", "ab-8", "ab-7"}, func(*pattern.EnumOptions) {}, false},
+		{"equalSummaries", []string{"-- :", "-+ :"}, func(*pattern.EnumOptions) {}, true},
+		{"lettersAndSymbols", []string{"ab:-", "cd:+"}, func(*pattern.EnumOptions) {}, false},
 	} {
 		opt := pattern.DefaultEnumOptions()
 		tc.edit(&opt)
 		opt.MinSupport = 1
-		if want := pattern.Enumerate(tc.values, opt); len(want.Candidates) == 0 || want.Capped != tc.capped {
-			t.Fatalf("%s: Enumerate found %d candidates, Capped %v; the case is meant to have some, Capped %v",
-				tc.name, len(want.Candidates), want.Capped, tc.capped)
+		if want := pattern.Enumerate(tc.values, opt); len(want.Candidates) == 0 {
+			t.Fatalf("%s: Enumerate found no candidates; the case is meant to have some", tc.name)
+		}
+		if merged, fine := pattern.Summarize(tc.values, opt.MaxValues); slices.Equal(merged, fine) != tc.equal {
+			t.Fatalf("%s: summaries %v and %v, want equal %v", tc.name, merged, fine, tc.equal)
 		}
 		checkSummaryAgree(t, tc.values, opt)
 	}

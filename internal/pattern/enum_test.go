@@ -142,8 +142,8 @@ func TestEnumerateWideValuesSkipped(t *testing.T) {
 
 func TestEnumerateEmptyValues(t *testing.T) {
 	res := hypothesisSpace([]string{"", "", "ab"}, DefaultEnumOptions())
-	if res.Empty != 2 {
-		t.Errorf("Empty = %d, want 2", res.Empty)
+	if res.Total != 3 || res.Wide != 0 {
+		t.Errorf("Total = %d, Wide = %d; want 3 and 0 (empty values count, and are not wide)", res.Total, res.Wide)
 	}
 	// With intersection semantics nothing can match the empty strings.
 	if len(res.Candidates) != 0 {
@@ -234,11 +234,8 @@ func TestEnumerateMaxPatternsCap(t *testing.T) {
 	opt := DefaultEnumOptions()
 	opt.MaxPatterns = 5
 	res := Enumerate(col, opt)
-	if len(res.Candidates) > 5 {
-		t.Errorf("cap violated: %d candidates", len(res.Candidates))
-	}
-	if !res.Capped {
-		t.Error("Capped flag should be set")
+	if len(res.Candidates) != 5 {
+		t.Errorf("%d candidates, want the cap's 5", len(res.Candidates))
 	}
 }
 
@@ -254,12 +251,9 @@ func TestEnumerateCappedWhenLaterGroupSkipped(t *testing.T) {
 	if got := keys(res); len(got) != 4 || got["cd"] != 2 || got["<digit>+"] != 0 {
 		t.Fatalf("candidates = %v, want the letter group's four", got)
 	}
-	if !res.Capped {
-		t.Error("Capped = false though the digit group's patterns were dropped")
-	}
 }
 
-// Exactly MaxPatterns distinct patterns is not a truncation.
+// A column with exactly MaxPatterns distinct patterns keeps them all.
 func TestEnumerateNotCappedAtExactlyMaxPatterns(t *testing.T) {
 	opt := DefaultEnumOptions()
 	opt.IncludeAlnumPass = false
@@ -267,9 +261,6 @@ func TestEnumerateNotCappedAtExactlyMaxPatterns(t *testing.T) {
 	res := Enumerate([]string{"ab", "ab", "cd", "cd"}, opt)
 	if len(res.Candidates) != 4 {
 		t.Fatalf("candidates = %v, want 4", keys(res))
-	}
-	if res.Capped {
-		t.Error("Capped = true though no pattern was dropped")
 	}
 }
 
@@ -353,7 +344,7 @@ func TestEnumerateResultsAreCallerOwned(t *testing.T) {
 	for _, col := range columns[1:] {
 		want = append(want, deepCopy(Enumerate(col.values, col.opt)))
 	}
-	if !want[2].Capped {
+	if len(want[2].Candidates) != capped.MaxPatterns {
 		t.Fatalf("the third column does not reach MaxPatterns = %d", capped.MaxPatterns)
 	}
 	if !reflect.DeepEqual(a, want[0]) {
@@ -376,16 +367,6 @@ func TestEnumerateResultsAreCallerOwned(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// The shape key the enumerator groups by is tokens.ClassShape's.
-func TestAppendClassShapeIsClassShape(t *testing.T) {
-	for _, v := range []string{"", "a", "ab12-CD 9.x", "  <x>", "número1-ß\xff"} {
-		runs := tokens.Lex(v)
-		if got, want := string(appendClassShape([]byte("x"), runs)), "x"+tokens.ClassShape(runs); got != want {
-			t.Errorf("appendClassShape(%q) = %q, want %q", v, got, want)
-		}
-	}
 }
 
 // BenchmarkEnumerateTimestampColumn enumerates a 100-value timestamp

@@ -11,8 +11,8 @@ import (
 // were rendered once: it renders a pattern's key wherever it needs one —
 // once per DFS leaf to de-duplicate, and for both sides of every tie in
 // the output sort. It is kept as the slow obvious reference Enumerate is
-// compared against; the only edits are the stored Candidate.Key and the
-// Capped fix of enumerateGroup, so the two agree on every field.
+// compared against; the only edit is the stored Candidate.Key, so the two
+// agree on every field.
 func oracleEnumerate(values []string, opt EnumOptions) EnumResult {
 	var res EnumResult
 	if len(values) == 0 {
@@ -39,7 +39,6 @@ func oracleEnumerate(values []string, opt EnumOptions) EnumResult {
 	mergedOf := make([][]tokens.Run, len(uniq))
 	for i, v := range uniq {
 		if v == "" {
-			res.Empty += weights[i]
 			continue
 		}
 		runs := tokens.Lex(v)
@@ -79,7 +78,6 @@ func oracleEnumerate(values []string, opt EnumOptions) EnumResult {
 	}
 
 	res.Candidates = em.finish()
-	res.Capped = em.capped
 	return res
 }
 
@@ -136,10 +134,9 @@ type oracleEmitter struct {
 	minCount int
 	words    int
 
-	byKey  map[string]int
-	pats   []Pattern
-	bsets  []bitset
-	capped bool
+	byKey map[string]int
+	pats  []Pattern
+	bsets []bitset
 }
 
 func (em *oracleEmitter) full() bool {
@@ -157,7 +154,6 @@ func (em *oracleEmitter) emit(toks []Tok, bs bitset) {
 		return
 	}
 	if em.full() {
-		em.capped = true
 		return
 	}
 	em.byKey[key] = len(em.pats)
@@ -194,10 +190,6 @@ func (em *oracleEmitter) enumerateGroup(members []int, runsOf [][]tokens.Run, al
 	if groupWeight < em.minCount {
 		return // the whole group cannot reach the support threshold
 	}
-	if em.full() {
-		em.capped = true
-		return
-	}
 	npos := len(runsOf[members[0]])
 	if npos == 0 {
 		return
@@ -225,7 +217,6 @@ func (em *oracleEmitter) enumerateGroup(members []int, runsOf [][]tokens.Run, al
 
 func (em *oracleEmitter) dfs(pos, npos int, opts [][]oracleOption, acc []bitset, toks []Tok) {
 	if em.full() {
-		em.capped = true
 		return
 	}
 	if pos == npos {

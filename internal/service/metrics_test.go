@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"strconv"
 	"strings"
@@ -189,5 +190,36 @@ func TestEngineCounterCountsBothBodyForms(t *testing.T) {
 	}
 	if n := metricValue(t, scrape(t, ts), `autovalidate_compiled_values_total{engine="nfa"}`); n != 0 {
 		t.Errorf("pike-VM counter = %g, want 0: both rules lower to a DFA", n)
+	}
+}
+
+// A stream may be named with any bytes a URL can carry; /metrics spells
+// each name as the text format defines a label value — valid UTF-8, only
+// backslash, double quote and line feed escaped — so one odd name cannot
+// make the whole exposition unparseable.
+func TestMetricsSpellStreamNamesAsTheFormatDoes(t *testing.T) {
+	ts := httptest.NewServer(testServer(t, 16).Handler())
+	defer ts.Close()
+	train := trainValues(t, "guid", 80, 9)
+	for _, c := range []struct{ name, spelled string }{
+		{"tab\tname", "tab\tname"},
+		{`quote"name`, `quote\"name`},
+		{`back\slash`, `back\\slash`},
+		{"new\nline", `new\nline`},
+		{"line\u2028sep", "line\u2028sep"},
+		{"bad\xffbyte", "bad\uFFFDbyte"},
+	} {
+		path := "/streams/" + url.PathEscape(c.name)
+		putStream(t, ts, url.PathEscape(c.name), train)
+		if code := post(t, ts, path+"/check", StreamCheckRequest{Values: trainValues(t, "guid", 40, 10)}, nil); code != http.StatusOK {
+			t.Fatalf("%q: check status %d", c.name, code)
+		}
+		body := scrape(t, ts)
+		if errs := promtest.Lint(body); len(errs) != 0 {
+			t.Fatalf("%q: exposition lint: %v", c.name, errs)
+		}
+		if want := `autovalidate_stream_state{stream="` + c.spelled + `",state="accept"} 1`; !strings.Contains(body, want) {
+			t.Errorf("%q: no series %q in\n%s", c.name, want, body)
+		}
 	}
 }

@@ -137,6 +137,24 @@ func Count(v string) int {
 	return n
 }
 
+// shapeLetter spells a run of class c in a shape: "d", "l", "a" or "_",
+// and "s" for a symbol (or a class the lexer never produces), which Shape
+// and Symbols follow with the symbol itself.
+func shapeLetter(c Class) string {
+	switch c {
+	case ClassDigit:
+		return "d"
+	case ClassLetter:
+		return "l"
+	case ClassAlnum:
+		return "a"
+	case ClassSpace:
+		return "_"
+	default:
+		return "s"
+	}
+}
+
 // Shape returns a compact signature of the class sequence of a value,
 // used to group values drawn from the same coarse pattern (Algorithm 1's
 // first step emits one coarse token sequence per value; values with equal
@@ -144,44 +162,43 @@ func Count(v string) int {
 func Shape(runs []Run) string {
 	var sb strings.Builder
 	for _, r := range runs {
-		switch r.Class {
-		case ClassDigit:
-			sb.WriteByte('d')
-		case ClassLetter:
-			sb.WriteByte('l')
-		case ClassAlnum:
-			sb.WriteByte('a')
-		case ClassSpace:
-			sb.WriteByte('_')
-		default:
+		l := shapeLetter(r.Class)
+		sb.WriteString(l)
+		if l == "s" {
 			// Keep the symbol itself: "1/2" and "1-2" are
 			// different coarse shapes for alignment purposes.
-			sb.WriteByte('s')
 			sb.WriteString(r.Text)
 		}
 	}
 	return sb.String()
 }
 
+// Symbols returns Shape's spelling of each run, one string a run: the
+// runs as multi-sequence alignment symbols, under which classes compare
+// by kind and symbol runs keep their identity, so ":" aligns with ":" not
+// "/".
+func Symbols(runs []Run) []string {
+	out := make([]string, len(runs))
+	for i, r := range runs {
+		if out[i] = shapeLetter(r.Class); out[i] == "s" {
+			out[i] += r.Text
+		}
+	}
+	return out
+}
+
 // ClassShape is like Shape but ignores symbol identities, grouping values
 // whose class sequences agree even when punctuation differs.
 func ClassShape(runs []Run) string {
-	var sb strings.Builder
+	return string(AppendClassShape(make([]byte, 0, len(runs)), runs))
+}
+
+// AppendClassShape appends the bytes of ClassShape(runs) to b.
+func AppendClassShape(b []byte, runs []Run) []byte {
 	for _, r := range runs {
-		switch r.Class {
-		case ClassDigit:
-			sb.WriteByte('d')
-		case ClassLetter:
-			sb.WriteByte('l')
-		case ClassAlnum:
-			sb.WriteByte('a')
-		case ClassSpace:
-			sb.WriteByte('_')
-		default:
-			sb.WriteByte('s')
-		}
+		b = append(b, shapeLetter(r.Class)...)
 	}
-	return sb.String()
+	return b
 }
 
 // Classes returns just the class sequence of the runs.

@@ -107,6 +107,18 @@ func TestShape(t *testing.T) {
 	}
 }
 
+// Symbols spells each run as Shape does, the merged <alnum> runs too.
+func TestSymbolsSpellShape(t *testing.T) {
+	for _, v := range []string{"9:07", "1/2", "1-2", "", "ab12-CD 9.x", "número1-ß\xff"} {
+		runs := Lex(v)
+		for _, runs := range [][]Run{runs, MergeAlnum(nil, v, runs)} {
+			if got, want := strings.Join(Symbols(runs), ""), Shape(runs); got != want {
+				t.Errorf("Symbols(%v) joined = %q, want Shape's %q", runs, got, want)
+			}
+		}
+	}
+}
+
 func TestClassOf(t *testing.T) {
 	cases := map[byte]Class{
 		'0': ClassDigit, '9': ClassDigit,
