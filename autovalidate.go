@@ -268,14 +268,19 @@ func NewStreamRegistry() *StreamRegistry { return registry.New() }
 func LoadStreamRegistry(path string) (*StreamRegistry, error) { return registry.Load(path) }
 
 // DefaultMonitorPolicy returns the recommended continuous-validation
-// policy: drift tests at significance 0.01 against the rule's expected
-// FPR bound, quarantine after 3 consecutive alarming batches,
-// re-inference after 6 (or on the first drifting batch of a rule whose
-// index evidence went stale).
+// policy, all three of its settings: drift tests at significance 0.01
+// against the rule's expected FPR bound, quarantine after 3 consecutive
+// alarming batches, re-inference after 6.
 func DefaultMonitorPolicy() MonitorPolicy { return monitor.DefaultPolicy() }
 
 // NewMonitorEngine builds a continuous-validation engine under the
-// policy (zero fields fall back to DefaultMonitorPolicy values).
+// policy (an Alpha outside (0, 1) falls back to DefaultMonitorPolicy's;
+// a zero QuarantineAfter or ReinferAfter disables that rung). The rest
+// is fixed: the first drifting batch of a rule whose index evidence
+// went stale re-infers at once, batches under 8 values are accepted
+// outright, each stream keeps its last 64 verdicts and a pass-rate EWMA
+// weighing the newest batch 0.2, and verdicts report a 95 %
+// Clopper–Pearson bound.
 func NewMonitorEngine(p MonitorPolicy) *MonitorEngine { return monitor.NewEngine(p) }
 
 // FingerprintColumn returns the cache fingerprint the service assigns to

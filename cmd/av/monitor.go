@@ -109,22 +109,20 @@ func register(idx *autovalidate.Index, regPath, dir string, opt autovalidate.Opt
 	}
 	registered, skipped := 0, 0
 	for _, col := range c.Columns() {
-		rule, err := autovalidate.Infer(col.Values, idx, opt)
+		s, err := reg.Learn(streamName(col), col.Values, idx, opt)
+		if errors.Is(err, registry.ErrBadName) {
+			return err
+		}
 		if err != nil {
 			fmt.Printf("  %-32s no rule (%v)\n", streamName(col), err)
 			skipped++
 			continue
 		}
-		dom, _ := autovalidate.ProposeDomain(col.Values)
-		s, err := reg.PutDomain(streamName(col), rule, opt, idx.Generation, dom)
-		if err != nil {
-			return err
-		}
 		suffix := ""
-		if dom.Name != "" {
+		if dom := s.Domain; dom.Name != "" {
 			suffix = fmt.Sprintf(" [domain %s %.2f]", dom.Name, dom.Confidence)
 		}
-		fmt.Printf("  %-32s v%d %s (est FPR %.4f)%s\n", s.Name, s.Version, rule.Pattern, rule.EstimatedFPR, suffix)
+		fmt.Printf("  %-32s v%d %s (est FPR %.4f)%s\n", s.Name, s.Version, s.Rule.Pattern, s.Rule.EstimatedFPR, suffix)
 		registered++
 	}
 	if err := reg.Save(regPath); err != nil {
@@ -171,19 +169,14 @@ func replay(idx *autovalidate.Index, regPath string, dirs []string, pol monitor.
 			if v.Action == monitor.Reinfer {
 				// The drifted batch is the new normal: re-learn and
 				// bump the version, as the service's check endpoint does.
-				rule, err := autovalidate.Infer(col.Values, idx, stream.Options)
+				next, err := reg.Learn(name, col.Values, idx, stream.Options)
 				if err != nil {
 					fmt.Printf("  %-32s re-inference failed: %v\n", name, err)
 					continue
 				}
-				dom, _ := autovalidate.ProposeDomain(col.Values)
-				next, err := reg.PutDomain(name, rule, stream.Options, idx.Generation, dom)
-				if err != nil {
-					return disrupted, err
-				}
 				eng.Reset(name)
 				reinferredToday++
-				fmt.Printf("  %-32s re-inferred -> v%d %s\n", name, next.Version, rule.Pattern)
+				fmt.Printf("  %-32s re-inferred -> v%d %s\n", name, next.Version, next.Rule.Pattern)
 			}
 		}
 		// Persist after every batch that re-inferred, so a failure on a

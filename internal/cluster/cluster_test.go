@@ -14,6 +14,7 @@ import (
 
 	"autovalidate/internal/core"
 	"autovalidate/internal/datagen"
+	"autovalidate/internal/domain"
 	"autovalidate/internal/index"
 	"autovalidate/internal/service"
 	"autovalidate/internal/validate"
@@ -140,7 +141,7 @@ func train(t *testing.T, domain string, n int, seed int64) []string {
 func TestSnapshotRoundTrip(t *testing.T) {
 	svc, _ := newLeader(t, 0)
 	// Register a stream so the registry section is non-trivial.
-	if _, err := svc.Registry().Put("s1", mustRule(t, svc), *smallOptions(), svc.Generation()); err != nil {
+	if _, err := svc.Registry().PutDomain("s1", mustRule(t, svc), *smallOptions(), svc.Generation(), domain.Detection{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"autovalidate/internal/corpus"
+	"autovalidate/internal/domain"
 	"autovalidate/internal/frame/frametest"
 	"autovalidate/internal/index"
 	"autovalidate/internal/pattern"
@@ -45,7 +46,7 @@ func TestCorruptionTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Registry().Put("ids", &validate.Rule{Pattern: pat, TrainTotal: 3, Strategy: "FMDV"}, *smallOptions(), 0); err != nil {
+	if _, err := svc.Registry().PutDomain("ids", &validate.Rule{Pattern: pat, TrainTotal: 3, Strategy: "FMDV"}, *smallOptions(), 0, domain.Detection{}); err != nil {
 		t.Fatal(err)
 	}
 	l, err := NewLeader(svc)

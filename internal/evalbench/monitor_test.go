@@ -8,6 +8,7 @@ import (
 
 	"autovalidate/internal/core"
 	"autovalidate/internal/datagen"
+	"autovalidate/internal/domain"
 	"autovalidate/internal/monitor"
 	"autovalidate/internal/registry"
 )
@@ -63,9 +64,9 @@ func replay(e *Env, p replayParams) replayResult {
 			break
 		}
 		c := e.BE.Cases[ci]
-		domain := strings.TrimPrefix(c.Domain, "dirty:")
+		dom := strings.TrimPrefix(c.Domain, "dirty:")
 		// The stream must be replayable: fresh batches of its domain.
-		if _, ok := datagen.DomainByName(domain); !ok {
+		if _, ok := datagen.DomainByName(dom); !ok {
 			res.skipped++
 			continue
 		}
@@ -75,11 +76,11 @@ func replay(e *Env, p replayParams) replayResult {
 			continue
 		}
 		name := fmt.Sprintf("%s:%s", c.Column.Table, c.Column.Name)
-		if _, err := reg.Put(name, rule, opt, 0); err != nil {
+		if _, err := reg.PutDomain(name, rule, opt, 0, domain.Detection{}); err != nil {
 			res.skipped++
 			continue
 		}
-		res.perStream = append(res.perStream, streamResult{stream: name, domain: domain, latency: -1})
+		res.perStream = append(res.perStream, streamResult{stream: name, domain: dom, latency: -1})
 	}
 
 	preDriftBatches, preDriftAlarms := 0, 0
@@ -126,7 +127,7 @@ func replay(e *Env, p replayParams) replayResult {
 				// Mirror the serving layer: re-learn from the drifted
 				// batch and carry on under the new rule.
 				if rule, err := core.Infer(batch, e.IdxE, stream.Options); err == nil {
-					if _, err := reg.Put(sr.stream, rule, stream.Options, 0); err == nil {
+					if _, err := reg.PutDomain(sr.stream, rule, stream.Options, 0, domain.Detection{}); err == nil {
 						eng.Reset(sr.stream)
 					}
 				}

@@ -1,8 +1,8 @@
 // Package monitor is the live half of continuous validation: an engine
 // that evaluates each arriving batch of a registered stream against its
 // compiled rule, keeps per-stream rolling history, and escalates from
-// accept to drift alarm to quarantine to re-inference under a
-// configurable policy.
+// accept to drift alarm to quarantine to re-inference under a policy
+// of three settings (Policy) and fixed constants for the rest.
 //
 // Two statistical signals combine per batch. The rule's own two-sample
 // homogeneity test (paper §4) compares the batch's non-conforming
@@ -84,48 +84,41 @@ func ActionFromName(s string) (Action, bool) {
 	return Accept, false
 }
 
+// The fixed half of the escalation behaviour. An alarming batch on a
+// stale rule (index evidence outdated by ingest) always escalates
+// straight to Reinfer.
+const (
+	// window is the ring-buffer capacity of per-stream batch history.
+	window = 64
+	// ewmaAlpha weights the newest batch in the pass-rate EWMA.
+	ewmaAlpha = 0.2
+	// confidence is the Clopper–Pearson confidence level reported with
+	// each verdict.
+	confidence = 0.95
+	// minBatch is the smallest batch the tests run on; smaller batches
+	// are accepted outright (too little evidence either way).
+	minBatch = 8
+)
+
 // Policy configures the escalation behaviour. The zero value is not
 // useful; start from DefaultPolicy.
 type Policy struct {
-	// Window is the ring-buffer capacity of per-stream batch history.
-	Window int
-	// EWMAAlpha weights the newest batch in the pass-rate EWMA.
-	EWMAAlpha float64
 	// Alpha is the significance level of the binomial drift test
 	// against the rule's expected FPR bound.
 	Alpha float64
-	// Confidence is the Clopper–Pearson confidence level reported with
-	// each verdict (e.g. 0.95).
-	Confidence float64
 	// QuarantineAfter escalates to Quarantine after this many
 	// consecutive alarming batches; ReinferAfter (>= QuarantineAfter)
 	// escalates further to Reinfer. Zero disables the respective
 	// escalation.
 	QuarantineAfter int
 	ReinferAfter    int
-	// ReinferWhenStale escalates any alarming batch on a stale rule
-	// (index evidence outdated by ingest) straight to Reinfer.
-	ReinferWhenStale bool
-	// MinBatch is the smallest batch the tests run on; smaller batches
-	// are accepted outright (too little evidence either way).
-	MinBatch int
 }
 
-// DefaultPolicy returns the recommended configuration: 64-batch
-// windows, EWMA α=0.2, drift test at 0.01 (matching the paper's
-// validation significance), quarantine after 3 consecutive alarms,
-// re-inference after 6, stale rules re-inferred on first alarm.
+// DefaultPolicy returns the recommended configuration: drift test at
+// 0.01 (matching the paper's validation significance), quarantine
+// after 3 consecutive alarms, re-inference after 6.
 func DefaultPolicy() Policy {
-	return Policy{
-		Window:           64,
-		EWMAAlpha:        0.2,
-		Alpha:            0.01,
-		Confidence:       0.95,
-		QuarantineAfter:  3,
-		ReinferAfter:     6,
-		ReinferWhenStale: true,
-		MinBatch:         8,
-	}
+	return Policy{Alpha: 0.01, QuarantineAfter: 3, ReinferAfter: 6}
 }
 
 // Verdict is the record of one checked batch.
@@ -220,7 +213,7 @@ type History struct {
 // streamState is the per-stream rolling state: a ring buffer of
 // verdicts plus running aggregates.
 type streamState struct {
-	ring   []Verdict // capacity Policy.Window
+	ring   []Verdict // capacity window
 	head   int       // next write position
 	filled bool
 
@@ -246,7 +239,7 @@ type streamState struct {
 }
 
 // push appends a verdict to the ring buffer.
-func (st *streamState) push(v Verdict, window int) {
+func (st *streamState) push(v Verdict) {
 	if len(st.ring) < window {
 		st.ring = append(st.ring, v)
 		return
@@ -277,33 +270,17 @@ type Engine struct {
 	streams map[string]*streamState
 }
 
-// NewEngine builds an engine under the given policy (zero fields fall
-// back to DefaultPolicy values).
+// NewEngine builds an engine under the given policy (an Alpha outside
+// (0, 1) falls back to DefaultPolicy's).
 func NewEngine(p Policy) *Engine {
-	def := DefaultPolicy()
-	if p.Window <= 0 {
-		p.Window = def.Window
-	}
-	if p.EWMAAlpha <= 0 || p.EWMAAlpha > 1 {
-		p.EWMAAlpha = def.EWMAAlpha
-	}
 	if p.Alpha <= 0 || p.Alpha >= 1 {
-		p.Alpha = def.Alpha
-	}
-	if p.Confidence <= 0 || p.Confidence >= 1 {
-		p.Confidence = def.Confidence
-	}
-	if p.MinBatch < 1 {
-		p.MinBatch = def.MinBatch
+		p.Alpha = DefaultPolicy().Alpha
 	}
 	if p.ReinferAfter > 0 && p.QuarantineAfter > 0 && p.ReinferAfter < p.QuarantineAfter {
 		p.ReinferAfter = p.QuarantineAfter
 	}
 	return &Engine{policy: p, streams: make(map[string]*streamState)}
 }
-
-// Policy returns the engine's effective (defaulted) policy.
-func (e *Engine) Policy() Policy { return e.policy }
 
 // fprBound is the expected non-conforming bound the binomial drift test
 // runs against: the worse of the rule's index-estimated FPR and its
@@ -464,10 +441,10 @@ func (e *Engine) score(stream registry.Stream, v *Verdict, alarm bool) bool {
 	bound := fprBound(stream.Rule)
 	evidence := v.NonConforming + v.DomainOnlyInvalid
 	v.DriftP = stats.BinomialTailP(evidence, v.Total, bound)
-	rateLo, _ := stats.ClopperPearson(evidence, v.Total, e.policy.Confidence)
+	rateLo, _ := stats.ClopperPearson(evidence, v.Total, confidence)
 	v.RateLo = rateLo
 
-	small := v.Total < e.policy.MinBatch
+	small := v.Total < minBatch
 	return !small && (alarm || v.DriftP < e.policy.Alpha)
 }
 
@@ -488,7 +465,7 @@ func (e *Engine) fold(stream registry.Stream, v Verdict, alarmed bool) Decision 
 		st.consec = 0
 	}
 	switch {
-	case alarmed && e.policy.ReinferWhenStale && stream.Stale:
+	case alarmed && stream.Stale:
 		v.Action = Reinfer
 	case alarmed && e.policy.ReinferAfter > 0 && st.consec >= e.policy.ReinferAfter:
 		v.Action = Reinfer
@@ -507,7 +484,7 @@ func (e *Engine) fold(stream registry.Stream, v Verdict, alarmed bool) Decision 
 	if st.seq == 1 {
 		st.ewma = passRate
 	} else {
-		st.ewma = e.policy.EWMAAlpha*passRate + (1-e.policy.EWMAAlpha)*st.ewma
+		st.ewma = ewmaAlpha*passRate + (1-ewmaAlpha)*st.ewma
 	}
 	st.values += v.Total
 	st.nonConforming += v.NonConforming
@@ -524,7 +501,7 @@ func (e *Engine) fold(stream registry.Stream, v Verdict, alarmed bool) Decision 
 	}
 	transition := st.seq == 1 || st.lastAction != v.Action
 	st.lastAction = v.Action
-	st.push(v, e.policy.Window)
+	st.push(v)
 
 	return Decision{
 		Verdict:           v,
@@ -581,7 +558,7 @@ func (e *Engine) Restore(name string, dec Decision) {
 	st.ring = st.ring[:0]
 	st.head = 0
 	st.filled = false
-	st.push(v, e.policy.Window)
+	st.push(v)
 }
 
 // Reset drops the rolling state of one stream — called when its rule is

@@ -176,18 +176,25 @@ func TestStaleRuleEscalatesToReinfer(t *testing.T) {
 	}
 }
 
+// TestSmallBatchesAccepted pins both sides of minBatch: an all
+// non-conforming batch one value short of it is accepted outright, one
+// of exactly minBatch values alarms.
 func TestSmallBatchesAccepted(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.MinBatch = 10
-	e := NewEngine(pol)
+	e := NewEngine(DefaultPolicy())
 	rule := fourDigitRule(t, 0.01, 1e-300)
-	// 5 of 5 non-conforming, but below MinBatch: accepted.
-	dec, err := e.Check(stream("tiny", rule, false), batch(5, 5))
+	dec, err := e.Check(stream("tiny", rule, false), batch(minBatch-1, minBatch-1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dec.Verdict.Action != Accept {
-		t.Errorf("sub-MinBatch batch: action %v, want accept", dec.Verdict.Action)
+		t.Errorf("%d/%d non-conforming: action %v, want accept", minBatch-1, minBatch-1, dec.Verdict.Action)
+	}
+	dec, err = e.Check(stream("small", rule, false), batch(minBatch, minBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Verdict.Action != Alarm {
+		t.Errorf("%d/%d non-conforming: action %v, want alarm", minBatch, minBatch, dec.Verdict.Action)
 	}
 }
 
@@ -202,27 +209,26 @@ func TestEmptyBatchAndNilRule(t *testing.T) {
 }
 
 func TestRingBufferWindowAndEWMA(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.Window = 4
-	e := NewEngine(pol)
+	e := NewEngine(DefaultPolicy())
 	rule := fourDigitRule(t, 0.05, 1e-300)
 	s := stream("ring", rule, false)
-	for i := 0; i < 10; i++ {
+	const over = 6
+	for i := 0; i < window+over; i++ {
 		if _, err := e.Check(s, batch(50, i%2)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h, _ := e.History("ring")
-	if len(h.Window) != 4 {
-		t.Fatalf("window holds %d verdicts, want 4", len(h.Window))
+	if len(h.Window) != window {
+		t.Fatalf("window holds %d verdicts, want %d", len(h.Window), window)
 	}
 	for i, v := range h.Window {
-		if want := 7 + i; v.Seq != want {
+		if want := over + 1 + i; v.Seq != want {
 			t.Errorf("window[%d].Seq = %d, want %d (oldest-first)", i, v.Seq, want)
 		}
 	}
-	if h.Batches != 10 || h.Values != 500 || h.NonConforming != 5 {
-		t.Errorf("totals = %d/%d/%d, want 10/500/5", h.Batches, h.Values, h.NonConforming)
+	if n := window + over; h.Batches != n || h.Values != 50*n || h.NonConforming != n/2 {
+		t.Errorf("totals = %d/%d/%d, want %d/%d/%d", h.Batches, h.Values, h.NonConforming, n, 50*n, n/2)
 	}
 	if h.PassEWMA <= 0.9 || h.PassEWMA > 1 {
 		t.Errorf("pass EWMA = %g, want in (0.9, 1]", h.PassEWMA)

@@ -271,19 +271,21 @@ func TestCheckCleanBatchAllocatesNothing(t *testing.T) {
 			strs[i] = tc.vals[i%len(tc.vals)]
 			views[i] = []byte(strs[i])
 		}
-		pol := DefaultPolicy()
-		pol.Window = 2 // a full ring stops growing after two batches
-		e := NewEngine(pol)
-		for i := 0; i < 3; i++ {
-			dec, err := e.Check(tc.st, strs)
+		// A full ring stops growing: warm it past window batches.
+		e := NewEngine(DefaultPolicy())
+		for i := 0; i <= window; i++ {
+			var dec Decision
+			var err error
+			if i%2 == 0 {
+				dec, err = e.Check(tc.st, strs)
+			} else {
+				dec, err = e.CheckBytes(tc.st, views)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v := dec.Verdict; v.NonConforming != 0 || v.DomainInvalid != 0 || v.Domain == "" {
 				t.Fatalf("%s: batch not clean on a domain stream: %+v", tc.st.Domain.Name, v)
-			}
-			if _, err := e.CheckBytes(tc.st, views); err != nil {
-				t.Fatal(err)
 			}
 		}
 		byteAllocs := testing.AllocsPerRun(20, func() { _, _ = e.CheckBytes(tc.st, views) })

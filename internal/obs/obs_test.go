@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -148,17 +149,19 @@ func TestSampleEvery(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	tr := NewTracer(TracerConfig{RingSize: 4})
-	for i := 0; i < 10; i++ {
-		_, sp := tr.StartSpan(context.Background(), "s"+string(rune('0'+i)))
+	tr := NewTracer(TracerConfig{})
+	const over = 6
+	for i := 0; i < ringSize+over; i++ {
+		_, sp := tr.StartSpan(context.Background(), fmt.Sprintf("s%d", i))
 		sp.End()
 	}
 	spans, recorded, dropped := tr.Snapshot(TraceFilter{})
-	if len(spans) != 4 || recorded != 10 || dropped != 6 {
+	if len(spans) != ringSize || recorded != ringSize+over || dropped != over {
 		t.Fatalf("got %d spans, recorded=%d dropped=%d", len(spans), recorded, dropped)
 	}
-	if spans[0].Name != "s6" || spans[3].Name != "s9" {
-		t.Fatalf("ring kept wrong window: %q..%q", spans[0].Name, spans[3].Name)
+	first, last := fmt.Sprintf("s%d", over), fmt.Sprintf("s%d", ringSize+over-1)
+	if spans[0].Name != first || spans[ringSize-1].Name != last {
+		t.Fatalf("ring kept wrong window: %q..%q, want %q..%q", spans[0].Name, spans[ringSize-1].Name, first, last)
 	}
 }
 

@@ -30,12 +30,13 @@ type SpanRecord struct {
 	Error      string    `json:"error,omitempty"`
 }
 
+// ringSize bounds the completed spans a Tracer retains for
+// /debug/traces. The ring overwrites oldest-first; Dropped counts what
+// was lost.
+const ringSize = 512
+
 // TracerConfig configures a Tracer.
 type TracerConfig struct {
-	// RingSize bounds the completed spans retained for /debug/traces
-	// (0 = 512). The ring overwrites oldest-first; Dropped counts what
-	// was lost.
-	RingSize int
 	// SampleEvery records 1 in N root traces: 1 (and 0, the zero
 	// value) samples every root, N>1 samples one in N, and a negative
 	// value disables root sampling entirely. Propagated decisions from
@@ -48,7 +49,6 @@ type TracerConfig struct {
 // is a valid no-op: StartSpan returns nil spans and ServeTraces
 // serves an empty listing, so callers never branch on construction.
 type Tracer struct {
-	ringSize    int
 	sampleEvery int64
 	tick        atomic.Int64
 
@@ -60,15 +60,11 @@ type Tracer struct {
 
 // NewTracer builds a tracer.
 func NewTracer(cfg TracerConfig) *Tracer {
-	size := cfg.RingSize
-	if size <= 0 {
-		size = 512
-	}
 	every := int64(cfg.SampleEvery)
 	if every == 0 {
 		every = 1
 	}
-	return &Tracer{ringSize: size, sampleEvery: every}
+	return &Tracer{sampleEvery: every}
 }
 
 // SampleRoot decides whether a new root trace (no incoming
@@ -168,7 +164,7 @@ func (s *Span) End() {
 func (t *Tracer) record(rec SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.ring) < t.ringSize {
+	if len(t.ring) < ringSize {
 		t.ring = append(t.ring, rec)
 	} else {
 		t.ring[t.head] = rec

@@ -95,14 +95,6 @@ func (p *Program) Mode() string {
 // NumInsts returns the compiled program length (NFA instructions).
 func (p *Program) NumInsts() int { return len(p.insts) }
 
-// NumDFAStates returns the DFA state count, or 0 in NFA mode.
-func (p *Program) NumDFAStates() int {
-	if p.dfa == nil {
-		return 0
-	}
-	return len(p.dfa.accept)
-}
-
 // MaxSteps bounds the work of matching an n-byte value in NFA mode: the
 // pike VM adds each instruction to the run list at most once per input
 // position, so total step count never exceeds (n+1)·len(insts). The DFA

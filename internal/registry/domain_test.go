@@ -24,8 +24,8 @@ func TestPutDomainRoundTrip(t *testing.T) {
 	if _, err := r.PutDomain("colors", testRule(t, "<letter>+"), testOptions(), 1, vocabDet); err != nil {
 		t.Fatal(err)
 	}
-	// A plain Put leaves the domain zero.
-	if _, err := r.Put("plain", testRule(t, "<digit>+"), testOptions(), 1); err != nil {
+	// A zero Detection stays zero.
+	if _, err := r.PutDomain("plain", testRule(t, "<digit>+"), testOptions(), 1, domain.Detection{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -46,11 +46,10 @@ func TestPutDomainRoundTrip(t *testing.T) {
 // TestDomainFieldBackwardReadable: a registry whose stream versions
 // carry no domain (the pre-domain AVREG1 layout — the field is omitted
 // from the JSON entirely, not written as a zero value) must load with a
-// zero Detection. Saving through Put, which never sets a domain,
-// produces exactly that layout.
+// zero Detection. Saving a zero Detection produces exactly that layout.
 func TestDomainFieldBackwardReadable(t *testing.T) {
 	r := New()
-	if _, err := r.Put("legacy", testRule(t, "<digit>{4}"), testOptions(), 3); err != nil {
+	if _, err := r.PutDomain("legacy", testRule(t, "<digit>{4}"), testOptions(), 3, domain.Detection{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded := saveLoad(t, r)

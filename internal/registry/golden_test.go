@@ -17,12 +17,12 @@ import (
 func goldenRegistry(t *testing.T) *Registry {
 	t.Helper()
 	r := New()
-	r.Put("a/code", testRule(t, "<digit>{4}"), testOptions(), 0)
-	r.Put("a/code", testRule(t, "<digit>+"), testOptions(), 2)
+	r.PutDomain("a/code", testRule(t, "<digit>{4}"), testOptions(), 0, domain.Detection{})
+	r.PutDomain("a/code", testRule(t, "<digit>+"), testOptions(), 2, domain.Detection{})
 	r.PutDomain("cards", testRule(t, "<digit>{16}"), testOptions(), 2, domain.Detection{
 		Name: "luhn", Family: "checksum", Confidence: 0.984, Sampled: 256, Valid: 252,
 	})
-	r.Put("b/locale", testRule(t, "<letter>{2}-<letter>{2}"), testOptions(), 1)
+	r.PutDomain("b/locale", testRule(t, "<letter>{2}-<letter>{2}"), testOptions(), 1, domain.Detection{})
 	r.MarkStale(2)
 	return r
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"autovalidate/internal/domain"
 )
 
 func saveLoad(t *testing.T, r *Registry) *Registry {
@@ -23,9 +25,9 @@ func saveLoad(t *testing.T, r *Registry) *Registry {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	r := New()
-	r.Put("a/code", testRule(t, "<digit>{4}"), testOptions(), 0)
-	r.Put("a/code", testRule(t, "<digit>+"), testOptions(), 2)
-	r.Put("b/locale", testRule(t, "<letter>{2}-<letter>{2}"), testOptions(), 1)
+	r.PutDomain("a/code", testRule(t, "<digit>{4}"), testOptions(), 0, domain.Detection{})
+	r.PutDomain("a/code", testRule(t, "<digit>+"), testOptions(), 2, domain.Detection{})
+	r.PutDomain("b/locale", testRule(t, "<letter>{2}-<letter>{2}"), testOptions(), 1, domain.Detection{})
 	r.MarkStale(2)
 
 	loaded := saveLoad(t, r)
@@ -60,8 +62,8 @@ func TestSaveLoadEmpty(t *testing.T) {
 
 func TestSaveDeterministic(t *testing.T) {
 	r := New()
-	r.Put("zz", testRule(t, "<digit>+"), testOptions(), 0)
-	r.Put("aa", testRule(t, "<letter>+"), testOptions(), 0)
+	r.PutDomain("zz", testRule(t, "<digit>+"), testOptions(), 0, domain.Detection{})
+	r.PutDomain("aa", testRule(t, "<letter>+"), testOptions(), 0, domain.Detection{})
 	dir := t.TempDir()
 	p1, p2 := filepath.Join(dir, "one.avr"), filepath.Join(dir, "two.avr")
 	if err := r.Save(p1); err != nil {
@@ -81,8 +83,8 @@ func TestSaveDeterministic(t *testing.T) {
 // must produce an error mentioning the file, and never a panic.
 func TestLoadCorruption(t *testing.T) {
 	r := New()
-	r.Put("a/code", testRule(t, "<digit>{4}"), testOptions(), 0)
-	r.Put("b/locale", testRule(t, "<letter>{2}-<letter>{2}"), testOptions(), 1)
+	r.PutDomain("a/code", testRule(t, "<digit>{4}"), testOptions(), 0, domain.Detection{})
+	r.PutDomain("b/locale", testRule(t, "<letter>{2}-<letter>{2}"), testOptions(), 1, domain.Detection{})
 	path := filepath.Join(t.TempDir(), "rules.avr")
 	if err := r.Save(path); err != nil {
 		t.Fatal(err)
@@ -145,7 +147,7 @@ func TestLoadMissingFile(t *testing.T) {
 // discipline: saving over an existing file leaves no temp siblings.
 func TestAtomicSaveNoTempLeftovers(t *testing.T) {
 	r := New()
-	r.Put("s", testRule(t, "<digit>+"), testOptions(), 0)
+	r.PutDomain("s", testRule(t, "<digit>+"), testOptions(), 0, domain.Detection{})
 	dir := t.TempDir()
 	path := filepath.Join(dir, "rules.avr")
 	for i := 0; i < 3; i++ {

@@ -14,12 +14,15 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"unicode/utf8"
 
 	"autovalidate/internal/core"
 	"autovalidate/internal/domain"
+	"autovalidate/internal/index"
 	"autovalidate/internal/validate"
 )
 
@@ -64,11 +67,11 @@ type record struct {
 type Registry struct {
 	mu      sync.RWMutex
 	streams map[string]*record
-	// epoch counts mutations (Put, Delete, MarkStale, ReplaceFrom) since
-	// the registry was created. The replication layer compares a leader's
-	// epoch against the one a follower last fetched to decide whether the
-	// registry needs re-shipping; it is process-local state and is not
-	// persisted.
+	// epoch counts mutations (PutDomain, Delete, MarkStale, ReplaceFrom)
+	// since the registry was created. The replication layer compares a
+	// leader's epoch against the one a follower last fetched to decide
+	// whether the registry needs re-shipping; it is process-local state
+	// and is not persisted.
 	epoch uint64
 }
 
@@ -99,19 +102,49 @@ func New() *Registry {
 	return &Registry{streams: make(map[string]*record)}
 }
 
-// Put registers (or re-registers) a stream: the rule is appended as a
-// new version inferred at index generation gen, and the new version's
-// snapshot is returned. A nil rule or empty name is an error.
-func (r *Registry) Put(name string, rule *validate.Rule, opt core.Options, gen uint64) (Stream, error) {
-	return r.PutDomain(name, rule, opt, gen, domain.Detection{})
+// ErrBadName reports a stream name the registry refuses: empty, or
+// not valid UTF-8. The file format stores names as JSON strings, which
+// would spell each invalid byte U+FFFD, so two such names would reload
+// as one and a lone one under a different name.
+var ErrBadName = errors.New("registry: bad stream name")
+
+func checkName(name string) error {
+	if name == "" {
+		return fmt.Errorf("%w: empty", ErrBadName)
+	}
+	if !utf8.ValidString(name) {
+		return fmt.Errorf("%w: %q is not valid UTF-8", ErrBadName, name)
+	}
+	return nil
 }
 
-// PutDomain is Put carrying a detected semantic domain: the detection
-// is persisted alongside the compiled rule, and the monitor runs the
-// named domain validator over every future batch of the stream.
+// Learn is the one way a stream's rule is learned: it infers the rule
+// from the training column against idx under opt, proposes a semantic
+// domain from the same column, and appends both as the stream's next
+// version at idx's generation. A name PutDomain would refuse is refused
+// before anything is inferred; an inference error is returned as is
+// (errors.Is core.ErrNoFeasible, ...), and nothing is appended.
+func (r *Registry) Learn(name string, train []string, idx *index.Index, opt core.Options) (Stream, error) {
+	if err := checkName(name); err != nil {
+		return Stream{}, err
+	}
+	rule, err := core.Infer(train, idx, opt)
+	if err != nil {
+		return Stream{}, err
+	}
+	dom, _ := domain.Propose(train)
+	return r.PutDomain(name, rule, opt, idx.Generation, dom)
+}
+
+// PutDomain registers (or re-registers) a stream: the rule is appended
+// as a new version inferred at index generation gen, and the new
+// version's snapshot is returned. The detected semantic domain dom is
+// persisted alongside the rule, and the monitor runs the named domain
+// validator over every future batch of the stream. A nil rule or a
+// name that is empty or not valid UTF-8 is an error.
 func (r *Registry) PutDomain(name string, rule *validate.Rule, opt core.Options, gen uint64, dom domain.Detection) (Stream, error) {
-	if name == "" {
-		return Stream{}, fmt.Errorf("registry: empty stream name")
+	if err := checkName(name); err != nil {
+		return Stream{}, err
 	}
 	if rule == nil {
 		return Stream{}, fmt.Errorf("registry: nil rule for stream %q", name)

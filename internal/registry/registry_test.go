@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"autovalidate/internal/core"
+	"autovalidate/internal/domain"
 	"autovalidate/internal/pattern"
 	"autovalidate/internal/stats"
 	"autovalidate/internal/validate"
@@ -38,21 +39,21 @@ func testOptions() core.Options {
 
 func TestPutGetVersioning(t *testing.T) {
 	r := New()
-	if _, err := r.Put("", testRule(t, "<digit>+"), testOptions(), 0); err == nil {
+	if _, err := r.PutDomain("", testRule(t, "<digit>+"), testOptions(), 0, domain.Detection{}); err == nil {
 		t.Error("empty name should be rejected")
 	}
-	if _, err := r.Put("s", nil, testOptions(), 0); err == nil {
+	if _, err := r.PutDomain("s", nil, testOptions(), 0, domain.Detection{}); err == nil {
 		t.Error("nil rule should be rejected")
 	}
 
-	v1, err := r.Put("sales/locale", testRule(t, "<digit>+"), testOptions(), 0)
+	v1, err := r.PutDomain("sales/locale", testRule(t, "<digit>+"), testOptions(), 0, domain.Detection{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v1.Version != 1 {
 		t.Errorf("first version = %d, want 1", v1.Version)
 	}
-	v2, err := r.Put("sales/locale", testRule(t, "<letter>{2}-<letter>{2}"), testOptions(), 3)
+	v2, err := r.PutDomain("sales/locale", testRule(t, "<letter>{2}-<letter>{2}"), testOptions(), 3, domain.Detection{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestPutGetVersioning(t *testing.T) {
 func TestDeleteAndNames(t *testing.T) {
 	r := New()
 	for _, name := range []string{"b", "a", "c"} {
-		if _, err := r.Put(name, testRule(t, "<digit>+"), testOptions(), 0); err != nil {
+		if _, err := r.PutDomain(name, testRule(t, "<digit>+"), testOptions(), 0, domain.Detection{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,8 +104,8 @@ func TestDeleteAndNames(t *testing.T) {
 
 func TestMarkStale(t *testing.T) {
 	r := New()
-	r.Put("old", testRule(t, "<digit>+"), testOptions(), 0)
-	r.Put("fresh", testRule(t, "<letter>+"), testOptions(), 2)
+	r.PutDomain("old", testRule(t, "<digit>+"), testOptions(), 0, domain.Detection{})
+	r.PutDomain("fresh", testRule(t, "<letter>+"), testOptions(), 2, domain.Detection{})
 	if marked := r.MarkStale(2); marked != 1 {
 		t.Errorf("MarkStale(2) marked %d, want 1 (only the gen-0 stream)", marked)
 	}
@@ -119,7 +120,7 @@ func TestMarkStale(t *testing.T) {
 		t.Errorf("MarkStale(3) marked %d, want 1 (only the fresh stream)", marked)
 	}
 	// Re-registration at the current generation clears staleness.
-	r.Put("old", testRule(t, "<digit>{4}"), testOptions(), 3)
+	r.PutDomain("old", testRule(t, "<digit>{4}"), testOptions(), 3, domain.Detection{})
 	if s, _ := r.Get("old"); s.Stale || s.Version != 2 {
 		t.Errorf("re-registered stream = %+v, want fresh version 2", s)
 	}
@@ -141,7 +142,7 @@ func TestConcurrentPutGetMarkStale(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 4 {
 				case 0:
-					if _, err := r.Put(name, rule, opt, uint64(i)); err != nil {
+					if _, err := r.PutDomain(name, rule, opt, uint64(i), domain.Detection{}); err != nil {
 						t.Error(err)
 						return
 					}

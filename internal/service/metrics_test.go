@@ -1,10 +1,12 @@
 package service
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -193,10 +195,50 @@ func TestEngineCounterCountsBothBodyForms(t *testing.T) {
 	}
 }
 
-// A stream may be named with any bytes a URL can carry; /metrics spells
-// each name as the text format defines a label value — valid UTF-8, only
+// TestStreamNameMustBeUTF8: a registry file spells a name that is not
+// valid UTF-8 with U+FFFD, so it would reload under another name (and two
+// such names as one, failing the load), and /metrics would show two such
+// streams as one series. PUT refuses the name with a 400 before inferring
+// anything — an infeasible column gets the 400, not the 422 — and the
+// stream stays unknown.
+func TestStreamNameMustBeUTF8(t *testing.T) {
+	srv := streamServer(t, filepath.Join(t.TempDir(), "rules.avr"))
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	train := trainValues(t, "guid", 80, 9)
+	for _, name := range []string{"a%FF", "a%FE"} {
+		var out errorResponse
+		if code := do(t, ts, "PUT", "/streams/"+name, StreamPutRequest{Train: train}, &out); code != http.StatusBadRequest || !strings.Contains(out.Error, "UTF-8") {
+			t.Errorf("PUT /streams/%s: status %d (%s), want 400 naming UTF-8", name, code, out.Error)
+		}
+		if code := post(t, ts, "/streams/"+name+"/check", StreamCheckRequest{Values: train[:40]}, nil); code != http.StatusNotFound {
+			t.Errorf("check /streams/%s: status %d, want 404", name, code)
+		}
+	}
+	if errs := promtest.Lint(scrape(t, ts)); len(errs) != 0 {
+		t.Errorf("exposition lint: %v", errs)
+	}
+	free := make([]string, 50)
+	for i := range free {
+		free[i] = fmt.Sprintf("utterly unique free text value number %d with no shared shape %d", i, i*i)
+	}
+	req := StreamPutRequest{Train: free, RuleParams: RuleParams{Strategy: "FMDV"}}
+	if code := do(t, ts, "PUT", "/streams/a%FF", req, nil); code != http.StatusBadRequest {
+		t.Errorf("PUT of an infeasible column under a bad name: status %d, want 400", code)
+	}
+	if code := do(t, ts, "PUT", "/streams/a", req, nil); code != http.StatusUnprocessableEntity {
+		t.Errorf("PUT of an infeasible column under a good name: status %d, want 422", code)
+	}
+	if n := srv.Registry().Len(); n != 0 {
+		t.Errorf("registry holds %d streams, want 0", n)
+	}
+}
+
+// A stream may be named with any valid UTF-8 a URL can carry; /metrics
+// spells each name as the text format defines a label value — only
 // backslash, double quote and line feed escaped — so one odd name cannot
-// make the whole exposition unparseable.
+// make the whole exposition unparseable. (A name that is not valid UTF-8
+// is refused at registration: TestStreamNameMustBeUTF8.)
 func TestMetricsSpellStreamNamesAsTheFormatDoes(t *testing.T) {
 	ts := httptest.NewServer(testServer(t, 16).Handler())
 	defer ts.Close()
@@ -207,7 +249,6 @@ func TestMetricsSpellStreamNamesAsTheFormatDoes(t *testing.T) {
 		{`back\slash`, `back\\slash`},
 		{"new\nline", `new\nline`},
 		{"line\u2028sep", "line\u2028sep"},
-		{"bad\xffbyte", "bad\uFFFDbyte"},
 	} {
 		path := "/streams/" + url.PathEscape(c.name)
 		putStream(t, ts, url.PathEscape(c.name), train)

@@ -77,9 +77,6 @@ type Config struct {
 	// RegistryPath, when set, persists the registry there after every
 	// mutation (stream put/delete, re-inference, ingest invalidation).
 	RegistryPath string
-	// Monitor configures the continuous-validation engine; nil uses
-	// monitor.DefaultPolicy.
-	Monitor *monitor.Policy
 	// DeltaLog, when set, retains the delta of every ingest so a cluster
 	// leader can serve them as a replication log (GET
 	// /replication/deltas). Followers also record replicated deltas here
@@ -267,10 +264,6 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = registry.New()
 	}
-	pol := monitor.DefaultPolicy()
-	if cfg.Monitor != nil {
-		pol = *cfg.Monitor
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = obs.NopLogger()
@@ -281,7 +274,7 @@ func New(cfg Config) (*Server, error) {
 		cacheSize:     size,
 		registry:      reg,
 		regPath:       cfg.RegistryPath,
-		mon:           monitor.NewEngine(pol),
+		mon:           monitor.NewEngine(monitor.DefaultPolicy()),
 		start:         time.Now(),
 		deltaLog:      cfg.DeltaLog,
 		writeProxy:    cfg.WriteProxy,

@@ -14,6 +14,8 @@ package service
 // (av monitor uses "table.csv:column").
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -21,6 +23,7 @@ import (
 
 	"autovalidate/internal/core"
 	"autovalidate/internal/domain"
+	"autovalidate/internal/index"
 	"autovalidate/internal/journal"
 	"autovalidate/internal/monitor"
 	"autovalidate/internal/obs"
@@ -113,41 +116,38 @@ func streamInfo(s registry.Stream, versions int) StreamInfo {
 	}
 }
 
-// detectDomain proposes a semantic domain for a training column and
-// counts the detection for /metrics. The empty Detection (no domain)
-// is counted under "none" so detection traffic stays observable.
-func (s *Server) detectDomain(train []string) domain.Detection {
-	dom, ok := domain.Propose(train)
-	if !ok {
-		s.domainDetected("none")
-		return domain.Detection{}
+// learn appends a new version of the stream's rule, learned from train
+// against idx (Registry.Learn: the rule and its semantic domain). It
+// counts the detected domain for /metrics ("none" when there is none,
+// so detection traffic stays observable), closes the race against a
+// concurrent ingest (recheckStale), and drops the monitor history
+// accumulated under the old rule, which says nothing about the new one.
+func (s *Server) learn(name string, train []string, idx *index.Index, opt core.Options) (registry.Stream, error) {
+	stream, err := s.registry.Learn(name, train, idx, opt)
+	if err != nil {
+		return registry.Stream{}, err
 	}
-	s.domainDetected(dom.Name)
-	return dom
+	s.domainDetected(cmp.Or(stream.Domain.Name, "none"))
+	stream = s.recheckStale(stream, idx.Generation)
+	s.mon.Reset(name)
+	return stream, nil
 }
 
-// registerStream infers a rule for the stream from train values and
-// appends it as a new registry version, closing the race against a
-// concurrent ingest (see the staleness re-check below). The training
-// column also proposes a semantic domain (pattern first, domain
-// validator on top), persisted with the rule.
+// registerStream learns the stream's rule from train values and
+// persists the registry.
 func (s *Server) registerStream(name string, train []string, p RuleParams) (registry.Stream, int, error) {
 	sv := s.snap.Load()
 	opt, err := sv.options(p)
 	if err != nil {
 		return registry.Stream{}, http.StatusBadRequest, err
 	}
-	rule, err := core.Infer(train, sv.idx, opt)
+	stream, err := s.learn(name, train, sv.idx, opt)
+	if errors.Is(err, registry.ErrBadName) {
+		return registry.Stream{}, http.StatusBadRequest, err
+	}
 	if err != nil {
 		return registry.Stream{}, inferStatus(err), err
 	}
-	stream, err := s.registry.PutDomain(name, rule, opt, sv.idx.Generation, s.detectDomain(train))
-	if err != nil {
-		return registry.Stream{}, http.StatusBadRequest, err
-	}
-	stream = s.recheckStale(stream, sv.idx.Generation)
-	// History under an old rule says nothing about the new one.
-	s.mon.Reset(name)
 	if err := s.persistRegistry(); err != nil {
 		return registry.Stream{}, http.StatusInternalServerError,
 			fmt.Errorf("stream registered but registry persistence failed: %w", err)
@@ -365,16 +365,9 @@ func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 		// rule from it with the stream's original inference options,
 		// and re-detect the domain — the batch that changed the
 		// stream's syntax may have changed its semantics too.
-		idx := s.snap.Load().idx
-		train := reinferValues()
-		rule, err := core.Infer(train, idx, stream.Options)
-		if err != nil {
-			resp.ReinferError = err.Error()
-		} else if next, err := s.registry.PutDomain(name, rule, stream.Options, idx.Generation, s.detectDomain(train)); err != nil {
+		if next, err := s.learn(name, reinferValues(), s.snap.Load().idx, stream.Options); err != nil {
 			resp.ReinferError = err.Error()
 		} else {
-			s.recheckStale(next, idx.Generation)
-			s.mon.Reset(name)
 			resp.Reinferred = true
 			resp.NewVersion = next.Version
 			reinferEvent := s.journalEvent(r.Context(), journal.Event{

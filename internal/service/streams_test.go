@@ -302,7 +302,7 @@ func TestIngestInvalidatesStreams(t *testing.T) {
 	}
 
 	// First drifting batch on the stale rule re-infers immediately
-	// (DefaultPolicy.ReinferWhenStale).
+	// (the monitor always escalates a stale rule's alarm to Reinfer).
 	bad := trainValues(t, "locale", 100, 7)
 	var check StreamCheckResponse
 	if code := do(t, ts, "POST", "/streams/s/check", StreamCheckRequest{Values: bad}, &check); code != http.StatusOK {

@@ -22,8 +22,8 @@ type (
 	// Tracer samples requests and retains finished spans in a bounded
 	// ring. The zero config samples every root and keeps 512 spans.
 	Tracer = obs.Tracer
-	// TracerConfig sizes the span ring and sets the 1-in-N root
-	// sampling rate (negative = never sample).
+	// TracerConfig sets the 1-in-N root sampling rate (negative =
+	// never sample).
 	TracerConfig = obs.TracerConfig
 	// TraceSpan is one recorded span, as served by /debug/traces.
 	TraceSpan = obs.SpanRecord
