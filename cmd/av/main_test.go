@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,12 +101,15 @@ func TestSubcommandFlags(t *testing.T) {
 }
 
 // tailRig is a cluster-mode tailer over an in-process gateway in front
-// of journaled members; the tailer prints NDJSON into out.
+// of journaled members; the tailer prints NDJSON into out and its
+// warnings into errs. A member whose down flag is set answers 503.
 type tailRig struct {
 	jrns    []*journal.Journal
 	members []string // member URLs as the gateway labels events
+	down    []*atomic.Bool
 	tl      *tailer
 	out     bytes.Buffer
+	errs    bytes.Buffer
 }
 
 func newTailRig(t *testing.T, members, limit int) *tailRig {
@@ -121,13 +126,21 @@ func newTailRig(t *testing.T, members, limit int) *tailRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(svc.Handler())
+		down := new(atomic.Bool)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if down.Load() {
+				http.Error(w, "member down", http.StatusServiceUnavailable)
+				return
+			}
+			svc.Handler().ServeHTTP(w, req)
+		}))
 		t.Cleanup(ts.Close)
 		u, err := url.Parse(ts.URL)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.jrns = append(r.jrns, jrn)
+		r.down = append(r.down, down)
 		r.members = append(r.members, u.String())
 		urls = append(urls, u)
 	}
@@ -145,8 +158,7 @@ func newTailRig(t *testing.T, members, limit int) *tailRig {
 		limit:   limit,
 		prog:    "avtail",
 		out:     &r.out,
-		errOut:  &r.out,
-		seen:    make(map[string]mark),
+		errOut:  &r.errs,
 	}
 	return r
 }
@@ -171,6 +183,9 @@ func (r *tailRig) poll(t *testing.T, n int) []string {
 	}
 	var got []string
 	for _, line := range strings.Split(strings.TrimSpace(r.out.String()), "\n") {
+		if line == "" {
+			continue // nothing printed yet
+		}
 		var e cluster.ClusterEvent
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("output line %q: %v", line, err)
@@ -233,6 +248,107 @@ func TestTailClusterQuietMemberDoesNotPin(t *testing.T) {
 	want := []string{"m1#1", "m0#1", "m0#2", "m0#3", "m0#4", "m0#5"}
 	if got := r.poll(t, 6); !slices.Equal(got, want) {
 		t.Fatalf("printed %v, want %v", got, want)
+	}
+}
+
+// TestTailClusterLaggingMemberAfterFullPage: a member whose clock runs
+// an hour behind writes again after a busy member's full pages were
+// printed; its new event is stamped before all of them and must still
+// show.
+func TestTailClusterLaggingMemberAfterFullPage(t *testing.T) {
+	r := newTailRig(t, 2, 2)
+	lag := t0.Add(-time.Hour)
+	r.append(t, 1, lag)
+	for i := range 5 {
+		r.append(t, 0, t0.Add(time.Duration(i)*time.Millisecond))
+	}
+	want := []string{"m1#1", "m0#1", "m0#2", "m0#3", "m0#4", "m0#5"}
+	if got := r.poll(t, 6); !slices.Equal(got, want) {
+		t.Fatalf("printed %v, want %v", got, want)
+	}
+	r.append(t, 1, lag.Add(time.Second))
+	want = append(want, "m1#2")
+	if got := r.poll(t, 3); !slices.Equal(got, want) {
+		t.Fatalf("after the lagging member wrote again printed %v, want %v", got, want)
+	}
+}
+
+// TestTailClusterMemberOutage: a member that answers 503 while another
+// fills pages must show its events once it is back, however old their
+// timestamps are by then.
+func TestTailClusterMemberOutage(t *testing.T) {
+	r := newTailRig(t, 2, 2)
+	r.append(t, 1, t0)
+	r.down[1].Store(true)
+	for i := range 5 {
+		r.append(t, 0, t0.Add(time.Duration(i+1)*time.Millisecond))
+	}
+	want := []string{"m0#1", "m0#2", "m0#3", "m0#4", "m0#5"}
+	if got := r.poll(t, 5); !slices.Equal(got, want) {
+		t.Fatalf("during the outage printed %v, want %v", got, want)
+	}
+	if !strings.Contains(r.errs.String(), "member unavailable") {
+		t.Errorf("the outage was not reported: %q", r.errs.String())
+	}
+	r.down[1].Store(false)
+	want = append(want, "m1#1")
+	if got := r.poll(t, 4); !slices.Equal(got, want) {
+		t.Fatalf("after the outage printed %v, want %v", got, want)
+	}
+}
+
+// TestTailClusterExactlyOnce runs seeded schedules of appends, polls
+// and 503 outages over three members whose clocks are up to an hour
+// apart (and step back a little now and then), then polls with every
+// member up until no event can remain unprinted. Each event must be
+// printed exactly once, and each member's in ID order.
+func TestTailClusterExactlyOnce(t *testing.T) {
+	const members = 3
+	for seed := range int64(6) {
+		for _, limit := range []int{0, 1, 2, 3} {
+			t.Run(fmt.Sprintf("seed=%d/limit=%d", seed, limit), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				r := newTailRig(t, members, limit)
+				var offset [members]time.Duration
+				for m := range offset {
+					offset[m] = time.Duration(rng.Int63n(int64(2*time.Hour))) - time.Hour
+				}
+				var appended [members]int
+				for step := range 60 {
+					m := rng.Intn(members)
+					switch x := rng.Intn(10); {
+					case x < 5:
+						jitter := time.Duration(rng.Intn(5)-2) * time.Millisecond
+						r.append(t, m, t0.Add(offset[m]+time.Duration(step)*time.Millisecond+jitter))
+						appended[m]++
+					case x < 7:
+						r.down[m].Store(!r.down[m].Load())
+					default:
+						r.poll(t, 1)
+					}
+				}
+				for _, d := range r.down {
+					d.Store(false)
+				}
+				// Quiet phase: every poll prints at least one event while
+				// any is left.
+				total := appended[0] + appended[1] + appended[2]
+				var printed [members][]string
+				for _, e := range r.poll(t, total+1) {
+					m := int(e[1] - '0')
+					printed[m] = append(printed[m], e)
+				}
+				for m := range members {
+					var want []string
+					for id := 1; id <= appended[m]; id++ {
+						want = append(want, fmt.Sprintf("m%d#%d", m, id))
+					}
+					if !slices.Equal(printed[m], want) {
+						t.Errorf("member %d: printed %v, want %v", m, printed[m], want)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -225,6 +225,10 @@ func serveCmd(c *command, flags *flag.FlagSet) func([]string) {
 //
 //	GET /gateway/members   member list with health flags
 //	GET /gateway/healthz   gateway liveness
+//	GET /gateway/metrics   the gateway's own Prometheus metrics
+//	GET /cluster/events    every member's journal merged by time, paged
+//	                       by one event ID per member (next_after/after)
+//	GET /debug/traces      the gateway's recent request spans
 //
 // The gateway holds no validation state — restart it freely; stream
 // affinity is a pure function of (stream name, member list), so every

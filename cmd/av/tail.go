@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -16,7 +17,6 @@ import (
 	"autovalidate/internal/cluster"
 	"autovalidate/internal/journal"
 	"autovalidate/internal/monitor"
-	"autovalidate/internal/service"
 )
 
 // tailCmd follows an Auto-Validate audit journal live: it polls a
@@ -30,16 +30,12 @@ import (
 //	av tail -url ... -json | jq .                       # NDJSON for machines
 //	av tail -url ... -once                              # print what's there and exit
 //
-// Single-member mode pages with the journal's event-ID cursor
-// (?after=), so nothing is missed between polls. Cluster mode has no
-// composite cursor — member journals number independently — so tail
-// tracks the highest event ID and its time per member and asks for
-// events since the oldest of those times (?since=), or from where the
-// last full page was cut, so a page of events already printed cannot
-// pin the view. It prints only novel events; a member restart that
-// rewinds IDs is detected and the member's cursor reset.
+// Both modes page with the endpoint's cursor: each poll sends the last
+// page's next_after back as ?after= — one event ID for a member, one ID
+// per member for the gateway — so nothing is missed or printed twice
+// between polls.
 func tailCmd(c *command, flags *flag.FlagSet) func([]string) {
-	t := &tailer{prog: c.prog, out: os.Stdout, errOut: os.Stderr, seen: make(map[string]mark)}
+	t := &tailer{prog: c.prog, out: os.Stdout, errOut: os.Stderr}
 	baseURL := flags.String("url", "http://localhost:8077", "server (or, with -cluster, gateway) base URL")
 	flags.BoolVar(&t.cluster, "cluster", false, "follow the gateway's merged /cluster/events instead of one member's /events")
 	flags.StringVar(&t.stream, "stream", "", "only events for this stream")
@@ -77,12 +73,6 @@ func tailCmd(c *command, flags *flag.FlagSet) func([]string) {
 	}
 }
 
-// mark is a member's newest event seen by a cluster tail.
-type mark struct {
-	id   uint64
-	time time.Time
-}
-
 type tailer struct {
 	client  *http.Client
 	base    string
@@ -96,19 +86,16 @@ type tailer struct {
 	prog        string
 	out, errOut io.Writer
 
-	// after is the single-member cursor; seen the per-member high-water
-	// marks for cluster mode, and floor the time the last full cluster
-	// page was cut at.
-	after uint64
-	seen  map[string]mark
-	floor time.Time
+	// after is the cursor the next poll sends: the last page's
+	// next_after.
+	after string
 }
 
 func (t *tailer) poll(ctx context.Context) error {
-	q := make([]string, 0, 5)
+	q := url.Values{}
 	add := func(k, v string) {
 		if v != "" {
-			q = append(q, k+"="+v)
+			q.Set(k, v)
 		}
 	}
 	add("stream", t.stream)
@@ -117,18 +104,14 @@ func (t *tailer) poll(ctx context.Context) error {
 	if t.limit > 0 {
 		add("limit", fmt.Sprint(t.limit))
 	}
+	add("after", t.after)
 	path := "/events"
 	if t.cluster {
 		path = "/cluster/events"
-		if since := t.since(); !since.IsZero() {
-			add("since", since.UTC().Format(time.RFC3339Nano))
-		}
-	} else if t.after > 0 {
-		add("after", fmt.Sprint(t.after))
 	}
 	u := t.base + path
 	if len(q) > 0 {
-		u += "?" + strings.Join(q, "&")
+		u += "?" + q.Encode()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -148,21 +131,15 @@ func (t *tailer) poll(ctx context.Context) error {
 		}
 		return fmt.Errorf("%s: %s", u, resp.Status)
 	}
-	dec := json.NewDecoder(resp.Body)
-	if !t.cluster {
-		var page service.EventsResponse
-		if err := dec.Decode(&page); err != nil {
-			return fmt.Errorf("decoding %s: %w", u, err)
-		}
-		for _, e := range page.Events {
-			t.print(cluster.ClusterEvent{Event: e})
-		}
-		if page.NextAfter > t.after {
-			t.after = page.NextAfter
-		}
-		return nil
+	// Single-member events decode with an empty Member. /events numbers
+	// its cursor; /cluster/events spells one ID per member.
+	var page struct {
+		Events       []cluster.ClusterEvent `json:"events"`
+		MemberErrors []string               `json:"member_errors"`
+		NextAfter    any                    `json:"next_after"`
 	}
-	var page cluster.ClusterEventsResponse
+	dec := json.NewDecoder(resp.Body)
+	dec.UseNumber()
 	if err := dec.Decode(&page); err != nil {
 		return fmt.Errorf("decoding %s: %w", u, err)
 	}
@@ -170,74 +147,15 @@ func (t *tailer) poll(ctx context.Context) error {
 		fmt.Fprintln(t.errOut, t.prog+": member unavailable:", warn)
 	}
 	for _, e := range page.Events {
-		if t.novel(e) {
-			t.print(e)
-		}
+		t.print(e)
 	}
-	if cut, ok := pageCut(page.Events, t.limit); ok {
-		t.floor = cut
+	switch next := page.NextAfter.(type) {
+	case json.Number:
+		t.after = next.String()
+	case string:
+		t.after = next
 	}
 	return nil
-}
-
-// since is where the next cluster page starts: the oldest of the
-// members' newest-seen event times, raised to the floor. Members answer
-// oldest-first up to a page limit, so without it a member holding more
-// than a page of events would resend the same oldest page forever.
-// Taking the oldest mark keeps a member whose clock lags in view; the
-// per-member ID marks drop the overlap.
-func (t *tailer) since() time.Time {
-	var oldest time.Time
-	for _, m := range t.seen {
-		if oldest.IsZero() || m.time.Before(oldest) {
-			oldest = m.time
-		}
-	}
-	if oldest.Before(t.floor) {
-		return t.floor
-	}
-	return oldest
-}
-
-// pageCut reports where a cluster page that hit its limit was cut: the
-// gateway caps the merged page at -limit, and without one each member
-// caps its own at the journal default. Every event before the cut came
-// back in the page, so the next page starts there — otherwise a quiet
-// member's old mark would pin since while a busy member fills every
-// page with events already printed.
-func pageCut(evs []cluster.ClusterEvent, limit int) (time.Time, bool) {
-	if limit > 0 {
-		if len(evs) < limit {
-			return time.Time{}, false
-		}
-		return evs[len(evs)-1].Time, true
-	}
-	n := make(map[string]int)
-	var cut time.Time
-	for _, e := range evs {
-		n[e.Member]++
-		if n[e.Member] == journal.DefaultLimit && (cut.IsZero() || e.Time.Before(cut)) {
-			cut = e.Time
-		}
-	}
-	return cut, !cut.IsZero()
-}
-
-// novel dedupes cluster polls: member journals number independently,
-// so the high-water mark is tracked per member. An ID below the mark
-// after a member restarted with a fresh journal resets that member's
-// cursor so its new events still show.
-func (t *tailer) novel(e cluster.ClusterEvent) bool {
-	high, ok := t.seen[e.Member]
-	if ok && e.ID <= high.id {
-		if e.ID < high.id/2 && e.ID <= 1 {
-			t.seen[e.Member] = mark{e.ID, e.Time} // journal rewound: start over
-			return true
-		}
-		return false
-	}
-	t.seen[e.Member] = mark{e.ID, e.Time}
-	return true
 }
 
 // print writes one event; Member is empty outside cluster mode.

@@ -6,39 +6,28 @@
 // internal/lint/checkers for the suite
 // and README.md "Static analysis" for the invariant each one guards.
 //
-// Two modes share the same analyzers:
+//	avlint ./...                 # any package patterns (default ./...)
+//	avlint -only nopanic ./...   # a subset of the analyzers
 //
-//	avlint ./...                     # standalone, any package pattern
-//	go vet -vettool=$(pwd)/avlint ./...  # as a vet tool
-//
-// The vet-tool mode speaks cmd/go's unitchecker protocol: -flags
-// enumerates supported flags as JSON, -V=full prints a version
-// fingerprint, and a trailing *.cfg argument carries one package's
-// file list and export-data map. Findings print as
-// file:line:col: message (analyzer); the exit status is non-zero when
-// findings exist, which is what makes avlint a CI gate.
+// Packages load through internal/lint/load (go list plus go/types).
+// Findings print as file:line:col: message (analyzer); the exit status
+// is 1 when findings exist, which is what makes avlint a CI gate, and 2
+// when the packages cannot be loaded.
 package main
 
 import (
-	"autovalidate/internal/buildinfo"
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
+	"autovalidate/internal/buildinfo"
 	"autovalidate/internal/lint/analysis"
 	"autovalidate/internal/lint/checkers"
 	"autovalidate/internal/lint/load"
 )
 
 func main() {
-	versionFlag := flag.String("V", "", "print version information (-V=full) and exit")
-	flagsFlag := flag.Bool("flags", false, "print analyzer flags as JSON and exit (vet-tool protocol)")
 	onlyFlag := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	flag.Usage = usage
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -47,25 +36,7 @@ func main() {
 		fmt.Println("avlint", buildinfo.Get())
 		return
 	}
-
-	switch {
-	case *versionFlag != "":
-		printVersion()
-		return
-	case *flagsFlag:
-		// The vet-tool protocol: cmd/go asks which flags the tool
-		// supports before deciding what to pass. avlint keeps its
-		// per-run configuration out of vet's way, so the answer is
-		// empty.
-		fmt.Println("[]")
-		return
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	os.Exit(standalone(args, *onlyFlag))
+	os.Exit(run(flag.Args(), *onlyFlag))
 }
 
 func usage() {
@@ -91,8 +62,8 @@ func selected(only string) ([]*analysis.Analyzer, error) {
 	return out, nil
 }
 
-// standalone loads patterns via the go command and analyzes them.
-func standalone(patterns []string, only string) int {
+// run loads patterns via the go command and analyzes them.
+func run(patterns []string, only string) int {
 	analyzers, err := selected(only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -117,97 +88,4 @@ func standalone(patterns []string, only string) int {
 		return 1
 	}
 	return 0
-}
-
-// vetConfig mirrors the JSON written by cmd/go for each vetted package
-// (see $GOROOT/src/cmd/go/internal/work/exec.go, vetConfig).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes one package from a vet.cfg, following the
-// unitchecker exit conventions: 0 clean, 2 findings or failure.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "avlint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "avlint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// cmd/go reads the vetx (analysis facts) file back and feeds it to
-	// later runs. avlint's analyzers are fact-free, so an empty file
-	// both satisfies the protocol and caches as a no-op.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintln(os.Stderr, "avlint:", err)
-			}
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency-only run: cmd/go wants facts, and there are none.
-		writeVetx()
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	imp := load.ExportImporter(fset, func(path string) (string, bool) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		return file, ok
-	})
-	unit, err := load.Check(fset, cfg.ImportPath, cfg.GoFiles, imp, cfg.GoVersion)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx()
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "avlint:", err)
-		return 2
-	}
-	findings := analysis.Run(unit, checkers.All())
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	writeVetx()
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// printVersion emits the version fingerprint cmd/go hashes for build
-// caching; the content hash of the binary itself is the only honest
-// version an always-rebuilt tool has.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			// Read-only hash of our own binary; nothing to flush.
-			_ = f.Close()
-		}
-	}
-	fmt.Printf("%s version devel buildID=%02x\n", name, h.Sum(nil))
 }

@@ -216,8 +216,8 @@ func streamKey(path string) (string, bool) {
 
 // Handler returns the gateway's routes: /gateway/members for topology
 // introspection, /gateway/metrics for the routing counters,
-// /debug/traces for recorded gateway spans, everything else proxied to
-// the cluster.
+// /cluster/events for the members' merged journals, /debug/traces for
+// recorded gateway spans, everything else proxied to the cluster.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /gateway/members", g.handleMembers)

@@ -56,7 +56,7 @@ func Packages(dir string, patterns []string) ([]*analysis.Unit, error) {
 		}
 	}
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, func(path string) (string, bool) {
+	imp := exportImporter(fset, func(path string) (string, bool) {
 		f, ok := exports[path]
 		return f, ok
 	})
@@ -81,7 +81,7 @@ func Packages(dir string, patterns []string) ([]*analysis.Unit, error) {
 		if p.Module != nil && p.Module.GoVersion != "" {
 			goVersion = "go" + p.Module.GoVersion
 		}
-		unit, err := Check(fset, p.ImportPath, files, imp, goVersion)
+		unit, err := check(fset, p.ImportPath, files, imp, goVersion)
 		if err != nil {
 			return nil, err
 		}
@@ -115,11 +115,8 @@ func golist(dir string, patterns []string) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
-// Check parses files and type-checks them as one package against imp.
-// It is shared by the pattern loader above and by cmd/avlint's
-// unitchecker mode (which gets its file list from go vet's config
-// instead of go list).
-func Check(fset *token.FileSet, importPath string, files []string, imp types.Importer, goVersion string) (*analysis.Unit, error) {
+// check parses files and type-checks them as one package against imp.
+func check(fset *token.FileSet, importPath string, files []string, imp types.Importer, goVersion string) (*analysis.Unit, error) {
 	var syntax []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -150,9 +147,9 @@ func Check(fset *token.FileSet, importPath string, files []string, imp types.Imp
 	return &analysis.Unit{Fset: fset, Files: syntax, Pkg: pkg, Info: info}, nil
 }
 
-// ExportImporter returns a types.Importer that reads compiled export
+// exportImporter returns a types.Importer that reads compiled export
 // data, resolving each import path to its export file via lookup.
-func ExportImporter(fset *token.FileSet, lookup func(path string) (string, bool)) types.Importer {
+func exportImporter(fset *token.FileSet, lookup func(path string) (string, bool)) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := lookup(path)
 		if !ok {

@@ -1,8 +1,9 @@
 // Package selftest turns avlint on its own repository: the meta-test
 // asserting the codebase stays clean under the full analyzer suite, and
 // that every //avlint:allow carries a reason. CI runs the same suite
-// through `go vet -vettool`; this test is the laptop-local equivalent,
-// so a violation fails `go test ./...` before it ever reaches CI.
+// as `go run ./cmd/avlint ./...`, through the same loader; this test is
+// the laptop-local equivalent, so a violation fails `go test ./...`
+// before it ever reaches CI.
 package selftest
 
 import (

@@ -105,6 +105,7 @@ func TestDeclaredOversizeAnswersBeforeTheBodyIsSent(t *testing.T) {
 		{"/validate", "application/json"},
 		{"/streams/any/check", "application/json"},
 		{"/infer", "application/json"},
+		{"/ingest", "application/json"},
 	} {
 		conn := sendHead(t, ts, tc.path, tc.contentType, maxBody+1, nil)
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,16 +14,15 @@ import (
 
 // ingestServer returns a server over a private clone of the fixture
 // index (ingest swaps copy-on-write, but the clone keeps test intent
-// obvious) with a small ingest body cap for the oversize case.
-func ingestServer(t *testing.T, maxIngest int64) *Server {
+// obvious).
+func ingestServer(t *testing.T) *Server {
 	t.Helper()
 	opt := core.DefaultOptions()
 	opt.M = 5
 	srv, err := New(Config{
-		Index:         testIndex(t).Clone(),
-		Options:       &opt,
-		CacheSize:     64,
-		MaxIngestBody: maxIngest,
+		Index:     testIndex(t).Clone(),
+		Options:   &opt,
+		CacheSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +42,7 @@ func ingestBatch(domain string, n int, seed int64, t *testing.T) IngestRequest {
 }
 
 func TestIngestGrowsIndex(t *testing.T) {
-	srv := ingestServer(t, 0)
+	srv := ingestServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -148,18 +146,14 @@ func TestIngestInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestIngestErrorPaths drives the malformed-request table: bad JSON,
-// structurally empty batches, and an oversized body. None may mutate the
-// index.
+// TestIngestErrorPaths drives the malformed-request table: bad JSON and
+// structurally empty batches. None may mutate the index. (An oversized
+// body is TestDeclaredOversizeAnswersBeforeTheBodyIsSent's /ingest row.)
 func TestIngestErrorPaths(t *testing.T) {
-	srv := ingestServer(t, 1024)
+	srv := ingestServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	before := srv.CurrentStats()
-
-	big := IngestRequest{Tables: []IngestTable{{Name: "big", Columns: []IngestColumn{
-		{Name: "v", Values: []string{strings.Repeat("x", 4096)}},
-	}}}}
 
 	cases := []struct {
 		name string
@@ -174,7 +168,6 @@ func TestIngestErrorPaths(t *testing.T) {
 		{name: "column without values", req: IngestRequest{Tables: []IngestTable{{
 			Name: "t", Columns: []IngestColumn{{Name: "c"}},
 		}}}, want: http.StatusBadRequest},
-		{name: "oversized body", req: big, want: http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -229,7 +222,7 @@ func TestReadOnlyDisablesIngest(t *testing.T) {
 // every request must succeed against a coherent index snapshot, and the
 // final generation must count every batch.
 func TestConcurrentIngestAndValidate(t *testing.T) {
-	srv := ingestServer(t, 0)
+	srv := ingestServer(t)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -65,8 +65,6 @@ type Config struct {
 	Options *core.Options
 	// CacheSize is the rule-cache capacity in entries (0 = 1024).
 	CacheSize int
-	// MaxIngestBody caps /ingest request bodies in bytes (0 = 64 MiB).
-	MaxIngestBody int64
 	// ReadOnly disables the mutating endpoints: /ingest, stream
 	// registration/deletion, and the automatic re-inference of
 	// /streams/{name}/check.
@@ -122,7 +120,6 @@ type Server struct {
 	// cacheStats counts rule-cache behaviour across every snapshot's
 	// cache, so the /metrics counters stay monotone over publishes.
 	cacheStats cacheStats
-	maxIngest  int64
 	readOnly   bool
 
 	// ingestMu serializes publishes so concurrent ingests cannot clone
@@ -256,10 +253,6 @@ func New(cfg Config) (*Server, error) {
 	if size <= 0 {
 		size = 1024
 	}
-	maxIngest := cfg.MaxIngestBody
-	if maxIngest <= 0 {
-		maxIngest = maxBody
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = registry.New()
@@ -269,7 +262,6 @@ func New(cfg Config) (*Server, error) {
 		log = obs.NopLogger()
 	}
 	s := &Server{
-		maxIngest:     maxIngest,
 		readOnly:      cfg.ReadOnly,
 		cacheSize:     size,
 		registry:      reg,
@@ -593,7 +585,7 @@ func ingestColumns(req IngestRequest) ([]*corpus.Column, error) {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if !decodeJSONLimit(w, r, &req, s.maxIngest) {
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	cols, err := ingestColumns(req)
