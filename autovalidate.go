@@ -307,12 +307,15 @@ func NewRuleSet() *RuleSet { return validate.NewRuleSet() }
 
 // InferTable infers one rule per column of a table, skipping columns
 // where no feasible pattern exists, and returns the resulting rule set
-// together with the per-column inference errors.
+// together with the per-column inference errors. The columns share one
+// leaf memo, so a pattern a column's segment needs is searched for once;
+// each rule is the one Infer returns.
 func InferTable(t *Table, idx *Index, opt Options) (*RuleSet, map[string]error) {
 	rs := validate.NewRuleSet()
 	errs := map[string]error{}
+	memo := core.NewMemo(idx, opt)
 	for _, col := range t.Columns {
-		rule, err := core.Infer(col.Values, idx, opt)
+		rule, err := memo.Infer(col.Values)
 		if err != nil {
 			errs[col.Name] = err
 			continue

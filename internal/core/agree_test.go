@@ -113,8 +113,10 @@ func TestInferAgreesWithOracleConcurrently(t *testing.T) {
 }
 
 // A rule is its caller's: its pattern and segments share no memory with
-// the enumerations behind it, so 50 later inferences, over every column
-// of the infer_ingest workload, leave a kept rule as it was inferred.
+// the enumerations behind it or with a memo, so 50 later inferences, over
+// every column of the infer_ingest workload, leave a kept rule as it was
+// inferred — alone or through one shared memo — and writing into every
+// kept rule's tokens changes no rule the memo gives later.
 func TestInferRulesOutliveLaterInferences(t *testing.T) {
 	idx := testIndex(t)
 	var columns [][]string
@@ -122,40 +124,76 @@ func TestInferRulesOutliveLaterInferences(t *testing.T) {
 		columns = append(columns, fresh(t, domain, 60, 43))
 	}
 	for _, st := range []Strategy{FMDV, FMDVVH} {
-		opt := testOptions(st)
-		opt.R, opt.M = 1, 1 // whatever the index has seen once is feasible
-		var names []string
-		var kept, want []*validate.Rule
-		for ci, values := range columns {
-			rule, err := Infer(values, idx, opt)
-			if errors.Is(err, ErrNoFeasible) {
+		for _, shared := range []bool{false, true} {
+			opt := testOptions(st)
+			opt.R, opt.M = 1, 1 // whatever the index has seen once is feasible
+			infer := func(values []string) (*validate.Rule, error) { return Infer(values, idx, opt) }
+			if shared {
+				infer = NewMemo(idx, opt).Infer
+			}
+			var names []string
+			var kept, want []*validate.Rule
+			for ci, values := range columns {
+				rule, err := infer(values)
+				if errors.Is(err, ErrNoFeasible) {
+					continue
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				names, kept, want = append(names, inferIngestDomains[ci]), append(kept, rule), append(want, copyRule(rule))
+			}
+			if len(kept) < 4 {
+				t.Fatalf("%s: only %v have a rule", st, names)
+			}
+			for i := 0; i < 50; i++ {
+				infer(columns[i%len(columns)])
+			}
+			for i := range kept {
+				if d := ruleDiff(kept[i], want[i]); d != "" {
+					t.Errorf("%s %s shared=%v: after 50 later inferences, %s", names[i], st, shared, d)
+				}
+			}
+			if !shared {
 				continue
-			} else if err != nil {
-				t.Fatal(err)
 			}
-			copied := &validate.Rule{
-				Pattern:            pattern.Pattern{Toks: append([]pattern.Tok(nil), rule.Pattern.Toks...)},
-				EstimatedFPR:       rule.EstimatedFPR,
-				TrainNonConforming: rule.TrainNonConforming,
-				TrainTotal:         rule.TrainTotal,
-				Strategy:           rule.Strategy,
+			for _, rule := range kept {
+				scribble(rule.Pattern)
+				for _, seg := range rule.Segments {
+					scribble(seg)
+				}
 			}
-			for _, seg := range rule.Segments {
-				copied.Segments = append(copied.Segments, pattern.Pattern{Toks: append([]pattern.Tok(nil), seg.Toks...)})
-			}
-			names, kept, want = append(names, inferIngestDomains[ci]), append(kept, rule), append(want, copied)
-		}
-		if len(kept) < 4 {
-			t.Fatalf("%s: only %v have a rule", st, names)
-		}
-		for i := 0; i < 50; i++ {
-			Infer(columns[i%len(columns)], idx, opt)
-		}
-		for i := range kept {
-			if d := ruleDiff(kept[i], want[i]); d != "" {
-				t.Errorf("%s %s: after 50 later inferences, %s", names[i], st, d)
+			for i, name := range names {
+				rule, err := infer(columns[slices.Index(inferIngestDomains, name)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := ruleDiff(rule, want[i]); d != "" {
+					t.Errorf("%s %s: after writing into the memo's earlier rules, %s", name, st, d)
+				}
 			}
 		}
+	}
+}
+
+// copyRule copies the parts of a rule that ruleDiff compares.
+func copyRule(rule *validate.Rule) *validate.Rule {
+	copied := &validate.Rule{
+		Pattern:            pattern.Pattern{Toks: slices.Clone(rule.Pattern.Toks)},
+		EstimatedFPR:       rule.EstimatedFPR,
+		TrainNonConforming: rule.TrainNonConforming,
+		TrainTotal:         rule.TrainTotal,
+		Strategy:           rule.Strategy,
+	}
+	for _, seg := range rule.Segments {
+		copied.Segments = append(copied.Segments, pattern.Pattern{Toks: slices.Clone(seg.Toks)})
+	}
+	return copied
+}
+
+// scribble overwrites every token of p.
+func scribble(p pattern.Pattern) {
+	for i := range p.Toks {
+		p.Toks[i] = pattern.Lit("scribbled")
 	}
 }
 
@@ -199,7 +237,7 @@ func TestGatherAgreesWithRelexedSegments(t *testing.T) {
 		for _, maxValues := range []int{0, 2, 1} {
 			opt := testOptions(FMDVVH)
 			opt.Enum.MaxValues = maxValues
-			dp := newSegmentDP(testIndex(t), opt, values)
+			dp := newSegmentDP(NewMemo(testIndex(t), opt), values)
 			type keyed struct {
 				cands string
 				merge bool
@@ -346,7 +384,7 @@ func classShape(sum []pattern.Position) string {
 // support. It returns how many segments were rejected and kept.
 func checkLeafRejects(t *testing.T, values []string, opt Options) (rejected, kept int) {
 	t.Helper()
-	dp := newSegmentDP(testIndex(t), opt, values)
+	dp := newSegmentDP(NewMemo(testIndex(t), opt), values)
 	enum := dp.leafEnum()
 	for _, merge := range []bool{false, true} {
 		dp.ncols = 0

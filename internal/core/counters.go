@@ -18,8 +18,9 @@ type Counters struct {
 	// was enumerated and scored from their position summaries (a segment
 	// whose texts share no class shape has empty summaries, enumerates
 	// nothing, and is memoized like any other); SegmentsMemoized those
-	// answered by a segment with the same position summary already
-	// solved for the same column.
+	// answered by a leaf with the same position summaries already solved
+	// through the same Memo: for the same column, or under Memo.Infer
+	// for any earlier one.
 	SegmentsSolved   uint64
 	SegmentsMemoized uint64
 	// Candidates counts patterns enumerated for scoring, and IndexHits

@@ -23,20 +23,32 @@ type scored struct {
 
 // Infer produces a validation rule for the query column using the chosen
 // FMDV variant and the offline index. It returns ErrNoFeasible when the
-// constraints admit no pattern.
+// constraints admit no pattern. The column's leaves are solved for it
+// alone; Memo.Infer shares them across columns.
 func Infer(values []string, idx *index.Index, opt Options) (*validate.Rule, error) {
+	return infer(values, idx, opt, nil)
+}
+
+// infer answers leaves from memo, bound to idx and opt; a nil memo stands
+// for a fresh one.
+func infer(values []string, idx *index.Index, opt Options, memo *Memo) (*validate.Rule, error) {
 	if len(values) == 0 {
 		return nil, ErrEmptyColumn
 	}
 	switch opt.Strategy {
-	case FMDVV:
-		return inferVertical(values, idx, opt, 0)
-	case FMDVVH:
-		return inferVertical(values, idx, opt, opt.Theta)
+	case FMDVV, FMDVVH:
+		if memo == nil {
+			memo = NewMemo(idx, opt) // the column's own
+		}
+		theta := opt.Theta
+		if opt.Strategy == FMDVV {
+			theta = 0
+		}
+		return inferVertical(values, memo, theta)
 	case FMDVH:
-		return inferFlat(values, idx, opt, opt.Theta)
+		return inferFlat(values, idx, opt, opt.Theta, nil)
 	default:
-		return inferFlat(values, idx, opt, 0)
+		return inferFlat(values, idx, opt, 0, memo)
 	}
 }
 
@@ -44,14 +56,16 @@ func Infer(values []string, idx *index.Index, opt Options) (*validate.Rule, erro
 // Eq. 12-16): hypotheses are enumerated with the matching support
 // semantics and scored against the index. At theta = 0 the column is one
 // leaf: its hypothesis space H(C) is enumerated from its position
-// summaries and scored as it is visited.
-func inferFlat(values []string, idx *index.Index, opt Options, theta float64) (*validate.Rule, error) {
+// summaries and scored as it is visited, or answered by memo (nil: no
+// memo).
+func inferFlat(values []string, idx *index.Index, opt Options, theta float64, memo *Memo) (*validate.Rule, error) {
 	if len(values) == 0 {
 		return nil, ErrEmptyColumn
 	}
 	if theta == 0 {
 		lf, total := columnLeaf(values, idx, opt)
-		best := lf.best()
+		best, _ := memo.leaf(lf)
+		lf.release()
 		if !best.ok {
 			return nil, ErrNoFeasible
 		}
@@ -78,8 +92,8 @@ func columnLeaf(values []string, idx *index.Index, opt Options) (lf *leafScorer,
 	for _, w := range weights {
 		total += w
 	}
-	lf = &leafScorer{idx: idx, opt: opt}
-	lf.visit = lf.score
+	lf = &leafScorer{}
+	lf.init(idx, opt)
 	lf.fine.reset(opt.Tau, true)
 	lf.merged.reset(opt.Tau, opt.Enum.IncludeAlnumPass)
 	var merged []tokens.Run
@@ -221,7 +235,24 @@ func generality(p pattern.Pattern) int {
 	return g
 }
 
+// buildRule makes the rule of pat, which the DP concatenated from
+// segments. pat's and the segments' tokens may be a memo's, which other
+// rules share, so the rule gets its own copy of them, in one slab.
 func buildRule(opt Options, pat pattern.Pattern, fpr float64, nonConforming, total int, segments []pattern.Pattern) *validate.Rule {
+	n := len(pat.Toks)
+	for _, seg := range segments {
+		n += len(seg.Toks)
+	}
+	slab := make([]pattern.Tok, 0, n)
+	own := func(p pattern.Pattern) pattern.Pattern {
+		lo := len(slab)
+		slab = append(slab, p.Toks...)
+		return pattern.Pattern{Toks: slab[lo:len(slab):len(slab)]}
+	}
+	pat = own(pat)
+	for i, seg := range segments {
+		segments[i] = own(seg)
+	}
 	return &validate.Rule{
 		Pattern:            pat,
 		EstimatedFPR:       fpr,
@@ -261,6 +292,7 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 		}
 	}
 	best := lf.best()
+	lf.release()
 	if !best.ok {
 		return nil, fmt.Errorf("%w (no-index scan over %d columns)", ErrNoFeasible, len(cols))
 	}
@@ -274,5 +306,5 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 // coverage floor so the tag generalizes beyond the examples.
 func InferTag(values []string, idx *index.Index, opt Options, maxFNR float64) (*validate.Rule, error) {
 	opt.Objective = MinCoverage
-	return inferFlat(values, idx, opt, maxFNR)
+	return inferFlat(values, idx, opt, maxFNR, nil)
 }

@@ -35,7 +35,7 @@ func collectLeaf(sub []string, idx *index.Index, opt Options, enum pattern.EnumO
 // equal the fine one. It returns how many segments had a winner.
 func checkLeafScores(t *testing.T, idx *index.Index, values []string, opt Options) (won int) {
 	t.Helper()
-	dp := newSegmentDP(idx, opt, values)
+	dp := newSegmentDP(NewMemo(idx, opt), values)
 	enum := dp.leafEnum()
 	var seg string
 	visited := map[string]bool{}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"autovalidate/internal/index"
 	"autovalidate/internal/msa"
@@ -24,7 +25,9 @@ import (
 // groups are discarded smallest-first while the kept fraction stays at
 // least 1-θ, which removes ad-hoc non-conforming values (they rarely
 // share a shape with conforming ones) before alignment.
-func inferVertical(values []string, idx *index.Index, opt Options, theta float64) (*validate.Rule, error) {
+//
+// Leaves are answered by memo, which holds the index and options.
+func inferVertical(values []string, memo *Memo, theta float64) (*validate.Rule, error) {
 	// Solve under both tokenizations: the fine lexer preserves the most
 	// structure, but columns like GUIDs have wildly diverse fine shapes
 	// and a single coarse shape under alnum merging. Keep whichever
@@ -32,9 +35,10 @@ func inferVertical(values []string, idx *index.Index, opt Options, theta float64
 	// column is lexed once for both, and a segment both alignments cut
 	// out (every segment, when no value has adjacent letter and digit
 	// runs) is solved once.
-	dp := newSegmentDP(idx, opt, values)
+	dp := newSegmentDP(memo, values)
 	fine, errF := dp.infer(theta, false)
 	merged, errM := dp.infer(theta, true)
+	dp.release()
 	switch {
 	case errF != nil && errM != nil:
 		return nil, errF
@@ -55,9 +59,10 @@ func inferVertical(values []string, idx *index.Index, opt Options, theta float64
 
 // lexedColumn is a query column de-duplicated and lexed once: distinct
 // value uniq[i] occurs weights[i] times and lexes to fine[i], or to
-// merged[i] with adjacent letter and digit runs merged. off and first
-// locate a run span of either tokenization in the value, so a segment of
-// the alignment is a substring and a sub-slice, never a new string.
+// merged[i] with adjacent letter and digit runs merged. off, first and
+// owner locate a run span of either tokenization in the value and in the
+// other tokenization, so a segment of the alignment is a substring and a
+// sub-slice, never a new string.
 type lexedColumn struct {
 	uniq    []string
 	weights []int
@@ -66,6 +71,7 @@ type lexedColumn struct {
 	merged  [][]tokens.Run
 	off     [][]int // off[i][k]: byte offset of fine[i][k] in uniq[i]; off[i][len(fine[i])] = len(uniq[i])
 	first   [][]int // first[i][j]: index in fine[i] of merged[i][j]'s first run; first[i][len(merged[i])] = len(fine[i])
+	owner   [][]int // owner[i][k]: index in merged[i] of the run that holds fine[i][k]
 }
 
 func lexColumn(values []string) *lexedColumn {
@@ -74,34 +80,25 @@ func lexColumn(values []string) *lexedColumn {
 	col := &lexedColumn{
 		uniq: uniq, weights: weights, total: len(values),
 		fine: make([][]tokens.Run, n), merged: make([][]tokens.Run, n),
-		off: make([][]int, n), first: make([][]int, n),
+		off: make([][]int, n), first: make([][]int, n), owner: make([][]int, n),
 	}
 	for i, v := range uniq {
 		fine := tokens.Lex(v)
 		merged := tokens.MergeAlnum(make([]tokens.Run, 0, len(fine)), v, fine)
-		ints := make([]int, len(fine)+len(merged)+2)
-		off, first := ints[:len(fine)+1], ints[len(fine)+1:]
+		ints := make([]int, 2*len(fine)+len(merged)+2)
+		off, first, owner := ints[:len(fine)+1], ints[len(fine)+1:len(fine)+len(merged)+2], ints[len(fine)+len(merged)+2:]
 		k := 0
 		for j, m := range merged {
 			first[j] = k
 			for end := off[k] + len(m.Text); off[k] < end; k++ {
 				off[k+1] = off[k] + len(fine[k].Text)
+				owner[k] = j
 			}
 		}
 		first[len(merged)] = len(fine)
-		col.fine[i], col.merged[i], col.off[i], col.first[i] = fine, merged, off, first
+		col.fine[i], col.merged[i], col.off[i], col.first[i], col.owner[i] = fine, merged, off, first, owner
 	}
 	return col
-}
-
-// mergedOf returns the index of value i's merged run that holds its fine
-// run k.
-func (col *lexedColumn) mergedOf(i, k int) int {
-	j, found := slices.BinarySearch(col.first[i], k)
-	if !found {
-		j--
-	}
-	return j
 }
 
 // infer solves the column under one tokenization (merge: with adjacent
@@ -214,7 +211,7 @@ func (dp *segmentDP) infer(theta float64, merge bool) (*validate.Rule, error) {
 type segmentDP struct {
 	leafScorer
 	col  *lexedColumn
-	memo leafMemo
+	memo *Memo
 
 	// The alignment being solved, set by infer, and the slab foldRows
 	// carves its rows' flags from. capped: the column has more distinct
@@ -226,18 +223,18 @@ type segmentDP struct {
 	vary   []uint8
 
 	// Scratch of leaf, reused from segment to segment: the first of the
-	// segment's kept texts, the memo key spelled from their summaries, and
-	// — when the column has more distinct values than Enum.MaxValues — the
-	// texts kept so far.
+	// segment's kept texts and — when the column has more distinct values
+	// than Enum.MaxValues — the texts kept so far.
 	first string
-	key   []byte
 	kept  map[string]struct{}
 }
 
-func newSegmentDP(idx *index.Index, opt Options, values []string) *segmentDP {
-	dp := &segmentDP{leafScorer: leafScorer{idx: idx, opt: opt}, col: lexColumn(values), memo: leafMemo{}, kept: map[string]struct{}{}}
-	dp.capped = opt.Enum.MaxValues > 0 && len(dp.col.uniq) > opt.Enum.MaxValues
-	dp.visit = dp.score
+// newSegmentDP lexes values for the DP, whose leaves memo answers under
+// its index and options.
+func newSegmentDP(memo *Memo, values []string) *segmentDP {
+	dp := &segmentDP{col: lexColumn(values), memo: memo, kept: map[string]struct{}{}}
+	dp.leafScorer.init(memo.idx, memo.opt)
+	dp.capped = memo.opt.Enum.MaxValues > 0 && len(dp.col.uniq) > memo.opt.Enum.MaxValues
 	return dp
 }
 
@@ -248,17 +245,56 @@ type leafScorer struct {
 	idx *index.Index
 	opt Options
 
-	// The summaries of the texts under each tokenization.
+	// The summaries of the texts under each tokenization, and the memo
+	// key spelled from them.
 	fine, merged summary
+	key          []byte
 
 	// The scorer, bound once, and what it was handed for the texts being
 	// solved: how many candidates, how many of them the index knew, and
-	// the feasible ones, their tokens carved from hitToks.
-	visit    func(key string, toks []pattern.Tok)
-	visited  uint64
-	hits     uint64
+	// the feasible ones (pooled scratch).
+	visit   func(key string, toks []pattern.Tok)
+	visited uint64
+	hits    uint64
+	*hitScratch
+}
+
+func (lf *leafScorer) init(idx *index.Index, opt Options) {
+	lf.idx, lf.opt, lf.hitScratch = idx, opt, hitScratches.Get().(*hitScratch)
+	lf.visit = lf.score
+}
+
+// hitScratch is the feasible hits of the leaf being scored, with the slab
+// their tokens are carved from. It is pooled across inferences, so that a
+// column with many feasible hits does not grow them from empty each time.
+type hitScratch struct {
 	feasible []scored
 	hitToks  []pattern.Tok
+}
+
+var hitScratches = sync.Pool{New: func() any { return new(hitScratch) }}
+
+// A pooled hitScratch keeps room for at most this many hits and tokens.
+const maxRetainedHits = 1 << 12
+
+// reset empties the scratch. It zeroes what the last leaf wrote, so that
+// nothing past the length holds a key or a token: a pooled scratch keeps
+// no string of the index or of a column alive.
+func (hs *hitScratch) reset() {
+	clear(hs.feasible)
+	clear(hs.hitToks)
+	hs.feasible, hs.hitToks = hs.feasible[:0], hs.hitToks[:0]
+}
+
+// release returns the scorer's scratch to the pool; the scorer scores
+// nothing after.
+func (lf *leafScorer) release() {
+	hs := lf.hitScratch
+	lf.hitScratch = nil
+	if cap(hs.feasible) <= maxRetainedHits && cap(hs.hitToks) <= maxRetainedHits {
+		hs.reset()
+		hitScratches.Put(hs)
+	}
 }
 
 // alignedRow is one kept shape group, or one member of one: cols[c] is
@@ -339,20 +375,6 @@ func varies(flags []uint8, a, b []tokens.Run) bool {
 	return true
 }
 
-// leafMemo holds every segment solved for one query column, under either
-// tokenization, keyed by the segment's position summaries (appendSummary):
-// segments with equal summaries have the same hypothesis space, so the
-// same best pattern, wherever they lie.
-type leafMemo map[string]leafResult
-
-// leafResult is the best unsplit pattern of a segment's values, before
-// the segment's gaps are accounted for.
-type leafResult struct {
-	ok  bool
-	fpr float64
-	pat pattern.Pattern
-}
-
 type segResult struct {
 	ok   bool
 	agg  float64
@@ -422,14 +444,14 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 		return segResult{ok: true, agg: 0, pats: []pattern.Pattern{p}}
 	}
 
-	dp.spellKey()
-	res, seen := dp.memo[string(dp.key)]
-	if seen {
+	// Segments with equal summaries have the same hypothesis space, so
+	// the same best pattern, wherever they lie and whichever column or
+	// tokenization they come from.
+	res, hit := dp.memo.leaf(&dp.leafScorer)
+	if hit {
 		segmentsMemoized.Add(1)
 	} else {
 		segmentsSolved.Add(1)
-		res = dp.best()
-		dp.memo[string(dp.key)] = res
 	}
 	if !res.ok {
 		return segResult{}
@@ -447,7 +469,8 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 // selectBest would pick: the best under the objective whose FPR_T is at
 // most r and Cov_T at least m. Only the winner's tokens are copied out.
 func (lf *leafScorer) best() leafResult {
-	lf.visited, lf.hits, lf.feasible, lf.hitToks = 0, 0, lf.feasible[:0], lf.hitToks[:0]
+	lf.visited, lf.hits = 0, 0
+	lf.reset()
 	pattern.EnumerateSummary(lf.merged.positions(), lf.fine.positions(), lf.leafEnum(), lf.visit)
 	candidatesEnumerated.Add(lf.visited)
 	indexHits.Add(lf.hits)
@@ -558,7 +581,7 @@ func (dp *segmentDP) summarize(s, e int) (emptyW int, separator bool) {
 		if dp.merge {
 			flo, fhi = first[lo], first[hi]
 		} else {
-			mlo, mhi = col.mergedOf(i, lo), col.mergedOf(i, hi-1)+1
+			mlo, mhi = col.owner[i][lo], col.owner[i][hi-1]+1
 		}
 		text := v[off[flo]:off[fhi]]
 		if dp.capped {
@@ -716,10 +739,10 @@ func (sm *summary) separator() bool {
 	return sm.ok
 }
 
-// spellKey spells the memo key of the segment summarize has summarised
-// into dp.key: its merged summary, then its fine one.
-func (dp *segmentDP) spellKey() {
-	dp.key = appendSummary(appendSummary(dp.key[:0], dp.merged), dp.fine)
+// spellKey spells the memo key of the texts folded into the summaries
+// into lf.key: their merged summary, then their fine one.
+func (lf *leafScorer) spellKey() {
+	lf.key = appendSummary(appendSummary(lf.key[:0], lf.merged), lf.fine)
 }
 
 // appendSummary appends the summary to b, length-prefixed: a zero for

@@ -184,20 +184,23 @@ type Server struct {
 }
 
 // served is one published state of the server: an index, the
-// inference defaults whose τ matches its enumeration, and the cache of
-// rules inferred against it. It is never mutated after publish (the
-// cache locks itself), so the three cannot disagree.
+// inference defaults whose τ matches its enumeration, the cache of rules
+// inferred against it, and the memo of the leaves those inferences solved
+// under the defaults. It is never mutated after publish (the cache and
+// the memo lock themselves), so the four cannot disagree, and nothing
+// else holds the memo: it goes with the snapshot.
 type served struct {
 	idx   *index.Index
 	opt   core.Options
 	cache *ruleLRU
+	memo  *core.Memo
 }
 
 // publish makes idx the served index, with opt as its inference
-// defaults and a fresh, empty rule cache. Callers other than New hold
-// ingestMu.
+// defaults, a fresh, empty rule cache and an empty leaf memo. Callers
+// other than New hold ingestMu.
 func (s *Server) publish(idx *index.Index, opt core.Options) {
-	s.snap.Store(&served{idx: idx, opt: opt, cache: newRuleLRU(s.cacheSize, &s.cacheStats)})
+	s.snap.Store(&served{idx: idx, opt: opt, cache: newRuleLRU(s.cacheSize, &s.cacheStats), memo: core.NewMemo(idx, opt)})
 }
 
 // domainStats aggregates one semantic domain's serving counters.
@@ -511,13 +514,19 @@ func Fingerprint(values []string, opt core.Options) string {
 // inferCached returns the rule for a training column, from the
 // snapshot's cache when possible. A freshly inferred rule goes into the
 // same snapshot's cache: if a publish has superseded it meanwhile, the
-// rule lands in a cache no later request can reach.
+// rule lands in a cache no later request can reach. Under the snapshot's
+// own options the leaves come from its memo; a request that overrides
+// them infers with a memo of its own.
 func (sv *served) inferCached(values []string, opt core.Options) (fp string, rule *validate.Rule, cached bool, err error) {
 	fp = Fingerprint(values, opt)
 	if rule, ok := sv.cache.get(fp); ok {
 		return fp, rule, true, nil
 	}
-	rule, err = core.Infer(values, sv.idx, opt)
+	if opt == sv.opt {
+		rule, err = sv.memo.Infer(values)
+	} else {
+		rule, err = core.Infer(values, sv.idx, opt)
+	}
 	if err != nil {
 		return fp, nil, false, err
 	}
