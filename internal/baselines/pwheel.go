@@ -52,17 +52,18 @@ func MDLPattern(values []string) (pattern.Pattern, bool) {
 	enum.MaxTokens = 0 // profilers have no corpus-side τ constraint
 	enum.MinSupport = pwheelMinCoverage
 	res := pattern.Enumerate(values, enum)
-	best := pattern.Pattern{}
+	var best pattern.Candidate
 	bestDL := math.Inf(1)
-	found := false
 	for _, c := range res.Candidates {
+		// Equal lengths break toward more matched values, then the smaller
+		// key, so the pick does not depend on the candidates' order.
 		dl := descriptionLength(c.Pattern, values)
-		if dl < bestDL {
-			bestDL, best, found = dl, c.Pattern, true
+		if dl < bestDL || dl == bestDL && (c.Matched > best.Matched || c.Matched == best.Matched && c.Key < best.Key) {
+			bestDL, best = dl, c
 		}
 	}
-	best.Toks = slices.Clone(best.Toks) // not a share of the candidates' block
-	return best, found
+	// Tokens of its own, not a share of the candidates' block.
+	return pattern.Pattern{Toks: slices.Clone(best.Pattern.Toks)}, best.Key != ""
 }
 
 // Per-character entropy in bits for each token class.

@@ -111,12 +111,12 @@ func columnLeaf(values []string, idx *index.Index, opt Options) (lf *leafScorer,
 	return lf, total
 }
 
-// selectBest picks the optimal feasible hypothesis: minimum FPR_T
-// (or minimum coverage under the CMDV ablation objective), subject to
-// FPR_T(h) ≤ r and Cov_T(h) ≥ m.
+// selectBest picks the optimal feasible hypothesis among the candidates
+// that match at least minMatched values: the one choose picks from those
+// whose FPR_T is at most r and Cov_T at least m.
 func selectBest(cands []pattern.Candidate, idx *index.Index, opt Options, minMatched int) (scored, error) {
-	var best scored
-	found := false
+	hs := hitScratches.Get().(*hitScratch)
+	defer hs.release()
 	hits := uint64(0)
 	for _, c := range cands {
 		if c.Matched < minMatched {
@@ -127,20 +127,16 @@ func selectBest(cands []pattern.Candidate, idx *index.Index, opt Options, minMat
 			continue
 		}
 		hits++
-		fpr := e.FPR()
-		if fpr > opt.R || int(e.Cov) < opt.M {
-			continue
-		}
-		s := scored{pat: c.Pattern, key: c.Key, fpr: fpr, cov: e.Cov, matched: c.Matched}
-		if !found || better(opt.Objective, &s, &best) {
-			best, found = s, true
+		if fpr := e.FPR(); fpr <= opt.R && int(e.Cov) >= opt.M {
+			hs.feasible = append(hs.feasible, scored{pat: c.Pattern, key: c.Key, fpr: fpr, cov: e.Cov, matched: c.Matched})
 		}
 	}
 	candidatesEnumerated.Add(uint64(len(cands)))
 	indexHits.Add(hits)
-	if !found {
+	if len(hs.feasible) == 0 {
 		return scored{}, ErrNoFeasible
 	}
+	best := hs.feasible[choose(hs.feasible, opt.Objective)]
 	// The winner outlives the enumeration: give it tokens of its own
 	// rather than a share of the block every candidate was carved from.
 	best.pat.Toks = slices.Clone(best.pat.Toks)
@@ -154,23 +150,36 @@ func selectBest(cands []pattern.Candidate, idx *index.Index, opt Options, minMat
 // the domain-true pattern.
 const fprEpsilon = 2e-3
 
-// better reports whether a should be preferred over b under the
-// objective. FPR is primary (Eq. 5) at fprEpsilon resolution; ties break
-// toward more query-column matches, then toward the *syntactically most
-// specific* pattern — among equally safe hypotheses the tighter one
-// catches more issues, serving the paper's secondary goal of detection
-// recall — then lower coverage and the smaller key for determinism.
-//
-// better is not transitive: FPRs within fprEpsilon of each other tie, so
-// a can beat b and b beat c on specificity while c beats a on FPR. The
-// winner of a reduction therefore depends on the order the hypotheses are
-// met in, and callers must reduce in key order within equal query-column
-// matches: the order Enumerate returns, which selectBest reduces in, and
-// the one bestInKeyOrder sorts a leaf's hits into (they all match every
-// value) — a DP leaf's, or the whole column's under flat FMDV at θ = 0,
-// InferNoIndex and InferTag at maxFNR 0. Then the same hypotheses give
-// the same winner.
-func better(obj Objective, a, b *scored) bool {
+// choose returns the index of the hit to pick from hits (at least one)
+// under the objective. Under MinFPR (Eq. 5) every hit whose FPR is within
+// fprEpsilon of the least one is equally safe, and of those it picks the
+// syntactically most specific pattern (least generality) — the tighter
+// one catches more issues, serving the paper's secondary goal of
+// detection recall — then lower coverage, then more query-column matches,
+// then the smaller key. Under MinCoverage it picks the least coverage,
+// then FPR, matches and key. Both are orders over the set, so the
+// pick does not depend on the order of hits; of hits equal in all of
+// these (no keys), the first wins.
+func choose(hits []scored, obj Objective) int {
+	least := hits[0].fpr
+	for _, h := range hits[1:] {
+		least = min(least, h.fpr)
+	}
+	best := -1
+	for i := range hits {
+		h := &hits[i]
+		if obj != MinCoverage && h.fpr > least+fprEpsilon {
+			continue
+		}
+		if best < 0 || ahead(obj, h, &hits[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// ahead orders hits that choose weighs against each other.
+func ahead(obj Objective, a, b *scored) bool {
 	if obj == MinCoverage {
 		if a.cov != b.cov {
 			return a.cov < b.cov
@@ -179,12 +188,6 @@ func better(obj Objective, a, b *scored) bool {
 			return a.fpr < b.fpr
 		}
 	} else {
-		if a.fpr < b.fpr-fprEpsilon {
-			return true
-		}
-		if a.fpr > b.fpr+fprEpsilon {
-			return false
-		}
 		// Specificity before query-match count: a general pattern that
 		// "wins" extra matches only by swallowing non-conforming junk
 		// (e.g. <alnum>+ matching "NULL") is the wrong domain pattern;

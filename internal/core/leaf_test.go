@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -29,8 +30,7 @@ func collectLeaf(sub []string, idx *index.Index, opt Options, enum pattern.EnumO
 // checkLeafScores infers values under both tokenizations and, over every
 // segment of each alignment a leaf would enumerate, holds the leaf's
 // scorer to collectLeaf: the same answer, the same moves of the
-// candidate and index-hit counters, and no feasible candidate better
-// than the winner. The leaf visits no key twice, which the enumerator
+// candidate and index-hit counters, and a winner that holds checkBand. The leaf visits no key twice, which the enumerator
 // leaves to the summaries: a merged one with no <alnum> position must
 // equal the fine one. It returns how many segments had a winner.
 func checkLeafScores(t *testing.T, idx *index.Index, values []string, opt Options) (won int) {
@@ -82,20 +82,36 @@ func checkLeafScores(t *testing.T, idx *index.Index, values []string, opt Option
 					continue
 				}
 				won++
-				w := scoredAt(idx, got.pat, len(sub))
-				for _, c := range cands {
-					e, ok := idx.Lookup(c.Key)
-					if !ok || e.FPR() > opt.R || int(e.Cov) < opt.M {
-						continue
-					}
-					if h := scoredAt(idx, c.Pattern, c.Matched); better(opt.Objective, &h, &w) {
-						t.Fatalf("%s: feasible %q (FPR %v) is better than the winner %q (FPR %v)", seg, h.key, h.fpr, w.key, w.fpr)
-					}
-				}
+				checkBand(t, seg, idx, opt, scoredAt(idx, got.pat, len(sub)), cands)
 			}
 		}
 	}
 	return won
+}
+
+// checkBand holds the winner w to the band rule over the candidates'
+// feasible hits: under MinFPR its FPR is within fprEpsilon of the least
+// feasible FPR, and no feasible hit within fprEpsilon of that least FPR —
+// any feasible hit, under MinCoverage — is ahead of it. A hit just
+// outside the band may still beat w pairwise under better.
+func checkBand(t *testing.T, name string, idx *index.Index, opt Options, w scored, cands []pattern.Candidate) {
+	t.Helper()
+	var hits []scored
+	for _, c := range cands {
+		if e, ok := idx.Lookup(c.Key); ok && e.FPR() <= opt.R && int(e.Cov) >= opt.M {
+			hits = append(hits, scoredAt(idx, c.Pattern, c.Matched))
+		}
+	}
+	least := slices.MinFunc(hits, func(a, b scored) int { return cmp.Compare(a.fpr, b.fpr) }).fpr
+	unbanded := opt.Objective == MinCoverage
+	if !unbanded && w.fpr > least+fprEpsilon {
+		t.Fatalf("%s: the winner %q has FPR %v, more than fprEpsilon above the least feasible FPR %v", name, w.key, w.fpr, least)
+	}
+	for _, h := range hits {
+		if (unbanded || h.fpr <= least+fprEpsilon) && ahead(opt.Objective, &h, &w) {
+			t.Fatalf("%s: feasible %q (FPR %v) in the band is ahead of the winner %q (FPR %v)", name, h.key, h.fpr, w.key, w.fpr)
+		}
+	}
 }
 
 // scoredAt scores p against the index as matching matched values.
@@ -195,10 +211,11 @@ func FuzzLeafScoreAgree(f *testing.F) {
 // "a1" give <alnum>+ (generality 4) FPR 0, <alnum>{2} (2) FPR 0.0015 and
 // the constant a1 (0) FPR 0.003: the constant beats <alnum>{2} and
 // <alnum>{2} beats <alnum>+ on generality within the tie, and <alnum>+
-// beats the constant on FPR. Whatever order the enumerator visits them
-// in, the leaf's reducer picks what selectBest picks from the key-sorted
-// list.
-func TestLeafReducesInKeyOrder(t *testing.T) {
+// beats the constant on FPR. Reduced with better, each order of the three
+// can pick a different one. choose, and selectBest, pick from the set:
+// the constant is outside the band of the least FPR, and <alnum>{2} is
+// the more specific of the two inside it, whatever the order.
+func TestSelectionIsOrderFree(t *testing.T) {
 	column := func(odd string) *corpus.Column {
 		values := slices.Repeat([]string{"a1"}, 997)
 		return &corpus.Column{Values: append(values, odd, odd, odd)}
@@ -230,26 +247,34 @@ func TestLeafReducesInKeyOrder(t *testing.T) {
 			t.Fatalf("%q is not better than %q: no cycle", hits[j].key, hits[i].key)
 		}
 	}
-	slices.SortFunc(cands, func(a, b pattern.Candidate) int { return strings.Compare(a.Key, b.Key) })
-	want, err := selectBest(cands, idx, opt, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := hits[1]
 	naive := map[string]bool{}
-	for r := range hits {
-		order := append(slices.Clone(hits[r:]), hits[:r]...)
-		best := order[0] // reduced in emission order, as without the sort
+	for _, perm := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		order := make([]scored, len(perm))
+		orderCands := make([]pattern.Candidate, len(perm))
+		for i, k := range perm {
+			order[i], orderCands[i] = hits[k], cands[k]
+		}
+		best := order[0] // reduced with better in this order
 		for i := range order[1:] {
 			if better(opt.Objective, &order[i+1], &best) {
 				best = order[i+1]
 			}
 		}
 		naive[best.key] = true
-		if got := bestInKeyOrder(order, opt.Objective); got.key != want.key || got.fpr != want.fpr {
-			t.Errorf("visited from %q: the leaf picks %q, selectBest %q", hits[r].key, got.key, want.key)
+		if got := order[choose(order, opt.Objective)]; got.key != want.key || got.fpr != want.fpr {
+			t.Errorf("order %v: choose picks %q at FPR %v, want %q at %v", perm, got.key, got.fpr, want.key, want.fpr)
 		}
+		got, err := selectBest(orderCands, idx, opt, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.key != want.key || got.fpr != want.fpr {
+			t.Errorf("order %v: selectBest picks %q at FPR %v, want %q at %v", perm, got.key, got.fpr, want.key, want.fpr)
+		}
+		checkBand(t, fmt.Sprintf("order %v", perm), idx, opt, got, orderCands)
 	}
-	if len(naive) != len(hits) {
-		t.Errorf("reducing in emission order picked only %v; each order should pick a different hit", naive)
+	if len(naive) < 2 {
+		t.Errorf("reducing with better in every order picked only %v; the orders should disagree", naive)
 	}
 }

@@ -403,3 +403,40 @@ func oracleInferNoIndex(values []string, cols []*corpus.Column, opt Options) (*v
 	}
 	return buildRule(opt, best.pat, best.fpr, 0, res.Total, nil), nil
 }
+
+// better is the pairwise comparison the oracles reduce with, in the order
+// their hypotheses arrive: a is preferred over b when its FPR is lower by
+// more than fprEpsilon; within fprEpsilon ties break toward lower
+// generality, then lower coverage, then more query-column matches, then
+// the smaller key. Under MinCoverage the order is coverage, FPR, matches,
+// key. It is not transitive — a can beat b and b beat c within the tie
+// while c beats a on FPR — so a reduction with it can depend on the
+// order; choose's band rule does not, and agrees with it wherever no
+// such cycle arises.
+func better(obj Objective, a, b *scored) bool {
+	if obj == MinCoverage {
+		if a.cov != b.cov {
+			return a.cov < b.cov
+		}
+		if a.fpr != b.fpr {
+			return a.fpr < b.fpr
+		}
+	} else {
+		if a.fpr < b.fpr-fprEpsilon {
+			return true
+		}
+		if a.fpr > b.fpr+fprEpsilon {
+			return false
+		}
+		if ga, gb := generality(a.pat), generality(b.pat); ga != gb {
+			return ga < gb
+		}
+		if a.cov != b.cov {
+			return a.cov < b.cov
+		}
+	}
+	if a.matched != b.matched {
+		return a.matched > b.matched
+	}
+	return a.key < b.key
+}

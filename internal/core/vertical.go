@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"autovalidate/internal/index"
@@ -30,10 +29,10 @@ import (
 func inferVertical(values []string, memo *Memo, theta float64) (*validate.Rule, error) {
 	// Solve under both tokenizations: the fine lexer preserves the most
 	// structure, but columns like GUIDs have wildly diverse fine shapes
-	// and a single coarse shape under alnum merging. Keep whichever
-	// solution has the lower aggregated FPR (more specific on ties). The
-	// column is lexed once for both, and a segment both alignments cut
-	// out (every segment, when no value has adjacent letter and digit
+	// and a single coarse shape under alnum merging. Keep the one choose
+	// picks by aggregated FPR (more specific on ties, fine on full ties).
+	// The column is lexed once for both, and a segment both alignments
+	// cut out (every segment, when no value has adjacent letter and digit
 	// runs) is solved once.
 	dp := newSegmentDP(memo, values)
 	fine, errF := dp.infer(theta, false)
@@ -46,15 +45,14 @@ func inferVertical(values []string, memo *Memo, theta float64) (*validate.Rule, 
 		return merged, nil
 	case errM != nil:
 		return fine, nil
-	case merged.EstimatedFPR < fine.EstimatedFPR-fprEpsilon:
-		return merged, nil
-	case fine.EstimatedFPR < merged.EstimatedFPR-fprEpsilon:
-		return fine, nil
-	case generality(merged.Pattern) < generality(fine.Pattern):
-		return merged, nil
-	default:
-		return fine, nil
 	}
+	if choose([]scored{
+		{pat: fine.Pattern, fpr: fine.EstimatedFPR},
+		{pat: merged.Pattern, fpr: merged.EstimatedFPR},
+	}, MinFPR) == 1 {
+		return merged, nil
+	}
+	return fine, nil
 }
 
 // lexedColumn is a query column de-duplicated and lexed once: distinct
@@ -286,15 +284,21 @@ func (hs *hitScratch) reset() {
 	hs.feasible, hs.hitToks = hs.feasible[:0], hs.hitToks[:0]
 }
 
+// release returns the scratch to the pool, unless it has grown too large
+// to keep.
+func (hs *hitScratch) release() {
+	if cap(hs.feasible) <= maxRetainedHits && cap(hs.hitToks) <= maxRetainedHits {
+		hs.reset()
+		hitScratches.Put(hs)
+	}
+}
+
 // release returns the scorer's scratch to the pool; the scorer scores
 // nothing after.
 func (lf *leafScorer) release() {
 	hs := lf.hitScratch
 	lf.hitScratch = nil
-	if cap(hs.feasible) <= maxRetainedHits && cap(hs.hitToks) <= maxRetainedHits {
-		hs.reset()
-		hitScratches.Put(hs)
-	}
+	hs.release()
 }
 
 // alignedRow is one kept shape group, or one member of one: cols[c] is
@@ -466,8 +470,8 @@ func (dp *segmentDP) leaf(s, e int) segResult {
 
 // best enumerates the hypothesis space of the texts folded into the
 // summaries, handing each candidate to visit, and returns the one
-// selectBest would pick: the best under the objective whose FPR_T is at
-// most r and Cov_T at least m. Only the winner's tokens are copied out.
+// choose picks from those whose FPR_T is at most r and Cov_T at least m,
+// as selectBest would. Only the winner's tokens are copied out.
 func (lf *leafScorer) best() leafResult {
 	lf.visited, lf.hits = 0, 0
 	lf.reset()
@@ -477,7 +481,7 @@ func (lf *leafScorer) best() leafResult {
 	if len(lf.feasible) == 0 {
 		return leafResult{}
 	}
-	best := bestInKeyOrder(lf.feasible, lf.opt.Objective)
+	best := lf.feasible[choose(lf.feasible, lf.opt.Objective)]
 	return leafResult{ok: true, fpr: best.fpr, pat: pattern.Pattern{Toks: slices.Clone(best.pat.Toks)}}
 }
 
@@ -506,21 +510,6 @@ func (lf *leafScorer) keep(key string, toks []pattern.Tok, fpr float64, cov uint
 	lf.hitToks = append(lf.hitToks, toks...)
 	pat := pattern.Pattern{Toks: lf.hitToks[lo:len(lf.hitToks):len(lf.hitToks)]}
 	lf.feasible = append(lf.feasible, scored{pat: pat, key: key, fpr: fpr, cov: cov})
-}
-
-// bestInKeyOrder sorts hits by key and reduces them with better in that
-// order, which is the order selectBest meets a leaf's candidates in (it
-// sorts by descending support, then key, and they all have full
-// support). better is not transitive, so the order decides the winner.
-func bestInKeyOrder(hits []scored, obj Objective) scored {
-	slices.SortFunc(hits, func(a, b scored) int { return strings.Compare(a.key, b.key) })
-	best := hits[0]
-	for i := 1; i < len(hits); i++ {
-		if better(obj, &hits[i], &best) {
-			best = hits[i]
-		}
-	}
-	return best
 }
 
 // leafEnum is the enumeration of a leaf: every pattern must match all of

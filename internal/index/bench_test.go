@@ -78,3 +78,14 @@ func BenchmarkDecode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuild is Build over a 30-table enterprise lake, seed 1: the
+// offline `av index` scan (tokenise, enumerate, sum per key) on a fifth
+// of the benchmark's lake, small enough to run at -benchtime 20x.
+func BenchmarkBuild(b *testing.B) {
+	cols := datagen.Generate(datagen.Enterprise(30, 1)).Columns()
+	b.ReportAllocs()
+	for b.Loop() {
+		Build(cols, DefaultBuildOptions())
+	}
+}

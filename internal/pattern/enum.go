@@ -79,7 +79,8 @@ type EnumResult struct {
 // aligned position is generalized independently along the Figure 4
 // hierarchy, and the cross-product is explored depth-first with pruning
 // on weighted support. The candidates are copied out of the pooled
-// scratch.
+// scratch; their order is the search's and no part of the result (each
+// key occurs once).
 func Enumerate(values []string, opt EnumOptions) EnumResult {
 	var res EnumResult
 	if len(values) == 0 {
@@ -141,8 +142,8 @@ type Position struct {
 // summary stands for a tokenization under which the values share no class
 // shape (or the column has an empty value). It hands visit the candidates
 // Enumerate would return — the same keys and tokens, as many — each once,
-// in the search's order, not Enumerate's. The key is the caller's to
-// keep; toks is the enumerator's scratch, valid only until visit returns.
+// in the search's order. The key is the caller's to keep; toks is the
+// enumerator's scratch, valid only until visit returns.
 //
 // Weights, duplicates and the texts themselves do not enter: at full
 // support every option is one every value has, so the search is a plain
@@ -394,9 +395,8 @@ func (em *emitter) emit(toks []Tok, bs bitset) {
 	em.cbits = append(em.cbits, bs...)
 }
 
-// finish copies the candidates out of the scratch, every candidate's
-// tokens carved from one new block, and orders them by descending
-// support, then key.
+// finish copies the candidates out of the scratch, in the order they were
+// first emitted, every candidate's tokens carved from one new block.
 func (em *emitter) finish() []Candidate {
 	if len(em.keys) == 0 {
 		return nil
@@ -413,12 +413,6 @@ func (em *emitter) finish() []Candidate {
 		}
 		lo = hi
 	}
-	slices.SortFunc(out, func(a, b Candidate) int {
-		if a.Matched != b.Matched {
-			return b.Matched - a.Matched
-		}
-		return strings.Compare(a.Key, b.Key)
-	})
 	return out
 }
 

@@ -9,10 +9,10 @@ import (
 
 // oracleEnumerate is the enumeration this package shipped before keys
 // were rendered once: it renders a pattern's key wherever it needs one —
-// once per DFS leaf to de-duplicate, and for both sides of every tie in
-// the output sort. It is kept as the slow obvious reference Enumerate is
-// compared against; the only edit is the stored Candidate.Key, so the two
-// agree on every field.
+// once per DFS leaf to de-duplicate, and again for the result. It is kept
+// as the slow obvious reference Enumerate is compared against; it stores
+// Candidate.Key, so the two agree on every field, and like Enumerate it
+// leaves the candidates in the order the search met them.
 func oracleEnumerate(values []string, opt EnumOptions) EnumResult {
 	var res EnumResult
 	if len(values) == 0 {
@@ -168,12 +168,6 @@ func (em *oracleEmitter) finish() []Candidate {
 	for i := range em.pats {
 		out[i] = Candidate{Pattern: em.pats[i], Key: em.pats[i].Key(), Matched: em.bsets[i].weightedCount(em.weights)}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Matched != out[j].Matched {
-			return out[i].Matched > out[j].Matched
-		}
-		return out[i].Pattern.Key() < out[j].Pattern.Key()
-	})
 	return out
 }
 
