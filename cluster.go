@@ -18,8 +18,8 @@ import (
 // Followers are eventually consistent, bounded by the delta-poll
 // interval; see the README's Deployment section for the topology.
 type (
-	// ClusterLeader layers /replication/{snapshot,deltas,registry} over
-	// a Service built with a DeltaLog.
+	// ClusterLeader layers /replication/{snapshot,deltas} over a
+	// Service built with a DeltaLog.
 	ClusterLeader = cluster.Leader
 	// ClusterFollower drives one replica: snapshot bootstrap, then
 	// poll-and-apply of the leader's delta chain.

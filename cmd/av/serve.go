@@ -46,12 +46,14 @@ import (
 //	GET    /stats                  cache and traffic counters (JSON)
 //	GET    /metrics                Prometheus text format (counters, gauges, latency histograms)
 //
-// With -leader, three replication endpoints are added and every ingest's
+// With -leader, two replication endpoints are added and every ingest's
 // delta is retained (bounded by -retain) as a replication log:
 //
-//	GET /replication/snapshot      framed index + stream registry artifact
-//	GET /replication/deltas?from=G retained delta chain from generation G (410 → re-snapshot)
-//	GET /replication/registry      framed registry alone (stream-rule changes)
+//	GET /replication/snapshot      framed index + stream registry artifact, stamped with the leader's id
+//	GET /replication/deltas?from=G&epoch=E&leader=L
+//	                               retained delta chain from generation G, then the registry when its
+//	                               epoch is not E (410 → re-snapshot: L is another leader's id, or G is
+//	                               past the head or behind the window)
 //
 // With -follow, the service runs as a read replica: it starts unready,
 // bootstraps index and registry from the leader's snapshot, then polls

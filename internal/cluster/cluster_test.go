@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,6 +49,15 @@ func smallOptions() *core.Options {
 // test server.
 func newLeader(t *testing.T, retain int) (*service.Server, *httptest.Server) {
 	t.Helper()
+	svc, h := newLeaderHandler(t, retain)
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return svc, ts
+}
+
+// newLeaderHandler builds a leader service and its replication handler.
+func newLeaderHandler(t *testing.T, retain int) (*service.Server, http.Handler) {
+	t.Helper()
 	svc, err := service.New(service.Config{
 		Index:    lakeIndex(t).Clone(),
 		Options:  smallOptions(),
@@ -60,9 +70,7 @@ func newLeader(t *testing.T, retain int) (*service.Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(l.Handler())
-	t.Cleanup(ts.Close)
-	return svc, ts
+	return svc, l.Handler()
 }
 
 // newFollower builds an unready follower service against the leader URL
@@ -185,8 +193,8 @@ func mustRule(t *testing.T, svc *service.Server) *validate.Rule {
 // TestFollowerBootstrapAndDeltaCatchUp walks the protocol end to end:
 // snapshot bootstrap makes the follower ready at the leader's
 // generation; a leader ingest then replicates as a delta (not a second
-// snapshot); a stream registered on the leader replicates via the
-// registry-epoch path.
+// snapshot); a stream registered on the leader replicates in the next
+// delta poll's registry section.
 func TestFollowerBootstrapAndDeltaCatchUp(t *testing.T) {
 	leaderSvc, leaderTS := newLeader(t, 0)
 	followerSvc, f := newFollower(t, leaderTS.URL)
@@ -224,7 +232,8 @@ func TestFollowerBootstrapAndDeltaCatchUp(t *testing.T) {
 	}
 
 	// A stream registered on the leader appears on the follower after
-	// the next round (epoch change → registry fetch).
+	// the next round (epoch change → the poll's answer carries the
+	// registry).
 	put := map[string]any{"train": train(t, "timestamp_us", 100, 7)}
 	if code := postJSON(t, http.MethodPut, leaderTS.URL+"/streams/orders", put, nil); code != http.StatusOK {
 		t.Fatalf("leader stream put = %d", code)
@@ -266,6 +275,118 @@ func TestFollowerResnapshotsWhenBehindWindow(t *testing.T) {
 	}
 	if !followerSvc.Ready() {
 		t.Fatal("follower unready after re-snapshot")
+	}
+}
+
+// TestFollowerCatchUpIsOneRequest counts the requests the leader serves
+// during one round that brings both an ingest and a stream registration:
+// a single delta poll carries the delta and the registry.
+func TestFollowerCatchUpIsOneRequest(t *testing.T) {
+	leaderSvc, h := newLeaderHandler(t, 0)
+	var gets atomic.Int64
+	leaderTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			gets.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer leaderTS.Close()
+	followerSvc, f := newFollower(t, leaderTS.URL)
+	ctx := context.Background()
+	if err := f.CatchUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	if code := postJSON(t, http.MethodPost, leaderTS.URL+"/ingest", ingestBody(t, 3), nil); code != http.StatusOK {
+		t.Fatalf("leader ingest = %d", code)
+	}
+	put := map[string]any{"train": train(t, "timestamp_us", 100, 7)}
+	if code := postJSON(t, http.MethodPut, leaderTS.URL+"/streams/orders", put, nil); code != http.StatusOK {
+		t.Fatalf("leader stream put = %d", code)
+	}
+	gets.Store(0)
+	if err := f.CatchUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := gets.Load(); n != 1 {
+		t.Fatalf("catch-up round made %d GETs, want 1", n)
+	}
+	st := f.Status()
+	if st.Generation != leaderSvc.Generation() || st.RegistryEpoch != leaderSvc.Registry().Epoch() {
+		t.Fatalf("status = %+v; leader at generation %d, registry epoch %d",
+			st, leaderSvc.Generation(), leaderSvc.Registry().Epoch())
+	}
+	if _, ok := followerSvc.Registry().Get("orders"); !ok {
+		t.Fatal("stream did not replicate to follower")
+	}
+}
+
+// TestFollowerRebootstrapsAfterLeaderRestart restarts the leader, behind
+// the same URL, from the index it started from. The new process counts
+// generations and registry epochs afresh, so once it has ingested past
+// the follower's generation the follower's history is no prefix of the
+// leader's, at equal counters. One round must notice and bootstrap
+// again, after which the follower serves the new leader's entries and
+// streams.
+func TestFollowerRebootstrapsAfterLeaderRestart(t *testing.T) {
+	var current atomic.Pointer[http.Handler]
+	start := func() *service.Server {
+		svc, h := newLeaderHandler(t, 0)
+		current.Store(&h)
+		return svc
+	}
+	leaderSvc := start()
+	leaderTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*current.Load()).ServeHTTP(w, r)
+	}))
+	defer leaderTS.Close()
+	followerSvc, f := newFollower(t, leaderTS.URL)
+	ctx := context.Background()
+	if err := f.CatchUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ingestAndPut := func(stream string, seeds ...int64) {
+		t.Helper()
+		for _, seed := range seeds {
+			if code := postJSON(t, http.MethodPost, leaderTS.URL+"/ingest", ingestBody(t, seed), nil); code != http.StatusOK {
+				t.Fatalf("leader ingest %d = %d", seed, code)
+			}
+		}
+		put := map[string]any{"train": train(t, "timestamp_us", 100, seeds[0])}
+		if code := postJSON(t, http.MethodPut, leaderTS.URL+"/streams/"+stream, put, nil); code != http.StatusOK {
+			t.Fatalf("leader stream put = %d", code)
+		}
+	}
+	ingestAndPut("orders", 31, 32)
+	if err := f.CatchUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if g := followerSvc.Generation(); g != 2 {
+		t.Fatalf("follower generation %d before the restart, want 2", g)
+	}
+
+	leaderSvc = start()
+	ingestAndPut("refunds", 41, 42, 43)
+	if err := f.CatchUp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := f.Status()
+	if st.Generation != leaderSvc.Generation() || !sameEvidence(followerSvc.Index(), leaderSvc.Index()) {
+		t.Fatalf("follower at generation %d with %d patterns; leader at %d with %d",
+			st.Generation, followerSvc.Index().Size(), leaderSvc.Generation(), leaderSvc.Index().Size())
+	}
+	if st.Snapshots != 2 {
+		t.Fatalf("snapshots = %d, want 2 (bootstrap + leader restart)", st.Snapshots)
+	}
+	var fb, lb bytes.Buffer
+	if err := followerSvc.Registry().Encode(&fb); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaderSvc.Registry().Encode(&lb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fb.Bytes(), lb.Bytes()) {
+		t.Fatalf("follower streams %v, leader %v", followerSvc.Registry().Names(), leaderSvc.Registry().Names())
 	}
 }
 

@@ -30,12 +30,12 @@ func sameEvidence(a, b *index.Index) bool {
 	return true
 }
 
-// TestCorruptionTable runs a snapshot and a delta chain — both small, so
-// every byte can be damaged in turn — through the shared corruption
-// table. Damage in transit is an error, or (a flipped digit in a JSON
-// header, which the wire format does not checksum) the same index,
-// streams and deltas under different counters; never other evidence, a
-// shorter chain, or a panic.
+// TestCorruptionTable runs a snapshot and a delta chain carrying the
+// registry — both small, so every byte can be damaged in turn — through
+// the shared corruption table. Damage in transit is an error, or (a
+// flipped digit in a JSON header, which the wire format does not
+// checksum) the same index, streams and deltas under different counters;
+// never other evidence, a shorter chain, or a panic.
 func TestCorruptionTable(t *testing.T) {
 	base := index.Build([]*corpus.Column{corpus.NewColumn("t1", "id", []string{"a-01", "b-22", "c-33"})}, index.DefaultBuildOptions())
 	svc, err := service.New(service.Config{Index: base, Options: smallOptions(), DeltaLog: index.NewDeltaLog(0)})
@@ -78,7 +78,8 @@ func TestCorruptionTable(t *testing.T) {
 			t.Fatalf("leader ingest = %d", code)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/replication/deltas?from=0")
+	// A stale epoch, so the chain carries the registry after its deltas.
+	resp, err := http.Get(ts.URL + "/replication/deltas?from=0&epoch=0&leader=" + l.id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +88,15 @@ func TestCorruptionTable(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("delta fetch: status %d, %v", resp.StatusCode, err)
 	}
-	_, want, err := readDeltas(bytes.NewReader(chain), int64(len(chain)))
-	if err != nil || len(want) != 2 {
-		t.Fatalf("intact chain: %d deltas, %v; want 2", len(want), err)
+	_, want, reg, err := readDeltas(bytes.NewReader(chain), int64(len(chain)))
+	if err != nil || len(want) != 2 || reg == nil {
+		t.Fatalf("intact chain: %d deltas, registry %v, %v; want 2 and the registry", len(want), reg != nil, err)
 	}
 	frametest.Corrupt(t, chain, func(damage string, bad []byte) {
-		_, got, err := readDeltas(bytes.NewReader(bad), int64(len(bad)))
+		_, got, reg, err := readDeltas(bytes.NewReader(bad), int64(len(bad)))
 		if err != nil {
-			if got != nil {
-				t.Errorf("chain %s: a failed read still returned %d deltas", damage, len(got))
+			if got != nil || reg != nil {
+				t.Errorf("chain %s: a failed read still returned %d deltas, registry %v", damage, len(got), reg != nil)
 			}
 			return
 		}
@@ -106,6 +107,9 @@ func TestCorruptionTable(t *testing.T) {
 			if !sameEvidence(got[i].Evidence, want[i].Evidence) {
 				t.Errorf("chain %s: delta %d carries other evidence", damage, i+1)
 			}
+		}
+		if reg == nil || !reflect.DeepEqual(reg.Names(), []string{"ids"}) {
+			t.Errorf("chain %s: read with other streams", damage)
 		}
 	})
 }

@@ -9,7 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -53,7 +53,8 @@ type FollowerStatus struct {
 	RegistryEpoch uint64 `json:"registry_epoch"`
 	// Snapshots and Deltas count installs since the follower started; a
 	// Snapshots value above 1 means the follower fell behind the
-	// leader's delta retention window at least once.
+	// leader's delta retention window, or its leader restarted, at least
+	// once.
 	Snapshots int `json:"snapshots"`
 	Deltas    int `json:"deltas"`
 	// LastError is the most recent catch-up failure ("" when the last
@@ -75,6 +76,7 @@ type Follower struct {
 	mu            sync.Mutex
 	bootstrapped  bool
 	registryEpoch uint64
+	leaderID      string
 	snapshots     int
 	deltas        int
 	lastErr       string
@@ -120,10 +122,11 @@ func (f *Follower) Status() FollowerStatus {
 	}
 }
 
-// Run polls the leader until ctx is done, re-bootstrapping from a
-// snapshot whenever the delta window has moved past this follower.
-// Failures are recorded in Status and retried next interval — a follower
-// outliving a leader restart needs no operator action.
+// Run polls the leader until ctx is done, bootstrapping again from a
+// snapshot whenever the leader answers that its delta chain cannot
+// extend this replica — the window moved past it, or the leader
+// restarted. Failures are recorded in Status and retried next interval,
+// so a follower outliving a leader restart needs no operator action.
 func (f *Follower) Run(ctx context.Context) {
 	ticker := time.NewTicker(f.interval)
 	defer ticker.Stop()
@@ -148,18 +151,26 @@ func (f *Follower) Run(ctx context.Context) {
 }
 
 // CatchUp runs one replication round: bootstrap from a snapshot if none
-// is installed yet, otherwise fetch and apply the deltas the local
-// generation is missing, then refresh the registry if the leader's
-// epoch moved. Returns nil when the follower is (momentarily) caught up.
+// is installed yet, otherwise one delta poll that sends the local
+// generation, the registry epoch and the leader id this replica holds.
+// The leader answers with the deltas the replica is missing and, when
+// the epoch moved, its registry, both installed here; or with 410 Gone,
+// and the round bootstraps again. Returns nil when the follower is
+// (momentarily) caught up.
 func (f *Follower) CatchUp(ctx context.Context) error {
 	f.mu.Lock()
-	booted := f.bootstrapped
+	booted, epoch, leader := f.bootstrapped, f.registryEpoch, f.leaderID
 	f.mu.Unlock()
 	if !booted {
 		return f.Bootstrap(ctx)
 	}
 
-	resp, err := f.do(ctx, fmt.Sprintf("/replication/deltas?from=%d", f.svc.Generation()))
+	query := url.Values{
+		"from":   {strconv.FormatUint(f.svc.Generation(), 10)},
+		"epoch":  {strconv.FormatUint(epoch, 10)},
+		"leader": {leader},
+	}
+	resp, err := f.do(ctx, "/replication/deltas", query.Encode())
 	if err != nil {
 		return err
 	}
@@ -167,7 +178,7 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
-		// Behind the leader's retention window: start over from a
+		// The leader cannot extend this replica: start over from a
 		// snapshot. Serving continues on the stale index meanwhile.
 		return f.Bootstrap(ctx)
 	default:
@@ -177,7 +188,7 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 
 	// The chain can carry the leader's whole retention window, so no
 	// whole-body cap applies here: each section is bounded by maxFetchBytes.
-	head, deltas, err := readDeltas(bufio.NewReader(resp.Body), maxFetchBytes)
+	head, deltas, reg, err := readDeltas(bufio.NewReader(resp.Body), maxFetchBytes)
 	if err != nil {
 		return err
 	}
@@ -187,7 +198,7 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 	applied := 0
 	for i, d := range deltas {
 		if d.Base < f.svc.Generation() {
-			// Already applied (the leader served a superset; harmless).
+			// Already applied (a concurrent round got there first).
 			continue
 		}
 		if err := f.svc.ReplicateDelta(d); err != nil {
@@ -195,117 +206,89 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 		}
 		applied++
 	}
+	if reg != nil {
+		f.svc.InstallRegistry(reg)
+	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	f.deltas += applied
-	epoch := f.registryEpoch
-	f.mu.Unlock()
-
-	if head.RegistryEpoch != epoch {
-		return f.refreshRegistry(ctx)
+	if reg != nil {
+		f.registryEpoch = head.RegistryEpoch
 	}
 	return nil
 }
 
-// readDeltas decodes a delta-chain artifact: its header and every delta
-// it declares, each section bounded by maxBytes. A chain damaged
-// anywhere yields no deltas, so a follower applies whole fetches only.
-func readDeltas(r io.Reader, maxBytes int64) (deltasHeader, []*index.Delta, error) {
+// readDeltas decodes a delta-chain artifact: its header, every delta it
+// declares and the registry when it carries one, each section bounded by
+// maxBytes. A chain damaged anywhere yields no deltas and no registry,
+// so a follower applies whole fetches only.
+func readDeltas(r io.Reader, maxBytes int64) (deltasHeader, []*index.Delta, *registry.Registry, error) {
 	var head deltasHeader
 	fr, err := readArtifact(r, magicDeltas, &head)
 	if err != nil {
-		return head, nil, err
+		return head, nil, nil, err
 	}
 	if head.Count < 0 || head.Count > 1<<20 {
-		return head, nil, fmt.Errorf("cluster: implausible delta count %d", head.Count)
+		return head, nil, nil, fmt.Errorf("cluster: implausible delta count %d", head.Count)
 	}
 	deltas := make([]*index.Delta, 0, head.Count)
 	for i := 0; i < head.Count; i++ {
 		payload, err := fr.ReadSection(maxBytes)
 		if err != nil {
-			return head, nil, fmt.Errorf("cluster: delta %d of %d: %w", i+1, head.Count, err)
+			return head, nil, nil, fmt.Errorf("cluster: delta %d of %d: %w", i+1, head.Count, err)
 		}
 		d, err := index.DecodeDelta(bytes.NewReader(payload), int64(len(payload)))
 		if err != nil {
-			return head, nil, fmt.Errorf("cluster: delta %d of %d: %w", i+1, head.Count, err)
+			return head, nil, nil, fmt.Errorf("cluster: delta %d of %d: %w", i+1, head.Count, err)
 		}
 		deltas = append(deltas, d)
 	}
-	if err := fr.ReadEOF(); err != nil {
-		return head, nil, fmt.Errorf("cluster: delta chain: %w", err)
+	var reg *registry.Registry
+	if head.Registry {
+		if reg, err = readRegistry(fr, maxBytes); err != nil {
+			return head, nil, nil, fmt.Errorf("cluster: delta chain registry: %w", err)
+		}
 	}
-	return head, deltas, nil
+	if err := fr.ReadEOF(); err != nil {
+		return head, nil, nil, fmt.Errorf("cluster: delta chain: %w", err)
+	}
+	return head, deltas, reg, nil
 }
 
 // Bootstrap fetches and installs a full snapshot, making the replica
-// ready.
+// ready. The snapshot streams off the response section by section.
 func (f *Follower) Bootstrap(ctx context.Context) error {
-	body, status, err := f.fetch(ctx, "/replication/snapshot")
+	resp, err := f.do(ctx, "/replication/snapshot", "")
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("cluster: snapshot fetch: leader returned %d: %s", status, bytes.TrimSpace(body))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+		return fmt.Errorf("cluster: snapshot fetch: leader returned %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	idx, reg, epoch, err := ReadSnapshot(bytes.NewReader(body), maxFetchBytes)
+	head, idx, reg, err := readSnapshot(bufio.NewReader(resp.Body), maxFetchBytes)
 	if err != nil {
 		return err
 	}
 	f.svc.InstallSnapshot(idx, reg)
 	f.mu.Lock()
 	f.bootstrapped = true
-	f.registryEpoch = epoch
+	f.registryEpoch = head.RegistryEpoch
+	f.leaderID = head.Leader
 	f.snapshots++
 	f.mu.Unlock()
 	f.log.Info("snapshot installed",
 		slog.Uint64("generation", f.svc.Generation()),
-		slog.Uint64("registry_epoch", epoch))
+		slog.Uint64("registry_epoch", head.RegistryEpoch))
 	return nil
 }
 
-// refreshRegistry re-fetches the leader's registry after an epoch
-// change (a stream was registered, re-inferred, deleted, or marked
-// stale) without re-shipping the index.
-func (f *Follower) refreshRegistry(ctx context.Context) error {
-	body, status, err := f.fetch(ctx, "/replication/registry")
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("cluster: registry fetch: leader returned %d: %s", status, bytes.TrimSpace(body))
-	}
-	var head registryHeader
-	fr, err := readArtifact(bytes.NewReader(body), magicRegistry, &head)
-	if err != nil {
-		return err
-	}
-	payload, err := fr.ReadSection(maxFetchBytes)
-	if err == nil {
-		err = fr.ReadEOF()
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: registry artifact: %w", err)
-	}
-	reg, err := registry.Decode(bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	f.svc.InstallRegistry(reg)
-	f.mu.Lock()
-	f.registryEpoch = head.RegistryEpoch
-	f.mu.Unlock()
-	return nil
-}
-
-// do GETs a leader path, preserving any base-path prefix on the leader
-// URL (the same join the gateway and write proxy apply). The caller
-// owns the response body.
-func (f *Follower) do(ctx context.Context, path string) (*http.Response, error) {
+// do GETs a leader path with a raw query, preserving any base-path
+// prefix on the leader URL (the same join the gateway and write proxy
+// apply). The caller owns the response body.
+func (f *Follower) do(ctx context.Context, path, query string) (*http.Response, error) {
 	u := *f.leader
-	// Split any query off the path so it lands in the URL's RawQuery.
-	query := ""
-	if i := strings.IndexByte(path, '?'); i >= 0 {
-		path, query = path[:i], path[i+1:]
-	}
 	u.Path = singleJoin(u.Path, path)
 	u.RawQuery = query
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
@@ -317,20 +300,4 @@ func (f *Follower) do(ctx context.Context, path string) (*http.Response, error) 
 		return nil, fmt.Errorf("cluster: fetching %s: %w", path, err)
 	}
 	return resp, nil
-}
-
-// fetch GETs a leader path and returns the full body (bounded) and
-// status code — for the snapshot and registry artifacts, whose two
-// sections fit under 2×maxFetchBytes.
-func (f *Follower) fetch(ctx context.Context, path string) ([]byte, int, error) {
-	resp, err := f.do(ctx, path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 2*maxFetchBytes+maxHeader))
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster: reading %s: %w", path, err)
-	}
-	return body, resp.StatusCode, nil
 }

@@ -29,35 +29,37 @@ import (
 )
 
 // Framed-artifact magics. Each replication payload leads with one, so a
-// follower can never mistake a delta feed for a snapshot.
+// follower can never mistake a delta feed for a snapshot. AVDLT2's
+// optional trailing registry section is not in AVDLT1, so a leader and a
+// follower of different versions fail loudly instead of dropping
+// registry changes.
 const (
 	magicSnapshot = "AVSNAP1\n"
-	magicDeltas   = "AVDLT1\n"
-	magicRegistry = "AVRGY1\n"
+	magicDeltas   = "AVDLT2\n"
 )
 
 // maxHeader bounds the JSON header section of any framed artifact.
 const maxHeader = 1 << 20
 
 // snapshotHeader describes a snapshot artifact: the generation of the
-// enclosed index and the leader's registry epoch at encode time, which
-// seeds the follower's registry-change detection.
+// enclosed index, the leader's registry epoch at encode time, which
+// seeds the follower's registry-change detection, and the id of the
+// leader process that served it ("" from WriteSnapshot), which the
+// follower sends back on every delta poll.
 type snapshotHeader struct {
 	Generation    uint64 `json:"generation"`
 	RegistryEpoch uint64 `json:"registry_epoch"`
+	Leader        string `json:"leader"`
 }
 
-// deltasHeader describes a delta-chain artifact.
+// deltasHeader describes a delta-chain artifact: Count delta sections,
+// then, when Registry is set, the leader's registry as of RegistryEpoch.
 type deltasHeader struct {
 	From             uint64 `json:"from"`
 	Count            int    `json:"count"`
 	LeaderGeneration uint64 `json:"leader_generation"`
 	RegistryEpoch    uint64 `json:"registry_epoch"`
-}
-
-// registryHeader describes a registry artifact.
-type registryHeader struct {
-	RegistryEpoch uint64 `json:"registry_epoch"`
+	Registry         bool   `json:"registry,omitempty"`
 }
 
 // writeArtifact writes magic, the JSON header and one section per

@@ -71,12 +71,15 @@ type Registry struct {
 	// since the registry was created. The replication layer compares a
 	// leader's epoch against the one a follower last fetched to decide
 	// whether the registry needs re-shipping; it is process-local state
-	// and is not persisted.
+	// and is not persisted, so the follower compares it only against the
+	// leader process it bootstrapped from (the snapshot's leader id).
 	epoch uint64
 }
 
 // Epoch returns the mutation counter. Two equal epochs from the same
-// process mean the registry is unchanged between the two reads.
+// process mean the registry is unchanged between the two reads; epochs
+// of two processes say nothing about each other, which is why a cluster
+// follower sends back the leader id with its epoch.
 func (r *Registry) Epoch() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -893,7 +893,7 @@ func (s *Server) InstallSnapshot(idx *index.Index, reg *registry.Registry) {
 	}
 	s.publish(idx, opt)
 	if reg != nil {
-		s.installRegistry(reg)
+		s.InstallRegistry(reg)
 	} else {
 		// No registry came with the snapshot: nothing to diff against,
 		// so conservatively drop all rolling state.
@@ -933,9 +933,8 @@ func (s *Server) ObserveLeaderGeneration(gen uint64) {
 // copy, resetting monitor history only for streams whose latest rule
 // version changed (or that disappeared): the gateway pins each stream to
 // one replica, so surviving history is this replica's to keep.
-func (s *Server) InstallRegistry(reg *registry.Registry) { s.installRegistry(reg) }
-
-func (s *Server) installRegistry(reg *registry.Registry) {
+// InstallSnapshot calls it for the snapshot's registry.
+func (s *Server) InstallRegistry(reg *registry.Registry) {
 	old := make(map[string]int)
 	for _, name := range s.registry.Names() {
 		if st, ok := s.registry.Get(name); ok {
