@@ -329,18 +329,9 @@ func TestFollowerCatchUpIsOneRequest(t *testing.T) {
 // again, after which the follower serves the new leader's entries and
 // streams.
 func TestFollowerRebootstrapsAfterLeaderRestart(t *testing.T) {
-	var current atomic.Pointer[http.Handler]
-	start := func() *service.Server {
-		svc, h := newLeaderHandler(t, 0)
-		current.Store(&h)
-		return svc
-	}
+	start, leaderURL := restartableLeader(t)
 	leaderSvc := start()
-	leaderTS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		(*current.Load()).ServeHTTP(w, r)
-	}))
-	defer leaderTS.Close()
-	followerSvc, f := newFollower(t, leaderTS.URL)
+	followerSvc, f := newFollower(t, leaderURL)
 	ctx := context.Background()
 	if err := f.CatchUp(ctx); err != nil {
 		t.Fatal(err)
@@ -348,12 +339,12 @@ func TestFollowerRebootstrapsAfterLeaderRestart(t *testing.T) {
 	ingestAndPut := func(stream string, seeds ...int64) {
 		t.Helper()
 		for _, seed := range seeds {
-			if code := postJSON(t, http.MethodPost, leaderTS.URL+"/ingest", ingestBody(t, seed), nil); code != http.StatusOK {
+			if code := postJSON(t, http.MethodPost, leaderURL+"/ingest", ingestBody(t, seed), nil); code != http.StatusOK {
 				t.Fatalf("leader ingest %d = %d", seed, code)
 			}
 		}
 		put := map[string]any{"train": train(t, "timestamp_us", 100, seeds[0])}
-		if code := postJSON(t, http.MethodPut, leaderTS.URL+"/streams/"+stream, put, nil); code != http.StatusOK {
+		if code := postJSON(t, http.MethodPut, leaderURL+"/streams/"+stream, put, nil); code != http.StatusOK {
 			t.Fatalf("leader stream put = %d", code)
 		}
 	}

@@ -51,10 +51,10 @@ type FollowerStatus struct {
 	Generation uint64 `json:"generation"`
 	// RegistryEpoch is the leader registry epoch last installed.
 	RegistryEpoch uint64 `json:"registry_epoch"`
-	// Snapshots and Deltas count installs since the follower started; a
-	// Snapshots value above 1 means the follower fell behind the
-	// leader's delta retention window, or its leader restarted, at least
-	// once.
+	// Snapshots and Deltas count the service's installs since it
+	// started (its /metrics counters); a Snapshots value above 1 means
+	// the follower fell behind the leader's delta retention window, or
+	// its leader restarted, at least once.
 	Snapshots int `json:"snapshots"`
 	Deltas    int `json:"deltas"`
 	// LastError is the most recent catch-up failure ("" when the last
@@ -73,12 +73,13 @@ type Follower struct {
 	interval time.Duration
 	log      *slog.Logger
 
+	// mu guards the protocol state a poll sends back — the registry
+	// epoch and the id of the leader the last snapshot came from ("" until
+	// one is installed) — and the last round's error. The service counts
+	// what was applied.
 	mu            sync.Mutex
-	bootstrapped  bool
 	registryEpoch uint64
 	leaderID      string
-	snapshots     int
-	deltas        int
 	lastErr       string
 }
 
@@ -108,16 +109,18 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	}, nil
 }
 
-// Status snapshots the loop's progress.
+// Status snapshots the loop's progress. The install counts are the
+// service's, the ones its /metrics renders.
 func (f *Follower) Status() FollowerStatus {
+	snapshots, deltas := f.svc.ReplicationCounts()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return FollowerStatus{
-		Bootstrapped:  f.bootstrapped,
+		Bootstrapped:  snapshots > 0,
 		Generation:    f.svc.Generation(),
 		RegistryEpoch: f.registryEpoch,
-		Snapshots:     f.snapshots,
-		Deltas:        f.deltas,
+		Snapshots:     int(snapshots),
+		Deltas:        int(deltas),
 		LastError:     f.lastErr,
 	}
 }
@@ -154,14 +157,14 @@ func (f *Follower) Run(ctx context.Context) {
 // is installed yet, otherwise one delta poll that sends the local
 // generation, the registry epoch and the leader id this replica holds.
 // The leader answers with the deltas the replica is missing and, when
-// the epoch moved, its registry, both installed here; or with 410 Gone,
-// and the round bootstraps again. Returns nil when the follower is
-// (momentarily) caught up.
+// the epoch moved, its registry, both applied here in one
+// service.ApplyPoll; or with 410 Gone, and the round bootstraps again.
+// Returns nil when the follower is (momentarily) caught up.
 func (f *Follower) CatchUp(ctx context.Context) error {
 	f.mu.Lock()
-	booted, epoch, leader := f.bootstrapped, f.registryEpoch, f.leaderID
+	epoch, leader := f.registryEpoch, f.leaderID
 	f.mu.Unlock()
-	if !booted {
+	if leader == "" {
 		return f.Bootstrap(ctx)
 	}
 
@@ -192,28 +195,13 @@ func (f *Follower) CatchUp(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// Record how far ahead the leader is before applying, so the
-	// generations-behind gauge reflects lag while a long chain applies.
-	f.svc.ObserveLeaderGeneration(head.LeaderGeneration)
-	applied := 0
-	for i, d := range deltas {
-		if d.Base < f.svc.Generation() {
-			// Already applied (a concurrent round got there first).
-			continue
-		}
-		if err := f.svc.ReplicateDelta(d); err != nil {
-			return fmt.Errorf("cluster: applying delta %d of %d: %w", i+1, head.Count, err)
-		}
-		applied++
+	if err := f.svc.ApplyPoll(head.LeaderGeneration, deltas, reg); err != nil {
+		return fmt.Errorf("cluster: applying %d deltas from generation %d: %w", head.Count, head.From, err)
 	}
 	if reg != nil {
-		f.svc.InstallRegistry(reg)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.deltas += applied
-	if reg != nil {
+		f.mu.Lock()
 		f.registryEpoch = head.RegistryEpoch
+		f.mu.Unlock()
 	}
 	return nil
 }
@@ -273,14 +261,9 @@ func (f *Follower) Bootstrap(ctx context.Context) error {
 	}
 	f.svc.InstallSnapshot(idx, reg)
 	f.mu.Lock()
-	f.bootstrapped = true
 	f.registryEpoch = head.RegistryEpoch
 	f.leaderID = head.Leader
-	f.snapshots++
 	f.mu.Unlock()
-	f.log.Info("snapshot installed",
-		slog.Uint64("generation", f.svc.Generation()),
-		slog.Uint64("registry_epoch", head.RegistryEpoch))
 	return nil
 }
 

@@ -25,6 +25,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"autovalidate/internal/domain"
@@ -301,7 +302,7 @@ func fprBound(rule *validate.Rule) float64 {
 
 // validatorFor returns the runnable validator of the stream's persisted
 // domain, resolved once per rule version and kept with the stream's
-// rolling state (so Reset and ResetAll drop it too): a learned
+// rolling state (so Reset drops it too): a learned
 // vocabulary's dictionary is rebuilt from the persisted words and a
 // built-in is fetched from the domain registry only when the rule
 // changes, not on every batch. The rule pointer is compared beside the
@@ -441,8 +442,12 @@ func (e *Engine) score(stream registry.Stream, v *Verdict, alarm bool) bool {
 	bound := fprBound(stream.Rule)
 	evidence := v.NonConforming + v.DomainOnlyInvalid
 	v.DriftP = stats.BinomialTailP(evidence, v.Total, bound)
-	rateLo, _ := stats.ClopperPearson(evidence, v.Total, confidence)
-	v.RateLo = rateLo
+	// stats.ClopperPearson's lower bound, without the upper one that no
+	// verdict reports.
+	v.RateLo = 0
+	if k := min(evidence, v.Total); k > 0 {
+		v.RateLo = stats.BetaQuantile((1-float64(confidence))/2, float64(k), float64(v.Total-k+1))
+	}
 
 	small := v.Total < minBatch
 	return !small && (alarm || v.DriftP < e.policy.Alpha)
@@ -570,16 +575,20 @@ func (e *Engine) Reset(name string) {
 	delete(e.streams, name)
 }
 
-// ResetAll drops the rolling state of every stream — called when a
-// follower installs a replicated snapshot, which can replace the whole
-// registry at once. Per-stream history accumulated under the replaced
-// rules says nothing about the incoming ones, and because the gateway
-// pins each stream to one replica by consistent hash, the history being
-// rebuilt here is the only copy that matters for that stream.
-func (e *Engine) ResetAll() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.streams = make(map[string]*streamState)
+// SameRule reports whether history judged against stream a still
+// describes stream b: the same version, and a rule the drift test reads
+// alike (pattern, estimated FPR, training counts, test, α, domain). A
+// restarted leader can bring another rule under a version seen before.
+func SameRule(a, b registry.Stream) bool {
+	ra, rb := a.Rule, b.Rule
+	return a.Version == b.Version &&
+		ra.Pattern.Equal(rb.Pattern) &&
+		ra.EstimatedFPR == rb.EstimatedFPR &&
+		ra.TrainNonConforming == rb.TrainNonConforming &&
+		ra.TrainTotal == rb.TrainTotal &&
+		ra.Test == rb.Test && ra.Alpha == rb.Alpha &&
+		a.Domain.Name == b.Domain.Name &&
+		slices.Equal(a.Domain.Vocab, b.Domain.Vocab)
 }
 
 // States reports each checked stream's most recent action — the

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -432,5 +433,61 @@ func TestCheckBytesEmptyAndNilRule(t *testing.T) {
 	}
 	if _, err := e.CheckBytes(registry.Stream{Name: "s"}, [][]byte{[]byte("1234")}); err == nil {
 		t.Error("nil rule must error")
+	}
+}
+
+// A verdict's RateLo is stats.ClopperPearson's lower bound, bit for
+// bit, k = 0 and k = n included.
+func TestRateLoIsClopperPearsonLower(t *testing.T) {
+	e := NewEngine(DefaultPolicy())
+	s := stream("s", fourDigitRule(t, 0.01, 0), false)
+	for _, c := range []struct{ k, n int }{
+		{0, 0}, {0, 1}, {0, 8}, {0, 50}, {0, 20000},
+		{1, 1}, {1, 8}, {3, 50}, {50, 50}, {100, 2000},
+		{999, 1000}, {7, 20000}, {20000, 20000},
+	} {
+		v := Verdict{Total: c.n, NonConforming: c.k}
+		e.score(s, &v, false)
+		lo, _ := stats.ClopperPearson(c.k, c.n, confidence)
+		if math.Float64bits(v.RateLo) != math.Float64bits(lo) {
+			t.Errorf("k %d, n %d: RateLo %v, ClopperPearson lo %v", c.k, c.n, v.RateLo, lo)
+		}
+	}
+}
+
+// SameRule tells a rule the drift test reads differently from one it
+// reads alike, whatever the version number says.
+func TestSameRule(t *testing.T) {
+	base := stream("s", fourDigitRule(t, 0.01, 0.01), false)
+	with := func(edit func(*registry.Stream, *validate.Rule)) registry.Stream {
+		s := base
+		s.Rule = fourDigitRule(t, 0.01, 0.01)
+		edit(&s, s.Rule)
+		return s
+	}
+	other, err := pattern.Parse("<letter>{4}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		b    registry.Stream
+		same bool
+	}{
+		"copy":          {with(func(*registry.Stream, *validate.Rule) {}), true},
+		"stale":         {with(func(s *registry.Stream, _ *validate.Rule) { s.Stale = true }), true},
+		"generation":    {with(func(s *registry.Stream, _ *validate.Rule) { s.IndexGeneration = 9 }), true},
+		"version":       {with(func(s *registry.Stream, _ *validate.Rule) { s.Version = 2 }), false},
+		"pattern":       {with(func(_ *registry.Stream, r *validate.Rule) { r.Pattern = other }), false},
+		"fpr":           {with(func(_ *registry.Stream, r *validate.Rule) { r.EstimatedFPR = 0.02 }), false},
+		"train counts":  {with(func(_ *registry.Stream, r *validate.Rule) { r.TrainNonConforming = 1 }), false},
+		"train total":   {with(func(_ *registry.Stream, r *validate.Rule) { r.TrainTotal = 999 }), false},
+		"test alpha":    {with(func(_ *registry.Stream, r *validate.Rule) { r.Alpha = 0.05 }), false},
+		"domain":        {with(func(s *registry.Stream, _ *validate.Rule) { s.Domain.Name = "ipv4" }), false},
+		"domain vocab":  {with(func(s *registry.Stream, _ *validate.Rule) { s.Domain.Vocab = []string{"a"} }), false},
+		"domain counts": {with(func(s *registry.Stream, _ *validate.Rule) { s.Domain.Confidence = 0.95 }), true},
+	} {
+		if got := SameRule(base, c.b); got != c.same {
+			t.Errorf("%s: SameRule = %v, want %v", name, got, c.same)
+		}
 	}
 }

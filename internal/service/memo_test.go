@@ -8,9 +8,10 @@ import (
 	"weak"
 
 	"autovalidate/internal/index"
+	"autovalidate/internal/registry"
 )
 
-// Each publish — /ingest, a replicated delta, an installed snapshot —
+// Each publish — /ingest, an applied poll, an installed snapshot —
 // serves an empty leaf memo, and the superseded snapshot's memo is
 // garbage once no request holds it.
 func TestPublishStartsAnEmptyMemo(t *testing.T) {
@@ -27,12 +28,13 @@ func TestPublishStartsAnEmptyMemo(t *testing.T) {
 				t.Fatalf("/ingest: status %d", code)
 			}
 		}},
-		{"ReplicateDelta", func() {
-			if err := srv.ReplicateDelta(index.BuildDelta(srv.Index(), columnBatch(t, "ipv4", 2, 20), index.BuildOptions{})); err != nil {
+		{"ApplyPoll", func() {
+			d := index.BuildDelta(srv.Index(), columnBatch(t, "ipv4", 2, 20), index.BuildOptions{})
+			if err := srv.ApplyPoll(d.Base+1, []*index.Delta{d}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"InstallSnapshot", func() { srv.InstallSnapshot(srv.Index().Clone(), nil) }},
+		{"InstallSnapshot", func() { srv.InstallSnapshot(srv.Index().Clone(), registry.New()) }},
 	} {
 		seed++
 		if code := post(t, ts, "/infer", InferRequest{Values: trainValues(t, "timestamp_us", 100, seed)}, nil); code != http.StatusOK {

@@ -71,7 +71,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// (or a standalone server) reports 0 behind; the seconds-since
 	// gauge appears once the first replicated apply lands.
 	leaderGen := s.leaderGen.Load()
-	mw.Gauge("autovalidate_replication_leader_generation", "Highest leader index generation observed via replication (0 when not a follower).", float64(leaderGen))
+	mw.Gauge("autovalidate_replication_leader_generation", "Leader index generation last reported by replication (0 when not a follower).", float64(leaderGen))
 	behind := 0.0
 	if leaderGen > st.IndexGeneration {
 		behind = float64(leaderGen - st.IndexGeneration)
@@ -86,7 +86,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Histogram(applyName, obs.Label("kind", "snapshot"), s.applySnapshot)
 
 	ready := 0.0
-	if s.ready.Load() {
+	if s.Ready() {
 		ready = 1
 	}
 	mw.Gauge("autovalidate_ready", "Whether /readyz reports 200 (1) or 503 (0).", ready)

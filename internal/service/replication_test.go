@@ -79,22 +79,31 @@ func TestReadyzGatesOnSnapshot(t *testing.T) {
 
 // TestReplicateDeltaAdvancesGeneration drives the follower-side apply
 // path: a delta built against the served generation applies and advances
-// it; a delta against the wrong generation is rejected untouched.
+// it; replaying it is skipped as already covered, and a delta that
+// skips a generation is rejected untouched.
 func TestReplicateDeltaAdvancesGeneration(t *testing.T) {
 	srv := testServer(t, 8)
 	base := srv.Index()
 	cols := columnBatch(t, "ipv4", 3, 20)
 
 	d := index.BuildDelta(base, cols, index.BuildOptions{})
-	if err := srv.ReplicateDelta(d); err != nil {
+	if err := srv.ApplyPoll(d.Base+1, []*index.Delta{d}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if g := srv.Generation(); g != base.Generation+1 {
 		t.Fatalf("generation after replicate = %d, want %d", g, base.Generation+1)
 	}
-	// Replaying the same delta must fail: its base no longer matches.
-	if err := srv.ReplicateDelta(d); err == nil {
-		t.Fatal("replaying a delta should be rejected")
+	// Replaying the same delta is a no-op: the generation covers it.
+	if err := srv.ApplyPoll(d.Base+1, []*index.Delta{d}, nil); err != nil || srv.Generation() != base.Generation+1 {
+		t.Fatalf("replay: err %v, generation %d", err, srv.Generation())
+	}
+	// A delta whose base is past the served generation must fail.
+	ahead := &index.Delta{Evidence: d.Evidence, Base: base.Generation + 2}
+	if err := srv.ApplyPoll(ahead.Base+1, []*index.Delta{ahead}, nil); err == nil {
+		t.Fatal("a delta that skips a generation should be rejected")
+	}
+	if _, deltas := srv.ReplicationCounts(); deltas != 1 {
+		t.Fatalf("replicated deltas = %d, want 1", deltas)
 	}
 }
 
@@ -191,10 +200,23 @@ func TestSnapshotInstallPublishesTauWithIndex(t *testing.T) {
 				return
 			default:
 			}
+			// Each snapshot carries the registry as it stands, as a
+			// leader's does, so the streams registered so far stay to be
+			// checked.
+			var buf bytes.Buffer
+			if err := srv.Registry().Encode(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			reg, err := registry.Decode(&buf)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			if i%2 == 0 {
-				srv.InstallSnapshot(narrow, nil)
+				srv.InstallSnapshot(narrow, reg)
 			} else {
-				srv.InstallSnapshot(wide, nil)
+				srv.InstallSnapshot(wide, reg)
 			}
 		}
 	}()

@@ -145,18 +145,20 @@ type Server struct {
 	compiledNFAValues atomic.Uint64
 
 	// Replication state: the retained delta chain (leaders), the write
-	// proxy to the leader (followers), readiness for the gateway's
-	// health checks, and counters for /metrics.
+	// proxy to the leader (followers), whether readiness waits for a
+	// snapshot, and the install counters behind /metrics and a
+	// follower's status.
 	deltaLog         *index.DeltaLog
 	writeProxy       *url.URL
 	proxy            http.Handler
-	ready            atomic.Bool
+	startUnready     bool
 	replicatedDeltas atomic.Uint64
 	snapshotInstalls atomic.Uint64
 
-	// Replication-lag telemetry: the highest leader generation observed
-	// by catch-up (ObserveLeaderGeneration), the wall time of the last
-	// replication apply, and apply-duration histograms by kind.
+	// Replication-lag telemetry: the leader generation last reported by a
+	// poll or a snapshot, the wall time of the last replication apply,
+	// and apply-duration histograms by kind (one delta observation a
+	// poll that brings deltas, however many it folds).
 	leaderGen      atomic.Uint64
 	lastApplyNanos atomic.Int64
 	applyDelta     *obs.Histogram
@@ -266,6 +268,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		readOnly:      cfg.ReadOnly,
+		startUnready:  cfg.StartUnready,
 		cacheSize:     size,
 		registry:      reg,
 		regPath:       cfg.RegistryPath,
@@ -292,7 +295,6 @@ func New(cfg Config) (*Server, error) {
 	for _, route := range routes {
 		s.endpoints[route] = &endpointStats{latency: obs.NewHistogram(nil)}
 	}
-	s.ready.Store(!cfg.StartUnready)
 	if s.journal != nil {
 		// Before the first request: the monitor picks up each stream's
 		// escalation ladder where the previous process left it.
@@ -636,17 +638,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// commit folds a delta into a clone of the served index and publishes
-// the result with the same inference defaults and an empty rule cache —
-// the one write path of /ingest and ReplicateDelta. Stream rules whose
-// evidence predates the new generation are marked stale; the count is
-// returned. It fails without side effects if the delta does not extend
-// the served generation. Callers hold ingestMu.
-func (s *Server) commit(d *index.Delta) (*index.Index, int, error) {
+// commit folds a chain of deltas into one clone of the served index and
+// publishes the result once, with the same inference defaults and an
+// empty rule cache — the one write path of /ingest and ApplyPoll. Stream
+// rules whose evidence predates the new generation are marked stale; the
+// count is returned. It fails without side effects if a delta does not
+// extend the generation before it. Callers hold ingestMu.
+func (s *Server) commit(chain ...*index.Delta) (*index.Index, int, error) {
 	cur := s.snap.Load()
 	next := cur.idx.Clone()
-	if err := next.ApplyDelta(d); err != nil {
-		return nil, 0, err
+	for _, d := range chain {
+		if err := next.ApplyDelta(d); err != nil {
+			return nil, 0, err
+		}
 	}
 	if s.deltaLog != nil {
 		// Append BEFORE publishing: a replication reader that observes
@@ -655,7 +659,9 @@ func (s *Server) commit(d *index.Delta) (*index.Index, int, error) {
 		// Under ingestMu, so appends arrive in application order and the
 		// retained chain stays contiguous; Append self-heals a gap by
 		// resetting to the new delta anyway.
-		_ = s.deltaLog.Append(d)
+		for _, d := range chain {
+			_ = s.deltaLog.Append(d)
+		}
 	}
 	s.publish(next, cur.opt)
 	// Under the same ingestMu, so a concurrent PUT cannot slip an
@@ -813,7 +819,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // the first snapshot install for a follower. Gateways health-check this
 // endpoint to decide routability.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
+	if !s.Ready() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "starting",
 			"reason": "no snapshot installed yet",
@@ -828,8 +834,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Ready reports whether /readyz answers 200.
-func (s *Server) Ready() bool { return s.ready.Load() }
+// Ready reports whether /readyz answers 200: from the start, or for a
+// server started unready, once a snapshot is installed.
+func (s *Server) Ready() bool { return !s.startUnready || s.snapshotInstalls.Load() > 0 }
 
 // Generation returns the served index's current generation.
 func (s *Server) Generation() uint64 { return s.snap.Load().idx.Generation }
@@ -838,43 +845,53 @@ func (s *Server) Generation() uint64 { return s.snap.Load().idx.Generation }
 // configured) — the replication log a cluster leader serves from.
 func (s *Server) DeltaLog() *index.DeltaLog { return s.deltaLog }
 
-// ReplicateDelta applies one replicated delta through the same commit
-// as /ingest: readers keep the snapshot they loaded, the new index is
-// published with an empty rule cache, and stream rules whose evidence
-// predates the new generation are marked stale. It fails without side
-// effects if the delta does not extend the current generation.
-func (s *Server) ReplicateDelta(d *index.Delta) error {
-	_, sp := s.tracer.StartSpan(context.Background(), "replication.apply_delta")
-	defer sp.End()
-	start := time.Now()
+// ApplyPoll applies one replication poll's answer: the leader's
+// generation, its deltas, and its registry when its epoch moved (nil
+// otherwise). Deltas the served generation covers are skipped; the rest
+// are published once, through commit, or on an error not at all, and
+// then no registry is installed. The generation feeds the lag gauges.
+func (s *Server) ApplyPoll(leaderGen uint64, deltas []*index.Delta, reg *registry.Registry) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	next, _, err := s.commit(d)
-	if err != nil {
-		sp.SetError(err)
-		return err
+	s.leaderGen.Store(leaderGen)
+	for len(deltas) > 0 && deltas[0].Base < s.snap.Load().idx.Generation {
+		deltas = deltas[1:]
 	}
-	s.replicatedDeltas.Add(1)
-	s.applyDelta.Observe(time.Since(start))
-	s.lastApplyNanos.Store(time.Now().UnixNano())
-	s.journalEvent(context.Background(), journal.Event{
-		Kind:   journal.KindDeltaApply,
-		Detail: mustDetail(map[string]any{"generation": next.Generation}),
-	})
-	s.log.Info("replicated delta applied",
-		slog.Uint64("generation", next.Generation),
-		slog.Duration("took", time.Since(start)))
+	if len(deltas) > 0 {
+		// One span and one apply-duration observation a poll that brings
+		// deltas; an empty poll, every interval, records neither.
+		_, sp := s.tracer.StartSpan(context.Background(), "replication.apply_delta")
+		defer sp.End()
+		start := time.Now()
+		next, _, err := s.commit(deltas...)
+		if err != nil {
+			sp.SetError(err)
+			return err
+		}
+		s.replicatedDeltas.Add(uint64(len(deltas)))
+		s.applyDelta.Observe(time.Since(start))
+		s.lastApplyNanos.Store(time.Now().UnixNano())
+		for _, d := range deltas {
+			s.journalEvent(context.Background(), journal.Event{
+				Kind:   journal.KindDeltaApply,
+				Detail: mustDetail(map[string]any{"generation": d.Base + 1}),
+			})
+		}
+		s.log.Info("replicated deltas applied",
+			slog.Int("deltas", len(deltas)),
+			slog.Uint64("generation", next.Generation),
+			slog.Duration("took", time.Since(start)))
+	}
+	if reg != nil {
+		s.installRegistry(reg)
+	}
 	return nil
 }
 
-// InstallSnapshot replaces the served index and registry wholesale — the
-// follower-side bootstrap (and fallback when the leader's retention
-// window has moved past this follower). The index is published with its
-// own τ and an empty rule cache; monitor history survives for streams
-// whose rule version is unchanged (a re-bootstrap after a leader restart
-// must not wipe months of drift state — this replica holds the only
-// copy for the streams the gateway pins here); and the server becomes
-// ready.
+// InstallSnapshot replaces the served index and registry wholesale: a
+// follower's bootstrap, and its fallback when the leader cannot extend
+// it. The index is published with its own τ and an empty rule cache, the
+// registry is installed as a poll's is, and the server becomes ready.
 func (s *Server) InstallSnapshot(idx *index.Index, reg *registry.Registry) {
 	_, sp := s.tracer.StartSpan(context.Background(), "replication.install_snapshot")
 	defer sp.End()
@@ -892,20 +909,13 @@ func (s *Server) InstallSnapshot(idx *index.Index, reg *registry.Registry) {
 		opt.Tau = idx.Enum.MaxTokens
 	}
 	s.publish(idx, opt)
-	if reg != nil {
-		s.InstallRegistry(reg)
-	} else {
-		// No registry came with the snapshot: nothing to diff against,
-		// so conservatively drop all rolling state.
-		s.mon.ResetAll()
-	}
+	s.installRegistry(reg)
 	s.snapshotInstalls.Add(1)
-	s.ready.Store(true)
 	s.applySnapshot.Observe(time.Since(start))
 	s.lastApplyNanos.Store(time.Now().UnixNano())
-	// The snapshot embodies the leader's state at serve time, so it is
-	// also a lower bound on the leader's generation.
-	s.ObserveLeaderGeneration(idx.Generation)
+	// The leader's generation at serve time: lower than the last one
+	// reported when the leader restarted and counts afresh.
+	s.leaderGen.Store(idx.Generation)
 	s.journalEvent(context.Background(), journal.Event{
 		Kind:   journal.KindSnapshotInstall,
 		Detail: mustDetail(map[string]any{"generation": idx.Generation, "patterns": idx.Size()}),
@@ -916,37 +926,30 @@ func (s *Server) InstallSnapshot(idx *index.Index, reg *registry.Registry) {
 		slog.Duration("took", time.Since(start)))
 }
 
-// ObserveLeaderGeneration records the highest leader index generation
-// this server has seen — a follower's catch-up loop reports it from
-// every replication response — feeding the generations-behind and
-// seconds-since-applied replication-lag gauges in /metrics.
-func (s *Server) ObserveLeaderGeneration(gen uint64) {
-	for {
-		cur := s.leaderGen.Load()
-		if gen <= cur || s.leaderGen.CompareAndSwap(cur, gen) {
-			return
+// installRegistry replaces the stream registry with a replicated copy.
+// A stream keeps its monitor history while its latest rule is the one
+// the history was judged against (monitor.SameRule): the gateway pins
+// each stream to one replica, so that history is this replica's to keep.
+// Other streams start afresh. Callers hold ingestMu.
+func (s *Server) installRegistry(reg *registry.Registry) {
+	old := make(map[string]registry.Stream)
+	for _, name := range s.registry.Names() {
+		if st, ok := s.registry.Get(name); ok {
+			old[name] = st
+		}
+	}
+	s.registry.ReplaceFrom(reg)
+	for name, was := range old {
+		if st, ok := s.registry.Get(name); !ok || !monitor.SameRule(was, st) {
+			s.mon.Reset(name)
 		}
 	}
 }
 
-// InstallRegistry replaces the stream registry with a freshly replicated
-// copy, resetting monitor history only for streams whose latest rule
-// version changed (or that disappeared): the gateway pins each stream to
-// one replica, so surviving history is this replica's to keep.
-// InstallSnapshot calls it for the snapshot's registry.
-func (s *Server) InstallRegistry(reg *registry.Registry) {
-	old := make(map[string]int)
-	for _, name := range s.registry.Names() {
-		if st, ok := s.registry.Get(name); ok {
-			old[name] = st.Version
-		}
-	}
-	s.registry.ReplaceFrom(reg)
-	for name, ver := range old {
-		if st, ok := s.registry.Get(name); !ok || st.Version != ver {
-			s.mon.Reset(name)
-		}
-	}
+// ReplicationCounts returns the snapshots installed and the replicated
+// deltas applied since the server started, as /metrics counts them.
+func (s *Server) ReplicationCounts() (snapshots, deltas uint64) {
+	return s.snapshotInstalls.Load(), s.replicatedDeltas.Load()
 }
 
 // Stats is the /stats payload.
