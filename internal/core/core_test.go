@@ -354,7 +354,8 @@ func TestInferTagIsMoreRestrictive(t *testing.T) {
 }
 
 func TestGenerality(t *testing.T) {
-	specific := pattern.FromValue("Mar 01 2019")
+	// The most specific pattern of a value: its constant tokens.
+	specific := pattern.New(pattern.Lit("Mar"), pattern.Lit(" "), pattern.Lit("01"), pattern.Lit(" "), pattern.Lit("2019"))
 	mid, _ := datagen.IdealPattern("date_mdy_text")
 	if generality(specific) >= generality(mid) {
 		t.Errorf("constants must score more specific than classes")

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"autovalidate/internal/corpus"
 	"autovalidate/internal/index"
@@ -71,22 +69,17 @@ func inferFlat(values []string, idx *index.Index, opt Options, theta float64, me
 		}
 		return buildRule(opt, best.pat, best.fpr, 0, total, nil), nil
 	}
-	enum := opt.Enum
-	enum.MaxTokens = opt.Tau
-	enum.MinSupport = 1 - theta
-	res := pattern.Enumerate(values, enum)
-	minMatched := int(math.Ceil((1 - theta) * float64(res.Total)))
-	best, err := selectBest(res.Candidates, idx, opt, minMatched)
+	best, total, err := selectBest(values, idx, opt, theta)
 	if err != nil {
 		return nil, err
 	}
-	return buildRule(opt, best.pat, best.fpr, res.Total-best.matched, res.Total, nil), nil
+	return buildRule(opt, best.pat, best.fpr, total-best.matched, total, nil), nil
 }
 
 // columnLeaf folds the whole column into a leaf's summaries: its first
 // Enum.MaxValues distinct values, the ones Enumerate keeps, whose total
-// weight it returns. Each value is lexed once, and the scan stops lexing
-// once both tokenizations are ruled out.
+// weight it returns. Each value is lexed once, into one run buffer, and
+// the scan stops lexing once both tokenizations are ruled out.
 func columnLeaf(values []string, idx *index.Index, opt Options) (lf *leafScorer, total int) {
 	uniq, weights := pattern.Dedupe(values, opt.Enum.MaxValues)
 	for _, w := range weights {
@@ -96,12 +89,12 @@ func columnLeaf(values []string, idx *index.Index, opt Options) (lf *leafScorer,
 	lf.init(idx, opt)
 	lf.fine.reset(opt.Tau, true)
 	lf.merged.reset(opt.Tau, opt.Enum.IncludeAlnumPass)
-	var merged []tokens.Run
+	fine, merged := make([]tokens.Run, 0, 16), make([]tokens.Run, 0, 16)
 	for _, v := range uniq {
 		if !lf.fine.ok && !lf.merged.ok {
 			break
 		}
-		fine := tokens.Lex(v)
+		fine = tokens.AppendLex(fine[:0], v)
 		lf.fine.foldRuns(fine)
 		if lf.merged.ok {
 			merged = tokens.MergeAlnum(merged[:0], v, fine)
@@ -111,36 +104,35 @@ func columnLeaf(values []string, idx *index.Index, opt Options) (lf *leafScorer,
 	return lf, total
 }
 
-// selectBest picks the optimal feasible hypothesis among the candidates
-// that match at least minMatched values: the one choose picks from those
-// whose FPR_T is at most r and Cov_T at least m.
-func selectBest(cands []pattern.Candidate, idx *index.Index, opt Options, minMatched int) (scored, error) {
+// selectBest enumerates the hypotheses that match at least 1-θ of the
+// values (with multiplicity) and picks the optimal feasible one: the one
+// choose picks from those whose FPR_T is at most r and Cov_T at least m.
+// Each candidate is looked up as the enumerator visits it, and only the
+// feasible hits are kept, in pooled scratch; the winner is given tokens
+// of its own. It also returns the values considered, with multiplicity.
+func selectBest(values []string, idx *index.Index, opt Options, theta float64) (scored, int, error) {
+	enum := opt.Enum
+	enum.MaxTokens = opt.Tau
+	enum.MinSupport = 1 - theta
 	hs := hitScratches.Get().(*hitScratch)
 	defer hs.release()
-	hits := uint64(0)
-	for _, c := range cands {
-		if c.Matched < minMatched {
-			continue
-		}
-		e, ok := idx.Lookup(c.Key)
+	var visited, hits uint64
+	total, _ := pattern.Visit(values, enum, func(key string, toks []pattern.Tok, matched, _ int) {
+		visited++
+		e, ok := idx.Lookup(key)
 		if !ok {
-			continue
+			return
 		}
 		hits++
-		if fpr := e.FPR(); fpr <= opt.R && int(e.Cov) >= opt.M {
-			hs.feasible = append(hs.feasible, scored{pat: c.Pattern, key: c.Key, fpr: fpr, cov: e.Cov, matched: c.Matched})
-		}
-	}
-	candidatesEnumerated.Add(uint64(len(cands)))
+		hs.keep(opt, scored{key: key, fpr: e.FPR(), cov: e.Cov, matched: matched}, toks)
+	})
+	candidatesEnumerated.Add(visited)
 	indexHits.Add(hits)
-	if len(hs.feasible) == 0 {
-		return scored{}, ErrNoFeasible
+	best, ok := hs.pick(opt.Objective)
+	if !ok {
+		return scored{}, total, ErrNoFeasible
 	}
-	best := hs.feasible[choose(hs.feasible, opt.Objective)]
-	// The winner outlives the enumeration: give it tokens of its own
-	// rather than a share of the block every candidate was carved from.
-	best.pat.Toks = slices.Clone(best.pat.Toks)
-	return best, nil
+	return best, total, nil
 }
 
 // fprEpsilon is the resolution below which two estimated FPRs are
@@ -291,7 +283,7 @@ func InferNoIndex(values []string, cols []*corpus.Column, opt Options) (*validat
 			sumImp += float64(misses) / float64(len(col.Values))
 		}
 		if cov > 0 {
-			lf.keep(key, toks, sumImp/float64(cov), cov)
+			lf.keep(opt, scored{key: key, fpr: sumImp / float64(cov), cov: cov}, toks)
 		}
 	}
 	best := lf.best()

@@ -14,13 +14,13 @@ import (
 	"autovalidate/internal/tokens"
 )
 
-// collectLeaf is the leaf as it was before it scored candidates while
-// enumerating: the segment's texts, weight-fold, enumerated into a
-// candidate list and handed to selectBest. It returns the leaf's answer
-// and the candidates.
+// collectLeaf is the leaf as it was before it scored position summaries:
+// the segment's texts, weight-fold, enumerated at full support and
+// scored by selectBest at θ = 0, whose enumeration is a leaf's
+// (leafEnum). It returns the leaf's answer and Enumerate's candidates.
 func collectLeaf(sub []string, idx *index.Index, opt Options, enum pattern.EnumOptions) (leafResult, []pattern.Candidate) {
 	cands := pattern.Enumerate(sub, enum)
-	best, err := selectBest(cands.Candidates, idx, opt, cands.Total)
+	best, _, err := selectBest(sub, idx, opt, 0)
 	if err != nil {
 		return leafResult{}, cands.Candidates
 	}
@@ -120,8 +120,8 @@ func scoredAt(idx *index.Index, p pattern.Pattern, matched int) scored {
 	return scored{pat: p, key: p.Key(), fpr: e.FPR(), cov: e.Cov, matched: matched}
 }
 
-// The leaf that scores candidates as the enumerator visits them picks what
-// enumerating every candidate and handing the list to selectBest picked,
+// The leaf that scores a segment's position summaries picks what
+// selectBest, scoring the segment's texts as Visit hands them over, picks,
 // and counts the same candidates and index hits, over every segment of the
 // oracle test's generator domains, the hand cases and the infer_ingest
 // columns — under both tokenizations, the default constraints, loose
@@ -212,7 +212,8 @@ func FuzzLeafScoreAgree(f *testing.F) {
 // the constant a1 (0) FPR 0.003: the constant beats <alnum>{2} and
 // <alnum>{2} beats <alnum>+ on generality within the tie, and <alnum>+
 // beats the constant on FPR. Reduced with better, each order of the three
-// can pick a different one. choose, and selectBest, pick from the set:
+// can pick a different one. choose, and selectBest's scratch fed the hits
+// in any order, pick from the set:
 // the constant is outside the band of the least FPR, and <alnum>{2} is
 // the more specific of the two inside it, whatever the order.
 func TestSelectionIsOrderFree(t *testing.T) {
@@ -265,9 +266,16 @@ func TestSelectionIsOrderFree(t *testing.T) {
 		if got := order[choose(order, opt.Objective)]; got.key != want.key || got.fpr != want.fpr {
 			t.Errorf("order %v: choose picks %q at FPR %v, want %q at %v", perm, got.key, got.fpr, want.key, want.fpr)
 		}
-		got, err := selectBest(orderCands, idx, opt, 1000)
-		if err != nil {
-			t.Fatal(err)
+		// selectBest's scratch, handed the hits in this order.
+		hs := hitScratches.Get().(*hitScratch)
+		for _, c := range orderCands {
+			e, _ := idx.Lookup(c.Key)
+			hs.keep(opt, scored{key: c.Key, fpr: e.FPR(), cov: e.Cov, matched: c.Matched}, c.Pattern.Toks)
+		}
+		got, ok := hs.pick(opt.Objective)
+		hs.release()
+		if !ok {
+			t.Fatalf("order %v: selectBest's scratch kept no hit", perm)
 		}
 		if got.key != want.key || got.fpr != want.fpr {
 			t.Errorf("order %v: selectBest picks %q at FPR %v, want %q at %v", perm, got.key, got.fpr, want.key, want.fpr)

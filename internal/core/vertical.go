@@ -80,11 +80,28 @@ func lexColumn(values []string) *lexedColumn {
 		fine: make([][]tokens.Run, n), merged: make([][]tokens.Run, n),
 		off: make([][]int, n), first: make([][]int, n), owner: make([][]int, n),
 	}
+	// One run slab holds every value's fine runs, then its merged runs:
+	// Count is the number of fine runs, and no value has more merged runs
+	// than fine ones, so the slab never moves. One int slab holds every
+	// value's off, first and owner.
+	nfine := 0
+	for _, v := range uniq {
+		nfine += tokens.Count(v)
+	}
+	runs := make([]tokens.Run, 0, 2*nfine)
 	for i, v := range uniq {
-		fine := tokens.Lex(v)
-		merged := tokens.MergeAlnum(make([]tokens.Run, 0, len(fine)), v, fine)
-		ints := make([]int, 2*len(fine)+len(merged)+2)
-		off, first, owner := ints[:len(fine)+1], ints[len(fine)+1:len(fine)+len(merged)+2], ints[len(fine)+len(merged)+2:]
+		lo := len(runs)
+		runs = tokens.AppendLex(runs, v)
+		mid := len(runs)
+		runs = tokens.MergeAlnum(runs, v, runs[lo:mid])
+		col.fine[i], col.merged[i] = runs[lo:mid:mid], runs[mid:len(runs):len(runs)]
+	}
+	ints := make([]int, nfine+len(runs)+2*n)
+	for i := range uniq {
+		fine, merged := col.fine[i], col.merged[i]
+		nf, nm := len(fine), len(merged)
+		off, first, owner := ints[:nf+1:nf+1], ints[nf+1:nf+nm+2:nf+nm+2], ints[nf+nm+2:2*nf+nm+2:2*nf+nm+2]
+		ints = ints[2*nf+nm+2:]
 		k := 0
 		for j, m := range merged {
 			first[j] = k
@@ -93,8 +110,8 @@ func lexColumn(values []string) *lexedColumn {
 				owner[k] = j
 			}
 		}
-		first[len(merged)] = len(fine)
-		col.fine[i], col.merged[i], col.off[i], col.first[i], col.owner[i] = fine, merged, off, first, owner
+		first[nm] = nf
+		col.off[i], col.first[i], col.owner[i] = off, first, owner
 	}
 	return col
 }
@@ -282,6 +299,31 @@ func (hs *hitScratch) reset() {
 	clear(hs.feasible)
 	clear(hs.hitToks)
 	hs.feasible, hs.hitToks = hs.feasible[:0], hs.hitToks[:0]
+}
+
+// keep keeps the hit h, with tokens toks, if its FPR_T is at most r and
+// its Cov_T at least m. The tokens are copied into hitToks: an append that
+// moves it leaves the tokens of the hits already kept where they were,
+// which nothing writes to again until the scratch is reset.
+func (hs *hitScratch) keep(opt Options, h scored, toks []pattern.Tok) {
+	if h.fpr > opt.R || int(h.cov) < opt.M {
+		return
+	}
+	lo := len(hs.hitToks)
+	hs.hitToks = append(hs.hitToks, toks...)
+	h.pat = pattern.Pattern{Toks: hs.hitToks[lo:len(hs.hitToks):len(hs.hitToks)]}
+	hs.feasible = append(hs.feasible, h)
+}
+
+// pick returns the hit choose picks from those kept, and false when none
+// was. The winner outlives the scratch: it gets tokens of its own.
+func (hs *hitScratch) pick(obj Objective) (scored, bool) {
+	if len(hs.feasible) == 0 {
+		return scored{}, false
+	}
+	best := hs.feasible[choose(hs.feasible, obj)]
+	best.pat.Toks = slices.Clone(best.pat.Toks)
+	return best, true
 }
 
 // release returns the scratch to the pool, unless it has grown too large
@@ -478,11 +520,11 @@ func (lf *leafScorer) best() leafResult {
 	pattern.EnumerateSummary(lf.merged.positions(), lf.fine.positions(), lf.leafEnum(), lf.visit)
 	candidatesEnumerated.Add(lf.visited)
 	indexHits.Add(lf.hits)
-	if len(lf.feasible) == 0 {
+	best, ok := lf.pick(lf.opt.Objective)
+	if !ok {
 		return leafResult{}
 	}
-	best := lf.feasible[choose(lf.feasible, lf.opt.Objective)]
-	return leafResult{ok: true, fpr: best.fpr, pat: pattern.Pattern{Toks: slices.Clone(best.pat.Toks)}}
+	return leafResult{ok: true, fpr: best.fpr, pat: best.pat}
 }
 
 // score is the leaf's visitor: it looks the candidate up in the index and
@@ -494,22 +536,9 @@ func (lf *leafScorer) score(key string, toks []pattern.Tok) {
 		return
 	}
 	lf.hits++
-	lf.keep(key, toks, e.FPR(), e.Cov)
-}
-
-// keep keeps a candidate whose FPR_T is at most r and Cov_T at least m.
-// Every leaf candidate matches all of the texts, so matched ties and is
-// left zero. An append that moves hitToks leaves the tokens of the hits
-// already kept where they were, which nothing writes to again during
-// this leaf.
-func (lf *leafScorer) keep(key string, toks []pattern.Tok, fpr float64, cov uint32) {
-	if fpr > lf.opt.R || int(cov) < lf.opt.M {
-		return
-	}
-	lo := len(lf.hitToks)
-	lf.hitToks = append(lf.hitToks, toks...)
-	pat := pattern.Pattern{Toks: lf.hitToks[lo:len(lf.hitToks):len(lf.hitToks)]}
-	lf.feasible = append(lf.feasible, scored{pat: pat, key: key, fpr: fpr, cov: cov})
+	// Every leaf candidate matches all of the texts, so matched ties and
+	// is left zero.
+	lf.keep(lf.opt, scored{key: key, fpr: e.FPR(), cov: e.Cov}, toks)
 }
 
 // leafEnum is the enumeration of a leaf: every pattern must match all of

@@ -89,3 +89,13 @@ func BenchmarkBuild(b *testing.B) {
 		Build(cols, DefaultBuildOptions())
 	}
 }
+
+// BenchmarkBuildLake is Build over the repository benchmark's whole lake
+// (150 enterprise tables, seed 1, τ = 8): the build behind its set-up.
+func BenchmarkBuildLake(b *testing.B) {
+	cols := datagen.Generate(datagen.Enterprise(150, 1)).Columns()
+	b.ReportAllocs()
+	for b.Loop() {
+		Build(cols, DefaultBuildOptions())
+	}
+}

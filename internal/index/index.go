@@ -106,23 +106,23 @@ const wideSentinel = "\x00wide"
 // on the map-reduce substrate: each column maps to its local pattern
 // evidence {(p, Imp_D(p))}, combined by summation — the same dataflow as
 // the paper's SCOPE job, with the reduce output adopted as the index.
+// Each candidate is emitted as the enumerator visits it, so no column's
+// hypothesis space is copied out. A column whose values are all wider
+// than τ has no candidate, and counts as skipped.
 func Build(cols []*corpus.Column, opt BuildOptions) *Index {
 	entries := mapreduce.Run(
 		mapreduce.Config{Workers: opt.Workers, Progress: opt.Progress},
 		cols,
 		func(col *corpus.Column, emit func(string, Entry)) {
-			res := pattern.Enumerate(col.Values, opt.Enum)
-			if res.Total > 0 && res.Wide == res.Total {
-				emit(wideSentinel, Entry{Cov: 1})
-				return
-			}
-			for _, c := range res.Candidates {
-				imp := float64(res.Total-c.Matched) / float64(res.Total)
-				emit(c.Key, Entry{
-					SumImp: imp,
+			total, wide := pattern.Visit(col.Values, opt.Enum, func(key string, toks []pattern.Tok, matched, total int) {
+				emit(key, Entry{
+					SumImp: float64(total-matched) / float64(total),
 					Cov:    1,
-					Tokens: uint16(c.Pattern.TokenCount()),
+					Tokens: uint16(pattern.Pattern{Toks: toks}.TokenCount()),
 				})
+			})
+			if total > 0 && wide == total {
+				emit(wideSentinel, Entry{Cov: 1})
 			}
 		},
 		combineEntries)

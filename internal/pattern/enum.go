@@ -74,54 +74,87 @@ type EnumResult struct {
 	Wide       int // values skipped because they exceed MaxTokens
 }
 
-// Enumerate produces the coverage-pruned pattern space of a column of
-// values per Algorithm 1: values are grouped by coarse token shape, each
+// Visit enumerates the coverage-pruned pattern space of a column of
+// values per Algorithm 1 — values are grouped by coarse token shape, each
 // aligned position is generalized independently along the Figure 4
 // hierarchy, and the cross-product is explored depth-first with pruning
-// on weighted support. The candidates are copied out of the pooled
-// scratch; their order is the search's and no part of the result (each
-// key occurs once).
+// on weighted support — and hands visit each distinct candidate once,
+// with its key, its tokens, the number of values it matches and the
+// number of values considered (both with multiplicity, the latter incl.
+// wide and empty values). It returns the values considered and how many
+// of them were skipped as wider than MaxTokens under every tokenization;
+// a column with none but those has no candidate.
+//
+// A key's support is final only once the whole space is searched, so the
+// candidates are collected first and visited afterwards, in the order
+// they were first met, straight from the pooled scratch: the key is the
+// caller's to keep, toks is scratch, valid only until visit returns.
+// Everything else a call works in is drawn from the pool too — the
+// dedupe map, the distinct values and their weights, one slab holding
+// every value's runs under both tokenizations, and the views into it —
+// so an offline build or a horizontal cut that scores each candidate as
+// it is visited copies no hypothesis space out.
+func Visit(values []string, opt EnumOptions, visit func(key string, toks []Tok, matched, total int)) (total, wide int) {
+	if len(values) == 0 {
+		return 0, 0
+	}
+	em, total, wide := collect(values, opt)
+	lo := 0
+	for i, key := range em.keys {
+		hi := em.tokEnd[i]
+		visit(key, em.tokBuf[lo:hi:hi], em.matched(i), total)
+		lo = hi
+	}
+	em.release()
+	return total, wide
+}
+
+// Enumerate returns the candidates Visit would hand over, in its order
+// (no part of the result; each key occurs once), copied out of the
+// scratch: a fresh candidate slice, every candidate's tokens carved from
+// one new block. It serves callers that look at a candidate more than
+// once — PWheel's description lengths, the benchmark's lookup layer and
+// the tests' oracles.
 func Enumerate(values []string, opt EnumOptions) EnumResult {
 	var res EnumResult
 	if len(values) == 0 {
 		return res
 	}
-	uniq, weights := Dedupe(values, opt.MaxValues)
-	fine := make([][]tokens.Run, len(uniq))
-	merged := make([][]tokens.Run, len(uniq))
-	for i, v := range uniq {
-		fine[i] = tokens.Lex(v)
-		merged[i] = tokens.MergeAlnum(make([]tokens.Run, 0, len(fine[i])), v, fine[i])
-		res.Total += weights[i]
+	em, total, wide := collect(values, opt)
+	res.Total, res.Wide, res.Candidates = total, wide, em.finish()
+	em.release()
+	return res
+}
+
+// collect draws an emitter from the pool and collects the candidates of
+// the column into it, returning it (for the caller to release) with the
+// values considered and those skipped as wide.
+func collect(values []string, opt EnumOptions) (em *emitter, total, wide int) {
+	em = emitters.Get().(*emitter)
+	em.reset(opt, nil)
+	em.lex(values)
+	for i, w := range em.weights {
+		total += w
 		// Shape groups exclude empty values. The τ cap applies per
 		// tokenization: a value too wide under the fine lexer may still
 		// be narrow once adjacent alphanumeric runs merge (e.g. random
 		// alphanumeric identifiers), so it participates in the alnum
 		// pass only. Values wide under every tokenization are skipped
 		// entirely — the columns vertical cuts compensate for.
-		if !fits(opt, len(fine[i])) && !(opt.IncludeAlnumPass && fits(opt, len(merged[i]))) {
-			res.Wide += weights[i]
+		if !fits(opt, len(em.fine[i])) && !(opt.IncludeAlnumPass && fits(opt, len(em.merged[i]))) {
+			wide += w
 		}
 	}
-	minCount := int(math.Ceil(opt.MinSupport * float64(res.Total)))
-	if minCount < 1 {
-		minCount = 1
-	}
-
-	em := emitters.Get().(*emitter)
-	em.reset(opt, nil)
-	em.weights, em.minCount = weights, minCount
-	em.words = (len(weights) + 63) / 64
+	em.minCount = max(1, int(math.Ceil(opt.MinSupport*float64(total))))
+	em.words = (len(em.weights) + 63) / 64
 	// The alnum pass runs first: it is cheap and yields the most
 	// general candidates, so if MaxPatterns caps the enumeration the
 	// safest (most general) patterns are the ones retained.
 	if opt.IncludeAlnumPass {
-		em.enumeratePass(merged, true)
+		em.enumeratePass(em.merged, true)
 	}
-	em.enumeratePass(fine, false)
-	res.Candidates = em.finish()
-	em.release()
-	return res
+	em.enumeratePass(em.fine, false)
+	return em, total, wide
 }
 
 // Position summarises one run position of a column's values that share
@@ -178,7 +211,12 @@ func fits(opt EnumOptions, n int) bool {
 // first met beyond the cap is dropped with all its occurrences, so the
 // weights then sum to less than len(values).
 func Dedupe(values []string, maxValues int) (uniq []string, weights []int) {
-	idx := make(map[string]int, len(values))
+	return appendDedupe(make(map[string]int, len(values)), nil, nil, values, maxValues)
+}
+
+// appendDedupe is Dedupe appending to uniq and weights, with idx (empty)
+// mapping each distinct value kept to its index.
+func appendDedupe(idx map[string]int, uniq []string, weights []int, values []string, maxValues int) ([]string, []int) {
 	for _, v := range values {
 		if i, ok := idx[v]; ok {
 			weights[i]++
@@ -196,19 +234,23 @@ func Dedupe(values []string, maxValues int) (uniq []string, weights []int) {
 
 // emitters pools the enumerator's working state across calls.
 var emitters = sync.Pool{New: func() any {
-	return &emitter{groupOf: map[string]int{}, byKey: map[string]int{}}
+	return &emitter{dedupe: map[string]int{}, groupOf: map[string]int{}, byKey: map[string]int{}}
 }}
 
 // The pooled maps are emptied for reuse by deleting the keys the last
 // call put there: clear would cost time in proportion to a map's
 // capacity, which never shrinks, on every call however few keys it
 // made. A pass with more shapes than maxRetainedShapes drops the shape
-// map, and a call with more candidates than maxRetainedKeys — more than
-// the default MaxPatterns allows — drops its candidate scratch, so a
-// pooled emitter stays bounded.
+// map, a call with more candidates than maxRetainedKeys — more than
+// the default MaxPatterns allows — drops its candidate scratch, and one
+// with more distinct values than maxRetainedValues (or runs than
+// maxRetainedRuns) drops its column scratch, so a pooled emitter stays
+// bounded.
 const (
 	maxRetainedShapes = 64
 	maxRetainedKeys   = 1 << 16
+	maxRetainedValues = 1 << 12
+	maxRetainedRuns   = 1 << 16
 )
 
 // shapeGroup is the values of one class shape in one pass: members
@@ -237,15 +279,24 @@ type weighed[K comparable] struct {
 }
 
 // emitter is one enumeration's working state. Everything in it is
-// scratch reused by the next call, except what finish copies out or
-// visit is handed.
+// scratch reused by the next call, except the candidate keys, which are
+// the caller's, and what finish copies out.
 type emitter struct {
 	opt      EnumOptions
-	visit    func(key string, toks []Tok) // nil: collect for finish
-	weights  []int
+	visit    func(key string, toks []Tok) // nil: collect
 	minCount int
 	words    int
 	n        int // candidates emitted, towards MaxPatterns
+
+	// The column of a collecting call: its distinct values (dedupe maps
+	// each to its index) and their weights, and each value's runs under
+	// the fine and the merged tokenization, views into the one slab runs.
+	dedupe  map[string]int
+	uniq    []string
+	weights []int
+	runs    []tokens.Run
+	fine    [][]tokens.Run
+	merged  [][]tokens.Run
 
 	// Shape groups of the current pass: shape is the key being built,
 	// gid[i] is value i's group (or -1), and members lists every
@@ -291,10 +342,42 @@ func (em *emitter) reset(opt EnumOptions, visit func(string, []Tok)) {
 	em.keys, em.tokBuf, em.tokEnd, em.cbits = em.keys[:0], em.tokBuf[:0], em.tokEnd[:0], em.cbits[:0]
 }
 
-// release returns em to the pool without the caller's weights and
-// visit or the candidate keys, which belong to the result.
+// lex dedupes values into em.uniq and em.weights and lexes each distinct
+// value into em.runs, its fine runs followed by its merged runs. A view is
+// carved as its runs are appended, and capped: an append that moves the
+// slab leaves the views already carved where they were, which nothing
+// writes to again, and MergeAlnum, which reads the fine runs as it appends
+// the merged ones, writes only past them.
+func (em *emitter) lex(values []string) {
+	em.uniq, em.weights = appendDedupe(em.dedupe, em.uniq[:0], em.weights[:0], values, em.opt.MaxValues)
+	em.runs, em.fine, em.merged = em.runs[:0], em.fine[:0], em.merged[:0]
+	for _, v := range em.uniq {
+		lo := len(em.runs)
+		em.runs = tokens.AppendLex(em.runs, v)
+		mid := len(em.runs)
+		em.runs = tokens.MergeAlnum(em.runs, v, em.runs[lo:mid])
+		em.fine = append(em.fine, em.runs[lo:mid:mid])
+		em.merged = append(em.merged, em.runs[mid:len(em.runs):len(em.runs)])
+	}
+}
+
+// release returns em to the pool without the caller's visit or the
+// candidate keys, which belong to the caller, and without a string of the
+// caller's column: what the column scratch held is deleted or zeroed.
 func (em *emitter) release() {
-	em.weights, em.visit = nil, nil
+	em.visit = nil
+	if cap(em.uniq) > maxRetainedValues || cap(em.runs) > maxRetainedRuns {
+		em.dedupe, em.uniq, em.weights, em.runs, em.fine, em.merged = map[string]int{}, nil, nil, nil, nil, nil
+	} else {
+		for _, v := range em.uniq {
+			delete(em.dedupe, v)
+		}
+		clear(em.uniq)
+		clear(em.runs)
+		clear(em.fine)
+		clear(em.merged)
+		em.uniq, em.runs, em.fine, em.merged = em.uniq[:0], em.runs[:0], em.fine[:0], em.merged[:0]
+	}
 	if len(em.keys) > maxRetainedKeys {
 		em.byKey, em.keys, em.tokBuf, em.tokEnd, em.cbits = map[string]int{}, nil, nil, nil, nil
 	} else {
@@ -395,6 +478,11 @@ func (em *emitter) emit(toks []Tok, bs bitset) {
 	em.cbits = append(em.cbits, bs...)
 }
 
+// matched is the weighted number of values candidate i matches.
+func (em *emitter) matched(i int) int {
+	return bitset(em.cbits[i*em.words : (i+1)*em.words]).weightedCount(em.weights)
+}
+
 // finish copies the candidates out of the scratch, in the order they were
 // first emitted, every candidate's tokens carved from one new block.
 func (em *emitter) finish() []Candidate {
@@ -406,11 +494,7 @@ func (em *emitter) finish() []Candidate {
 	lo := 0
 	for i, key := range em.keys {
 		hi := em.tokEnd[i]
-		out[i] = Candidate{
-			Pattern: Pattern{Toks: block[lo:hi:hi]},
-			Key:     key,
-			Matched: bitset(em.cbits[i*em.words : (i+1)*em.words]).weightedCount(em.weights),
-		}
+		out[i] = Candidate{Pattern: Pattern{Toks: block[lo:hi:hi]}, Key: key, Matched: em.matched(i)}
 		lo = hi
 	}
 	return out

@@ -35,6 +35,9 @@ func agreeOptions() map[string]pattern.EnumOptions {
 
 // checkAgree holds Enumerate to the oracle: the same totals and the same
 // candidates as a set — keys, tokens and supports — in whatever order.
+// It holds Visit to the oracle too: the same totals, and each of the
+// oracle's candidates handed over exactly once, with its tokens and
+// support, beside the column's total.
 func checkAgree(t *testing.T, values []string, opt pattern.EnumOptions) {
 	t.Helper()
 	got := byKey(pattern.Enumerate(values, opt))
@@ -49,6 +52,27 @@ func checkAgree(t *testing.T, values []string, opt pattern.EnumOptions) {
 	for _, c := range got.Candidates {
 		if c.Key != c.Pattern.Key() {
 			t.Fatalf("candidate key %q is not its pattern's key %q", c.Key, c.Pattern.Key())
+		}
+	}
+
+	visited := map[string]pattern.Candidate{}
+	total, wide := pattern.Visit(values, opt, func(key string, toks []pattern.Tok, matched, total int) {
+		if _, ok := visited[key]; ok {
+			t.Fatalf("Visit on %q (%+v) hands over %q twice", values, opt, key)
+		}
+		if total != want.Total {
+			t.Fatalf("Visit on %q (%+v) hands over %q beside a total of %d, want %d", values, opt, key, total, want.Total)
+		}
+		visited[key] = pattern.Candidate{Pattern: pattern.Pattern{Toks: slices.Clone(toks)}, Key: key, Matched: matched}
+	})
+	if total != want.Total || wide != want.Wide || len(visited) != len(want.Candidates) {
+		t.Fatalf("Visit on %q (%+v): total %d, wide %d, %d candidates; the oracle has %s",
+			values, opt, total, wide, len(visited), describe(want))
+	}
+	for _, c := range want.Candidates {
+		if v, ok := visited[c.Key]; !ok || v.Matched != c.Matched || !reflect.DeepEqual(v.Pattern.Toks, c.Pattern.Toks) {
+			t.Fatalf("Visit on %q (%+v): candidate %q handed over %v, as %v ×%d; the oracle's is %v ×%d",
+				values, opt, c.Key, ok, v.Pattern.Toks, v.Matched, c.Pattern.Toks, c.Matched)
 		}
 	}
 }
@@ -147,7 +171,7 @@ func TestEnumerateAgreesWithOracleHandCases(t *testing.T) {
 }
 
 // FuzzEnumerateAgree feeds arbitrary newline-separated columns and
-// option bytes to both enumerations.
+// option bytes to the oracle, Enumerate and Visit.
 func FuzzEnumerateAgree(f *testing.F) {
 	f.Add("9:07\n9:07 PM\n10:15", byte(100), byte(8), byte(0))
 	f.Add("a1b2\nab12\n\n12ab\na1b2", byte(5), byte(3), byte(4))

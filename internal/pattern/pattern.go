@@ -283,14 +283,3 @@ func Optional(p Pattern) Pattern {
 	}
 	return out
 }
-
-// FromValue returns the most specific pattern of a value: its constant
-// tokens. It is the leaf of P(v) in the hierarchy.
-func FromValue(v string) Pattern {
-	runs := tokens.Lex(v)
-	toks := make([]Tok, len(runs))
-	for i, r := range runs {
-		toks[i] = Lit(r.Text)
-	}
-	return Pattern{Toks: toks}
-}

@@ -92,15 +92,6 @@ func (p *Program) Mode() string {
 	return "nfa"
 }
 
-// NumInsts returns the compiled program length (NFA instructions).
-func (p *Program) NumInsts() int { return len(p.insts) }
-
-// MaxSteps bounds the work of matching an n-byte value in NFA mode: the
-// pike VM adds each instruction to the run list at most once per input
-// position, so total step count never exceeds (n+1)·len(insts). The DFA
-// does exactly n table lookups.
-func (p *Program) MaxSteps(n int) int { return (n + 1) * len(p.insts) }
-
 // Value is the two forms a value reaches the matcher in: a string out
 // of a JSON envelope, or a byte view into a decoded column body.
 type Value interface{ ~string | ~[]byte }
@@ -276,8 +267,9 @@ func (p *Program) addClosure(list []int32, pc int32, s *nfaScratch, steps *int) 
 // runNFA is the pike VM, the one loop behind Match and Explain in NFA
 // mode: the verdict, where and on which token a miss died (the run list
 // before the failing byte plays the role of the DFA state), and the
-// number of simulation steps taken, which MaxSteps(len(v)) bounds by
-// construction.
+// number of simulation steps taken, which (len(v)+1)·len(insts) bounds
+// by construction: each instruction joins the run list at most once per
+// input position.
 func runNFA[V Value](p *Program, v V) (miss Miss, ok bool, steps int) {
 	s := p.scratch()
 	defer p.pool.Put(s)

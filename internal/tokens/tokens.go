@@ -100,7 +100,17 @@ func Lex(v string) []Run {
 	if v == "" {
 		return nil
 	}
-	runs := make([]Run, 0, 8)
+	return AppendLex(make([]Run, 0, 8), v)
+}
+
+// AppendLex appends the token runs of v to runs and returns the extended
+// slice: Lex(v) is runs[len(runs):] of the result. The run texts are
+// slices of v, so a caller that lexes many values into one slab allocates
+// nothing beyond the slab's growth.
+func AppendLex(runs []Run, v string) []Run {
+	if v == "" {
+		return runs
+	}
 	start := 0
 	cur := ClassOf(v[0])
 	for i := 1; i <= len(v); i++ {

@@ -2,6 +2,7 @@ package tokens
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,6 +92,24 @@ func TestCountAgreesWithLex(t *testing.T) {
 	for _, in := range inputs {
 		if got, want := Count(in), len(Lex(in)); got != want {
 			t.Errorf("Count(%q) = %d, Lex yields %d runs", in, got, want)
+		}
+	}
+}
+
+// AppendLex lexes a column into one slab: each value's runs follow the
+// runs before them, equal to Lex of the value, and leave those before
+// them as they were.
+func TestAppendLexFillsOneSlab(t *testing.T) {
+	column := []string{"9:07 PM", "", "a1b2", "--", "\xc3\xa9t\xc3\xa9 2019", "x"}
+	var slab []Run
+	ends := []int{0}
+	for _, v := range column {
+		slab = AppendLex(slab, v)
+		ends = append(ends, len(slab))
+	}
+	for i, v := range column {
+		if got, want := slab[ends[i]:ends[i+1]], Lex(v); !slices.Equal(got, want) {
+			t.Errorf("value %d %q: slab holds %v, Lex gives %v", i, v, got, want)
 		}
 	}
 }
