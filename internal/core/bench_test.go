@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"autovalidate/internal/datagen"
+	"autovalidate/internal/index"
+	"autovalidate/internal/pattern"
 	"autovalidate/internal/validate"
 )
 
@@ -144,5 +146,43 @@ func TestInferColdAllocationCeiling(t *testing.T) {
 		if allocs > tc.ceiling {
 			t.Errorf("cold %s Infer of a %s column allocates %.0f objects, ceiling %.0f", tc.strategy, tc.domain, allocs, tc.ceiling)
 		}
+	}
+}
+
+// selectBest allocates nothing for a candidate the index does not know,
+// nor for a hit it does not keep: it looks each key up as the
+// enumerator's bytes, and only a kept hit gets a string of its key. Over
+// an FMDV-H ipv4 column, an index that knows none of its candidates and
+// constraints no hit meets each cost what a column with no candidate
+// costs.
+func TestSelectBestAllocatesOnlyForKeptHits(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	idx, opt := testIndex(t), testOptions(FMDVH)
+	vals := fresh(t, "ipv4", 100, 7)
+	allocs := func(values []string, idx *index.Index, opt Options) float64 {
+		return testing.AllocsPerRun(20, func() { selectBest(values, idx, opt, opt.Theta) })
+	}
+	none := allocs([]string{"", "", ""}, idx, opt)
+	misses := allocs(vals, index.New(), opt)
+	unkept := opt
+	unkept.M = 1 << 30
+	dropped := allocs(vals, idx, unkept)
+	if misses != none || dropped != none {
+		t.Errorf("selectBest allocates %.1f objects over a column with no candidate, but %.1f when every candidate misses and %.1f when no hit is kept",
+			none, misses, dropped)
+	}
+	hits, kept := 0, allocs(vals, idx, opt)
+	enum := opt.Enum
+	enum.MaxTokens, enum.MinSupport = opt.Tau, 1-opt.Theta
+	pattern.Visit(vals, enum, func(key []byte, _ []pattern.Tok, _, _ int) {
+		if _, ok := idx.LookupBytes(key); ok {
+			hits++
+		}
+	})
+	t.Logf("selectBest allocates %.1f objects with no candidate, %.1f with %d index hits", none, kept, hits)
+	if hits == 0 || kept <= none {
+		t.Errorf("the column has %d index hits, and keeping them allocates %.1f objects against %.1f; the test wants hits that are kept", hits, kept, none)
 	}
 }

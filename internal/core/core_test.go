@@ -356,7 +356,8 @@ func TestInferTagIsMoreRestrictive(t *testing.T) {
 func TestGenerality(t *testing.T) {
 	// The most specific pattern of a value: its constant tokens.
 	specific := pattern.New(pattern.Lit("Mar"), pattern.Lit(" "), pattern.Lit("01"), pattern.Lit(" "), pattern.Lit("2019"))
-	mid, _ := datagen.IdealPattern("date_mdy_text")
+	d, _ := datagen.DomainByName("date_mdy_text")
+	mid := d.Ideal
 	if generality(specific) >= generality(mid) {
 		t.Errorf("constants must score more specific than classes")
 	}

@@ -107,9 +107,10 @@ func columnLeaf(values []string, idx *index.Index, opt Options) (lf *leafScorer,
 // selectBest enumerates the hypotheses that match at least 1-θ of the
 // values (with multiplicity) and picks the optimal feasible one: the one
 // choose picks from those whose FPR_T is at most r and Cov_T at least m.
-// Each candidate is looked up as the enumerator visits it, and only the
-// feasible hits are kept, in pooled scratch; the winner is given tokens
-// of its own. It also returns the values considered, with multiplicity.
+// Each candidate is looked up as the enumerator visits it, by its key's
+// bytes, and only the feasible hits are kept, in pooled scratch, each
+// with a string of its key; the winner is given tokens of its own. It
+// also returns the values considered, with multiplicity.
 func selectBest(values []string, idx *index.Index, opt Options, theta float64) (scored, int, error) {
 	enum := opt.Enum
 	enum.MaxTokens = opt.Tau
@@ -117,14 +118,16 @@ func selectBest(values []string, idx *index.Index, opt Options, theta float64) (
 	hs := hitScratches.Get().(*hitScratch)
 	defer hs.release()
 	var visited, hits uint64
-	total, _ := pattern.Visit(values, enum, func(key string, toks []pattern.Tok, matched, _ int) {
+	total, _ := pattern.Visit(values, enum, func(key []byte, toks []pattern.Tok, matched, _ int) {
 		visited++
-		e, ok := idx.Lookup(key)
+		e, ok := idx.LookupBytes(key)
 		if !ok {
 			return
 		}
 		hits++
-		hs.keep(opt, scored{key: key, fpr: e.FPR(), cov: e.Cov, matched: matched}, toks)
+		if fpr := e.FPR(); feasible(opt, fpr, e.Cov) {
+			hs.keep(opt, scored{key: string(key), fpr: fpr, cov: e.Cov, matched: matched}, toks)
+		}
 	})
 	candidatesEnumerated.Add(visited)
 	indexHits.Add(hits)

@@ -306,13 +306,19 @@ func (hs *hitScratch) reset() {
 // moves it leaves the tokens of the hits already kept where they were,
 // which nothing writes to again until the scratch is reset.
 func (hs *hitScratch) keep(opt Options, h scored, toks []pattern.Tok) {
-	if h.fpr > opt.R || int(h.cov) < opt.M {
+	if !feasible(opt, h.fpr, h.cov) {
 		return
 	}
 	lo := len(hs.hitToks)
 	hs.hitToks = append(hs.hitToks, toks...)
 	h.pat = pattern.Pattern{Toks: hs.hitToks[lo:len(hs.hitToks):len(hs.hitToks)]}
 	hs.feasible = append(hs.feasible, h)
+}
+
+// feasible reports whether a hypothesis of FPR_T fpr and Cov_T cov meets
+// the constraints: fpr at most r and cov at least m.
+func feasible(opt Options, fpr float64, cov uint32) bool {
+	return fpr <= opt.R && int(cov) >= opt.M
 }
 
 // pick returns the hit choose picks from those kept, and false when none

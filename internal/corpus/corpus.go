@@ -7,7 +7,6 @@ package corpus
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Column is a single string-valued data column D ∈ T.
@@ -185,20 +184,4 @@ func (c *Corpus) DomainHistogram() map[string]int {
 		h[d]++
 	}
 	return h
-}
-
-// SortedDomains returns domain labels by descending column count.
-func (c *Corpus) SortedDomains() []string {
-	h := c.DomainHistogram()
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if h[keys[i]] != h[keys[j]] {
-			return h[keys[i]] > h[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
 }

@@ -3,6 +3,7 @@ package corpus
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -157,4 +158,20 @@ func TestDomainHistogram(t *testing.T) {
 	if len(ds) != 3 {
 		t.Errorf("SortedDomains = %v", ds)
 	}
+}
+
+// SortedDomains returns domain labels by descending column count.
+func (c *Corpus) SortedDomains() []string {
+	h := c.DomainHistogram()
+	keys := make([]string, 0, len(h))
+	for k := range h {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if h[keys[i]] != h[keys[j]] {
+			return h[keys[i]] > h[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
+	return keys
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"autovalidate/internal/pattern"
 	"autovalidate/internal/tokens"
 )
 
@@ -193,4 +194,15 @@ func TestGovernmentTyposPresent(t *testing.T) {
 	if strayBlanks == 0 {
 		t.Error("government profile should inject stray blanks")
 	}
+}
+
+// IdealPattern returns the ground-truth pattern for a domain, if any.
+// Dirty columns ("dirty:" prefix) share their base domain's pattern.
+func IdealPattern(domainLabel string) (pattern.Pattern, bool) {
+	name := strings.TrimPrefix(domainLabel, "dirty:")
+	d, ok := DomainByName(name)
+	if !ok || d.Ideal.Toks == nil {
+		return pattern.Pattern{}, false
+	}
+	return d.Ideal, true
 }

@@ -470,14 +470,3 @@ func DomainByName(name string) (Domain, bool) {
 	}
 	return Domain{}, false
 }
-
-// IdealPattern returns the ground-truth pattern for a domain, if any.
-// Dirty columns ("dirty:" prefix) share their base domain's pattern.
-func IdealPattern(domainLabel string) (pattern.Pattern, bool) {
-	name := strings.TrimPrefix(domainLabel, "dirty:")
-	d, ok := DomainByName(name)
-	if !ok || d.Ideal.Toks == nil {
-		return pattern.Pattern{}, false
-	}
-	return d.Ideal, true
-}

@@ -90,17 +90,6 @@ func (l *DeltaLog) Since(gen uint64) (deltas []*Delta, ok bool) {
 	return deltas, true
 }
 
-// Bounds reports the retained chain's [oldest, newest] Base generations;
-// ok is false when the log is empty.
-func (l *DeltaLog) Bounds() (oldest, newest uint64, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.deltas) == 0 {
-		return 0, 0, false
-	}
-	return l.deltas[0].Base, l.deltas[len(l.deltas)-1].Base, true
-}
-
 // Len returns the number of retained deltas.
 func (l *DeltaLog) Len() int {
 	l.mu.Lock()

@@ -145,3 +145,14 @@ func testColumns(tag string, n int) []*corpus.Column {
 	}
 	return cols
 }
+
+// Bounds reports the retained chain's [oldest, newest] Base generations;
+// ok is false when the log is empty.
+func (l *DeltaLog) Bounds() (oldest, newest uint64, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.deltas) == 0 {
+		return 0, 0, false
+	}
+	return l.deltas[0].Base, l.deltas[len(l.deltas)-1].Base, true
+}

@@ -102,19 +102,23 @@ func DefaultBuildOptions() BuildOptions {
 // no canonical pattern key does.
 const wideSentinel = "\x00wide"
 
+var wideKey = []byte(wideSentinel)
+
 // Build scans the columns and produces the offline index. The scan runs
 // on the map-reduce substrate: each column maps to its local pattern
 // evidence {(p, Imp_D(p))}, combined by summation — the same dataflow as
 // the paper's SCOPE job, with the reduce output adopted as the index.
-// Each candidate is emitted as the enumerator visits it, so no column's
-// hypothesis space is copied out. A column whose values are all wider
-// than τ has no candidate, and counts as skipped.
+// Each candidate is emitted as the enumerator visits it, with the
+// support the search counted, and its key is the enumerator's scratch: a
+// worker copies it into a string only when the key is new to it. A
+// column whose values are all wider than τ has no candidate, and counts
+// as skipped.
 func Build(cols []*corpus.Column, opt BuildOptions) *Index {
 	entries := mapreduce.Run(
 		mapreduce.Config{Workers: opt.Workers, Progress: opt.Progress},
 		cols,
-		func(col *corpus.Column, emit func(string, Entry)) {
-			total, wide := pattern.Visit(col.Values, opt.Enum, func(key string, toks []pattern.Tok, matched, total int) {
+		func(col *corpus.Column, emit func([]byte, Entry)) {
+			total, wide := pattern.Visit(col.Values, opt.Enum, func(key []byte, toks []pattern.Tok, matched, total int) {
 				emit(key, Entry{
 					SumImp: float64(total-matched) / float64(total),
 					Cov:    1,
@@ -122,7 +126,7 @@ func Build(cols []*corpus.Column, opt BuildOptions) *Index {
 				})
 			})
 			if total > 0 && wide == total {
-				emit(wideSentinel, Entry{Cov: 1})
+				emit(wideKey, Entry{Cov: 1})
 			}
 		},
 		combineEntries)
@@ -142,6 +146,12 @@ func Build(cols []*corpus.Column, opt BuildOptions) *Index {
 // Lookup returns the evidence for a pattern key.
 func (idx *Index) Lookup(key string) (Entry, bool) {
 	e, ok := idx.entries[key]
+	return e, ok
+}
+
+// LookupBytes is Lookup of a key held as bytes, which it does not copy.
+func (idx *Index) LookupBytes(key []byte) (Entry, bool) {
+	e, ok := idx.entries[string(key)]
 	return e, ok
 }
 

@@ -31,20 +31,24 @@ func (c Config) workers() int {
 
 // Run executes a map/combine/reduce job over items. The mapper emits
 // (key, value) pairs via the emit callback; values for equal keys are
-// merged with the associative combiner. Each worker combines into a local
-// map first (the "combiner" of classic Map-Reduce), and locals are
-// reduced into the largest of them at the end, so combiner must be
-// commutative and associative. The result is never nil.
-func Run[T any, V any](cfg Config, items []T, mapper func(item T, emit func(key string, val V)), combiner func(a, b V) V) map[string]V {
-	locals := make([]map[string]V, max(1, min(cfg.workers(), len(items))))
+// merged with the associative combiner. A key is the mapper's scratch,
+// read only during the call. Each worker combines into a local table
+// first (the "combiner" of classic Map-Reduce): it looks each key up as
+// bytes and copies it into a string only when it is new to that worker.
+// The locals are then reduced into one map, in worker order, so combiner
+// must be commutative and associative; with one worker the values for a
+// key are combined in the order they were emitted. The result is never
+// nil.
+func Run[T any, V any](cfg Config, items []T, mapper func(item T, emit func(key []byte, val V)), combiner func(a, b V) V) map[string]V {
+	locals := make([]local[V], max(1, min(cfg.workers(), len(items))))
 	var next, done atomic.Int64
 	var wg sync.WaitGroup
 	for w := range locals {
-		locals[w] = make(map[string]V)
 		wg.Add(1)
-		go func(local map[string]V) {
+		go func(l *local[V]) {
 			defer wg.Done()
-			emit := combineInto(local, combiner)
+			l.slot = make(map[string]int)
+			emit := func(key []byte, val V) { l.combine(key, val, combiner) }
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(items) {
@@ -55,38 +59,42 @@ func Run[T any, V any](cfg Config, items []T, mapper func(item T, emit func(key 
 					cfg.Progress(int(done.Add(1)), len(items))
 				}
 			}
-		}(locals[w])
+		}(&locals[w])
 	}
 	wg.Wait()
 
-	// Reduce into the largest local: fewest rehash moves.
-	best := 0
-	for w := range locals {
-		if len(locals[w]) > len(locals[best]) {
-			best = w
-		}
+	n := 0
+	for _, l := range locals {
+		n = max(n, len(l.vals))
 	}
-	out := locals[best]
-	emit := combineInto(out, combiner)
-	for w, local := range locals {
-		if w == best {
-			continue
-		}
-		for k, v := range local {
-			emit(k, v)
+	out := make(map[string]V, n)
+	for _, l := range locals {
+		for k, s := range l.slot {
+			val := l.vals[s]
+			if old, ok := out[k]; ok {
+				val = combiner(old, val)
+			}
+			out[k] = val
 		}
 	}
 	return out
 }
 
-// combineInto returns an emit function that combines pairs into m.
-func combineInto[V any](m map[string]V, combiner func(a, b V) V) func(string, V) {
-	return func(key string, val V) {
-		if old, ok := m[key]; ok {
-			val = combiner(old, val)
-		}
-		m[key] = val
+// local is one worker's combined pairs: slot maps each key to its value
+// in vals.
+type local[V any] struct {
+	slot map[string]int
+	vals []V
+}
+
+// combine folds the pair (key, val) into l.
+func (l *local[V]) combine(key []byte, val V, combiner func(a, b V) V) {
+	if s, ok := l.slot[string(key)]; ok {
+		l.vals[s] = combiner(l.vals[s], val)
+		return
 	}
+	l.slot[string(key)] = len(l.vals)
+	l.vals = append(l.vals, val)
 }
 
 // Map applies fn to every item in parallel and returns the results in

@@ -8,12 +8,12 @@ import (
 
 func TestRunWordCount(t *testing.T) {
 	items := []string{"a b", "b c", "c c a"}
-	got := Run(Config{Workers: 3}, items, func(line string, emit func(string, int)) {
+	got := Run(Config{Workers: 3}, items, func(line string, emit func([]byte, int)) {
 		start := 0
 		for i := 0; i <= len(line); i++ {
 			if i == len(line) || line[i] == ' ' {
 				if i > start {
-					emit(line[start:i], 1)
+					emit([]byte(line[start:i]), 1)
 				}
 				start = i + 1
 			}
@@ -35,8 +35,8 @@ func TestRunSerialEqualsParallel(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	mapper := func(x int, emit func(string, int)) {
-		emit(fmt.Sprintf("mod%d", x%7), x)
+	mapper := func(x int, emit func([]byte, int)) {
+		emit(fmt.Appendf(nil, "mod%d", x%7), x)
 	}
 	sum := func(a, b int) int { return a + b }
 	serial := Run(Config{Workers: 1}, items, mapper, sum)
@@ -51,9 +51,29 @@ func TestRunSerialEqualsParallel(t *testing.T) {
 	}
 }
 
+// A mapper may emit every key from one buffer it rewrites: Run keeps
+// a copy of each key it has not met, and never the buffer itself.
+func TestRunCopiesReusedKeys(t *testing.T) {
+	items := []string{"ab", "cd", "ab", "ef"}
+	for _, workers := range []int{1, 3} {
+		got := Run(Config{Workers: workers}, items, func(s string, emit func([]byte, int)) {
+			buf := make([]byte, 0, 8)
+			for i := range 3 {
+				buf = fmt.Appendf(buf[:0], "%s%d", s, i)
+				emit(buf, 1)
+			}
+			copy(buf[:cap(buf)], "zzzzzzzz")
+		}, func(a, b int) int { return a + b })
+		want := map[string]int{"ab0": 2, "ab1": 2, "ab2": 2, "cd0": 1, "cd1": 1, "cd2": 1, "ef0": 1, "ef1": 1, "ef2": 1}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("workers=%d: got %v, want %v", workers, got, want)
+		}
+	}
+}
+
 func TestRunEmpty(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
-		got := Run(Config{Workers: workers}, nil, func(int, func(string, int)) {}, func(a, b int) int { return a + b })
+		got := Run(Config{Workers: workers}, nil, func(int, func([]byte, int)) {}, func(a, b int) int { return a + b })
 		if got == nil || len(got) != 0 {
 			t.Errorf("workers=%d: empty input should give an empty non-nil map, got %v", workers, got)
 		}
@@ -66,9 +86,9 @@ func TestRunEveryItemMappedOnce(t *testing.T) {
 		items[i] = i
 	}
 	var calls atomic.Int64
-	got := Run(Config{Workers: 16}, items, func(x int, emit func(string, int)) {
+	got := Run(Config{Workers: 16}, items, func(x int, emit func([]byte, int)) {
 		calls.Add(1)
-		emit("n", 1)
+		emit([]byte("n"), 1)
 	}, func(a, b int) int { return a + b })
 	if calls.Load() != 1000 {
 		t.Errorf("mapper called %d times, want 1000", calls.Load())
@@ -124,8 +144,8 @@ func TestRunProgressCountsEveryItem(t *testing.T) {
 			t.Errorf("progress (%d, %d) out of range", done, total)
 		}
 		calls.Add(1)
-	}}, items, func(x int, emit func(string, int)) {
-		emit("n", 1)
+	}}, items, func(x int, emit func([]byte, int)) {
+		emit([]byte("n"), 1)
 	}, func(a, b int) int { return a + b })
 	if calls.Load() != 400 {
 		t.Errorf("progress called %d times, want 400", calls.Load())
@@ -139,9 +159,9 @@ func BenchmarkRunParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(Config{Workers: 8}, items, func(x int, emit func(string, int)) {
+		Run(Config{Workers: 8}, items, func(x int, emit func([]byte, int)) {
 			for j := 0; j < 8; j++ {
-				emit(fmt.Sprintf("k%d", (x+j)%64), 1)
+				emit(fmt.Appendf(nil, "k%d", (x+j)%64), 1)
 			}
 		}, func(a, b int) int { return a + b })
 	}

@@ -149,3 +149,21 @@ func TestQuicksortBy(t *testing.T) {
 		}
 	}
 }
+
+// Accuracy returns the 0.5-threshold accuracy for binary classification.
+func Accuracy(score, y []float64) float64 {
+	if len(y) == 0 {
+		return 0
+	}
+	correct := 0
+	for i := range y {
+		pred := 0.0
+		if score[i] >= 0.5 {
+			pred = 1
+		}
+		if (pred >= 0.5) == (y[i] >= 0.5) {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(y))
+}

@@ -78,60 +78,63 @@ type EnumResult struct {
 // values per Algorithm 1 — values are grouped by coarse token shape, each
 // aligned position is generalized independently along the Figure 4
 // hierarchy, and the cross-product is explored depth-first with pruning
-// on weighted support — and hands visit each distinct candidate once,
-// with its key, its tokens, the number of values it matches and the
-// number of values considered (both with multiplicity, the latter incl.
-// wide and empty values). It returns the values considered and how many
-// of them were skipped as wider than MaxTokens under every tokenization;
-// a column with none but those has no candidate.
+// on weighted support — and hands visit each distinct candidate once, as
+// the search emits it: its key, its tokens, the number of values it
+// matches and the number of values considered (both with multiplicity,
+// the latter incl. wide and empty values). It returns the values
+// considered and how many of them were skipped as wider than MaxTokens
+// under every tokenization; a column with none but those has no
+// candidate.
 //
-// A key's support is final only once the whole space is searched, so the
-// candidates are collected first and visited afterwards, in the order
-// they were first met, straight from the pooled scratch: the key is the
-// caller's to keep, toks is scratch, valid only until visit returns.
-// Everything else a call works in is drawn from the pool too — the
-// dedupe map, the distinct values and their weights, one slab holding
-// every value's runs under both tokenizations, and the views into it —
-// so an offline build or a horizontal cut that scores each candidate as
-// it is visited copies no hypothesis space out.
-func Visit(values []string, opt EnumOptions, visit func(key string, toks []Tok, matched, total int)) (total, wide int) {
+// The search meets each key once, so a candidate's support is final when
+// it is emitted: within a pass a key fixes its class shape, so no two
+// shape groups share one, and the only keys both passes can build are
+// those of a group with no letter or digit run, which has the same
+// members under both tokenizations and is searched by the alnum pass
+// alone. key and toks are scratch, valid only until visit returns.
+// Everything a call works in is drawn from a pool — the distinct values
+// and their weights, one slab holding every value's runs under both
+// tokenizations, the views into it and the search's state — so a call
+// allocates nothing once the pool is warm, and an offline build or a
+// horizontal cut that scores each candidate as it is visited copies no
+// hypothesis space out.
+func Visit(values []string, opt EnumOptions, visit func(key []byte, toks []Tok, matched, total int)) (total, wide int) {
 	if len(values) == 0 {
 		return 0, 0
 	}
-	em, total, wide := collect(values, opt)
-	lo := 0
-	for i, key := range em.keys {
-		hi := em.tokEnd[i]
-		visit(key, em.tokBuf[lo:hi:hi], em.matched(i), total)
-		lo = hi
-	}
+	em := emitters.Get().(*emitter)
+	em.reset(opt)
+	em.visit = visit
+	total, wide = em.column(values)
 	em.release()
 	return total, wide
 }
 
 // Enumerate returns the candidates Visit would hand over, in its order
-// (no part of the result; each key occurs once), copied out of the
-// scratch: a fresh candidate slice, every candidate's tokens carved from
-// one new block. It serves callers that look at a candidate more than
-// once — PWheel's description lengths, the benchmark's lookup layer and
-// the tests' oracles.
+// (no part of the result; each key occurs once). The search collects
+// them in the emitter's slabs, and they are copied out in one piece: a
+// fresh candidate slice, every key carved from one new string and every
+// candidate's tokens from one new block. It serves callers that look at
+// a candidate more than once — PWheel's description lengths, the
+// benchmark's lookup layer and the tests' oracles.
 func Enumerate(values []string, opt EnumOptions) EnumResult {
 	var res EnumResult
 	if len(values) == 0 {
 		return res
 	}
-	em, total, wide := collect(values, opt)
-	res.Total, res.Wide, res.Candidates = total, wide, em.finish()
+	em := emitters.Get().(*emitter)
+	em.reset(opt)
+	res.Total, res.Wide = em.column(values)
+	res.Candidates = em.finish()
 	em.release()
 	return res
 }
 
-// collect draws an emitter from the pool and collects the candidates of
-// the column into it, returning it (for the caller to release) with the
-// values considered and those skipped as wide.
-func collect(values []string, opt EnumOptions) (em *emitter, total, wide int) {
-	em = emitters.Get().(*emitter)
-	em.reset(opt, nil)
+// column lexes the values into em and searches their pattern space,
+// handing each candidate to em.visit (or collecting it when that is nil).
+// It returns the values considered and those skipped as wide.
+func (em *emitter) column(values []string) (total, wide int) {
+	opt := em.opt
 	em.lex(values)
 	for i, w := range em.weights {
 		total += w
@@ -145,6 +148,7 @@ func collect(values []string, opt EnumOptions) (em *emitter, total, wide int) {
 			wide += w
 		}
 	}
+	em.total = total
 	em.minCount = max(1, int(math.Ceil(opt.MinSupport*float64(total))))
 	em.words = (len(em.weights) + 63) / 64
 	// The alnum pass runs first: it is cheap and yields the most
@@ -154,7 +158,7 @@ func collect(values []string, opt EnumOptions) (em *emitter, total, wide int) {
 		em.enumeratePass(em.merged, true)
 	}
 	em.enumeratePass(em.fine, false)
-	return em, total, wide
+	return total, wide
 }
 
 // Position summarises one run position of a column's values that share
@@ -191,7 +195,8 @@ type Position struct {
 // working state is drawn from a pool and reset on each call.
 func EnumerateSummary(merged, fine []Position, opt EnumOptions, visit func(key string, toks []Tok)) {
 	em := emitters.Get().(*emitter)
-	em.reset(opt, visit)
+	em.reset(opt)
+	em.sum = visit
 	if opt.IncludeAlnumPass {
 		em.enumerateSummary(merged)
 	}
@@ -234,20 +239,20 @@ func appendDedupe(idx map[string]int, uniq []string, weights []int, values []str
 
 // emitters pools the enumerator's working state across calls.
 var emitters = sync.Pool{New: func() any {
-	return &emitter{dedupe: map[string]int{}, groupOf: map[string]int{}, byKey: map[string]int{}}
+	return &emitter{dedupe: map[string]int{}, shapes: map[string]int{}, slot: map[string]int{}}
 }}
 
-// The pooled maps are emptied for reuse by deleting the keys the last
-// call put there: clear would cost time in proportion to a map's
-// capacity, which never shrinks, on every call however few keys it
-// made. A pass with more shapes than maxRetainedShapes drops the shape
-// map, a call with more candidates than maxRetainedKeys — more than
-// the default MaxPatterns allows — drops its candidate scratch, and one
-// with more distinct values than maxRetainedValues (or runs than
-// maxRetainedRuns) drops its column scratch, so a pooled emitter stays
-// bounded.
+// The pooled dedupe and text-slot maps are emptied for reuse by deleting
+// the keys the last call put there: clear would cost time in proportion
+// to a map's capacity, which never shrinks, on every call however few
+// keys it made. The class shapes met are kept across calls, up to
+// maxRetainedShapes of them. A call with more candidates than
+// maxRetainedKeys — more than the default MaxPatterns allows — drops its
+// candidate scratch, and one with more distinct values than
+// maxRetainedValues (or runs than maxRetainedRuns, or a run longer than
+// that) drops its column scratch, so a pooled emitter stays bounded.
 const (
-	maxRetainedShapes = 64
+	maxRetainedShapes = 1 << 10
 	maxRetainedKeys   = 1 << 16
 	maxRetainedValues = 1 << 12
 	maxRetainedRuns   = 1 << 16
@@ -259,6 +264,14 @@ type shapeGroup struct {
 	key    string
 	lo, n  int
 	weight int
+}
+
+// shapeSlot is a class shape some call has met, and the shape group it
+// is in the current pass when pass is the emitter's.
+type shapeSlot struct {
+	key  string
+	pass uint64
+	g    int
 }
 
 // option is one generalization choice at an aligned position together
@@ -278,19 +291,20 @@ type weighed[K comparable] struct {
 	w   int
 }
 
-// emitter is one enumeration's working state. Everything in it is
-// scratch reused by the next call, except the candidate keys, which are
-// the caller's, and what finish copies out.
+// emitter is one enumeration's working state, all of it scratch reused
+// by the next call but what finish copies out.
 type emitter struct {
 	opt      EnumOptions
-	visit    func(key string, toks []Tok) // nil: collect
+	sum      func(key string, toks []Tok)                     // EnumerateSummary's visitor
+	visit    func(key []byte, toks []Tok, matched, total int) // Visit's; both nil: collect
+	total    int
 	minCount int
 	words    int
 	n        int // candidates emitted, towards MaxPatterns
 
-	// The column of a collecting call: its distinct values (dedupe maps
-	// each to its index) and their weights, and each value's runs under
-	// the fine and the merged tokenization, views into the one slab runs.
+	// The column of a call: its distinct values (dedupe maps each to its
+	// index) and their weights, and each value's runs under the fine and
+	// the merged tokenization, views into the one slab runs.
 	dedupe  map[string]int
 	uniq    []string
 	weights []int
@@ -299,47 +313,54 @@ type emitter struct {
 	merged  [][]tokens.Run
 
 	// Shape groups of the current pass: shape is the key being built,
-	// gid[i] is value i's group (or -1), and members lists every
-	// group's members, group after group.
+	// shapes maps each shape met to its slot, gid[i] is value i's group
+	// (or -1), and members lists every group's members, group after
+	// group.
 	shape   []byte
-	groupOf map[string]int
+	shapes  map[string]int
+	slots   []shapeSlot
+	pass    uint64
 	groups  []shapeGroup
 	gid     []int
 	members []int
 
-	// Per-position counts and the options of the current group: opts
-	// holds every position's options in position order, ends[pos] the
-	// end of position pos's. Option texts are carved from text, option
-	// and prefix bitsets from bits.
+	// Per-position tallies — slot maps a run text to its entry in texts,
+	// lenW[l] is the weight of the members whose run is l long — and the
+	// options of the current group: opts holds every position's options
+	// in position order, ends[pos] the end of position pos's. Option
+	// texts are carved from text, option and prefix bitsets from bits.
+	slot  map[string]int
 	texts []weighed[string]
+	lenW  []int
 	lens  []weighed[int]
 	opts  []option
 	ends  []int
 	text  []byte
 	bits  []uint64
-	acc   []bitset
-	toks  []Tok
 
-	// key is the canonical key of the tokens dfs has chosen so far,
-	// grown and cut back as it descends and returns.
-	key []byte
+	// The search: acc[pos] is the members the tokens chosen before pos
+	// match, wt[pos] their weight; key is the canonical key of those
+	// tokens, grown and cut back as dfs descends and returns.
+	acc  []bitset
+	wt   []int
+	toks []Tok
+	key  []byte
 
-	// Candidates collected so far (a visiting call keeps none):
-	// candidate i has key keys[i] and tokens
-	// tokBuf[tokEnd[i-1]:tokEnd[i]], and matches the values in
-	// cbits[i*words:(i+1)*words].
-	byKey  map[string]int
-	keys   []string
-	tokBuf []Tok
-	tokEnd []int
-	cbits  []uint64
+	// Candidates an Enumerate call collected: candidate i has key
+	// keyBuf[keyEnd[i-1]:keyEnd[i]], tokens tokBuf[tokEnd[i-1]:tokEnd[i]]
+	// and support support[i].
+	keyBuf  []byte
+	keyEnd  []int
+	tokBuf  []Tok
+	tokEnd  []int
+	support []int
 }
 
-// reset starts a call that collects its candidates (visit nil) or hands
-// them to visit.
-func (em *emitter) reset(opt EnumOptions, visit func(string, []Tok)) {
-	em.opt, em.visit, em.n = opt, visit, 0
-	em.keys, em.tokBuf, em.tokEnd, em.cbits = em.keys[:0], em.tokBuf[:0], em.tokEnd[:0], em.cbits[:0]
+// reset starts a call under opt, with no visitor: it collects its
+// candidates until the caller sets one.
+func (em *emitter) reset(opt EnumOptions) {
+	em.opt, em.n = opt, 0
+	em.keyBuf, em.keyEnd, em.tokBuf, em.tokEnd, em.support = em.keyBuf[:0], em.keyEnd[:0], em.tokBuf[:0], em.tokEnd[:0], em.support[:0]
 }
 
 // lex dedupes values into em.uniq and em.weights and lexes each distinct
@@ -361,13 +382,14 @@ func (em *emitter) lex(values []string) {
 	}
 }
 
-// release returns em to the pool without the caller's visit or the
-// candidate keys, which belong to the caller, and without a string of the
-// caller's column: what the column scratch held is deleted or zeroed.
+// release returns em to the pool without the caller's visitor and without
+// a string of the caller's column: what the column scratch held is
+// deleted or zeroed.
 func (em *emitter) release() {
-	em.visit = nil
-	if cap(em.uniq) > maxRetainedValues || cap(em.runs) > maxRetainedRuns {
+	em.visit, em.sum = nil, nil
+	if cap(em.uniq) > maxRetainedValues || cap(em.runs) > maxRetainedRuns || len(em.lenW) > maxRetainedRuns {
 		em.dedupe, em.uniq, em.weights, em.runs, em.fine, em.merged = map[string]int{}, nil, nil, nil, nil, nil
+		em.slot, em.texts, em.lenW = map[string]int{}, nil, nil
 	} else {
 		for _, v := range em.uniq {
 			delete(em.dedupe, v)
@@ -378,13 +400,8 @@ func (em *emitter) release() {
 		clear(em.merged)
 		em.uniq, em.runs, em.fine, em.merged = em.uniq[:0], em.runs[:0], em.fine[:0], em.merged[:0]
 	}
-	if len(em.keys) > maxRetainedKeys {
-		em.byKey, em.keys, em.tokBuf, em.tokEnd, em.cbits = map[string]int{}, nil, nil, nil, nil
-	} else {
-		for _, key := range em.keys {
-			delete(em.byKey, key)
-		}
-		clear(em.keys)
+	if len(em.keyEnd) > maxRetainedKeys {
+		em.keyBuf, em.keyEnd, em.tokBuf, em.tokEnd, em.support = nil, nil, nil, nil, nil
 	}
 	emitters.Put(em)
 }
@@ -402,15 +419,16 @@ func (em *emitter) newBits() bitset {
 
 // enumeratePass groups the values whose runsOf are non-empty and within
 // τ by class shape and enumerates each group, heaviest first (ties by
-// shape), so pattern caps favour well-supported shapes.
+// shape), so pattern caps favour well-supported shapes. A group with no
+// letter or digit run has the same runs under both tokenizations, so the
+// same members and the same candidates: when the alnum pass has searched
+// it, the fine pass skips it, and no key is met twice.
 func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
-	if len(em.groupOf) > maxRetainedShapes {
-		em.groupOf = map[string]int{}
-	} else {
-		for _, g := range em.groups {
-			delete(em.groupOf, g.key)
-		}
+	if len(em.slots) > maxRetainedShapes {
+		clear(em.shapes)
+		em.slots = em.slots[:0]
 	}
+	em.pass++
 	em.groups, em.gid = em.groups[:0], em.gid[:0]
 	for i, runs := range runsOf {
 		if len(runs) == 0 || !fits(em.opt, len(runs)) {
@@ -418,16 +436,21 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 			continue
 		}
 		em.shape = tokens.AppendClassShape(em.shape[:0], runs)
-		g, ok := em.groupOf[string(em.shape)]
+		s, ok := em.shapes[string(em.shape)]
 		if !ok {
-			g = len(em.groups)
+			s = len(em.slots)
 			key := string(em.shape)
-			em.groupOf[key] = g
-			em.groups = append(em.groups, shapeGroup{key: key})
+			em.shapes[key] = s
+			em.slots = append(em.slots, shapeSlot{key: key})
 		}
-		em.groups[g].n++
-		em.groups[g].weight += em.weights[i]
-		em.gid = append(em.gid, g)
+		sl := &em.slots[s]
+		if sl.pass != em.pass {
+			sl.pass, sl.g = em.pass, len(em.groups)
+			em.groups = append(em.groups, shapeGroup{key: sl.key})
+		}
+		em.groups[sl.g].n++
+		em.groups[sl.g].weight += em.weights[i]
+		em.gid = append(em.gid, sl.g)
 	}
 	lo := 0
 	for g := range em.groups {
@@ -447,55 +470,62 @@ func (em *emitter) enumeratePass(runsOf [][]tokens.Run, alnumPass bool) {
 		}
 		return strings.Compare(a.key, b.key)
 	})
+	skipPlain := !alnumPass && em.opt.IncludeAlnumPass
 	for _, g := range em.groups {
-		em.enumerateGroup(em.members[g.lo:g.lo+g.n], g.weight, runsOf, alnumPass)
+		members := em.members[g.lo : g.lo+g.n]
+		if skipPlain && !hasAlnum(runsOf[members[0]]) {
+			continue
+		}
+		em.enumerateGroup(members, g.weight, runsOf, alnumPass)
 	}
 }
 
-// emit records the pattern toks, whose canonical key dfs has assembled
-// in em.key, as matching the values in bs, or hands it to visit: a
-// visiting call never meets a key twice.
-func (em *emitter) emit(toks []Tok, bs bitset) {
-	if em.visit == nil {
-		if i, ok := em.byKey[string(em.key)]; ok {
-			bitset(em.cbits[i*em.words : (i+1)*em.words]).or(bs)
-			return
+// hasAlnum reports whether runs has a letter or digit run.
+func hasAlnum(runs []tokens.Run) bool {
+	for _, r := range runs {
+		if r.Class == tokens.ClassLetter || r.Class == tokens.ClassDigit {
+			return true
 		}
 	}
-	if (Pattern{Toks: toks}).IsTrivial() || em.full() {
+	return false
+}
+
+// emit hands the pattern toks, whose canonical key dfs has assembled in
+// em.key and which matches values weighing matched, to the visitor, or
+// collects it.
+func (em *emitter) emit(toks []Tok, matched int) {
+	if (Pattern{Toks: toks}).IsTrivial() {
 		return
 	}
 	em.n++
-	key := string(em.key)
-	if em.visit != nil {
-		em.visit(key, toks)
-		return
+	switch {
+	case em.visit != nil:
+		em.visit(em.key, toks, matched, em.total)
+	case em.sum != nil:
+		em.sum(string(em.key), toks)
+	default:
+		em.keyBuf = append(em.keyBuf, em.key...)
+		em.keyEnd = append(em.keyEnd, len(em.keyBuf))
+		em.tokBuf = append(em.tokBuf, toks...)
+		em.tokEnd = append(em.tokEnd, len(em.tokBuf))
+		em.support = append(em.support, matched)
 	}
-	em.byKey[key] = len(em.keys)
-	em.keys = append(em.keys, key)
-	em.tokBuf = append(em.tokBuf, toks...)
-	em.tokEnd = append(em.tokEnd, len(em.tokBuf))
-	em.cbits = append(em.cbits, bs...)
 }
 
-// matched is the weighted number of values candidate i matches.
-func (em *emitter) matched(i int) int {
-	return bitset(em.cbits[i*em.words : (i+1)*em.words]).weightedCount(em.weights)
-}
-
-// finish copies the candidates out of the scratch, in the order they were
-// first emitted, every candidate's tokens carved from one new block.
+// finish copies the collected candidates out of the scratch, in the order
+// they were emitted: every key carved from one new string, every
+// candidate's tokens from one new block.
 func (em *emitter) finish() []Candidate {
-	if len(em.keys) == 0 {
+	if len(em.keyEnd) == 0 {
 		return nil
 	}
-	block := slices.Clone(em.tokBuf)
-	out := make([]Candidate, len(em.keys))
-	lo := 0
-	for i, key := range em.keys {
-		hi := em.tokEnd[i]
-		out[i] = Candidate{Pattern: Pattern{Toks: block[lo:hi:hi]}, Key: key, Matched: em.matched(i)}
-		lo = hi
+	keys, block := string(em.keyBuf), slices.Clone(em.tokBuf)
+	out := make([]Candidate, len(em.keyEnd))
+	klo, tlo := 0, 0
+	for i, khi := range em.keyEnd {
+		thi := em.tokEnd[i]
+		out[i] = Candidate{Pattern: Pattern{Toks: block[tlo:thi:thi]}, Key: keys[klo:khi], Matched: em.support[i]}
+		klo, tlo = khi, thi
 	}
 	return out
 }
@@ -527,31 +557,30 @@ func (em *emitter) enumerateGroup(members []int, groupWeight int, runsOf [][]tok
 	for i := 1; i <= npos; i++ {
 		em.acc = append(em.acc, em.newBits())
 	}
-	em.search(npos)
+	em.search(npos, groupWeight)
 }
 
 // search explores the cross-product of the npos positions' options in
-// em.opts, depth first.
-func (em *emitter) search(npos int) {
+// em.opts, depth first, from members weighing weight in all.
+func (em *emitter) search(npos, weight int) {
 	em.toks = slices.Grow(em.toks[:0], npos)[:npos]
+	em.wt = slices.Grow(em.wt[:0], npos+1)[:npos+1]
+	em.wt[0] = weight
 	em.key = em.key[:0]
 	em.dfs(0, npos)
 }
 
-// dfs chooses an option at pos and descends. A collecting search tracks
-// in acc which members the chosen prefix matches and prunes on their
-// weight; a visiting one enumerates a summary, whose every option matches
-// every value, so it tracks nothing.
+// dfs chooses an option at pos and descends. A column's search tracks in
+// acc which members the chosen prefix matches, and in wt their weight,
+// and prunes on it, so a leaf's weight is its candidate's support; a
+// summary's search, whose every option matches every value, tracks
+// nothing.
 func (em *emitter) dfs(pos, npos int) {
 	if em.full() {
 		return
 	}
 	if pos == npos {
-		var bs bitset
-		if em.visit == nil {
-			bs = em.acc[pos]
-		}
-		em.emit(em.toks, bs)
+		em.emit(em.toks, em.wt[pos])
 		return
 	}
 	keyLen := len(em.key)
@@ -561,15 +590,18 @@ func (em *emitter) dfs(pos, npos int) {
 	}
 	for _, o := range em.opts[lo:em.ends[pos]] {
 		switch {
-		case em.visit != nil: // every option matches every value
+		case em.sum != nil: // every option matches every value
 		case o.all:
 			// acc[pos] is within the group and already reaches minCount.
 			copy(em.acc[pos+1], em.acc[pos])
+			em.wt[pos+1] = em.wt[pos]
 		default:
 			em.acc[pos+1].andInto(em.acc[pos], o.bs)
-			if em.acc[pos+1].weightedCount(em.weights) < em.minCount {
+			w := em.acc[pos+1].weightedCount(em.weights)
+			if w < em.minCount {
 				continue
 			}
+			em.wt[pos+1] = w
 		}
 		em.toks[pos] = o.tok
 		em.key = append(em.key[:keyLen], o.text...)
@@ -620,7 +652,7 @@ func (em *emitter) enumerateSummary(sum []Position) {
 		}
 		em.ends = append(em.ends, len(em.opts))
 	}
-	em.search(len(sum))
+	em.search(len(sum), 0)
 }
 
 // summaryOptions appends the options at a summarised position, in
@@ -655,58 +687,97 @@ func (em *emitter) summaryOptions(p Position) {
 	}
 }
 
-// tally returns dst holding, in key order, the keys of the members that
-// weigh at least min in all, and reports whether the members' keys
-// differ. When min is over half of groupWeight only a majority key can
-// qualify, and one weighted vote finds it; otherwise the keys are sorted
-// and equal runs merged. No map is built or cleared per position.
-func tally[K comparable](dst []weighed[K], members, weights []int, keyOf func(i int) K, compare func(a, b K) int, min, groupWeight int) ([]weighed[K], bool) {
-	dst = dst[:0]
-	if 2*min > groupWeight {
-		var cand K // Boyer-Moore majority vote, weighted
-		bal := 0
-		for _, i := range members {
-			k, w := keyOf(i), weights[i]
-			switch {
-			case k == cand:
-				bal += w
-			case bal >= w:
-				bal -= w
-			default:
-				cand, bal = k, w-bal
-			}
-		}
-		w := 0
-		for _, i := range members {
-			if keyOf(i) == cand {
-				w += weights[i]
-			}
-		}
-		if w >= min {
-			dst = append(dst, weighed[K]{cand, w})
-		}
-		return dst, w < groupWeight
-	}
+// majority returns dst holding the key of the members that weighs more
+// than half of groupWeight, if there is one and it weighs at least min,
+// and reports whether the members' keys differ: one weighted
+// Boyer-Moore vote finds the only candidate, and one more scan weighs it.
+func majority[K comparable](dst []weighed[K], members, weights []int, keyOf func(i int) K, min, groupWeight int) ([]weighed[K], bool) {
+	var cand K
+	bal := 0
 	for _, i := range members {
-		dst = append(dst, weighed[K]{keyOf(i), weights[i]})
-	}
-	slices.SortFunc(dst, func(a, b weighed[K]) int { return compare(a.key, b.key) })
-	d, mixed := -1, false
-	for _, e := range dst {
-		if d >= 0 && dst[d].key == e.key {
-			dst[d].w += e.w
-			continue
+		k, w := keyOf(i), weights[i]
+		switch {
+		case k == cand:
+			bal += w
+		case bal >= w:
+			bal -= w
+		default:
+			cand, bal = k, w-bal
 		}
-		mixed = d >= 0
-		if d < 0 || dst[d].w >= min {
-			d++
+	}
+	w := 0
+	for _, i := range members {
+		if keyOf(i) == cand {
+			w += weights[i]
 		}
-		dst[d] = e
 	}
-	if dst[d].w < min {
-		d--
+	if w >= min {
+		dst = append(dst, weighed[K]{cand, w})
 	}
-	return dst[:d+1], mixed
+	return dst, w < groupWeight
+}
+
+// atLeast drops from keys, in place, those weighing less than min.
+func atLeast[K comparable](keys []weighed[K], min int) []weighed[K] {
+	return slices.DeleteFunc(keys, func(e weighed[K]) bool { return e.w < min })
+}
+
+// tallyTexts sets em.texts to the run texts at pos of the members that
+// weigh at least min in all, in no order, and reports whether the
+// members' texts differ. When min is over half of groupWeight only a
+// majority text can qualify, and majority finds it; otherwise each text
+// is summed in its entry of em.texts, found through em.slot, whose keys
+// are deleted again after.
+func (em *emitter) tallyTexts(members []int, runsOf [][]tokens.Run, pos, min, groupWeight int) bool {
+	if 2*min > groupWeight {
+		var mixed bool
+		em.texts, mixed = majority(em.texts[:0], members, em.weights, func(i int) string { return runsOf[i][pos].Text }, min, groupWeight)
+		return mixed
+	}
+	em.texts = em.texts[:0]
+	for _, i := range members {
+		t := runsOf[i][pos].Text
+		s, ok := em.slot[t]
+		if !ok {
+			s = len(em.texts)
+			em.slot[t] = s
+			em.texts = append(em.texts, weighed[string]{key: t})
+		}
+		em.texts[s].w += em.weights[i]
+	}
+	for _, e := range em.texts {
+		delete(em.slot, e.key)
+	}
+	mixed := len(em.texts) > 1
+	em.texts = atLeast(em.texts, min)
+	return mixed
+}
+
+// tallyLens sets em.lens to the run lengths at pos of the members that
+// weigh at least min in all, in no order: by a majority vote when min is
+// over half of groupWeight, otherwise by counting each length's weight
+// in em.lenW, which is zeroed again after.
+func (em *emitter) tallyLens(members []int, runsOf [][]tokens.Run, pos, min, groupWeight int) {
+	if 2*min > groupWeight {
+		em.lens, _ = majority(em.lens[:0], members, em.weights, func(i int) int { return len(runsOf[i][pos].Text) }, min, groupWeight)
+		return
+	}
+	em.lens = em.lens[:0]
+	for _, i := range members {
+		l := len(runsOf[i][pos].Text)
+		if l >= len(em.lenW) {
+			em.lenW = append(em.lenW, make([]int, l+1-len(em.lenW))...)
+		}
+		if em.lenW[l] == 0 { // every weight is at least 1
+			em.lens = append(em.lens, weighed[int]{key: l})
+		}
+		em.lenW[l] += em.weights[i]
+	}
+	for k := range em.lens {
+		l := em.lens[k].key
+		em.lens[k].w, em.lenW[l] = em.lenW[l], 0
+	}
+	em.lens = atLeast(em.lens, min)
 }
 
 // heaviest orders keys by descending weight, then key, and keeps the
@@ -737,8 +808,7 @@ func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, gr
 	if class == tokens.ClassSymbol || class == tokens.ClassSpace ||
 		(!alnumPass && (class == tokens.ClassDigit || class == tokens.ClassLetter)) {
 		minConst := int(math.Ceil(em.opt.MinConstSupport * float64(groupWeight)))
-		em.texts, mixed = tally(em.texts, members, em.weights, func(i int) string { return runsOf[i][pos].Text },
-			strings.Compare, max(minConst, 1, em.minCount), groupWeight)
+		mixed = em.tallyTexts(members, runsOf, pos, max(minConst, 1, em.minCount), groupWeight)
 		consts = heaviest(em.texts, strings.Compare, em.opt.MaxConstsPerPos)
 	}
 	addConsts := func() {
@@ -787,8 +857,7 @@ func (em *emitter) positionOptions(members []int, runsOf [][]tokens.Run, pos, gr
 // addWidths adds the fixed widths <class>{k} at position pos that reach
 // the support threshold, most frequent lengths first.
 func (em *emitter) addWidths(class tokens.Class, members []int, runsOf [][]tokens.Run, pos, groupWeight int) {
-	em.lens, _ = tally(em.lens, members, em.weights, func(i int) int { return len(runsOf[i][pos].Text) },
-		cmp.Compare[int], em.minCount, groupWeight)
+	em.tallyLens(members, runsOf, pos, em.minCount, groupWeight)
 	lens := heaviest(em.lens, cmp.Compare[int], em.opt.MaxLengthsPerPos)
 	for _, l := range lens {
 		all := l.w == groupWeight
@@ -806,12 +875,6 @@ func (em *emitter) addWidths(class tokens.Class, members []int, runsOf [][]token
 type bitset []uint64
 
 func (b bitset) set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
-
-func (b bitset) or(c bitset) {
-	for i := range b {
-		b[i] |= c[i]
-	}
-}
 
 func (b bitset) andInto(x, y bitset) {
 	for i := range b {

@@ -54,9 +54,17 @@ func checkAgree(t *testing.T, values []string, opt pattern.EnumOptions) {
 			t.Fatalf("candidate key %q is not its pattern's key %q", c.Key, c.Pattern.Key())
 		}
 	}
+	checkVisit(t, values, opt, want)
+}
 
+// checkVisit holds Visit to want, the oracle's result: the same totals,
+// and each of want's candidates handed over exactly once, with its tokens
+// and support, beside the column's total.
+func checkVisit(t *testing.T, values []string, opt pattern.EnumOptions, want pattern.EnumResult) {
+	t.Helper()
 	visited := map[string]pattern.Candidate{}
-	total, wide := pattern.Visit(values, opt, func(key string, toks []pattern.Tok, matched, total int) {
+	total, wide := pattern.Visit(values, opt, func(k []byte, toks []pattern.Tok, matched, total int) {
+		key := string(k)
 		if _, ok := visited[key]; ok {
 			t.Fatalf("Visit on %q (%+v) hands over %q twice", values, opt, key)
 		}
@@ -166,6 +174,66 @@ func TestEnumerateAgreesWithOracleHandCases(t *testing.T) {
 	for _, values := range cases {
 		for _, opt := range agreeOptions() {
 			checkAgree(t, values, opt)
+		}
+	}
+}
+
+// Visit meets each key once — a key fixes its class shape within a pass,
+// and the fine pass skips the groups with no letter or digit run, which
+// the alnum pass has searched — and hands it over with the support the
+// oracle, which merges the bitsets of a key met twice, counts for it:
+// over every generator domain at seeds 1–5; over symbol-only columns,
+// alone and beside letter and digit values of the same run count; with
+// empty values; with the alnum pass off; and with a pattern cap that ends
+// the alnum pass inside a group, a symbol-only one among them.
+func TestVisitMeetsEachKeyOnce(t *testing.T) {
+	all := agreeOptions()
+	opts := []pattern.EnumOptions{all["index"], all["leaf"], all["cut"], all["capped"], all["fineOnly"]}
+	check := func(values []string, opt pattern.EnumOptions) {
+		t.Helper()
+		checkVisit(t, values, opt, pattern.OracleEnumerate(values, opt))
+	}
+	for _, d := range allDomains() {
+		for seed := int64(1); seed <= 5; seed++ {
+			values, err := datagen.FreshColumn(d.Name, 40, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range opts {
+				check(values, opt)
+			}
+		}
+	}
+
+	symbols := [][]string{
+		{"--", "::", "--"},
+		{" - ", " - ", " : "},
+		{"--", "::", " - ", "-:"},
+		{"--", "::", "a-", "1:", "--"},       // symbol-only beside letter and digit runs, two runs each
+		{" - ", "a-b", "1 2", " - ", "x:y"},  // three runs each
+		{"--", "", "::", "", "ab", "12"},     // empty values
+		{"", "", ""},                         // nothing but empty values
+		{"--", "--", "--", "-:", "a-", "b-"}, // the heaviest group is symbol-only
+		{"2019-01-02", "2020-11-30", "--", "::"},
+	}
+	for _, values := range symbols {
+		for _, opt := range opts {
+			check(values, opt)
+		}
+	}
+
+	// Caps that end the alnum pass inside a group: a date group, and a
+	// symbol-only group searched first, whose keys the fine pass would
+	// meet again.
+	capped := all["index"]
+	for _, values := range [][]string{
+		{"2019-01-02", "2020-11-30", "2021-07-04"},
+		{"--", "--", "-:", "::", "a-", "1-"},
+	} {
+		full := len(pattern.OracleEnumerate(values, capped).Candidates)
+		for n := 1; n <= full; n++ {
+			capped.MaxPatterns = n
+			check(values, capped)
 		}
 	}
 }

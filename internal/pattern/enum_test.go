@@ -369,13 +369,8 @@ func TestEnumerateResultsAreCallerOwned(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkEnumerateTimestampColumn enumerates a 100-value timestamp
-// column two ways: "index" is Enumerate at the default options (τ = 13,
-// 5 % support, the union semantics of P(D)); "leaf" is what the
-// vertical-cut DP hands the enumerator for one segment — the position
-// summaries of the values' first eight runs, at full support and τ = 8 —
-// visited by a scorer that does nothing.
-func BenchmarkEnumerateTimestampColumn(b *testing.B) {
+// timestampColumn is 100 random timestamps, seed 1.
+func timestampColumn() []string {
 	col := make([]string, 100)
 	rng := rand.New(rand.NewSource(1))
 	for i := range col {
@@ -383,6 +378,40 @@ func BenchmarkEnumerateTimestampColumn(b *testing.B) {
 			1+rng.Intn(12), 1+rng.Intn(28), 2015+rng.Intn(6),
 			rng.Intn(24), rng.Intn(60), rng.Intn(60))
 	}
+	return col
+}
+
+// Once its pool is warm, Visit allocates nothing, however many
+// candidates it hands over: the column's scratch, the shapes, the
+// tallies and the search are pooled, and a key is handed over as the
+// search's bytes. The default options search both passes at 5 %
+// support, τ = 13.
+func TestVisitAllocatesNothingPerCandidate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates, and drops pooled values at random")
+	}
+	col := timestampColumn()
+	opt := DefaultEnumOptions()
+	candidates := 0
+	Visit(col, opt, func([]byte, []Tok, int, int) { candidates++ })
+	if candidates < 100 {
+		t.Fatalf("the column has %d candidates; the test wants at least 100", candidates)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		Visit(col, opt, func([]byte, []Tok, int, int) {})
+	}); allocs != 0 {
+		t.Errorf("a warm Visit over %d candidates allocates %.1f objects, want 0", candidates, allocs)
+	}
+}
+
+// BenchmarkEnumerateTimestampColumn enumerates a 100-value timestamp
+// column two ways: "index" is Enumerate at the default options (τ = 13,
+// 5 % support, the union semantics of P(D)); "leaf" is what the
+// vertical-cut DP hands the enumerator for one segment — the position
+// summaries of the values' first eight runs, at full support and τ = 8 —
+// visited by a scorer that does nothing.
+func BenchmarkEnumerateTimestampColumn(b *testing.B) {
+	col := timestampColumn()
 	b.Run("index", func(b *testing.B) {
 		opt := DefaultEnumOptions()
 		b.ReportAllocs()

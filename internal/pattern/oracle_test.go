@@ -150,7 +150,9 @@ func (em *oracleEmitter) emit(toks []Tok, bs bitset) {
 	}
 	key := p.Key()
 	if i, ok := em.byKey[key]; ok {
-		em.bsets[i].or(bs)
+		for w := range bs {
+			em.bsets[i][w] |= bs[w]
+		}
 		return
 	}
 	if em.full() {

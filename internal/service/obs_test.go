@@ -277,3 +277,6 @@ func mustJSON(t *testing.T, v any) string {
 	}
 	return string(b)
 }
+
+// Monitor returns the server's continuous-validation engine.
+func (s *Server) Monitor() *monitor.Engine { return s.mon }

@@ -34,9 +34,6 @@ import (
 // Registry returns the server's stream registry (for embedding callers).
 func (s *Server) Registry() *registry.Registry { return s.registry }
 
-// Monitor returns the server's continuous-validation engine.
-func (s *Server) Monitor() *monitor.Engine { return s.mon }
-
 // canReinfer reports whether /streams/{name}/check may re-learn a rule
 // locally: not in read-only mode, and not a follower (a follower's
 // registry is replicated from the leader; a local re-inference would be

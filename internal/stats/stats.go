@@ -106,20 +106,6 @@ func ChiSquareSurvival(x float64, df int) float64 {
 	return GammaQ(float64(df)/2, x/2)
 }
 
-// GammaP returns the regularized lower incomplete gamma function P(a, x).
-func GammaP(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
 // GammaQ returns the regularized upper incomplete gamma function
 // Q(a, x) = 1 - P(a, x).
 func GammaQ(a, x float64) float64 {

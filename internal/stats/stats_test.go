@@ -227,3 +227,17 @@ func BenchmarkChiSquaredYates(b *testing.B) {
 		ChiSquaredYates(10, 990, 480, 8520) //nolint:errcheck
 	}
 }
+
+// GammaP returns the regularized lower incomplete gamma function P(a, x).
+func GammaP(a, x float64) float64 {
+	if x < 0 || a <= 0 {
+		return math.NaN()
+	}
+	if x == 0 {
+		return 0
+	}
+	if x < a+1 {
+		return gammaSeries(a, x)
+	}
+	return 1 - gammaCF(a, x)
+}

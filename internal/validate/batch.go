@@ -48,11 +48,6 @@ func (rep *BatchReport) Reset() {
 	rep.exampleIdx = rep.exampleIdx[:0]
 }
 
-// ExampleIndexes returns the batch indexes of the retained
-// non-conforming examples. The slice is owned by the report and only
-// valid until the next Reset/ValidateBatch.
-func (rep *BatchReport) ExampleIndexes() []int { return rep.exampleIdx }
-
 // Examples materializes the retained non-conforming values as strings —
 // the one deliberately allocating convenience, for response payloads.
 func (rep *BatchReport) Examples(values [][]byte) []string { return examples(rep, values) }

@@ -319,3 +319,8 @@ func BenchmarkValidateBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "values/s")
 }
+
+// ExampleIndexes returns the batch indexes of the retained
+// non-conforming examples. The slice is owned by the report and only
+// valid until the next Reset/ValidateBatch.
+func (rep *BatchReport) ExampleIndexes() []int { return rep.exampleIdx }
